@@ -8,9 +8,10 @@ so patching only the defining module would miss those calls.
 
 Each wrapped call is a span on one stack.  A function's `s` is the wall time
 of its outermost calls, `self_s` that time minus the time of wrapped callees,
-and a module's `s` is the time of its outermost calls into itself.  Layer
-functions that a later version removes or renames are reported as absent
-and their metrics read 0.
+and a module's `s` is the time of its outermost calls into itself.
+`trace.overhead_s` is the time the wrappers spend outside the functions they
+wrap, measured in the traced pass itself.  Layer functions that a later
+version removes or renames are reported as absent and their metrics read 0.
 """
 
 from __future__ import annotations
@@ -121,6 +122,7 @@ class Tracer:
         self.mods = defaultdict(_Stat)
         self.counts = Counter()
         self.hook_errors = set()
+        self.overhead_s = 0.0
         self._stack = []
         self._patches = []
 
@@ -164,6 +166,7 @@ class Tracer:
         frames = FRAMES.get(name)
 
         def wrapper(*args, **kwargs):
+            entered = time.perf_counter()
             parent = stack[-1][0] if stack else None
             span = [name, 0.0]
             stack.append(span)
@@ -191,6 +194,8 @@ class Tracer:
                 self._observe(name, module, parent, args, kwargs, result, frames)
             except (AttributeError, IndexError, KeyError, TypeError, OSError):
                 self.hook_errors.add(name)
+            # time spent here outside fn; nested wrappers, inside dt, count their own
+            self.overhead_s += time.perf_counter() - entered - dt
             return result
 
         return functools.wraps(fn)(wrapper)
@@ -243,6 +248,7 @@ class Tracer:
                 out[f"{module}.{field}"] = (value, UNITS[field])
         dispatch = self.funcs.get("cli.cli_dispatch", _Stat())
         out["cli.dispatches"] = (dispatch.calls, "count")
+        out["trace.overhead_s"] = (self.overhead_s, "s")
         out["gmm.emission_flops"] = (self.counts["gmm.emission_flops"], "flop")
         lookups = self.counts["alignment_cache.lookups"]
         misses = self.counts["alignment_cache.misses"]

@@ -5,18 +5,19 @@ alignment source and both backends, content scoring, evaluate) in-process
 through `digitsv.cli.cli_dispatch`, on one of the corpus shapes in
 `workloads.py`, and prints one JSON result as the last line of stdout:
 
-    python3 bench/run.py --workload trial_fanout --seed 1 --seconds 5 --trace 0
+    python3 bench/run.py --workload trial_fanout --seed 1 --seconds 25 --trace 0
     python3 bench/run.py --self-check
 
-`--trace 0` reports the end-to-end metrics.  After the first pass, set-up
-and the stages shorter than SHORT_S are dispatched again, round by round,
-each for about an equal share of `--seconds`, and reported as medians; the
-longer stages and `total_s` come from the first pass.  `--trace 1` runs
-one untraced pass, then one pass under the outside-in tracer, and reports
-the per-layer metrics.  A fuller record (context, sizes, stage times, score
-fingerprint) goes to the line before the result and to `.bench_results/`.
-The program is imported from the `src/` next to this directory; without it
-the run exits non-zero before printing a result.
+Every run makes one untraced pass of the walkthrough, with the short stages
+sampled again in between (see `untraced`).  `--trace 0` reports the gated
+end-to-end metrics: set-up time, peak memory and the EERs.  `--trace 1` then
+makes one pass under the outside-in tracer and reports the per-layer metrics
+together with the stage timings of the untraced pass (see STAGE_TIMINGS).
+BLAS threads and glibc's malloc thresholds are pinned before the program is
+imported, and recorded.  A fuller record (context, sizes, every stage timing,
+score fingerprint) goes to the line before the result and to
+`.bench_results/`.  The program is imported from the `src/` next to this
+directory; without it the run exits non-zero before printing a result.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import shutil
 import statistics
 import sys
 import time
+from collections import defaultdict
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -41,11 +43,45 @@ SRC = os.path.join(ROOT, "src")
 # machine a second thread adds more noise than speed
 BLAS_THREADS = 1
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# stages shorter than this are measured again after the first pass; each gets
-# an equal share of --seconds, at least MIN_SAMPLES and at most MAX_SAMPLES
+# glibc mallopt parameters: name -> (parameter, value)
+MALLOPT = {"M_MMAP_THRESHOLD": (-3, 64 << 20), "M_TRIM_THRESHOLD": (-1, 512 << 20)}
+# Wall-time metrics of the walkthrough's stages.  On a shared two-core virtual
+# machine they moved by 20-40% between runs minutes apart, with the host's
+# speed, which is more than a regression bound can absorb.  So they go with
+# the per-layer metrics, which have no bound, and into every run's record;
+# the gated end-to-end metrics are set-up time, peak memory and the EERs.
+STAGE_TIMINGS = ("train_s", "enroll_s", *(f"map_trials_per_s.{s}" for s in
+                 ("gmm-hmm", "dnn", "dnn-hmm", "ubm")),
+                 "ivector_s", "content_trials_per_s", "total_s")
+# stages of these kinds shorter than SHORT_S are re-dispatched between the
+# stages of the pass, for up to SHARE of their time, up to MAX_SAMPLES times each
+REPEATED = ("enroll.", "map.", "content")
 SHORT_S = 1.0
-MIN_SAMPLES = 3
+SHARE = 0.3
 MAX_SAMPLES = 25
+
+
+def pin_allocator():
+    """Fix glibc's malloc thresholds; returns them, or None without glibc.
+
+    By default glibc serves large arrays with fresh mmaps, returns freed
+    memory to the kernel, and raises the mmap threshold as the process frees
+    large blocks.  A dispatch's page faults, and so its time, would then
+    depend on what earlier dispatches in this process freed, and on a shared
+    virtual machine each fault's cost varies with the host's load.  Fixed
+    thresholds keep freed memory in the heap for the next dispatch.
+    """
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return None
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return None
+    for param, value in MALLOPT.values():
+        if mallopt(param, value) != 1:
+            return None
+    return {name: value for name, (_, value) in MALLOPT.items()}
 
 
 def import_program():
@@ -79,12 +115,13 @@ def blas_threads_in_use(np):
     return None
 
 
-def context():
+def context(allocator):
     import numpy as np
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"nproc": len(os.sched_getaffinity(0)), "machine": platform.machine(),
             "blas": f"{blas.get('name')} {blas.get('version')}",
             "blas_threads_pinned": BLAS_THREADS, "blas_threads": blas_threads_in_use(np),
+            "malloc_pinned": allocator,
             "python": platform.python_version(), "numpy": np.__version__}
 
 
@@ -104,35 +141,46 @@ def sizes(wt):
             "clips": len(wt.inputs["clips"])}
 
 
-def rerun(wt, stage):
-    kind, _, source = stage.partition(".")
-    if kind == "setup":
-        return wt.setup()
-    if kind == "enroll":
-        return wt.enroll(source)
-    if kind == "map":
-        return wt.score_map(source)
-    return wt.score_content()
+def untraced(wt, seconds):
+    """One untraced pass with the short stages interleaved; every metric it gives.
 
-
-def end_to_end(wt, seconds):
-    """First pass, then repeats of set-up and the short stages; end-to-end metrics."""
+    Set-up and the stages of the kinds in REPEATED that took less than
+    SHORT_S are dispatched again, each at most once per stage boundary, so
+    their samples spread over the whole pass: after each stage for up to
+    SHARE of that stage's time, and after the pass until `seconds` have
+    passed since the run began.  The short stage with the least time sampled
+    so far goes first.  Each timing is the median of its samples.
+    """
     from walkthrough import SOURCES
-    samples = {"setup": [wt.setup()]}
-    first = wt.walkthrough()
+    deadline = time.perf_counter() + seconds
+    samples = defaultdict(list)
+    short = ["setup"]
+
+    def sample_short(budget):
+        """At most one more sample of each short stage; returns how many it took."""
+        end = time.perf_counter() + budget
+        runs = dict(wt.stages(), setup=wt.setup)
+        taken = 0
+        for stage in sorted((s for s in short if len(samples[s]) < MAX_SAMPLES),
+                            key=lambda s: sum(samples[s])):
+            if time.perf_counter() >= end:
+                break
+            samples[stage].append(runs[stage]())
+            taken += 1
+        return taken
+
+    def after(stage, seconds):
+        samples[stage].append(seconds)
+        if stage.startswith(REPEATED) and seconds < SHORT_S:
+            short.append(stage)
+        sample_short(SHARE * seconds)
+
+    samples["setup"].append(wt.setup())
+    first = wt.walkthrough(after)
     wt.check_scores()
     fingerprint = wt.fingerprint()
-    samples.update((stage, [t]) for stage, t in first.items())
-    repeat = ["setup"] + [s for s, t in first.items()
-                          if (s.startswith(("enroll.", "map.")) or s == "content") and t < SHORT_S]
-    share = seconds / len(repeat)
-    # round-robin, so each stage's samples spread over the whole repeat phase
-    while repeat:
-        for stage in list(repeat):
-            samples[stage].append(rerun(wt, stage))
-            n = len(samples[stage])
-            if n >= MAX_SAMPLES or (n >= MIN_SAMPLES and sum(samples[stage]) >= share):
-                repeat.remove(stage)
+    while time.perf_counter() < deadline and sample_short(deadline - time.perf_counter()):
+        pass
     if wt.fingerprint()["sha256"] != fingerprint["sha256"]:
         wt.problems.append("a repeated dispatch wrote different scores")
 
@@ -140,10 +188,10 @@ def end_to_end(wt, seconds):
     n_trials = len(wt.trials())
     metrics = {
         "setup_s": (med["setup"], "s"),
-        "train_s": (first["train"], "s"),
+        "train_s": (med["train"], "s"),
         "enroll_s": (sum(med[f"enroll.{s}"] for s in SOURCES), "s"),
         **{f"map_trials_per_s.{s}": (n_trials / med[f"map.{s}"], "trials/s") for s in SOURCES},
-        "ivector_s": (first["ivector"], "s"),
+        "ivector_s": (med["ivector"], "s"),
         "content_trials_per_s": (n_trials / med["content"], "trials/s"),
         "total_s": (sum(first.values()), "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
@@ -151,35 +199,41 @@ def end_to_end(wt, seconds):
            for s in ("gmm-hmm", "dnn", "dnn-hmm", "ivector")},
         "eer_pct.content": (wt.evaluation["content"]["TC-TW"]["eer_pct"], "%"),
     }
-    stages = {"first_pass": first, "median": med, "samples": samples}
+    stages = {"pass": first, "median": med, "samples": dict(samples)}
     return metrics, stages, fingerprint
 
 
-def per_layer(wt, digitsv):
-    """Untraced pass, then the same pass under the tracer; per-layer metrics."""
+def per_layer(wt, digitsv, fingerprint):
+    """The walkthrough under the tracer; per-layer metrics."""
     from layertrace import Tracer
-    wt.setup()
-    base = wt.walkthrough()
-    wt.check_scores()
-    fingerprint = wt.fingerprint()
     tracer = Tracer(digitsv)
+    # module self time of each traced stage, from snapshots between stages
+    by_stage = {}
+    snapshot = {}
+
+    def after(stage, _seconds):
+        now = {module: stat.self_s for module, stat in tracer.mods.items()}
+        by_stage[stage] = {m: t - snapshot.get(m, 0.0) for m, t in now.items()}
+        snapshot.update(now)
+
     tracer.install()
     try:
         wt.setup()
-        traced = wt.walkthrough()
+        after("setup", None)
+        traced = wt.walkthrough(after)
     finally:
         tracer.uninstall()
     wt.check_scores()
     if wt.fingerprint() != fingerprint:
         wt.problems.append("the traced pass wrote different scores")
     metrics = tracer.metrics()
-    metrics["trace.overhead_s"] = (sum(traced.values()) - sum(base.values()), "s")
-    stages = {"untraced_pass": base, "traced_pass": traced,
+    metrics["gmm.train_self_s"] = (by_stage["train"].get("gmm", 0.0), "s")
+    stages = {"pass": traced, "module_self_s_by_stage": by_stage,
               "absent_layers": tracer.absent(), "hook_errors": sorted(tracer.hook_errors)}
-    return metrics, stages, fingerprint
+    return metrics, stages
 
 
-def run_workload(workload, seed, seconds, traced, digitsv):
+def run_workload(workload, seed, seconds, traced, digitsv, allocator):
     """One benchmark run; returns (result, record)."""
     from walkthrough import DispatchFailed, Walkthrough
     work = os.path.join(ROOT, ".bench_work", f"{workload.name}-s{seed}-t{int(traced)}-{os.getpid()}")
@@ -188,13 +242,18 @@ def run_workload(workload, seed, seconds, traced, digitsv):
     wt = Walkthrough(work, workload, seed)
     record = {"workload": workload.name, "why": workload.why, "seed": seed,
               "corpus_seed": workload.corpus_seed, "trace": int(traced), "seconds": seconds,
-              "context": context()}
+              "context": context(allocator)}
     metrics = {}
     try:
+        # a traced run takes no samples after the untraced pass
+        measured, record["untraced"], fingerprint = untraced(wt, 0 if traced else seconds)
+        record["measured"] = measured
+        record["fingerprint"] = fingerprint
         if traced:
-            metrics, record["stages"], record["fingerprint"] = per_layer(wt, digitsv)
+            metrics, record["traced"] = per_layer(wt, digitsv, fingerprint)
+            metrics.update((name, measured[name]) for name in STAGE_TIMINGS)
         else:
-            metrics, record["stages"], record["fingerprint"] = end_to_end(wt, seconds)
+            metrics = {k: v for k, v in measured.items() if k not in STAGE_TIMINGS}
         record["sizes"] = sizes(wt)
     except DispatchFailed as exc:
         wt.problems.append(str(exc))
@@ -208,7 +267,7 @@ def run_workload(workload, seed, seconds, traced, digitsv):
     return result, record
 
 
-def self_check(digitsv):
+def self_check(digitsv, allocator):
     """Tiny corpus through every stage, untraced and traced; checks names and determinism."""
     import workloads
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -217,7 +276,7 @@ def self_check(digitsv):
     runs = {}
     for traced, section in ((False, "end_to_end"), (True, "per_layer")):
         t0 = time.perf_counter()
-        result, record = run_workload(workloads.TINY, 1, 0, traced, digitsv)
+        result, record = run_workload(workloads.TINY, 1, 0, traced, digitsv, allocator)
         runs[traced] = record
         want = {m["name"]: m["unit"] for m in spec[section]}
         got = {name: m["unit"] for name, m in result["metrics"].items()}
@@ -248,14 +307,15 @@ def main(argv=None):
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--self-check", action="store_true")
     args = parser.parse_args(argv)
+    allocator = pin_allocator()
     digitsv = import_program()
     import workloads
     if args.self_check:
-        return self_check(digitsv)
+        return self_check(digitsv, allocator)
     if args.workload not in workloads.WORKLOADS:
         parser.error(f"--workload must be one of {sorted(workloads.WORKLOADS)}")
     result, record = run_workload(workloads.WORKLOADS[args.workload], args.seed,
-                                  args.seconds, bool(args.trace), digitsv)
+                                  args.seconds, bool(args.trace), digitsv, allocator)
     out_dir = os.path.join(ROOT, ".bench_results")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, f"{args.workload}-seed{args.seed}-trace{args.trace}.json"),

@@ -8,6 +8,8 @@ dispatch times; garbage collection runs between dispatches, outside them.
 from __future__ import annotations
 
 import contextlib
+import copy
+import functools
 import gc
 import hashlib
 import io
@@ -171,18 +173,26 @@ class Walkthrough:
             self.evaluation[system] = parse_report(report)
         return seconds
 
-    def walkthrough(self):
-        """One pass after set-up, front end to evaluate: {stage: seconds}."""
-        times = {}
-        if self.workload.front_end:
-            times["front_end"] = self.front_end()
-        times["train"] = self.train()
+    def stages(self):
+        """The walkthrough after set-up, front end to evaluate, as (stage, run) pairs."""
+        steps = [("front_end", self.front_end)] if self.workload.front_end else []
+        steps.append(("train", self.train))
         for source in SOURCES:
-            times[f"enroll.{source}"] = self.enroll(source)
-            times[f"map.{source}"] = self.score_map(source)
-        times["ivector"] = self.ivector_chain()
-        times["content"] = self.score_content()
-        times["evaluate"] = self.evaluate()
+            steps.append((f"enroll.{source}", functools.partial(self.enroll, source)))
+            steps.append((f"map.{source}", functools.partial(self.score_map, source)))
+        steps += [("ivector", self.ivector_chain), ("content", self.score_content),
+                  ("evaluate", self.evaluate)]
+        return steps
+
+    def walkthrough(self, after):
+        """One pass of the stages: {stage: seconds}.
+
+        `after(stage, seconds)` runs after each stage, outside its time.
+        """
+        times = {}
+        for stage, run in self.stages():
+            times[stage] = run()
+            after(stage, times[stage])
         return times
 
     # --- outputs --------------------------------------------------------------
@@ -197,7 +207,7 @@ class Walkthrough:
         for system in SCORED:
             with open(self.scores(system), "rb") as fh:
                 hashes[system] = hashlib.sha256(b"".join(sorted(fh))).hexdigest()
-        return {"sha256": hashes, "evaluate": self.evaluation}
+        return {"sha256": hashes, "evaluate": copy.deepcopy(self.evaluation)}
 
     def trials(self):
         return workloads.read_pairs(self.inputs["trials"])

@@ -35,7 +35,6 @@ class Workload:
     # write one WAV clip per speaker and run extract-feats on it
     front_end: bool
     corpus_seed: int
-    clip_seconds: float = CLIP_SECONDS
 
 
 # Sizes keep one untraced run under 40 s on two cores.  Only about 1.5% of
@@ -64,7 +63,7 @@ WORKLOADS = {
 
 # Runs every stage in seconds for `run.py --self-check`; not a benchmark workload.
 TINY = Workload("tiny", "self-check", speakers=11, test_per_speaker=1, sparse=True,
-                front_end=True, corpus_seed=42, clip_seconds=0.5)
+                front_end=True, corpus_seed=42)
 
 
 def read_pairs(path):
@@ -130,7 +129,7 @@ def write_inputs(work, workload, seed):
         rng = np.random.default_rng(seed)
         for spk in sorted({spk for _, spk in enroll}):
             path = os.path.join(wav_dir, f"{spk}.wav")
-            features.write_wav(path, features.AudioClip(clip_samples(rng, workload.clip_seconds)))
+            features.write_wav(path, features.AudioClip(clip_samples(rng, CLIP_SECONDS)))
             clips.append(path)
     return {"trials": trials, "utt2spk": utt2spk, "enroll": [u for u, _ in enroll],
             "clips": clips}
