@@ -68,28 +68,33 @@ class DiskUtterance:
         return self._feats
 
 
+def _read_pairs(path):
+    """``<key> <value>`` lines of a text file, skipping blank lines."""
+    pairs = []
+    with open(path) as fh:
+        for no, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if len(fields) != 2:
+                raise DigitsvError(f"{path} line {no}: expected 2 fields, got {len(fields)}")
+            pairs.append((fields[0], fields[1]))
+    return pairs
+
+
 class DiskCorpus:
     """Read-only view of a corpus directory, API-compatible with synth.Corpus."""
 
     def __init__(self, root: str):
         self.root = root
-        transcripts = {}
-        with open(os.path.join(root, "corpus", "transcripts", "transcripts.txt")) as fh:
-            for line in fh:
-                if line.strip():
-                    utt, text = line.split()
-                    transcripts[utt] = text
+        transcripts_path = os.path.join(root, "corpus", "transcripts", "transcripts.txt")
+        transcripts = dict(_read_pairs(transcripts_path))
         self.utterances = []
         for split in ("enroll", "test"):
-            path = os.path.join(root, "corpus", "splits", f"{split}.txt")
-            with open(path) as fh:
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    utt, spk = line.split()
-                    self.utterances.append(
-                        DiskUtterance(utt, spk, transcripts[utt], split, root)
-                    )
+            for utt, spk in _read_pairs(os.path.join(root, "corpus", "splits", f"{split}.txt")):
+                if utt not in transcripts:
+                    raise DigitsvError(f"{transcripts_path}: no transcript for utterance {utt!r}")
+                self.utterances.append(DiskUtterance(utt, spk, transcripts[utt], split, root))
         self.speakers = sorted({u.speaker for u in self.utterances})
         self._index = {u.utt_id: u for u in self.utterances}
 
@@ -223,10 +228,6 @@ def _cmd_train_mlp(args):
     return 0
 
 
-def _read_feats_arg(path):
-    return formats.read_dvfe(path)
-
-
 def _require_flags(args, *names):
     missing = [f"--{n.replace('_', '-')}" for n in names if not getattr(args, n, None)]
     if missing:
@@ -234,41 +235,23 @@ def _require_flags(args, *names):
 
 
 def _cmd_align(args):
-    mode = args.mode
     if args.source == "dnn":
         _require_flags(args, "mlp")
         if not (args.dnn_feats or args.feats):
             raise UsageError("align: missing --feats or --dnn-feats")
-        mlp = formats.load_mlp(args.mlp)
-        feats = _read_feats_arg(args.dnn_feats or args.feats)
-        align = neural_aligner.mlp_posteriors(mlp, feats)
-        matrix = align.posteriors
-        if mode == "viterbi":
-            matrix = hmm_mod.path_to_alignment(matrix.argmax(axis=1)).posteriors
     else:
         _require_flags(args, "hmm", "feats", "transcript")
         if args.source == "dnn-hmm":
             _require_flags(args, "mlp")
-        hmms = formats.load_hmm_set(args.hmm)
-        feats = _read_feats_arg(args.feats)
-        graph = hmm_mod.compile_graph(args.transcript, hmms, args.silence_policy)
-        if args.source == "gmm-hmm":
-            if mode == "fb":
-                matrix = hmm_mod.fb_align(graph, feats).posteriors
-            else:
-                matrix = hmm_mod.path_to_alignment(
-                    hmm_mod.viterbi_align(graph, feats)).posteriors
-        else:  # dnn-hmm
-            mlp = formats.load_mlp(args.mlp)
-            dnn_feats = _read_feats_arg(args.dnn_feats or args.feats)
-            post = neural_aligner.mlp_posteriors(mlp, dnn_feats)
-            if mode == "fb":
-                matrix = hmm_mod.fb_align_hybrid(graph, post, mlp.class_priors).posteriors
-            else:
-                matrix = hmm_mod.path_to_alignment(
-                    hmm_mod.viterbi_align_hybrid(graph, post, mlp.class_priors)).posteriors
+    models = _load_models(args)
+    feats = formats.read_dvfe(args.feats) if args.feats else None
+    dnn_align = None
+    if args.dnn_feats and args.source != "gmm-hmm":
+        dnn_align = neural_aligner.mlp_posteriors(models.mlp, formats.read_dvfe(args.dnn_feats))
+    matrix = pipeline.align(args.source, models, feats, args.transcript, args.mode,
+                            dnn_align, args.silence_policy).posteriors
     formats.write_dvpo(args.out, matrix)
-    _progress("align", source=args.source, mode=mode, frames=matrix.shape[0])
+    _progress("align", source=args.source, mode=args.mode, frames=matrix.shape[0])
     print(args.out)
     return 0
 
@@ -284,11 +267,8 @@ def _cmd_train_pgmm(args):
     feats_list = [u.feats for u in enroll]
     if args.align_dir:
         aligns = [
-            hmm_mod.AlignmentMatrix(
-                formats.read_dvpo(os.path.join(args.align_dir, f"{u.utt_id}.dvpo"),
-                                  expect_states=hmm_mod.N_STATES),
-                hmm_mod.AlignSource.DNN,
-            )
+            neural_aligner.load_external_posteriors(
+                os.path.join(args.align_dir, f"{u.utt_id}.dvpo"))
             for u in enroll
         ]
     elif args.mlp:
@@ -296,47 +276,23 @@ def _cmd_train_pgmm(args):
         aligns = [neural_aligner.mlp_posteriors(mlp, f) for f in feats_list]
     else:
         raise UsageError("train-pgmm needs --align-dir or --mlp")
-    model = pgmm_mod.init_pgmm(aligns, feats_list, n_components=cfg.pgmm_components,
-                               seed=cfg.seed)
-    for k in range(cfg.pgmm_em_iterations):
-        accum = pgmm_mod.PgmmEmAccumulator(model)
-        for a, f in zip(aligns, feats_list):
-            accum.add(model, a, f)
-        model = pgmm_mod.pgmm_em_step(model, accum=accum)
-        _progress("train-pgmm", iteration=k,
-                  objective=f"{pgmm_mod.pgmm_objective(model, aligns, feats_list):.4f}")
+    model = pgmm_mod.train_pgmm(aligns, feats_list, cfg.pgmm_components,
+                                cfg.pgmm_em_iterations, cfg.seed)
+    for k, objective in enumerate(model.training_log):
+        _progress("train-pgmm", iteration=k, objective=f"{objective:.4f}")
     formats.save_pgmm(args.out, model)
     print(args.out)
     return 0
 
 
-def _background_for(args, models: pipeline.AlignerModels):
-    system = pipeline.SpeakerSystem(args.source, models, args.silence_policy)
-    return system
-
-
 def _cmd_accumulate_stats(args):
-    if args.source == "ubm":
-        _require_flags(args, "ubm")
-    else:
+    if args.source != "ubm":
         _require_flags(args, "align")
-        _require_flags(args, "hmm" if args.source == "gmm-hmm" else "pgmm")
-    models = _load_models(args)
-    feats = _read_feats_arg(args.feats)
-    if args.source == "ubm":
-        gammas = pgmm_mod.ubm_mixture_posteriors(models.ubm, feats)
-        background = pgmm_mod.Background.from_ubm(models.ubm, model_id="ubm")
-    else:
-        matrix = formats.read_dvpo(args.align, expect_states=hmm_mod.N_STATES)
-        source = hmm_mod.AlignSource.DNN if args.source == "dnn" else hmm_mod.AlignSource.HMM_FB
-        align = hmm_mod.AlignmentMatrix(matrix, source)
-        if args.source == "gmm-hmm":
-            gammas = pgmm_mod.mixture_posteriors(models.hmms, align, feats, drop_silence=True)
-            background = pgmm_mod.Background.from_hmm_set(models.hmms, model_id="gmm-hmm")
-        else:
-            gammas = pgmm_mod.mixture_posteriors(models.pgmm, align, feats)
-            background = pgmm_mod.Background.from_pgmm(models.pgmm, model_id=args.source)
-    stats = pgmm_mod.accumulate_stats(gammas, feats, background.means, background.model_id)
+    system = pipeline.SpeakerSystem(args.source, _load_models(args))
+    align = None if args.source == "ubm" else neural_aligner.load_external_posteriors(args.align)
+    feats = formats.read_dvfe(args.feats)
+    stats = pgmm_mod.accumulate_stats(system.posteriors(align, feats), feats,
+                                      system.background.means, system.background.model_id)
     formats.write_dvst(args.out, stats)
     _progress("accumulate-stats", mixtures=stats.n.shape[0], total=f"{stats.n.sum():.4f}")
     print(args.out)
@@ -346,7 +302,7 @@ def _cmd_accumulate_stats(args):
 def _cmd_enroll_map(args):
     cfg = load_config(args.config, {"relevance": args.relevance})
     corpus = DiskCorpus(args.corpus)
-    system = _background_for(args, _load_models(args))
+    system = pipeline.SpeakerSystem(args.source, _load_models(args), args.silence_policy)
     speakers = pipeline.enroll_speakers(corpus, system, cfg.relevance)
     formats.save_speaker_models(args.out, speakers, system.background.model_id,
                                 cfg.relevance)
@@ -371,7 +327,7 @@ def _cmd_train_tv(args):
     cfg = load_config(args.config, {"ivector_rank": args.rank,
                                     "tv_iterations": args.iterations,
                                     "seed": args.seed})
-    system = _background_for(args, _load_models(args))
+    system = pipeline.SpeakerSystem(args.source, _load_models(args), args.silence_policy)
     stats = [formats.read_dvst(p) for p in _stats_paths(args)]
     tv = ivec_mod.train_tv(stats, system.background, cfg.ivector_rank,
                            iterations=cfg.tv_iterations, seed=cfg.seed)
@@ -395,21 +351,11 @@ def _cmd_extract_ivector(args):
     return 0
 
 
-def _read_utt2spk(path):
-    mapping = {}
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                utt, spk = line.split()
-                mapping[utt] = spk
-    return mapping
-
-
 def _cmd_train_backend(args):
     cfg = load_config(args.config, {"lda_dim": args.lda_dim,
                                     "plda_iterations": args.plda_iterations})
     entries = formats.read_dviv(args.ivectors)
-    utt2spk = _read_utt2spk(args.utt2spk)
+    utt2spk = dict(_read_pairs(args.utt2spk))
     missing = [utt for utt, _ in entries if utt not in utt2spk]
     if missing:
         raise UsageError(f"no speaker label for utterances {missing[:5]}")
@@ -438,47 +384,17 @@ def _write_scores(path, trials, scores):
 
 
 def _cmd_score_speaker(args):
-    cfg = load_config(args.config, {"relevance": args.relevance})
     corpus = DiskCorpus(args.corpus)
     trials = eval_trials.load_trials(args.trials or corpus.trials_path())
-    models = _load_models(args)
-    system = pipeline.SpeakerSystem(args.source, models, args.silence_policy)
+    system = pipeline.SpeakerSystem(args.source, _load_models(args), args.silence_policy)
     if args.backend == "map":
         _require_flags(args, "speakers")
-        speakers = formats.load_speaker_models(args.speakers)
-        enrolled_on = next(iter(speakers.values())).background_id
-        if enrolled_on != system.background.model_id:
-            raise DigitsvError(
-                f"speaker models were enrolled with the {enrolled_on!r} alignment "
-                f"source; scoring requested {system.background.model_id!r}"
-            )
-        scores = pipeline.score_speaker_trials(corpus, trials, system, speakers)
+        scores = pipeline.score_speaker_trials(corpus, trials, system,
+                                               formats.load_speaker_models(args.speakers))
     else:
         _require_flags(args, "tv", "plda")
-        tv = formats.load_tv(args.tv)
-        backend = formats.load_plda_backend(args.plda)
-        cache = pipeline.AlignmentCache(system, lambda u: u.feats)
-        enroll_ivecs = {}
-        for spk in corpus.speakers:
-            prepared = []
-            for u in corpus.enrollment(spk):
-                stats = pgmm_mod.accumulate_stats(
-                    cache.stats_posteriors(u, u.content), u.feats,
-                    system.background.means, system.background.model_id)
-                prepared.append(backend.prepare(ivec_mod.extract_ivector(stats, tv)))
-            enroll_ivecs[spk] = prepared
-        scores = []
-        test_cache = {}
-        for trial in trials:
-            key = (trial.utterance, trial.prompt)
-            if key not in test_cache:
-                u = corpus.by_id(trial.utterance)
-                stats = pgmm_mod.accumulate_stats(
-                    cache.stats_posteriors(u, trial.prompt), u.feats,
-                    system.background.means, system.background.model_id)
-                test_cache[key] = backend.prepare(ivec_mod.extract_ivector(stats, tv))
-            scores.append(ivec_mod.plda_score(backend, enroll_ivecs[trial.speaker],
-                                              test_cache[key]))
+        scores = pipeline.score_ivector_trials(corpus, trials, system, formats.load_tv(args.tv),
+                                               formats.load_plda_backend(args.plda))
     _write_scores(args.out, trials, scores)
     _progress("score-speaker", trials=len(trials), backend=args.backend)
     print(args.out)
@@ -538,9 +454,9 @@ def _cmd_evaluate(args):
     rows = []
     for condition in args.condition:
         key = condition.replace("-", "_")
-        eer, dcfs = pipeline.evaluate_condition(trials, scores, key,
-                                                dcf_params=params,
-                                                negate=args.content)
+        eer, dcfs = eval_trials.evaluate_condition(trials, scores, key,
+                                                   dcf_params=params,
+                                                   negate=args.content)
         rows.append((condition, eer, dcfs))
     names = [f"minDCF{name[-2:]}" for name in dcf_sets]
     print(eval_trials.format_report(rows, dcf_names=names))
@@ -679,7 +595,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--speakers", default=None, help="speaker models (map backend)")
     p.add_argument("--tv", default=None)
     p.add_argument("--plda", default=None)
-    p.add_argument("--relevance", type=float, default=None)
     add_system_flags(p)
 
     p = add("score-content", _cmd_score_content, help="score content trials by KL divergence")

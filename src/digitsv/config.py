@@ -10,13 +10,10 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigInvalid
 
-ALIGNMENT_SOURCES = ("gmm-hmm", "dnn", "dnn-hmm")
-
 
 @dataclass
 class PipelineConfig:
     # alignment flow
-    alignment_source: str = "dnn"
     silence_policy: str = "optional_between"
     # model sizes
     hmm_components: int = 16
@@ -36,36 +33,20 @@ class PipelineConfig:
     # content verification
     epsilon: float = 1e-5
     class_level: str = "digit"
-    # feature stream per stage (GMM-side models vs the frame classifier)
-    gmm_feature_kind: str = "mfcc60"
+    # feature stream of the frame classifier
     dnn_feature_kind: str = "spliced"
     # detection-cost operating points, "c_miss,c_fa,p_target"
     dcf_sre08: str = "10,1,0.01"
     dcf_sre10: str = "1,1,0.001"
     # misc
     seed: int = 0
-    # model paths (fallbacks when a stage flag is omitted)
-    hmm_path: str = ""
-    ubm_path: str = ""
-    mlp_path: str = ""
-    pgmm_path: str = ""
-    background_path: str = ""
-    speakers_path: str = ""
-    tv_path: str = ""
-    backend_path: str = ""
 
     def __post_init__(self):
-        if self.alignment_source not in ALIGNMENT_SOURCES:
-            raise ConfigInvalid(
-                f"alignment_source must be one of {ALIGNMENT_SOURCES}, "
-                f"got {self.alignment_source!r}"
-            )
         if self.class_level not in ("digit", "state"):
             raise ConfigInvalid(f"class_level must be digit or state, got {self.class_level!r}")
-        for field_name in ("gmm_feature_kind", "dnn_feature_kind"):
-            value = getattr(self, field_name)
-            if value not in ("fbank120", "mfcc60", "spliced"):
-                raise ConfigInvalid(f"{field_name} must name a feature kind, got {value!r}")
+        if self.dnn_feature_kind not in ("fbank120", "mfcc60", "spliced"):
+            raise ConfigInvalid(
+                f"dnn_feature_kind must name a feature kind, got {self.dnn_feature_kind!r}")
         self.dcf_params("sre08"), self.dcf_params("sre10")  # validate eagerly
 
     @property

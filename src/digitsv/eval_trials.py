@@ -7,6 +7,7 @@ scores must be negated before they enter a ScoreSet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -150,6 +151,19 @@ def compute_min_dcf(ss: ScoreSet, params: DcfParams) -> float:
         params.c_fa * (1.0 - params.p_target) * p_fa
     norm = min(params.c_miss * params.p_target, params.c_fa * (1.0 - params.p_target))
     return float(cost.min() / norm)
+
+
+def evaluate_condition(trials, scores, condition: str,
+                       dcf_params=(SRE08, SRE10), negate: bool = False):
+    """EER and minDCFs over one condition's trials; set negate=True for KL scores."""
+    scored = [SimpleNamespace(category=trial.category, score=score)
+              for trial, score in zip(trials, scores)]
+    kept = partition_trials(scored, condition)
+    values = np.asarray([rec.score for rec, _ in kept])
+    if negate:
+        values = -values
+    ss = ScoreSet(values, np.asarray([target for _, target in kept]))
+    return compute_eer(ss), [compute_min_dcf(ss, p) for p in dcf_params]
 
 
 def format_report(rows, dcf_names=("minDCF08", "minDCF10")) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -371,6 +372,15 @@ def _require(payload: dict, keys):
         raise CorruptData(6, f"model payload missing fields {missing}")
 
 
+@contextmanager
+def _building(kind: str):
+    """Report a payload that fails the model's own validation as corrupt data."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CorruptData(6, f"invalid {kind} payload: {exc}") from None
+
+
 def save_diag_gmm(path, gmm):
     write_dvmd(path, "diag_gmm", {
         "weights": gmm.weights, "means": gmm.means, "variances": gmm.variances,
@@ -382,7 +392,8 @@ def load_diag_gmm(path):
 
     _, payload = read_dvmd(path, "diag_gmm")
     _require(payload, ("weights", "means", "variances"))
-    return DiagGmm(payload["weights"], payload["means"], payload["variances"])
+    with _building("diag_gmm"):
+        return DiagGmm(payload["weights"], payload["means"], payload["variances"])
 
 
 def save_hmm_set(path, hmms):
@@ -400,11 +411,12 @@ def load_hmm_set(path):
 
     _, payload = read_dvmd(path, "hmm_set")
     _require(payload, ("weights", "means", "variances", "self_loop"))
-    gmms = [
-        DiagGmm(w, m, v)
-        for w, m, v in zip(payload["weights"], payload["means"], payload["variances"])
-    ]
-    return HmmSet(gmms, payload["self_loop"])
+    with _building("hmm_set"):
+        gmms = [
+            DiagGmm(w, m, v)
+            for w, m, v in zip(payload["weights"], payload["means"], payload["variances"])
+        ]
+        return HmmSet(gmms, payload["self_loop"])
 
 
 def save_pgmm(path, pgmm):
@@ -422,11 +434,12 @@ def load_pgmm(path):
 
     _, payload = read_dvmd(path, "pgmm")
     _require(payload, ("state_ids", "weights", "means", "variances"))
-    gmms = [
-        DiagGmm(w, m, v)
-        for w, m, v in zip(payload["weights"], payload["means"], payload["variances"])
-    ]
-    return Pgmm(gmms, tuple(int(s) for s in payload["state_ids"]))
+    with _building("pgmm"):
+        gmms = [
+            DiagGmm(w, m, v)
+            for w, m, v in zip(payload["weights"], payload["means"], payload["variances"])
+        ]
+        return Pgmm(gmms, tuple(int(s) for s in payload["state_ids"]))
 
 
 def save_mlp(path, model):
@@ -446,14 +459,15 @@ def load_mlp(path):
     _, payload = read_dvmd(path, "mlp")
     _require(payload, ("weights", "biases", "input_mean", "input_std",
                        "input_kind", "class_priors"))
-    return MlpModel(
-        weights=list(payload["weights"]),
-        biases=list(payload["biases"]),
-        input_mean=payload["input_mean"],
-        input_std=payload["input_std"],
-        input_kind=FeatureKind(payload["input_kind"]),
-        class_priors=payload["class_priors"],
-    )
+    with _building("mlp"):
+        return MlpModel(
+            weights=list(payload["weights"]),
+            biases=list(payload["biases"]),
+            input_mean=payload["input_mean"],
+            input_std=payload["input_std"],
+            input_kind=FeatureKind(payload["input_kind"]),
+            class_priors=payload["class_priors"],
+        )
 
 
 def _background_payload(background):
@@ -480,16 +494,6 @@ def _background_from(payload):
     )
 
 
-def save_background(path, background):
-    write_dvmd(path, "background", _background_payload(background))
-
-
-def load_background(path):
-    _, payload = read_dvmd(path, "background")
-    _require(payload, ("means", "variances", "state_ids", "n_components", "model_id"))
-    return _background_from(payload)
-
-
 def save_tv(path, tv):
     write_dvmd(path, "tv", {
         "matrix": tv.matrix,
@@ -502,7 +506,8 @@ def load_tv(path):
 
     _, payload = read_dvmd(path, "tv")
     _require(payload, ("matrix", "background"))
-    return TvModel(payload["matrix"], _background_from(payload["background"]))
+    with _building("tv"):
+        return TvModel(payload["matrix"], _background_from(payload["background"]))
 
 
 def save_plda_backend(path, backend):
@@ -517,8 +522,9 @@ def load_plda_backend(path):
 
     _, payload = read_dvmd(path, "plda_backend")
     _require(payload, ("lda", "mean", "between", "within"))
-    return PldaBackend(payload["lda"], payload["mean"],
-                       payload["between"], payload["within"])
+    with _building("plda_backend"):
+        return PldaBackend(payload["lda"], payload["mean"],
+                           payload["between"], payload["within"])
 
 
 def save_speaker_models(path, speakers: dict, background_id: str, relevance: float):
@@ -537,7 +543,8 @@ def load_speaker_models(path):
 
     _, payload = read_dvmd(path, "speaker_models")
     _require(payload, ("background_id", "relevance", "ids", "means"))
-    return {
-        sid: SpeakerModel(means, payload["background_id"], payload["relevance"])
-        for sid, means in zip(payload["ids"], payload["means"])
-    }
+    with _building("speaker_models"):
+        return {
+            sid: SpeakerModel(means, payload["background_id"], payload["relevance"])
+            for sid, means in zip(payload["ids"], payload["means"])
+        }

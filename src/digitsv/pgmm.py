@@ -11,7 +11,7 @@ so per-utterance accumulation can run in parallel.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,10 +31,14 @@ class Pgmm:
 
     gmms: list              # 30 DiagGmm, indexed by digit state
     state_ids: tuple = DIGIT_STATES
+    training_log: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.gmms) != len(self.state_ids):
             raise ShapeMismatch("one GMM per phonetic state required")
+        if len(set(self.state_ids)) != len(self.state_ids) or \
+                not set(self.state_ids) <= set(DIGIT_STATES):
+            raise ValueError(f"state_ids must be distinct digit states, got {self.state_ids}")
 
     @property
     def n_components(self):
@@ -350,3 +354,19 @@ def init_pgmm(alignments, feats_list, n_components: int = 16,
         )
         gmms.append(gmm_mod.train_em(frames, cfg))
     return Pgmm(gmms)
+
+
+def train_pgmm(aligns, feats_list, n_components: int = 16, em_iterations: int = 4,
+               seed: int = 0) -> Pgmm:
+    """Phonetic GMMs under fixed alignments: init_pgmm, then EM steps.
+
+    The returned model's ``training_log`` holds pgmm_objective after each
+    EM step, which is nondecreasing.
+    """
+    pgmm = init_pgmm(aligns, feats_list, n_components=n_components, seed=seed)
+    log = []
+    for _ in range(em_iterations):
+        pgmm = pgmm_em_step(pgmm, aligns, feats_list)
+        log.append(pgmm_objective(pgmm, aligns, feats_list))
+    pgmm.training_log = log
+    return pgmm

@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import content_kl, eval_trials, hmm as hmm_mod, map_speaker, pgmm as pgmm_mod
-from .errors import ConfigInvalid, UnknownCondition
+from . import content_kl, hmm as hmm_mod, map_speaker, pgmm as pgmm_mod
+from .errors import ConfigInvalid, SourceMismatch
 from .gmm import DiagGmm, GmmTrainConfig, train_em
 from .hmm import AlignmentMatrix, HmmSet, HmmTrainConfig, compile_graph, train_hmm_set
+from .ivector import extract_ivector, plda_score
 from .neural_aligner import MlpModel, MlpTrainConfig, mlp_posteriors, train_mlp
-from .pgmm import Background, MixturePosteriors, Pgmm, PgmmEmAccumulator
+from .pgmm import Background, MixturePosteriors, Pgmm, accumulate_stats
 from .features import FeatureKind, FeatureSequence
 
 
@@ -77,14 +78,8 @@ def train_desk_models(corpus, *, hmm_components=16, ubm_components=32,
     if "pgmm" in include:
         feats_list = [feats for feats, _ in enroll_pairs]
         dnn_aligns = [mlp_posteriors(models.mlp, feats) for feats in feats_list]
-        pgmm = pgmm_mod.init_pgmm(dnn_aligns, feats_list,
-                                  n_components=pgmm_components, seed=seed)
-        for _ in range(pgmm_em_iterations):
-            accum = PgmmEmAccumulator(pgmm)
-            for align, feats in zip(dnn_aligns, feats_list):
-                accum.add(pgmm, align, feats)
-            pgmm = pgmm_mod.pgmm_em_step(pgmm, accum=accum)
-        models.pgmm = pgmm
+        models.pgmm = pgmm_mod.train_pgmm(dnn_aligns, feats_list, pgmm_components,
+                                          pgmm_em_iterations, seed)
 
     if "ubm" in include:
         if frames is None:
@@ -94,6 +89,47 @@ def train_desk_models(corpus, *, hmm_components=16, ubm_components=32,
     return models
 
 
+def _need(model, name):
+    if model is None:
+        raise ConfigInvalid(f"alignment source requires a trained {name} model")
+    return model
+
+
+def align(source: str, models: AlignerModels, feats: FeatureSequence | None,
+          prompt: str | None, mode: str = "fb",
+          dnn_align: AlignmentMatrix | None = None,
+          silence_policy: str = "optional_between") -> AlignmentMatrix:
+    """State alignment of one utterance from one alignment source.
+
+    ``dnn`` takes the classifier posteriors (``dnn_align``, or the classifier
+    run on ``feats``) and ignores the prompt; ``gmm-hmm`` and ``dnn-hmm``
+    align over the graph of the prompted transcription, with GMM or
+    classifier scaled-likelihood emissions.  ``mode`` is ``fb`` for
+    forward-backward posteriors or ``viterbi`` for the best path as 0/1 rows.
+    """
+    if source not in ("gmm-hmm", "dnn", "dnn-hmm"):
+        raise ConfigInvalid(f"unknown alignment source {source!r}")
+    if mode not in ("fb", "viterbi"):
+        raise ConfigInvalid(f"unknown alignment mode {mode!r}")
+    if source != "gmm-hmm" and dnn_align is None:
+        dnn_align = mlp_posteriors(_need(models.mlp, "mlp"), feats)
+    if source == "dnn":
+        if mode == "fb":
+            return dnn_align
+        return hmm_mod.path_to_alignment(dnn_align.posteriors.argmax(axis=1))
+    if prompt is None:
+        raise ConfigInvalid(f"{source} alignment needs the prompted transcription")
+    graph = compile_graph(prompt, _need(models.hmms, "hmms"), silence_policy)
+    if source == "gmm-hmm":
+        if mode == "fb":
+            return hmm_mod.fb_align(graph, feats)
+        return hmm_mod.path_to_alignment(hmm_mod.viterbi_align(graph, feats))
+    priors = _need(models.mlp, "mlp").class_priors
+    if mode == "fb":
+        return hmm_mod.fb_align_hybrid(graph, dnn_align, priors)
+    return hmm_mod.path_to_alignment(hmm_mod.viterbi_align_hybrid(graph, dnn_align, priors))
+
+
 class SpeakerSystem:
     """One alignment source plus its background, ready to produce statistics.
 
@@ -101,7 +137,9 @@ class SpeakerSystem:
     ``dnn`` (classifier posteriors over phonetic GMMs), ``dnn-hmm``
     (graph-constrained alignment with classifier emissions over phonetic
     GMMs), and ``ubm`` (unsupervised component posteriors).  Apart from the
-    UBM, silence mass is dropped before statistics.
+    UBM, silence mass is dropped before statistics.  Only the background
+    model is required up front; the aligner models are checked when an
+    alignment needs them.
     """
 
     def __init__(self, source: str, models: AlignerModels,
@@ -110,70 +148,59 @@ class SpeakerSystem:
         self.models = models
         self.silence_policy = silence_policy
         if source == "gmm-hmm":
-            self._need(models.hmms, "hmms")
-            self.background = Background.from_hmm_set(models.hmms, model_id="gmm-hmm")
+            self.background = Background.from_hmm_set(_need(models.hmms, "hmms"),
+                                                      model_id="gmm-hmm")
         elif source in ("dnn", "dnn-hmm"):
-            self._need(models.pgmm, "pgmm")
-            self._need(models.mlp, "mlp")
-            if source == "dnn-hmm":
-                self._need(models.hmms, "hmms")
-            self.background = Background.from_pgmm(models.pgmm, model_id=source)
+            self.background = Background.from_pgmm(_need(models.pgmm, "pgmm"),
+                                                   model_id=source)
         elif source == "ubm":
-            self._need(models.ubm, "ubm")
-            self.background = Background.from_ubm(models.ubm, model_id="ubm")
+            self.background = Background.from_ubm(_need(models.ubm, "ubm"), model_id="ubm")
         else:
             raise ConfigInvalid(f"unknown alignment source {source!r}")
 
-    @staticmethod
-    def _need(model, name):
-        if model is None:
-            raise ConfigInvalid(f"alignment source requires a trained {name} model")
-
     def dnn_alignment(self, dnn_feats: FeatureSequence) -> AlignmentMatrix:
-        return mlp_posteriors(self.models.mlp, dnn_feats)
+        return mlp_posteriors(_need(self.models.mlp, "mlp"), dnn_feats)
 
     def alignment(self, feats: FeatureSequence, prompt: str | None,
                   dnn_align: AlignmentMatrix | None = None) -> AlignmentMatrix | None:
         """State alignment for one utterance (None for the UBM source)."""
         if self.source == "ubm":
             return None
-        if self.source == "dnn":
-            return dnn_align
-        if prompt is None:
-            raise ConfigInvalid(f"{self.source} alignment needs the prompted transcription")
-        graph = compile_graph(prompt, self.models.hmms, self.silence_policy)
-        if self.source == "gmm-hmm":
-            return hmm_mod.fb_align(graph, feats)
-        return hmm_mod.fb_align_hybrid(graph, dnn_align, self.models.mlp.class_priors)
+        return align(self.source, self.models, feats, prompt, dnn_align=dnn_align,
+                     silence_policy=self.silence_policy)
 
-    def stats_posteriors(self, feats: FeatureSequence, prompt: str | None = None,
-                         dnn_align: AlignmentMatrix | None = None) -> MixturePosteriors:
+    def posteriors(self, align: AlignmentMatrix | None,
+                   feats: FeatureSequence) -> MixturePosteriors:
         """MixturePosteriors feeding statistics, with silence mass dropped."""
         if self.source == "ubm":
             return pgmm_mod.ubm_mixture_posteriors(self.models.ubm, feats)
-        align = self.alignment(feats, prompt, dnn_align)
         if self.source == "gmm-hmm":
             return pgmm_mod.mixture_posteriors(self.models.hmms, align, feats,
                                                drop_silence=True)
         return pgmm_mod.mixture_posteriors(self.models.pgmm, align, feats)
 
+    def stats_posteriors(self, feats: FeatureSequence, prompt: str | None = None,
+                         dnn_align: AlignmentMatrix | None = None) -> MixturePosteriors:
+        """Align one utterance, then take its mixture posteriors."""
+        return self.posteriors(self.alignment(feats, prompt, dnn_align), feats)
+
 
 class AlignmentCache:
-    """Per-(utterance, prompt) memoization for trial scoring."""
+    """Per-utterance memoization for trial scoring, per prompt where the source reads it."""
 
-    def __init__(self, system: SpeakerSystem, dnn_feats_for):
+    def __init__(self, system: SpeakerSystem):
         self.system = system
-        self.dnn_feats_for = dnn_feats_for
         self._dnn: dict = {}
         self._stats: dict = {}
 
     def dnn_align(self, utt):
         if utt.utt_id not in self._dnn:
-            self._dnn[utt.utt_id] = self.system.dnn_alignment(self.dnn_feats_for(utt))
+            self._dnn[utt.utt_id] = self.system.dnn_alignment(utt.feats)
         return self._dnn[utt.utt_id]
 
     def stats_posteriors(self, utt, prompt):
-        key = (utt.utt_id, prompt if self.system.source != "ubm" else None)
+        reads_prompt = self.system.source in ("gmm-hmm", "dnn-hmm")
+        key = (utt.utt_id, prompt if reads_prompt else None)
         if key not in self._stats:
             dnn = self.dnn_align(utt) if self.system.source in ("dnn", "dnn-hmm") else None
             self._stats[key] = self.system.stats_posteriors(utt.feats, prompt, dnn)
@@ -181,11 +208,9 @@ class AlignmentCache:
 
 
 def enroll_speakers(corpus, system: SpeakerSystem,
-                    relevance: float = map_speaker.RELEVANCE_DEFAULT,
-                    dnn_feats_for=None) -> dict:
+                    relevance: float = map_speaker.RELEVANCE_DEFAULT) -> dict:
     """MAP-enroll every corpus speaker from its enrollment utterances."""
-    dnn_feats_for = dnn_feats_for or (lambda u: u.feats)
-    cache = AlignmentCache(system, dnn_feats_for)
+    cache = AlignmentCache(system)
     speakers = {}
     for spk in corpus.speakers:
         utts = corpus.enrollment(spk)
@@ -194,11 +219,18 @@ def enroll_speakers(corpus, system: SpeakerSystem,
     return speakers
 
 
-def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers: dict,
-                         dnn_feats_for=None) -> list:
-    """Log-likelihood-ratio speaker score per trial, in trial order."""
-    dnn_feats_for = dnn_feats_for or (lambda u: u.feats)
-    cache = AlignmentCache(system, dnn_feats_for)
+def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers: dict) -> list:
+    """Log-likelihood-ratio speaker score per trial, in trial order.
+
+    The speaker models must have been enrolled on this system's background.
+    """
+    enrolled_on = {model.background_id for model in speakers.values()}
+    if enrolled_on != {system.background.model_id}:
+        raise SourceMismatch(
+            f"speaker models were enrolled with the {', '.join(sorted(enrolled_on))} "
+            f"alignment source; scoring requested {system.background.model_id}"
+        )
+    cache = AlignmentCache(system)
     scores = []
     for trial in trials:
         utt = corpus.by_id(trial.utterance)
@@ -210,13 +242,37 @@ def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers: dict,
     return scores
 
 
+def score_ivector_trials(corpus, trials, system: SpeakerSystem, tv, backend) -> list:
+    """PLDA score per trial between enrollment and test i-vectors, in trial order."""
+    cache = AlignmentCache(system)
+    enroll_ivecs = {}
+    for spk in corpus.speakers:
+        prepared = []
+        for u in corpus.enrollment(spk):
+            stats = accumulate_stats(
+                cache.stats_posteriors(u, u.content), u.feats,
+                system.background.means, system.background.model_id)
+            prepared.append(backend.prepare(extract_ivector(stats, tv)))
+        enroll_ivecs[spk] = prepared
+    scores = []
+    test_cache = {}
+    for trial in trials:
+        key = (trial.utterance, trial.prompt)
+        if key not in test_cache:
+            u = corpus.by_id(trial.utterance)
+            stats = accumulate_stats(
+                cache.stats_posteriors(u, trial.prompt), u.feats,
+                system.background.means, system.background.model_id)
+            test_cache[key] = backend.prepare(extract_ivector(stats, tv))
+        scores.append(plda_score(backend, enroll_ivecs[trial.speaker], test_cache[key]))
+    return scores
+
+
 def score_content_trials(corpus, trials, models: AlignerModels,
                          level: str = "digit", epsilon: float = 1e-5,
                          hmm_mode: str = "hybrid",
-                         silence_policy: str = "optional_between",
-                         dnn_feats_for=None) -> list:
+                         silence_policy: str = "optional_between") -> list:
     """KL content score per trial (lower = content matches the prompt)."""
-    dnn_feats_for = dnn_feats_for or (lambda u: u.feats)
     class_map = content_kl.PhoneticClassMap.for_level(level)
     dnn_cache: dict = {}
     kl_cache: dict = {}
@@ -226,7 +282,7 @@ def score_content_trials(corpus, trials, models: AlignerModels,
         key = (utt.utt_id, trial.prompt)
         if key not in kl_cache:
             if utt.utt_id not in dnn_cache:
-                dnn_cache[utt.utt_id] = mlp_posteriors(models.mlp, dnn_feats_for(utt))
+                dnn_cache[utt.utt_id] = mlp_posteriors(models.mlp, utt.feats)
             decision = content_kl.content_verify(
                 utt.feats, trial.prompt, models.hmms, dnn_cache[utt.utt_id],
                 class_map=class_map, epsilon=epsilon,
@@ -237,26 +293,3 @@ def score_content_trials(corpus, trials, models: AlignerModels,
         scores.append(kl_cache[key])
     return scores
 
-
-def evaluate_condition(trials, scores, condition: str,
-                       dcf_params=(eval_trials.SRE08, eval_trials.SRE10),
-                       negate: bool = False):
-    """EER and minDCFs for one condition; set negate=True for KL scores."""
-    if condition not in eval_trials.CONDITIONS:
-        raise UnknownCondition(f"unknown condition {condition!r}")
-    nontarget = eval_trials.CONDITIONS[condition]
-    values, labels = [], []
-    for trial, score in zip(trials, scores):
-        if trial.category == "TC":
-            values.append(score)
-            labels.append(True)
-        elif trial.category == nontarget:
-            values.append(score)
-            labels.append(False)
-    values = np.asarray(values)
-    if negate:
-        values = -values
-    ss = eval_trials.ScoreSet(values, np.asarray(labels))
-    eer = eval_trials.compute_eer(ss)
-    dcfs = [eval_trials.compute_min_dcf(ss, p) for p in dcf_params]
-    return eer, dcfs

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import enumeration_marginals, make_hmm_set
 from digitsv import pipeline
+from digitsv.eval_trials import evaluate_condition
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.hmm import N_STATES, compile_graph, fb_align, viterbi_align
 from digitsv.synth import SynthConfig, generate_corpus
@@ -300,7 +301,7 @@ class TestCriterion6SpeakerVerification:
             speakers = pipeline.enroll_speakers(bench_corpus, system)
             scores = pipeline.score_speaker_trials(bench_corpus, bench_corpus.trials,
                                                    system, speakers)
-            eer, _ = pipeline.evaluate_condition(bench_corpus.trials, scores, "TC_IC")
+            eer, _ = evaluate_condition(bench_corpus.trials, scores, "TC_IC")
             eers[source] = eer
         elapsed = time.monotonic() - t0
         best_aligned = min(eers["gmm-hmm"], eers["dnn"])
@@ -317,13 +318,13 @@ class TestCriterion7ContentVerification:
         kl_digit = pipeline.score_content_trials(bench_corpus, bench_corpus.trials,
                                                  bench_models, level="digit",
                                                  hmm_mode="hybrid")
-        eer_digit, _ = pipeline.evaluate_condition(bench_corpus.trials, kl_digit,
-                                                   "TC_TW", negate=True)
+        eer_digit, _ = evaluate_condition(bench_corpus.trials, kl_digit,
+                                          "TC_TW", negate=True)
         kl_state = pipeline.score_content_trials(bench_corpus, bench_corpus.trials,
                                                  bench_models, level="state",
                                                  hmm_mode="hybrid")
-        eer_state, _ = pipeline.evaluate_condition(bench_corpus.trials, kl_state,
-                                                   "TC_TW", negate=True)
+        eer_state, _ = evaluate_condition(bench_corpus.trials, kl_state,
+                                          "TC_TW", negate=True)
         elapsed = time.monotonic() - t0
         ok = eer_digit <= 0.05 and eer_digit <= eer_state and elapsed < 300.0
         check("criterion 7: content verification orderings", ok,
@@ -336,19 +337,15 @@ class TestSupplementaryMapVsIvector:
             self, bench_corpus, bench_models):
         """Supplementary ordering check: on five-digit test utterances the
         point-estimate i-vector backend trails GMM-MAP."""
-        from digitsv.ivector import extract_ivector, plda_score, train_backend, train_tv
+        from digitsv.ivector import extract_ivector, train_backend, train_tv
         from digitsv.pgmm import accumulate_stats
 
         system = pipeline.SpeakerSystem("dnn", bench_models)
-        cache = pipeline.AlignmentCache(system, lambda u: u.feats)
-
-        def stats_for(u, prompt):
-            return accumulate_stats(cache.stats_posteriors(u, prompt), u.feats,
-                                    system.background.means,
-                                    system.background.model_id)
-
+        cache = pipeline.AlignmentCache(system)
         enroll_stats = {
-            spk: [stats_for(u, u.content) for u in bench_corpus.enrollment(spk)]
+            spk: [accumulate_stats(cache.stats_posteriors(u, u.content), u.feats,
+                                   system.background.means, system.background.model_id)
+                  for u in bench_corpus.enrollment(spk)]
             for spk in bench_corpus.speakers
         }
         pooled = [s for lst in enroll_stats.values() for s in lst]
@@ -359,26 +356,14 @@ class TestSupplementaryMapVsIvector:
                 ivecs.append(extract_ivector(st, tv))
                 labels.append(spk)
         backend = train_backend(ivecs, labels, lda_dim=10, plda_iterations=8)
-        enrolled = {spk: [backend.prepare(extract_ivector(st, tv)) for st in lst]
-                    for spk, lst in enroll_stats.items()}
-
-        test_cache = {}
-        iv_scores = []
-        for trial in bench_corpus.trials:
-            key = (trial.utterance, trial.prompt)
-            if key not in test_cache:
-                u = bench_corpus.by_id(trial.utterance)
-                test_cache[key] = backend.prepare(
-                    extract_ivector(stats_for(u, trial.prompt), tv))
-            iv_scores.append(plda_score(backend, enrolled[trial.speaker],
-                                        test_cache[key]))
-        iv_eer, _ = pipeline.evaluate_condition(bench_corpus.trials, iv_scores, "TC_IC")
+        iv_scores = pipeline.score_ivector_trials(bench_corpus, bench_corpus.trials,
+                                                  system, tv, backend)
+        iv_eer, _ = evaluate_condition(bench_corpus.trials, iv_scores, "TC_IC")
 
         speakers = pipeline.enroll_speakers(bench_corpus, system)
         map_scores = pipeline.score_speaker_trials(bench_corpus, bench_corpus.trials,
                                                    system, speakers)
-        map_eer, _ = pipeline.evaluate_condition(bench_corpus.trials, map_scores,
-                                                 "TC_IC")
+        map_eer, _ = evaluate_condition(bench_corpus.trials, map_scores, "TC_IC")
         check("supplementary: GMM-MAP vs i-vector ordering", map_eer <= iv_eer,
               f"map {100 * map_eer:.2f}% <= ivector {100 * iv_eer:.2f}%")
 

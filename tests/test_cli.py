@@ -275,3 +275,194 @@ class TestConfig:
             PipelineConfig(dcf_sre08="10,1")
         with pytest.raises(ConfigInvalid):
             PipelineConfig(dnn_feature_kind="wavelets")
+
+
+def _split_utts(corpus, split):
+    return [line.split()[0] for line in open(f"{corpus}/corpus/splits/{split}.txt")]
+
+
+class TestCliMatchesLibrary:
+    """The subcommands and the pipeline calls behind them give the same bytes."""
+
+    def test_ivector_chain_scores(self, work, tmp_path):
+        # the dnn chain as the benchmark runs it: accumulate-stats gets no --mlp
+        from digitsv import formats, pipeline
+        from digitsv.cli import DiskCorpus
+        from digitsv.eval_trials import load_trials
+
+        models, corpus = work["models"], work["corpus"]
+        dnn = ["--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
+               "--pgmm", f"{models}/pgmm.dvmd"]
+        stats_dir = tmp_path / "stats"
+        for utt in _split_utts(corpus, "enroll"):
+            feats = f"{corpus}/corpus/feats/{utt}.dvfe"
+            align = str(tmp_path / f"{utt}.dvpo")
+            assert run(["align", "--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
+                        "--feats", feats, "--out", align]) == 0
+            assert run(["accumulate-stats", "--source", "dnn", "--feats", feats,
+                        "--align", align, "--pgmm", f"{models}/pgmm.dvmd",
+                        "--out", str(stats_dir / f"{utt}.dvst")]) == 0
+        tv, plda = str(tmp_path / "tv.dvmd"), str(tmp_path / "plda.dvmd")
+        ivecs, scores = str(tmp_path / "iv.dviv"), str(tmp_path / "iv.txt")
+        assert run(["train-tv", *dnn, "--stats-dir", str(stats_dir), "--rank", "8",
+                    "--iterations", "3", "--out", tv]) == 0
+        assert run(["extract-ivector", "--tv", tv, "--stats-dir", str(stats_dir),
+                    "--out", ivecs]) == 0
+        assert run(["train-backend", "--ivectors", ivecs,
+                    "--utt2spk", f"{corpus}/corpus/splits/enroll.txt",
+                    "--lda-dim", "4", "--out", plda]) == 0
+        assert run(["score-speaker", "--corpus", corpus, "--backend", "ivector", *dnn,
+                    "--tv", tv, "--plda", plda, "--out", scores]) == 0
+
+        disk = DiskCorpus(corpus)
+        trials = load_trials(disk.trials_path())
+        system = pipeline.SpeakerSystem("dnn", pipeline.AlignerModels(
+            mlp=formats.load_mlp(f"{models}/mlp.dvmd"),
+            pgmm=formats.load_pgmm(f"{models}/pgmm.dvmd")))
+        want = pipeline.score_ivector_trials(disk, trials, system, formats.load_tv(tv),
+                                             formats.load_plda_backend(plda))
+        got = [line.split()[2] for line in open(scores)]
+        assert got == [f"{score:.10g}" for score in want]
+
+    def test_accumulate_stats_from_dvpo(self, work, tmp_path):
+        from digitsv import formats, pipeline
+        from digitsv.neural_aligner import load_external_posteriors
+        from digitsv.pgmm import accumulate_stats
+
+        models, corpus = work["models"], work["corpus"]
+        loaded = pipeline.AlignerModels(
+            hmms=formats.load_hmm_set(f"{models}/hmm.dvmd"),
+            mlp=formats.load_mlp(f"{models}/mlp.dvmd"),
+            pgmm=formats.load_pgmm(f"{models}/pgmm.dvmd"),
+            ubm=formats.load_diag_gmm(f"{models}/ubm.dvmd"))
+        utt = _split_utts(corpus, "test")[0]
+        text = dict(
+            line.split() for line in open(f"{corpus}/corpus/transcripts/transcripts.txt")
+        )[utt]
+        feats_path = f"{corpus}/corpus/feats/{utt}.dvfe"
+        feats = formats.read_dvfe(feats_path)
+        hmm, mlp = ["--hmm", f"{models}/hmm.dvmd"], ["--mlp", f"{models}/mlp.dvmd"]
+        pgmm = ["--pgmm", f"{models}/pgmm.dvmd"]
+        aligners = {"gmm-hmm": hmm, "dnn": mlp, "dnn-hmm": hmm + mlp, "ubm": None}
+        backgrounds = {"gmm-hmm": hmm, "dnn": pgmm, "dnn-hmm": pgmm,
+                       "ubm": ["--ubm", f"{models}/ubm.dvmd"]}
+        for source, aligner in aligners.items():
+            align, out = str(tmp_path / f"{source}.dvpo"), str(tmp_path / f"{source}.dvst")
+            align_flags = []
+            if aligner:
+                assert run(["align", "--source", source, *aligner, "--feats", feats_path,
+                            "--transcript", text, "--out", align]) == 0
+                align_flags = ["--align", align]
+            assert run(["accumulate-stats", "--source", source, *backgrounds[source],
+                        *align_flags, "--feats", feats_path, "--out", out]) == 0
+            system = pipeline.SpeakerSystem(source, loaded)
+            matrix = load_external_posteriors(align) if aligner else None
+            want = accumulate_stats(system.posteriors(matrix, feats), feats,
+                                    system.background.means, system.background.model_id)
+            got = formats.read_dvst(out)
+            for field in ("n", "f", "s"):
+                np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    def test_train_pgmm_model(self, work, tmp_path):
+        from digitsv import formats
+        from digitsv.cli import DiskCorpus
+        from digitsv.neural_aligner import mlp_posteriors
+        from digitsv.pgmm import train_pgmm
+
+        models, corpus = work["models"], work["corpus"]
+        mlp = formats.load_mlp(f"{models}/mlp.dvmd")
+        feats = [u.feats for u in DiskCorpus(corpus).utterances if u.split == "enroll"]
+        model = train_pgmm([mlp_posteriors(mlp, f) for f in feats], feats,
+                           n_components=2, em_iterations=2, seed=0)
+        formats.save_pgmm(str(tmp_path / "lib.dvmd"), model)
+        # the fixture trained models/pgmm.dvmd with the same settings
+        assert (tmp_path / "lib.dvmd").read_bytes() == open(f"{models}/pgmm.dvmd", "rb").read()
+
+
+class TestBadInputs:
+    """Bad files end in exit code 2, never in a traceback."""
+
+    @pytest.mark.parametrize("container", ["diag_gmm", "hmm_set", "pgmm", "mlp",
+                                           "speaker_models"])
+    def test_flipped_bytes_in_model(self, work, tmp_path, container):
+        models, corpus = work["models"], work["corpus"]
+        utt = _split_utts(corpus, "test")[0]
+        text = dict(
+            line.split() for line in open(f"{corpus}/corpus/transcripts/transcripts.txt")
+        )[utt]
+        feats = f"{corpus}/corpus/feats/{utt}.dvfe"
+        align = str(tmp_path / "a.dvpo")
+        assert run(["align", "--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
+                    "--feats", feats, "--out", align]) == 0
+        speakers = str(tmp_path / "spk.dvmd")
+        assert run(["enroll-map", "--corpus", corpus, "--source", "ubm",
+                    "--ubm", f"{models}/ubm.dvmd", "--out", speakers]) == 0
+        trials = tmp_path / "trials.txt"
+        trials.write_text("".join(open(f"{corpus}/corpus/trials/trials.txt").readlines()[:4]))
+        bad = str(tmp_path / "bad.dvmd")
+        original, argv = {
+            "diag_gmm": (f"{models}/ubm.dvmd",
+                         ["accumulate-stats", "--source", "ubm", "--ubm", bad,
+                          "--feats", feats]),
+            "hmm_set": (f"{models}/hmm.dvmd",
+                        ["align", "--source", "gmm-hmm", "--hmm", bad, "--feats", feats,
+                         "--transcript", text]),
+            "pgmm": (f"{models}/pgmm.dvmd",
+                     ["accumulate-stats", "--source", "dnn", "--pgmm", bad,
+                      "--align", align, "--feats", feats]),
+            "mlp": (f"{models}/mlp.dvmd",
+                    ["align", "--source", "dnn", "--mlp", bad, "--feats", feats]),
+            "speaker_models": (speakers,
+                               ["score-speaker", "--corpus", corpus, "--trials", str(trials),
+                                "--source", "ubm", "--ubm", f"{models}/ubm.dvmd",
+                                "--speakers", bad]),
+        }[container]
+        data = open(original, "rb").read()
+        rng = np.random.default_rng(0)
+        codes = set()
+        for _ in range(100):
+            mangled = bytearray(data)
+            for pos in rng.integers(6, len(data), size=rng.integers(1, 4)):
+                mangled[pos] ^= int(rng.integers(1, 256))
+            with open(bad, "wb") as fh:
+                fh.write(bytes(mangled))
+            with np.errstate(all="ignore"):
+                codes.add(run([*argv, "--out", str(tmp_path / "out")]))
+        assert codes <= {0, 2}
+
+    @pytest.fixture
+    def text_corpus(self, tmp_path):
+        """The text files of a two-utterance corpus; no feature files."""
+        root = tmp_path / "c"
+        for sub, name, text in (("transcripts", "transcripts.txt", "u1 123\nu2 456\n"),
+                                ("splits", "enroll.txt", "u1 s1\n"),
+                                ("splits", "test.txt", "u2 s1\n")):
+            (root / "corpus" / sub).mkdir(parents=True, exist_ok=True)
+            (root / "corpus" / sub / name).write_text(text)
+        return root
+
+    @pytest.mark.parametrize("path, text", [
+        ("transcripts/transcripts.txt", "u1 123 extra\nu2 456\n"),
+        ("splits/enroll.txt", "u1 s1 extra\n"),
+        ("splits/test.txt", "u2\n"),
+        ("transcripts/transcripts.txt", "u1 123\n"),
+    ], ids=["transcript-fields", "enroll-split-fields", "test-split-fields",
+            "missing-transcript"])
+    def test_malformed_corpus_text(self, text_corpus, tmp_path, capsys, path, text):
+        (text_corpus / "corpus" / path).write_text(text)
+        assert run(["train-ubm", "--corpus", str(text_corpus),
+                    "--out", str(tmp_path / "ubm.dvmd")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_malformed_utt2spk(self, tmp_path, capsys):
+        from digitsv import formats
+        from digitsv.ivector import IVector
+
+        ivecs = str(tmp_path / "iv.dviv")
+        formats.write_dviv(ivecs, [("u1", IVector(np.ones(3)))])
+        utt2spk = tmp_path / "utt2spk"
+        utt2spk.write_text("u1 s1 extra\n")
+        assert run(["train-backend", "--ivectors", ivecs, "--utt2spk", str(utt2spk),
+                    "--out", str(tmp_path / "plda.dvmd")]) == 2
+        assert "line 1" in capsys.readouterr().err

@@ -18,6 +18,7 @@ from digitsv.pgmm import (
     mixture_posteriors,
     pgmm_em_step,
     pgmm_objective,
+    train_pgmm,
     ubm_mixture_posteriors,
 )
 
@@ -223,6 +224,20 @@ class TestPgmmEm:
             cur = pgmm_objective(pgmm, aligns, feats)
             assert cur >= prev - 1e-8 * abs(prev)
             prev = cur
+
+    def test_train_pgmm_log_nondecreasing(self, small_corpus, small_models):
+        from digitsv.neural_aligner import mlp_posteriors
+
+        enroll = [u for u in small_corpus.utterances if u.split == "enroll"]
+        aligns = [mlp_posteriors(small_models.mlp, u.feats) for u in enroll]
+        feats = [u.feats for u in enroll]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyStateWarning)
+            pgmm = train_pgmm(aligns, feats, n_components=2, em_iterations=3, seed=1)
+        log = pgmm.training_log
+        assert len(log) == 3
+        assert log[-1] == pgmm_objective(pgmm, aligns, feats)
+        assert all(cur >= prev - 1e-8 * abs(prev) for prev, cur in zip(log, log[1:]))
 
     def test_mass_conservation(self, small_corpus, small_models):
         from digitsv.neural_aligner import mlp_posteriors
