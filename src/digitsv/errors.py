@@ -147,6 +147,10 @@ class OneClassOnly(DigitsvError):
     pass
 
 
+class EmptyCondition(DigitsvError):
+    pass
+
+
 class TrialParseError(DigitsvError):
     def __init__(self, line_no, message):
         self.line_no = line_no

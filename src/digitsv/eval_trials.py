@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import OneClassOnly, TrialParseError, UnknownCondition
+from .errors import EmptyCondition, OneClassOnly, TrialParseError, UnknownCondition
 
 CATEGORIES = ("TC", "TW", "IC", "IW")
 CONDITIONS = {
@@ -159,6 +159,8 @@ def evaluate_condition(trials, scores, condition: str,
     scored = [SimpleNamespace(category=trial.category, score=score)
               for trial, score in zip(trials, scores)]
     kept = partition_trials(scored, condition)
+    if not kept:
+        raise EmptyCondition(f"condition {condition} has no trials")
     values = np.asarray([rec.score for rec, _ in kept])
     if negate:
         values = -values

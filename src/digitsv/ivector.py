@@ -101,13 +101,13 @@ def train_tv(stats_list, background: Background, rank: int,
     rng = np.random.default_rng(seed)
     matrix = 0.1 * rng.standard_normal((background.n_mixtures * dim, rank))
 
-    flat = [_flat_stats(s, background) for s in stats_list]
     log = []
     for _ in range(iterations):
         acc_a = np.zeros((background.n_mixtures, rank, rank))
         acc_c = np.zeros_like(matrix)
         aux = 0.0
-        for n_flat, f_flat in flat:
+        for stats in stats_list:
+            n_flat, f_flat = _flat_stats(stats, background)
             precision, mean, rhs = _posterior(matrix, inv_var, n_flat, f_flat)
             sign, logdet = np.linalg.slogdet(precision)
             aux += 0.5 * (mean @ rhs - logdet)

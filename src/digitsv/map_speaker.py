@@ -59,13 +59,50 @@ def enroll(background: Background, utterances, relevance: float = RELEVANCE_DEFA
     return map_adapt(background, stats, relevance)
 
 
+class LinearLlr:
+    """Enrolled speakers stacked for scoring over centred statistics.
+
+    With shared variances ``llr_score`` is exactly linear in the statistics
+    (Glembek et al., ICASSP 2009): with d = mu_s - mu_b and W = d / var,
+    the posterior-weighted sum is W . F - h . N, h = 0.5 * sum_d d * W.
+    W is stacked once as (speakers x M*D), so one statistics vector scores
+    every speaker with two matrix-vector products.
+    """
+
+    def __init__(self, speakers: dict, background: Background):
+        for spk, model in speakers.items():
+            if model.means.shape != background.means.shape:
+                raise ShapeMismatch(
+                    f"speaker {spk!r} model {model.means.shape} does not match "
+                    f"the background {background.means.shape}")
+        self.background = background
+        self.index = {spk: k for k, spk in enumerate(speakers)}
+        offsets = np.stack([m.means for m in speakers.values()]) - background.means
+        weights = offsets / background.variances
+        self.weights = weights.reshape(len(speakers), -1)
+        self.halves = 0.5 * np.sum(offsets * weights, axis=2)
+
+    def scores(self, stats: SuffStats, retained: int) -> np.ndarray:
+        """LLR of every speaker, in ``index`` order, given one key's statistics.
+
+        ``retained`` is the number of frames carrying any mixture mass, the
+        divisor ``llr_score`` uses.
+        """
+        if stats.f.shape != self.background.means.shape:
+            raise ShapeMismatch("statistics do not match the background layout")
+        if retained == 0:
+            raise NoRetainedFrames("no frame carries any non-silence mixture mass")
+        return (self.weights @ stats.f.reshape(-1) - self.halves @ stats.n) / retained
+
+
 def llr_score(speaker: SpeakerModel, background: Background,
               gammas: MixturePosteriors, feats: FeatureSequence) -> float:
     """Average per-frame log-likelihood ratio of speaker vs background.
 
     Shared variances make the log-determinants cancel, leaving a
     posterior-weighted difference of quadratic terms.  The sum is divided
-    by the number of frames carrying any retained mixture mass.
+    by the number of frames carrying any retained mixture mass.  The
+    per-frame reference for ``LinearLlr``.
     """
     if speaker.means.shape != background.means.shape:
         raise ShapeMismatch("speaker and background models differ in shape")

@@ -2,8 +2,11 @@
 
 Glue between the synthetic corpus (or any utterance provider) and the
 alignment/backend modules: model training at desk scale, speaker
-enrollment, per-trial speaker scoring, and per-trial content scoring.
-The CLI wraps the same functions around on-disk artifacts.
+enrollment, and speaker and content scoring of trial lists.  Scoring walks
+the trials grouped by test utterance and then by prompt, in one streaming
+pass: each key's posteriors are reduced to statistics (or a KL score)
+before the next key is aligned.  The CLI wraps the same functions around
+on-disk artifacts.
 """
 
 from __future__ import annotations
@@ -13,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import content_kl, hmm as hmm_mod, map_speaker, pgmm as pgmm_mod
-from .errors import ConfigInvalid, SourceMismatch
+from .errors import ConfigInvalid, DigitsvError, SourceMismatch
 from .gmm import DiagGmm, GmmTrainConfig, train_em
 from .hmm import AlignmentMatrix, HmmSet, HmmTrainConfig, compile_graph, train_hmm_set
 from .ivector import extract_ivector, plda_score
 from .neural_aligner import MlpModel, MlpTrainConfig, mlp_posteriors, train_mlp
-from .pgmm import Background, MixturePosteriors, Pgmm, accumulate_stats
+from .pgmm import Background, MixturePosteriors, Pgmm, SuffStats, accumulate_stats
 from .features import FeatureKind, FeatureSequence
 
 
@@ -93,6 +96,10 @@ def _need(model, name):
     if model is None:
         raise ConfigInvalid(f"alignment source requires a trained {name} model")
     return model
+
+
+# alignment sources whose alignment, and so whose statistics, depend on the prompt
+PROMPTED_SOURCES = ("gmm-hmm", "dnn-hmm")
 
 
 def align(source: str, models: AlignerModels, feats: FeatureSequence | None,
@@ -185,36 +192,59 @@ class SpeakerSystem:
         return self.posteriors(self.alignment(feats, prompt, dnn_align), feats)
 
 
-class AlignmentCache:
-    """Per-utterance memoization for trial scoring, per prompt where the source reads it."""
+def _trial_plan(corpus, trials, prompt_keyed: bool, enrolled=None) -> list:
+    """Trial indices grouped by test utterance, then by key, in first-seen order.
 
-    def __init__(self, system: SpeakerSystem):
-        self.system = system
-        self._dnn: dict = {}
-        self._stats: dict = {}
+    Returns (utterance, {key: [trial index, ...]}) pairs; the key is the
+    prompt when ``prompt_keyed``, else None.  A trial naming an utterance
+    the corpus lacks, or a speaker outside ``enrolled`` (when given), raises
+    DigitsvError before any alignment runs.
+    """
+    plan: dict = {}
+    for i, trial in enumerate(trials):
+        named = f"trial {i + 1} ({trial.speaker} {trial.utterance} {trial.prompt})"
+        if enrolled is not None and trial.speaker not in enrolled:
+            raise DigitsvError(f"{named}: speaker {trial.speaker!r} has no enrolled model")
+        if trial.utterance not in plan:
+            try:
+                plan[trial.utterance] = (corpus.by_id(trial.utterance), {})
+            except KeyError:
+                raise DigitsvError(
+                    f"{named}: utterance {trial.utterance!r} is not in the corpus") from None
+        keys = plan[trial.utterance][1]
+        keys.setdefault(trial.prompt if prompt_keyed else None, []).append(i)
+    return list(plan.values())
 
-    def dnn_align(self, utt):
-        if utt.utt_id not in self._dnn:
-            self._dnn[utt.utt_id] = self.system.dnn_alignment(utt.feats)
-        return self._dnn[utt.utt_id]
 
-    def stats_posteriors(self, utt, prompt):
-        reads_prompt = self.system.source in ("gmm-hmm", "dnn-hmm")
-        key = (utt.utt_id, prompt if reads_prompt else None)
-        if key not in self._stats:
-            dnn = self.dnn_align(utt) if self.system.source in ("dnn", "dnn-hmm") else None
-            self._stats[key] = self.system.stats_posteriors(utt.feats, prompt, dnn)
-        return self._stats[key]
+def _stats(system: SpeakerSystem, feats: FeatureSequence, prompt: str | None,
+           dnn_align: AlignmentMatrix | None = None) -> tuple[SuffStats, int]:
+    """One utterance's statistics on the system's background, and its retained frames."""
+    gammas = system.stats_posteriors(feats, prompt, dnn_align)
+    retained = int(np.count_nonzero(gammas.gammas.any(axis=1)))
+    bg = system.background
+    return accumulate_stats(gammas, feats, bg.means, bg.model_id), retained
+
+
+def _key_stats(plan, system: SpeakerSystem):
+    """(trial indices, SuffStats, retained frames) per key of a trial plan.
+
+    The classifier runs once per utterance; each key's mixture posteriors are
+    reduced to statistics and freed before the next key.
+    """
+    for utt, keys in plan:
+        feats = utt.feats
+        dnn = system.dnn_alignment(feats) if system.source in ("dnn", "dnn-hmm") else None
+        for prompt, indices in keys.items():
+            yield (indices, *_stats(system, feats, prompt, dnn))
 
 
 def enroll_speakers(corpus, system: SpeakerSystem,
                     relevance: float = map_speaker.RELEVANCE_DEFAULT) -> dict:
     """MAP-enroll every corpus speaker from its enrollment utterances."""
-    cache = AlignmentCache(system)
     speakers = {}
     for spk in corpus.speakers:
-        utts = corpus.enrollment(spk)
-        pairs = [(cache.stats_posteriors(u, u.content), u.feats) for u in utts]
+        pairs = [(system.stats_posteriors(u.feats, u.content), u.feats)
+                 for u in corpus.enrollment(spk)]
         speakers[spk] = map_speaker.enroll(system.background, pairs, relevance)
     return speakers
 
@@ -223,6 +253,8 @@ def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers: dict) 
     """Log-likelihood-ratio speaker score per trial, in trial order.
 
     The speaker models must have been enrolled on this system's background.
+    Each (utterance, prompt) key's statistics score all of its trials'
+    speakers at once with the exact linear form of ``map_speaker.llr_score``.
     """
     enrolled_on = {model.background_id for model in speakers.values()}
     if enrolled_on != {system.background.model_id}:
@@ -230,41 +262,32 @@ def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers: dict) 
             f"speaker models were enrolled with the {', '.join(sorted(enrolled_on))} "
             f"alignment source; scoring requested {system.background.model_id}"
         )
-    cache = AlignmentCache(system)
-    scores = []
-    for trial in trials:
-        utt = corpus.by_id(trial.utterance)
-        gammas = cache.stats_posteriors(utt, trial.prompt)
-        scores.append(
-            map_speaker.llr_score(speakers[trial.speaker], system.background,
-                                  gammas, utt.feats)
-        )
+    plan = _trial_plan(corpus, trials, system.source in PROMPTED_SOURCES, speakers)
+    scorer = map_speaker.LinearLlr(speakers, system.background)
+    scores = [0.0] * len(trials)
+    for indices, stats, retained in _key_stats(plan, system):
+        llrs = scorer.scores(stats, retained)
+        for i in indices:
+            scores[i] = float(llrs[scorer.index[trials[i].speaker]])
     return scores
 
 
 def score_ivector_trials(corpus, trials, system: SpeakerSystem, tv, backend) -> list:
     """PLDA score per trial between enrollment and test i-vectors, in trial order."""
-    cache = AlignmentCache(system)
-    enroll_ivecs = {}
-    for spk in corpus.speakers:
-        prepared = []
-        for u in corpus.enrollment(spk):
-            stats = accumulate_stats(
-                cache.stats_posteriors(u, u.content), u.feats,
-                system.background.means, system.background.model_id)
-            prepared.append(backend.prepare(extract_ivector(stats, tv)))
-        enroll_ivecs[spk] = prepared
-    scores = []
-    test_cache = {}
-    for trial in trials:
-        key = (trial.utterance, trial.prompt)
-        if key not in test_cache:
-            u = corpus.by_id(trial.utterance)
-            stats = accumulate_stats(
-                cache.stats_posteriors(u, trial.prompt), u.feats,
-                system.background.means, system.background.model_id)
-            test_cache[key] = backend.prepare(extract_ivector(stats, tv))
-        scores.append(plda_score(backend, enroll_ivecs[trial.speaker], test_cache[key]))
+    enrolled = [spk for spk in corpus.speakers if corpus.enrollment(spk)]
+    plan = _trial_plan(corpus, trials, system.source in PROMPTED_SOURCES, enrolled)
+
+    def ivector(stats):
+        return backend.prepare(extract_ivector(stats, tv))
+
+    enroll_ivecs = {spk: [ivector(_stats(system, u.feats, u.content)[0])
+                          for u in corpus.enrollment(spk)]
+                    for spk in enrolled}
+    scores = [0.0] * len(trials)
+    for indices, stats, _ in _key_stats(plan, system):
+        test = ivector(stats)
+        for i in indices:
+            scores[i] = plda_score(backend, enroll_ivecs[trials[i].speaker], test)
     return scores
 
 
@@ -274,22 +297,17 @@ def score_content_trials(corpus, trials, models: AlignerModels,
                          silence_policy: str = "optional_between") -> list:
     """KL content score per trial (lower = content matches the prompt)."""
     class_map = content_kl.PhoneticClassMap.for_level(level)
-    dnn_cache: dict = {}
-    kl_cache: dict = {}
-    scores = []
-    for trial in trials:
-        utt = corpus.by_id(trial.utterance)
-        key = (utt.utt_id, trial.prompt)
-        if key not in kl_cache:
-            if utt.utt_id not in dnn_cache:
-                dnn_cache[utt.utt_id] = mlp_posteriors(models.mlp, utt.feats)
+    plan = _trial_plan(corpus, trials, prompt_keyed=True)
+    scores = [0.0] * len(trials)
+    for utt, keys in plan:
+        dnn = mlp_posteriors(models.mlp, utt.feats)
+        for prompt, indices in keys.items():
             decision = content_kl.content_verify(
-                utt.feats, trial.prompt, models.hmms, dnn_cache[utt.utt_id],
+                utt.feats, prompt, models.hmms, dnn,
                 class_map=class_map, epsilon=epsilon,
                 silence_policy=silence_policy, hmm_mode=hmm_mode,
                 priors=models.mlp.class_priors if hmm_mode == "hybrid" else None,
             )
-            kl_cache[key] = decision.kl
-        scores.append(kl_cache[key])
+            for i in indices:
+                scores[i] = decision.kl
     return scores
-

@@ -341,9 +341,8 @@ class TestSupplementaryMapVsIvector:
         from digitsv.pgmm import accumulate_stats
 
         system = pipeline.SpeakerSystem("dnn", bench_models)
-        cache = pipeline.AlignmentCache(system)
         enroll_stats = {
-            spk: [accumulate_stats(cache.stats_posteriors(u, u.content), u.feats,
+            spk: [accumulate_stats(system.stats_posteriors(u.feats, u.content), u.feats,
                                    system.background.means, system.background.model_id)
                   for u in bench_corpus.enrollment(spk)]
             for spk in bench_corpus.speakers

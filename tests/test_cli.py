@@ -189,33 +189,42 @@ class TestContentFlow:
         assert "TC-TW" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def ivector_models(work, tmp_path_factory):
+    """Total-variability and PLDA models of the ubm source, trained through the CLI."""
+    models, corpus = work["models"], work["corpus"]
+    root = tmp_path_factory.mktemp("ivector")
+    stats_dir = str(root / "stats")
+    os.makedirs(stats_dir)
+    enroll = [line.split()[0]
+              for line in open(f"{corpus}/corpus/splits/enroll.txt")]
+    for utt in enroll:
+        assert run(["accumulate-stats", "--source", "ubm",
+                    "--ubm", f"{models}/ubm.dvmd",
+                    "--feats", f"{corpus}/corpus/feats/{utt}.dvfe",
+                    "--out", f"{stats_dir}/{utt}.dvst"]) == 0
+    tv = str(root / "tv.dvmd")
+    assert run(["train-tv", "--source", "ubm", "--ubm", f"{models}/ubm.dvmd",
+                "--stats-dir", stats_dir, "--rank", "8", "--iterations", "3",
+                "--out", tv]) == 0
+    ivecs = str(root / "iv.dviv")
+    assert run(["extract-ivector", "--tv", tv, "--stats-dir", stats_dir,
+                "--out", ivecs]) == 0
+    backend = str(root / "plda.dvmd")
+    assert run(["train-backend", "--ivectors", ivecs,
+                "--utt2spk", f"{corpus}/corpus/splits/enroll.txt",
+                "--lda-dim", "4", "--out", backend]) == 0
+    return {"tv": tv, "plda": backend}
+
+
 class TestIvectorFlow:
-    def test_stats_tv_backend_scoring(self, work, tmp_path):
+    def test_stats_tv_backend_scoring(self, work, ivector_models, tmp_path):
         models, corpus = work["models"], work["corpus"]
-        stats_dir = str(tmp_path / "stats")
-        os.makedirs(stats_dir)
-        enroll = [line.split()[0]
-                  for line in open(f"{corpus}/corpus/splits/enroll.txt")]
-        for utt in enroll:
-            assert run(["accumulate-stats", "--source", "ubm",
-                        "--ubm", f"{models}/ubm.dvmd",
-                        "--feats", f"{corpus}/corpus/feats/{utt}.dvfe",
-                        "--out", f"{stats_dir}/{utt}.dvst"]) == 0
-        tv = str(tmp_path / "tv.dvmd")
-        assert run(["train-tv", "--source", "ubm", "--ubm", f"{models}/ubm.dvmd",
-                    "--stats-dir", stats_dir, "--rank", "8", "--iterations", "3",
-                    "--out", tv]) == 0
-        ivecs = str(tmp_path / "iv.dviv")
-        assert run(["extract-ivector", "--tv", tv, "--stats-dir", stats_dir,
-                    "--out", ivecs]) == 0
-        backend = str(tmp_path / "plda.dvmd")
-        assert run(["train-backend", "--ivectors", ivecs,
-                    "--utt2spk", f"{corpus}/corpus/splits/enroll.txt",
-                    "--lda-dim", "4", "--out", backend]) == 0
         scores = str(tmp_path / "iv_scores.txt")
         assert run(["score-speaker", "--corpus", corpus, "--source", "ubm",
                     "--ubm", f"{models}/ubm.dvmd", "--backend", "ivector",
-                    "--tv", tv, "--plda", backend, "--out", scores]) == 0
+                    "--tv", ivector_models["tv"], "--plda", ivector_models["plda"],
+                    "--out", scores]) == 0
         assert len(open(scores).read().splitlines()) > 0
 
 
@@ -466,3 +475,59 @@ class TestBadInputs:
         assert run(["train-backend", "--ivectors", ivecs, "--utt2spk", str(utt2spk),
                     "--out", str(tmp_path / "plda.dvmd")]) == 2
         assert "line 1" in capsys.readouterr().err
+
+
+class TestBadTrials:
+    """A trial list naming what the corpus or the models lack ends in exit 2."""
+
+    @pytest.fixture(scope="class")
+    def ubm_speakers(self, work, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("spk") / "spk.dvmd")
+        assert run(["enroll-map", "--corpus", work["corpus"], "--source", "ubm",
+                    "--ubm", f"{work['models']}/ubm.dvmd", "--out", out]) == 0
+        return out
+
+    def _bad_trials(self, work, tmp_path, speaker=None, utterance=None):
+        first = open(f"{work['corpus']}/corpus/trials/trials.txt").readline()
+        spk, utt, prompt, category = first.split()
+        path = tmp_path / "trials.txt"
+        path.write_text(f"{first}{speaker or spk} {utterance or utt} {prompt} {category}\n")
+        return str(path)
+
+    def _assert_one_line_error(self, capsys, *words):
+        err = capsys.readouterr().err
+        assert err.startswith("error: trial 2 ") and err.count("\n") == 1, err
+        assert all(w in err for w in words), err
+
+    @pytest.mark.parametrize("backend", ["map", "ivector"])
+    @pytest.mark.parametrize("bad", [{"speaker": "nobody"}, {"utterance": "no_such_utt"}],
+                             ids=["unknown-speaker", "unknown-utterance"])
+    def test_score_speaker(self, work, ivector_models, ubm_speakers, tmp_path, capsys,
+                           backend, bad):
+        models = work["models"]
+        flags = (["--speakers", ubm_speakers] if backend == "map" else
+                 ["--tv", ivector_models["tv"], "--plda", ivector_models["plda"]])
+        capsys.readouterr()
+        assert run(["score-speaker", "--corpus", work["corpus"], "--source", "ubm",
+                    "--ubm", f"{models}/ubm.dvmd", "--backend", backend, *flags,
+                    "--trials", self._bad_trials(work, tmp_path, **bad),
+                    "--out", str(tmp_path / "scores.txt")]) == 2
+        self._assert_one_line_error(capsys, *bad.values())
+
+    def test_score_content_unknown_utterance(self, work, tmp_path, capsys):
+        models = work["models"]
+        capsys.readouterr()
+        assert run(["score-content", "--corpus", work["corpus"],
+                    "--hmm", f"{models}/hmm.dvmd", "--mlp", f"{models}/mlp.dvmd",
+                    "--trials", self._bad_trials(work, tmp_path, utterance="no_such_utt"),
+                    "--out", str(tmp_path / "kl.txt")]) == 2
+        self._assert_one_line_error(capsys, "no_such_utt")
+
+    def test_evaluate_empty_condition(self, tmp_path, capsys):
+        trials, scores = tmp_path / "trials.txt", tmp_path / "scores.txt"
+        trials.write_text("")
+        scores.write_text("")
+        assert run(["evaluate", "--trials", str(trials), "--scores", str(scores),
+                    "--condition", "TC-IC"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err

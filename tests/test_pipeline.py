@@ -1,9 +1,38 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from digitsv import pipeline
-from digitsv.errors import ConfigInvalid
+from digitsv.errors import ConfigInvalid, DigitsvError, NoRetainedFrames, ShapeMismatch
 from digitsv.hmm import compile_graph, fb_align
+from digitsv.map_speaker import SpeakerModel, llr_score
+from digitsv.pgmm import MixturePosteriors
+
+SOURCES = ("gmm-hmm", "dnn", "dnn-hmm", "ubm")
+
+
+@pytest.fixture(scope="module")
+def enrolled(small_corpus, small_models):
+    """(system, speaker models) per alignment source."""
+    out = {}
+    for source in SOURCES:
+        system = pipeline.SpeakerSystem(source, small_models)
+        out[source] = (system, pipeline.enroll_speakers(small_corpus, system))
+    return out
+
+
+def _counting_stats_posteriors(monkeypatch, system):
+    """Record (feats identity, prompt) for every stats_posteriors call on ``system``."""
+    calls = []
+    original = system.stats_posteriors
+
+    def counting(feats, prompt=None, dnn_align=None):
+        calls.append((id(feats), prompt))
+        return original(feats, prompt, dnn_align)
+
+    monkeypatch.setattr(system, "stats_posteriors", counting)
+    return calls
 
 
 class TestAlign:
@@ -44,6 +73,14 @@ class TestAlign:
         with pytest.raises(ConfigInvalid):
             pipeline.align("gmm-hmm", small_models, u.feats, None)
 
+    def test_stats_posteriors_is_posteriors_of_alignment(self, small_corpus, small_models):
+        u = small_corpus.utterances[0]
+        for source in SOURCES:
+            system = pipeline.SpeakerSystem(source, small_models)
+            got = system.stats_posteriors(u.feats, u.content)
+            want = system.posteriors(system.alignment(u.feats, u.content), u.feats)
+            np.testing.assert_array_equal(got.gammas, want.gammas)
+
     def test_unknown_source_or_mode(self, small_corpus, small_models):
         u = small_corpus.utterances[0]
         with pytest.raises(ConfigInvalid):
@@ -52,20 +89,91 @@ class TestAlign:
             pipeline.align("dnn", small_models, u.feats, u.content, "nbest")
 
 
-class TestAlignmentCache:
-    def test_prompt_keys_only_sources_that_read_it(self, small_corpus, small_models):
-        u = next(u for u in small_corpus.utterances if u.split == "test")
-        other = "0123" if u.content != "0123" else "4567"
-        for source, reads_prompt in (("gmm-hmm", True), ("dnn-hmm", True),
-                                     ("dnn", False), ("ubm", False)):
-            cache = pipeline.AlignmentCache(pipeline.SpeakerSystem(source, small_models))
-            first = cache.stats_posteriors(u, u.content)
-            assert (cache.stats_posteriors(u, other) is first) != reads_prompt, source
 
-    def test_stats_posteriors_is_posteriors_of_alignment(self, small_corpus, small_models):
-        u = small_corpus.utterances[0]
-        for source in ("gmm-hmm", "dnn", "dnn-hmm", "ubm"):
-            system = pipeline.SpeakerSystem(source, small_models)
-            got = system.stats_posteriors(u.feats, u.content)
-            want = system.posteriors(system.alignment(u.feats, u.content), u.feats)
-            np.testing.assert_array_equal(got.gammas, want.gammas)
+
+class TestTrialScoring:
+    def test_linear_llr_matches_llr_score(self, small_corpus, enrolled):
+        trials = small_corpus.trials
+        for source in SOURCES:
+            system, speakers = enrolled[source]
+            got = pipeline.score_speaker_trials(small_corpus, trials, system, speakers)
+            gammas = {}
+            want = []
+            for t in trials:
+                u = small_corpus.by_id(t.utterance)
+                if (u.utt_id, t.prompt) not in gammas:
+                    gammas[u.utt_id, t.prompt] = system.stats_posteriors(u.feats, t.prompt)
+                want.append(llr_score(speakers[t.speaker], system.background,
+                                      gammas[u.utt_id, t.prompt], u.feats))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=source)
+
+    def test_stats_posteriors_once_per_key(self, small_corpus, enrolled, monkeypatch):
+        trials = small_corpus.trials
+        feats_id = {t.utterance: id(small_corpus.by_id(t.utterance).feats) for t in trials}
+        for source in SOURCES:
+            system, speakers = enrolled[source]
+            calls = _counting_stats_posteriors(monkeypatch, system)
+            pipeline.score_speaker_trials(small_corpus, trials, system, speakers)
+            prompted = source in ("gmm-hmm", "dnn-hmm")
+            want = {(feats_id[t.utterance], t.prompt if prompted else None) for t in trials}
+            assert len(calls) == len(want) and set(calls) == want, source
+
+    def test_no_retained_frames(self, small_corpus, enrolled, monkeypatch):
+        system, speakers = enrolled["ubm"]
+        bg = system.background
+
+        def silent(feats, prompt=None, dnn_align=None):
+            return MixturePosteriors(np.zeros((feats.n_frames, bg.n_mixtures)), "HMM",
+                                     None, bg.n_components)
+
+        monkeypatch.setattr(system, "stats_posteriors", silent)
+        with pytest.raises(NoRetainedFrames):
+            pipeline.score_speaker_trials(small_corpus, small_corpus.trials[:1], system,
+                                          speakers)
+
+    def test_speaker_model_of_wrong_shape(self, small_corpus, enrolled):
+        system, speakers = enrolled["dnn"]
+        spk = small_corpus.trials[0].speaker
+        bad = dict(speakers)
+        bad[spk] = SpeakerModel(speakers[spk].means[:-1], speakers[spk].background_id,
+                                speakers[spk].relevance)
+        with pytest.raises(ShapeMismatch):
+            pipeline.score_speaker_trials(small_corpus, small_corpus.trials[:1], system, bad)
+
+    def test_bad_trials_fail_before_any_alignment(self, small_corpus, enrolled,
+                                                  monkeypatch):
+        from digitsv.eval_trials import TrialRecord
+
+        system, speakers = enrolled["gmm-hmm"]
+        calls = _counting_stats_posteriors(monkeypatch, system)
+        good = small_corpus.trials[0]
+        no_speaker = TrialRecord("nobody", good.utterance, good.prompt, "TC")
+        no_utterance = TrialRecord(good.speaker, "no_such_utt", good.prompt, "TC")
+        for bad in (no_speaker, no_utterance):
+            with pytest.raises(DigitsvError, match="trial 2 "):
+                pipeline.score_speaker_trials(small_corpus, [good, bad], system, speakers)
+            with pytest.raises(DigitsvError, match="trial 2 "):
+                pipeline.score_ivector_trials(small_corpus, [good, bad], system, None, None)
+        with pytest.raises(DigitsvError, match="trial 2 .*no_such_utt"):
+            pipeline.score_content_trials(small_corpus, [good, no_utterance], None)
+        assert calls == []
+
+    def test_peak_memory_is_one_key_not_all_keys(self, small_corpus, enrolled):
+        # a cross-trial cache of mixture posteriors would grow with the key count
+        system, speakers = enrolled["gmm-hmm"]
+        trials = small_corpus.trials
+        frames = {t.utterance: small_corpus.by_id(t.utterance).feats.n_frames for t in trials}
+        longest = max(trials, key=lambda t: frames[t.utterance])
+
+        def peak(subset):
+            tracemalloc.start()
+            try:
+                pipeline.score_speaker_trials(small_corpus, subset, system, speakers)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([longest])
+        one_key, all_keys = peak([longest]), peak(trials)
+        posterior_bytes = frames[longest.utterance] * system.background.n_mixtures * 8
+        assert all_keys <= one_key + posterior_bytes, (one_key, all_keys, posterior_bytes)
