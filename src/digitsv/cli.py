@@ -327,9 +327,10 @@ def _cmd_train_tv(args):
     cfg = load_config(args.config, {"ivector_rank": args.rank,
                                     "tv_iterations": args.iterations,
                                     "seed": args.seed})
-    system = pipeline.SpeakerSystem(args.source, _load_models(args), args.silence_policy)
-    stats = [formats.read_dvst(p) for p in _stats_paths(args)]
-    tv = ivec_mod.train_tv(stats, system.background, cfg.ivector_rank,
+    background = pipeline.SpeakerSystem(args.source, _load_models(args),
+                                        args.silence_policy).background
+    stats = (formats.read_dvst(p) for p in _stats_paths(args))
+    tv = ivec_mod.train_tv(stats, background, cfg.ivector_rank,
                            iterations=cfg.tv_iterations, seed=cfg.seed)
     for k, aux in enumerate(tv.training_log):
         _progress("train-tv", iteration=k, objective=f"{aux:.4f}")
@@ -631,10 +632,7 @@ def cli_dispatch(argv) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DigitsvError as exc:
+    except (DigitsvError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

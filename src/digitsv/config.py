@@ -47,6 +47,11 @@ class PipelineConfig:
         if self.dnn_feature_kind not in ("fbank120", "mfcc60", "spliced"):
             raise ConfigInvalid(
                 f"dnn_feature_kind must name a feature kind, got {self.dnn_feature_kind!r}")
+        if self.ivector_rank < 1:
+            raise ConfigInvalid(f"ivector_rank must be at least 1, got {self.ivector_rank}")
+        for name in ("pgmm_em_iterations", "tv_iterations", "plda_iterations"):
+            if getattr(self, name) < 0:
+                raise ConfigInvalid(f"{name} must not be negative, got {getattr(self, name)}")
         self.dcf_params("sre08"), self.dcf_params("sre10")  # validate eagerly
 
     @property

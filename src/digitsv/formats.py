@@ -266,9 +266,9 @@ def _write_tagged(out: list, value):
             _write_tagged(out, value[key])
     elif isinstance(value, np.ndarray):
         if value.dtype.kind == "f":
-            arr, code = value.astype("<f8"), b"d"
+            arr, code = value.astype("<f8", copy=False), b"d"
         elif value.dtype.kind in "iu":
-            arr, code = value.astype("<i8"), b"l"
+            arr, code = value.astype("<i8", copy=False), b"l"
         else:
             raise TypeError(f"cannot serialize array dtype {value.dtype}")
         out.append(b"A" + code + struct.pack("<B", arr.ndim))
@@ -348,7 +348,7 @@ def write_dvmd(path, kind: str, payload: dict):
     out.append(struct.pack("<H", len(raw)) + raw)
     _write_tagged(out, payload)
     with _create(path) as fh:
-        fh.write(b"".join(out))
+        fh.writelines(out)
 
 
 def read_dvmd(path, expect_kind: str | None = None):

@@ -510,16 +510,3 @@ def train_hmm_set(corpus, cfg: HmmTrainConfig | None = None) -> HmmSet:
 
     hmms.training_log = log
     return hmms
-
-
-def hmm_mixture_posteriors(hmms: HmmSet, align: AlignmentMatrix, feats: FeatureSequence):
-    """Joint state/component posteriors under an HMM alignment.
-
-    Per frame the (state, component) masses multiply the state posterior by
-    the within-state Gaussian posterior and sum to 1 over all 33 states.
-    """
-    if align.source not in (AlignSource.HMM_FB, AlignSource.HMM_VITERBI):
-        raise SourceMismatch(f"expected an HMM alignment, got {align.source.value}")
-    from .pgmm import mixture_posteriors
-
-    return mixture_posteriors(hmms, align, feats, drop_silence=False, prune=0.0)

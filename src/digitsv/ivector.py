@@ -2,13 +2,18 @@
 
 The subspace matrix maps a low-rank utterance factor to mean offsets of the
 background mixtures; extraction solves the Gaussian posterior-mean system
-(I + T' S^-1 N T) w = T' S^-1 F.  Scoring projects i-vectors with LDA,
-length-normalizes, and applies a two-covariance PLDA likelihood ratio.
+(I + T' S^-1 N T) w = T' S^-1 F.  The precision is assembled as
+I + sum_m n_m B_m from per-mixture blocks B_m = T_m' S_m^-1 T_m, computed once
+per TV matrix (Glembek et al., "Simplification and optimization of i-vector
+extraction", ICASSP 2011), so no utterance pays for an (M*D x R) product.
+Scoring projects i-vectors with LDA, length-normalizes, and applies a
+two-covariance PLDA likelihood ratio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -42,86 +47,103 @@ class TvModel:
     background: Background
     training_log: list | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        mixtures, dim = self.background.means.shape
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != mixtures * dim:
+            raise ValueError(f"TV matrix of shape {self.matrix.shape} does not have "
+                             f"{mixtures} x {dim} rows")
+
     @property
     def rank(self):
         return self.matrix.shape[1]
 
-
-def _flat_stats(stats: SuffStats, background: Background):
-    if stats.f.shape != background.means.shape:
-        raise ShapeMismatch("statistics do not match the background layout")
-    n_flat = np.repeat(stats.n, background.dim)
-    return n_flat, stats.f.reshape(-1)
-
-
-def _check_background(stats_list, background: Background):
-    for stats in stats_list:
-        if stats.f.shape != background.means.shape:
-            raise InconsistentBackground("statistics shape does not match the background")
-        if (stats.background_id and background.model_id
-                and stats.background_id != background.model_id):
-            raise InconsistentBackground(
-                f"statistics anchored to {stats.background_id!r}, "
-                f"not {background.model_id!r}"
-            )
+    @cached_property
+    def precision_blocks(self):
+        """(M, R, R) blocks T_m' S_m^-1 T_m, built on first extraction."""
+        return _precision_blocks(self.matrix, 1.0 / self.background.variances,
+                                 self.background.n_mixtures)
 
 
-def _posterior(matrix, inv_var_flat, n_flat, f_flat):
-    """Posterior precision L, mean w, and the rhs T' S^-1 F."""
+def _precision_blocks(matrix, inv_var, n_mixtures):
+    """B_m = T_m' S_m^-1 T_m of every mixture, as an (M, R, R) array."""
     rank = matrix.shape[1]
-    weighted = matrix * (n_flat * inv_var_flat)[:, None]
-    precision = np.eye(rank) + weighted.T @ matrix
-    rhs = matrix.T @ (f_flat * inv_var_flat)
-    mean = np.linalg.solve(precision, rhs)
-    return precision, mean, rhs
+    rows = matrix.reshape(n_mixtures, -1, rank)
+    weights = inv_var.reshape(n_mixtures, -1, 1)
+    blocks = np.empty((n_mixtures, rank, rank))
+    for t, w, b in zip(rows, weights, blocks):
+        np.matmul(t.T, w * t, out=b)
+    return blocks
+
+
+def _posterior(blocks, counts, rhs):
+    """Posterior precision I + sum_m n_m B_m and mean, of one utterance or a stack."""
+    precision = np.eye(rhs.shape[-1]) + np.tensordot(counts, blocks, axes=1)
+    return precision, np.linalg.solve(precision, rhs[..., None])[..., 0]
+
+
+def _check_background(stats, background: Background):
+    if stats.f.shape != background.means.shape:
+        raise InconsistentBackground("statistics shape does not match the background")
+    if (stats.background_id and background.model_id
+            and stats.background_id != background.model_id):
+        raise InconsistentBackground(
+            f"statistics anchored to {stats.background_id!r}, "
+            f"not {background.model_id!r}"
+        )
 
 
 def extract_ivector(stats: SuffStats, tv: TvModel) -> IVector:
     """Posterior mean of the utterance factor; all-zero statistics give 0."""
-    n_flat, f_flat = _flat_stats(stats, tv.background)
-    inv_var = 1.0 / tv.background.variances.reshape(-1)
-    _, mean, _ = _posterior(tv.matrix, inv_var, n_flat, f_flat)
-    return IVector(mean)
+    if stats.f.shape != tv.background.means.shape:
+        raise ShapeMismatch("statistics do not match the background layout")
+    rhs = tv.matrix.T @ (stats.f.reshape(-1) * (1.0 / tv.background.variances.reshape(-1)))
+    return IVector(_posterior(tv.precision_blocks, stats.n, rhs)[1])
+
+
+def _em_iteration(matrix, counts, firsts, inv_var):
+    """One EM update of ``matrix`` in place; returns the evidence term."""
+    mixtures, rank = counts.shape[1], matrix.shape[1]
+    dim = matrix.shape[0] // mixtures
+    rhs = np.array([matrix.T @ (f.reshape(-1) * inv_var) for f in firsts])
+    precision, mean = _posterior(_precision_blocks(matrix, inv_var, mixtures), counts,
+                                 rhs.reshape(len(firsts), rank))
+    aux = 0.5 * float(np.sum(np.einsum("ur,ur->u", mean, rhs)
+                             - np.linalg.slogdet(precision)[1]))
+    second = np.linalg.inv(precision)
+    second += mean[:, :, None] * mean[:, None, :]
+    acc_a = np.tensordot(counts, second, axes=(0, 0))   # (M, R, R)
+    for m in range(mixtures):
+        if np.trace(acc_a[m]) < 1e-12:
+            continue
+        # this mixture's rows of sum_u f_u w_u', transposed: (R, D)
+        acc_c = mean.T @ np.array([f[m] for f in firsts])
+        matrix[m * dim:(m + 1) * dim] = np.linalg.solve(acc_a[m], acc_c).T
+    return aux
 
 
 def train_tv(stats_list, background: Background, rank: int,
              iterations: int = 5, seed: int = 0) -> TvModel:
     """EM estimation of the total-variability matrix.
 
-    The returned model logs the per-iteration evidence term
-    0.5 * (w' rhs - logdet L) summed over utterances, which is
-    nondecreasing across iterations.
+    ``stats_list`` is any iterable of ``SuffStats``, read once: only the
+    zeroth- and first-order statistics of each item are kept.  The returned
+    model logs the per-iteration evidence term 0.5 * (w' rhs - logdet L)
+    summed over utterances, which is nondecreasing across iterations.
     """
-    if len(stats_list) < rank:
-        raise RankTooLarge(f"{len(stats_list)} utterances cannot support rank {rank}")
-    _check_background(stats_list, background)
+    counts, firsts = [], []
+    for stats in stats_list:
+        _check_background(stats, background)
+        counts.append(stats.n)
+        firsts.append(stats.f)
+    if len(firsts) < rank:
+        raise RankTooLarge(f"{len(firsts)} utterances cannot support rank {rank}")
+    counts = np.array(counts).reshape(len(firsts), background.n_mixtures)
 
-    dim = background.dim
     inv_var = 1.0 / background.variances.reshape(-1)
-    rng = np.random.default_rng(seed)
-    matrix = 0.1 * rng.standard_normal((background.n_mixtures * dim, rank))
-
-    log = []
-    for _ in range(iterations):
-        acc_a = np.zeros((background.n_mixtures, rank, rank))
-        acc_c = np.zeros_like(matrix)
-        aux = 0.0
-        for stats in stats_list:
-            n_flat, f_flat = _flat_stats(stats, background)
-            precision, mean, rhs = _posterior(matrix, inv_var, n_flat, f_flat)
-            sign, logdet = np.linalg.slogdet(precision)
-            aux += 0.5 * (mean @ rhs - logdet)
-            second = np.linalg.inv(precision) + np.outer(mean, mean)
-            acc_c += np.outer(f_flat, mean)
-            n_per_mix = n_flat[::dim]
-            acc_a += n_per_mix[:, None, None] * second
-        log.append(aux)
-        for m in range(background.n_mixtures):
-            rows = slice(m * dim, (m + 1) * dim)
-            a = acc_a[m]
-            if np.trace(a) < 1e-12:
-                continue
-            matrix[rows] = np.linalg.solve(a, acc_c[rows].T).T
+    matrix = np.random.default_rng(seed).standard_normal((background.means.size, rank))
+    matrix *= 0.1
+    log = [_em_iteration(matrix, counts, firsts, inv_var) for _ in range(iterations)]
     tv = TvModel(matrix, background)
     tv.training_log = log
     return tv

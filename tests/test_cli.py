@@ -1,7 +1,11 @@
+import contextlib
+import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitsv.cli import cli_dispatch
 from digitsv.config import ConfigInvalid, PipelineConfig, load_config, parse_config_lines
@@ -214,7 +218,7 @@ def ivector_models(work, tmp_path_factory):
     assert run(["train-backend", "--ivectors", ivecs,
                 "--utt2spk", f"{corpus}/corpus/splits/enroll.txt",
                 "--lda-dim", "4", "--out", backend]) == 0
-    return {"tv": tv, "plda": backend}
+    return {"tv": tv, "plda": backend, "stats": stats_dir, "ivectors": ivecs}
 
 
 class TestIvectorFlow:
@@ -531,3 +535,149 @@ class TestBadTrials:
                     "--condition", "TC-IC"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _assert_error_line(capsys, *words):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(w in err for w in words), err
+
+
+class TestBadSizes:
+    """A rank below 1 or a negative iteration count is a data error, not a model."""
+
+    @pytest.mark.parametrize("flags, words", [
+        (["--rank", "-1"], ["ivector_rank", "-1"]),
+        (["--rank", "0"], ["ivector_rank", "0"]),
+        (["--rank", "4", "--iterations", "-1"], ["tv_iterations", "-1"]),
+    ], ids=["negative-rank", "zero-rank", "negative-iterations"])
+    def test_train_tv(self, work, ivector_models, tmp_path, capsys, flags, words):
+        out = tmp_path / "tv.dvmd"
+        capsys.readouterr()
+        assert run(["train-tv", "--source", "ubm", "--ubm", f"{work['models']}/ubm.dvmd",
+                    "--stats-dir", ivector_models["stats"], *flags,
+                    "--out", str(out)]) == 2
+        _assert_error_line(capsys, *words)
+        assert not out.exists()
+
+    def test_train_tv_config_file(self, work, ivector_models, tmp_path, capsys):
+        config = tmp_path / "cfg"
+        config.write_text("ivector_rank=4\ntv_iterations=-3\n")
+        capsys.readouterr()
+        assert run(["train-tv", "--source", "ubm", "--ubm", f"{work['models']}/ubm.dvmd",
+                    "--stats-dir", ivector_models["stats"], "--config", str(config),
+                    "--out", str(tmp_path / "tv.dvmd")]) == 2
+        _assert_error_line(capsys, "tv_iterations", "-3")
+
+    def test_train_backend_negative_iterations(self, work, ivector_models, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["train-backend", "--ivectors", ivector_models["ivectors"],
+                    "--utt2spk", f"{work['corpus']}/corpus/splits/enroll.txt",
+                    "--lda-dim", "4", "--plda-iterations", "-1",
+                    "--out", str(tmp_path / "plda.dvmd")]) == 2
+        _assert_error_line(capsys, "plda_iterations", "-1")
+
+    def test_train_pgmm_negative_iterations(self, work, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["train-pgmm", "--corpus", work["corpus"],
+                    "--mlp", f"{work['models']}/mlp.dvmd", "--em-iterations", "-2",
+                    "--out", str(tmp_path / "pgmm.dvmd")]) == 2
+        _assert_error_line(capsys, "pgmm_em_iterations", "-2")
+
+
+_TRIALS = b"s1 u1 123 TC\ns1 u2 456 IC\ns2 u3 789 TC\ns2 u4 123 IC\ns1 u3 789 TW\n"
+_SCORES = b"s1 u1 1.5\ns1 u2 -0.5\ns2 u3 0.25\ns2 u4 0.75\ns1 u3 0.1\n"
+_CONFIG = b"lda_dim=3\ndcf_sre08=10,1,0.01\n# comment\ntv_iterations=2\n"
+_VALID = {"trials": _TRIALS, "scores": _SCORES, "config": _CONFIG}
+
+
+def _evaluate(root, **files):
+    """``evaluate`` on the given file bytes (valid ones otherwise); (code, stdout, stderr)."""
+    paths = {}
+    for role, valid in _VALID.items():
+        paths[role] = os.path.join(root, role)
+        with open(paths[role], "wb") as fh:
+            fh.write(files.get(role, valid))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["evaluate", "--trials", paths["trials"], "--scores", paths["scores"],
+                    "--config", paths["config"], "--condition", "TC-IC"])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestTextInputs:
+    """Trials, config and score files that are not UTF-8 text, or not files, exit 2."""
+
+    @pytest.mark.parametrize("role", sorted(_VALID))
+    def test_non_utf8_byte(self, tmp_path, role):
+        code, _, err = _evaluate(str(tmp_path), **{role: _VALID[role][:5] + b"\xff" +
+                                                   _VALID[role][5:]})
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_train_tv_non_utf8_config(self, work, ivector_models, tmp_path, capsys):
+        config = tmp_path / "cfg"
+        config.write_bytes(b"ivector_rank=4\xff\n")
+        capsys.readouterr()
+        assert run(["train-tv", "--source", "ubm", "--ubm", f"{work['models']}/ubm.dvmd",
+                    "--stats-dir", ivector_models["stats"], "--config", str(config),
+                    "--out", str(tmp_path / "tv.dvmd")]) == 2
+        _assert_error_line(capsys, "utf-8")
+
+    def test_config_is_directory(self, tmp_path, capsys):
+        for role, data in _VALID.items():
+            (tmp_path / role).write_bytes(data)
+        capsys.readouterr()
+        assert run(["evaluate", "--trials", str(tmp_path / "trials"),
+                    "--scores", str(tmp_path / "scores"), "--config", str(tmp_path),
+                    "--condition", "TC-IC"]) == 2
+        _assert_error_line(capsys, str(tmp_path))
+
+    def test_valid_files_evaluate(self, tmp_path):
+        code, out, _ = _evaluate(str(tmp_path))
+        assert code == 0 and "TC-IC" in out
+
+
+_TOKENS = ["s1", "s2", "u1", "u3", "123", "7", "0", "TC", "IC", "TW", "IW", "XX", "#",
+           "=", ",", "1.5", "-2", "nan", "inf", "-inf", "1e999", "0x1p3", "lda_dim",
+           "lda_dim=3", "tv_iterations=-1", "ivector_rank=0", "class_level=state",
+           "dcf_sre08=10,1,0.01", "dcf_sre10=0,1,2", "seed=9", "\t", "\u00e9", "\u0663"]
+
+
+def _mutations(valid):
+    """The valid file with up to three byte ranges replaced by arbitrary bytes."""
+    def apply(edits):
+        data = bytearray(valid)
+        for pos, cut, insert in edits:
+            data[pos:pos + cut] = insert
+        return bytes(data)
+    return st.lists(st.tuples(st.integers(0, len(valid)), st.integers(0, 6),
+                              st.binary(max_size=4)), min_size=1, max_size=3).map(apply)
+
+
+def _token_lines():
+    """Lines of tokens that reach the parsers' field and value checks."""
+    line = st.lists(st.one_of(st.sampled_from(_TOKENS), st.text(max_size=5)),
+                    max_size=5).map(" ".join)
+    return st.lists(line, max_size=7).map(lambda ls: "\n".join(ls).encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz"))
+
+
+class TestTextFuzzing:
+    """Fuzzed trials, config and score files: exit 0, or exit 2 with one line."""
+
+    @pytest.mark.parametrize("role", sorted(_VALID))
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_never_crashes(self, fuzz_dir, role, data):
+        content = data.draw(st.one_of(_mutations(_VALID[role]), _token_lines(),
+                                      st.binary(max_size=120)))
+        code, out, err = _evaluate(fuzz_dir, **{role: content})
+        assert code in (0, 2), err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert "TC-IC" in out

@@ -20,11 +20,11 @@ from digitsv.hmm import (
     compile_graph,
     fb_align,
     fb_align_hybrid,
-    hmm_mixture_posteriors,
     path_to_alignment,
     train_hmm_set,
     viterbi_align,
 )
+from digitsv.pgmm import mixture_posteriors
 
 
 class TestCompileGraph:
@@ -282,7 +282,7 @@ class TestMixturePosteriors:
         post[0, 0], post[0, 1] = 0.4, 0.6
         align = AlignmentMatrix(post, AlignSource.HMM_FB)
         feats = mfcc_feats(np.array([[0.5]]))
-        mp = hmm_mixture_posteriors(hmms, align, feats)
+        mp = mixture_posteriors(hmms, align, feats, drop_silence=False, prune=0.0)
         assert abs(mp.gammas[0].sum() - 1.0) < 1e-6
         from digitsv.gmm import component_posteriors
 
@@ -297,12 +297,7 @@ class TestMixturePosteriors:
         post = np.zeros((1, N_STATES))
         post[0, 0] = 1.0
         align = AlignmentMatrix(post, AlignSource.HMM_VITERBI)
-        mp = hmm_mixture_posteriors(hmms, align, mfcc_feats(np.array([[0.1]])))
+        mp = mixture_posteriors(hmms, align, mfcc_feats(np.array([[0.1]])),
+                                drop_silence=False, prune=0.0)
         np.testing.assert_allclose(mp.gammas[0, 0:2], [0.5, 0.5], atol=1e-12)
 
-    def test_rejects_dnn_alignment(self):
-        hmms = make_hmm_set()
-        post = np.full((2, N_STATES), 1.0 / N_STATES)
-        align = AlignmentMatrix(post, AlignSource.DNN)
-        with pytest.raises(SourceMismatch):
-            hmm_mixture_posteriors(hmms, align, mfcc_feats(np.zeros((2, 2))))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,104 @@ class TestTrainTv:
         a = train_tv(stats, bg, rank=3, iterations=3, seed=5)
         b = train_tv(stats, bg, rank=3, iterations=3, seed=5)
         np.testing.assert_array_equal(a.matrix, b.matrix)
+
+
+def _dense_posterior(matrix, inv_var_flat, n_flat, f_flat):
+    """Reference E-step of one utterance through the dense (M*D x R) product."""
+    rank = matrix.shape[1]
+    weighted = matrix * (n_flat * inv_var_flat)[:, None]
+    precision = np.eye(rank) + weighted.T @ matrix
+    rhs = matrix.T @ (f_flat * inv_var_flat)
+    return precision, np.linalg.solve(precision, rhs), rhs
+
+
+def dense_extract(stats, tv):
+    inv_var = 1.0 / tv.background.variances.reshape(-1)
+    n_flat = np.repeat(stats.n, tv.background.dim)
+    return _dense_posterior(tv.matrix, inv_var, n_flat, stats.f.reshape(-1))[1]
+
+
+def dense_train_tv(stats_list, background, rank, iterations, seed):
+    """Reference EM: per-utterance dense posteriors, outer-product accumulators."""
+    dim = background.dim
+    inv_var = 1.0 / background.variances.reshape(-1)
+    matrix = 0.1 * np.random.default_rng(seed).standard_normal(
+        (background.n_mixtures * dim, rank))
+    log = []
+    for _ in range(iterations):
+        acc_a = np.zeros((background.n_mixtures, rank, rank))
+        acc_c = np.zeros_like(matrix)
+        aux = 0.0
+        for stats in stats_list:
+            n_flat, f_flat = np.repeat(stats.n, dim), stats.f.reshape(-1)
+            precision, mean, rhs = _dense_posterior(matrix, inv_var, n_flat, f_flat)
+            aux += 0.5 * (mean @ rhs - np.linalg.slogdet(precision)[1])
+            acc_c += np.outer(f_flat, mean)
+            acc_a += stats.n[:, None, None] * (np.linalg.inv(precision) + np.outer(mean, mean))
+        log.append(aux)
+        for m in range(background.n_mixtures):
+            rows = slice(m * dim, (m + 1) * dim)
+            if np.trace(acc_a[m]) >= 1e-12:
+                matrix[rows] = np.linalg.solve(acc_a[m], acc_c[rows].T).T
+    return matrix, log
+
+
+def assert_relative(got, want, rtol=1e-10):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestDenseOracle:
+    """Precision blocks against the dense per-utterance E-step they replace."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        bg = toy_background(m=12, dim=4, seed=12)
+        stats = [random_stats(bg, seed=100 + k) for k in range(30)]
+        for st in stats:   # mixture 5 never sees a frame: its block is skipped
+            st.n[5], st.f[5] = 0.0, 0.0
+        return bg, stats, train_tv(stats, bg, rank=5, iterations=4, seed=2)
+
+    def test_train_tv_matches_dense(self, trained):
+        bg, stats, tv = trained
+        matrix, log = dense_train_tv(stats, bg, rank=5, iterations=4, seed=2)
+        assert_relative(tv.matrix, matrix)
+        assert_relative(tv.training_log, log)
+
+    def test_extract_ivector_matches_dense(self, trained):
+        _, stats, tv = trained
+        for st in stats:
+            assert_relative(extract_ivector(st, tv).vector, dense_extract(st, tv))
+
+    def test_streams_any_iterable(self, trained):
+        bg, stats, tv = trained
+        streamed = train_tv(iter(stats), bg, rank=5, iterations=4, seed=2)
+        np.testing.assert_array_equal(streamed.matrix, tv.matrix)
+        assert streamed.training_log == tv.training_log
+
+    def test_peak_memory_is_first_order_stats_plus_three_matrices(self):
+        # the benchmark's proportions: rank a third of dim or less, and
+        # utterances x rank well below mixtures x dim
+        bg = toy_background(m=64, dim=40, seed=13)
+        rank, utterances = 8, 40
+
+        def stream():
+            for k in range(utterances):
+                yield random_stats(bg, seed=k)
+
+        first_order = utterances * bg.means.nbytes
+        matrix_bytes = bg.means.size * rank * 8
+        tracemalloc.start()
+        try:
+            train_tv(stream(), bg, rank=rank, iterations=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < first_order + 3 * matrix_bytes, (peak, first_order, matrix_bytes)
+
+    def test_tv_matrix_must_match_background(self):
+        with pytest.raises(ValueError):
+            TvModel(np.zeros((5, 2)), toy_background())
 
 
 class TestLengthNormalize:
