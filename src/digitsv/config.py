@@ -52,6 +52,17 @@ class PipelineConfig:
         for name in ("pgmm_em_iterations", "tv_iterations", "plda_iterations"):
             if getattr(self, name) < 0:
                 raise ConfigInvalid(f"{name} must not be negative, got {getattr(self, name)}")
+        # mixtures grow by splitting every component, so sizes are powers of two
+        for name in ("hmm_components", "ubm_components", "pgmm_components"):
+            value = getattr(self, name)
+            if value < 1 or value & (value - 1):
+                raise ConfigInvalid(f"{name} must be a power of two, got {value}")
+        for name in ("mlp_epochs", "mlp_batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigInvalid(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("relevance", "epsilon"):
+            if not getattr(self, name) > 0:  # also rejects nan
+                raise ConfigInvalid(f"{name} must be positive, got {getattr(self, name)}")
         self.dcf_params("sre08"), self.dcf_params("sre10")  # validate eagerly
 
     @property

@@ -38,19 +38,26 @@ _KIND_BY_COLS = {120: FeatureKind.FBANK120, 60: FeatureKind.MFCC60}
 
 
 class _Reader:
-    """Byte cursor with positioned truncation errors."""
+    """Byte cursor with positioned truncation errors.
+
+    It holds a memoryview of the file, so numeric blocks are viewed in place
+    and copied once into arrays that own their memory.
+    """
 
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def _span(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise Truncated(self.pos, f"needed {n} bytes at offset {self.pos}, "
                                       f"file has {len(self.data)}")
         out = self.data[self.pos:self.pos + n]
         self.pos += n
         return out
+
+    def take(self, n: int) -> bytes:
+        return bytes(self._span(n))
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -70,14 +77,13 @@ class _Reader:
     def array(self, dtype, count):
         itemsize = np.dtype(dtype).itemsize
         start = self.pos
-        raw = self.take(itemsize * count)
-        if np.dtype(dtype).kind == "f":
-            with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
-                arr = np.frombuffer(raw, dtype=dtype).astype(np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise CorruptData(start, "non-finite values in numeric block")
-        else:
-            arr = np.frombuffer(raw, dtype=dtype)
+        view = np.frombuffer(self._span(itemsize * count), dtype=dtype)
+        if np.dtype(dtype).kind != "f":
+            return view.copy()  # an array must not pin the file's bytes
+        with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
+            arr = view.astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise CorruptData(start, "non-finite values in numeric block")
         return arr
 
     def string(self) -> str:

@@ -470,6 +470,8 @@ def train_hmm_set(corpus, cfg: HmmTrainConfig | None = None) -> HmmSet:
     all_frames = np.concatenate([f.frames for f, _ in corpus], axis=0)
     global_mean = all_frames.mean(axis=0)
     global_var = all_frames.var(axis=0)
+    dim = all_frames.shape[1]
+    del all_frames  # a full copy of the corpus must not live through realignment
     floor = np.maximum(cfg.variance_floor * global_var, 1e-10)
 
     # graphs are fixed across training; validate alignability up front
@@ -486,7 +488,7 @@ def train_hmm_set(corpus, cfg: HmmTrainConfig | None = None) -> HmmSet:
                                             f"needs {graph.min_frames}")
         graphs.append(graph)
 
-    gmms = _flat_start(corpus, graphs, all_frames.shape[1], floor, global_mean, global_var)
+    gmms = _flat_start(corpus, graphs, dim, floor, global_mean, global_var)
     hmms = HmmSet(gmms, np.full(N_STATES, cfg.self_loop_init))
     log = []
 

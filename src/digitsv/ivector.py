@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadLdaDim,
@@ -191,7 +190,13 @@ def _lda_projection(x, labels, lda_dim):
     sw /= x.shape[0]
     sb /= x.shape[0]
     ridge = 1e-8 * np.trace(sw) / dim + 1e-12
-    vals, vecs = scipy.linalg.eigh(sb, sw + ridge * np.eye(dim))
+    # sb v = lambda (sw + ridge) v by the Cholesky reduction LAPACK's dsygvd
+    # performs: with sw + ridge = L L', eigenvectors y of L^-1 sb L^-T give
+    # v = L^-T y, so that v' (sw + ridge) v = I.
+    chol = np.linalg.cholesky(sw + ridge * np.eye(dim))
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, sb).T)
+    vals, vecs = np.linalg.eigh(reduced)
+    vecs = np.linalg.solve(chol.T, vecs)
     order = np.argsort(vals)[::-1][:lda_dim]
     proj = vecs[:, order]
     # deterministic sign: largest-magnitude entry positive

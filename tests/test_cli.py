@@ -1,6 +1,8 @@
 import contextlib
 import io
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -583,6 +585,73 @@ class TestBadSizes:
                     "--mlp", f"{work['models']}/mlp.dvmd", "--em-iterations", "-2",
                     "--out", str(tmp_path / "pgmm.dvmd")]) == 2
         _assert_error_line(capsys, "pgmm_em_iterations", "-2")
+
+    @staticmethod
+    def _inputs(work, command):
+        models = work["models"]
+        return ["--corpus", work["corpus"], *{
+            "train-hmm": [],
+            "train-ubm": [],
+            "train-pgmm": ["--mlp", f"{models}/mlp.dvmd"],
+            "train-mlp": ["--hmm", f"{models}/hmm.dvmd"],
+            "enroll-map": ["--source", "ubm", "--ubm", f"{models}/ubm.dvmd"],
+            "score-content": ["--hmm", f"{models}/hmm.dvmd", "--mlp", f"{models}/mlp.dvmd"],
+        }[command]]
+
+    @pytest.mark.parametrize("command, flag, value, key", [
+        ("train-hmm", "--components", "3", "hmm_components"),
+        ("train-hmm", "--components", "0", "hmm_components"),
+        ("train-ubm", "--components", "3", "ubm_components"),
+        ("train-ubm", "--components", "0", "ubm_components"),
+        ("train-pgmm", "--components", "3", "pgmm_components"),
+        ("train-pgmm", "--components", "0", "pgmm_components"),
+        ("train-mlp", "--epochs", "0", "mlp_epochs"),
+        ("enroll-map", "--relevance", "-1", "relevance"),
+        ("score-content", "--epsilon", "0", "epsilon"),
+        ("score-content", "--epsilon", "-1", "epsilon"),
+    ])
+    def test_size_flags(self, work, tmp_path, capsys, command, flag, value, key):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([command, *self._inputs(work, command), flag, value,
+                    "--out", str(out)]) == 2
+        _assert_error_line(capsys, key, value)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("train-hmm", "hmm_components=6"),
+        ("train-ubm", "ubm_components=-8"),
+        ("train-pgmm", "pgmm_components=12"),
+        ("train-mlp", "mlp_epochs=0"),
+        ("train-mlp", "mlp_batch_size=0"),
+        ("enroll-map", "relevance=0"),
+        ("enroll-map", "relevance=nan"),
+        ("score-content", "epsilon=-0.5"),
+    ])
+    def test_size_config_files(self, work, tmp_path, capsys, command, line):
+        config = tmp_path / "cfg"
+        config.write_text(f"{line}\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([command, *self._inputs(work, command), "--config", str(config),
+                    "--out", str(out)]) == 2
+        _assert_error_line(capsys, *line.split("="))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [1, 2, 64, 512])
+    def test_powers_of_two_accepted(self, size):
+        cfg = PipelineConfig(hmm_components=size, ubm_components=size, pgmm_components=size)
+        assert (cfg.hmm_components, cfg.ubm_components, cfg.pgmm_components) == (size,) * 3
+
+
+class TestNumpyOnlyRuntime:
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import digitsv.cli; "
+                "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code, src],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "", done.stdout
 
 
 _TRIALS = b"s1 u1 123 TC\ns1 u2 456 IC\ns2 u3 789 TC\ns2 u4 123 IC\ns1 u3 789 TW\n"

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -190,6 +191,46 @@ class TestDvmdModels:
         back = formats.load_speaker_models(path)
         assert sorted(back) == sorted(speakers)
         np.testing.assert_array_equal(back["s1"].means, speakers["s1"].means)
+
+
+def _root_base(arr):
+    """The object that finally owns an array's memory (None: the array chain does)."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.base
+
+
+class TestReaderCopies:
+    """Model files are viewed in place and each array is copied out once."""
+
+    def test_load_tv_peak_is_file_plus_matrix(self, tmp_path):
+        rng = np.random.default_rng(11)
+        mixtures, dim, rank = 64, 40, 64
+        bg = Background(rng.standard_normal((mixtures, dim)),
+                        1 + rng.random((mixtures, dim)), None, mixtures, "ubm")
+        path = tmp_path / "tv.dvmd"
+        formats.save_tv(path, TvModel(rng.standard_normal((mixtures * dim, rank)), bg))
+        file_bytes = path.stat().st_size
+        tracemalloc.start()
+        try:
+            tv = formats.load_tv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # slack: the finiteness check's boolean mask is an eighth of the matrix
+        assert peak < file_bytes + tv.matrix.nbytes * 5 // 4, (peak, file_bytes)
+
+    def test_arrays_do_not_reference_the_file(self, tmp_path):
+        rng = np.random.default_rng(12)
+        gmms = [DiagGmm(np.array([0.5, 0.5]), rng.standard_normal((2, 3)),
+                        np.ones((2, 3))) for _ in range(30)]
+        path = tmp_path / "p.dvmd"
+        formats.save_pgmm(path, Pgmm(gmms))
+        _, payload = formats.read_dvmd(path, "pgmm")
+        assert payload["state_ids"].dtype.kind == "i"
+        for key in ("state_ids", "weights", "means", "variances"):
+            assert _root_base(payload[key]) is None, key
+            assert payload[key].flags.writeable, key
 
 
 def _valid_files(tmp_path):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from digitsv.errors import (
     BadLdaDim,
@@ -14,6 +15,7 @@ from digitsv.errors import (
 from digitsv.ivector import (
     IVector,
     TvModel,
+    _lda_projection,
     extract_ivector,
     length_normalize,
     plda_log_likelihood,
@@ -263,6 +265,66 @@ class TestBackend:
         x, labels = labeled_cloud(n_speakers=3, seed=4)
         with pytest.raises(BadLdaDim):
             train_backend(x, labels, lda_dim=3)  # must be <= speakers - 1
+
+
+def scatter_pencil(x, labels):
+    """Between-class scatter and ridged within-class scatter, as the LDA forms them."""
+    labels = np.asarray(labels)
+    classes = sorted(set(labels))
+    means = np.stack([x[labels == c].mean(axis=0) for c in classes])
+    counts = np.array([np.sum(labels == c) for c in classes])
+    dev = x - means[np.searchsorted(classes, labels)]
+    sw = dev.T @ dev / len(x)
+    centred = means - x.mean(axis=0)
+    sb = (counts[:, None] * centred).T @ centred / len(x)
+    dim = x.shape[1]
+    return sb, sw + (1e-8 * np.trace(sw) / dim + 1e-12) * np.eye(dim)
+
+
+def sign_rule(proj):
+    proj = proj.copy()
+    for k in range(proj.shape[1]):
+        j = np.argmax(np.abs(proj[:, k]))
+        if proj[j, k] < 0:
+            proj[:, k] = -proj[:, k]
+    return proj
+
+
+class TestLdaProjection:
+    """The Cholesky reduction against scipy's generalized symmetric solver."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_scipy_generalized_eigh(self, seed):
+        rng = np.random.default_rng(seed)
+        speakers, dim = int(rng.integers(3, 10)), int(rng.integers(2, 16))
+        x, labels = labeled_cloud(speakers, per_speaker=dim + 3, dim=dim, seed=seed)
+        assert len(x) > speakers + dim  # full-rank within-class scatter
+        lda_dim = min(dim, speakers - 1)
+        vals, vecs = scipy.linalg.eigh(*scatter_pencil(x, labels))
+        oracle = sign_rule(vecs[:, np.argsort(vals)[::-1][:lda_dim]])
+        proj = _lda_projection(x, labels, lda_dim)
+        assert np.max(np.abs(proj - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rank_deficient_within_scatter(self, seed):
+        # fewer samples than speakers plus dimensions: sw is singular and the
+        # ridged pencil has a condition number near 1e9, so eigenvectors agree
+        # with scipy only to about 1e-7; check the defining equations instead
+        rng = np.random.default_rng(seed)
+        speakers, per_speaker = int(rng.integers(3, 8)), 2
+        dim = int(rng.integers(speakers + 2, 24))
+        x, labels = labeled_cloud(speakers, per_speaker=per_speaker, dim=dim, seed=seed)
+        sb, b = scatter_pencil(x, labels)
+        assert len(x) - speakers < dim  # the rank of sw
+        lda_dim = speakers - 1
+        proj = _lda_projection(x, labels, lda_dim)
+        vals = np.einsum("ik,ij,jk->k", proj, sb, proj)
+        assert np.all(np.diff(vals) <= 0)
+        np.testing.assert_allclose(proj.T @ b @ proj, np.eye(lda_dim), atol=1e-6)
+        residual = np.linalg.norm(sb @ proj - (b @ proj) * vals)
+        scale = np.linalg.norm(proj) * (np.linalg.norm(sb) + np.linalg.norm(b) * vals[0])
+        assert residual <= 1e-12 * scale
+        np.testing.assert_array_equal(proj, sign_rule(proj))
 
 
 class TestPldaScore:
