@@ -16,6 +16,7 @@ Corpus directory layout (written by `synth`, read by the other stages):
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -441,6 +442,8 @@ def _read_score_file(path, trials, content):
             raw = parts[2]
         try:
             scores.append(float(raw))
+            if not math.isfinite(scores[-1]):  # a NaN target would pass every threshold
+                raise ValueError
         except ValueError:
             raise DigitsvError(f"{path} line {no}: bad score {raw!r}") from None
     return scores

@@ -12,19 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSmoothed, ShapeMismatch, SourceMismatch, WidthMismatch
-from .features import FeatureSequence
-from .hmm import (
-    N_STATES,
-    STATES_PER_WORD,
-    AlignmentMatrix,
-    AlignSource,
-    HmmSet,
-    compile_graph,
-    fb_align,
-    fb_align_hybrid,
-)
-from .pgmm import MixturePosteriors
+from .errors import NotSmoothed, ShapeMismatch, SourceMismatch
+from .hmm import N_STATES, STATES_PER_WORD, AlignmentMatrix, AlignSource
 
 EPSILON_DEFAULT = 1e-5
 
@@ -75,29 +64,11 @@ class ClassPosteriorSequence:
             raise ValueError("class posteriors must be nonnegative")
 
 
-def _state_mass(gammas) -> tuple[np.ndarray, str]:
-    """Per-frame mass on each of the 33 states, plus the source tag."""
-    if isinstance(gammas, AlignmentMatrix):
-        source = "DNN" if gammas.source == AlignSource.DNN else "HMM"
-        return gammas.posteriors, source
-    if isinstance(gammas, MixturePosteriors):
-        if gammas.state_ids is None:
-            raise WidthMismatch("unsupervised posteriors carry no phonetic states")
-        mass = np.zeros((gammas.n_frames, N_STATES))
-        c = gammas.n_components
-        for k, s in enumerate(gammas.state_ids):
-            mass[:, s] = gammas.gammas[:, k * c:(k + 1) * c].sum(axis=1)
-        return mass, gammas.source
-    raise WidthMismatch(f"cannot pool {type(gammas).__name__}")
-
-
-def pool_classes(gammas, class_map: PhoneticClassMap) -> ClassPosteriorSequence:
-    """Sum state (and component) mass into phonetic classes, per frame."""
-    mass, source = _state_mass(gammas)
-    if mass.shape[1] != N_STATES:
-        raise WidthMismatch(f"expected {N_STATES} states, got {mass.shape[1]}")
-    pooled = np.zeros((mass.shape[0], class_map.n_classes))
-    np.add.at(pooled.T, np.asarray(class_map.state_to_class), mass.T)
+def pool_classes(align: AlignmentMatrix, class_map: PhoneticClassMap) -> ClassPosteriorSequence:
+    """Sum state mass into phonetic classes, per frame."""
+    pooled = np.zeros((align.n_frames, class_map.n_classes))
+    np.add.at(pooled.T, np.asarray(class_map.state_to_class), align.posteriors.T)
+    source = "DNN" if align.source == AlignSource.DNN else "HMM"
     return ClassPosteriorSequence(pooled, source, smoothed=False)
 
 
@@ -125,44 +96,15 @@ def kl_score(hmm_post: ClassPosteriorSequence, dnn_post: ClassPosteriorSequence)
     return float(np.sum(p * (np.log(p) - np.log(q))) / p.shape[0])
 
 
-@dataclass
-class ContentDecision:
-    kl: float
-    accept: bool | None
-    threshold: float | None = None
-
-
-def content_verify(feats: FeatureSequence, transcription: str, hmms: HmmSet,
-                   dnn_align: AlignmentMatrix,
+def content_verify(hmm_align: AlignmentMatrix, dnn_align: AlignmentMatrix,
                    class_map: PhoneticClassMap | None = None,
-                   epsilon: float = EPSILON_DEFAULT,
-                   threshold: float | None = None,
-                   silence_policy: str = "optional_between",
-                   hmm_mode: str = "gmm",
-                   priors: np.ndarray | None = None) -> ContentDecision:
-    """Score one utterance against its prompted transcription.
+                   epsilon: float = EPSILON_DEFAULT) -> float:
+    """KL divergence of one utterance's prompt-forced HMM alignment from its DNN one.
 
-    The prompt drives a forward-backward HMM alignment (GMM emissions, or
-    DNN scaled likelihoods when ``hmm_mode='hybrid'``); the given DNN
-    posteriors act as the transcription-free reference.  Returns the KL
-    divergence and, if a threshold is given, the accept decision
-    (accept iff kl <= threshold).
+    The DNN posteriors act as the transcription-free reference; both are
+    pooled into ``class_map``'s classes (digit level by default) and
+    epsilon-smoothed.  Lower means the content matches the prompt.
     """
-    if dnn_align.source != AlignSource.DNN:
-        raise SourceMismatch("reference alignment must come from the DNN")
     class_map = class_map or PhoneticClassMap.digit_level()
-    graph = compile_graph(transcription, hmms, silence_policy)
-    if hmm_mode == "gmm":
-        hmm_align = fb_align(graph, feats)
-    elif hmm_mode == "hybrid":
-        if priors is None:
-            raise ValueError("hybrid alignment needs state priors")
-        hmm_align = fb_align_hybrid(graph, dnn_align, priors)
-    else:
-        raise ValueError(f"unknown hmm_mode {hmm_mode!r}")
-
-    hmm_cps = smooth(pool_classes(hmm_align, class_map), epsilon)
-    dnn_cps = smooth(pool_classes(dnn_align, class_map), epsilon)
-    kl = kl_score(hmm_cps, dnn_cps)
-    accept = None if threshold is None else bool(kl <= threshold)
-    return ContentDecision(kl, accept, threshold)
+    return kl_score(smooth(pool_classes(hmm_align, class_map), epsilon),
+                    smooth(pool_classes(dnn_align, class_map), epsilon))

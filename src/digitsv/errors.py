@@ -129,10 +129,6 @@ class BadLdaDim(DigitsvError):
 
 # --- content scoring ----------------------------------------------------------
 
-class WidthMismatch(DigitsvError):
-    pass
-
-
 class NotSmoothed(DigitsvError):
     pass
 

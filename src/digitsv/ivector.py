@@ -7,7 +7,8 @@ I + sum_m n_m B_m from per-mixture blocks B_m = T_m' S_m^-1 T_m, computed once
 per TV matrix (Glembek et al., "Simplification and optimization of i-vector
 extraction", ICASSP 2011), so no utterance pays for an (M*D x R) product.
 Scoring projects i-vectors with LDA, length-normalizes, and applies a
-two-covariance PLDA likelihood ratio.
+two-covariance PLDA likelihood ratio, in closed form for every enrolled
+speaker at once (``PldaScorer``; ``plda_score`` is its per-trial reference).
 """
 
 from __future__ import annotations
@@ -94,8 +95,7 @@ def _check_background(stats, background: Background):
 
 def extract_ivector(stats: SuffStats, tv: TvModel) -> IVector:
     """Posterior mean of the utterance factor; all-zero statistics give 0."""
-    if stats.f.shape != tv.background.means.shape:
-        raise ShapeMismatch("statistics do not match the background layout")
+    _check_background(stats, tv.background)
     rhs = tv.matrix.T @ (stats.f.reshape(-1) * (1.0 / tv.background.variances.reshape(-1)))
     return IVector(_posterior(tv.precision_blocks, stats.n, rhs)[1])
 
@@ -319,3 +319,52 @@ def plda_score(backend: PldaBackend, enroll, test: IVector) -> float:
     same = _gaussian_logpdf(np.concatenate([e, t]), joint)
     diff = _gaussian_logpdf(e, tot) + _gaussian_logpdf(t, tot)
     return float(same - diff)
+
+
+class PldaScorer:
+    """Enrolled speakers of one TV model and PLDA backend, scored in closed form.
+
+    The two-covariance LLR of ``plda_score`` is a quadratic form in the centred
+    enrollment and test vectors, e'Qe + t'Qt + 2 e'Pt + c, with Q, P and c fixed
+    by the backend (Ioffe, ECCV 2006; Garcia-Romero & Espy-Wilson, Interspeech
+    2011): for T = B + W and the joint covariance J = [[T, B], [B, T]],
+    Q = (T^-1 - [J^-1]_11) / 2, P = -[J^-1]_12 / 2 and c = log|T| - log|J| / 2.
+    Each speaker's averaged, re-length-normalized enrollment vector is
+    kept centred as one row of a (speakers x d) matrix, so one test i-vector
+    scores every speaker with one matrix-vector product.  ``enrollments`` maps
+    each speaker to an iterable of its utterances' statistics.
+    """
+
+    def __init__(self, tv: TvModel, backend: PldaBackend, enrollments: dict):
+        self.tv = tv
+        self.backend = backend
+        self.index = {spk: k for k, spk in enumerate(enrollments)}
+        rows = []
+        for spk, stats_list in enrollments.items():
+            vectors = [self.ivector(stats).vector for stats in stats_list]
+            if not vectors:
+                raise EmptyEnrollment(f"speaker {spk!r} has no enrollment statistics")
+            rows.append(length_normalize(IVector(np.mean(vectors, axis=0))).vector
+                        - backend.mean)
+        self.enrolled = np.array(rows).reshape(len(rows), backend.dim)
+        d = backend.dim
+        tot = backend.between + backend.within
+        joint = np.block([[tot, backend.between], [backend.between, tot]])
+        joint_inv = np.linalg.inv(joint)
+        self.quad = 0.5 * (np.linalg.inv(tot) - joint_inv[:d, :d])
+        self.cross = -0.5 * joint_inv[:d, d:]
+        const = np.linalg.slogdet(tot)[1] - 0.5 * np.linalg.slogdet(joint)[1]
+        self.enrolled_terms = np.einsum("sd,de,se->s", self.enrolled, self.quad,
+                                        self.enrolled) + const
+
+    def ivector(self, stats: SuffStats) -> IVector:
+        """One utterance's i-vector, projected and length-normalized."""
+        return self.backend.prepare(extract_ivector(stats, self.tv))
+
+    def scores(self, stats: SuffStats, retained: int) -> np.ndarray:
+        """LLR of every speaker, in ``index`` order, given one key's statistics.
+
+        ``retained`` is unused: it keeps the signature of ``LinearLlr.scores``.
+        """
+        t = self.ivector(stats).vector - self.backend.mean
+        return self.enrolled_terms + t @ self.quad @ t + 2.0 * (self.enrolled @ (self.cross @ t))

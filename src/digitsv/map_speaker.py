@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyEnrollment, NoRetainedFrames, ShapeMismatch
+from .errors import EmptyEnrollment, NoRetainedFrames, ShapeMismatch, SourceMismatch
 from .features import FeatureSequence
-from .pgmm import Background, MixturePosteriors, SuffStats, accumulate_stats
+from .pgmm import Background, MixturePosteriors, SuffStats
 
 RELEVANCE_DEFAULT = 5.0
 
@@ -44,18 +44,16 @@ def map_adapt(background: Background, stats: SuffStats,
     return SpeakerModel(means, background.model_id, relevance)
 
 
-def enroll(background: Background, utterances, relevance: float = RELEVANCE_DEFAULT) -> SpeakerModel:
-    """Merge statistics over enrollment utterances, then adapt once.
+def enroll(background: Background, stats_list, relevance: float = RELEVANCE_DEFAULT) -> SpeakerModel:
+    """Merge the enrollment utterances' statistics in order, then adapt once.
 
-    ``utterances`` is a list of (MixturePosteriors, FeatureSequence) pairs.
+    ``stats_list`` is any iterable of ``SuffStats``, read once.
     """
-    if not utterances:
+    stats, merged = background.empty_stats(), 0
+    for merged, item in enumerate(stats_list, start=1):
+        stats = stats.merge(item)
+    if not merged:
         raise EmptyEnrollment("enrollment needs at least one utterance")
-    stats = background.empty_stats()
-    for gammas, feats in utterances:
-        stats = stats.merge(
-            accumulate_stats(gammas, feats, background.means, background.model_id)
-        )
     return map_adapt(background, stats, relevance)
 
 
@@ -70,6 +68,12 @@ class LinearLlr:
     """
 
     def __init__(self, speakers: dict, background: Background):
+        enrolled_on = {model.background_id for model in speakers.values()}
+        if enrolled_on != {background.model_id}:
+            raise SourceMismatch(
+                f"speaker models were enrolled with the {', '.join(sorted(enrolled_on))} "
+                f"alignment source; scoring requested {background.model_id}"
+            )
         for spk, model in speakers.items():
             if model.means.shape != background.means.shape:
                 raise ShapeMismatch(

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import content_kl, hmm as hmm_mod, map_speaker, pgmm as pgmm_mod
-from .errors import ConfigInvalid, DigitsvError, SourceMismatch
+from .errors import ConfigInvalid, DigitsvError
 from .gmm import DiagGmm, GmmTrainConfig, train_em
 from .hmm import AlignmentMatrix, HmmSet, HmmTrainConfig, compile_graph, train_hmm_set
-from .ivector import extract_ivector, plda_score
+from .ivector import PldaScorer
 from .neural_aligner import MlpModel, MlpTrainConfig, mlp_posteriors, train_mlp
 from .pgmm import Background, MixturePosteriors, Pgmm, SuffStats, accumulate_stats
 from .features import FeatureKind, FeatureSequence
@@ -243,10 +243,24 @@ def enroll_speakers(corpus, system: SpeakerSystem,
     """MAP-enroll every corpus speaker from its enrollment utterances."""
     speakers = {}
     for spk in corpus.speakers:
-        pairs = [(system.stats_posteriors(u.feats, u.content), u.feats)
-                 for u in corpus.enrollment(spk)]
-        speakers[spk] = map_speaker.enroll(system.background, pairs, relevance)
+        # a generator: each utterance's statistics are merged before the next is aligned
+        stats = (_stats(system, u.feats, u.content)[0] for u in corpus.enrollment(spk))
+        speakers[spk] = map_speaker.enroll(system.background, stats, relevance)
     return speakers
+
+
+def _score_trials(trials, plan, system: SpeakerSystem, scorer) -> list:
+    """Score per trial, in trial order, from a scorer of every enrolled speaker.
+
+    ``scorer.scores(stats, retained)`` scores all speakers of one key at once;
+    ``scorer.index`` gives each speaker's position in that array.
+    """
+    scores = [0.0] * len(trials)
+    for indices, stats, retained in _key_stats(plan, system):
+        llrs = scorer.scores(stats, retained)
+        for i in indices:
+            scores[i] = float(llrs[scorer.index[trials[i].speaker]])
+    return scores
 
 
 def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers: dict) -> list:
@@ -256,58 +270,44 @@ def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers: dict) 
     Each (utterance, prompt) key's statistics score all of its trials'
     speakers at once with the exact linear form of ``map_speaker.llr_score``.
     """
-    enrolled_on = {model.background_id for model in speakers.values()}
-    if enrolled_on != {system.background.model_id}:
-        raise SourceMismatch(
-            f"speaker models were enrolled with the {', '.join(sorted(enrolled_on))} "
-            f"alignment source; scoring requested {system.background.model_id}"
-        )
     plan = _trial_plan(corpus, trials, system.source in PROMPTED_SOURCES, speakers)
-    scorer = map_speaker.LinearLlr(speakers, system.background)
-    scores = [0.0] * len(trials)
-    for indices, stats, retained in _key_stats(plan, system):
-        llrs = scorer.scores(stats, retained)
-        for i in indices:
-            scores[i] = float(llrs[scorer.index[trials[i].speaker]])
-    return scores
+    return _score_trials(trials, plan, system,
+                         map_speaker.LinearLlr(speakers, system.background))
 
 
 def score_ivector_trials(corpus, trials, system: SpeakerSystem, tv, backend) -> list:
     """PLDA score per trial between enrollment and test i-vectors, in trial order."""
     enrolled = [spk for spk in corpus.speakers if corpus.enrollment(spk)]
     plan = _trial_plan(corpus, trials, system.source in PROMPTED_SOURCES, enrolled)
-
-    def ivector(stats):
-        return backend.prepare(extract_ivector(stats, tv))
-
-    enroll_ivecs = {spk: [ivector(_stats(system, u.feats, u.content)[0])
-                          for u in corpus.enrollment(spk)]
-                    for spk in enrolled}
-    scores = [0.0] * len(trials)
-    for indices, stats, _ in _key_stats(plan, system):
-        test = ivector(stats)
-        for i in indices:
-            scores[i] = plda_score(backend, enroll_ivecs[trials[i].speaker], test)
-    return scores
+    # generators, as in enroll_speakers
+    enrollments = {spk: (_stats(system, u.feats, u.content)[0]
+                         for u in corpus.enrollment(spk))
+                   for spk in enrolled}
+    return _score_trials(trials, plan, system, PldaScorer(tv, backend, enrollments))
 
 
 def score_content_trials(corpus, trials, models: AlignerModels,
                          level: str = "digit", epsilon: float = 1e-5,
                          hmm_mode: str = "hybrid",
                          silence_policy: str = "optional_between") -> list:
-    """KL content score per trial (lower = content matches the prompt)."""
-    class_map = content_kl.PhoneticClassMap.for_level(level)
+    """KL content score per trial (lower = content matches the prompt).
+
+    The prompt-forced alignment is ``gmm-hmm`` for ``hmm_mode='gmm'`` and
+    ``dnn-hmm`` for ``'hybrid'``; the classifier runs once per utterance and
+    is also the transcription-free reference.
+    """
     plan = _trial_plan(corpus, trials, prompt_keyed=True)
+    source = {"gmm": "gmm-hmm", "hybrid": "dnn-hmm"}.get(hmm_mode)
+    if source is None:
+        raise ConfigInvalid(f"unknown hmm mode {hmm_mode!r}")
+    class_map = content_kl.PhoneticClassMap.for_level(level)
     scores = [0.0] * len(trials)
     for utt, keys in plan:
-        dnn = mlp_posteriors(models.mlp, utt.feats)
+        dnn = align("dnn", models, utt.feats, None)
         for prompt, indices in keys.items():
-            decision = content_kl.content_verify(
-                utt.feats, prompt, models.hmms, dnn,
-                class_map=class_map, epsilon=epsilon,
-                silence_policy=silence_policy, hmm_mode=hmm_mode,
-                priors=models.mlp.class_priors if hmm_mode == "hybrid" else None,
-            )
+            forced = align(source, models, utt.feats, prompt, dnn_align=dnn,
+                           silence_policy=silence_policy)
+            kl = content_kl.content_verify(forced, dnn, class_map, epsilon)
             for i in indices:
-                scores[i] = decision.kl
+                scores[i] = kl
     return scores

@@ -223,6 +223,34 @@ def ivector_models(work, tmp_path_factory):
     return {"tv": tv, "plda": backend, "stats": stats_dir, "ivectors": ivecs}
 
 
+@pytest.fixture(scope="module")
+def dnn_ivector_models(work, tmp_path_factory):
+    """TV and PLDA models of the dnn source, trained through the CLI as the benchmark
+    does (``accumulate-stats`` gets no ``--mlp``)."""
+    models, corpus = work["models"], work["corpus"]
+    root = tmp_path_factory.mktemp("dnn_ivector")
+    dnn = ["--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
+           "--pgmm", f"{models}/pgmm.dvmd"]
+    stats_dir = root / "stats"
+    for utt in _split_utts(corpus, "enroll"):
+        feats = f"{corpus}/corpus/feats/{utt}.dvfe"
+        align = str(root / f"{utt}.dvpo")
+        assert run(["align", "--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
+                    "--feats", feats, "--out", align]) == 0
+        assert run(["accumulate-stats", "--source", "dnn", "--feats", feats,
+                    "--align", align, "--pgmm", f"{models}/pgmm.dvmd",
+                    "--out", str(stats_dir / f"{utt}.dvst")]) == 0
+    tv, plda, ivecs = str(root / "tv.dvmd"), str(root / "plda.dvmd"), str(root / "iv.dviv")
+    assert run(["train-tv", *dnn, "--stats-dir", str(stats_dir), "--rank", "8",
+                "--iterations", "3", "--out", tv]) == 0
+    assert run(["extract-ivector", "--tv", tv, "--stats-dir", str(stats_dir),
+                "--out", ivecs]) == 0
+    assert run(["train-backend", "--ivectors", ivecs,
+                "--utt2spk", f"{corpus}/corpus/splits/enroll.txt",
+                "--lda-dim", "4", "--out", plda]) == 0
+    return {"tv": tv, "plda": plda, "flags": dnn}
+
+
 class TestIvectorFlow:
     def test_stats_tv_backend_scoring(self, work, ivector_models, tmp_path):
         models, corpus = work["models"], work["corpus"]
@@ -232,6 +260,17 @@ class TestIvectorFlow:
                     "--tv", ivector_models["tv"], "--plda", ivector_models["plda"],
                     "--out", scores]) == 0
         assert len(open(scores).read().splitlines()) > 0
+
+    def test_source_mismatch_rejected(self, work, dnn_ivector_models, tmp_path, capsys):
+        # a TV model trained on dnn statistics cannot score the dnn-hmm source
+        models = work["models"]
+        capsys.readouterr()
+        assert run(["score-speaker", "--corpus", work["corpus"], "--backend", "ivector",
+                    "--source", "dnn-hmm", "--hmm", f"{models}/hmm.dvmd",
+                    "--mlp", f"{models}/mlp.dvmd", "--pgmm", f"{models}/pgmm.dvmd",
+                    "--tv", dnn_ivector_models["tv"], "--plda", dnn_ivector_models["plda"],
+                    "--out", str(tmp_path / "iv.txt")]) == 2
+        _assert_error_line(capsys, "'dnn-hmm'", "'dnn'")
 
 
 class TestExtractFeats:
@@ -299,35 +338,17 @@ def _split_utts(corpus, split):
 class TestCliMatchesLibrary:
     """The subcommands and the pipeline calls behind them give the same bytes."""
 
-    def test_ivector_chain_scores(self, work, tmp_path):
-        # the dnn chain as the benchmark runs it: accumulate-stats gets no --mlp
+    def test_ivector_chain_scores(self, work, dnn_ivector_models, tmp_path):
         from digitsv import formats, pipeline
         from digitsv.cli import DiskCorpus
         from digitsv.eval_trials import load_trials
 
         models, corpus = work["models"], work["corpus"]
-        dnn = ["--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
-               "--pgmm", f"{models}/pgmm.dvmd"]
-        stats_dir = tmp_path / "stats"
-        for utt in _split_utts(corpus, "enroll"):
-            feats = f"{corpus}/corpus/feats/{utt}.dvfe"
-            align = str(tmp_path / f"{utt}.dvpo")
-            assert run(["align", "--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
-                        "--feats", feats, "--out", align]) == 0
-            assert run(["accumulate-stats", "--source", "dnn", "--feats", feats,
-                        "--align", align, "--pgmm", f"{models}/pgmm.dvmd",
-                        "--out", str(stats_dir / f"{utt}.dvst")]) == 0
-        tv, plda = str(tmp_path / "tv.dvmd"), str(tmp_path / "plda.dvmd")
-        ivecs, scores = str(tmp_path / "iv.dviv"), str(tmp_path / "iv.txt")
-        assert run(["train-tv", *dnn, "--stats-dir", str(stats_dir), "--rank", "8",
-                    "--iterations", "3", "--out", tv]) == 0
-        assert run(["extract-ivector", "--tv", tv, "--stats-dir", str(stats_dir),
-                    "--out", ivecs]) == 0
-        assert run(["train-backend", "--ivectors", ivecs,
-                    "--utt2spk", f"{corpus}/corpus/splits/enroll.txt",
-                    "--lda-dim", "4", "--out", plda]) == 0
-        assert run(["score-speaker", "--corpus", corpus, "--backend", "ivector", *dnn,
-                    "--tv", tv, "--plda", plda, "--out", scores]) == 0
+        tv, plda = dnn_ivector_models["tv"], dnn_ivector_models["plda"]
+        scores = str(tmp_path / "iv.txt")
+        assert run(["score-speaker", "--corpus", corpus, "--backend", "ivector",
+                    *dnn_ivector_models["flags"], "--tv", tv, "--plda", plda,
+                    "--out", scores]) == 0
 
         disk = DiskCorpus(corpus)
         trials = load_trials(disk.trials_path())
@@ -338,6 +359,35 @@ class TestCliMatchesLibrary:
                                              formats.load_plda_backend(plda))
         got = [line.split()[2] for line in open(scores)]
         assert got == [f"{score:.10g}" for score in want]
+
+    @pytest.mark.parametrize("mode,source", [("gmm", "gmm-hmm"), ("hybrid", "dnn-hmm")])
+    def test_score_content_modes(self, work, tmp_path, mode, source):
+        from digitsv import formats, pipeline
+        from digitsv.cli import DiskCorpus
+        from digitsv.content_kl import PhoneticClassMap, content_verify
+        from digitsv.eval_trials import load_trials
+
+        models, corpus = work["models"], work["corpus"]
+        out = str(tmp_path / "kl.txt")
+        assert run(["score-content", "--corpus", corpus, "--hmm-mode", mode,
+                    "--hmm", f"{models}/hmm.dvmd", "--mlp", f"{models}/mlp.dvmd",
+                    "--out", out]) == 0
+
+        disk = DiskCorpus(corpus)
+        loaded = pipeline.AlignerModels(hmms=formats.load_hmm_set(f"{models}/hmm.dvmd"),
+                                        mlp=formats.load_mlp(f"{models}/mlp.dvmd"))
+        digit = PhoneticClassMap.for_level("digit")
+        want = {}
+        for t in load_trials(disk.trials_path()):
+            if (t.utterance, t.prompt) not in want:
+                feats = disk.by_id(t.utterance).feats
+                dnn = pipeline.align("dnn", loaded, feats, None)
+                forced = pipeline.align(source, loaded, feats, t.prompt)
+                want[t.utterance, t.prompt] = f"{content_verify(forced, dnn, digit, 1e-5):.10g}"
+        for line in open(out):
+            trial_id, kl, _ = line.split()
+            _, utt, prompt = trial_id.split(":")
+            assert kl == want[utt, prompt], trial_id
 
     def test_accumulate_stats_from_dvpo(self, work, tmp_path):
         from digitsv import formats, pipeline
@@ -700,6 +750,12 @@ class TestTextInputs:
                     "--scores", str(tmp_path / "scores"), "--config", str(tmp_path),
                     "--condition", "TC-IC"]) == 2
         _assert_error_line(capsys, str(tmp_path))
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_score(self, tmp_path, raw):
+        # a NaN target would count as accepted at every threshold
+        code, _, err = _evaluate(str(tmp_path), scores=_SCORES.replace(b"1.5", raw.encode()))
+        assert code == 2 and err == f"error: {tmp_path}/scores line 1: bad score '{raw}'\n", err
 
     def test_valid_files_evaluate(self, tmp_path):
         code, out, _ = _evaluate(str(tmp_path))

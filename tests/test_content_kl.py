@@ -178,27 +178,27 @@ class TestKlScore:
 
 class TestContentVerify:
     def test_matched_prompt_scores_below_mismatched(self, small_corpus, small_models):
-        from digitsv.neural_aligner import mlp_posteriors
+        from digitsv.pipeline import align
         from digitsv.synth import corrupt_prompt
 
         models = small_models
         kl_same, kl_wrong = [], []
         for u in small_corpus.tests()[:6]:
-            dnn = mlp_posteriors(models.mlp, u.feats)
-            kl_same.append(content_verify(u.feats, u.content, models.hmms, dnn).kl)
+            dnn = align("dnn", models, u.feats, None)
+            kl_same.append(content_verify(align("gmm-hmm", models, u.feats, u.content), dnn))
             wrong = corrupt_prompt(u.content, "whole_prompt", seed=1)
-            kl_wrong.append(content_verify(u.feats, wrong, models.hmms, dnn).kl)
+            kl_wrong.append(content_verify(align("gmm-hmm", models, u.feats, wrong), dnn))
         assert np.median(kl_same) < np.median(kl_wrong)
         assert max(kl_same) < min(kl_wrong)
 
-    def test_threshold_decision(self, small_corpus, small_models):
-        from digitsv.neural_aligner import mlp_posteriors
-
-        u = small_corpus.tests()[0]
-        dnn = mlp_posteriors(small_models.mlp, u.feats)
-        yes = content_verify(u.feats, u.content, small_models.hmms, dnn, threshold=1e9)
-        no = content_verify(u.feats, u.content, small_models.hmms, dnn, threshold=-1.0)
-        assert yes.accept is True and no.accept is False
+    def test_alignments_in_source_order(self):
+        hmm = random_alignment(6, seed=1, source=AlignSource.HMM_FB)
+        dnn = random_alignment(6, seed=2)
+        assert content_verify(hmm, dnn) >= 0.0
+        with pytest.raises(SourceMismatch):
+            content_verify(dnn, hmm)
+        with pytest.raises(SourceMismatch):
+            content_verify(hmm, hmm)
 
     def test_default_map_is_digit_level(self):
         import inspect

@@ -14,6 +14,7 @@ from digitsv.errors import (
 )
 from digitsv.ivector import (
     IVector,
+    PldaScorer,
     TvModel,
     _lda_projection,
     extract_ivector,
@@ -81,6 +82,15 @@ class TestExtractIvector:
             expected = np.linalg.solve(lhs, rhs)
             got = extract_ivector(stats, tv).vector
             np.testing.assert_allclose(got, expected, atol=1e-8)
+
+
+    def test_statistics_of_another_background_rejected(self):
+        # a TV model trained on one alignment source cannot extract another's
+        bg = toy_background(seed=8, model_id="dnn")
+        tv = TvModel(np.random.default_rng(1).standard_normal((6, 2)), bg)
+        stats = random_stats(toy_background(seed=8, model_id="dnn-hmm"))
+        with pytest.raises(InconsistentBackground, match="dnn-hmm"):
+            extract_ivector(stats, tv)
 
 
 class TestTrainTv:
@@ -381,3 +391,52 @@ class TestPldaScore:
 
         rho = spearmanr(a, b).statistic
         assert rho > 0.999
+
+
+def speaker_stats(background, speaker, utterance):
+    """Statistics of one utterance whose first-order term leans toward its speaker."""
+    stats = random_stats(background, seed=1000 * speaker + utterance, scale=1.0)
+    offset = 2.0 * np.random.default_rng(speaker).standard_normal(background.means.shape)
+    return SuffStats(stats.n, stats.f + stats.n[:, None] * offset, stats.s,
+                     background.model_id)
+
+
+class TestPldaScorer:
+    """The closed-form scorer against ``plda_score``, its per-trial reference."""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        bg = toy_background(m=4, dim=3, seed=30)
+        tv = TvModel(np.random.default_rng(31).standard_normal((12, 6)), bg)
+        train = {f"spk{k}": [speaker_stats(bg, k, j) for j in range(4)] for k in range(6)}
+        ivecs = [extract_ivector(st, tv) for lst in train.values() for st in lst]
+        labels = [spk for spk, lst in train.items() for _ in lst]
+        backend = train_backend(ivecs, labels, lda_dim=4, plda_iterations=5)
+        enroll = {spk: lst[:3] for spk, lst in train.items()}
+        tests = [speaker_stats(bg, k, 10 + j) for k in range(6) for j in range(3)]
+        return tv, backend, enroll, tests
+
+    def test_matches_plda_score(self, chain):
+        tv, backend, enroll, tests = chain
+        scorer = PldaScorer(tv, backend, enroll)
+        for stats in tests:
+            got = scorer.scores(stats, 1)
+            test = scorer.ivector(stats)
+            want = [plda_score(backend, [scorer.ivector(st) for st in enroll[spk]], test)
+                    for spk in scorer.index]
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_enrollment_order_invariance(self, chain):
+        tv, backend, enroll, tests = chain
+        forward = PldaScorer(tv, backend, enroll)
+        backward = PldaScorer(tv, backend, {spk: lst[::-1]
+                                            for spk, lst in reversed(enroll.items())})
+        for stats in tests:
+            a, b = forward.scores(stats, 1), backward.scores(stats, 1)
+            for spk, k in forward.index.items():
+                assert abs(a[k] - b[backward.index[spk]]) < 1e-10
+
+    def test_empty_enrollment(self, chain):
+        tv, backend, enroll, _ = chain
+        with pytest.raises(EmptyEnrollment):
+            PldaScorer(tv, backend, {**enroll, "spk0": []})

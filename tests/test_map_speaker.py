@@ -125,30 +125,30 @@ class TestEnroll:
         bg = toy_background(seed=12)
         gammas = full_mass_posteriors(8, 4, seed=13)
         feats = mfcc_feats(rng.standard_normal((8, 2)))
-        direct = map_adapt(bg, accumulate_stats(gammas, feats, bg.means, "toy"))
-        via_enroll = enroll(bg, [(gammas, feats)])
+        stats = accumulate_stats(gammas, feats, bg.means, "toy")
+        direct = map_adapt(bg, stats)
+        via_enroll = enroll(bg, [stats])
         np.testing.assert_allclose(via_enroll.means, direct.means, atol=1e-12)
 
     def test_merge_then_adapt_not_adapt_then_average(self):
         rng = np.random.default_rng(14)
         bg = toy_background(seed=14)
-        utts = []
+        stats_list = []
         for k in range(3):
             gammas = full_mass_posteriors(6, 4, seed=20 + k)
             feats = mfcc_feats(rng.standard_normal((6, 2)))
-            utts.append((gammas, feats))
+            stats_list.append(accumulate_stats(gammas, feats, bg.means, "toy"))
         merged = bg.empty_stats()
-        for gammas, feats in utts:
-            merged = merged.merge(accumulate_stats(gammas, feats, bg.means, "toy"))
+        for stats in stats_list:
+            merged = merged.merge(stats)
         expected = map_adapt(bg, merged)
-        got = enroll(bg, utts)
-        np.testing.assert_allclose(got.means, expected.means, atol=1e-12)
+        got = enroll(bg, iter(stats_list))  # any iterable, read once
+        np.testing.assert_array_equal(got.means, expected.means)
         # and the adapt-then-average order differs
-        averaged = np.mean(
-            [map_adapt(bg, accumulate_stats(g, f, bg.means, "toy")).means
-             for g, f in utts], axis=0)
+        averaged = np.mean([map_adapt(bg, stats).means for stats in stats_list], axis=0)
         assert np.abs(averaged - expected.means).max() > 1e-6
 
     def test_empty_enrollment(self):
-        with pytest.raises(EmptyEnrollment):
-            enroll(toy_background(), [])
+        for empty in ([], iter([])):
+            with pytest.raises(EmptyEnrollment):
+                enroll(toy_background(), empty)

@@ -6,8 +6,9 @@ import pytest
 from digitsv import pipeline
 from digitsv.errors import ConfigInvalid, DigitsvError, NoRetainedFrames, ShapeMismatch
 from digitsv.hmm import compile_graph, fb_align
+from digitsv.ivector import extract_ivector, plda_score, train_backend, train_tv
 from digitsv.map_speaker import SpeakerModel, llr_score
-from digitsv.pgmm import MixturePosteriors
+from digitsv.pgmm import MixturePosteriors, accumulate_stats
 
 SOURCES = ("gmm-hmm", "dnn", "dnn-hmm", "ubm")
 
@@ -106,6 +107,38 @@ class TestTrialScoring:
                 want.append(llr_score(speakers[t.speaker], system.background,
                                       gammas[u.utt_id, t.prompt], u.feats))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=source)
+
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_plda_scorer_matches_plda_score(self, small_corpus, small_models, source):
+        system = pipeline.SpeakerSystem(source, small_models)
+        bg = system.background
+
+        def stats(feats, prompt):
+            gammas = system.stats_posteriors(feats, prompt)
+            return accumulate_stats(gammas, feats, bg.means, bg.model_id)
+
+        enroll = {spk: [stats(u.feats, u.content) for u in small_corpus.enrollment(spk)]
+                  for spk in small_corpus.speakers}
+        pooled = [st for lst in enroll.values() for st in lst]
+        tv = train_tv(pooled, bg, rank=8, iterations=3, seed=0)
+        backend = train_backend([extract_ivector(st, tv) for st in pooled],
+                                [spk for spk, lst in enroll.items() for _ in lst],
+                                lda_dim=4, plda_iterations=5)
+
+        def prepared(st):
+            return backend.prepare(extract_ivector(st, tv))
+
+        trials = small_corpus.trials
+        got = pipeline.score_ivector_trials(small_corpus, trials, system, tv, backend)
+        enrolled = {spk: [prepared(st) for st in lst] for spk, lst in enroll.items()}
+        prompted = source in pipeline.PROMPTED_SOURCES
+        tests, want = {}, []
+        for t in trials:
+            key = (t.utterance, t.prompt if prompted else None)
+            if key not in tests:
+                tests[key] = prepared(stats(small_corpus.by_id(t.utterance).feats, key[1]))
+            want.append(plda_score(backend, enrolled[t.speaker], tests[key]))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_stats_posteriors_once_per_key(self, small_corpus, enrolled, monkeypatch):
         trials = small_corpus.trials
