@@ -21,13 +21,10 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import (
     eval_trials,
     features,
     formats,
-    gmm as gmm_mod,
     hmm as hmm_mod,
     ivector as ivec_mod,
     neural_aligner,
@@ -109,10 +106,6 @@ class DiskCorpus:
         return os.path.join(self.root, "corpus", "trials", "trials.txt")
 
 
-def _enroll_pairs(corpus):
-    return [(u.feats, u.content) for u in corpus.utterances if u.split == "enroll"]
-
-
 def _load_models(args) -> pipeline.AlignerModels:
     return pipeline.AlignerModels(
         hmms=formats.load_hmm_set(args.hmm) if getattr(args, "hmm", None) else None,
@@ -173,11 +166,7 @@ def _cmd_train_hmm(args):
     cfg = load_config(args.config, {"hmm_components": args.components,
                                     "silence_policy": args.silence_policy,
                                     "seed": args.seed})
-    corpus = DiskCorpus(args.corpus)
-    hmms = hmm_mod.train_hmm_set(_enroll_pairs(corpus), hmm_mod.HmmTrainConfig(
-        target_components=cfg.hmm_components,
-        silence_policy=cfg.silence_policy, seed=cfg.seed,
-    ))
+    hmms = pipeline.train_hmms(DiskCorpus(args.corpus), cfg)
     for row in hmms.training_log:
         _progress("train-hmm", components=row["n_components"], pass_=row["pass"],
                   fb_ll=f"{row['fb_ll']:.4f}", viterbi_ll=f"{row['viterbi_ll']:.4f}")
@@ -188,10 +177,7 @@ def _cmd_train_hmm(args):
 
 def _cmd_train_ubm(args):
     cfg = load_config(args.config, {"ubm_components": args.components, "seed": args.seed})
-    corpus = DiskCorpus(args.corpus)
-    frames = np.concatenate([f.frames for f, _ in _enroll_pairs(corpus)], axis=0)
-    ubm = gmm_mod.train_em(frames, gmm_mod.GmmTrainConfig(
-        target_components=cfg.ubm_components, seed=cfg.seed))
+    ubm = pipeline.train_ubm(DiskCorpus(args.corpus), cfg)
     for size, lls in ubm.training_log:
         _progress("train-ubm", components=size, ll=f"{lls[-1]:.4f}")
     formats.save_diag_gmm(args.out, ubm)
@@ -201,30 +187,19 @@ def _cmd_train_ubm(args):
 
 def _cmd_train_mlp(args):
     cfg = load_config(args.config, {
-        "mlp_hidden": args.hidden, "mlp_epochs": args.epochs, "seed": args.seed,
+        "mlp_hidden": args.hidden, "mlp_epochs": args.epochs,
+        "silence_policy": args.silence_policy, "seed": args.seed,
     })
     corpus = DiskCorpus(args.corpus)
     hmms = formats.load_hmm_set(args.hmm)
-    pairs = _enroll_pairs(corpus)
-    frames, labels = pipeline.viterbi_label_frames(hmms, pairs, args.silence_policy)
+    stream = None
     if args.dnn_feats_dir:
-        stacked = []
-        for u in (u for u in corpus.utterances if u.split == "enroll"):
-            stacked.append(formats.read_dvfe(
-                os.path.join(args.dnn_feats_dir, f"{u.utt_id}.dvfe")).frames)
-        dnn_frames = np.concatenate(stacked, axis=0)
-        if dnn_frames.shape[0] != labels.shape[0]:
-            raise DigitsvError("classifier features and alignment labels disagree in length")
-        input_kind = features.FeatureKind(cfg.dnn_feature_kind)
-    else:
-        dnn_frames, input_kind = frames, features.FeatureKind.MFCC60
-    model = neural_aligner.train_mlp(dnn_frames, labels, neural_aligner.MlpTrainConfig(
-        hidden_dims=cfg.mlp_hidden_dims, epochs=cfg.mlp_epochs,
-        learning_rate=cfg.mlp_learning_rate, batch_size=cfg.mlp_batch_size,
-        input_kind=input_kind, seed=cfg.seed,
-    ))
+        def stream(utt):
+            return formats.read_dvfe(os.path.join(args.dnn_feats_dir, f"{utt.utt_id}.dvfe"))
+    model = pipeline.train_classifier(corpus, cfg, hmms, stream)
     formats.save_mlp(args.out, model)
-    _progress("train-mlp", frames=len(labels))
+    _progress("train-mlp", frames=sum(u.feats.n_frames for u in corpus.utterances
+                                      if u.split == "enroll"))
     print(args.out)
     return 0
 
@@ -244,13 +219,14 @@ def _cmd_align(args):
         _require_flags(args, "hmm", "feats", "transcript")
         if args.source == "dnn-hmm":
             _require_flags(args, "mlp")
+    cfg = load_config(args.config, {"silence_policy": args.silence_policy})
     models = _load_models(args)
     feats = formats.read_dvfe(args.feats) if args.feats else None
     dnn_align = None
     if args.dnn_feats and args.source != "gmm-hmm":
         dnn_align = neural_aligner.mlp_posteriors(models.mlp, formats.read_dvfe(args.dnn_feats))
     matrix = pipeline.align(args.source, models, feats, args.transcript, args.mode,
-                            dnn_align, args.silence_policy).posteriors
+                            dnn_align, cfg.silence_policy).posteriors
     formats.write_dvpo(args.out, matrix)
     _progress("align", source=args.source, mode=args.mode, frames=matrix.shape[0])
     print(args.out)
@@ -264,21 +240,18 @@ def _cmd_train_pgmm(args):
         "seed": args.seed,
     })
     corpus = DiskCorpus(args.corpus)
-    enroll = [u for u in corpus.utterances if u.split == "enroll"]
-    feats_list = [u.feats for u in enroll]
     if args.align_dir:
-        aligns = [
-            neural_aligner.load_external_posteriors(
-                os.path.join(args.align_dir, f"{u.utt_id}.dvpo"))
-            for u in enroll
-        ]
+        def alignment(utt):
+            return neural_aligner.load_external_posteriors(
+                os.path.join(args.align_dir, f"{utt.utt_id}.dvpo"))
     elif args.mlp:
         mlp = formats.load_mlp(args.mlp)
-        aligns = [neural_aligner.mlp_posteriors(mlp, f) for f in feats_list]
+
+        def alignment(utt):
+            return neural_aligner.mlp_posteriors(mlp, utt.feats)
     else:
         raise UsageError("train-pgmm needs --align-dir or --mlp")
-    model = pgmm_mod.train_pgmm(aligns, feats_list, cfg.pgmm_components,
-                                cfg.pgmm_em_iterations, cfg.seed)
+    model = pipeline.train_phonetic_gmms(corpus, cfg, alignment)
     for k, objective in enumerate(model.training_log):
         _progress("train-pgmm", iteration=k, objective=f"{objective:.4f}")
     formats.save_pgmm(args.out, model)
@@ -301,9 +274,10 @@ def _cmd_accumulate_stats(args):
 
 
 def _cmd_enroll_map(args):
-    cfg = load_config(args.config, {"relevance": args.relevance})
+    cfg = load_config(args.config, {"relevance": args.relevance,
+                                    "silence_policy": args.silence_policy})
     corpus = DiskCorpus(args.corpus)
-    system = pipeline.SpeakerSystem(args.source, _load_models(args), args.silence_policy)
+    system = pipeline.SpeakerSystem(args.source, _load_models(args), cfg.silence_policy)
     speakers = pipeline.enroll_speakers(corpus, system, cfg.relevance)
     formats.save_speaker_models(args.out, speakers, system.background.model_id,
                                 cfg.relevance)
@@ -327,9 +301,10 @@ def _stats_paths(args):
 def _cmd_train_tv(args):
     cfg = load_config(args.config, {"ivector_rank": args.rank,
                                     "tv_iterations": args.iterations,
+                                    "silence_policy": args.silence_policy,
                                     "seed": args.seed})
     background = pipeline.SpeakerSystem(args.source, _load_models(args),
-                                        args.silence_policy).background
+                                        cfg.silence_policy).background
     stats = (formats.read_dvst(p) for p in _stats_paths(args))
     tv = ivec_mod.train_tv(stats, background, cfg.ivector_rank,
                            iterations=cfg.tv_iterations, seed=cfg.seed)
@@ -386,9 +361,10 @@ def _write_scores(path, trials, scores):
 
 
 def _cmd_score_speaker(args):
+    cfg = load_config(args.config, {"silence_policy": args.silence_policy})
     corpus = DiskCorpus(args.corpus)
     trials = eval_trials.load_trials(args.trials or corpus.trials_path())
-    system = pipeline.SpeakerSystem(args.source, _load_models(args), args.silence_policy)
+    system = pipeline.SpeakerSystem(args.source, _load_models(args), cfg.silence_policy)
     if args.backend == "map":
         _require_flags(args, "speakers")
         scores = pipeline.score_speaker_trials(corpus, trials, system,
@@ -404,13 +380,14 @@ def _cmd_score_speaker(args):
 
 
 def _cmd_score_content(args):
-    cfg = load_config(args.config, {"epsilon": args.epsilon, "class_level": args.level})
+    cfg = load_config(args.config, {"epsilon": args.epsilon, "class_level": args.level,
+                                    "silence_policy": args.silence_policy})
     corpus = DiskCorpus(args.corpus)
     trials = eval_trials.load_trials(args.trials or corpus.trials_path())
     models = _load_models(args)
     scores = pipeline.score_content_trials(
         corpus, trials, models, level=cfg.class_level, epsilon=cfg.epsilon,
-        hmm_mode=args.hmm_mode, silence_policy=args.silence_policy,
+        hmm_mode=args.hmm_mode, silence_policy=cfg.silence_policy,
     )
     _ensure_parent(args.out)
     with open(args.out, "w") as fh:
@@ -514,11 +491,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--hmm", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dnn-feats-dir", default=None,
-                   help="spliced-feature directory (defaults to the corpus features)")
+                   help="classifier feature directory, <utt>.dvfe per enrollment "
+                        "utterance (defaults to the corpus features)")
     p.add_argument("--hidden", default=None)
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES,
-                   default="optional_between")
+    p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES, default=None)
     p.add_argument("--seed", type=int, default=None)
 
     p = add("align", _cmd_align, help="align one utterance, write DVPO posteriors")
@@ -529,8 +506,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--hmm", default=None)
     p.add_argument("--mlp", default=None)
     p.add_argument("--transcript", default=None)
-    p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES,
-                   default="optional_between")
+    p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES, default=None)
     p.add_argument("--out", required=True)
 
     p = add("train-pgmm", _cmd_train_pgmm, help="train phonetic GMMs under an alignment")
@@ -560,8 +536,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--mlp", default=None)
         p.add_argument("--pgmm", default=None)
         p.add_argument("--ubm", default=None)
-        p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES,
-                       default="optional_between")
+        p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES, default=None)
 
     p = add("enroll-map", _cmd_enroll_map, help="MAP-enroll all corpus speakers")
     p.add_argument("--corpus", required=True)
@@ -610,8 +585,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--hmm-mode", choices=("gmm", "hybrid"), default="hybrid")
     p.add_argument("--level", choices=("digit", "state"), default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES,
-                   default="optional_between")
+    p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES, default=None)
 
     p = add("evaluate", _cmd_evaluate, help="EER/minDCF report from scores and trials")
     p.add_argument("--trials", required=True)

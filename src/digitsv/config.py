@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .errors import ConfigInvalid
+from .hmm import SILENCE_POLICIES
 
 
 @dataclass
@@ -33,8 +34,6 @@ class PipelineConfig:
     # content verification
     epsilon: float = 1e-5
     class_level: str = "digit"
-    # feature stream of the frame classifier
-    dnn_feature_kind: str = "spliced"
     # detection-cost operating points, "c_miss,c_fa,p_target"
     dcf_sre08: str = "10,1,0.01"
     dcf_sre10: str = "1,1,0.001"
@@ -42,11 +41,11 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.silence_policy not in SILENCE_POLICIES:
+            raise ConfigInvalid(f"silence_policy must be one of {', '.join(SILENCE_POLICIES)}, "
+                                f"got {self.silence_policy!r}")
         if self.class_level not in ("digit", "state"):
             raise ConfigInvalid(f"class_level must be digit or state, got {self.class_level!r}")
-        if self.dnn_feature_kind not in ("fbank120", "mfcc60", "spliced"):
-            raise ConfigInvalid(
-                f"dnn_feature_kind must name a feature kind, got {self.dnn_feature_kind!r}")
         if self.ivector_rank < 1:
             raise ConfigInvalid(f"ivector_rank must be at least 1, got {self.ivector_rank}")
         for name in ("pgmm_em_iterations", "tv_iterations", "plda_iterations"):

@@ -46,7 +46,7 @@ def parse_trials(lines) -> list[TrialRecord]:
         speaker, utt, prompt, category = parts
         if category not in CATEGORIES:
             raise TrialParseError(no, f"unknown category {category!r}")
-        if not prompt.isdigit():
+        if not (prompt.isascii() and prompt.isdigit()):  # "²".isdigit() holds too
             raise TrialParseError(no, f"prompt {prompt!r} is not a digit string")
         records.append(TrialRecord(speaker, utt, prompt, category))
     return records

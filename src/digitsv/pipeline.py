@@ -1,7 +1,7 @@
 """In-memory orchestration of the full verification pipeline.
 
 Glue between the synthetic corpus (or any utterance provider) and the
-alignment/backend modules: model training at desk scale, speaker
+alignment/backend modules: one trainer per alignment model, speaker
 enrollment, and speaker and content scoring of trial lists.  Scoring walks
 the trials grouped by test utterance and then by prompt, in one streaming
 pass: each key's posteriors are reduced to statistics (or a KL score)
@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import content_kl, hmm as hmm_mod, map_speaker, pgmm as pgmm_mod
+from .config import PipelineConfig
 from .errors import ConfigInvalid, DigitsvError
 from .gmm import DiagGmm, GmmTrainConfig, train_em
 from .hmm import AlignmentMatrix, HmmSet, HmmTrainConfig, compile_graph, train_hmm_set
 from .ivector import PldaScorer
 from .neural_aligner import MlpModel, MlpTrainConfig, mlp_posteriors, train_mlp
 from .pgmm import Background, MixturePosteriors, Pgmm, SuffStats, accumulate_stats
-from .features import FeatureKind, FeatureSequence
+from .features import FeatureSequence
 
 
 @dataclass
@@ -33,63 +34,69 @@ class AlignerModels:
     ubm: DiagGmm | None = None
 
 
-def viterbi_label_frames(hmms: HmmSet, utterances, silence_policy: str):
-    """Hard-aligned (frames, state labels) from (feats, transcription) pairs."""
-    frames, labels = [], []
-    for feats, text in utterances:
-        graph = compile_graph(text, hmms, silence_policy)
-        path = hmm_mod.viterbi_align(graph, feats)
+def _enrollment(corpus) -> list:
+    enroll = [u for u in corpus.utterances if u.split == "enroll"]
+    if not enroll:
+        raise DigitsvError("the corpus has no enrollment utterances")
+    return enroll
+
+
+def train_hmms(corpus, cfg: PipelineConfig) -> HmmSet:
+    """Word HMM set trained on the corpus's enrollment utterances."""
+    return train_hmm_set(
+        [(u.feats, u.content) for u in _enrollment(corpus)],
+        HmmTrainConfig(target_components=cfg.hmm_components,
+                       silence_policy=cfg.silence_policy, seed=cfg.seed),
+    )
+
+
+def train_classifier(corpus, cfg: PipelineConfig, hmms: HmmSet, stream=None) -> MlpModel:
+    """Frame classifier trained on the Viterbi state labels of the enrollment utterances.
+
+    Each utterance's corpus features are forced-aligned to its transcription
+    with ``hmms``; the classifier learns those labels from ``stream(utt)``,
+    its own feature stream (the corpus features by default), and takes its
+    input kind from that stream.  A stream of mixed widths, or an utterance
+    whose stream and corpus features differ in frame count, raises
+    DigitsvError.
+    """
+    frames, labels, first = [], [], None
+    for utt in _enrollment(corpus):
+        graph = compile_graph(utt.content, hmms, cfg.silence_policy)
+        path = hmm_mod.viterbi_align(graph, utt.feats)
+        feats = utt.feats if stream is None else stream(utt)
+        first = first or feats
+        if (feats.kind, feats.dim) != (first.kind, first.dim):
+            raise DigitsvError(
+                f"classifier features of {utt.utt_id} are {feats.dim}-dim {feats.kind.value}, "
+                f"earlier ones {first.dim}-dim {first.kind.value}")
+        if feats.n_frames != len(path):
+            raise DigitsvError(f"classifier features of {utt.utt_id} have {feats.n_frames} "
+                               f"frames, its corpus features {len(path)}")
         frames.append(feats.frames)
         labels.append(path)
-    return np.concatenate(frames, axis=0), np.concatenate(labels)
+    # rebinding drops the per-utterance lists before training
+    frames, labels = np.concatenate(frames, axis=0), np.concatenate(labels)
+    return train_mlp(frames, labels, MlpTrainConfig(
+        hidden_dims=cfg.mlp_hidden_dims, epochs=cfg.mlp_epochs,
+        learning_rate=cfg.mlp_learning_rate, batch_size=cfg.mlp_batch_size,
+        input_kind=first.kind, seed=cfg.seed,
+    ))
 
 
-def train_desk_models(corpus, *, hmm_components=16, ubm_components=32,
-                      pgmm_components=16, pgmm_em_iterations=4,
-                      mlp_hidden=(256, 256), mlp_epochs=8,
-                      silence_policy="optional_between", seed=0,
-                      include=("hmms", "mlp", "pgmm", "ubm")) -> AlignerModels:
-    """Train alignment models from a corpus's enrollment utterances.
+def train_phonetic_gmms(corpus, cfg: PipelineConfig, alignment) -> Pgmm:
+    """Phonetic GMMs under ``alignment(utt)`` of each enrollment utterance."""
+    enroll = _enrollment(corpus)
+    return pgmm_mod.train_pgmm([alignment(utt) for utt in enroll],
+                               [utt.feats for utt in enroll],
+                               cfg.pgmm_components, cfg.pgmm_em_iterations, cfg.seed)
 
-    Sizes default to desk scale; the unsupervised background model is kept
-    slightly below the state count so its components straddle phonetic
-    units, as they do on real speech.  ``include`` limits which models are
-    built (the mlp needs hmms; the pgmm needs both).
-    """
-    enroll_pairs = [
-        (u.feats, u.content) for u in corpus.utterances if u.split == "enroll"
-    ]
-    models = AlignerModels()
-    need_mlp = "mlp" in include or "pgmm" in include
-    if "hmms" in include or need_mlp:
-        models.hmms = train_hmm_set(
-            enroll_pairs,
-            HmmTrainConfig(target_components=hmm_components,
-                           silence_policy=silence_policy, seed=seed),
-        )
 
-    frames = None
-    if need_mlp:
-        frames, labels = viterbi_label_frames(models.hmms, enroll_pairs, silence_policy)
-        models.mlp = train_mlp(frames, labels, MlpTrainConfig(
-            hidden_dims=tuple(mlp_hidden),
-            epochs=mlp_epochs,
-            input_kind=FeatureKind.MFCC60,
-            seed=seed,
-        ))
-
-    if "pgmm" in include:
-        feats_list = [feats for feats, _ in enroll_pairs]
-        dnn_aligns = [mlp_posteriors(models.mlp, feats) for feats in feats_list]
-        models.pgmm = pgmm_mod.train_pgmm(dnn_aligns, feats_list, pgmm_components,
-                                          pgmm_em_iterations, seed)
-
-    if "ubm" in include:
-        if frames is None:
-            frames = np.concatenate([f.frames for f, _ in enroll_pairs], axis=0)
-        models.ubm = train_em(frames, GmmTrainConfig(target_components=ubm_components,
-                                                     seed=seed))
-    return models
+def train_ubm(corpus, cfg: PipelineConfig) -> DiagGmm:
+    """Unsupervised background GMM on the pooled enrollment frames."""
+    frames = np.concatenate([utt.feats.frames for utt in _enrollment(corpus)], axis=0)
+    return train_em(frames, GmmTrainConfig(target_components=cfg.ubm_components,
+                                           seed=cfg.seed))
 
 
 def _need(model, name):

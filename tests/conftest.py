@@ -98,11 +98,24 @@ def bench_corpus():
     return generate_corpus(SynthConfig(n_speakers=20, seed=42))
 
 
+def train_models(corpus, cfg):
+    """All four alignment models, each from its pipeline trainer."""
+    from digitsv import pipeline
+    from digitsv.neural_aligner import mlp_posteriors
+
+    hmms = pipeline.train_hmms(corpus, cfg)
+    mlp = pipeline.train_classifier(corpus, cfg, hmms)
+    pgmm = pipeline.train_phonetic_gmms(corpus, cfg,
+                                        lambda utt: mlp_posteriors(mlp, utt.feats))
+    return pipeline.AlignerModels(hmms, mlp, pgmm, pipeline.train_ubm(corpus, cfg))
+
+
 @pytest.fixture(scope="session")
 def bench_models(bench_corpus):
-    from digitsv.pipeline import train_desk_models
+    from digitsv.config import PipelineConfig
 
-    return train_desk_models(bench_corpus)
+    return train_models(bench_corpus, PipelineConfig(ubm_components=32,
+                                                     mlp_hidden="256,256", mlp_epochs=8))
 
 
 @pytest.fixture(scope="session")
@@ -114,7 +127,8 @@ def small_corpus():
 
 @pytest.fixture(scope="session")
 def small_models(small_corpus):
-    from digitsv.pipeline import train_desk_models
+    from digitsv.config import PipelineConfig
 
-    return train_desk_models(small_corpus, hmm_components=4, ubm_components=16,
-                             pgmm_components=4, mlp_hidden=(64, 64), mlp_epochs=6)
+    return train_models(small_corpus, PipelineConfig(
+        hmm_components=4, ubm_components=16, pgmm_components=4,
+        mlp_hidden="64,64", mlp_epochs=6))

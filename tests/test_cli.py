@@ -327,8 +327,6 @@ class TestConfig:
         assert (p10.c_miss, p10.c_fa, p10.p_target) == (1.0, 1.0, 0.001)
         with pytest.raises(ConfigInvalid):
             PipelineConfig(dcf_sre08="10,1")
-        with pytest.raises(ConfigInvalid):
-            PipelineConfig(dnn_feature_kind="wavelets")
 
 
 def _split_utts(corpus, split):
@@ -428,20 +426,169 @@ class TestCliMatchesLibrary:
             for field in ("n", "f", "s"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
+    # the settings the work fixture passes as flags
+    TRAIN_CONFIG = PipelineConfig(hmm_components=2, mlp_hidden="64,64", mlp_epochs=6,
+                                  pgmm_components=2, pgmm_em_iterations=2, ubm_components=8)
+
+    @staticmethod
+    def _assert_same_bytes(work, tmp_path, name, save, model):
+        save(str(tmp_path / "lib.dvmd"), model)
+        assert (tmp_path / "lib.dvmd").read_bytes() == \
+            open(f"{work['models']}/{name}.dvmd", "rb").read()
+
+    def test_train_hmm_model(self, work, tmp_path):
+        from digitsv import formats, pipeline
+        from digitsv.cli import DiskCorpus
+
+        hmms = pipeline.train_hmms(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG)
+        self._assert_same_bytes(work, tmp_path, "hmm", formats.save_hmm_set, hmms)
+
+    def test_train_mlp_model(self, work, tmp_path):
+        from digitsv import formats, pipeline
+        from digitsv.cli import DiskCorpus
+
+        hmms = formats.load_hmm_set(f"{work['models']}/hmm.dvmd")
+        mlp = pipeline.train_classifier(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG, hmms)
+        self._assert_same_bytes(work, tmp_path, "mlp", formats.save_mlp, mlp)
+
     def test_train_pgmm_model(self, work, tmp_path):
-        from digitsv import formats
+        from digitsv import formats, pipeline
         from digitsv.cli import DiskCorpus
         from digitsv.neural_aligner import mlp_posteriors
-        from digitsv.pgmm import train_pgmm
 
-        models, corpus = work["models"], work["corpus"]
-        mlp = formats.load_mlp(f"{models}/mlp.dvmd")
-        feats = [u.feats for u in DiskCorpus(corpus).utterances if u.split == "enroll"]
-        model = train_pgmm([mlp_posteriors(mlp, f) for f in feats], feats,
-                           n_components=2, em_iterations=2, seed=0)
-        formats.save_pgmm(str(tmp_path / "lib.dvmd"), model)
-        # the fixture trained models/pgmm.dvmd with the same settings
-        assert (tmp_path / "lib.dvmd").read_bytes() == open(f"{models}/pgmm.dvmd", "rb").read()
+        mlp = formats.load_mlp(f"{work['models']}/mlp.dvmd")
+        pgmm = pipeline.train_phonetic_gmms(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG,
+                                            lambda utt: mlp_posteriors(mlp, utt.feats))
+        self._assert_same_bytes(work, tmp_path, "pgmm", formats.save_pgmm, pgmm)
+
+    def test_train_ubm_model(self, work, tmp_path):
+        from digitsv import formats, pipeline
+        from digitsv.cli import DiskCorpus
+
+        ubm = pipeline.train_ubm(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG)
+        self._assert_same_bytes(work, tmp_path, "ubm", formats.save_diag_gmm, ubm)
+
+
+def _fbank_stream(utt):
+    """A 120-dim stand-in for a filterbank stream: the corpus MFCC, tiled."""
+    from digitsv.features import FeatureKind, FeatureSequence
+
+    return FeatureSequence(np.tile(utt.feats.frames, (1, 2)), FeatureKind.FBANK120)
+
+
+def _spliced_stream(utt):
+    from digitsv.features import splice
+
+    return splice(_fbank_stream(utt), 5)
+
+
+class TestClassifierStream:
+    """`train-mlp --dnn-feats-dir` trains on its own stream and keeps that stream's kind."""
+
+    @staticmethod
+    def _train(work, tmp_path, stream_of, *flags):
+        """train-mlp on a directory holding ``stream_of(utt)`` for every corpus utterance."""
+        from digitsv import formats
+        from digitsv.cli import DiskCorpus
+
+        feats_dir = tmp_path / "dnn_feats"
+        feats_dir.mkdir()
+        for utt in DiskCorpus(work["corpus"]).utterances:
+            formats.write_dvfe(str(feats_dir / f"{utt.utt_id}.dvfe"), stream_of(utt))
+        out = tmp_path / "mlp.dvmd"
+        code = run(["train-mlp", "--corpus", work["corpus"],
+                    "--hmm", f"{work['models']}/hmm.dvmd", "--dnn-feats-dir", str(feats_dir),
+                    "--hidden", "8", "--epochs", "1", *flags, "--out", str(out)])
+        return code, feats_dir, out
+
+    @pytest.mark.parametrize("stream_of, kind, dim", [
+        (_spliced_stream, "spliced", 1320),
+        (_fbank_stream, "fbank120", 120),
+    ], ids=["spliced", "fbank120"])
+    def test_model_takes_the_stream_kind(self, work, tmp_path, stream_of, kind, dim):
+        from digitsv import formats
+
+        code, feats_dir, out = self._train(work, tmp_path, stream_of)
+        assert code == 0
+        mlp = formats.load_mlp(str(out))
+        assert (mlp.input_kind.value, mlp.input_dim) == (kind, dim)
+        # the model accepts its own stream
+        utt = _split_utts(work["corpus"], "test")[0]
+        assert run(["align", "--source", "dnn", "--mlp", str(out),
+                    "--dnn-feats", str(feats_dir / f"{utt}.dvfe"),
+                    "--out", str(tmp_path / "a.dvpo")]) == 0
+
+    def test_mixed_widths(self, work, tmp_path, capsys):
+        first = _split_utts(work["corpus"], "enroll")[0]
+        code, _, out = self._train(work, tmp_path, lambda utt: (
+            _fbank_stream(utt) if utt.utt_id == first else _spliced_stream(utt)))
+        assert code == 2
+        _assert_error_line(capsys, "1320-dim spliced", "120-dim fbank120")
+        assert not out.exists()
+
+    def test_per_utterance_length_mismatch(self, work, tmp_path, capsys):
+        # two utterances off by one frame in opposite directions: the totals agree
+        from dataclasses import replace
+
+        first, second = _split_utts(work["corpus"], "enroll")[:2]
+
+        def stream_of(utt):
+            feats = _fbank_stream(utt)
+            if utt.utt_id == first:
+                return replace(feats, frames=feats.frames[:-1])
+            if utt.utt_id == second:
+                return replace(feats, frames=np.vstack([feats.frames, feats.frames[-1:]]))
+            return feats
+
+        code, _, out = self._train(work, tmp_path, stream_of)
+        assert code == 2
+        _assert_error_line(capsys, first, "frames")
+        assert not out.exists()
+
+
+class TestSilencePolicyConfig:
+    """A `silence_policy` config key reaches every stage that aligns."""
+
+    @staticmethod
+    def _outputs(tmp_path, argv, policy):
+        """Output bytes of ``argv`` with the policy from a file, from a flag and unset."""
+        config = tmp_path / "cfg"
+        config.write_text(f"silence_policy={policy}\n")
+        outs = {}
+        for name, flags in {"file": ["--config", str(config)],
+                            "flag": ["--silence-policy", policy], "default": []}.items():
+            out = tmp_path / f"{name}.out"
+            assert run([*argv, *flags, "--out", str(out)]) == 0
+            outs[name] = out.read_bytes()
+        return outs
+
+    def test_train_mlp(self, work, tmp_path):
+        # the synthetic corpus has no pauses between digits, so the labels of
+        # ends_only equal those of the default and only file == flag is visible
+        outs = self._outputs(tmp_path, [
+            "train-mlp", "--corpus", work["corpus"], "--hmm", f"{work['models']}/hmm.dvmd",
+            "--hidden", "8", "--epochs", "1"], "ends_only")
+        assert outs["file"] == outs["flag"]
+
+    def test_align(self, work, tmp_path):
+        utt = _split_utts(work["corpus"], "test")[0]
+        text = dict(
+            line.split() for line in open(f"{work['corpus']}/corpus/transcripts/transcripts.txt")
+        )[utt]
+        outs = self._outputs(tmp_path, [
+            "align", "--source", "gmm-hmm", "--hmm", f"{work['models']}/hmm.dvmd",
+            "--feats", f"{work['corpus']}/corpus/feats/{utt}.dvfe", "--transcript", text],
+            "none")
+        assert outs["file"] == outs["flag"] != outs["default"]
+
+    def test_bad_value_in_file(self, work, tmp_path, capsys):
+        config = tmp_path / "cfg"
+        config.write_text("silence_policy=bogus\n")
+        capsys.readouterr()
+        assert run(["score-content", "--corpus", work["corpus"], "--config", str(config),
+                    "--hmm", f"{work['models']}/hmm.dvmd", "--mlp", f"{work['models']}/mlp.dvmd",
+                    "--out", str(tmp_path / "kl.txt")]) == 2
+        _assert_error_line(capsys, "silence_policy", "bogus")
 
 
 class TestBadInputs:
@@ -511,8 +658,9 @@ class TestBadInputs:
         ("splits/enroll.txt", "u1 s1 extra\n"),
         ("splits/test.txt", "u2\n"),
         ("transcripts/transcripts.txt", "u1 123\n"),
+        ("splits/enroll.txt", ""),
     ], ids=["transcript-fields", "enroll-split-fields", "test-split-fields",
-            "missing-transcript"])
+            "missing-transcript", "empty-enroll-split"])
     def test_malformed_corpus_text(self, text_corpus, tmp_path, capsys, path, text):
         (text_corpus / "corpus" / path).write_text(text)
         assert run(["train-ubm", "--corpus", str(text_corpus),

@@ -72,6 +72,13 @@ class TestParsing:
         with pytest.raises(TrialParseError):
             parse_trials(["s1 u1 12345"])
 
+    @pytest.mark.parametrize("prompt", ["12a45", "1\u00b23"], ids=["letter", "superscript"])
+    def test_bad_prompt_reports_line(self, prompt):
+        # only 0-9: "\u00b2" (superscript two) passes str.isdigit
+        with pytest.raises(TrialParseError) as err:
+            parse_trials(["s1 u1 12345 TC", f"s1 u2 {prompt} TC"])
+        assert err.value.line_no == 2
+
 
 class TestPartition:
     def make_trials(self):

@@ -90,13 +90,13 @@ class TestGenerateCorpus:
     def test_no_speaker_information_when_scale_vanishes(self):
         # offsets ~ 0 leave nothing to tell speakers apart: TC-IC near chance
         from digitsv import pipeline
+        from digitsv.config import PipelineConfig
         from digitsv.eval_trials import evaluate_condition
 
         corpus = generate_corpus(SynthConfig(n_speakers=4, n_test=3, seed=13,
                                              speaker_scale=1e-9))
-        models = pipeline.train_desk_models(corpus, hmm_components=2,
-                                            include=("hmms",))
-        system = pipeline.SpeakerSystem("gmm-hmm", models)
+        hmms = pipeline.train_hmms(corpus, PipelineConfig(hmm_components=2))
+        system = pipeline.SpeakerSystem("gmm-hmm", pipeline.AlignerModels(hmms=hmms))
         speakers = pipeline.enroll_speakers(corpus, system)
         scores = pipeline.score_speaker_trials(corpus, corpus.trials, system, speakers)
         eer, _ = evaluate_condition(corpus.trials, scores, "TC_IC")
@@ -105,12 +105,13 @@ class TestGenerateCorpus:
     def test_content_kl_separates_when_noise_vanishes(self, small_models):
         # regenerate matching low-noise data against the small models' states
         from digitsv import pipeline
+        from digitsv.config import PipelineConfig
 
         corpus = generate_corpus(SynthConfig(n_speakers=6, n_test=3, seed=11,
                                              noise_scale=0.05))
-        models = pipeline.train_desk_models(corpus, hmm_components=2,
-                                            mlp_hidden=(64, 64), mlp_epochs=20,
-                                            include=("hmms", "mlp"))
+        cfg = PipelineConfig(hmm_components=2, mlp_hidden="64,64", mlp_epochs=20)
+        hmms = pipeline.train_hmms(corpus, cfg)
+        models = pipeline.AlignerModels(hmms, pipeline.train_classifier(corpus, cfg, hmms))
         kl = pipeline.score_content_trials(corpus, corpus.trials, models,
                                            level="digit", hmm_mode="hybrid")
         tc = [s for s, t in zip(kl, corpus.trials) if t.category == "TC"]
