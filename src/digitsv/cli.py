@@ -1,8 +1,9 @@
 """Command-line pipeline: one subcommand per stage, file handoffs between.
 
 Every stage is restartable from its on-disk inputs and deterministic under
-fixed seeds.  Progress goes to stderr as `progress key=value ...` lines,
-results to stdout.  Exit codes: 0 success, 1 usage error, 2 data error.
+fixed seeds.  Progress goes to stderr as `progress key=value ...` lines and
+warnings as one `warning: ...` line each, results to stdout.  Exit codes:
+0 success, 1 usage error, 2 data error.
 
 Corpus directory layout (written by `synth`, read by the other stages):
 
@@ -19,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 from . import (
@@ -50,20 +52,22 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class DiskUtterance:
+    """One corpus utterance; its features are read from disk on every access.
+
+    Nothing is cached, so a corpus never holds its features: each caller
+    binds ``feats`` once per utterance.
+    """
+
     utt_id: str
     speaker: str
     content: str
     split: str
     _dir: str
-    _feats: features.FeatureSequence | None = None
 
     @property
     def feats(self) -> features.FeatureSequence:
-        if self._feats is None:
-            self._feats = formats.read_dvfe(
-                os.path.join(self._dir, "corpus", "feats", f"{self.utt_id}.dvfe")
-            )
-        return self._feats
+        return formats.read_dvfe(
+            os.path.join(self._dir, "corpus", "feats", f"{self.utt_id}.dvfe"))
 
 
 def _read_pairs(path):
@@ -192,14 +196,16 @@ def _cmd_train_mlp(args):
     })
     corpus = DiskCorpus(args.corpus)
     hmms = formats.load_hmm_set(args.hmm)
-    stream = None
-    if args.dnn_feats_dir:
-        def stream(utt):
-            return formats.read_dvfe(os.path.join(args.dnn_feats_dir, f"{utt.utt_id}.dvfe"))
+    frames_read = {}  # the progress line counts what the trainer read, per utterance
+
+    def stream(utt):
+        feats = (formats.read_dvfe(os.path.join(args.dnn_feats_dir, f"{utt.utt_id}.dvfe"))
+                 if args.dnn_feats_dir else utt.feats)
+        frames_read[utt.utt_id] = feats.n_frames
+        return feats
     model = pipeline.train_classifier(corpus, cfg, hmms, stream)
     formats.save_mlp(args.out, model)
-    _progress("train-mlp", frames=sum(u.feats.n_frames for u in corpus.utterances
-                                      if u.split == "enroll"))
+    _progress("train-mlp", frames=sum(frames_read.values()))
     print(args.out)
     return 0
 
@@ -599,13 +605,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def cli_dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
-        return args.fn(args)
+        with warnings.catch_warnings():  # a warning is one stderr line, not a source quote
+            warnings.showwarning = _warning_line
+            return args.fn(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

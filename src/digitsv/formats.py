@@ -9,7 +9,9 @@ normalization) before handing data back.
 Formats:
   DVFE  features     rows u32, cols u32, f32 row-major
   DVPO  posteriors   same layout; rows must sum to 1 within 1e-3
-  DVST  statistics   mixtures u32, dim u32, per-mixture N/F/S blocks (f64)
+  DVST  statistics   (version 2) mixtures u32, dim u32, background id (u16
+                     length + UTF-8, empty for none), per-mixture N/F/S
+                     blocks (f64)
   DVIV  i-vectors    count u32, rank u32, records of (id, normalized, f64s)
   DVMD  models       kind string plus a tagged recursive payload
 """
@@ -32,7 +34,8 @@ from .errors import (
 )
 from .features import FeatureKind, FeatureSequence
 
-VERSION = 1
+# each format's version; DVST 2 added the background id (DVST 1 files have none)
+VERSIONS = {b"DVFE": 1, b"DVPO": 1, b"DVST": 2, b"DVIV": 1, b"DVMD": 1}
 
 _KIND_BY_COLS = {120: FeatureKind.FBANK120, 60: FeatureKind.MFCC60}
 
@@ -106,13 +109,13 @@ def _read_header(data: bytes, magic: bytes) -> _Reader:
     if got != magic:
         raise BadMagic(f"expected magic {magic!r}, found {got!r}")
     version = rd.u16()
-    if version != VERSION:
+    if version != VERSIONS[magic]:
         raise UnsupportedVersion(f"unsupported {magic.decode()} version {version}")
     return rd
 
 
 def _header(magic: bytes) -> bytes:
-    return magic + struct.pack("<H", VERSION)
+    return magic + struct.pack("<H", VERSIONS[magic])
 
 
 def _create(path):
@@ -193,9 +196,11 @@ def read_dvpo(path, expect_states: int | None = None) -> np.ndarray:
 
 def write_dvst(path, stats):
     mixtures, dim = stats.f.shape
+    background_id = (stats.background_id or "").encode("utf-8")
     with _create(path) as fh:
         fh.write(_header(b"DVST"))
         fh.write(struct.pack("<II", mixtures, dim))
+        fh.write(struct.pack("<H", len(background_id)) + background_id)
         for m in range(mixtures):
             fh.write(struct.pack("<d", stats.n[m]))
             fh.write(stats.f[m].astype("<f8").tobytes())
@@ -210,6 +215,7 @@ def read_dvst(path):
     mixtures, dim = rd.u32(), rd.u32()
     if mixtures < 1 or dim < 1:
         raise CorruptData(6, f"implausible shape {mixtures} x {dim}")
+    background_id = rd.string() or None
     _check_counts(rd, mixtures, 2 * dim + 1, 8, "DVST")
     n = np.empty(mixtures)
     f = np.empty((mixtures, dim))
@@ -221,7 +227,7 @@ def read_dvst(path):
     rd.done()
     if not np.all(np.isfinite(n)) or np.any(n < 0):
         raise CorruptData(10, "invalid zeroth-order statistics")
-    return SuffStats(n, f, s)
+    return SuffStats(n, f, s, background_id)
 
 
 # --- DVIV: i-vector archives ------------------------------------------------------
@@ -279,7 +285,8 @@ def _write_tagged(out: list, value):
             raise TypeError(f"cannot serialize array dtype {value.dtype}")
         out.append(b"A" + code + struct.pack("<B", arr.ndim))
         out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        out.append(arr.tobytes())
+        # the array's own C-ordered memory, not a bytes copy of it
+        out.append(memoryview(np.ascontiguousarray(arr).reshape(-1)).cast("B"))
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out.append(b"S" + struct.pack("<I", len(raw)) + raw)

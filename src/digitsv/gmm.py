@@ -82,7 +82,8 @@ def log_likelihoods(gmm: DiagGmm, frames: np.ndarray) -> np.ndarray:
     """Per-frame mixture log-likelihoods, (T,)."""
     lw = log_weighted_densities(gmm, frames)
     m = lw.max(axis=1, keepdims=True)
-    return (m + np.log(np.sum(np.exp(lw - m), axis=1, keepdims=True)))[:, 0]
+    lw -= m
+    return (m + np.log(np.sum(np.exp(lw, out=lw), axis=1, keepdims=True)))[:, 0]
 
 
 def log_likelihood(gmm: DiagGmm, frame: np.ndarray) -> float:
@@ -97,7 +98,7 @@ def component_posterior_matrix(gmm: DiagGmm, frames: np.ndarray) -> np.ndarray:
     """(T, C) responsibilities, computed in the log domain with max-subtraction."""
     lw = log_weighted_densities(gmm, frames)
     lw -= lw.max(axis=1, keepdims=True)
-    p = np.exp(lw)
+    p = np.exp(lw, out=lw)
     p /= p.sum(axis=1, keepdims=True)
     return p
 
@@ -122,6 +123,30 @@ def split_components(gmm: DiagGmm) -> DiagGmm:
     return DiagGmm(weights, means, variances)
 
 
+def column_mean_var(chunks) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and variance of the rows of ``chunks()``, stacked, without stacking them.
+
+    ``chunks`` returns a fresh iterable of (rows, D) arrays on each call (it
+    is read twice).  With two or more columns the results equal
+    ``x.mean(axis=0)`` and ``x.var(axis=0)`` of the stacked ``x`` bit for
+    bit: numpy sums a C-ordered matrix over axis 0 one row after another,
+    and each chunk continues that sequence from the running sum.  A single
+    column numpy sums pairwise, so there the results are correct but may
+    differ in the last bits.
+    """
+    def column_sums(arrays):
+        total, rows = None, 0
+        for x in arrays:
+            total = np.add.reduce(x if total is None else np.vstack([total[None], x]), axis=0)
+            rows += x.shape[0]
+        return total, rows
+
+    total, rows = column_sums(chunks())
+    mean = total / rows
+    squares, _ = column_sums(np.square(x - mean) for x in chunks())
+    return mean, squares / rows
+
+
 def _closed_form_single(data: np.ndarray, floor: np.ndarray) -> DiagGmm:
     mean = data.mean(axis=0)
     var = np.maximum(data.var(axis=0), floor)
@@ -138,13 +163,16 @@ def _em_update(gmm: DiagGmm, data: np.ndarray, floor: np.ndarray,
     """
     lw = log_weighted_densities(gmm, data)
     m = lw.max(axis=1, keepdims=True)
-    log_tot = m + np.log(np.sum(np.exp(lw - m), axis=1, keepdims=True))
-    resp = np.exp(lw - log_tot)
+    shifted = lw - m
+    log_tot = m + np.log(np.sum(np.exp(shifted, out=shifted), axis=1, keepdims=True))
+    del shifted
+    # the responsibilities overwrite lw: one (frames x components) array, not three
+    resp = np.exp(np.subtract(lw, log_tot, out=lw), out=lw)
     if frame_weights is None:
         ll = float(log_tot.sum())
     else:
         ll = float(frame_weights @ log_tot[:, 0])
-        resp = resp * frame_weights[:, None]
+        resp *= frame_weights[:, None]
 
     counts = resp.sum(axis=0)
     empties = np.nonzero(counts < _EMPTY_COUNT)[0]

@@ -405,8 +405,7 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, cfg, floor, global_var):
     Viterbi log-likelihood is computed from the same emission scores for
     the training log.
     """
-    all_frames = []
-    all_occ = []
+    occupancies = []
     self_mass = np.zeros(N_STATES)
     cross_mass = np.zeros(N_STATES)
     total_fb = 0.0
@@ -428,21 +427,21 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, cfg, floor, global_var):
 
         occ = np.zeros((feats.n_frames, N_STATES))
         np.add.at(occ.T, graph.states, gamma.T)
-        all_frames.append(feats.frames)
-        all_occ.append(occ)
+        occupancies.append(occ)
 
-    frames = np.concatenate(all_frames, axis=0)
-    occ = np.concatenate(all_occ, axis=0)
     gmms = []
     for s in range(N_STATES):
-        weights = occ[:, s]
-        sel = weights > 1e-12
-        if not sel.any():
+        # each state's frames and weights, gathered in corpus order
+        sels = [occ[:, s] > 1e-12 for occ in occupancies]
+        if not any(sel.any() for sel in sels):
             gmms.append(hmms.gmms[s])
             continue
-        new, _ = gmm_mod._em_update(hmms.gmms[s], frames[sel], floor, global_var,
-                                    frame_weights=weights[sel])
+        frames = np.concatenate([f.frames[sel] for (f, _), sel in zip(corpus, sels)], axis=0)
+        weights = np.concatenate([occ[sel, s] for occ, sel in zip(occupancies, sels)])
+        new, _ = gmm_mod._em_update(hmms.gmms[s], frames, floor, global_var,
+                                    frame_weights=weights)
         gmms.append(new)
+        del frames, weights  # before the next state's gather
 
     leaving = self_mass + cross_mass
     loop = np.where(leaving > 0, self_mass / np.maximum(leaving, 1e-30), hmms.self_loop)
@@ -467,11 +466,8 @@ def train_hmm_set(corpus, cfg: HmmTrainConfig | None = None) -> HmmSet:
     if missing:
         raise MissingDigitCoverage(f"digits {missing} never occur in the corpus")
 
-    all_frames = np.concatenate([f.frames for f, _ in corpus], axis=0)
-    global_mean = all_frames.mean(axis=0)
-    global_var = all_frames.var(axis=0)
-    dim = all_frames.shape[1]
-    del all_frames  # a full copy of the corpus must not live through realignment
+    global_mean, global_var = gmm_mod.column_mean_var(lambda: (f.frames for f, _ in corpus))
+    dim = global_mean.shape[0]
     floor = np.maximum(cfg.variance_floor * global_var, 1e-10)
 
     # graphs are fixed across training; validate alignability up front

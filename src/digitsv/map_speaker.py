@@ -81,10 +81,14 @@ class LinearLlr:
                     f"the background {background.means.shape}")
         self.background = background
         self.index = {spk: k for k, spk in enumerate(speakers)}
-        offsets = np.stack([m.means for m in speakers.values()]) - background.means
-        weights = offsets / background.variances
-        self.weights = weights.reshape(len(speakers), -1)
-        self.halves = 0.5 * np.sum(offsets * weights, axis=2)
+        # filled one speaker at a time: no speakers x M*D temporaries
+        self.weights = np.empty((len(speakers), background.means.size))
+        self.halves = np.empty((len(speakers), background.n_mixtures))
+        for k, model in enumerate(speakers.values()):
+            offsets = model.means - background.means
+            weights = np.divide(offsets, background.variances,
+                                out=self.weights[k].reshape(background.means.shape))
+            self.halves[k] = 0.5 * np.sum(offsets * weights, axis=1)
 
     def scores(self, stats: SuffStats, retained: int) -> np.ndarray:
         """LLR of every speaker, in ``index`` order, given one key's statistics.

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import MissingClass, NonFiniteLoss, ShapeMismatch, WrongKind
 from .features import FeatureKind, FeatureSequence
+from .gmm import column_mean_var
 from .hmm import N_STATES, AlignmentMatrix, AlignSource
 
 
@@ -117,9 +118,37 @@ def _snapshot(model: MlpModel) -> MlpModel:
     )
 
 
+# at most this many rows per forward pass when a whole frame set is
+# evaluated, and per statistics chunk: a default minibatch, not the corpus
+_CHUNK_ROWS = 256
+
+
+def _chunks(idx: np.ndarray) -> list[np.ndarray]:
+    """``idx`` in nearly equal runs of at most _CHUNK_ROWS.
+
+    No run has a single row unless ``idx`` does: a one-row matrix product
+    goes to BLAS gemv, which may sum in another order than the gemm of the
+    unchunked product.
+    """
+    return np.array_split(idx, max(1, -(-len(idx) // _CHUNK_ROWS)))
+
+
+def _mean_log_posterior(model: MlpModel, frames: np.ndarray, idx: np.ndarray,
+                        labels: np.ndarray) -> float:
+    """Mean log posterior of ``labels`` on the rows ``frames[idx]``, a chunk at a time."""
+    picked = np.empty(len(idx))
+    start = 0
+    for chunk in _chunks(idx):
+        rows = slice(start, start + len(chunk))
+        _, log_post = _forward(model, frames[chunk])
+        picked[rows] = log_post[np.arange(len(chunk)), labels[rows]]
+        start = rows.stop
+    return float(picked.mean())
+
+
 def heldout_cross_entropy(model: MlpModel, frames, labels) -> float:
-    _, log_post = _forward(model, np.asarray(frames, dtype=np.float64))
-    return -float(log_post[np.arange(len(labels)), np.asarray(labels)].mean())
+    frames = np.asarray(frames, dtype=np.float64)
+    return -_mean_log_posterior(model, frames, np.arange(frames.shape[0]), np.asarray(labels))
 
 
 def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None = None) -> MlpModel:
@@ -140,25 +169,26 @@ def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(frames.shape[0])
     n_held = max(1, int(round(cfg.heldout_fraction * frames.shape[0])))
+    # minibatches and statistics index into ``frames``; no split copy is made
     held_idx, train_idx = order[:n_held], order[n_held:]
-    x_train, y_train = frames[train_idx], labels[train_idx]
-    x_held, y_held = frames[held_idx], labels[held_idx]
+    y_train, y_held = labels[train_idx], labels[held_idx]
 
-    mean = x_train.mean(axis=0)
-    std = np.sqrt(np.maximum(x_train.var(axis=0), 1e-8))
+    mean, var = column_mean_var(lambda: (frames[chunk] for chunk in _chunks(train_idx)))
+    std = np.sqrt(np.maximum(var, 1e-8))
     priors = np.maximum(np.bincount(y_train, minlength=cfg.n_outputs) / len(y_train), 1e-8)
     model = _init_model(frames.shape[1], cfg, mean, std, priors, rng)
 
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     lr = cfg.learning_rate
-    best = (_snapshot(model), heldout_cross_entropy(model, x_held, y_held))
+    best = (_snapshot(model), -_mean_log_posterior(model, frames, held_idx, y_held))
     checkpoint = best[0]
     for _ in range(cfg.epochs):
         perm = rng.permutation(len(y_train))
         for start in range(0, len(perm), cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
-            loss, gw, gb = loss_and_gradients(model, x_train[batch], y_train[batch])
+            loss, gw, gb = loss_and_gradients(model, frames[train_idx[batch]],
+                                              y_train[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"training loss became {loss!r}", checkpoint=checkpoint)
             for k in range(len(model.weights)):
@@ -168,7 +198,7 @@ def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None
                 model.biases[k] += vel_b[k]
         lr *= cfg.lr_decay
         checkpoint = _snapshot(model)
-        held_ce = heldout_cross_entropy(model, x_held, y_held)
+        held_ce = -_mean_log_posterior(model, frames, held_idx, y_held)
         if held_ce < best[1]:
             best = (checkpoint, held_ce)
 

@@ -333,16 +333,13 @@ def init_pgmm(alignments, feats_list, n_components: int = 16,
     otherwise StarvedState identifies the first starved one.
     """
     alignments, feats_list = _as_lists(alignments, feats_list)
-    buckets: dict[int, list] = {s: [] for s in DIGIT_STATES}
-    for align, feats in zip(alignments, feats_list):
-        hard = align.posteriors.argmax(axis=1)
-        for s in np.unique(hard):
-            if s in buckets:
-                buckets[s].append(feats.frames[hard == s])
+    hard = [align.posteriors.argmax(axis=1) for align in alignments]
 
     gmms = []
     for s in DIGIT_STATES:
-        frames = np.concatenate(buckets[s], axis=0) if buckets[s] else np.empty((0, 1))
+        # this state's frames only, gathered in corpus order
+        parts = [f.frames[h == s] for f, h in zip(feats_list, hard)]
+        frames = np.concatenate(parts, axis=0) if parts else np.empty((0, 1))
         if frames.shape[0] < n_components:
             raise StarvedState(s, f"state {s} got {frames.shape[0]} frames, "
                                   f"needs >= {n_components}")

@@ -50,6 +50,18 @@ def train_hmms(corpus, cfg: PipelineConfig) -> HmmSet:
     )
 
 
+def _frame_matrix(utts, feats_of, n_frames: int) -> np.ndarray:
+    """``feats_of(utt).frames`` of every utterance, filled into one preallocated matrix."""
+    frames, row = None, 0
+    for utt in utts:
+        x = feats_of(utt).frames
+        if frames is None:
+            frames = np.empty((n_frames, x.shape[1]))
+        frames[row:row + x.shape[0]] = x
+        row += x.shape[0]
+    return frames
+
+
 def train_classifier(corpus, cfg: PipelineConfig, hmms: HmmSet, stream=None) -> MlpModel:
     """Frame classifier trained on the Viterbi state labels of the enrollment utterances.
 
@@ -58,13 +70,17 @@ def train_classifier(corpus, cfg: PipelineConfig, hmms: HmmSet, stream=None) -> 
     its own feature stream (the corpus features by default), and takes its
     input kind from that stream.  A stream of mixed widths, or an utterance
     whose stream and corpus features differ in frame count, raises
-    DigitsvError.
+    DigitsvError.  The training frames are read a second time, into one
+    matrix, once every label is known.
     """
-    frames, labels, first = [], [], None
-    for utt in _enrollment(corpus):
+    enroll = _enrollment(corpus)
+    feats_of = (lambda utt: utt.feats) if stream is None else stream
+    labels, first = [], None
+    for utt in enroll:
+        corpus_feats = utt.feats
         graph = compile_graph(utt.content, hmms, cfg.silence_policy)
-        path = hmm_mod.viterbi_align(graph, utt.feats)
-        feats = utt.feats if stream is None else stream(utt)
+        path = hmm_mod.viterbi_align(graph, corpus_feats)
+        feats = corpus_feats if stream is None else stream(utt)
         first = first or feats
         if (feats.kind, feats.dim) != (first.kind, first.dim):
             raise DigitsvError(
@@ -73,11 +89,9 @@ def train_classifier(corpus, cfg: PipelineConfig, hmms: HmmSet, stream=None) -> 
         if feats.n_frames != len(path):
             raise DigitsvError(f"classifier features of {utt.utt_id} have {feats.n_frames} "
                                f"frames, its corpus features {len(path)}")
-        frames.append(feats.frames)
         labels.append(path)
-    # rebinding drops the per-utterance lists before training
-    frames, labels = np.concatenate(frames, axis=0), np.concatenate(labels)
-    return train_mlp(frames, labels, MlpTrainConfig(
+    labels = np.concatenate(labels)
+    return train_mlp(_frame_matrix(enroll, feats_of, len(labels)), labels, MlpTrainConfig(
         hidden_dims=cfg.mlp_hidden_dims, epochs=cfg.mlp_epochs,
         learning_rate=cfg.mlp_learning_rate, batch_size=cfg.mlp_batch_size,
         input_kind=first.kind, seed=cfg.seed,
@@ -94,9 +108,10 @@ def train_phonetic_gmms(corpus, cfg: PipelineConfig, alignment) -> Pgmm:
 
 def train_ubm(corpus, cfg: PipelineConfig) -> DiagGmm:
     """Unsupervised background GMM on the pooled enrollment frames."""
-    frames = np.concatenate([utt.feats.frames for utt in _enrollment(corpus)], axis=0)
-    return train_em(frames, GmmTrainConfig(target_components=cfg.ubm_components,
-                                           seed=cfg.seed))
+    enroll = _enrollment(corpus)
+    n_frames = sum(utt.feats.n_frames for utt in enroll)
+    return train_em(_frame_matrix(enroll, lambda utt: utt.feats, n_frames),
+                    GmmTrainConfig(target_components=cfg.ubm_components, seed=cfg.seed))
 
 
 def _need(model, name):
@@ -267,6 +282,7 @@ def _score_trials(trials, plan, system: SpeakerSystem, scorer) -> list:
         llrs = scorer.scores(stats, retained)
         for i in indices:
             scores[i] = float(llrs[scorer.index[trials[i].speaker]])
+        del stats, llrs  # not held while the next key is aligned
     return scores
 
 
@@ -310,9 +326,10 @@ def score_content_trials(corpus, trials, models: AlignerModels,
     class_map = content_kl.PhoneticClassMap.for_level(level)
     scores = [0.0] * len(trials)
     for utt, keys in plan:
-        dnn = align("dnn", models, utt.feats, None)
+        feats = utt.feats
+        dnn = align("dnn", models, feats, None)
         for prompt, indices in keys.items():
-            forced = align(source, models, utt.feats, prompt, dnn_align=dnn,
+            forced = align(source, models, feats, prompt, dnn_align=dnn,
                            silence_policy=silence_policy)
             kl = content_kl.content_verify(forced, dnn, class_map, epsilon)
             for i in indices:

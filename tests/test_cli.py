@@ -273,6 +273,75 @@ class TestIvectorFlow:
         _assert_error_line(capsys, "'dnn-hmm'", "'dnn'")
 
 
+    def test_statistics_of_another_source_rejected(self, work, dnn_ivector_models,
+                                                   tmp_path, capsys):
+        # dnn-hmm statistics have the dnn layout; the file's background id tells them apart
+        models, corpus = work["models"], work["corpus"]
+        utt = _split_utts(corpus, "enroll")[0]
+        feats = f"{corpus}/corpus/feats/{utt}.dvfe"
+        transcript = dict(line.split() for line in
+                          open(f"{corpus}/corpus/transcripts/transcripts.txt"))[utt]
+        align, stats = str(tmp_path / "a.dvpo"), tmp_path / "stats" / f"{utt}.dvst"
+        assert run(["align", "--source", "dnn-hmm", "--hmm", f"{models}/hmm.dvmd",
+                    "--mlp", f"{models}/mlp.dvmd", "--feats", feats,
+                    "--transcript", transcript, "--out", align]) == 0
+        assert run(["accumulate-stats", "--source", "dnn-hmm", "--feats", feats,
+                    "--align", align, "--pgmm", f"{models}/pgmm.dvmd",
+                    "--out", str(stats)]) == 0
+        capsys.readouterr()
+        assert run(["train-tv", *dnn_ivector_models["flags"], "--stats", str(stats),
+                    "--rank", "1", "--out", str(tmp_path / "tv.dvmd")]) == 2
+        _assert_error_line(capsys, "'dnn-hmm'", "'dnn'")
+        assert run(["extract-ivector", "--tv", dnn_ivector_models["tv"], "--stats", str(stats),
+                    "--out", str(tmp_path / "iv.dviv")]) == 2
+        _assert_error_line(capsys, "'dnn-hmm'", "'dnn'")
+        assert not (tmp_path / "tv.dvmd").exists() and not (tmp_path / "iv.dviv").exists()
+
+
+class TestWarnings:
+    """A warning reaches stderr as one `warning: ...` line; the model is still saved."""
+
+    @staticmethod
+    def _warning_lines(err):
+        assert ".py:" not in err, err
+        return [line for line in err.splitlines() if line.startswith("warning: ")]
+
+    def test_train_mlp_below_prior_baseline(self, work, tmp_path, capsys):
+        out = tmp_path / "mlp.dvmd"
+        capsys.readouterr()
+        assert run(["train-mlp", "--corpus", work["corpus"], "--hmm",
+                    f"{work['models']}/hmm.dvmd", "--hidden", "8", "--epochs", "1",
+                    "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        warned = self._warning_lines(err)
+        assert len(warned) == 1 and "did not beat the prior baseline" in warned[0], err
+        assert all(line.startswith(("warning: ", "progress ")) for line in err.splitlines())
+        assert out.exists()
+
+    def test_train_pgmm_empty_state(self, work, tmp_path, capsys, monkeypatch):
+        import warnings
+
+        from digitsv import pipeline
+        from digitsv.errors import EmptyStateWarning
+
+        train = pipeline.train_phonetic_gmms
+
+        def starved(*args):
+            warnings.warn("states [4] received no occupancy; left unchanged",
+                          EmptyStateWarning)
+            return train(*args)
+
+        monkeypatch.setattr(pipeline, "train_phonetic_gmms", starved)
+        out = tmp_path / "pgmm.dvmd"
+        capsys.readouterr()
+        assert run(["train-pgmm", "--corpus", work["corpus"], "--mlp",
+                    f"{work['models']}/mlp.dvmd", "--components", "2",
+                    "--em-iterations", "1", "--out", str(out)]) == 0
+        assert self._warning_lines(capsys.readouterr().err) == [
+            "warning: states [4] received no occupancy; left unchanged"]
+        assert out.exists()
+
+
 class TestExtractFeats:
     def test_wav_to_all_kinds(self, tmp_path):
         from digitsv.features import AudioClip, write_wav

@@ -103,6 +103,50 @@ class TestDvst:
         np.testing.assert_array_equal(back.n, stats.n)
         np.testing.assert_array_equal(back.f, stats.f)
         np.testing.assert_array_equal(back.s, stats.s)
+        assert back.background_id is None
+
+    def test_version_1_files_rejected(self, tmp_path):
+        # version 1 had no background id; its bytes must not be read as one
+        path = tmp_path / "s.dvst"
+        formats.write_dvst(path, SuffStats(np.ones(2), np.zeros((2, 3)), np.zeros((2, 3))))
+        data = path.read_bytes()
+        path.write_bytes(data[:4] + (1).to_bytes(2, "little") + data[6:14] + data[16:])
+        with pytest.raises(UnsupportedVersion):
+            formats.read_dvst(path)
+
+    def test_background_id_round_trip(self, tmp_path):
+        stats = SuffStats(np.ones(2), np.zeros((2, 3)), np.zeros((2, 3)), "dnn-hmm")
+        path = tmp_path / "s.dvst"
+        formats.write_dvst(path, stats)
+        assert formats.read_dvst(path).background_id == "dnn-hmm"
+
+    @staticmethod
+    def _with_background_id(tmp_path, background_id):
+        stats = SuffStats(np.ones(2), np.zeros((2, 3)), np.zeros((2, 3)), background_id)
+        path = tmp_path / "s.dvst"
+        formats.write_dvst(path, stats)
+        return path, path.read_bytes()
+
+    def test_background_id_cut_short(self, tmp_path):
+        # the file ends inside the id: a positioned truncation, as in every reader
+        path, data = self._with_background_id(tmp_path, "dnn-hmm")
+        path.write_bytes(data[:14 + 3])  # header, shape and length, then 3 of 7 bytes
+        with pytest.raises(Truncated) as err:
+            formats.read_dvst(path)
+        assert err.value.offset == 16
+
+    def test_background_id_longer_than_the_file(self, tmp_path):
+        path, data = self._with_background_id(tmp_path, "ubm")
+        path.write_bytes(data[:14] + (60000).to_bytes(2, "little") + data[16:])
+        with pytest.raises(Truncated):
+            formats.read_dvst(path)
+
+    def test_background_id_bad_utf8(self, tmp_path):
+        path, data = self._with_background_id(tmp_path, "ubm")
+        path.write_bytes(data[:16] + b"\xff" + data[17:])
+        with pytest.raises(CorruptData) as err:
+            formats.read_dvst(path)
+        assert err.value.offset == 16
 
 
 class TestDviv:
@@ -243,7 +287,8 @@ def _valid_files(tmp_path):
     post /= post.sum(axis=1, keepdims=True)
     files["dvpo"] = tmp_path / "r.dvpo"
     formats.write_dvpo(files["dvpo"], post)
-    stats = SuffStats(rng.random(4), rng.standard_normal((4, 3)), rng.random((4, 3)))
+    stats = SuffStats(rng.random(4), rng.standard_normal((4, 3)), rng.random((4, 3)),
+                      "dnn-hmm")
     files["dvst"] = tmp_path / "r.dvst"
     formats.write_dvst(files["dvst"], stats)
     entries = [(f"u{k}", IVector(rng.standard_normal(5))) for k in range(3)]
@@ -272,7 +317,7 @@ class TestHeaderIdentity:
         for kind, path in files.items():
             head = path.read_bytes()[:6]
             assert head[:4].decode() == f"DV{kind[2:].upper()}"
-            assert int.from_bytes(head[4:6], "little") == formats.VERSION
+            assert int.from_bytes(head[4:6], "little") == formats.VERSIONS[head[:4]]
             seen.add(head)
         assert len(seen) == len(files)  # no two formats share a header
 

@@ -1,0 +1,458 @@
+"""One copy per trainer: peak-memory bounds and the copying paths they replaced.
+
+Each trainer and kernel below used to hold its training frames (or the
+speakers x M*D scoring matrix) two to four times over.  The tracemalloc
+tests bound each peak in units of those bytes; the oracles are the replaced
+copying code, kept verbatim, and the new code must equal them bit for bit.
+"""
+
+import io
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from digitsv import formats, gmm as gmm_mod, hmm as hmm_mod, neural_aligner, pipeline
+from digitsv.config import PipelineConfig
+from digitsv.errors import MissingClass, NonFiniteLoss, StarvedState
+from digitsv.features import FeatureKind
+from digitsv.gmm import DiagGmm, GmmTrainConfig, train_em
+from digitsv.hmm import N_STATES, HmmSet, HmmTrainConfig, compile_graph
+from digitsv.map_speaker import LinearLlr
+from digitsv.neural_aligner import MlpTrainConfig
+from digitsv.pgmm import Pgmm, init_pgmm
+
+
+def _peak(fn):
+    """(result, peak traced bytes) of ``fn()``, after one untraced warm-up call."""
+    fn()  # first calls import and cache; they are not the trainer's footprint
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _enroll(corpus):
+    return [u for u in corpus.utterances if u.split == "enroll"]
+
+
+def _frame_bytes(corpus):
+    """Bytes of the stacked float64 enrollment frames."""
+    return sum(u.feats.frames.nbytes for u in _enroll(corpus))
+
+
+def _assert_same_model(a, b):
+    for name in ("weights", "biases"):
+        for x, y in zip(getattr(a, name), getattr(b, name)):
+            np.testing.assert_array_equal(x, y)
+    for name in ("input_mean", "input_std", "class_priors"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def _assert_same_gmms(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(getattr(x, name), getattr(y, name))
+
+
+# --- the replaced paths --------------------------------------------------------
+
+def em_update_oracle(gmm, data, floor, global_var, frame_weights=None):
+    """``gmm._em_update`` with its exp, subtraction and weighting out of place."""
+    lw = gmm_mod.log_weighted_densities(gmm, data)
+    m = lw.max(axis=1, keepdims=True)
+    log_tot = m + np.log(np.sum(np.exp(lw - m), axis=1, keepdims=True))
+    resp = np.exp(lw - log_tot)
+    if frame_weights is None:
+        ll = float(log_tot.sum())
+    else:
+        ll = float(frame_weights @ log_tot[:, 0])
+        resp = resp * frame_weights[:, None]
+    counts = resp.sum(axis=0)
+    empties = np.nonzero(counts < gmm_mod._EMPTY_COUNT)[0]
+    if empties.size:
+        order = np.argsort(log_tot[:, 0], kind="stable")
+        weights = gmm.weights.copy()
+        means = gmm.means.copy()
+        variances = gmm.variances.copy()
+        for k, comp in enumerate(empties):
+            means[comp] = data[order[min(k, data.shape[0] - 1)]]
+            variances[comp] = np.maximum(global_var, floor)
+            weights[comp] = 1e-3
+        weights /= weights.sum()
+        return DiagGmm(weights, means, variances), ll
+    weights = counts / counts.sum()
+    means = (resp.T @ data) / counts[:, None]
+    second = (resp.T @ (data ** 2)) / counts[:, None]
+    return DiagGmm(weights, means, np.maximum(second - means ** 2, floor)), ll
+
+
+def log_likelihoods_oracle(gmm, frames):
+    lw = gmm_mod.log_weighted_densities(gmm, frames)
+    m = lw.max(axis=1, keepdims=True)
+    return (m + np.log(np.sum(np.exp(lw - m), axis=1, keepdims=True)))[:, 0]
+
+
+def component_posterior_matrix_oracle(gmm, frames):
+    lw = gmm_mod.log_weighted_densities(gmm, frames)
+    lw -= lw.max(axis=1, keepdims=True)
+    p = np.exp(lw)
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
+def realign_pass_oracle(hmms, corpus, graphs, cfg, floor, global_var):
+    """``hmm._realign_pass`` over the concatenated frames and occupancies."""
+    all_frames, all_occ = [], []
+    self_mass = np.zeros(N_STATES)
+    cross_mass = np.zeros(N_STATES)
+    total_fb = total_viterbi = 0.0
+    for (feats, _), graph in zip(corpus, graphs):
+        loglikes = hmm_mod._node_loglikes(graph, feats.frames)
+        gamma, fb_ll, alpha, beta = hmm_mod._forward_backward_nodes(graph, loglikes)
+        _, vit_ll = hmm_mod._viterbi_nodes(graph, loglikes)
+        total_fb += fb_ll
+        total_viterbi += vit_ll
+        loop, _, _ = hmm_mod._arc_arrays(graph)
+        xi_self = np.exp(alpha[:-1] + loop + loglikes[1:] + beta[1:] - fb_ll)
+        node_self = xi_self.sum(axis=0)
+        node_cross = np.maximum(gamma[:-1].sum(axis=0) - node_self, 0.0)
+        np.add.at(self_mass, graph.states, node_self)
+        np.add.at(cross_mass, graph.states, node_cross)
+        occ = np.zeros((feats.n_frames, N_STATES))
+        np.add.at(occ.T, graph.states, gamma.T)
+        all_frames.append(feats.frames)
+        all_occ.append(occ)
+    frames = np.concatenate(all_frames, axis=0)
+    occ = np.concatenate(all_occ, axis=0)
+    gmms = []
+    for s in range(N_STATES):
+        weights = occ[:, s]
+        sel = weights > 1e-12
+        if not sel.any():
+            gmms.append(hmms.gmms[s])
+            continue
+        new, _ = em_update_oracle(hmms.gmms[s], frames[sel], floor, global_var,
+                                  frame_weights=weights[sel])
+        gmms.append(new)
+    leaving = self_mass + cross_mass
+    loop = np.where(leaving > 0, self_mass / np.maximum(leaving, 1e-30), hmms.self_loop)
+    loop = np.clip(loop, cfg.transition_floor, 1.0 - cfg.transition_floor)
+    return HmmSet(gmms, loop), total_fb, total_viterbi
+
+
+def init_pgmm_oracle(alignments, feats_list, n_components, em_iterations=10, seed=0):
+    """``pgmm.init_pgmm`` with per-state buckets of copied frames."""
+    buckets = {s: [] for s in hmm_mod.DIGIT_STATES}
+    for align, feats in zip(alignments, feats_list):
+        hard = align.posteriors.argmax(axis=1)
+        for s in np.unique(hard):
+            if s in buckets:
+                buckets[s].append(feats.frames[hard == s])
+    gmms = []
+    for s in hmm_mod.DIGIT_STATES:
+        frames = np.concatenate(buckets[s], axis=0)
+        gmms.append(train_em(frames, GmmTrainConfig(target_components=n_components,
+                                                    em_iterations=em_iterations, seed=seed)))
+    return Pgmm(gmms)
+
+
+def train_mlp_oracle(frames, labels, cfg):
+    """``neural_aligner.train_mlp`` on copied training and held-out splits."""
+    na = neural_aligner
+    frames = np.asarray(frames, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any(np.bincount(labels, minlength=cfg.n_outputs) == 0):
+        raise MissingClass("missing class")
+    rng = np.random.default_rng(cfg.seed)
+    order = rng.permutation(frames.shape[0])
+    n_held = max(1, int(round(cfg.heldout_fraction * frames.shape[0])))
+    held_idx, train_idx = order[:n_held], order[n_held:]
+    x_train, y_train = frames[train_idx], labels[train_idx]
+    x_held, y_held = frames[held_idx], labels[held_idx]
+
+    def held_ce(model):
+        _, log_post = na._forward(model, x_held)
+        return -float(log_post[np.arange(len(y_held)), y_held].mean())
+
+    mean = x_train.mean(axis=0)
+    std = np.sqrt(np.maximum(x_train.var(axis=0), 1e-8))
+    priors = np.maximum(np.bincount(y_train, minlength=cfg.n_outputs) / len(y_train), 1e-8)
+    model = na._init_model(frames.shape[1], cfg, mean, std, priors, rng)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    lr = cfg.learning_rate
+    best = (na._snapshot(model), held_ce(model))
+    checkpoint = best[0]
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(y_train))
+        for start in range(0, len(perm), cfg.batch_size):
+            batch = perm[start:start + cfg.batch_size]
+            loss, gw, gb = na.loss_and_gradients(model, x_train[batch], y_train[batch])
+            if not np.isfinite(loss):
+                raise NonFiniteLoss("non-finite", checkpoint=checkpoint)
+            for k in range(len(model.weights)):
+                vel_w[k] = cfg.momentum * vel_w[k] - lr * gw[k]
+                vel_b[k] = cfg.momentum * vel_b[k] - lr * gb[k]
+                model.weights[k] += vel_w[k]
+                model.biases[k] += vel_b[k]
+        lr *= cfg.lr_decay
+        checkpoint = na._snapshot(model)
+        ce = held_ce(model)
+        if ce < best[1]:
+            best = (checkpoint, ce)
+    return best[0]
+
+
+def train_classifier_oracle(corpus, cfg, hmms):
+    """``pipeline.train_classifier`` on the concatenated frames."""
+    frames, labels = [], []
+    for utt in _enroll(corpus):
+        graph = compile_graph(utt.content, hmms, cfg.silence_policy)
+        labels.append(hmm_mod.viterbi_align(graph, utt.feats))
+        frames.append(utt.feats.frames)
+    return train_mlp_oracle(np.concatenate(frames, axis=0), np.concatenate(labels),
+                            MlpTrainConfig(hidden_dims=cfg.mlp_hidden_dims,
+                                           epochs=cfg.mlp_epochs,
+                                           learning_rate=cfg.mlp_learning_rate,
+                                           batch_size=cfg.mlp_batch_size,
+                                           input_kind=FeatureKind.MFCC60, seed=cfg.seed))
+
+
+def linear_llr_oracle(speakers, background):
+    """``LinearLlr``'s weights and halves from stacked speakers x M x D arrays."""
+    offsets = np.stack([m.means for m in speakers.values()]) - background.means
+    weights = offsets / background.variances
+    return (weights.reshape(len(speakers), -1),
+            0.5 * np.sum(offsets * weights, axis=2))
+
+
+def write_tagged_oracle(out, value):
+    """``formats._write_tagged`` with each array copied by ``tobytes``."""
+    import struct
+
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f":
+            arr, code = value.astype("<f8", copy=False), b"d"
+        else:
+            arr, code = value.astype("<i8", copy=False), b"l"
+        out.append(b"A" + code + struct.pack("<B", arr.ndim))
+        out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        out.append(arr.tobytes())
+    elif isinstance(value, dict):
+        out.append(b"D" + struct.pack("<I", len(value)))
+        for key in value:
+            raw = key.encode("utf-8")
+            out.append(struct.pack("<H", len(raw)) + raw)
+            write_tagged_oracle(out, value[key])
+    else:
+        formats._write_tagged(out, value)
+
+
+# --- equality with the replaced paths ------------------------------------------------
+
+class TestKernelsMatchOracles:
+    @pytest.fixture
+    def mixture(self):
+        rng = np.random.default_rng(20)
+        gmm = DiagGmm(np.array([0.2, 0.3, 0.5]), rng.standard_normal((3, 7)),
+                      0.5 + rng.random((3, 7)))
+        return gmm, rng.standard_normal((400, 7)) * 1.5
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_em_update(self, mixture, weighted):
+        gmm, data = mixture
+        floor, global_var = np.full(7, 1e-3), data.var(axis=0)
+        weights = np.random.default_rng(21).random(400) if weighted else None
+        got, got_ll = gmm_mod._em_update(gmm, data, floor, global_var, frame_weights=weights)
+        want, want_ll = em_update_oracle(gmm, data, floor, global_var, frame_weights=weights)
+        _assert_same_gmms([got], [want])
+        assert got_ll == want_ll
+
+    def test_em_update_reseeds_empty_components(self, mixture):
+        gmm, data = mixture
+        far = DiagGmm(gmm.weights, np.vstack([gmm.means[:2], np.full((1, 7), 1e3)]),
+                      gmm.variances)
+        floor, global_var = np.full(7, 1e-3), data.var(axis=0)
+        got, got_ll = gmm_mod._em_update(far, data, floor, global_var)
+        want, want_ll = em_update_oracle(far, data, floor, global_var)
+        _assert_same_gmms([got], [want])
+        assert got_ll == want_ll
+
+    def test_likelihoods_and_posteriors(self, mixture):
+        gmm, data = mixture
+        np.testing.assert_array_equal(gmm_mod.log_likelihoods(gmm, data),
+                                      log_likelihoods_oracle(gmm, data))
+        np.testing.assert_array_equal(gmm_mod.component_posterior_matrix(gmm, data),
+                                      component_posterior_matrix_oracle(gmm, data))
+
+    @pytest.mark.parametrize("dim", [2, 60])
+    def test_column_mean_var(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(10):
+            sizes = rng.integers(1, 300, size=int(rng.integers(1, 12)))
+            chunks = [rng.standard_normal((int(n), dim)) * rng.uniform(0.1, 50) + 3.0
+                      for n in sizes]
+            stacked = np.concatenate(chunks, axis=0)
+            mean, var = gmm_mod.column_mean_var(lambda: iter(chunks))
+            np.testing.assert_array_equal(mean, stacked.mean(axis=0))
+            np.testing.assert_array_equal(var, stacked.var(axis=0))
+
+    def test_linear_llr(self, small_corpus, small_models):
+        system = pipeline.SpeakerSystem("dnn-hmm", small_models)
+        speakers = pipeline.enroll_speakers(small_corpus, system)
+        scorer = LinearLlr(speakers, system.background)
+        weights, halves = linear_llr_oracle(speakers, system.background)
+        np.testing.assert_array_equal(scorer.weights, weights)
+        np.testing.assert_array_equal(scorer.halves, halves)
+
+    def test_write_tagged(self):
+        rng = np.random.default_rng(22)
+        payload = {"matrix": rng.standard_normal((4, 5)),
+                   "transposed": rng.standard_normal((5, 3)).T,
+                   "strided": rng.standard_normal(12)[::3],
+                   "ints": np.arange(6, dtype=np.int32).reshape(2, 3),
+                   "empty": np.zeros((0, 4)), "scalar": np.array(2.5),
+                   "nested": {"list": [np.ones(3), 1.5, "x", None]}}
+        got, want = [], []
+        formats._write_tagged(got, payload)
+        write_tagged_oracle(want, payload)
+        buf = io.BytesIO()
+        buf.writelines(got)
+        assert buf.getvalue() == b"".join(want)
+
+
+class TestTrainersMatchOracles:
+    def test_train_hmm_set_global_statistics(self, small_corpus):
+        frames = [u.feats.frames for u in _enroll(small_corpus)]
+        stacked = np.concatenate(frames, axis=0)
+        mean, var = gmm_mod.column_mean_var(lambda: iter(frames))
+        np.testing.assert_array_equal(mean, stacked.mean(axis=0))
+        np.testing.assert_array_equal(var, stacked.var(axis=0))
+
+    def test_realign_pass(self, small_corpus, small_models):
+        corpus = [(u.feats, u.content) for u in _enroll(small_corpus)]
+        cfg = HmmTrainConfig()
+        graphs = [compile_graph(text, small_models.hmms, cfg.silence_policy)
+                  for _, text in corpus]
+        mean, var = gmm_mod.column_mean_var(lambda: (f.frames for f, _ in corpus))
+        floor = np.maximum(cfg.variance_floor * var, 1e-10)
+        got = hmm_mod._realign_pass(small_models.hmms, corpus, graphs, cfg, floor, var)
+        want = realign_pass_oracle(small_models.hmms, corpus, graphs, cfg, floor, var)
+        _assert_same_gmms(got[0].gmms, want[0].gmms)
+        np.testing.assert_array_equal(got[0].self_loop, want[0].self_loop)
+        assert got[1:] == want[1:]
+
+    def test_init_pgmm(self, small_corpus, small_models):
+        enroll = _enroll(small_corpus)
+        aligns = [neural_aligner.mlp_posteriors(small_models.mlp, u.feats) for u in enroll]
+        feats = [u.feats for u in enroll]
+        got = init_pgmm(aligns, feats, n_components=2, em_iterations=3)
+        want = init_pgmm_oracle(aligns, feats, n_components=2, em_iterations=3)
+        _assert_same_gmms(got.gmms, want.gmms)
+
+    def test_init_pgmm_still_reports_starved_states(self, small_corpus, small_models):
+        u = _enroll(small_corpus)[0]
+        align = neural_aligner.mlp_posteriors(small_models.mlp, u.feats)
+        with pytest.raises(StarvedState):
+            init_pgmm([align], [u.feats], n_components=64)
+        with pytest.raises(StarvedState):
+            init_pgmm([], [])
+
+    # 2570 frames hold out 257: two chunks of the held-out loss, neither of one row
+    @pytest.mark.parametrize("n", [700, 2570, 3000])
+    def test_train_mlp(self, n):
+        rng = np.random.default_rng(n)
+        labels = rng.integers(0, 3, n)
+        frames = rng.standard_normal((n, 9)) + 2.0 * labels[:, None]
+        cfg = MlpTrainConfig(hidden_dims=(12, 7), n_outputs=3, epochs=3, batch_size=64,
+                             seed=4)
+        _assert_same_model(neural_aligner.train_mlp(frames, labels, cfg),
+                           train_mlp_oracle(frames, labels, cfg))
+
+    @pytest.mark.parametrize("n", [257, 900])
+    def test_heldout_cross_entropy(self, n):
+        rng = np.random.default_rng(23)
+        labels = rng.integers(0, 3, n)
+        frames = rng.standard_normal((n, 9)) + labels[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # one epoch need not beat the prior
+            model = neural_aligner.train_mlp(frames, labels, MlpTrainConfig(
+                hidden_dims=(8,), n_outputs=3, epochs=1, seed=1))
+        _, log_post = neural_aligner._forward(model, frames)
+        want = -float(log_post[np.arange(n), labels].mean())
+        assert neural_aligner.heldout_cross_entropy(model, frames, labels) == want
+
+    def test_train_classifier(self, small_corpus, small_models):
+        cfg = PipelineConfig(mlp_hidden="16", mlp_epochs=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a two-epoch classifier may not beat the prior
+            got = pipeline.train_classifier(small_corpus, cfg, small_models.hmms)
+            want = train_classifier_oracle(small_corpus, cfg, small_models.hmms)
+        _assert_same_model(got, want)
+
+    def test_train_ubm(self, small_corpus):
+        cfg = PipelineConfig(ubm_components=8)
+        frames = np.concatenate([u.feats.frames for u in _enroll(small_corpus)], axis=0)
+        _assert_same_gmms([pipeline.train_ubm(small_corpus, cfg)],
+                          [train_em(frames, GmmTrainConfig(target_components=8))])
+
+
+# --- peak memory ------------------------------------------------------------------------
+
+class TestPeakMemory:
+    """Peaks on ``small_corpus`` in units of the stacked enrollment frames (F bytes)."""
+
+    def test_train_hmms(self, small_corpus):
+        # the per-utterance occupancies (33/60 F) plus one state's gathered
+        # frames: 1.2 F; concatenating frames and occupancies took 2.7 F
+        frames = _frame_bytes(small_corpus)
+        _, peak = _peak(lambda: pipeline.train_hmms(small_corpus,
+                                                    PipelineConfig(hmm_components=1)))
+        assert peak < 1.5 * frames, (peak / frames)
+
+    def test_train_classifier(self, small_corpus, small_models):
+        # one frame matrix plus one minibatch step: 2.0 F; a concatenation and
+        # the copied training and held-out splits took 3.0 F
+        frames = _frame_bytes(small_corpus)
+        cfg = PipelineConfig(mlp_hidden="64,64", mlp_epochs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, peak = _peak(lambda: pipeline.train_classifier(small_corpus, cfg,
+                                                              small_models.hmms))
+        assert peak < 2.5 * frames, (peak / frames)
+
+    def test_train_ubm(self, small_corpus):
+        # the frame matrix, its squares in the M-step and one responsibility
+        # matrix (R = 0.53 F): 2.6 F; a concatenation and an E-step holding two
+        # responsibility matrices took 3.1 F
+        frames = _frame_bytes(small_corpus)
+        components = 32
+        responsibilities = frames // small_corpus.utterances[0].feats.dim * components
+        _, peak = _peak(lambda: pipeline.train_ubm(small_corpus,
+                                                   PipelineConfig(ubm_components=components)))
+        assert peak < 2 * frames + 1.5 * responsibilities, (peak / frames)
+
+    def test_train_phonetic_gmms(self, small_corpus, small_models):
+        # one state's frames at a time: 0.2 F; per-state buckets holding every
+        # frame took 1.05 F
+        frames = _frame_bytes(small_corpus)
+        aligns = {u.utt_id: neural_aligner.mlp_posteriors(small_models.mlp, u.feats)
+                  for u in _enroll(small_corpus)}
+        cfg = PipelineConfig(pgmm_components=2, pgmm_em_iterations=1)
+        _, peak = _peak(lambda: pipeline.train_phonetic_gmms(
+            small_corpus, cfg, lambda utt: aligns[utt.utt_id]))
+        assert peak < 0.5 * frames, (peak / frames)
+
+    def test_linear_llr(self, small_corpus, small_models):
+        # the stacked weights plus one speaker's temporaries: 1.36 x the
+        # weights; stacked offsets, quotient and product took 3.0 x
+        system = pipeline.SpeakerSystem("gmm-hmm", small_models)
+        speakers = pipeline.enroll_speakers(small_corpus, system)
+        one = system.background.means.nbytes
+        _, peak = _peak(lambda: LinearLlr(speakers, system.background))
+        assert peak < len(speakers) * one + 3 * one, (peak / (len(speakers) * one))
