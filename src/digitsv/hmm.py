@@ -5,6 +5,9 @@ self-loop/forward transition pair; global state indices run word-major,
 so digit d owns states 3d..3d+2 and silence owns 30..32.  Provides
 transcription-graph compilation, Viterbi and forward-backward alignment
 (in the log domain), and flat-start Baum-Welch training with mixture growth.
+A compiled graph is topology only, built from the prompt and the silence
+policy; every aligner takes the ``HmmSet`` as its last argument (hybrid
+alignment reads only its self-loops), so one graph serves any model.
 """
 
 from __future__ import annotations
@@ -97,30 +100,28 @@ def word_states(word_index: int) -> range:
 
 @dataclass
 class StateGraph:
-    """Linear digit/silence state sequence with optional-silence skip arcs.
+    """Topology of a prompt's left-to-right state graph; it binds no model.
 
-    ``cross_preds[j]`` lists the nodes that can transition into node ``j``
-    from the previous frame (self-loops are implicit); ``n_succ[i]`` counts
-    the cross successors of node ``i``, over which the forward probability
-    mass is split uniformly.  Entry is node 0 and exit is the last node.
+    Node ``j`` emits from global state ``states[j]``; self-loops are
+    implicit.  Cross arcs come from up to two predecessors, ``pred[:, j]``
+    (lower node first, valid where ``pred_ok[:, j]``), and go to up to two
+    successors, ``succ[:, i]`` (valid where ``succ_ok[:, i]``); ``n_succ[i]``
+    counts them, and a node's forward probability is split uniformly over
+    them.  Missing arcs hold node 0.  Entry is node 0 and exit is the last
+    node.  The ``HmmSet`` is passed at alignment time.
     """
 
-    states: np.ndarray            # (L,) global state indices
-    optional: np.ndarray          # (L,) True for skippable silence nodes
-    cross_preds: tuple            # tuple of tuples of node indices
-    n_succ: np.ndarray            # (L,)
+    states: np.ndarray    # (L,) global state indices
+    optional: np.ndarray  # (L,) True for skippable silence nodes
+    pred: np.ndarray      # (2, L) node indices
+    pred_ok: np.ndarray   # (2, L) bool
+    succ: np.ndarray      # (2, L) node indices
+    succ_ok: np.ndarray   # (2, L) bool
+    n_succ: np.ndarray    # (L,)
     min_frames: int
-    transcription: str
-    silence_policy: str
-    hmms: HmmSet
-
-    @property
-    def n_nodes(self):
-        return self.states.shape[0]
 
 
-def compile_graph(transcription: str, hmms: HmmSet,
-                  silence_policy: str = "optional_between") -> StateGraph:
+def compile_graph(transcription: str, silence_policy: str = "optional_between") -> StateGraph:
     """Compile a digit string into a left-to-right state graph."""
     if silence_policy not in SILENCE_POLICIES:
         raise ValueError(f"unknown silence policy {silence_policy!r}")
@@ -143,95 +144,53 @@ def compile_graph(transcription: str, hmms: HmmSet,
             blocks.append((w, False))
         blocks.append((SILENCE_WORD, False))
 
-    states = []
-    optional = []
-    block_of_node = []
-    for b, (w, opt) in enumerate(blocks):
-        for s in word_states(w):
-            states.append(s)
-            optional.append(opt)
-            block_of_node.append(b)
-    states = np.array(states, dtype=np.int64)
-    optional = np.array(optional, dtype=bool)
-
-    first_node = {}
-    last_node = {}
-    for j, b in enumerate(block_of_node):
-        first_node.setdefault(b, j)
-        last_node[b] = j
-
-    cross_preds: list[list[int]] = [[] for _ in states]
-    n_succ = np.zeros(len(states), dtype=np.int64)
-    for j in range(1, len(states)):
-        b = block_of_node[j]
-        if j != first_node[b]:
-            cross_preds[j].append(j - 1)
-            n_succ[j - 1] += 1
-        else:
-            prev = b - 1
-            cross_preds[j].append(last_node[prev])
-            n_succ[last_node[prev]] += 1
-            # an optional block may be skipped entirely
-            if blocks[prev][1] and prev > 0:
-                cross_preds[j].append(last_node[prev - 1])
-                n_succ[last_node[prev - 1]] += 1
-
-    min_frames = STATES_PER_WORD * sum(1 for _, opt in blocks if not opt)
+    states = np.array([s for w, _ in blocks for s in word_states(w)], dtype=np.int64)
+    optional = np.repeat([opt for _, opt in blocks], STATES_PER_WORD)
+    n = len(states)
+    nodes = np.arange(n)
+    # every node but the entry follows the node before it; the first node
+    # after an optional block may also follow the last node before that block
+    skip = np.zeros(n, dtype=bool)
+    skip[1:] = (nodes[1:] % STATES_PER_WORD == 0) & optional[:-1]
+    hop = STATES_PER_WORD + 1
+    pred_ok = np.stack([nodes > 0, skip])
+    pred = np.where(pred_ok, [np.where(skip, nodes - hop, nodes - 1), nodes - 1], 0)
+    succ_ok = np.stack([nodes < n - 1, np.zeros(n, dtype=bool)])
+    succ_ok[1, :-hop] = skip[hop:]
+    succ = np.where(succ_ok, [nodes + 1, nodes + hop], 0)
     return StateGraph(
         states=states,
         optional=optional,
-        cross_preds=tuple(tuple(sorted(p)) for p in cross_preds),
-        n_succ=n_succ,
-        min_frames=min_frames,
-        transcription=transcription,
-        silence_policy=silence_policy,
-        hmms=hmms,
+        pred=pred,
+        pred_ok=pred_ok,
+        succ=succ,
+        succ_ok=succ_ok,
+        n_succ=succ_ok.sum(axis=0),
+        min_frames=int((~optional).sum()),
     )
 
 
-def _node_loglikes(graph: StateGraph, frames: np.ndarray) -> np.ndarray:
+def _node_loglikes(graph: StateGraph, frames: np.ndarray, hmms: HmmSet) -> np.ndarray:
     """(T, L) emission log-likelihoods, one column per graph node."""
     uniq = np.unique(graph.states)
-    per_state = {s: gmm_mod.log_likelihoods(graph.hmms.gmms[s], frames) for s in uniq}
+    per_state = {s: gmm_mod.log_likelihoods(hmms.gmms[s], frames) for s in uniq}
     return np.stack([per_state[s] for s in graph.states], axis=1)
 
 
-def _arc_arrays(graph: StateGraph):
-    """Vectorized arc tables.
+def _arc_arrays(graph: StateGraph, self_loop: np.ndarray):
+    """Arc log-probabilities of ``graph`` under per-state ``self_loop`` probabilities.
 
-    Returns per-node self-loop log-probs plus up to two incoming cross arcs
-    (pred index / log-prob, missing = index 0 with -inf prob) and the mirrored
-    outgoing arcs.  Cross arcs carry the source's forward probability split
-    uniformly over its successors.
+    Returns per-node self-loop log-probs plus the two incoming cross arcs
+    (pred index / log-prob, missing = index 0 with -inf prob) and the
+    mirrored outgoing arcs.  Cross arcs carry the source's forward
+    probability split uniformly over its successors.
     """
-    loop = np.log(graph.hmms.self_loop[graph.states])
-    fwd = np.log1p(-graph.hmms.self_loop[graph.states])
-    n = graph.n_nodes
-    p1 = np.zeros(n, dtype=np.int64)
-    a1 = np.full(n, _LOG_ZERO)
-    p2 = np.zeros(n, dtype=np.int64)
-    a2 = np.full(n, _LOG_ZERO)
-    for j in range(n):
-        preds = graph.cross_preds[j]
-        if len(preds) >= 1:
-            p1[j] = preds[0]
-            a1[j] = fwd[preds[0]] - np.log(graph.n_succ[preds[0]])
-        if len(preds) == 2:
-            p2[j] = preds[1]
-            a2[j] = fwd[preds[1]] - np.log(graph.n_succ[preds[1]])
-    s1 = np.zeros(n, dtype=np.int64)
-    b1 = np.full(n, _LOG_ZERO)
-    s2 = np.zeros(n, dtype=np.int64)
-    b2 = np.full(n, _LOG_ZERO)
-    for j in range(n):
-        for p, arc in ((p1[j], a1[j]), (p2[j], a2[j])):
-            if arc == _LOG_ZERO:
-                continue
-            if b1[p] == _LOG_ZERO:
-                s1[p], b1[p] = j, arc
-            else:
-                s2[p], b2[p] = j, arc
-    return loop, (p1, a1, p2, a2), (s1, b1, s2, b2)
+    a = self_loop[graph.states]
+    leave = np.log1p(-a) - np.log(np.maximum(graph.n_succ, 1))
+    into = np.where(graph.pred_ok, leave[graph.pred], _LOG_ZERO)
+    out = np.where(graph.succ_ok, leave, _LOG_ZERO)
+    return (np.log(a), (graph.pred[0], into[0], graph.pred[1], into[1]),
+            (graph.succ[0], out[0], graph.succ[1], out[1]))
 
 
 def _check_alignable(graph: StateGraph, n_frames: int):
@@ -241,14 +200,15 @@ def _check_alignable(graph: StateGraph, n_frames: int):
         )
 
 
-def _viterbi_nodes(graph: StateGraph, loglikes: np.ndarray) -> tuple[np.ndarray, float]:
+def _viterbi_nodes(graph: StateGraph, loglikes: np.ndarray,
+                   self_loop: np.ndarray) -> tuple[np.ndarray, float]:
     """Best node path and its joint log-probability.
 
     Ties break toward the lower-index predecessor so alignments are
     deterministic.
     """
     t_max, n_nodes = loglikes.shape
-    loop, (p1, a1, p2, a2), _ = _arc_arrays(graph)
+    loop, (p1, a1, p2, a2), _ = _arc_arrays(graph, self_loop)
     nodes = np.arange(n_nodes)
     delta = np.full(n_nodes, _LOG_ZERO)
     delta[0] = loglikes[0, 0]
@@ -274,10 +234,10 @@ def _viterbi_nodes(graph: StateGraph, loglikes: np.ndarray) -> tuple[np.ndarray,
     return path, float(delta[-1])
 
 
-def _forward_backward_nodes(graph: StateGraph, loglikes: np.ndarray):
+def _forward_backward_nodes(graph: StateGraph, loglikes: np.ndarray, self_loop: np.ndarray):
     """Node occupation posteriors (T, L), total log-probability, alpha, beta."""
     t_max, n_nodes = loglikes.shape
-    loop, (p1, a1, p2, a2), (s1, b1, s2, b2) = _arc_arrays(graph)
+    loop, (p1, a1, p2, a2), (s1, b1, s2, b2) = _arc_arrays(graph, self_loop)
 
     alpha = np.full((t_max, n_nodes), _LOG_ZERO)
     alpha[0, 0] = loglikes[0, 0]
@@ -307,21 +267,22 @@ def _nodes_to_states(graph: StateGraph, gamma_nodes: np.ndarray) -> np.ndarray:
     return post
 
 
-def viterbi_align(graph: StateGraph, feats: FeatureSequence) -> np.ndarray:
+def viterbi_align(graph: StateGraph, feats: FeatureSequence, hmms: HmmSet) -> np.ndarray:
     """Hard forced alignment: the most likely global state per frame."""
     if feats.kind != FeatureKind.MFCC60:
         raise SourceMismatch(f"alignment expects MFCC60 features, got {feats.kind.value}")
     _check_alignable(graph, feats.n_frames)
-    path, _ = _viterbi_nodes(graph, _node_loglikes(graph, feats.frames))
+    path, _ = _viterbi_nodes(graph, _node_loglikes(graph, feats.frames, hmms), hmms.self_loop)
     return graph.states[path]
 
 
-def fb_align(graph: StateGraph, feats: FeatureSequence) -> AlignmentMatrix:
+def fb_align(graph: StateGraph, feats: FeatureSequence, hmms: HmmSet) -> AlignmentMatrix:
     """Soft forced alignment from forward-backward occupation probabilities."""
     if feats.kind != FeatureKind.MFCC60:
         raise SourceMismatch(f"alignment expects MFCC60 features, got {feats.kind.value}")
     _check_alignable(graph, feats.n_frames)
-    gamma, _, _, _ = _forward_backward_nodes(graph, _node_loglikes(graph, feats.frames))
+    gamma, _, _, _ = _forward_backward_nodes(graph, _node_loglikes(graph, feats.frames, hmms),
+                                             hmms.self_loop)
     return AlignmentMatrix(_nodes_to_states(graph, gamma), AlignSource.HMM_FB)
 
 
@@ -337,18 +298,20 @@ def _hybrid_loglikes(graph: StateGraph, state_posteriors: AlignmentMatrix,
 
 
 def viterbi_align_hybrid(graph: StateGraph, state_posteriors: AlignmentMatrix,
-                         priors: np.ndarray) -> np.ndarray:
+                         priors: np.ndarray, hmms: HmmSet) -> np.ndarray:
     """Hard alignment with DNN-derived scaled-likelihood emissions."""
     _check_alignable(graph, state_posteriors.n_frames)
-    path, _ = _viterbi_nodes(graph, _hybrid_loglikes(graph, state_posteriors, priors))
+    path, _ = _viterbi_nodes(graph, _hybrid_loglikes(graph, state_posteriors, priors),
+                             hmms.self_loop)
     return graph.states[path]
 
 
 def fb_align_hybrid(graph: StateGraph, state_posteriors: AlignmentMatrix,
-                    priors: np.ndarray) -> AlignmentMatrix:
+                    priors: np.ndarray, hmms: HmmSet) -> AlignmentMatrix:
     """Soft alignment with DNN-derived scaled-likelihood emissions."""
     _check_alignable(graph, state_posteriors.n_frames)
-    gamma, _, _, _ = _forward_backward_nodes(graph, _hybrid_loglikes(graph, state_posteriors, priors))
+    gamma, _, _, _ = _forward_backward_nodes(
+        graph, _hybrid_loglikes(graph, state_posteriors, priors), hmms.self_loop)
     return AlignmentMatrix(_nodes_to_states(graph, gamma), AlignSource.HMM_FB)
 
 
@@ -359,19 +322,15 @@ def path_to_alignment(path: np.ndarray) -> AlignmentMatrix:
     return AlignmentMatrix(post, AlignSource.HMM_VITERBI)
 
 
-@dataclass
-class HmmTrainConfig:
-    target_components: int = 16
-    init_passes: int = 4
-    passes_per_size: int = 2
-    silence_policy: str = "optional_between"
-    variance_floor: float = 1e-3
-    self_loop_init: float = 0.6
-    transition_floor: float = 1e-3
-    seed: int = 0
+# training schedule: passes at one component, then per doubling of the mixtures
+INIT_PASSES = 4
+PASSES_PER_SIZE = 2
+VARIANCE_FLOOR = 1e-3  # relative to the global per-dimension variance
+SELF_LOOP_INIT = 0.6
+TRANSITION_FLOOR = 1e-3  # self-loops stay inside [floor, 1 - floor]
 
 
-def _flat_start(corpus, graphs, dim, floor, global_mean, global_var) -> HmmSet:
+def _flat_start(corpus, graphs, dim, floor, global_mean, global_var) -> list[DiagGmm]:
     """Uniform segmentation over each utterance's mandatory nodes."""
     sums = np.zeros((N_STATES, dim))
     sqs = np.zeros((N_STATES, dim))
@@ -397,7 +356,7 @@ def _flat_start(corpus, graphs, dim, floor, global_mean, global_var) -> HmmSet:
     return gmms
 
 
-def _realign_pass(hmms: HmmSet, corpus, graphs, cfg, floor, global_var):
+def _realign_pass(hmms: HmmSet, corpus, graphs, floor, global_var):
     """One Baum-Welch realignment pass.
 
     Soft forward-backward occupation drives the emission and transition
@@ -411,13 +370,13 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, cfg, floor, global_var):
     total_fb = 0.0
     total_viterbi = 0.0
     for (feats, _), graph in zip(corpus, graphs):
-        loglikes = _node_loglikes(graph, feats.frames)
-        gamma, fb_ll, alpha, beta = _forward_backward_nodes(graph, loglikes)
-        _, vit_ll = _viterbi_nodes(graph, loglikes)
+        loglikes = _node_loglikes(graph, feats.frames, hmms)
+        gamma, fb_ll, alpha, beta = _forward_backward_nodes(graph, loglikes, hmms.self_loop)
+        _, vit_ll = _viterbi_nodes(graph, loglikes, hmms.self_loop)
         total_fb += fb_ll
         total_viterbi += vit_ll
 
-        loop, _, _ = _arc_arrays(graph)
+        loop = np.log(hmms.self_loop[graph.states])
         # expected self-transition mass per node; leaving mass is the rest
         xi_self = np.exp(alpha[:-1] + loop + loglikes[1:] + beta[1:] - fb_ll)
         node_self = xi_self.sum(axis=0)
@@ -445,20 +404,20 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, cfg, floor, global_var):
 
     leaving = self_mass + cross_mass
     loop = np.where(leaving > 0, self_mass / np.maximum(leaving, 1e-30), hmms.self_loop)
-    loop = np.clip(loop, cfg.transition_floor, 1.0 - cfg.transition_floor)
+    loop = np.clip(loop, TRANSITION_FLOOR, 1.0 - TRANSITION_FLOOR)
     return HmmSet(gmms, loop), total_fb, total_viterbi
 
 
-def train_hmm_set(corpus, cfg: HmmTrainConfig | None = None) -> HmmSet:
+def train_hmm_set(corpus, target_components: int = 16,
+                  silence_policy: str = "optional_between") -> HmmSet:
     """Flat start, iterative forward-backward realignment, and mixture growth.
 
     ``corpus`` is a list of (FeatureSequence, transcription) pairs; every
     digit 0..9 must occur somewhere.  The returned set's ``training_log``
     records per-pass rows with the total (``fb_ll``, the EM objective) and
     best-path (``viterbi_ll``) corpus log-likelihoods; within a fixed
-    mixture size both are nondecreasing.
+    mixture size both are nondecreasing.  Training draws no random numbers.
     """
-    cfg = cfg or HmmTrainConfig()
     covered = set()
     for _, text in corpus:
         covered.update(text)
@@ -468,43 +427,32 @@ def train_hmm_set(corpus, cfg: HmmTrainConfig | None = None) -> HmmSet:
 
     global_mean, global_var = gmm_mod.column_mean_var(lambda: (f.frames for f, _ in corpus))
     dim = global_mean.shape[0]
-    floor = np.maximum(cfg.variance_floor * global_var, 1e-10)
+    floor = np.maximum(VARIANCE_FLOOR * global_var, 1e-10)
 
-    # graphs are fixed across training; validate alignability up front
-    placeholder = HmmSet(
-        [DiagGmm(np.array([1.0]), global_mean[None, :], np.maximum(global_var, floor)[None, :])
-         for _ in range(N_STATES)],
-        np.full(N_STATES, cfg.self_loop_init),
-    )
+    # each graph is compiled once and serves every pass; validate alignability up front
     graphs = []
     for idx, (feats, text) in enumerate(corpus):
-        graph = compile_graph(text, placeholder, cfg.silence_policy)
+        graph = compile_graph(text, silence_policy)
         if feats.n_frames < graph.min_frames:
             raise UnalignableUtterance(idx, f"utterance {idx} has {feats.n_frames} frames, "
                                             f"needs {graph.min_frames}")
         graphs.append(graph)
 
     gmms = _flat_start(corpus, graphs, dim, floor, global_mean, global_var)
-    hmms = HmmSet(gmms, np.full(N_STATES, cfg.self_loop_init))
+    hmms = HmmSet(gmms, np.full(N_STATES, SELF_LOOP_INIT))
     log = []
-
-    def rebind(graphs, hmms):
-        for g in graphs:
-            g.hmms = hmms
-
     size = 1
-    passes = cfg.init_passes
+    passes = INIT_PASSES
     while True:
         for k in range(passes):
-            rebind(graphs, hmms)
-            hmms, fb_ll, vit_ll = _realign_pass(hmms, corpus, graphs, cfg, floor, global_var)
+            hmms, fb_ll, vit_ll = _realign_pass(hmms, corpus, graphs, floor, global_var)
             log.append({"n_components": size, "pass": k,
                         "fb_ll": fb_ll, "viterbi_ll": vit_ll})
-        if size >= cfg.target_components:
+        if size >= target_components:
             break
         hmms = HmmSet([gmm_mod.split_components(g) for g in hmms.gmms], hmms.self_loop)
         size *= 2
-        passes = cfg.passes_per_size
+        passes = PASSES_PER_SIZE
 
     hmms.training_log = log
     return hmms

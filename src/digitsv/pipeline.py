@@ -19,7 +19,7 @@ from . import content_kl, hmm as hmm_mod, map_speaker, pgmm as pgmm_mod
 from .config import PipelineConfig
 from .errors import ConfigInvalid, DigitsvError
 from .gmm import DiagGmm, GmmTrainConfig, train_em
-from .hmm import AlignmentMatrix, HmmSet, HmmTrainConfig, compile_graph, train_hmm_set
+from .hmm import AlignmentMatrix, HmmSet, compile_graph, train_hmm_set
 from .ivector import PldaScorer
 from .neural_aligner import MlpModel, MlpTrainConfig, mlp_posteriors, train_mlp
 from .pgmm import Background, MixturePosteriors, Pgmm, SuffStats, accumulate_stats
@@ -43,11 +43,8 @@ def _enrollment(corpus) -> list:
 
 def train_hmms(corpus, cfg: PipelineConfig) -> HmmSet:
     """Word HMM set trained on the corpus's enrollment utterances."""
-    return train_hmm_set(
-        [(u.feats, u.content) for u in _enrollment(corpus)],
-        HmmTrainConfig(target_components=cfg.hmm_components,
-                       silence_policy=cfg.silence_policy, seed=cfg.seed),
-    )
+    return train_hmm_set([(u.feats, u.content) for u in _enrollment(corpus)],
+                         cfg.hmm_components, cfg.silence_policy)
 
 
 def _frame_matrix(utts, feats_of, n_frames: int) -> np.ndarray:
@@ -78,8 +75,8 @@ def train_classifier(corpus, cfg: PipelineConfig, hmms: HmmSet, stream=None) -> 
     labels, first = [], None
     for utt in enroll:
         corpus_feats = utt.feats
-        graph = compile_graph(utt.content, hmms, cfg.silence_policy)
-        path = hmm_mod.viterbi_align(graph, corpus_feats)
+        graph = compile_graph(utt.content, cfg.silence_policy)
+        path = hmm_mod.viterbi_align(graph, corpus_feats, hmms)
         feats = corpus_feats if stream is None else stream(utt)
         first = first or feats
         if (feats.kind, feats.dim) != (first.kind, first.dim):
@@ -148,15 +145,16 @@ def align(source: str, models: AlignerModels, feats: FeatureSequence | None,
         return hmm_mod.path_to_alignment(dnn_align.posteriors.argmax(axis=1))
     if prompt is None:
         raise ConfigInvalid(f"{source} alignment needs the prompted transcription")
-    graph = compile_graph(prompt, _need(models.hmms, "hmms"), silence_policy)
+    hmms = _need(models.hmms, "hmms")
+    graph = compile_graph(prompt, silence_policy)
     if source == "gmm-hmm":
         if mode == "fb":
-            return hmm_mod.fb_align(graph, feats)
-        return hmm_mod.path_to_alignment(hmm_mod.viterbi_align(graph, feats))
+            return hmm_mod.fb_align(graph, feats, hmms)
+        return hmm_mod.path_to_alignment(hmm_mod.viterbi_align(graph, feats, hmms))
     priors = _need(models.mlp, "mlp").class_priors
     if mode == "fb":
-        return hmm_mod.fb_align_hybrid(graph, dnn_align, priors)
-    return hmm_mod.path_to_alignment(hmm_mod.viterbi_align_hybrid(graph, dnn_align, priors))
+        return hmm_mod.fb_align_hybrid(graph, dnn_align, priors, hmms)
+    return hmm_mod.path_to_alignment(hmm_mod.viterbi_align_hybrid(graph, dnn_align, priors, hmms))
 
 
 class SpeakerSystem:

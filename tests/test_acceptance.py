@@ -40,7 +40,7 @@ class TestCriterion1ForwardBackwardOracle:
             hmms = make_hmm_set(dim=1, n_components=int(case_rng.integers(1, 3)),
                                 rng=case_rng, spread=2.0)
             hmms.self_loop = case_rng.uniform(0.2, 0.8, N_STATES)
-            graph = compile_graph("5", hmms, "none")
+            graph = compile_graph("5", "none")
             frames = 2.0 * case_rng.standard_normal((t_max, 1))
             feats = FeatureSequence(np.tile(frames, (1, 60)), FeatureKind.MFCC60)
             from conftest import scalar_gmm_loglike
@@ -52,9 +52,9 @@ class TestCriterion1ForwardBackwardOracle:
             marg, best_path, _, _ = enumeration_marginals(
                 loglikes, hmms.self_loop[[15, 16, 17]]
             )
-            got = fb_align(graph, feats).posteriors[:, [15, 16, 17]]
+            got = fb_align(graph, feats, hmms).posteriors[:, [15, 16, 17]]
             worst = max(worst, float(np.abs(got - marg).max()))
-            vit = viterbi_align(graph, feats)
+            vit = viterbi_align(graph, feats, hmms)
             if not np.array_equal(vit, np.array([15, 16, 17])[best_path]):
                 check("criterion 1: forward-backward oracle", False,
                       f"viterbi mismatch on seed {seed}")

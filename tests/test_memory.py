@@ -18,7 +18,7 @@ from digitsv.config import PipelineConfig
 from digitsv.errors import MissingClass, NonFiniteLoss, StarvedState
 from digitsv.features import FeatureKind
 from digitsv.gmm import DiagGmm, GmmTrainConfig, train_em
-from digitsv.hmm import N_STATES, HmmSet, HmmTrainConfig, compile_graph
+from digitsv.hmm import N_STATES, HmmSet, compile_graph
 from digitsv.map_speaker import LinearLlr
 from digitsv.neural_aligner import MlpTrainConfig
 from digitsv.pgmm import Pgmm, init_pgmm
@@ -105,19 +105,20 @@ def component_posterior_matrix_oracle(gmm, frames):
     return p
 
 
-def realign_pass_oracle(hmms, corpus, graphs, cfg, floor, global_var):
+def realign_pass_oracle(hmms, corpus, graphs, floor, global_var):
     """``hmm._realign_pass`` over the concatenated frames and occupancies."""
     all_frames, all_occ = [], []
     self_mass = np.zeros(N_STATES)
     cross_mass = np.zeros(N_STATES)
     total_fb = total_viterbi = 0.0
     for (feats, _), graph in zip(corpus, graphs):
-        loglikes = hmm_mod._node_loglikes(graph, feats.frames)
-        gamma, fb_ll, alpha, beta = hmm_mod._forward_backward_nodes(graph, loglikes)
-        _, vit_ll = hmm_mod._viterbi_nodes(graph, loglikes)
+        loglikes = hmm_mod._node_loglikes(graph, feats.frames, hmms)
+        gamma, fb_ll, alpha, beta = hmm_mod._forward_backward_nodes(graph, loglikes,
+                                                                    hmms.self_loop)
+        _, vit_ll = hmm_mod._viterbi_nodes(graph, loglikes, hmms.self_loop)
         total_fb += fb_ll
         total_viterbi += vit_ll
-        loop, _, _ = hmm_mod._arc_arrays(graph)
+        loop, _, _ = hmm_mod._arc_arrays(graph, hmms.self_loop)
         xi_self = np.exp(alpha[:-1] + loop + loglikes[1:] + beta[1:] - fb_ll)
         node_self = xi_self.sum(axis=0)
         node_cross = np.maximum(gamma[:-1].sum(axis=0) - node_self, 0.0)
@@ -141,7 +142,7 @@ def realign_pass_oracle(hmms, corpus, graphs, cfg, floor, global_var):
         gmms.append(new)
     leaving = self_mass + cross_mass
     loop = np.where(leaving > 0, self_mass / np.maximum(leaving, 1e-30), hmms.self_loop)
-    loop = np.clip(loop, cfg.transition_floor, 1.0 - cfg.transition_floor)
+    loop = np.clip(loop, hmm_mod.TRANSITION_FLOOR, 1.0 - hmm_mod.TRANSITION_FLOOR)
     return HmmSet(gmms, loop), total_fb, total_viterbi
 
 
@@ -212,8 +213,8 @@ def train_classifier_oracle(corpus, cfg, hmms):
     """``pipeline.train_classifier`` on the concatenated frames."""
     frames, labels = [], []
     for utt in _enroll(corpus):
-        graph = compile_graph(utt.content, hmms, cfg.silence_policy)
-        labels.append(hmm_mod.viterbi_align(graph, utt.feats))
+        graph = compile_graph(utt.content, cfg.silence_policy)
+        labels.append(hmm_mod.viterbi_align(graph, utt.feats, hmms))
         frames.append(utt.feats.frames)
     return train_mlp_oracle(np.concatenate(frames, axis=0), np.concatenate(labels),
                             MlpTrainConfig(hidden_dims=cfg.mlp_hidden_dims,
@@ -336,13 +337,11 @@ class TestTrainersMatchOracles:
 
     def test_realign_pass(self, small_corpus, small_models):
         corpus = [(u.feats, u.content) for u in _enroll(small_corpus)]
-        cfg = HmmTrainConfig()
-        graphs = [compile_graph(text, small_models.hmms, cfg.silence_policy)
-                  for _, text in corpus]
+        graphs = [compile_graph(text, "optional_between") for _, text in corpus]
         mean, var = gmm_mod.column_mean_var(lambda: (f.frames for f, _ in corpus))
-        floor = np.maximum(cfg.variance_floor * var, 1e-10)
-        got = hmm_mod._realign_pass(small_models.hmms, corpus, graphs, cfg, floor, var)
-        want = realign_pass_oracle(small_models.hmms, corpus, graphs, cfg, floor, var)
+        floor = np.maximum(hmm_mod.VARIANCE_FLOOR * var, 1e-10)
+        got = hmm_mod._realign_pass(small_models.hmms, corpus, graphs, floor, var)
+        want = realign_pass_oracle(small_models.hmms, corpus, graphs, floor, var)
         _assert_same_gmms(got[0].gmms, want[0].gmms)
         np.testing.assert_array_equal(got[0].self_loop, want[0].self_loop)
         assert got[1:] == want[1:]

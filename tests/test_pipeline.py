@@ -58,8 +58,8 @@ class TestAlign:
     def test_gmm_hmm_fb_is_forced_alignment(self, small_corpus, small_models):
         u = small_corpus.utterances[0]
         got = pipeline.align("gmm-hmm", small_models, u.feats, u.content)
-        want = fb_align(compile_graph(u.content, small_models.hmms, "optional_between"),
-                        u.feats)
+        want = fb_align(compile_graph(u.content, "optional_between"), u.feats,
+                        small_models.hmms)
         np.testing.assert_array_equal(got.posteriors, want.posteriors)
 
     def test_viterbi_rows_are_one_hot(self, small_corpus, small_models):
