@@ -311,9 +311,9 @@ def _cmd_train_tv(args):
                                     "seed": args.seed})
     background = pipeline.SpeakerSystem(args.source, _load_models(args),
                                         cfg.silence_policy).background
-    stats = (formats.read_dvst(p) for p in _stats_paths(args))
-    tv = ivec_mod.train_tv(stats, background, cfg.ivector_rank,
-                           iterations=cfg.tv_iterations, seed=cfg.seed)
+    paths = _stats_paths(args)
+    tv = ivec_mod.train_tv(lambda: (formats.read_dvst(p) for p in paths), background,
+                           cfg.ivector_rank, iterations=cfg.tv_iterations, seed=cfg.seed)
     for k, aux in enumerate(tv.training_log):
         _progress("train-tv", iteration=k, objective=f"{aux:.4f}")
     formats.save_tv(args.out, tv)

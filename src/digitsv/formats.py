@@ -10,8 +10,8 @@ Formats:
   DVFE  features     rows u32, cols u32, f32 row-major
   DVPO  posteriors   same layout; rows must sum to 1 within 1e-3
   DVST  statistics   (version 2) mixtures u32, dim u32, background id (u16
-                     length + UTF-8, empty for none), per-mixture N/F/S
-                     blocks (f64)
+                     length + UTF-8, empty for none), one (N, F, S) f64
+                     record per mixture, read and written as one block
   DVIV  i-vectors    count u32, rank u32, records of (id, normalized, f64s)
   DVMD  models       kind string plus a tagged recursive payload
 """
@@ -77,10 +77,13 @@ class _Reader:
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
 
+    def view(self, dtype, count) -> np.ndarray:
+        """The next ``count`` items in place; the view pins the file's bytes."""
+        return np.frombuffer(self._span(np.dtype(dtype).itemsize * count), dtype=dtype)
+
     def array(self, dtype, count):
-        itemsize = np.dtype(dtype).itemsize
         start = self.pos
-        view = np.frombuffer(self._span(itemsize * count), dtype=dtype)
+        view = self.view(dtype, count)
         if np.dtype(dtype).kind != "f":
             return view.copy()  # an array must not pin the file's bytes
         with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
@@ -197,14 +200,15 @@ def read_dvpo(path, expect_states: int | None = None) -> np.ndarray:
 def write_dvst(path, stats):
     mixtures, dim = stats.f.shape
     background_id = (stats.background_id or "").encode("utf-8")
+    records = np.empty((mixtures, 2 * dim + 1), dtype="<f8")  # one N, F, S record per mixture
+    records[:, 0] = stats.n
+    records[:, 1:dim + 1] = stats.f
+    records[:, dim + 1:] = stats.s
     with _create(path) as fh:
         fh.write(_header(b"DVST"))
         fh.write(struct.pack("<II", mixtures, dim))
         fh.write(struct.pack("<H", len(background_id)) + background_id)
-        for m in range(mixtures):
-            fh.write(struct.pack("<d", stats.n[m]))
-            fh.write(stats.f[m].astype("<f8").tobytes())
-            fh.write(stats.s[m].astype("<f8").tobytes())
+        fh.write(records.tobytes())
 
 
 def read_dvst(path):
@@ -217,14 +221,19 @@ def read_dvst(path):
         raise CorruptData(6, f"implausible shape {mixtures} x {dim}")
     background_id = rd.string() or None
     _check_counts(rd, mixtures, 2 * dim + 1, 8, "DVST")
-    n = np.empty(mixtures)
-    f = np.empty((mixtures, dim))
-    s = np.empty((mixtures, dim))
-    for m in range(mixtures):
-        n[m] = rd.f64()
-        f[m] = rd.array("<f8", dim)
-        s[m] = rd.array("<f8", dim)
+    start, width = rd.pos, 2 * dim + 1
+    records = rd.view("<f8", mixtures * width).reshape(mixtures, width)
+    with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
+        bad = ~np.isfinite(records[:, 1:])
+    if bad.any():
+        # the first bad F or S block in file order, where a per-block read stops
+        m, col = divmod(int(np.argmax(bad)), 2 * dim)
+        raise CorruptData(start + (m * width + 1 + col // dim * dim) * 8,
+                          "non-finite values in numeric block")
     rd.done()
+    # one owned C-ordered copy of each part, so no array pins the file's bytes
+    n, f, s = (np.array(records[:, cols], dtype=np.float64)
+               for cols in (0, slice(1, dim + 1), slice(dim + 1, None)))
     if not np.all(np.isfinite(n)) or np.any(n < 0):
         raise CorruptData(10, "invalid zeroth-order statistics")
     return SuffStats(n, f, s, background_id)

@@ -6,6 +6,7 @@ background mixtures; extraction solves the Gaussian posterior-mean system
 I + sum_m n_m B_m from per-mixture blocks B_m = T_m' S_m^-1 T_m, computed once
 per TV matrix (Glembek et al., "Simplification and optimization of i-vector
 extraction", ICASSP 2011), so no utterance pays for an (M*D x R) product.
+Training reads the statistics again on every EM pass instead of holding them.
 Scoring projects i-vectors with LDA, length-normalizes, and applies a
 two-covariance PLDA likelihood ratio, in closed form for every enrolled
 speaker at once (``PldaScorer``; ``plda_score`` is its per-trial reference).
@@ -20,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BadLdaDim,
+    DigitsvError,
     EmptyEnrollment,
     InconsistentBackground,
     InsufficientSpeakers,
@@ -100,49 +102,147 @@ def extract_ivector(stats: SuffStats, tv: TvModel) -> IVector:
     return IVector(_posterior(tv.precision_blocks, stats.n, rhs)[1])
 
 
-def _em_iteration(matrix, counts, firsts, inv_var):
-    """One EM update of ``matrix`` in place; returns the evidence term."""
+# The M-step works in bounded blocks, so no temporary has the TV matrix's size:
+# this many TV rows per product or stacked solve, and this many utterances'
+# first-order statistics per product (one utterance per product is a rank-1
+# update, several times slower per utterance).
+ROW_BLOCK = 2048
+UTTERANCE_GROUP = 4
+
+
+def _pass(stats, background: Background, expected: int | None = None):
+    """One pass over ``stats()``, each item checked against the background.
+
+    Every pass after the first must yield as many utterances as the first
+    (``expected``): a stream that cannot be read again fails here instead of
+    training on empty passes.
+    """
+    count = 0
+    for item in stats():
+        count += 1
+        if expected is not None and count > expected:
+            break
+        _check_background(item, background)
+        yield item
+        del item   # the next read must not find this utterance still held
+    if expected is not None and count != expected:
+        got = f"more than {expected}" if count > expected else count
+        raise DigitsvError(
+            f"a later pass over the statistics yielded {got} utterances, the first "
+            f"{expected}: train_tv needs a callable that returns a fresh iterable of "
+            "the same statistics on every call"
+        )
+
+
+def _right_hand_sides(matrix, items, inv_var, counts=None):
+    """Each utterance's T'(S^-1 f_u) under ``matrix``, as (U, R); its n_u goes to ``counts``."""
+    rhs = []
+    for item in items:
+        if counts is not None:
+            counts.append(item.n)
+        rhs.append(matrix.T @ (item.f.reshape(-1) * inv_var))
+        del item
+    return np.array(rhs).reshape(len(rhs), matrix.shape[1])
+
+
+def _first_order_groups(items, size, width):
+    """The items' flattened first-order statistics, ``size`` utterances per (size, width) block."""
+    group = np.empty((size, width))
+    filled = 0
+    for item in items:
+        group[filled] = item.f.reshape(-1)
+        del item
+        filled += 1
+        if filled == size:
+            yield group
+            filled = 0
+    if filled:
+        yield group[:filled]
+
+
+def _add_first_order(matrix, live_rows, items, mean):
+    """``matrix += sum_u f_u mean_u'`` on the live rows only, in bounded row blocks.
+
+    ``items`` yields the utterances of ``mean`` in order; a group of them
+    enters each row block as one matrix product.
+    """
+    rows, rank = matrix.shape
+    product = np.empty((min(ROW_BLOCK, rows), rank))
+    done = 0
+    for group in _first_order_groups(items, min(UTTERANCE_GROUP, len(mean)), rows):
+        weights = mean[done:done + len(group)]
+        done += len(group)
+        for a in range(0, rows, ROW_BLOCK):
+            b = min(a + ROW_BLOCK, rows)
+            np.matmul(group[:, a:b].T, weights, out=product[:b - a])
+            np.add(matrix[a:b], product[:b - a], out=matrix[a:b], where=live_rows[a:b])
+
+
+def _solve_live(acc_a, blocks, live):
+    """``blocks[m] = (acc_a[m]^-1 blocks[m]')'`` for every live mixture, in place.
+
+    ``blocks`` is the (M, D, R) view of the TV matrix; mixtures are solved in
+    batches of about ``ROW_BLOCK`` rows, each batch one stacked solve.
+    """
+    mixtures = np.flatnonzero(live)
+    batch = max(1, ROW_BLOCK // blocks.shape[1])
+    for k in range(0, len(mixtures), batch):
+        m = mixtures[k:k + batch]
+        blocks[m] = np.linalg.solve(acc_a[m], blocks[m].transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _em_iteration(matrix, counts, rhs, inv_var, items):
+    """One EM update of ``matrix`` in place; returns the evidence term.
+
+    ``rhs`` holds each utterance's T'(S^-1 f_u) under the current matrix, and
+    ``items`` yields the same utterances' statistics again for the M-step.
+    """
     mixtures, rank = counts.shape[1], matrix.shape[1]
-    dim = matrix.shape[0] // mixtures
-    rhs = np.array([matrix.T @ (f.reshape(-1) * inv_var) for f in firsts])
-    precision, mean = _posterior(_precision_blocks(matrix, inv_var, mixtures), counts,
-                                 rhs.reshape(len(firsts), rank))
+    precision, mean = _posterior(_precision_blocks(matrix, inv_var, mixtures), counts, rhs)
     aux = 0.5 * float(np.sum(np.einsum("ur,ur->u", mean, rhs)
                              - np.linalg.slogdet(precision)[1]))
     second = np.linalg.inv(precision)
+    del precision
     second += mean[:, :, None] * mean[:, None, :]
     acc_a = np.tensordot(counts, second, axes=(0, 0))   # (M, R, R)
-    for m in range(mixtures):
-        if np.trace(acc_a[m]) < 1e-12:
-            continue
-        # this mixture's rows of sum_u f_u w_u', transposed: (R, D)
-        acc_c = mean.T @ np.array([f[m] for f in firsts])
-        matrix[m * dim:(m + 1) * dim] = np.linalg.solve(acc_a[m], acc_c).T
+    del second
+    # a mixture no utterance occupies keeps its rows
+    live = np.trace(acc_a, axis1=1, axis2=2) >= 1e-12
+    blocks = matrix.reshape(mixtures, -1, rank)
+    blocks[live] = 0.0
+    _add_first_order(matrix, np.repeat(live, blocks.shape[1])[:, None], items, mean)
+    _solve_live(acc_a, blocks, live)
     return aux
 
 
-def train_tv(stats_list, background: Background, rank: int,
+def train_tv(stats, background: Background, rank: int,
              iterations: int = 5, seed: int = 0) -> TvModel:
     """EM estimation of the total-variability matrix.
 
-    ``stats_list`` is any iterable of ``SuffStats``, read once: only the
-    zeroth- and first-order statistics of each item are kept.  The returned
+    ``stats`` returns a fresh iterable of ``SuffStats`` on each call, and is
+    read twice per iteration: once for the E-step's right-hand sides and
+    once to accumulate the M-step.  So besides the TV matrix only a few
+    utterances' statistics, each utterance's counts and rank x rank arrays
+    per utterance and per mixture are held, whatever the corpus size.  The
+    E-step is batched over all utterances.  The returned
     model logs the per-iteration evidence term 0.5 * (w' rhs - logdet L)
     summed over utterances, which is nondecreasing across iterations.
     """
-    counts, firsts = [], []
-    for stats in stats_list:
-        _check_background(stats, background)
-        counts.append(stats.n)
-        firsts.append(stats.f)
-    if len(firsts) < rank:
-        raise RankTooLarge(f"{len(firsts)} utterances cannot support rank {rank}")
-    counts = np.array(counts).reshape(len(firsts), background.n_mixtures)
-
     inv_var = 1.0 / background.variances.reshape(-1)
     matrix = np.random.default_rng(seed).standard_normal((background.means.size, rank))
     matrix *= 0.1
-    log = [_em_iteration(matrix, counts, firsts, inv_var) for _ in range(iterations)]
+    counts = []
+    rhs = _right_hand_sides(matrix, _pass(stats, background), inv_var, counts)
+    utterances = len(counts)
+    if utterances < rank:
+        raise RankTooLarge(f"{utterances} utterances cannot support rank {rank}")
+    counts = np.array(counts).reshape(utterances, background.n_mixtures)
+    log = []
+    for k in range(iterations):
+        if k:
+            rhs = _right_hand_sides(matrix, _pass(stats, background, utterances), inv_var)
+        log.append(_em_iteration(matrix, counts, rhs, inv_var,
+                                 _pass(stats, background, utterances)))
     tv = TvModel(matrix, background)
     tv.training_log = log
     return tv

@@ -122,7 +122,7 @@ class TestCriterion2EmMonotonicity:
             n = rng.random(4) * 15 + 1
             f = rng.standard_normal((4, 3)) * np.sqrt(n)[:, None] * 2
             stats.append(SuffStats(n, f, np.abs(rng.standard_normal((4, 3))), "bg"))
-        tv = train_tv(stats, bg, rank=5, iterations=5, seed=0)
+        tv = train_tv(lambda: stats, bg, rank=5, iterations=5, seed=0)
         if not monotone(tv.training_log):
             failures.append("train_tv")
 
@@ -348,7 +348,7 @@ class TestSupplementaryMapVsIvector:
             for spk in bench_corpus.speakers
         }
         pooled = [s for lst in enroll_stats.values() for s in lst]
-        tv = train_tv(pooled, system.background, rank=20, iterations=5, seed=0)
+        tv = train_tv(lambda: pooled, system.background, rank=20, iterations=5, seed=0)
         ivecs, labels = [], []
         for spk, lst in enroll_stats.items():
             for st in lst:

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 import zlib
 
@@ -147,6 +148,139 @@ class TestDvst:
         with pytest.raises(CorruptData) as err:
             formats.read_dvst(path)
         assert err.value.offset == 16
+
+
+def _write_dvst_per_mixture(path, stats):
+    """The DVST writer before it wrote one block: three writes per mixture."""
+    mixtures, dim = stats.f.shape
+    background_id = (stats.background_id or "").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(formats._header(b"DVST"))
+        fh.write(struct.pack("<II", mixtures, dim))
+        fh.write(struct.pack("<H", len(background_id)) + background_id)
+        for m in range(mixtures):
+            fh.write(struct.pack("<d", stats.n[m]))
+            fh.write(stats.f[m].astype("<f8").tobytes())
+            fh.write(stats.s[m].astype("<f8").tobytes())
+
+
+def _read_dvst_per_mixture(path):
+    """The DVST reader before it read one block: N, F and S of each mixture in turn."""
+    with open(path, "rb") as fh:
+        rd = formats._read_header(fh.read(), b"DVST")
+    mixtures, dim = rd.u32(), rd.u32()
+    if mixtures < 1 or dim < 1:
+        raise CorruptData(6, f"implausible shape {mixtures} x {dim}")
+    background_id = rd.string() or None
+    formats._check_counts(rd, mixtures, 2 * dim + 1, 8, "DVST")
+    n = np.empty(mixtures)
+    f = np.empty((mixtures, dim))
+    s = np.empty((mixtures, dim))
+    for m in range(mixtures):
+        n[m] = rd.f64()
+        f[m] = rd.array("<f8", dim)
+        s[m] = rd.array("<f8", dim)
+    rd.done()
+    if not np.all(np.isfinite(n)) or np.any(n < 0):
+        raise CorruptData(10, "invalid zeroth-order statistics")
+    return SuffStats(n, f, s, background_id)
+
+
+def _outcome(reader, path):
+    """What a reader makes of a file: its statistics, or its error's class, offset and text."""
+    try:
+        st = reader(path)
+    except FormatError as exc:
+        return type(exc), getattr(exc, "offset", None), str(exc)
+    return st.n.tobytes(), st.f.tobytes(), st.s.tobytes(), st.background_id
+
+
+class TestDvstOracle:
+    """The one-block DVST reader and writer against the per-mixture ones they replace."""
+
+    @staticmethod
+    def _stats(mixtures, dim, seed, background_id=None):
+        rng = np.random.default_rng(seed)
+        return SuffStats(rng.random(mixtures) * 10, rng.standard_normal((mixtures, dim)),
+                         rng.random((mixtures, dim)), background_id)
+
+    @pytest.mark.parametrize("mixtures,dim,background_id",
+                             [(1, 1, None), (4, 3, "dnn-hmm"), (33, 60, "ubm"), (7, 2, "")])
+    def test_writer_bytes_match_per_mixture_writer(self, tmp_path, mixtures, dim,
+                                                   background_id):
+        stats = self._stats(mixtures, dim, mixtures * dim, background_id)
+        stats.f[0, 0] = -0.0   # the sign of zero is written as is
+        block, oracle = tmp_path / "block.dvst", tmp_path / "oracle.dvst"
+        formats.write_dvst(block, stats)
+        _write_dvst_per_mixture(oracle, stats)
+        assert block.read_bytes() == oracle.read_bytes()
+
+    def test_parts_are_owned_c_ordered_arrays(self, tmp_path):
+        path = tmp_path / "s.dvst"
+        formats.write_dvst(path, self._stats(5, 3, 1))
+        st = formats.read_dvst(path)
+        for part in (st.n, st.f, st.s):
+            assert part.flags.c_contiguous and part.flags.writeable
+            assert _root_base(part) is None
+
+    def test_fuzz_corpus_outcomes_match(self, tmp_path):
+        files = _valid_files(tmp_path)
+        target = tmp_path / "mangled.dvst"
+        errors = 0
+        for data in _manglings(files["dvst"].read_bytes(), "dvst"):
+            target.write_bytes(data)
+            want = _outcome(_read_dvst_per_mixture, target)
+            assert _outcome(formats.read_dvst, target) == want
+            errors += isinstance(want[0], type)
+        assert errors > 100   # the corpus exercises the error paths
+
+    def test_injected_non_finite_outcomes_match(self, tmp_path):
+        # the byte flips above almost never make a non-finite value: inject them
+        rng = np.random.default_rng(17)
+        path = tmp_path / "inject.dvst"
+        seen = set()
+        for trial in range(300):
+            mixtures, dim = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            stats = self._stats(mixtures, dim, trial)
+            for _ in range(int(rng.integers(1, 4))):
+                part = (stats.n[:, None], stats.f, stats.s)[int(rng.integers(0, 3))]
+                part[int(rng.integers(0, mixtures)), int(rng.integers(0, part.shape[1]))] = \
+                    rng.choice([np.nan, np.inf, -np.inf])
+            _write_dvst_per_mixture(path, stats)
+            if rng.random() < 0.3:
+                path.write_bytes(path.read_bytes() + bytes(int(rng.integers(1, 9))))
+            want = _outcome(_read_dvst_per_mixture, path)
+            assert _outcome(formats.read_dvst, path) == want
+            seen.add(want[2].split(" ", 1)[1] if want[2][0].isdigit() else want[2])
+        # every error path of the record block is taken
+        assert seen == {"non-finite values in numeric block", "trailing bytes",
+                        "invalid zeroth-order statistics"}, seen
+
+    @pytest.mark.parametrize("edits,tail", [
+        ([("f", 2, 1, np.inf)], b""),
+        ([("f", 3, 2, np.nan)], b""),
+        ([("s", 1, 0, np.nan)], b""),
+        ([("s", 1, 2, -np.inf), ("f", 2, 0, np.nan)], b""),
+        ([("n", 2, 0, np.nan)], b""),
+        ([("n", 0, 0, -1.0)], b""),
+        ([("n", 0, 0, np.nan), ("f", 3, 0, np.inf)], b""),
+        ([], b"\x00\x01\x02"),
+        ([("n", 1, 0, np.nan)], b"\x00\x01\x02"),
+        ([("f", 1, 1, np.nan)], b"\x00\x01\x02"),
+    ], ids=["inf-f-in-mixture-2", "nan-f-last-entry", "nan-s-in-mixture-1",
+            "inf-s-before-nan-f", "nan-n-finite-fs", "negative-n", "nan-n-then-inf-f",
+            "trailing-bytes", "nan-n-and-trailing-bytes", "nan-f-and-trailing-bytes"])
+    def test_hand_cases_match(self, tmp_path, edits, tail):
+        stats = self._stats(4, 3, 9, "dnn")
+        parts = {"n": stats.n[:, None], "f": stats.f, "s": stats.s}
+        for part, m, col, value in edits:
+            parts[part][m, col] = value
+        path = tmp_path / "hand.dvst"
+        _write_dvst_per_mixture(path, stats)
+        path.write_bytes(path.read_bytes() + tail)
+        want = _outcome(_read_dvst_per_mixture, path)
+        assert want[0] is CorruptData, want
+        assert _outcome(formats.read_dvst, path) == want
 
 
 class TestDviv:
@@ -322,24 +456,29 @@ class TestHeaderIdentity:
         assert len(seen) == len(files)  # no two formats share a header
 
 
+def _manglings(original: bytes, kind: str, trials: int = 250):
+    """The robustness corpus of one format: alternately a truncation and 1-3 byte flips."""
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    for trial in range(trials):
+        data = bytearray(original)
+        if trial % 2 == 0:
+            cut = int(rng.integers(0, len(data)))
+            data = data[:cut]
+        else:
+            for _ in range(int(rng.integers(1, 4))):
+                pos = int(rng.integers(0, len(data)))
+                data[pos] ^= int(rng.integers(1, 256))
+        yield bytes(data)
+
+
 class TestRobustness:
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_random_truncations_and_corruptions(self, tmp_path, kind):
         files = _valid_files(tmp_path)
-        original = files[kind].read_bytes()
         reader = READERS[kind]
-        rng = np.random.default_rng(zlib.crc32(kind.encode()))
         target = tmp_path / f"mangled.{kind}"
-        for trial in range(250):
-            data = bytearray(original)
-            if trial % 2 == 0:
-                cut = int(rng.integers(0, len(data)))
-                data = data[:cut]
-            else:
-                for _ in range(int(rng.integers(1, 4))):
-                    pos = int(rng.integers(0, len(data)))
-                    data[pos] ^= int(rng.integers(1, 256))
-            target.write_bytes(bytes(data))
+        for data in _manglings(files[kind].read_bytes(), kind):
+            target.write_bytes(data)
             try:
                 reader(target)
             except FormatError:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from digitsv import ivector
 from digitsv.errors import (
     BadLdaDim,
+    DigitsvError,
     EmptyEnrollment,
     InconsistentBackground,
     InsufficientSpeakers,
@@ -97,7 +99,7 @@ class TestTrainTv:
     def test_auxiliary_nondecreasing(self):
         bg = toy_background(m=4, dim=3, seed=6)
         stats = [random_stats(bg, seed=k) for k in range(30)]
-        tv = train_tv(stats, bg, rank=5, iterations=5, seed=0)
+        tv = train_tv(lambda: stats, bg, rank=5, iterations=5, seed=0)
         diffs = np.diff(tv.training_log)
         assert np.all(diffs >= -1e-8 * np.abs(np.array(tv.training_log[:-1])))
 
@@ -105,20 +107,20 @@ class TestTrainTv:
         bg = toy_background(seed=7)
         stats = [random_stats(bg, seed=k) for k in range(10)]
         with pytest.raises(RankTooLarge):
-            train_tv(stats, bg, rank=20)
+            train_tv(lambda: stats, bg, rank=20)
 
     def test_inconsistent_background(self):
         bg = toy_background(seed=8, model_id="a")
         other = toy_background(seed=9, model_id="b")
         stats = [random_stats(other, seed=k) for k in range(5)]
         with pytest.raises(InconsistentBackground):
-            train_tv(stats, bg, rank=2)
+            train_tv(lambda: stats, bg, rank=2)
 
     def test_determinism(self):
         bg = toy_background(seed=10)
         stats = [random_stats(bg, seed=k) for k in range(12)]
-        a = train_tv(stats, bg, rank=3, iterations=3, seed=5)
-        b = train_tv(stats, bg, rank=3, iterations=3, seed=5)
+        a = train_tv(lambda: stats, bg, rank=3, iterations=3, seed=5)
+        b = train_tv(lambda: stats, bg, rank=3, iterations=3, seed=5)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
@@ -162,6 +164,31 @@ def dense_train_tv(stats_list, background, rank, iterations, seed):
     return matrix, log
 
 
+def in_memory_train_tv(stats_list, background, rank, iterations, seed):
+    """Reference EM holding every utterance's first-order statistics for all iterations."""
+    counts = np.array([st.n for st in stats_list])
+    firsts = [st.f for st in stats_list]
+    inv_var = 1.0 / background.variances.reshape(-1)
+    matrix = np.random.default_rng(seed).standard_normal((background.means.size, rank))
+    matrix *= 0.1
+    dim, log = background.dim, []
+    for _ in range(iterations):
+        rhs = np.array([matrix.T @ (f.reshape(-1) * inv_var) for f in firsts])
+        precision, mean = ivector._posterior(
+            ivector._precision_blocks(matrix, inv_var, background.n_mixtures), counts, rhs)
+        log.append(0.5 * float(np.sum(np.einsum("ur,ur->u", mean, rhs)
+                                      - np.linalg.slogdet(precision)[1])))
+        second = np.linalg.inv(precision)
+        second += mean[:, :, None] * mean[:, None, :]
+        acc_a = np.tensordot(counts, second, axes=(0, 0))
+        for m in range(background.n_mixtures):
+            if np.trace(acc_a[m]) < 1e-12:
+                continue
+            acc_c = mean.T @ np.array([f[m] for f in firsts])
+            matrix[m * dim:(m + 1) * dim] = np.linalg.solve(acc_a[m], acc_c).T
+    return matrix, log
+
+
 def assert_relative(got, want, rtol=1e-10):
     got, want = np.asarray(got), np.asarray(want)
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
@@ -176,7 +203,7 @@ class TestDenseOracle:
         stats = [random_stats(bg, seed=100 + k) for k in range(30)]
         for st in stats:   # mixture 5 never sees a frame: its block is skipped
             st.n[5], st.f[5] = 0.0, 0.0
-        return bg, stats, train_tv(stats, bg, rank=5, iterations=4, seed=2)
+        return bg, stats, train_tv(lambda: stats, bg, rank=5, iterations=4, seed=2)
 
     def test_train_tv_matches_dense(self, trained):
         bg, stats, tv = trained
@@ -189,31 +216,72 @@ class TestDenseOracle:
         for st in stats:
             assert_relative(extract_ivector(st, tv).vector, dense_extract(st, tv))
 
-    def test_streams_any_iterable(self, trained):
+    def test_matches_in_memory_em(self, trained):
+        # the E-step is the in-memory one bit for bit; the streamed M-step sums
+        # the first-order statistics in another order
         bg, stats, tv = trained
-        streamed = train_tv(iter(stats), bg, rank=5, iterations=4, seed=2)
-        np.testing.assert_array_equal(streamed.matrix, tv.matrix)
-        assert streamed.training_log == tv.training_log
+        matrix, log = in_memory_train_tv(stats, bg, rank=5, iterations=4, seed=2)
+        assert tv.training_log[0] == log[0]
+        assert_relative(tv.training_log, log, rtol=1e-12)
+        assert_relative(tv.matrix, matrix, rtol=1e-12)
 
-    def test_peak_memory_is_first_order_stats_plus_three_matrices(self):
-        # the benchmark's proportions: rank a third of dim or less, and
-        # utterances x rank well below mixtures x dim
-        bg = toy_background(m=64, dim=40, seed=13)
-        rank, utterances = 8, 40
+    def test_one_shot_iterator_rejected(self, trained):
+        bg, stats, _ = trained
+        once = iter(stats)
+        with pytest.raises(DigitsvError, match="fresh iterable"):
+            train_tv(lambda: once, bg, rank=5, iterations=2, seed=2)
+
+    @pytest.mark.parametrize("later", [29, 31, 0])
+    def test_later_pass_of_another_length_rejected(self, trained, later):
+        bg, stats, _ = trained
+        extra = random_stats(bg, seed=99)
+        calls = 0
 
         def stream():
-            for k in range(utterances):
-                yield random_stats(bg, seed=k)
+            nonlocal calls
+            calls += 1
+            return stats if calls == 1 else (stats + [extra])[:later]
 
-        first_order = utterances * bg.means.nbytes
+        with pytest.raises(DigitsvError, match="the first 30"):
+            train_tv(stream, bg, rank=5, iterations=2, seed=2)
+        assert calls == 2   # it fails on the first read after the first pass
+
+    def test_peak_memory_does_not_grow_with_utterances(self):
+        # the benchmark's proportions: rank a third of dim or less, and
+        # utterances x rank well below mixtures x dim
+        bg = toy_background(m=256, dim=80, seed=13)
+        rank = 24
+
+        def peak(utterances):
+            def stream():
+                return (random_stats(bg, seed=k) for k in range(utterances))
+            tracemalloc.start()
+            try:
+                train_tv(stream, bg, rank=rank, iterations=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_utterance = bg.n_mixtures * (2 * bg.dim + 1) * 8
         matrix_bytes = bg.means.size * rank * 8
-        tracemalloc.start()
-        try:
-            train_tv(stream(), bg, rank=rank, iterations=2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < first_order + 3 * matrix_bytes, (peak, first_order, matrix_bytes)
+        few, many = peak(40), peak(160)
+        assert many < 1.1 * few, (few, many)
+        assert many < one_utterance + 2 * matrix_bytes, (many, one_utterance, matrix_bytes)
+
+    def test_batched_solve_matches_per_mixture_solves(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        mixtures, dim, rank = 11, 3, 4
+        factors = rng.standard_normal((mixtures, rank, rank))
+        acc_a = factors @ factors.transpose(0, 2, 1) + rank * np.eye(rank)
+        live = np.ones(mixtures, dtype=bool)
+        live[[0, 6, 7]] = False
+        blocks = rng.standard_normal((mixtures, dim, rank))
+        want = blocks.copy()
+        for m in np.flatnonzero(live):
+            want[m] = np.linalg.solve(acc_a[m], blocks[m].T).T
+        monkeypatch.setattr(ivector, "ROW_BLOCK", 4 * dim)  # batches of 4, 4 and 0 mixtures
+        ivector._solve_live(acc_a, blocks, live)
+        np.testing.assert_array_equal(blocks, want)
 
     def test_tv_matrix_must_match_background(self):
         with pytest.raises(ValueError):

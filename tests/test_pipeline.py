@@ -120,7 +120,7 @@ class TestTrialScoring:
         enroll = {spk: [stats(u.feats, u.content) for u in small_corpus.enrollment(spk)]
                   for spk in small_corpus.speakers}
         pooled = [st for lst in enroll.values() for st in lst]
-        tv = train_tv(pooled, bg, rank=8, iterations=3, seed=0)
+        tv = train_tv(lambda: pooled, bg, rank=8, iterations=3, seed=0)
         backend = train_backend([extract_ivector(st, tv) for st in pooled],
                                 [spk for spk, lst in enroll.items() for _ in lst],
                                 lda_dim=4, plda_iterations=5)
