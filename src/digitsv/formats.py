@@ -4,7 +4,10 @@ Every artifact starts with a 4-byte magic and a little-endian u16 version,
 so the first 6 bytes identify type and version unambiguously.  Readers
 reject bad magic, unknown versions, truncation and trailing garbage with
 byte-positioned errors, and validate payload sanity (finiteness, row
-normalization) before handing data back.
+normalization) before handing data back.  A reader never holds a file's
+bytes whole: it parses header fields as it reads them and reads each
+numeric block straight into an array of its own (an f32 block is then
+widened to f64), so loading a model needs about the size of its arrays.
 
 Formats:
   DVFE  features     rows u32, cols u32, f32 row-major
@@ -18,6 +21,7 @@ Formats:
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -41,26 +45,45 @@ _KIND_BY_COLS = {120: FeatureKind.FBANK120, 60: FeatureKind.MFCC60}
 
 
 class _Reader:
-    """Byte cursor with positioned truncation errors.
+    """Cursor over an open file, past its checked magic and version.
 
-    It holds a memoryview of the file, so numeric blocks are viewed in place
-    and copied once into arrays that own their memory.
+    Every read is checked against the file's size before anything is
+    allocated, so a corrupt header cannot make the reader allocate more than
+    the file holds; a read that comes up short anyway is a truncation.
     """
 
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
+    def __init__(self, fh, magic: bytes):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
+        got = self.take(4)
+        if got != magic:
+            raise BadMagic(f"expected magic {magic!r}, found {got!r}")
+        version = self.u16()
+        if version != VERSIONS[magic]:
+            raise UnsupportedVersion(f"unsupported {magic.decode()} version {version}")
 
-    def _span(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def _need(self, n: int):
+        if self.pos + n > self.size:
             raise Truncated(self.pos, f"needed {n} bytes at offset {self.pos}, "
-                                      f"file has {len(self.data)}")
-        out = self.data[self.pos:self.pos + n]
+                                      f"file has {self.size}")
+
+    def _advance(self, n: int, got: int):
+        if got != n:
+            raise Truncated(self.pos, f"needed {n} bytes at offset {self.pos}, "
+                                      f"file ended after {got}")
         self.pos += n
-        return out
 
     def take(self, n: int) -> bytes:
-        return bytes(self._span(n))
+        self._need(n)
+        raw = self.fh.read(n)
+        self._advance(n, len(raw))
+        return raw
+
+    def readinto(self, out: np.ndarray):
+        """Fill the C-ordered array ``out`` with the next ``out.nbytes`` bytes."""
+        self._need(out.nbytes)
+        self._advance(out.nbytes, self.fh.readinto(out))
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -77,20 +100,20 @@ class _Reader:
     def f64(self) -> float:
         return struct.unpack("<d", self.take(8))[0]
 
-    def view(self, dtype, count) -> np.ndarray:
-        """The next ``count`` items in place; the view pins the file's bytes."""
-        return np.frombuffer(self._span(np.dtype(dtype).itemsize * count), dtype=dtype)
-
-    def array(self, dtype, count):
+    def array(self, dtype, shape: tuple) -> np.ndarray:
+        """The next block as a new array of ``shape``; floats are finite f64."""
+        dtype = np.dtype(dtype)
         start = self.pos
-        view = self.view(dtype, count)
-        if np.dtype(dtype).kind != "f":
-            return view.copy()  # an array must not pin the file's bytes
+        self._need(math.prod(shape) * dtype.itemsize)  # before allocating
+        block = np.empty(shape, dtype)
+        self.readinto(block)
+        if dtype.kind != "f":
+            return block
         with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
-            arr = view.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
+            out = block.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(out)):
             raise CorruptData(start, "non-finite values in numeric block")
-        return arr
+        return out
 
     def string(self) -> str:
         n = self.u16()
@@ -102,19 +125,8 @@ class _Reader:
             raise CorruptData(start, f"invalid UTF-8 string: {exc}") from None
 
     def done(self):
-        if self.pos != len(self.data):
-            raise CorruptData(self.pos, f"{len(self.data) - self.pos} trailing bytes")
-
-
-def _read_header(data: bytes, magic: bytes) -> _Reader:
-    rd = _Reader(data)
-    got = rd.take(4)
-    if got != magic:
-        raise BadMagic(f"expected magic {magic!r}, found {got!r}")
-    version = rd.u16()
-    if version != VERSIONS[magic]:
-        raise UnsupportedVersion(f"unsupported {magic.decode()} version {version}")
-    return rd
+        if self.pos != self.size:
+            raise CorruptData(self.pos, f"{self.size - self.pos} trailing bytes")
 
 
 def _header(magic: bytes) -> bytes:
@@ -129,7 +141,7 @@ def _create(path):
 
 
 def _check_counts(rd: _Reader, rows: int, cols: int, itemsize: int, what: str):
-    remaining = len(rd.data) - rd.pos
+    remaining = rd.size - rd.pos
     need = rows * cols * itemsize
     if need > remaining:
         raise Truncated(rd.pos, f"{what} promises {need} data bytes, {remaining} left")
@@ -146,13 +158,13 @@ def write_dvfe(path, feats: FeatureSequence):
 
 def read_dvfe(path) -> FeatureSequence:
     with open(path, "rb") as fh:
-        rd = _read_header(fh.read(), b"DVFE")
-    rows, cols = rd.u32(), rd.u32()
-    if rows < 1 or cols < 1:
-        raise CorruptData(6, f"implausible shape {rows} x {cols}")
-    _check_counts(rd, rows, cols, 4, "DVFE")
-    frames = rd.array("<f4", rows * cols).reshape(rows, cols)
-    rd.done()
+        rd = _Reader(fh, b"DVFE")
+        rows, cols = rd.u32(), rd.u32()
+        if rows < 1 or cols < 1:
+            raise CorruptData(6, f"implausible shape {rows} x {cols}")
+        _check_counts(rd, rows, cols, 4, "DVFE")
+        frames = rd.array("<f4", (rows, cols))
+        rd.done()
     if cols % 120 == 0 and (cols // 120) % 2 == 1:
         kind = FeatureKind.SPLICED if cols != 120 else FeatureKind.FBANK120
     else:
@@ -175,17 +187,19 @@ def write_dvpo(path, posteriors: np.ndarray):
 def read_dvpo(path, expect_states: int | None = None) -> np.ndarray:
     """Read posteriors; rows within 1e-3 of summing to 1 are renormalized."""
     with open(path, "rb") as fh:
-        rd = _read_header(fh.read(), b"DVPO")
-    rows, cols = rd.u32(), rd.u32()
-    if rows < 1 or cols < 1:
-        raise CorruptData(6, f"implausible shape {rows} x {cols}")
-    if expect_states is not None and cols != expect_states:
-        raise WrongStateCount(f"expected {expect_states} states, file has {cols}")
-    _check_counts(rd, rows, cols, 4, "DVPO")
-    matrix = rd.array("<f4", rows * cols).reshape(rows, cols)
-    rd.done()
-    if np.any(matrix < 0):
-        raise CorruptData(10, "negative posterior entries")
+        rd = _Reader(fh, b"DVPO")
+        rows, cols = rd.u32(), rd.u32()
+        if rows < 1 or cols < 1:
+            raise CorruptData(6, f"implausible shape {rows} x {cols}")
+        if expect_states is not None and cols != expect_states:
+            raise WrongStateCount(f"expected {expect_states} states, file has {cols}")
+        _check_counts(rd, rows, cols, 4, "DVPO")
+        start = rd.pos
+        matrix = rd.array("<f4", (rows, cols))
+        rd.done()
+    negative = matrix < 0
+    if negative.any():
+        raise CorruptData(start + 4 * int(np.argmax(negative)), "negative posterior entries")
     sums = matrix.sum(axis=1)
     bad = np.nonzero(np.abs(sums - 1.0) > 1e-3)[0]
     if bad.size:
@@ -215,27 +229,30 @@ def read_dvst(path):
     from .pgmm import SuffStats
 
     with open(path, "rb") as fh:
-        rd = _read_header(fh.read(), b"DVST")
-    mixtures, dim = rd.u32(), rd.u32()
-    if mixtures < 1 or dim < 1:
-        raise CorruptData(6, f"implausible shape {mixtures} x {dim}")
-    background_id = rd.string() or None
-    _check_counts(rd, mixtures, 2 * dim + 1, 8, "DVST")
-    start, width = rd.pos, 2 * dim + 1
-    records = rd.view("<f8", mixtures * width).reshape(mixtures, width)
-    with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
-        bad = ~np.isfinite(records[:, 1:])
-    if bad.any():
-        # the first bad F or S block in file order, where a per-block read stops
-        m, col = divmod(int(np.argmax(bad)), 2 * dim)
-        raise CorruptData(start + (m * width + 1 + col // dim * dim) * 8,
-                          "non-finite values in numeric block")
-    rd.done()
-    # one owned C-ordered copy of each part, so no array pins the file's bytes
+        rd = _Reader(fh, b"DVST")
+        mixtures, dim = rd.u32(), rd.u32()
+        if mixtures < 1 or dim < 1:
+            raise CorruptData(6, f"implausible shape {mixtures} x {dim}")
+        background_id = rd.string() or None
+        _check_counts(rd, mixtures, 2 * dim + 1, 8, "DVST")
+        start, width = rd.pos, 2 * dim + 1
+        records = np.empty((mixtures, width), "<f8")
+        rd.readinto(records)
+        with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
+            bad = ~np.isfinite(records[:, 1:])
+        if bad.any():
+            # the first bad F or S block in file order, where a per-block read stops
+            m, col = divmod(int(np.argmax(bad)), 2 * dim)
+            raise CorruptData(start + (m * width + 1 + col // dim * dim) * 8,
+                              "non-finite values in numeric block")
+        rd.done()
+    # one owned C-ordered array per part
     n, f, s = (np.array(records[:, cols], dtype=np.float64)
                for cols in (0, slice(1, dim + 1), slice(dim + 1, None)))
-    if not np.all(np.isfinite(n)) or np.any(n < 0):
-        raise CorruptData(10, "invalid zeroth-order statistics")
+    bad = ~(np.isfinite(n) & (n >= 0))
+    if bad.any():  # reported at the first bad record's N
+        raise CorruptData(start + int(np.argmax(bad)) * width * 8,
+                          "invalid zeroth-order statistics")
     return SuffStats(n, f, s, background_id)
 
 
@@ -260,19 +277,19 @@ def read_dviv(path):
     from .ivector import IVector
 
     with open(path, "rb") as fh:
-        rd = _read_header(fh.read(), b"DVIV")
-    count, rank = rd.u32(), rd.u32()
-    if count < 1 or rank < 1:
-        raise CorruptData(6, f"implausible archive header {count} x {rank}")
-    entries = []
-    for _ in range(count):
-        utt_id = rd.string()
-        flag = rd.u8()
-        if flag not in (0, 1):
-            raise CorruptData(rd.pos - 1, f"invalid normalization flag {flag}")
-        vec = rd.array("<f8", rank)
-        entries.append((utt_id, IVector(vec, normalized=bool(flag))))
-    rd.done()
+        rd = _Reader(fh, b"DVIV")
+        count, rank = rd.u32(), rd.u32()
+        if count < 1 or rank < 1:
+            raise CorruptData(6, f"implausible archive header {count} x {rank}")
+        entries = []
+        for _ in range(count):
+            utt_id = rd.string()
+            flag = rd.u8()
+            if flag not in (0, 1):
+                raise CorruptData(rd.pos - 1, f"invalid normalization flag {flag}")
+            vec = rd.array("<f8", (rank,))
+            entries.append((utt_id, IVector(vec, normalized=bool(flag))))
+        rd.done()
     return entries
 
 
@@ -331,13 +348,10 @@ def _read_tagged(rd: _Reader):
         if ndim > 8:
             raise CorruptData(start, f"implausible array rank {ndim}")
         shape = tuple(rd.u32() for _ in range(ndim))
-        count = 1
-        for dim in shape:  # plain int math cannot overflow
-            count *= dim
+        count = math.prod(shape)  # plain int math cannot overflow
         if count > 200_000_000 or any(dim > 200_000_000 for dim in shape):
             raise CorruptData(start, f"implausible array shape {shape}")
-        dtype = "<f8" if dtype_code == b"d" else "<i8"
-        return rd.array(dtype, count).reshape(shape)
+        return rd.array("<f8" if dtype_code == b"d" else "<i8", shape)
     if code == b"S":
         n = rd.u32()
         raw = rd.take(n)
@@ -375,10 +389,10 @@ def write_dvmd(path, kind: str, payload: dict):
 
 def read_dvmd(path, expect_kind: str | None = None):
     with open(path, "rb") as fh:
-        rd = _read_header(fh.read(), b"DVMD")
-    kind = rd.string()
-    payload = _read_tagged(rd)
-    rd.done()
+        rd = _Reader(fh, b"DVMD")
+        kind = rd.string()
+        payload = _read_tagged(rd)
+        rd.done()
     if not isinstance(payload, dict):
         raise CorruptData(6, "model payload must be a dict")
     if expect_kind is not None and kind != expect_kind:

@@ -1,5 +1,7 @@
+import os
 import struct
 import tracemalloc
+import types
 import zlib
 
 import numpy as np
@@ -85,6 +87,15 @@ class TestDvpo:
         back = formats.read_dvpo(path, expect_states=33)
         np.testing.assert_allclose(back.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_negative_entry_is_reported_where_it_sits(self, tmp_path):
+        post = np.full((3, 4), 0.25)
+        post[1, 2], post[1, 3], post[2, 0] = -0.25, 0.75, -1.0
+        path = tmp_path / "neg.dvpo"
+        formats.write_dvpo(path, post)
+        with pytest.raises(CorruptData, match="negative posterior entries") as err:
+            formats.read_dvpo(path)
+        assert err.value.offset == 14 + 4 * (1 * 4 + 2)
+
     def test_row_not_normalized(self, tmp_path):
         post = np.full((3, 33), 0.9 / 33)
         path = tmp_path / "bad.dvpo"
@@ -164,35 +175,253 @@ def _write_dvst_per_mixture(path, stats):
             fh.write(stats.s[m].astype("<f8").tobytes())
 
 
+# --- the bytes-backed readers that the file reader replaced, kept as its oracle ---
+
+class _BytesReader:
+    """Byte cursor with positioned truncation errors over a whole file's bytes."""
+
+    def __init__(self, data: bytes):
+        self.data = memoryview(data)
+        self.pos = 0
+
+    def _span(self, n: int) -> memoryview:
+        if self.pos + n > len(self.data):
+            raise Truncated(self.pos, f"needed {n} bytes at offset {self.pos}, "
+                                      f"file has {len(self.data)}")
+        out = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def take(self, n: int) -> bytes:
+        return bytes(self._span(n))
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return struct.unpack("<H", self.take(2))[0]
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def i64(self) -> int:
+        return struct.unpack("<q", self.take(8))[0]
+
+    def f64(self) -> float:
+        return struct.unpack("<d", self.take(8))[0]
+
+    def array(self, dtype, count):
+        start = self.pos
+        view = np.frombuffer(self._span(np.dtype(dtype).itemsize * count), dtype=dtype)
+        if np.dtype(dtype).kind != "f":
+            return view.copy()
+        with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
+            arr = view.astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise CorruptData(start, "non-finite values in numeric block")
+        return arr
+
+    def string(self) -> str:
+        n = self.u16()
+        start = self.pos
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptData(start, f"invalid UTF-8 string: {exc}") from None
+
+    def done(self):
+        if self.pos != len(self.data):
+            raise CorruptData(self.pos, f"{len(self.data) - self.pos} trailing bytes")
+
+    def check_counts(self, rows: int, cols: int, itemsize: int, what: str):
+        remaining = len(self.data) - self.pos
+        need = rows * cols * itemsize
+        if need > remaining:
+            raise Truncated(self.pos, f"{what} promises {need} data bytes, {remaining} left")
+
+
+def _bytes_header(path, magic: bytes) -> _BytesReader:
+    with open(path, "rb") as fh:
+        rd = _BytesReader(fh.read())
+    got = rd.take(4)
+    if got != magic:
+        raise BadMagic(f"expected magic {magic!r}, found {got!r}")
+    version = rd.u16()
+    if version != formats.VERSIONS[magic]:
+        raise UnsupportedVersion(f"unsupported {magic.decode()} version {version}")
+    return rd
+
+
+def _bytes_read_dvfe(path):
+    rd = _bytes_header(path, b"DVFE")
+    rows, cols = rd.u32(), rd.u32()
+    if rows < 1 or cols < 1:
+        raise CorruptData(6, f"implausible shape {rows} x {cols}")
+    rd.check_counts(rows, cols, 4, "DVFE")
+    frames = rd.array("<f4", rows * cols).reshape(rows, cols)
+    rd.done()
+    if cols % 120 == 0 and (cols // 120) % 2 == 1:
+        kind = FeatureKind.SPLICED if cols != 120 else FeatureKind.FBANK120
+    else:
+        kind = {120: FeatureKind.FBANK120, 60: FeatureKind.MFCC60}.get(cols)
+    if kind is None:
+        raise CorruptData(6, f"no feature kind has {cols} dims")
+    return FeatureSequence(frames, kind)
+
+
+def _bytes_read_dvpo(path):
+    rd = _bytes_header(path, b"DVPO")
+    rows, cols = rd.u32(), rd.u32()
+    if rows < 1 or cols < 1:
+        raise CorruptData(6, f"implausible shape {rows} x {cols}")
+    rd.check_counts(rows, cols, 4, "DVPO")
+    matrix = rd.array("<f4", rows * cols).reshape(rows, cols)
+    rd.done()
+    negative = np.flatnonzero(matrix < 0)
+    if negative.size:   # reported at the first negative entry
+        raise CorruptData(14 + 4 * int(negative[0]), "negative posterior entries")
+    sums = matrix.sum(axis=1)
+    bad = np.nonzero(np.abs(sums - 1.0) > 1e-3)[0]
+    if bad.size:
+        raise RowNotNormalized(f"row {bad[0]} sums to {sums[bad[0]]:.6f}, outside 1 +- 1e-3")
+    return matrix / sums[:, None]
+
+
 def _read_dvst_per_mixture(path):
     """The DVST reader before it read one block: N, F and S of each mixture in turn."""
-    with open(path, "rb") as fh:
-        rd = formats._read_header(fh.read(), b"DVST")
+    rd = _bytes_header(path, b"DVST")
     mixtures, dim = rd.u32(), rd.u32()
     if mixtures < 1 or dim < 1:
         raise CorruptData(6, f"implausible shape {mixtures} x {dim}")
     background_id = rd.string() or None
-    formats._check_counts(rd, mixtures, 2 * dim + 1, 8, "DVST")
+    rd.check_counts(mixtures, 2 * dim + 1, 8, "DVST")
     n = np.empty(mixtures)
     f = np.empty((mixtures, dim))
     s = np.empty((mixtures, dim))
+    n_at = []
     for m in range(mixtures):
+        n_at.append(rd.pos)
         n[m] = rd.f64()
         f[m] = rd.array("<f8", dim)
         s[m] = rd.array("<f8", dim)
     rd.done()
-    if not np.all(np.isfinite(n)) or np.any(n < 0):
-        raise CorruptData(10, "invalid zeroth-order statistics")
+    for m in range(mixtures):
+        if not np.isfinite(n[m]) or n[m] < 0:   # reported at that record's N
+            raise CorruptData(n_at[m], "invalid zeroth-order statistics")
     return SuffStats(n, f, s, background_id)
 
 
+def _bytes_read_dviv(path):
+    rd = _bytes_header(path, b"DVIV")
+    count, rank = rd.u32(), rd.u32()
+    if count < 1 or rank < 1:
+        raise CorruptData(6, f"implausible archive header {count} x {rank}")
+    entries = []
+    for _ in range(count):
+        utt_id = rd.string()
+        flag = rd.u8()
+        if flag not in (0, 1):
+            raise CorruptData(rd.pos - 1, f"invalid normalization flag {flag}")
+        entries.append((utt_id, IVector(rd.array("<f8", rank), normalized=bool(flag))))
+    rd.done()
+    return entries
+
+
+def _bytes_read_tagged(rd: _BytesReader):
+    start = rd.pos
+    code = rd.take(1)
+    if code == b"D":
+        count = rd.u32()
+        if count > 1_000_000:
+            raise CorruptData(start, f"implausible dict size {count}")
+        return {rd.string(): _bytes_read_tagged(rd) for _ in range(count)}
+    if code == b"A":
+        dtype_code = rd.take(1)
+        if dtype_code not in (b"d", b"l"):
+            raise CorruptData(start, f"unknown array dtype {dtype_code!r}")
+        ndim = rd.u8()
+        if ndim > 8:
+            raise CorruptData(start, f"implausible array rank {ndim}")
+        shape = tuple(rd.u32() for _ in range(ndim))
+        count = 1
+        for dim in shape:
+            count *= dim
+        if count > 200_000_000 or any(dim > 200_000_000 for dim in shape):
+            raise CorruptData(start, f"implausible array shape {shape}")
+        dtype = "<f8" if dtype_code == b"d" else "<i8"
+        return rd.array(dtype, count).reshape(shape)
+    if code == b"S":
+        n = rd.u32()
+        raw = rd.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptData(start, f"invalid UTF-8: {exc}") from None
+    if code == b"B":
+        return rd.u8() != 0
+    if code == b"I":
+        return rd.i64()
+    if code == b"F":
+        val = rd.f64()
+        if not np.isfinite(val):
+            raise CorruptData(start, "non-finite scalar")
+        return val
+    if code == b"N":
+        return None
+    if code == b"L":
+        count = rd.u32()
+        if count > 1_000_000:
+            raise CorruptData(start, f"implausible list size {count}")
+        return [_bytes_read_tagged(rd) for _ in range(count)]
+    raise CorruptData(start, f"unknown tag {code!r}")
+
+
+def _bytes_read_dvmd(path):
+    rd = _bytes_header(path, b"DVMD")
+    kind = rd.string()
+    payload = _bytes_read_tagged(rd)
+    rd.done()
+    if not isinstance(payload, dict):
+        raise CorruptData(6, "model payload must be a dict")
+    return kind, payload
+
+
+BYTES_READERS = {
+    "dvfe": _bytes_read_dvfe,
+    "dvpo": _bytes_read_dvpo,
+    "dvst": _read_dvst_per_mixture,
+    "dviv": _bytes_read_dviv,
+    "dvmd": _bytes_read_dvmd,
+}
+
+
+def _plain(value):
+    """A reader's result as nested tuples that are equal only when bit-equal."""
+    if isinstance(value, np.ndarray):
+        return "array", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, FeatureSequence):
+        return "features", _plain(value.frames), value.kind, value.frame_shift_ms
+    if isinstance(value, SuffStats):
+        return "stats", _plain((value.n, value.f, value.s)), value.background_id
+    if isinstance(value, IVector):
+        return "ivector", _plain(value.vector), value.normalized
+    if isinstance(value, dict):
+        return "dict", tuple((key, _plain(item)) for key, item in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, tuple(_plain(item) for item in value)
+    if isinstance(value, float):
+        return "float", value.hex()
+    return type(value).__name__, value
+
+
 def _outcome(reader, path):
-    """What a reader makes of a file: its statistics, or its error's class, offset and text."""
+    """What a reader makes of a file: its result, or its error's class, offset and text."""
     try:
-        st = reader(path)
+        result = reader(path)
     except FormatError as exc:
         return type(exc), getattr(exc, "offset", None), str(exc)
-    return st.n.tobytes(), st.f.tobytes(), st.s.tobytes(), st.background_id
+    return _plain(result)
 
 
 class TestDvstOracle:
@@ -281,6 +510,19 @@ class TestDvstOracle:
         want = _outcome(_read_dvst_per_mixture, path)
         assert want[0] is CorruptData, want
         assert _outcome(formats.read_dvst, path) == want
+
+    @pytest.mark.parametrize("m,value", [(0, -1.0), (2, np.nan), (3, np.inf)])
+    def test_invalid_n_is_reported_at_its_record(self, tmp_path, m, value):
+        stats = self._stats(4, 3, 9, "dnn")
+        stats.n[m] = value
+        path = tmp_path / "n.dvst"
+        formats.write_dvst(path, stats)
+        with pytest.raises(CorruptData, match="invalid zeroth-order statistics") as err:
+            formats.read_dvst(path)
+        # 19 header bytes (the id is "dnn"), then 7 f64s per record
+        assert err.value.offset == 19 + m * 7 * 8
+        assert path.read_bytes()[err.value.offset:err.value.offset + 8] == \
+            struct.pack("<d", value)
 
 
 class TestDviv:
@@ -378,25 +620,74 @@ def _root_base(arr):
     return arr.base
 
 
-class TestReaderCopies:
-    """Model files are viewed in place and each array is copied out once."""
+def _traced_peak(fn):
+    """(result, peak traced bytes) of ``fn()``."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def test_load_tv_peak_is_file_plus_matrix(self, tmp_path):
+
+class TestReaderCopies:
+    """No reader holds a file's bytes whole: each numeric block is read straight
+    into the array that owns it, so a model load needs about its arrays' size."""
+
+    def test_load_tv_peak_is_about_the_matrix(self, tmp_path):
         rng = np.random.default_rng(11)
         mixtures, dim, rank = 64, 40, 64
         bg = Background(rng.standard_normal((mixtures, dim)),
                         1 + rng.random((mixtures, dim)), None, mixtures, "ubm")
         path = tmp_path / "tv.dvmd"
         formats.save_tv(path, TvModel(rng.standard_normal((mixtures * dim, rank)), bg))
-        file_bytes = path.stat().st_size
-        tracemalloc.start()
-        try:
-            tv = formats.load_tv(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tv, peak = _traced_peak(lambda: formats.load_tv(path))
         # slack: the finiteness check's boolean mask is an eighth of the matrix
-        assert peak < file_bytes + tv.matrix.nbytes * 5 // 4, (peak, file_bytes)
+        assert peak < tv.matrix.nbytes * 5 // 4, (peak, tv.matrix.nbytes)
+
+    def test_load_speaker_models_peak_is_about_the_models(self, tmp_path):
+        from digitsv.map_speaker import SpeakerModel
+
+        rng = np.random.default_rng(13)
+        stacked = rng.standard_normal((20, 64, 40))
+        path = tmp_path / "spk.dvmd"
+        formats.save_speaker_models(
+            path, {f"s{k:02d}": SpeakerModel(means, "ubm", 16.0)
+                   for k, means in enumerate(stacked)}, "ubm", 16.0)
+        speakers, peak = _traced_peak(lambda: formats.load_speaker_models(path))
+        np.testing.assert_array_equal(speakers["s07"].means, stacked[7])
+        assert peak < stacked.nbytes * 5 // 4, (peak, stacked.nbytes)
+
+    @pytest.mark.parametrize("kind,data", [
+        ("dvfe", b"DVFE\x01\x00" + struct.pack("<II", 2**31, 2**31) + bytes(16)),
+        ("dvmd", b"DVMD\x01\x00" + struct.pack("<H", 2) + b"tv"
+                 + b"D" + struct.pack("<I", 1) + struct.pack("<H", 6) + b"matrix"
+                 + b"Ad\x02" + struct.pack("<II", 20_000, 10_000) + bytes(16)),
+    ])
+    def test_huge_claim_in_a_tiny_file_allocates_nothing(self, tmp_path, kind, data):
+        assert len(data) < 100
+        path = tmp_path / f"huge.{kind}"
+        path.write_bytes(data)
+
+        def read():
+            with pytest.raises(Truncated):
+                READERS[kind](path)
+
+        _, peak = _traced_peak(read)
+        assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("kind", ["dvfe", "dvpo", "dvst", "dviv", "dvmd"])
+    def test_short_read_is_a_truncation(self, tmp_path, monkeypatch, kind):
+        # the file is cut inside its last numeric block but claims its full size
+        path = _valid_files(tmp_path)[kind]
+        full = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-4])
+        want = _outcome(BYTES_READERS[kind], path)
+        assert want[0] is Truncated
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=full))
+        with pytest.raises(Truncated, match="file ended after") as err:
+            READERS[kind](path)
+        assert err.value.offset == want[1]
 
     def test_arrays_do_not_reference_the_file(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -472,16 +763,25 @@ def _manglings(original: bytes, kind: str, trials: int = 250):
 
 
 class TestRobustness:
+    """Every reader against the bytes-backed one it replaced: bit-equal results,
+    or the same error class, offset and message."""
+
+    @pytest.mark.parametrize("kind", sorted(READERS))
+    def test_valid_file_matches_bytes_reader(self, tmp_path, kind):
+        path = _valid_files(tmp_path)[kind]
+        want = _outcome(BYTES_READERS[kind], path)
+        assert not isinstance(want[0], type), want
+        assert _outcome(READERS[kind], path) == want
+
     @pytest.mark.parametrize("kind", sorted(READERS))
     def test_random_truncations_and_corruptions(self, tmp_path, kind):
         files = _valid_files(tmp_path)
-        reader = READERS[kind]
         target = tmp_path / f"mangled.{kind}"
+        errors = 0
         for data in _manglings(files[kind].read_bytes(), kind):
             target.write_bytes(data)
-            try:
-                reader(target)
-            except FormatError:
-                continue  # rejected with a typed, positioned error
-            except Exception as exc:  # noqa: BLE001 - the point of the test
-                pytest.fail(f"{kind} corruption escaped FormatError: {exc!r}")
+            # an error other than a FormatError escapes _outcome and fails the test
+            got = _outcome(READERS[kind], target)
+            assert got == _outcome(BYTES_READERS[kind], target)
+            errors += isinstance(got[0], type)
+        assert errors > 100   # the corpus exercises the error paths
