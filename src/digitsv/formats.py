@@ -12,8 +12,8 @@ widened to f64), so loading a model needs about the size of its arrays.
 Formats:
   DVFE  features     rows u32, cols u32, f32 row-major
   DVPO  posteriors   same layout; rows must sum to 1 within 1e-3
-  DVST  statistics   (version 2) mixtures u32, dim u32, background id (u16
-                     length + UTF-8, empty for none), one (N, F, S) f64
+  DVST  statistics   (version 3) mixtures u32, dim u32, background id (u16
+                     length + UTF-8, empty for none), one (N, F) f64
                      record per mixture, read and written as one block
   DVIV  i-vectors    count u32, rank u32, records of (id, normalized, f64s)
   DVMD  models       kind string plus a tagged recursive payload
@@ -38,8 +38,9 @@ from .errors import (
 )
 from .features import FeatureKind, FeatureSequence
 
-# each format's version; DVST 2 added the background id (DVST 1 files have none)
-VERSIONS = {b"DVFE": 1, b"DVPO": 1, b"DVST": 2, b"DVIV": 1, b"DVMD": 1}
+# each format's version; DVST 2 added the background id, and DVST 3 dropped the
+# second-order statistics that DVST 1 and 2 records carry after F
+VERSIONS = {b"DVFE": 1, b"DVPO": 1, b"DVST": 3, b"DVIV": 1, b"DVMD": 1}
 
 _KIND_BY_COLS = {120: FeatureKind.FBANK120, 60: FeatureKind.MFCC60}
 
@@ -214,10 +215,9 @@ def read_dvpo(path, expect_states: int | None = None) -> np.ndarray:
 def write_dvst(path, stats):
     mixtures, dim = stats.f.shape
     background_id = (stats.background_id or "").encode("utf-8")
-    records = np.empty((mixtures, 2 * dim + 1), dtype="<f8")  # one N, F, S record per mixture
+    records = np.empty((mixtures, dim + 1), dtype="<f8")  # one N, F record per mixture
     records[:, 0] = stats.n
-    records[:, 1:dim + 1] = stats.f
-    records[:, dim + 1:] = stats.s
+    records[:, 1:] = stats.f
     with _create(path) as fh:
         fh.write(_header(b"DVST"))
         fh.write(struct.pack("<II", mixtures, dim))
@@ -234,26 +234,23 @@ def read_dvst(path):
         if mixtures < 1 or dim < 1:
             raise CorruptData(6, f"implausible shape {mixtures} x {dim}")
         background_id = rd.string() or None
-        _check_counts(rd, mixtures, 2 * dim + 1, 8, "DVST")
-        start, width = rd.pos, 2 * dim + 1
+        _check_counts(rd, mixtures, dim + 1, 8, "DVST")
+        start, width = rd.pos, dim + 1
         records = np.empty((mixtures, width), "<f8")
         rd.readinto(records)
         with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
             bad = ~np.isfinite(records[:, 1:])
-        if bad.any():
-            # the first bad F or S block in file order, where a per-block read stops
-            m, col = divmod(int(np.argmax(bad)), 2 * dim)
-            raise CorruptData(start + (m * width + 1 + col // dim * dim) * 8,
+        if bad.any():  # reported at the first bad F block, where a per-block read stops
+            raise CorruptData(start + (int(np.argmax(bad)) // dim * width + 1) * 8,
                               "non-finite values in numeric block")
         rd.done()
     # one owned C-ordered array per part
-    n, f, s = (np.array(records[:, cols], dtype=np.float64)
-               for cols in (0, slice(1, dim + 1), slice(dim + 1, None)))
+    n, f = (np.array(records[:, cols], dtype=np.float64) for cols in (0, slice(1, None)))
     bad = ~(np.isfinite(n) & (n >= 0))
     if bad.any():  # reported at the first bad record's N
         raise CorruptData(start + int(np.argmax(bad)) * width * 8,
                           "invalid zeroth-order statistics")
-    return SuffStats(n, f, s, background_id)
+    return SuffStats(n, f, background_id)
 
 
 # --- DVIV: i-vector archives ------------------------------------------------------

@@ -3,9 +3,9 @@
 A Pgmm holds one diagonal GMM per digit state (silence excluded).  Any
 alignment source supplies per-frame state posteriors; multiplying by the
 within-state component posterior gives joint mixture occupancies, from
-which zeroth/first/second-order statistics are accumulated for the MAP
-and i-vector backends.  Statistics and EM accumulators merge by addition,
-so per-utterance accumulation can run in parallel.
+which zeroth- and first-order statistics are accumulated for the MAP and
+i-vector backends, the only two orders either reads.  Statistics merge by
+addition.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import gmm as gmm_mod
 from .errors import EmptyStateWarning, ShapeMismatch, StarvedState
 from .features import FeatureSequence
 from .gmm import DiagGmm
-from .hmm import DIGIT_STATES, N_STATES, AlignmentMatrix, AlignSource, HmmSet
+from .hmm import DIGIT_STATES, AlignmentMatrix, AlignSource, HmmSet
 
 _EMPTY_COUNT = 1e-8
 PRUNE_DEFAULT = 1e-6
@@ -82,18 +82,16 @@ class MixturePosteriors:
 
 @dataclass
 class SuffStats:
-    """Zeroth/first/second-order statistics centered on the background means."""
+    """Zeroth- and first-order statistics centered on the background means."""
 
     n: np.ndarray    # (M,)
     f: np.ndarray    # (M, D) sum of gamma * (x - mu)
-    s: np.ndarray    # (M, D) sum of gamma * (x - mu)^2, diagonal only
     background_id: str | None = None
 
     def __post_init__(self):
         self.n = np.asarray(self.n, dtype=np.float64)
         self.f = np.asarray(self.f, dtype=np.float64)
-        self.s = np.asarray(self.s, dtype=np.float64)
-        if self.f.shape != self.s.shape or self.n.shape[0] != self.f.shape[0]:
+        if self.n.shape[0] != self.f.shape[0]:
             raise ShapeMismatch("inconsistent statistics shapes")
 
     def merge(self, other: "SuffStats") -> "SuffStats":
@@ -102,10 +100,8 @@ class SuffStats:
         if (self.background_id and other.background_id
                 and self.background_id != other.background_id):
             raise ShapeMismatch("cannot merge statistics from different backgrounds")
-        return SuffStats(
-            self.n + other.n, self.f + other.f, self.s + other.s,
-            self.background_id or other.background_id,
-        )
+        return SuffStats(self.n + other.n, self.f + other.f,
+                         self.background_id or other.background_id)
 
 
 @dataclass
@@ -129,11 +125,10 @@ class Background:
         return cls(means, variances, pgmm.state_ids, pgmm.n_components, model_id)
 
     @classmethod
-    def from_hmm_set(cls, hmms: HmmSet, drop_silence: bool = True, model_id: str = "hmm"):
-        states = DIGIT_STATES if drop_silence else tuple(range(N_STATES))
-        means = np.concatenate([hmms.gmms[s].means for s in states], axis=0)
-        variances = np.concatenate([hmms.gmms[s].variances for s in states], axis=0)
-        return cls(means, variances, states, hmms.n_components, model_id)
+    def from_hmm_set(cls, hmms: HmmSet, model_id: str = "hmm"):
+        means = np.concatenate([hmms.gmms[s].means for s in DIGIT_STATES], axis=0)
+        variances = np.concatenate([hmms.gmms[s].variances for s in DIGIT_STATES], axis=0)
+        return cls(means, variances, DIGIT_STATES, hmms.n_components, model_id)
 
     @property
     def n_mixtures(self):
@@ -147,33 +142,27 @@ class Background:
         return SuffStats(
             np.zeros(self.n_mixtures),
             np.zeros((self.n_mixtures, self.dim)),
-            np.zeros((self.n_mixtures, self.dim)),
             self.model_id or None,
         )
 
 
-def _model_states_gmms(model, drop_silence):
+def _model_states_gmms(model):
     if isinstance(model, Pgmm):
         return model.state_ids, model.gmms  # silence is already excluded
     if isinstance(model, HmmSet):
-        if drop_silence:
-            return DIGIT_STATES, [model.gmms[s] for s in DIGIT_STATES]
-        return tuple(range(N_STATES)), model.gmms
+        return DIGIT_STATES, [model.gmms[s] for s in DIGIT_STATES]
     raise ShapeMismatch(f"unsupported model type {type(model).__name__}")
 
 
 def mixture_posteriors(model, align: AlignmentMatrix, feats: FeatureSequence,
-                       drop_silence: bool | None = None,
                        prune: float = PRUNE_DEFAULT) -> MixturePosteriors:
     """Joint (state, component) posteriors: state mass times within-state posterior.
 
-    For a Pgmm the silence-state mass is discarded (never renormalized); for
-    an HmmSet ``drop_silence`` selects between the full 33-state footprint
-    and the digit-only one.  Entries below ``prune`` are zeroed for sparsity.
+    Only digit states contribute, for a Pgmm and an HmmSet alike: the
+    silence-state mass is discarded (never renormalized).  Entries below
+    ``prune`` are zeroed for sparsity.
     """
-    if drop_silence is None:
-        drop_silence = isinstance(model, Pgmm)
-    states, gmms = _model_states_gmms(model, drop_silence)
+    states, gmms = _model_states_gmms(model)
     if align.n_frames != feats.n_frames:
         raise ShapeMismatch("alignment and features disagree on frame count")
     if gmms[0].dim != feats.dim:
@@ -213,15 +202,12 @@ def accumulate_stats(gammas: MixturePosteriors, feats: FeatureSequence,
     g = gammas.gammas
     x = feats.frames
     n = g.sum(axis=0)
-    gx = g.T @ x
-    gxx = g.T @ (x ** 2)
-    f = gx - n[:, None] * means
-    s = gxx - 2.0 * means * gx + n[:, None] * means ** 2
-    return SuffStats(n, f, s, background_id)
+    f = g.T @ x - n[:, None] * means
+    return SuffStats(n, f, background_id)
 
 
 class PgmmEmAccumulator:
-    """Raw EM accumulator for Pgmm updates; merges by addition."""
+    """Raw EM accumulator for Pgmm updates."""
 
     def __init__(self, pgmm: Pgmm):
         self.n = np.zeros((len(pgmm.state_ids), pgmm.n_components))
@@ -241,14 +227,6 @@ class PgmmEmAccumulator:
             self.n[k] += resp.sum(axis=0)
             self.sx[k] += resp.T @ x
             self.sxx[k] += resp.T @ (x ** 2)
-        return self
-
-    def merge(self, other: "PgmmEmAccumulator") -> "PgmmEmAccumulator":
-        if other._shape_key != self._shape_key:
-            raise ShapeMismatch("cannot merge accumulators of different shapes")
-        self.n += other.n
-        self.sx += other.sx
-        self.sxx += other.sxx
         return self
 
 

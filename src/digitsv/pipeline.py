@@ -201,10 +201,8 @@ class SpeakerSystem:
         """MixturePosteriors feeding statistics, with silence mass dropped."""
         if self.source == "ubm":
             return pgmm_mod.ubm_mixture_posteriors(self.models.ubm, feats)
-        if self.source == "gmm-hmm":
-            return pgmm_mod.mixture_posteriors(self.models.hmms, align, feats,
-                                               drop_silence=True)
-        return pgmm_mod.mixture_posteriors(self.models.pgmm, align, feats)
+        model = self.models.hmms if self.source == "gmm-hmm" else self.models.pgmm
+        return pgmm_mod.mixture_posteriors(model, align, feats)
 
     def stats_posteriors(self, feats: FeatureSequence, prompt: str | None = None,
                          dnn_align: AlignmentMatrix | None = None) -> MixturePosteriors:

@@ -297,6 +297,23 @@ class TestIvectorFlow:
         _assert_error_line(capsys, "'dnn-hmm'", "'dnn'")
         assert not (tmp_path / "tv.dvmd").exists() and not (tmp_path / "iv.dviv").exists()
 
+    def test_version_2_statistics_rejected(self, ivector_models, tmp_path, capsys):
+        # a version 2 file: the same header, then (N, F, S) records
+        from digitsv import formats
+
+        name = sorted(os.listdir(ivector_models["stats"]))[0]
+        st = formats.read_dvst(os.path.join(ivector_models["stats"], name))
+        mixtures, dim = st.f.shape
+        old = tmp_path / name
+        old.write_bytes(b"DVST" + (2).to_bytes(2, "little") + mixtures.to_bytes(4, "little")
+                        + dim.to_bytes(4, "little") + (3).to_bytes(2, "little") + b"ubm"
+                        + np.hstack([st.n[:, None], st.f, np.zeros_like(st.f)]).astype("<f8").tobytes())
+        capsys.readouterr()
+        assert run(["extract-ivector", "--tv", ivector_models["tv"], "--stats", str(old),
+                    "--out", str(tmp_path / "iv.dviv")]) == 2
+        assert capsys.readouterr().err == "error: unsupported DVST version 2\n"
+        assert not (tmp_path / "iv.dviv").exists()
+
 
 class TestWarnings:
     """A warning reaches stderr as one `warning: ...` line; the model is still saved."""
@@ -492,7 +509,7 @@ class TestCliMatchesLibrary:
             want = accumulate_stats(system.posteriors(matrix, feats), feats,
                                     system.background.means, system.background.model_id)
             got = formats.read_dvst(out)
-            for field in ("n", "f", "s"):
+            for field in ("n", "f"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
     # the settings the work fixture passes as flags

@@ -107,34 +107,49 @@ class TestDvpo:
 class TestDvst:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        stats = SuffStats(rng.random(5), rng.standard_normal((5, 4)),
-                          rng.random((5, 4)))
+        stats = SuffStats(rng.random(5), rng.standard_normal((5, 4)))
         path = tmp_path / "s.dvst"
         formats.write_dvst(path, stats)
         back = formats.read_dvst(path)
         np.testing.assert_array_equal(back.n, stats.n)
         np.testing.assert_array_equal(back.f, stats.f)
-        np.testing.assert_array_equal(back.s, stats.s)
         assert back.background_id is None
+
+    @pytest.mark.parametrize("mixtures,dim,background_id",
+                             [(1, 1, None), (4, 3, "dnn-hmm"), (480, 60, "dnn-hmm")])
+    def test_file_size_is_header_id_and_n_f_records(self, tmp_path, mixtures, dim,
+                                                    background_id):
+        stats = SuffStats(np.ones(mixtures), np.zeros((mixtures, dim)), background_id)
+        path = tmp_path / "s.dvst"
+        formats.write_dvst(path, stats)
+        id_bytes = len((background_id or "").encode("utf-8"))
+        assert path.stat().st_size == 16 + id_bytes + mixtures * (dim + 1) * 8
 
     def test_version_1_files_rejected(self, tmp_path):
         # version 1 had no background id; its bytes must not be read as one
         path = tmp_path / "s.dvst"
-        formats.write_dvst(path, SuffStats(np.ones(2), np.zeros((2, 3)), np.zeros((2, 3))))
+        formats.write_dvst(path, SuffStats(np.ones(2), np.zeros((2, 3))))
         data = path.read_bytes()
         path.write_bytes(data[:4] + (1).to_bytes(2, "little") + data[6:14] + data[16:])
         with pytest.raises(UnsupportedVersion):
             formats.read_dvst(path)
 
+    def test_version_2_files_rejected(self, tmp_path):
+        # version 2 records carried second-order statistics after F
+        path = tmp_path / "s.dvst"
+        _write_dvst_v2(path, SuffStats(np.ones(2), np.zeros((2, 3)), "dnn-hmm"))
+        with pytest.raises(UnsupportedVersion, match="unsupported DVST version 2"):
+            formats.read_dvst(path)
+
     def test_background_id_round_trip(self, tmp_path):
-        stats = SuffStats(np.ones(2), np.zeros((2, 3)), np.zeros((2, 3)), "dnn-hmm")
+        stats = SuffStats(np.ones(2), np.zeros((2, 3)), "dnn-hmm")
         path = tmp_path / "s.dvst"
         formats.write_dvst(path, stats)
         assert formats.read_dvst(path).background_id == "dnn-hmm"
 
     @staticmethod
     def _with_background_id(tmp_path, background_id):
-        stats = SuffStats(np.ones(2), np.zeros((2, 3)), np.zeros((2, 3)), background_id)
+        stats = SuffStats(np.ones(2), np.zeros((2, 3)), background_id)
         path = tmp_path / "s.dvst"
         formats.write_dvst(path, stats)
         return path, path.read_bytes()
@@ -161,8 +176,21 @@ class TestDvst:
         assert err.value.offset == 16
 
 
+def _write_dvst_v2(path, stats):
+    """A DVST version 2 file: (N, F, S) records, S all zero."""
+    mixtures, dim = stats.f.shape
+    background_id = (stats.background_id or "").encode("utf-8")
+    records = np.zeros((mixtures, 2 * dim + 1), dtype="<f8")
+    records[:, 0] = stats.n
+    records[:, 1:dim + 1] = stats.f
+    with open(path, "wb") as fh:
+        fh.write(b"DVST" + struct.pack("<HII", 2, mixtures, dim))
+        fh.write(struct.pack("<H", len(background_id)) + background_id)
+        fh.write(records.tobytes())
+
+
 def _write_dvst_per_mixture(path, stats):
-    """The DVST writer before it wrote one block: three writes per mixture."""
+    """The DVST writer before it wrote one block: two writes per mixture."""
     mixtures, dim = stats.f.shape
     background_id = (stats.background_id or "").encode("utf-8")
     with open(path, "wb") as fh:
@@ -172,7 +200,6 @@ def _write_dvst_per_mixture(path, stats):
         for m in range(mixtures):
             fh.write(struct.pack("<d", stats.n[m]))
             fh.write(stats.f[m].astype("<f8").tobytes())
-            fh.write(stats.s[m].astype("<f8").tobytes())
 
 
 # --- the bytes-backed readers that the file reader replaced, kept as its oracle ---
@@ -289,27 +316,25 @@ def _bytes_read_dvpo(path):
 
 
 def _read_dvst_per_mixture(path):
-    """The DVST reader before it read one block: N, F and S of each mixture in turn."""
+    """The DVST reader before it read one block: N and F of each mixture in turn."""
     rd = _bytes_header(path, b"DVST")
     mixtures, dim = rd.u32(), rd.u32()
     if mixtures < 1 or dim < 1:
         raise CorruptData(6, f"implausible shape {mixtures} x {dim}")
     background_id = rd.string() or None
-    rd.check_counts(mixtures, 2 * dim + 1, 8, "DVST")
+    rd.check_counts(mixtures, dim + 1, 8, "DVST")
     n = np.empty(mixtures)
     f = np.empty((mixtures, dim))
-    s = np.empty((mixtures, dim))
     n_at = []
     for m in range(mixtures):
         n_at.append(rd.pos)
         n[m] = rd.f64()
         f[m] = rd.array("<f8", dim)
-        s[m] = rd.array("<f8", dim)
     rd.done()
     for m in range(mixtures):
         if not np.isfinite(n[m]) or n[m] < 0:   # reported at that record's N
             raise CorruptData(n_at[m], "invalid zeroth-order statistics")
-    return SuffStats(n, f, s, background_id)
+    return SuffStats(n, f, background_id)
 
 
 def _bytes_read_dviv(path):
@@ -403,7 +428,7 @@ def _plain(value):
     if isinstance(value, FeatureSequence):
         return "features", _plain(value.frames), value.kind, value.frame_shift_ms
     if isinstance(value, SuffStats):
-        return "stats", _plain((value.n, value.f, value.s)), value.background_id
+        return "stats", _plain((value.n, value.f)), value.background_id
     if isinstance(value, IVector):
         return "ivector", _plain(value.vector), value.normalized
     if isinstance(value, dict):
@@ -431,7 +456,7 @@ class TestDvstOracle:
     def _stats(mixtures, dim, seed, background_id=None):
         rng = np.random.default_rng(seed)
         return SuffStats(rng.random(mixtures) * 10, rng.standard_normal((mixtures, dim)),
-                         rng.random((mixtures, dim)), background_id)
+                         background_id)
 
     @pytest.mark.parametrize("mixtures,dim,background_id",
                              [(1, 1, None), (4, 3, "dnn-hmm"), (33, 60, "ubm"), (7, 2, "")])
@@ -448,7 +473,7 @@ class TestDvstOracle:
         path = tmp_path / "s.dvst"
         formats.write_dvst(path, self._stats(5, 3, 1))
         st = formats.read_dvst(path)
-        for part in (st.n, st.f, st.s):
+        for part in (st.n, st.f):
             assert part.flags.c_contiguous and part.flags.writeable
             assert _root_base(part) is None
 
@@ -472,7 +497,7 @@ class TestDvstOracle:
             mixtures, dim = int(rng.integers(1, 6)), int(rng.integers(1, 5))
             stats = self._stats(mixtures, dim, trial)
             for _ in range(int(rng.integers(1, 4))):
-                part = (stats.n[:, None], stats.f, stats.s)[int(rng.integers(0, 3))]
+                part = (stats.n[:, None], stats.f)[int(rng.integers(0, 2))]
                 part[int(rng.integers(0, mixtures)), int(rng.integers(0, part.shape[1]))] = \
                     rng.choice([np.nan, np.inf, -np.inf])
             _write_dvst_per_mixture(path, stats)
@@ -488,20 +513,19 @@ class TestDvstOracle:
     @pytest.mark.parametrize("edits,tail", [
         ([("f", 2, 1, np.inf)], b""),
         ([("f", 3, 2, np.nan)], b""),
-        ([("s", 1, 0, np.nan)], b""),
-        ([("s", 1, 2, -np.inf), ("f", 2, 0, np.nan)], b""),
+        ([("f", 1, 2, -np.inf), ("f", 2, 0, np.nan)], b""),
         ([("n", 2, 0, np.nan)], b""),
         ([("n", 0, 0, -1.0)], b""),
         ([("n", 0, 0, np.nan), ("f", 3, 0, np.inf)], b""),
         ([], b"\x00\x01\x02"),
         ([("n", 1, 0, np.nan)], b"\x00\x01\x02"),
         ([("f", 1, 1, np.nan)], b"\x00\x01\x02"),
-    ], ids=["inf-f-in-mixture-2", "nan-f-last-entry", "nan-s-in-mixture-1",
-            "inf-s-before-nan-f", "nan-n-finite-fs", "negative-n", "nan-n-then-inf-f",
-            "trailing-bytes", "nan-n-and-trailing-bytes", "nan-f-and-trailing-bytes"])
+    ], ids=["inf-f-in-mixture-2", "nan-f-last-entry", "inf-f-before-nan-f", "nan-n-finite-fs",
+            "negative-n", "nan-n-then-inf-f", "trailing-bytes", "nan-n-and-trailing-bytes",
+            "nan-f-and-trailing-bytes"])
     def test_hand_cases_match(self, tmp_path, edits, tail):
         stats = self._stats(4, 3, 9, "dnn")
-        parts = {"n": stats.n[:, None], "f": stats.f, "s": stats.s}
+        parts = {"n": stats.n[:, None], "f": stats.f}
         for part, m, col, value in edits:
             parts[part][m, col] = value
         path = tmp_path / "hand.dvst"
@@ -519,8 +543,8 @@ class TestDvstOracle:
         formats.write_dvst(path, stats)
         with pytest.raises(CorruptData, match="invalid zeroth-order statistics") as err:
             formats.read_dvst(path)
-        # 19 header bytes (the id is "dnn"), then 7 f64s per record
-        assert err.value.offset == 19 + m * 7 * 8
+        # 19 header bytes (the id is "dnn"), then 4 f64s per record
+        assert err.value.offset == 19 + m * 4 * 8
         assert path.read_bytes()[err.value.offset:err.value.offset + 8] == \
             struct.pack("<d", value)
 
@@ -712,8 +736,8 @@ def _valid_files(tmp_path):
     post /= post.sum(axis=1, keepdims=True)
     files["dvpo"] = tmp_path / "r.dvpo"
     formats.write_dvpo(files["dvpo"], post)
-    stats = SuffStats(rng.random(4), rng.standard_normal((4, 3)), rng.random((4, 3)),
-                      "dnn-hmm")
+    stats = SuffStats(rng.random(4), rng.standard_normal((4, 3)), "dnn-hmm")
+    rng.random((4, 3))  # keeps the draws of the files below unchanged
     files["dvst"] = tmp_path / "r.dvst"
     formats.write_dvst(files["dvst"], stats)
     entries = [(f"u{k}", IVector(rng.standard_normal(5))) for k in range(3)]

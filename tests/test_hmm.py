@@ -392,7 +392,7 @@ class TestMixturePosteriors:
         post[0, 0], post[0, 1] = 0.4, 0.6
         align = AlignmentMatrix(post, AlignSource.HMM_FB)
         feats = mfcc_feats(np.array([[0.5]]))
-        mp = mixture_posteriors(hmms, align, feats, drop_silence=False, prune=0.0)
+        mp = mixture_posteriors(hmms, align, feats, prune=0.0)
         assert abs(mp.gammas[0].sum() - 1.0) < 1e-6
         from digitsv.gmm import component_posteriors
 
@@ -407,7 +407,6 @@ class TestMixturePosteriors:
         post = np.zeros((1, N_STATES))
         post[0, 0] = 1.0
         align = AlignmentMatrix(post, AlignSource.HMM_VITERBI)
-        mp = mixture_posteriors(hmms, align, mfcc_feats(np.array([[0.1]])),
-                                drop_silence=False, prune=0.0)
+        mp = mixture_posteriors(hmms, align, mfcc_feats(np.array([[0.1]])), prune=0.0)
         np.testing.assert_allclose(mp.gammas[0, 0:2], [0.5, 0.5], atol=1e-12)
 

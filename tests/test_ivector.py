@@ -39,15 +39,14 @@ def random_stats(background, seed=0, scale=3.0):
     rng = np.random.default_rng(seed)
     n = rng.random(background.n_mixtures) * 20 + 1
     f = scale * rng.standard_normal(background.means.shape) * np.sqrt(n)[:, None]
-    s = np.abs(rng.standard_normal(background.means.shape)) * n[:, None]
-    return SuffStats(n, f, s, background.model_id)
+    return SuffStats(n, f, background.model_id)
 
 
 class TestExtractIvector:
     def test_zero_stats_give_zero_vector(self):
         bg = toy_background()
         tv = TvModel(np.random.default_rng(1).standard_normal((6, 4)), bg)
-        stats = SuffStats(np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2)), "bg")
+        stats = SuffStats(np.zeros(3), np.zeros((3, 2)), "bg")
         iv = extract_ivector(stats, tv)
         np.testing.assert_array_equal(iv.vector, np.zeros(4))
 
@@ -55,7 +54,7 @@ class TestExtractIvector:
         # one mixture, D=1, R=1: (1 + T^2 N / v) w = T F / v with T=2, v=1, N=3, F=6
         bg = Background(np.zeros((1, 1)), np.ones((1, 1)), None, 1, "bg")
         tv = TvModel(np.array([[2.0]]), bg)
-        stats = SuffStats(np.array([3.0]), np.array([[6.0]]), np.zeros((1, 1)), "bg")
+        stats = SuffStats(np.array([3.0]), np.array([[6.0]]), "bg")
         iv = extract_ivector(stats, tv)
         assert abs(iv.vector[0] - 12.0 / 13.0) < 1e-12
 
@@ -63,7 +62,7 @@ class TestExtractIvector:
         bg = toy_background(seed=2)
         tv = TvModel(np.random.default_rng(3).standard_normal((6, 3)), bg)
         stats = random_stats(bg, seed=4)
-        doubled = SuffStats(stats.n, 2.0 * stats.f, stats.s, "bg")
+        doubled = SuffStats(stats.n, 2.0 * stats.f, "bg")
         a = extract_ivector(stats, tv).vector
         b = extract_ivector(doubled, tv).vector
         np.testing.assert_allclose(b, 2.0 * a, atol=1e-10)
@@ -465,8 +464,7 @@ def speaker_stats(background, speaker, utterance):
     """Statistics of one utterance whose first-order term leans toward its speaker."""
     stats = random_stats(background, seed=1000 * speaker + utterance, scale=1.0)
     offset = 2.0 * np.random.default_rng(speaker).standard_normal(background.means.shape)
-    return SuffStats(stats.n, stats.f + stats.n[:, None] * offset, stats.s,
-                     background.model_id)
+    return SuffStats(stats.n, stats.f + stats.n[:, None] * offset, background.model_id)
 
 
 class TestPldaScorer:

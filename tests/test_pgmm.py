@@ -110,7 +110,7 @@ class TestAccumulateStats:
         feats = mfcc_feats(np.random.default_rng(0).standard_normal((4, 2)))
         stats = accumulate_stats(gammas, feats, np.zeros((2, 60)))
         assert stats.n.sum() == 0
-        assert np.all(stats.f == 0) and np.all(stats.s == 0)
+        assert np.all(stats.f == 0)
 
     def test_single_frame_first_order(self):
         rng = np.random.default_rng(1)
@@ -119,8 +119,6 @@ class TestAccumulateStats:
         feats = mfcc_feats(rng.standard_normal((1, 2)))
         stats = accumulate_stats(gammas, feats, means)
         np.testing.assert_allclose(stats.f[1], feats.frames[0] - means[1], atol=1e-12)
-        np.testing.assert_allclose(stats.s[1], (feats.frames[0] - means[1]) ** 2,
-                                   atol=1e-12)
 
     def test_split_and_merge_equals_whole(self):
         rng = np.random.default_rng(2)
@@ -137,7 +135,6 @@ class TestAccumulateStats:
         merged = first.merge(second)
         np.testing.assert_allclose(merged.n, whole.n, atol=1e-10)
         np.testing.assert_allclose(merged.f, whole.f, atol=1e-10)
-        np.testing.assert_allclose(merged.s, whole.s, atol=1e-10)
 
     def test_order_independent(self):
         rng = np.random.default_rng(3)
@@ -256,7 +253,5 @@ class TestBackground:
         assert bg.state_ids == DIGIT_STATES
 
     def test_from_hmm_drop_silence(self, small_models):
-        bg = Background.from_hmm_set(small_models.hmms, drop_silence=True)
+        bg = Background.from_hmm_set(small_models.hmms)
         assert bg.means.shape[0] == 30 * small_models.hmms.n_components
-        full = Background.from_hmm_set(small_models.hmms, drop_silence=False)
-        assert full.means.shape[0] == 33 * small_models.hmms.n_components
