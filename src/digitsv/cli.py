@@ -285,8 +285,7 @@ def _cmd_enroll_map(args):
     corpus = DiskCorpus(args.corpus)
     system = pipeline.SpeakerSystem(args.source, _load_models(args), cfg.silence_policy)
     speakers = pipeline.enroll_speakers(corpus, system, cfg.relevance)
-    formats.save_speaker_models(args.out, speakers, system.background.model_id,
-                                cfg.relevance)
+    formats.save_speaker_models(args.out, speakers)
     _progress("enroll-map", speakers=len(speakers))
     print(args.out)
     return 0
@@ -374,7 +373,8 @@ def _cmd_score_speaker(args):
     if args.backend == "map":
         _require_flags(args, "speakers")
         scores = pipeline.score_speaker_trials(corpus, trials, system,
-                                               formats.load_speaker_models(args.speakers))
+                                               formats.load_speaker_models(args.speakers),
+                                               consume=True)
     else:
         _require_flags(args, "tv", "plda")
         scores = pipeline.score_ivector_trials(corpus, trials, system, formats.load_tv(args.tv),

@@ -560,24 +560,27 @@ def load_plda_backend(path):
                            payload["between"], payload["within"])
 
 
-def save_speaker_models(path, speakers: dict, background_id: str, relevance: float):
-    """``speakers`` maps speaker id -> SpeakerModel."""
-    ids = sorted(speakers)
+def save_speaker_models(path, speakers):
+    """Write a ``SpeakerModels`` roster; its stacked means are written as they are held."""
     write_dvmd(path, "speaker_models", {
-        "background_id": background_id,
-        "relevance": float(relevance),
-        "ids": ids,
-        "means": np.stack([speakers[s].means for s in ids]),
+        "background_id": speakers.background_id,
+        "relevance": float(speakers.relevance),
+        "ids": list(speakers.ids),
+        "means": speakers.means,
     })
 
 
 def load_speaker_models(path):
-    from .map_speaker import SpeakerModel
+    """The ``SpeakerModels`` roster of a speaker-model file.
+
+    The means are read into one (speakers, M, D) array.  A roster the
+    ``SpeakerModels`` checks reject (ids not matching the models one to
+    one, or a relevance that is not positive) is corrupt data.
+    """
+    from .map_speaker import SpeakerModels
 
     _, payload = read_dvmd(path, "speaker_models")
     _require(payload, ("background_id", "relevance", "ids", "means"))
     with _building("speaker_models"):
-        return {
-            sid: SpeakerModel(means, payload["background_id"], payload["relevance"])
-            for sid, means in zip(payload["ids"], payload["means"])
-        }
+        return SpeakerModels(payload["ids"], payload["means"], payload["background_id"],
+                             payload["relevance"])

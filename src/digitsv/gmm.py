@@ -14,6 +14,9 @@ from .errors import DegenerateData, DimMismatch, TooFewSamples
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _EMPTY_COUNT = 1e-8
+# EM scores and accumulates this many frames at a time, so its per-frame
+# temporaries stay a few MiB however many frames a mixture is trained on
+EM_BLOCK = 2048
 
 
 @dataclass
@@ -147,38 +150,56 @@ def column_mean_var(chunks) -> tuple[np.ndarray, np.ndarray]:
     return mean, squares / rows
 
 
-def _closed_form_single(data: np.ndarray, floor: np.ndarray) -> DiagGmm:
-    mean = data.mean(axis=0)
-    var = np.maximum(data.var(axis=0), floor)
-    return DiagGmm(np.array([1.0]), mean[None, :], var[None, :])
+def _row_blocks(n: int) -> list:
+    """Slices of at most ``EM_BLOCK`` rows covering ``range(n)``, in order."""
+    return [slice(a, min(a + EM_BLOCK, n)) for a in range(0, n, EM_BLOCK)]
 
 
 def _em_update(gmm: DiagGmm, data: np.ndarray, floor: np.ndarray,
                global_var: np.ndarray,
                frame_weights: np.ndarray | None = None) -> tuple[DiagGmm, float]:
-    """One (optionally frame-weighted) EM iteration.
+    """One (optionally frame-weighted) EM iteration, accumulated over row blocks.
+
+    Each block of at most ``EM_BLOCK`` frames is scored and reduced to its
+    counts and first- and second-order sums before the next one, so the
+    per-frame temporaries (densities, responsibilities, squared frames) never
+    exceed one block.  Data that fit in one block get exactly the arithmetic
+    of a whole-matrix update; over several blocks the sums are added block by
+    block and agree with it to about 1e-12 relative.  The log-likelihood is
+    summed over all frames at once, and dead components are re-seeded on the
+    worst-modeled frames of the whole data.
 
     Returns the new model and the weighted data log-likelihood under the
     old one.
     """
-    lw = log_weighted_densities(gmm, data)
-    m = lw.max(axis=1, keepdims=True)
-    shifted = lw - m
-    log_tot = m + np.log(np.sum(np.exp(shifted, out=shifted), axis=1, keepdims=True))
-    del shifted
-    # the responsibilities overwrite lw: one (frames x components) array, not three
-    resp = np.exp(np.subtract(lw, log_tot, out=lw), out=lw)
+    log_tot = np.empty(data.shape[0])
+    counts = np.zeros(gmm.n_components)
+    first = np.zeros(gmm.means.shape)
+    second = np.zeros(gmm.means.shape)
+    for rows in _row_blocks(data.shape[0]):
+        block = data[rows]
+        lw = log_weighted_densities(gmm, block)
+        m = lw.max(axis=1, keepdims=True)
+        shifted = lw - m
+        tot = m + np.log(np.sum(np.exp(shifted, out=shifted), axis=1, keepdims=True))
+        del shifted
+        log_tot[rows] = tot[:, 0]
+        # the responsibilities overwrite lw: one (block x components) array, not three
+        resp = np.exp(np.subtract(lw, tot, out=lw), out=lw)
+        if frame_weights is not None:
+            resp *= frame_weights[rows, None]
+        counts += resp.sum(axis=0)
+        first += resp.T @ block
+        second += resp.T @ (block ** 2)
     if frame_weights is None:
         ll = float(log_tot.sum())
     else:
-        ll = float(frame_weights @ log_tot[:, 0])
-        resp *= frame_weights[:, None]
+        ll = float(frame_weights @ log_tot)
 
-    counts = resp.sum(axis=0)
     empties = np.nonzero(counts < _EMPTY_COUNT)[0]
     if empties.size:
         # re-seed dead components on the worst-modeled frames
-        order = np.argsort(log_tot[:, 0], kind="stable")
+        order = np.argsort(log_tot, kind="stable")
         weights = gmm.weights.copy()
         means = gmm.means.copy()
         variances = gmm.variances.copy()
@@ -191,14 +212,19 @@ def _em_update(gmm: DiagGmm, data: np.ndarray, floor: np.ndarray,
         return DiagGmm(weights, means, variances), ll
 
     weights = counts / counts.sum()
-    means = (resp.T @ data) / counts[:, None]
-    second = (resp.T @ (data ** 2)) / counts[:, None]
-    variances = np.maximum(second - means ** 2, floor)
+    means = first / counts[:, None]
+    variances = np.maximum(second / counts[:, None] - means ** 2, floor)
     return DiagGmm(weights, means, variances), ll
 
 
 def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
     """Fit a diagonal GMM by closed-form start, then split -> EM to the target size.
+
+    No temporary beyond one value per frame grows with ``data``: the global
+    statistics, every EM iteration and each level's log-likelihood work over
+    row blocks of at most ``EM_BLOCK`` frames (see ``_em_update``).  The global mean and
+    variance equal ``data.mean(axis=0)`` and ``data.var(axis=0)`` bit for bit
+    with two or more columns (see ``column_mean_var``).
 
     The returned model carries a ``training_log`` of
     ``(n_components, [log-likelihood per EM iteration])`` entries; within one
@@ -210,20 +236,21 @@ def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
     n = data.shape[0]
     if n < cfg.target_components:
         raise TooFewSamples(f"{n} samples cannot support {cfg.target_components} components")
-    global_var = data.var(axis=0)
+    blocks = _row_blocks(n)
+    mean, global_var = column_mean_var(lambda: (data[rows] for rows in blocks))
     if np.max(global_var) <= 0.0:
         raise DegenerateData("training data has zero variance")
     floor = np.maximum(cfg.variance_floor * global_var, 1e-10)
 
     log: list = []
-    gmm = _closed_form_single(data, floor)
+    gmm = DiagGmm(np.array([1.0]), mean[None, :], np.maximum(global_var, floor)[None, :])
     while gmm.n_components < cfg.target_components:
         gmm = split_components(gmm)
         lls = []
         for _ in range(cfg.em_iterations):
             gmm, ll = _em_update(gmm, data, floor, global_var)
             lls.append(ll)
-        lls.append(float(log_likelihoods(gmm, data).sum()))
+        lls.append(sum(float(log_likelihoods(gmm, data[rows]).sum()) for rows in blocks))
         log.append((gmm.n_components, lls))
     gmm.training_log = log
     return gmm

@@ -7,6 +7,8 @@ weight N/(N+r), where r is the relevance factor.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,59 @@ def enroll(background: Background, stats_list, relevance: float = RELEVANCE_DEFA
     return map_adapt(background, stats, relevance)
 
 
+class SpeakerModels(Mapping):
+    """Enrolled speakers whose adapted means are held once, as one (speakers, M, D) array.
+
+    A read-only mapping from speaker id to ``SpeakerModel``, in ``ids``
+    order; each model's means are a view of its row of ``means``.  Every
+    speaker shares ``background_id`` and ``relevance``.  Ids must be unique
+    strings, one per row of a 3-D ``means``, and the relevance positive;
+    anything else raises ValueError.  ``release`` hands the array on.
+    """
+
+    def __init__(self, ids, means, background_id: str, relevance: float):
+        if not isinstance(ids, (list, tuple)) or not all(isinstance(s, str) for s in ids):
+            raise ValueError("speaker ids must be a list of strings")
+        twice = sorted(spk for spk, n in Counter(ids).items() if n > 1)
+        if twice:
+            raise ValueError(f"speaker ids {twice} appear more than once")
+        if not isinstance(means, np.ndarray) or means.dtype != np.float64 or means.ndim != 3:
+            raise ValueError("speaker means must be one float64 (speakers, M, D) array")
+        if means.shape[0] != len(ids):
+            raise ValueError(f"{len(ids)} speaker ids for {means.shape[0]} models")
+        if not all(np.all(np.isfinite(row)) for row in means):  # one row's mask at a time
+            raise ValueError("adapted means must be finite")
+        if not isinstance(background_id, str):
+            raise ValueError("background id must be a string")
+        if not isinstance(relevance, (int, float)) or not relevance > 0:
+            raise ValueError(f"relevance factor must be positive, got {relevance!r}")
+        self.ids = tuple(ids)
+        self.means = means
+        self.background_id = background_id
+        self.relevance = relevance
+        self._rows = {spk: k for k, spk in enumerate(self.ids)}
+
+    def __getitem__(self, spk) -> SpeakerModel:
+        return SpeakerModel(self.means[self._rows[spk]], self.background_id, self.relevance)
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self):
+        return len(self.ids)
+
+    def release(self) -> np.ndarray:
+        """The stacked means, handed to the caller, who may overwrite them.
+
+        The roster keeps no reference and is left empty, so no model can be
+        read from it once its means may have changed.
+        """
+        means = self.means
+        self.ids, self._rows = (), {}
+        self.means = np.empty((0, *means.shape[1:]))
+        return means
+
+
 class LinearLlr:
     """Enrolled speakers stacked for scoring over centred statistics.
 
@@ -65,9 +120,16 @@ class LinearLlr:
     the posterior-weighted sum is W . F - h . N, h = 0.5 * sum_d d * W.
     W is stacked once as (speakers x M*D), so one statistics vector scores
     every speaker with two matrix-vector products.
+
+    Ownership: by default the weights are a new array filled from
+    ``speakers``, any mapping of id -> ``SpeakerModel``, which is left as it
+    was.  With ``consume=True``, ``speakers`` must be a ``SpeakerModels``
+    roster: the scorer takes its stacked means (``SpeakerModels.release``,
+    which leaves the roster empty) and turns them into the weights in place,
+    so the models are never held twice.
     """
 
-    def __init__(self, speakers: dict, background: Background):
+    def __init__(self, speakers: Mapping, background: Background, consume: bool = False):
         enrolled_on = {model.background_id for model in speakers.values()}
         if enrolled_on != {background.model_id}:
             raise SourceMismatch(
@@ -81,14 +143,20 @@ class LinearLlr:
                     f"the background {background.means.shape}")
         self.background = background
         self.index = {spk: k for k, spk in enumerate(speakers)}
-        # filled one speaker at a time: no speakers x M*D temporaries
-        self.weights = np.empty((len(speakers), background.means.size))
-        self.halves = np.empty((len(speakers), background.n_mixtures))
-        for k, model in enumerate(speakers.values()):
-            offsets = model.means - background.means
-            weights = np.divide(offsets, background.variances,
-                                out=self.weights[k].reshape(background.means.shape))
-            self.halves[k] = 0.5 * np.sum(offsets * weights, axis=1)
+        if consume and not isinstance(speakers, SpeakerModels):
+            raise TypeError("consume=True needs a SpeakerModels roster")
+        means = (speakers.release() if consume
+                 else np.stack([model.means for model in speakers.values()]))
+        # one speaker at a time, in place: no speakers x M*D temporaries
+        self.weights = means.reshape(len(means), background.means.size)
+        self.halves = np.empty((len(means), background.n_mixtures))
+        quotient = np.empty(background.means.shape)
+        for k, row in enumerate(self.weights):
+            offsets = row.reshape(background.means.shape)
+            np.subtract(offsets, background.means, out=offsets)
+            np.divide(offsets, background.variances, out=quotient)
+            self.halves[k] = 0.5 * np.sum(np.multiply(offsets, quotient, out=offsets), axis=1)
+            offsets[...] = quotient
 
     def scores(self, stats: SuffStats, retained: int) -> np.ndarray:
         """LLR of every speaker, in ``index`` order, given one key's statistics.

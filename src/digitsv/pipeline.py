@@ -21,6 +21,7 @@ from .errors import ConfigInvalid, DigitsvError
 from .gmm import DiagGmm, GmmTrainConfig, train_em
 from .hmm import AlignmentMatrix, HmmSet, compile_graph, train_hmm_set
 from .ivector import PldaScorer
+from .map_speaker import SpeakerModels
 from .neural_aligner import MlpModel, MlpTrainConfig, mlp_posteriors, train_mlp
 from .pgmm import Background, MixturePosteriors, Pgmm, SuffStats, accumulate_stats
 from .features import FeatureSequence
@@ -257,14 +258,19 @@ def _key_stats(plan, system: SpeakerSystem):
 
 
 def enroll_speakers(corpus, system: SpeakerSystem,
-                    relevance: float = map_speaker.RELEVANCE_DEFAULT) -> dict:
-    """MAP-enroll every corpus speaker from its enrollment utterances."""
-    speakers = {}
-    for spk in corpus.speakers:
+                    relevance: float = map_speaker.RELEVANCE_DEFAULT) -> SpeakerModels:
+    """MAP-enroll every corpus speaker from its enrollment utterances.
+
+    Speakers are enrolled in sorted id order, each straight into its row of
+    the roster's one (speakers, M, D) array.
+    """
+    ids = sorted(corpus.speakers)
+    means = np.empty((len(ids), *system.background.means.shape))
+    for row, spk in zip(means, ids):
         # a generator: each utterance's statistics are merged before the next is aligned
         stats = (_stats(system, u.feats, u.content)[0] for u in corpus.enrollment(spk))
-        speakers[spk] = map_speaker.enroll(system.background, stats, relevance)
-    return speakers
+        row[...] = map_speaker.enroll(system.background, stats, relevance).means
+    return SpeakerModels(ids, means, system.background.model_id, relevance)
 
 
 def _score_trials(trials, plan, system: SpeakerSystem, scorer) -> list:
@@ -282,16 +288,19 @@ def _score_trials(trials, plan, system: SpeakerSystem, scorer) -> list:
     return scores
 
 
-def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers: dict) -> list:
+def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers,
+                         consume: bool = False) -> list:
     """Log-likelihood-ratio speaker score per trial, in trial order.
 
     The speaker models must have been enrolled on this system's background.
     Each (utterance, prompt) key's statistics score all of its trials'
     speakers at once with the exact linear form of ``map_speaker.llr_score``.
+    ``consume`` hands a ``SpeakerModels`` roster's means to the scorer, which
+    overwrites them (see ``map_speaker.LinearLlr``); the roster is left empty.
     """
     plan = _trial_plan(corpus, trials, system.source in PROMPTED_SOURCES, speakers)
     return _score_trials(trials, plan, system,
-                         map_speaker.LinearLlr(speakers, system.background))
+                         map_speaker.LinearLlr(speakers, system.background, consume))
 
 
 def score_ivector_trials(corpus, trials, system: SpeakerSystem, tv, backend) -> list:

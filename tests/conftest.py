@@ -132,3 +132,19 @@ def small_models(small_corpus):
     return train_models(small_corpus, PipelineConfig(
         hmm_components=4, ubm_components=16, pgmm_components=4,
         mlp_hidden="64,64", mlp_epochs=6))
+
+
+def roster_payload(ids, means):
+    """A valid ``speaker_models`` DVMD payload."""
+    return {"background_id": "ubm", "relevance": 16.0, "ids": list(ids), "means": means}
+
+
+# each turns a valid three-speaker roster payload into one the loader must reject
+ROSTER_DEFECTS = {
+    "fewer models than ids": lambda p: {**p, "means": p["means"][:2]},
+    "duplicate id": lambda p: {**p, "ids": [p["ids"][0], *p["ids"][1:-1], p["ids"][0]]},
+    "2-D means": lambda p: {**p, "means": p["means"][0]},
+    "ids not strings": lambda p: {**p, "ids": list(range(len(p["ids"])))},
+    "zero relevance": lambda p: {**p, "relevance": 0.0},
+    "negative relevance": lambda p: {**p, "relevance": -2.5},
+}

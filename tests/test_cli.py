@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ROSTER_DEFECTS, roster_payload
+from digitsv import formats
 from digitsv.cli import cli_dispatch
 from digitsv.config import ConfigInvalid, PipelineConfig, load_config, parse_config_lines
 
@@ -727,6 +729,21 @@ class TestBadInputs:
             with np.errstate(all="ignore"):
                 codes.add(run([*argv, "--out", str(tmp_path / "out")]))
         assert codes <= {0, 2}
+
+    @pytest.mark.parametrize("defect", sorted(ROSTER_DEFECTS))
+    def test_corrupt_speaker_roster(self, work, tmp_path, capsys, defect):
+        models, corpus = work["models"], work["corpus"]
+        ubm = formats.load_diag_gmm(f"{models}/ubm.dvmd")
+        means = np.broadcast_to(ubm.means, (3, *ubm.means.shape)).copy()
+        bad = str(tmp_path / "spk.dvmd")
+        formats.write_dvmd(bad, "speaker_models",
+                           ROSTER_DEFECTS[defect](roster_payload(["s000", "s001", "s002"],
+                                                                 means)))
+        capsys.readouterr()
+        assert run(["score-speaker", "--corpus", corpus, "--source", "ubm",
+                    "--ubm", f"{models}/ubm.dvmd", "--speakers", bad,
+                    "--out", str(tmp_path / "out")]) == 2
+        _assert_error_line(capsys, "invalid speaker_models payload")
 
     @pytest.fixture
     def text_corpus(self, tmp_path):

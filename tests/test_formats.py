@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import make_hmm_set
+from conftest import ROSTER_DEFECTS, make_hmm_set, roster_payload
 from digitsv import formats
 from digitsv.errors import (
     BadMagic,
@@ -20,6 +20,7 @@ from digitsv.errors import (
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm
 from digitsv.ivector import IVector, PldaBackend, TvModel
+from digitsv.map_speaker import SpeakerModels
 from digitsv.pgmm import Background, Pgmm, SuffStats
 
 
@@ -625,16 +626,25 @@ class TestDvmdModels:
         np.testing.assert_array_equal(back.within, backend.within)
 
     def test_speaker_models_round_trip(self, tmp_path):
-        from digitsv.map_speaker import SpeakerModel
-
         rng = np.random.default_rng(9)
-        speakers = {f"s{k}": SpeakerModel(rng.standard_normal((4, 2)), "bg", 5.0)
-                    for k in range(3)}
+        speakers = SpeakerModels(["s0", "s1", "s2"], rng.standard_normal((3, 4, 2)), "bg", 5.0)
         path = tmp_path / "spk.dvmd"
-        formats.save_speaker_models(path, speakers, "bg", 5.0)
+        formats.save_speaker_models(path, speakers)
         back = formats.load_speaker_models(path)
-        assert sorted(back) == sorted(speakers)
+        assert back.ids == speakers.ids
+        assert (back.background_id, back.relevance) == ("bg", 5.0)
         np.testing.assert_array_equal(back["s1"].means, speakers["s1"].means)
+
+
+class TestSpeakerRoster:
+    @pytest.mark.parametrize("defect", sorted(ROSTER_DEFECTS))
+    def test_corrupt_roster_is_corrupt_data(self, tmp_path, defect):
+        means = np.random.default_rng(14).standard_normal((3, 4, 2))
+        path = tmp_path / "spk.dvmd"
+        formats.write_dvmd(path, "speaker_models",
+                           ROSTER_DEFECTS[defect](roster_payload(["a", "b", "c"], means)))
+        with pytest.raises(CorruptData, match="invalid speaker_models payload"):
+            formats.load_speaker_models(path)
 
 
 def _root_base(arr):
@@ -670,14 +680,11 @@ class TestReaderCopies:
         assert peak < tv.matrix.nbytes * 5 // 4, (peak, tv.matrix.nbytes)
 
     def test_load_speaker_models_peak_is_about_the_models(self, tmp_path):
-        from digitsv.map_speaker import SpeakerModel
-
         rng = np.random.default_rng(13)
         stacked = rng.standard_normal((20, 64, 40))
         path = tmp_path / "spk.dvmd"
         formats.save_speaker_models(
-            path, {f"s{k:02d}": SpeakerModel(means, "ubm", 16.0)
-                   for k, means in enumerate(stacked)}, "ubm", 16.0)
+            path, SpeakerModels([f"s{k:02d}" for k in range(20)], stacked, "ubm", 16.0))
         speakers, peak = _traced_peak(lambda: formats.load_speaker_models(path))
         np.testing.assert_array_equal(speakers["s07"].means, stacked[7])
         assert peak < stacked.nbytes * 5 // 4, (peak, stacked.nbytes)

@@ -4,10 +4,13 @@ Each trainer and kernel below used to hold its training frames (or the
 speakers x M*D scoring matrix) two to four times over.  The tracemalloc
 tests bound each peak in units of those bytes; the oracles are the replaced
 copying code, kept verbatim, and the new code must equal them bit for bit.
+The one exception is EM over more than ``gmm.EM_BLOCK`` frames, whose sums
+are added block by block: it must agree with the oracle to 1e-12 relative.
 """
 
 import io
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -16,10 +19,10 @@ import pytest
 from digitsv import formats, gmm as gmm_mod, hmm as hmm_mod, neural_aligner, pipeline
 from digitsv.config import PipelineConfig
 from digitsv.errors import MissingClass, NonFiniteLoss, StarvedState
-from digitsv.features import FeatureKind
+from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm, GmmTrainConfig, train_em
 from digitsv.hmm import N_STATES, HmmSet, compile_graph
-from digitsv.map_speaker import LinearLlr
+from digitsv.map_speaker import LinearLlr, SpeakerModels
 from digitsv.neural_aligner import MlpTrainConfig
 from digitsv.pgmm import Pgmm, init_pgmm
 
@@ -284,6 +287,60 @@ class TestKernelsMatchOracles:
         _assert_same_gmms([got], [want])
         assert got_ll == want_ll
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_em_update_one_full_block_is_bit_equal(self, mixture, weighted):
+        gmm, _ = mixture
+        rng = np.random.default_rng(24)
+        data = rng.standard_normal((gmm_mod.EM_BLOCK, 7)) * 1.5
+        floor, global_var = np.full(7, 1e-3), data.var(axis=0)
+        weights = rng.random(len(data)) if weighted else None
+        got, got_ll = gmm_mod._em_update(gmm, data, floor, global_var, frame_weights=weights)
+        want, want_ll = em_update_oracle(gmm, data, floor, global_var, frame_weights=weights)
+        _assert_same_gmms([got], [want])
+        assert got_ll == want_ll
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_em_update_over_blocks(self, mixture, weighted):
+        gmm, _ = mixture
+        rng = np.random.default_rng(25)
+        data = rng.standard_normal((3 * gmm_mod.EM_BLOCK + 17, 7)) * 1.5
+        floor, global_var = np.full(7, 1e-3), data.var(axis=0)
+        weights = rng.random(len(data)) if weighted else None
+        got, got_ll = gmm_mod._em_update(gmm, data, floor, global_var, frame_weights=weights)
+        want, want_ll = em_update_oracle(gmm, data, floor, global_var, frame_weights=weights)
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=1e-12, atol=0, err_msg=name)
+        assert got_ll == pytest.approx(want_ll, rel=1e-12, abs=0)
+
+    def test_em_update_reseeds_on_the_worst_frames_of_every_block(self, mixture):
+        gmm, _ = mixture
+        rng = np.random.default_rng(26)
+        data = rng.standard_normal((3 * gmm_mod.EM_BLOCK + 17, 7))
+        # the worst-modeled frames sit in the last and the second block
+        data[3 * gmm_mod.EM_BLOCK + 5] += 40.0
+        data[gmm_mod.EM_BLOCK + 9] -= 30.0
+        far = DiagGmm(np.full(4, 0.25),
+                      np.vstack([gmm.means[:2], np.full((2, 7), 1e3)]),
+                      np.vstack([gmm.variances, gmm.variances[:1]]))
+        floor, global_var = np.full(7, 1e-3), data.var(axis=0)
+        got, got_ll = gmm_mod._em_update(far, data, floor, global_var)
+        want, _ = em_update_oracle(far, data, floor, global_var)
+        _assert_same_gmms([got], [want])
+        np.testing.assert_array_equal(got.means[2:], data[[3 * gmm_mod.EM_BLOCK + 5,
+                                                           gmm_mod.EM_BLOCK + 9]])
+
+    def test_train_em_log_nondecreasing_over_blocks(self):
+        rng = np.random.default_rng(27)
+        centres = 4.0 * rng.standard_normal((4, 5))
+        data = centres[rng.integers(0, 4, 3 * gmm_mod.EM_BLOCK + 17)] \
+            + rng.standard_normal((3 * gmm_mod.EM_BLOCK + 17, 5))
+        model = train_em(data, GmmTrainConfig(target_components=8))
+        assert [size for size, _ in model.training_log] == [2, 4, 8]
+        for size, lls in model.training_log:
+            lls = np.array(lls)
+            assert np.all(np.diff(lls) >= -1e-12 * np.abs(lls[:-1])), (size, lls)
+
     def test_likelihoods_and_posteriors(self, mixture):
         gmm, data = mixture
         np.testing.assert_array_equal(gmm_mod.log_likelihoods(gmm, data),
@@ -310,6 +367,17 @@ class TestKernelsMatchOracles:
         weights, halves = linear_llr_oracle(speakers, system.background)
         np.testing.assert_array_equal(scorer.weights, weights)
         np.testing.assert_array_equal(scorer.halves, halves)
+
+    def test_linear_llr_consuming_the_roster(self, small_corpus, small_models):
+        system = pipeline.SpeakerSystem("dnn-hmm", small_models)
+        speakers = pipeline.enroll_speakers(small_corpus, system)
+        weights, halves = linear_llr_oracle(speakers, system.background)
+        scorer = LinearLlr(speakers, system.background, consume=True)
+        np.testing.assert_array_equal(scorer.weights, weights)
+        np.testing.assert_array_equal(scorer.halves, halves)
+        assert len(speakers) == 0
+        with pytest.raises(KeyError):
+            speakers[small_corpus.speakers[0]]
 
     def test_write_tagged(self):
         rng = np.random.default_rng(22)
@@ -425,16 +493,16 @@ class TestPeakMemory:
                                                               small_models.hmms))
         assert peak < 2.5 * frames, (peak / frames)
 
-    def test_train_ubm(self, small_corpus):
-        # the frame matrix, its squares in the M-step and one responsibility
-        # matrix (R = 0.53 F): 2.6 F; a concatenation and an E-step holding two
-        # responsibility matrices took 3.1 F
+    def test_train_ubm(self, small_corpus, monkeypatch):
+        # the frame matrix plus a few blocks' temporaries (3.5 blocks of 256
+        # frames, 1.27 F); whole-matrix squares and responsibilities (R = 0.53 F)
+        # took 2F + 1.1R
+        monkeypatch.setattr(gmm_mod, "EM_BLOCK", 256)
         frames = _frame_bytes(small_corpus)
-        components = 32
-        responsibilities = frames // small_corpus.utterances[0].feats.dim * components
+        block = gmm_mod.EM_BLOCK * small_corpus.utterances[0].feats.dim * 8
         _, peak = _peak(lambda: pipeline.train_ubm(small_corpus,
-                                                   PipelineConfig(ubm_components=components)))
-        assert peak < 2 * frames + 1.5 * responsibilities, (peak / frames)
+                                                   PipelineConfig(ubm_components=32)))
+        assert peak < frames + 5 * block, (peak / frames)
 
     def test_train_phonetic_gmms(self, small_corpus, small_models):
         # one state's frames at a time: 0.2 F; per-state buckets holding every
@@ -448,10 +516,46 @@ class TestPeakMemory:
         assert peak < 0.5 * frames, (peak / frames)
 
     def test_linear_llr(self, small_corpus, small_models):
-        # the stacked weights plus one speaker's temporaries: 1.36 x the
-        # weights; stacked offsets, quotient and product took 3.0 x
+        # the new weights plus one speaker's quotient: S + 1.17 models; stacked
+        # offsets, quotient and product took S + 2.2
         system = pipeline.SpeakerSystem("gmm-hmm", small_models)
         speakers = pipeline.enroll_speakers(small_corpus, system)
         one = system.background.means.nbytes
-        _, peak = _peak(lambda: LinearLlr(speakers, system.background))
-        assert peak < len(speakers) * one + 3 * one, (peak / (len(speakers) * one))
+        scorer, peak = _peak(lambda: LinearLlr(speakers, system.background))
+        assert peak < len(speakers) * one + 1.5 * one, (peak / (len(speakers) * one))
+        assert not np.shares_memory(scorer.weights, speakers.means)
+
+    def test_linear_llr_consuming_the_roster(self, small_corpus, small_models):
+        # the weights overwrite the roster's means, so only one speaker's
+        # quotient is new: 1.17 models
+        system = pipeline.SpeakerSystem("gmm-hmm", small_models)
+        speakers = pipeline.enroll_speakers(small_corpus, system)
+        one = system.background.means.nbytes
+        # made before tracing; the warm-up call consumes the last one
+        rosters = [SpeakerModels(speakers.ids, speakers.means.copy(), speakers.background_id,
+                                 speakers.relevance) for _ in range(2)]
+        measured, means = rosters[0], rosters[0].means
+        scorer, peak = _peak(lambda: LinearLlr(rosters.pop(), system.background,
+                                               consume=True))
+        assert peak < 1.5 * one, (peak / one)
+        assert scorer.weights.base is means and len(measured) == 0
+
+    def test_enroll_and_save_speakers(self, small_corpus, small_models, tmp_path):
+        # one (speakers, M, D) array, written as it is, plus one short
+        # utterance's temporaries: S + 6.05 models; a dict of models stacked
+        # again to be written took 2S + 2.8
+        system = pipeline.SpeakerSystem("ubm", small_models)
+        one = system.background.means.nbytes
+        utt = _enroll(small_corpus)[0]
+        short = types.SimpleNamespace(feats=FeatureSequence(utt.feats.frames[:30],
+                                                            utt.feats.kind),
+                                      content=utt.content)
+        many = types.SimpleNamespace(speakers=[f"s{k:02d}" for k in range(48)],
+                                     enrollment=lambda spk: [short])
+
+        def enroll_and_save():
+            formats.save_speaker_models(tmp_path / "spk.dvmd",
+                                        pipeline.enroll_speakers(many, system))
+
+        _, peak = _peak(enroll_and_save)
+        assert peak < (48 + 8) * one, (peak / one)

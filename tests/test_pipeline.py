@@ -108,6 +108,16 @@ class TestTrialScoring:
                                       gammas[u.utt_id, t.prompt], u.feats))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=source)
 
+    def test_consumed_roster_scores_the_same(self, small_corpus, small_models):
+        system = pipeline.SpeakerSystem("gmm-hmm", small_models)
+        speakers = pipeline.enroll_speakers(small_corpus, system)
+        trials = small_corpus.trials
+        want = pipeline.score_speaker_trials(small_corpus, trials, system, speakers)
+        got = pipeline.score_speaker_trials(small_corpus, trials, system, speakers,
+                                            consume=True)
+        assert got == want
+        assert len(speakers) == 0
+
     @pytest.mark.parametrize("source", SOURCES)
     def test_plda_scorer_matches_plda_score(self, small_corpus, small_models, source):
         system = pipeline.SpeakerSystem(source, small_models)
