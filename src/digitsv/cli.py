@@ -373,8 +373,7 @@ def _cmd_score_speaker(args):
     if args.backend == "map":
         _require_flags(args, "speakers")
         scores = pipeline.score_speaker_trials(corpus, trials, system,
-                                               formats.load_speaker_models(args.speakers),
-                                               consume=True)
+                                               formats.load_speaker_models(args.speakers))
     else:
         _require_flags(args, "tv", "plda")
         scores = pipeline.score_ivector_trials(corpus, trials, system, formats.load_tv(args.tv),

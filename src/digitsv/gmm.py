@@ -15,7 +15,8 @@ from .errors import DegenerateData, DimMismatch, TooFewSamples
 _LOG_2PI = np.log(2.0 * np.pi)
 _EMPTY_COUNT = 1e-8
 # EM scores and accumulates this many frames at a time, so its per-frame
-# temporaries stay a few MiB however many frames a mixture is trained on
+# temporaries are two (EM_BLOCK x components) float64 arrays (16 MiB at 512
+# components) however many frames a mixture is trained on
 EM_BLOCK = 2048
 
 

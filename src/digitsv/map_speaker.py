@@ -94,6 +94,9 @@ class SpeakerModels(Mapping):
     def __getitem__(self, spk) -> SpeakerModel:
         return SpeakerModel(self.means[self._rows[spk]], self.background_id, self.relevance)
 
+    def __contains__(self, spk) -> bool:
+        return spk in self._rows
+
     def __iter__(self):
         return iter(self.ids)
 
@@ -121,32 +124,26 @@ class LinearLlr:
     W is stacked once as (speakers x M*D), so one statistics vector scores
     every speaker with two matrix-vector products.
 
-    Ownership: by default the weights are a new array filled from
-    ``speakers``, any mapping of id -> ``SpeakerModel``, which is left as it
-    was.  With ``consume=True``, ``speakers`` must be a ``SpeakerModels``
-    roster: the scorer takes its stacked means (``SpeakerModels.release``,
-    which leaves the roster empty) and turns them into the weights in place,
-    so the models are never held twice.
+    Ownership: the scorer takes the roster's stacked means
+    (``SpeakerModels.release``, which leaves the roster empty) and turns them
+    into the weights in place, so the models are never held twice.  A caller
+    that still needs the models scores a copy of the roster.  A roster that
+    fails the source or shape check is left as it was.
     """
 
-    def __init__(self, speakers: Mapping, background: Background, consume: bool = False):
-        enrolled_on = {model.background_id for model in speakers.values()}
-        if enrolled_on != {background.model_id}:
+    def __init__(self, speakers: SpeakerModels, background: Background):
+        if speakers.background_id != background.model_id:
             raise SourceMismatch(
-                f"speaker models were enrolled with the {', '.join(sorted(enrolled_on))} "
+                f"speaker models were enrolled with the {speakers.background_id} "
                 f"alignment source; scoring requested {background.model_id}"
             )
-        for spk, model in speakers.items():
-            if model.means.shape != background.means.shape:
-                raise ShapeMismatch(
-                    f"speaker {spk!r} model {model.means.shape} does not match "
-                    f"the background {background.means.shape}")
+        if speakers.means.shape[1:] != background.means.shape:
+            raise ShapeMismatch(
+                f"speaker models {speakers.means.shape[1:]} do not match "
+                f"the background {background.means.shape}")
         self.background = background
         self.index = {spk: k for k, spk in enumerate(speakers)}
-        if consume and not isinstance(speakers, SpeakerModels):
-            raise TypeError("consume=True needs a SpeakerModels roster")
-        means = (speakers.release() if consume
-                 else np.stack([model.means for model in speakers.values()]))
+        means = speakers.release()
         # one speaker at a time, in place: no speakers x M*D temporaries
         self.weights = means.reshape(len(means), background.means.size)
         self.halves = np.empty((len(means), background.n_mixtures))

@@ -288,19 +288,19 @@ def _score_trials(trials, plan, system: SpeakerSystem, scorer) -> list:
     return scores
 
 
-def score_speaker_trials(corpus, trials, system: SpeakerSystem, speakers,
-                         consume: bool = False) -> list:
+def score_speaker_trials(corpus, trials, system: SpeakerSystem,
+                         speakers: SpeakerModels) -> list:
     """Log-likelihood-ratio speaker score per trial, in trial order.
 
     The speaker models must have been enrolled on this system's background.
     Each (utterance, prompt) key's statistics score all of its trials'
     speakers at once with the exact linear form of ``map_speaker.llr_score``.
-    ``consume`` hands a ``SpeakerModels`` roster's means to the scorer, which
-    overwrites them (see ``map_speaker.LinearLlr``); the roster is left empty.
+    The scorer takes the roster's means and overwrites them (see
+    ``map_speaker.LinearLlr``), so the roster is left empty.
     """
     plan = _trial_plan(corpus, trials, system.source in PROMPTED_SOURCES, speakers)
     return _score_trials(trials, plan, system,
-                         map_speaker.LinearLlr(speakers, system.background, consume))
+                         map_speaker.LinearLlr(speakers, system.background))
 
 
 def score_ivector_trials(corpus, trials, system: SpeakerSystem, tv, backend) -> list:

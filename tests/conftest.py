@@ -134,6 +134,14 @@ def small_models(small_corpus):
         mlp_hidden="64,64", mlp_epochs=6))
 
 
+def roster_copy(speakers):
+    """A roster over its own copy of ``speakers``' means, for a scorer to take."""
+    from digitsv.map_speaker import SpeakerModels
+
+    return SpeakerModels(speakers.ids, speakers.means.copy(), speakers.background_id,
+                         speakers.relevance)
+
+
 def roster_payload(ids, means):
     """A valid ``speaker_models`` DVMD payload."""
     return {"background_id": "ubm", "relevance": 16.0, "ids": list(ids), "means": means}

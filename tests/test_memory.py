@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import roster_copy
 
 from digitsv import formats, gmm as gmm_mod, hmm as hmm_mod, neural_aligner, pipeline
 from digitsv.config import PipelineConfig
@@ -22,7 +23,7 @@ from digitsv.errors import MissingClass, NonFiniteLoss, StarvedState
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm, GmmTrainConfig, train_em
 from digitsv.hmm import N_STATES, HmmSet, compile_graph
-from digitsv.map_speaker import LinearLlr, SpeakerModels
+from digitsv.map_speaker import LinearLlr
 from digitsv.neural_aligner import MlpTrainConfig
 from digitsv.pgmm import Pgmm, init_pgmm
 
@@ -361,18 +362,11 @@ class TestKernelsMatchOracles:
             np.testing.assert_array_equal(var, stacked.var(axis=0))
 
     def test_linear_llr(self, small_corpus, small_models):
+        # the oracle reads the roster before the scorer takes it
         system = pipeline.SpeakerSystem("dnn-hmm", small_models)
         speakers = pipeline.enroll_speakers(small_corpus, system)
+        weights, halves = linear_llr_oracle(speakers, system.background)
         scorer = LinearLlr(speakers, system.background)
-        weights, halves = linear_llr_oracle(speakers, system.background)
-        np.testing.assert_array_equal(scorer.weights, weights)
-        np.testing.assert_array_equal(scorer.halves, halves)
-
-    def test_linear_llr_consuming_the_roster(self, small_corpus, small_models):
-        system = pipeline.SpeakerSystem("dnn-hmm", small_models)
-        speakers = pipeline.enroll_speakers(small_corpus, system)
-        weights, halves = linear_llr_oracle(speakers, system.background)
-        scorer = LinearLlr(speakers, system.background, consume=True)
         np.testing.assert_array_equal(scorer.weights, weights)
         np.testing.assert_array_equal(scorer.halves, halves)
         assert len(speakers) == 0
@@ -516,27 +510,15 @@ class TestPeakMemory:
         assert peak < 0.5 * frames, (peak / frames)
 
     def test_linear_llr(self, small_corpus, small_models):
-        # the new weights plus one speaker's quotient: S + 1.17 models; stacked
-        # offsets, quotient and product took S + 2.2
-        system = pipeline.SpeakerSystem("gmm-hmm", small_models)
-        speakers = pipeline.enroll_speakers(small_corpus, system)
-        one = system.background.means.nbytes
-        scorer, peak = _peak(lambda: LinearLlr(speakers, system.background))
-        assert peak < len(speakers) * one + 1.5 * one, (peak / (len(speakers) * one))
-        assert not np.shares_memory(scorer.weights, speakers.means)
-
-    def test_linear_llr_consuming_the_roster(self, small_corpus, small_models):
         # the weights overwrite the roster's means, so only one speaker's
-        # quotient is new: 1.17 models
+        # quotient is new: 1.17 models; stacking new weights took S + 2.2
         system = pipeline.SpeakerSystem("gmm-hmm", small_models)
         speakers = pipeline.enroll_speakers(small_corpus, system)
         one = system.background.means.nbytes
         # made before tracing; the warm-up call consumes the last one
-        rosters = [SpeakerModels(speakers.ids, speakers.means.copy(), speakers.background_id,
-                                 speakers.relevance) for _ in range(2)]
+        rosters = [roster_copy(speakers) for _ in range(2)]
         measured, means = rosters[0], rosters[0].means
-        scorer, peak = _peak(lambda: LinearLlr(rosters.pop(), system.background,
-                                               consume=True))
+        scorer, peak = _peak(lambda: LinearLlr(rosters.pop(), system.background))
         assert peak < 1.5 * one, (peak / one)
         assert scorer.weights.base is means and len(measured) == 0
 

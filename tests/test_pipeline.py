@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import roster_copy
 
 from digitsv import pipeline
 from digitsv.errors import ConfigInvalid, DigitsvError, NoRetainedFrames, ShapeMismatch
 from digitsv.hmm import compile_graph, fb_align
 from digitsv.ivector import extract_ivector, plda_score, train_backend, train_tv
-from digitsv.map_speaker import SpeakerModel, llr_score
+from digitsv.map_speaker import SpeakerModels, llr_score
 from digitsv.pgmm import MixturePosteriors, accumulate_stats
 
 SOURCES = ("gmm-hmm", "dnn", "dnn-hmm", "ubm")
@@ -97,7 +98,8 @@ class TestTrialScoring:
         trials = small_corpus.trials
         for source in SOURCES:
             system, speakers = enrolled[source]
-            got = pipeline.score_speaker_trials(small_corpus, trials, system, speakers)
+            got = pipeline.score_speaker_trials(small_corpus, trials, system,
+                                                roster_copy(speakers))
             gammas = {}
             want = []
             for t in trials:
@@ -108,13 +110,13 @@ class TestTrialScoring:
                                       gammas[u.utt_id, t.prompt], u.feats))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=source)
 
-    def test_consumed_roster_scores_the_same(self, small_corpus, small_models):
+    def test_scoring_takes_the_roster(self, small_corpus, small_models):
         system = pipeline.SpeakerSystem("gmm-hmm", small_models)
         speakers = pipeline.enroll_speakers(small_corpus, system)
         trials = small_corpus.trials
-        want = pipeline.score_speaker_trials(small_corpus, trials, system, speakers)
-        got = pipeline.score_speaker_trials(small_corpus, trials, system, speakers,
-                                            consume=True)
+        want = pipeline.score_speaker_trials(small_corpus, trials, system,
+                                             roster_copy(speakers))
+        got = pipeline.score_speaker_trials(small_corpus, trials, system, speakers)
         assert got == want
         assert len(speakers) == 0
 
@@ -156,7 +158,7 @@ class TestTrialScoring:
         for source in SOURCES:
             system, speakers = enrolled[source]
             calls = _counting_stats_posteriors(monkeypatch, system)
-            pipeline.score_speaker_trials(small_corpus, trials, system, speakers)
+            pipeline.score_speaker_trials(small_corpus, trials, system, roster_copy(speakers))
             prompted = source in ("gmm-hmm", "dnn-hmm")
             want = {(feats_id[t.utterance], t.prompt if prompted else None) for t in trials}
             assert len(calls) == len(want) and set(calls) == want, source
@@ -172,16 +174,15 @@ class TestTrialScoring:
         monkeypatch.setattr(system, "stats_posteriors", silent)
         with pytest.raises(NoRetainedFrames):
             pipeline.score_speaker_trials(small_corpus, small_corpus.trials[:1], system,
-                                          speakers)
+                                          roster_copy(speakers))
 
     def test_speaker_model_of_wrong_shape(self, small_corpus, enrolled):
         system, speakers = enrolled["dnn"]
-        spk = small_corpus.trials[0].speaker
-        bad = dict(speakers)
-        bad[spk] = SpeakerModel(speakers[spk].means[:-1], speakers[spk].background_id,
-                                speakers[spk].relevance)
+        bad = SpeakerModels(speakers.ids, speakers.means[:, :-1].copy(),
+                            speakers.background_id, speakers.relevance)
         with pytest.raises(ShapeMismatch):
             pipeline.score_speaker_trials(small_corpus, small_corpus.trials[:1], system, bad)
+        assert len(bad) == len(speakers)  # a rejected roster is not taken
 
     def test_bad_trials_fail_before_any_alignment(self, small_corpus, enrolled,
                                                   monkeypatch):
@@ -209,9 +210,10 @@ class TestTrialScoring:
         longest = max(trials, key=lambda t: frames[t.utterance])
 
         def peak(subset):
+            roster = roster_copy(speakers)
             tracemalloc.start()
             try:
-                pipeline.score_speaker_trials(small_corpus, subset, system, speakers)
+                pipeline.score_speaker_trials(small_corpus, subset, system, roster)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
