@@ -30,7 +30,6 @@ from . import (
     hmm as hmm_mod,
     ivector as ivec_mod,
     neural_aligner,
-    pgmm as pgmm_mod,
     pipeline,
     synth as synth_mod,
 )
@@ -271,8 +270,7 @@ def _cmd_accumulate_stats(args):
     system = pipeline.SpeakerSystem(args.source, _load_models(args))
     align = None if args.source == "ubm" else neural_aligner.load_external_posteriors(args.align)
     feats = formats.read_dvfe(args.feats)
-    stats = pgmm_mod.accumulate_stats(system.posteriors(align, feats), feats,
-                                      system.background.means, system.background.model_id)
+    stats, _ = system.statistics(feats, align)
     formats.write_dvst(args.out, stats)
     _progress("accumulate-stats", mixtures=stats.n.shape[0], total=f"{stats.n.sum():.4f}")
     print(args.out)
@@ -543,7 +541,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--ubm", default=None)
         p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES, default=None)
 
-    p = add("enroll-map", _cmd_enroll_map, help="MAP-enroll all corpus speakers")
+    p = add("enroll-map", _cmd_enroll_map, help="MAP-enroll speakers with enrollment utterances")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--relevance", type=float, default=None)

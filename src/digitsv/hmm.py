@@ -6,8 +6,9 @@ so digit d owns states 3d..3d+2 and silence owns 30..32.  Provides
 transcription-graph compilation, Viterbi and forward-backward alignment
 (in the log domain), and flat-start Baum-Welch training with mixture growth.
 A compiled graph is topology only, built from the prompt and the silence
-policy; every aligner takes the ``HmmSet`` as its last argument (hybrid
-alignment reads only its self-loops), so one graph serves any model.
+policy, so one graph serves any model.  An alignment is one emission step
+(``node_loglikes`` for state GMMs, ``hybrid_loglikes`` for classifier
+posteriors) then one decoder (``fb_align`` or ``viterbi_align``).
 """
 
 from __future__ import annotations
@@ -170,11 +171,29 @@ def compile_graph(transcription: str, silence_policy: str = "optional_between") 
     )
 
 
-def _node_loglikes(graph: StateGraph, frames: np.ndarray, hmms: HmmSet) -> np.ndarray:
-    """(T, L) emission log-likelihoods, one column per graph node."""
+def _gmm_loglikes(graph: StateGraph, frames: np.ndarray, hmms: HmmSet) -> np.ndarray:
+    """(T, L) state-GMM log-likelihoods of any frames, one column per graph node."""
     uniq = np.unique(graph.states)
     per_state = {s: gmm_mod.log_likelihoods(hmms.gmms[s], frames) for s in uniq}
     return np.stack([per_state[s] for s in graph.states], axis=1)
+
+
+def node_loglikes(graph: StateGraph, feats: FeatureSequence, hmms: HmmSet) -> np.ndarray:
+    """(T, L) GMM emission log-likelihoods of MFCC60 features, one column per graph node."""
+    if feats.kind != FeatureKind.MFCC60:
+        raise SourceMismatch(f"alignment expects MFCC60 features, got {feats.kind.value}")
+    return _gmm_loglikes(graph, feats.frames, hmms)
+
+
+def hybrid_loglikes(graph: StateGraph, state_posteriors: AlignmentMatrix,
+                    priors: np.ndarray) -> np.ndarray:
+    """(T, L) scaled-likelihood emissions from classifier posteriors and state priors."""
+    priors = np.asarray(priors, dtype=np.float64)
+    if priors.shape != (N_STATES,):
+        raise SourceMismatch("need one prior per global state")
+    post = np.maximum(state_posteriors.posteriors, 1e-30)
+    scores = np.log(post) - np.log(np.maximum(priors, 1e-30))
+    return scores[:, graph.states]
 
 
 def _arc_arrays(graph: StateGraph, self_loop: np.ndarray):
@@ -193,13 +212,6 @@ def _arc_arrays(graph: StateGraph, self_loop: np.ndarray):
             (graph.succ[0], out[0], graph.succ[1], out[1]))
 
 
-def _check_alignable(graph: StateGraph, n_frames: int):
-    if n_frames < graph.min_frames:
-        raise TooShort(
-            f"{n_frames} frames cannot traverse a graph needing {graph.min_frames}"
-        )
-
-
 def _viterbi_nodes(graph: StateGraph, loglikes: np.ndarray,
                    self_loop: np.ndarray) -> tuple[np.ndarray, float]:
     """Best node path and its joint log-probability.
@@ -208,6 +220,8 @@ def _viterbi_nodes(graph: StateGraph, loglikes: np.ndarray,
     deterministic.
     """
     t_max, n_nodes = loglikes.shape
+    if t_max < graph.min_frames:
+        raise TooShort(f"{t_max} frames cannot traverse a graph needing {graph.min_frames}")
     loop, (p1, a1, p2, a2), _ = _arc_arrays(graph, self_loop)
     nodes = np.arange(n_nodes)
     delta = np.full(n_nodes, _LOG_ZERO)
@@ -237,6 +251,8 @@ def _viterbi_nodes(graph: StateGraph, loglikes: np.ndarray,
 def _forward_backward_nodes(graph: StateGraph, loglikes: np.ndarray, self_loop: np.ndarray):
     """Node occupation posteriors (T, L), total log-probability, alpha, beta."""
     t_max, n_nodes = loglikes.shape
+    if t_max < graph.min_frames:
+        raise TooShort(f"{t_max} frames cannot traverse a graph needing {graph.min_frames}")
     loop, (p1, a1, p2, a2), (s1, b1, s2, b2) = _arc_arrays(graph, self_loop)
 
     alpha = np.full((t_max, n_nodes), _LOG_ZERO)
@@ -267,51 +283,15 @@ def _nodes_to_states(graph: StateGraph, gamma_nodes: np.ndarray) -> np.ndarray:
     return post
 
 
-def viterbi_align(graph: StateGraph, feats: FeatureSequence, hmms: HmmSet) -> np.ndarray:
-    """Hard forced alignment: the most likely global state per frame."""
-    if feats.kind != FeatureKind.MFCC60:
-        raise SourceMismatch(f"alignment expects MFCC60 features, got {feats.kind.value}")
-    _check_alignable(graph, feats.n_frames)
-    path, _ = _viterbi_nodes(graph, _node_loglikes(graph, feats.frames, hmms), hmms.self_loop)
+def viterbi_align(graph: StateGraph, loglikes: np.ndarray, hmms: HmmSet) -> np.ndarray:
+    """Hard alignment: the most likely global state per frame under node ``loglikes``."""
+    path, _ = _viterbi_nodes(graph, loglikes, hmms.self_loop)
     return graph.states[path]
 
 
-def fb_align(graph: StateGraph, feats: FeatureSequence, hmms: HmmSet) -> AlignmentMatrix:
-    """Soft forced alignment from forward-backward occupation probabilities."""
-    if feats.kind != FeatureKind.MFCC60:
-        raise SourceMismatch(f"alignment expects MFCC60 features, got {feats.kind.value}")
-    _check_alignable(graph, feats.n_frames)
-    gamma, _, _, _ = _forward_backward_nodes(graph, _node_loglikes(graph, feats.frames, hmms),
-                                             hmms.self_loop)
-    return AlignmentMatrix(_nodes_to_states(graph, gamma), AlignSource.HMM_FB)
-
-
-def _hybrid_loglikes(graph: StateGraph, state_posteriors: AlignmentMatrix,
-                     priors: np.ndarray) -> np.ndarray:
-    """Scaled-likelihood emissions from classifier posteriors and state priors."""
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.shape != (N_STATES,):
-        raise SourceMismatch("need one prior per global state")
-    post = np.maximum(state_posteriors.posteriors, 1e-30)
-    scores = np.log(post) - np.log(np.maximum(priors, 1e-30))
-    return scores[:, graph.states]
-
-
-def viterbi_align_hybrid(graph: StateGraph, state_posteriors: AlignmentMatrix,
-                         priors: np.ndarray, hmms: HmmSet) -> np.ndarray:
-    """Hard alignment with DNN-derived scaled-likelihood emissions."""
-    _check_alignable(graph, state_posteriors.n_frames)
-    path, _ = _viterbi_nodes(graph, _hybrid_loglikes(graph, state_posteriors, priors),
-                             hmms.self_loop)
-    return graph.states[path]
-
-
-def fb_align_hybrid(graph: StateGraph, state_posteriors: AlignmentMatrix,
-                    priors: np.ndarray, hmms: HmmSet) -> AlignmentMatrix:
-    """Soft alignment with DNN-derived scaled-likelihood emissions."""
-    _check_alignable(graph, state_posteriors.n_frames)
-    gamma, _, _, _ = _forward_backward_nodes(
-        graph, _hybrid_loglikes(graph, state_posteriors, priors), hmms.self_loop)
+def fb_align(graph: StateGraph, loglikes: np.ndarray, hmms: HmmSet) -> AlignmentMatrix:
+    """Soft alignment: forward-backward occupation probabilities under node ``loglikes``."""
+    gamma, _, _, _ = _forward_backward_nodes(graph, loglikes, hmms.self_loop)
     return AlignmentMatrix(_nodes_to_states(graph, gamma), AlignSource.HMM_FB)
 
 
@@ -370,7 +350,7 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, floor, global_var):
     total_fb = 0.0
     total_viterbi = 0.0
     for (feats, _), graph in zip(corpus, graphs):
-        loglikes = _node_loglikes(graph, feats.frames, hmms)
+        loglikes = _gmm_loglikes(graph, feats.frames, hmms)
         gamma, fb_ll, alpha, beta = _forward_backward_nodes(graph, loglikes, hmms.self_loop)
         _, vit_ll = _viterbi_nodes(graph, loglikes, hmms.self_loop)
         total_fb += fb_ll

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyEnrollment, NoRetainedFrames, ShapeMismatch, SourceMismatch
 from .features import FeatureSequence
-from .pgmm import Background, MixturePosteriors, SuffStats
+from .pgmm import Background, SuffStats
 
 RELEVANCE_DEFAULT = 5.0
 
@@ -169,25 +169,24 @@ class LinearLlr:
 
 
 def llr_score(speaker: SpeakerModel, background: Background,
-              gammas: MixturePosteriors, feats: FeatureSequence) -> float:
+              gammas: np.ndarray, feats: FeatureSequence) -> float:
     """Average per-frame log-likelihood ratio of speaker vs background.
 
-    Shared variances make the log-determinants cancel, leaving a
-    posterior-weighted difference of quadratic terms.  The sum is divided
-    by the number of frames carrying any retained mixture mass.  The
-    per-frame reference for ``LinearLlr``.
+    ``gammas`` are the (T, M) mixture posteriors.  Shared variances make the
+    log-determinants cancel, leaving a posterior-weighted difference of
+    quadratic terms.  The sum is divided by the number of frames carrying
+    any retained mixture mass.  The per-frame reference for ``LinearLlr``.
     """
     if speaker.means.shape != background.means.shape:
         raise ShapeMismatch("speaker and background models differ in shape")
-    if gammas.gammas.shape[1] != background.means.shape[0]:
+    if gammas.shape[1] != background.means.shape[0]:
         raise ShapeMismatch("posterior columns do not match the background mixtures")
     if feats.dim != background.means.shape[1]:
         raise ShapeMismatch("feature dim does not match the model")
-    if gammas.n_frames != feats.n_frames:
+    if gammas.shape[0] != feats.n_frames:
         raise ShapeMismatch("posterior and feature frame counts differ")
 
-    g = gammas.gammas
-    rows, cols = np.nonzero(g)
+    rows, cols = np.nonzero(gammas)
     retained = np.unique(rows).size
     if retained == 0:
         raise NoRetainedFrames("no frame carries any non-silence mixture mass")
@@ -197,4 +196,4 @@ def llr_score(speaker: SpeakerModel, background: Background,
     mu_s = speaker.means[cols]
     inv2v = 0.5 / background.variances[cols]
     per_entry = np.sum(((x - mu_b) ** 2 - (x - mu_s) ** 2) * inv2v, axis=1)
-    return float(np.dot(g[rows, cols], per_entry) / retained)
+    return float(np.dot(gammas[rows, cols], per_entry) / retained)

@@ -19,7 +19,7 @@ from . import gmm as gmm_mod
 from .errors import EmptyStateWarning, ShapeMismatch, StarvedState
 from .features import FeatureSequence
 from .gmm import DiagGmm
-from .hmm import DIGIT_STATES, AlignmentMatrix, AlignSource, HmmSet
+from .hmm import DIGIT_STATES, AlignmentMatrix, HmmSet
 
 _EMPTY_COUNT = 1e-8
 PRUNE_DEFAULT = 1e-6
@@ -51,33 +51,6 @@ class Pgmm:
     @property
     def n_mixtures(self):
         return len(self.gmms) * self.n_components
-
-
-@dataclass
-class MixturePosteriors:
-    """Per-frame (state, component) occupancies flattened to (T, M).
-
-    Columns group the components of each entry of ``state_ids`` in order;
-    ``state_ids`` is None for an unsupervised (single-block) model.  Rows
-    carry total mass <= 1; mass on excluded states is simply absent.
-    """
-
-    gammas: np.ndarray
-    source: str                       # "HMM" | "DNN"
-    state_ids: tuple | None
-    n_components: int
-
-    def __post_init__(self):
-        self.gammas = np.asarray(self.gammas, dtype=np.float64)
-        if self.source not in ("HMM", "DNN"):
-            raise ValueError(f"unknown posterior source {self.source!r}")
-        expected = self.n_components * (len(self.state_ids) if self.state_ids else 1)
-        if self.gammas.ndim != 2 or self.gammas.shape[1] != expected:
-            raise ShapeMismatch(f"expected {expected} mixture columns")
-
-    @property
-    def n_frames(self):
-        return self.gammas.shape[0]
 
 
 @dataclass
@@ -155,12 +128,14 @@ def _model_states_gmms(model):
 
 
 def mixture_posteriors(model, align: AlignmentMatrix, feats: FeatureSequence,
-                       prune: float = PRUNE_DEFAULT) -> MixturePosteriors:
+                       prune: float = PRUNE_DEFAULT) -> np.ndarray:
     """Joint (state, component) posteriors: state mass times within-state posterior.
 
-    Only digit states contribute, for a Pgmm and an HmmSet alike: the
-    silence-state mass is discarded (never renormalized).  Entries below
-    ``prune`` are zeroed for sparsity.
+    Returns a (T, M) array whose columns group each digit state's components
+    in state order.  Only digit states contribute, for a Pgmm and an HmmSet
+    alike: the silence-state mass is discarded (never renormalized), so a
+    row carries total mass <= 1.  Entries below ``prune`` are zeroed for
+    sparsity.
     """
     states, gmms = _model_states_gmms(model)
     if align.n_frames != feats.n_frames:
@@ -178,31 +153,28 @@ def mixture_posteriors(model, align: AlignmentMatrix, feats: FeatureSequence,
         )
     if prune > 0:
         gammas[gammas < prune] = 0.0
-    source = "DNN" if align.source == AlignSource.DNN else "HMM"
-    return MixturePosteriors(gammas, source, states, n_comp)
+    return gammas
 
 
 def ubm_mixture_posteriors(ubm: DiagGmm, feats: FeatureSequence,
-                           prune: float = PRUNE_DEFAULT) -> MixturePosteriors:
-    """Unsupervised component posteriors under a single background GMM."""
+                           prune: float = PRUNE_DEFAULT) -> np.ndarray:
+    """(T, M) unsupervised component posteriors under a single background GMM."""
     gammas = gmm_mod.component_posterior_matrix(ubm, feats.frames)
     if prune > 0:
         gammas = np.where(gammas < prune, 0.0, gammas)
-    return MixturePosteriors(gammas, "HMM", None, ubm.n_components)
+    return gammas
 
 
-def accumulate_stats(gammas: MixturePosteriors, feats: FeatureSequence,
+def accumulate_stats(gammas: np.ndarray, feats: FeatureSequence,
                      means: np.ndarray, background_id: str | None = None) -> SuffStats:
-    """Normalized Baum-Welch statistics around the given background means."""
+    """Normalized Baum-Welch statistics of (T, M) mixture posteriors around the means."""
     means = np.asarray(means, dtype=np.float64)
-    if gammas.n_frames != feats.n_frames:
-        raise ShapeMismatch("posterior and feature frame counts differ")
-    if means.shape != (gammas.gammas.shape[1], feats.dim):
+    if gammas.ndim != 2 or gammas.shape[0] != feats.n_frames:
+        raise ShapeMismatch("posteriors must be one row per feature frame")
+    if means.shape != (gammas.shape[1], feats.dim):
         raise ShapeMismatch(f"means shape {means.shape} does not match posteriors/features")
-    g = gammas.gammas
-    x = feats.frames
-    n = g.sum(axis=0)
-    f = g.T @ x - n[:, None] * means
+    n = gammas.sum(axis=0)
+    f = gammas.T @ feats.frames - n[:, None] * means
     return SuffStats(n, f, background_id)
 
 

@@ -2,11 +2,11 @@
 
 Glue between the synthetic corpus (or any utterance provider) and the
 alignment/backend modules: one trainer per alignment model, speaker
-enrollment, and speaker and content scoring of trial lists.  Scoring walks
-the trials grouped by test utterance and then by prompt, in one streaming
-pass: each key's posteriors are reduced to statistics (or a KL score)
-before the next key is aligned.  The CLI wraps the same functions around
-on-disk artifacts.
+enrollment, and speaker and content scoring of trial lists.  One walker
+serves enrollment and both kinds of scoring, one (utterance, prompt) key at
+a time: each key's alignment becomes statistics or a KL score before the
+next key is aligned.  The CLI wraps the same functions around on-disk
+artifacts.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .hmm import AlignmentMatrix, HmmSet, compile_graph, train_hmm_set
 from .ivector import PldaScorer
 from .map_speaker import SpeakerModels
 from .neural_aligner import MlpModel, MlpTrainConfig, mlp_posteriors, train_mlp
-from .pgmm import Background, MixturePosteriors, Pgmm, SuffStats, accumulate_stats
+from .pgmm import Background, Pgmm, SuffStats, accumulate_stats
 from .features import FeatureSequence
 
 
@@ -77,7 +77,8 @@ def train_classifier(corpus, cfg: PipelineConfig, hmms: HmmSet, stream=None) -> 
     for utt in enroll:
         corpus_feats = utt.feats
         graph = compile_graph(utt.content, cfg.silence_policy)
-        path = hmm_mod.viterbi_align(graph, corpus_feats, hmms)
+        path = hmm_mod.viterbi_align(graph, hmm_mod.node_loglikes(graph, corpus_feats, hmms),
+                                     hmms)
         feats = corpus_feats if stream is None else stream(utt)
         first = first or feats
         if (feats.kind, feats.dim) != (first.kind, first.dim):
@@ -149,13 +150,12 @@ def align(source: str, models: AlignerModels, feats: FeatureSequence | None,
     hmms = _need(models.hmms, "hmms")
     graph = compile_graph(prompt, silence_policy)
     if source == "gmm-hmm":
-        if mode == "fb":
-            return hmm_mod.fb_align(graph, feats, hmms)
-        return hmm_mod.path_to_alignment(hmm_mod.viterbi_align(graph, feats, hmms))
-    priors = _need(models.mlp, "mlp").class_priors
+        loglikes = hmm_mod.node_loglikes(graph, feats, hmms)
+    else:
+        loglikes = hmm_mod.hybrid_loglikes(graph, dnn_align, _need(models.mlp, "mlp").class_priors)
     if mode == "fb":
-        return hmm_mod.fb_align_hybrid(graph, dnn_align, priors, hmms)
-    return hmm_mod.path_to_alignment(hmm_mod.viterbi_align_hybrid(graph, dnn_align, priors, hmms))
+        return hmm_mod.fb_align(graph, loglikes, hmms)
+    return hmm_mod.path_to_alignment(hmm_mod.viterbi_align(graph, loglikes, hmms))
 
 
 class SpeakerSystem:
@@ -186,29 +186,21 @@ class SpeakerSystem:
         else:
             raise ConfigInvalid(f"unknown alignment source {source!r}")
 
-    def dnn_alignment(self, dnn_feats: FeatureSequence) -> AlignmentMatrix:
-        return mlp_posteriors(_need(self.models.mlp, "mlp"), dnn_feats)
+    def statistics(self, feats: FeatureSequence,
+                   alignment: AlignmentMatrix | None) -> tuple[SuffStats, int]:
+        """One utterance's statistics on the background, and its retained frames.
 
-    def alignment(self, feats: FeatureSequence, prompt: str | None,
-                  dnn_align: AlignmentMatrix | None = None) -> AlignmentMatrix | None:
-        """State alignment for one utterance (None for the UBM source)."""
+        ``alignment`` is the utterance's state alignment (None for ``ubm``).
+        The retained frames are those carrying any mixture mass.
+        """
         if self.source == "ubm":
-            return None
-        return align(self.source, self.models, feats, prompt, dnn_align=dnn_align,
-                     silence_policy=self.silence_policy)
-
-    def posteriors(self, align: AlignmentMatrix | None,
-                   feats: FeatureSequence) -> MixturePosteriors:
-        """MixturePosteriors feeding statistics, with silence mass dropped."""
-        if self.source == "ubm":
-            return pgmm_mod.ubm_mixture_posteriors(self.models.ubm, feats)
-        model = self.models.hmms if self.source == "gmm-hmm" else self.models.pgmm
-        return pgmm_mod.mixture_posteriors(model, align, feats)
-
-    def stats_posteriors(self, feats: FeatureSequence, prompt: str | None = None,
-                         dnn_align: AlignmentMatrix | None = None) -> MixturePosteriors:
-        """Align one utterance, then take its mixture posteriors."""
-        return self.posteriors(self.alignment(feats, prompt, dnn_align), feats)
+            gammas = pgmm_mod.ubm_mixture_posteriors(self.models.ubm, feats)
+        else:
+            model = self.models.hmms if self.source == "gmm-hmm" else self.models.pgmm
+            gammas = pgmm_mod.mixture_posteriors(model, alignment, feats)
+        bg = self.background
+        return (accumulate_stats(gammas, feats, bg.means, bg.model_id),
+                int(np.count_nonzero(gammas.any(axis=1))))
 
 
 def _trial_plan(corpus, trials, prompt_keyed: bool, enrolled=None) -> list:
@@ -235,40 +227,51 @@ def _trial_plan(corpus, trials, prompt_keyed: bool, enrolled=None) -> list:
     return list(plan.values())
 
 
-def _stats(system: SpeakerSystem, feats: FeatureSequence, prompt: str | None,
-           dnn_align: AlignmentMatrix | None = None) -> tuple[SuffStats, int]:
-    """One utterance's statistics on the system's background, and its retained frames."""
-    gammas = system.stats_posteriors(feats, prompt, dnn_align)
-    retained = int(np.count_nonzero(gammas.gammas.any(axis=1)))
-    bg = system.background
-    return accumulate_stats(gammas, feats, bg.means, bg.model_id), retained
+def _walk(plan, source: str, models: AlignerModels, silence_policy: str,
+          classify: bool = False):
+    """(trial indices, features, forced alignment, classifier posteriors) per key of a plan.
 
-
-def _key_stats(plan, system: SpeakerSystem):
-    """(trial indices, SuffStats, retained frames) per key of a trial plan.
-
-    The classifier runs once per utterance; each key's mixture posteriors are
-    reduced to statistics and freed before the next key.
+    The alignment is ``source``'s over the key's prompt (None for ``ubm``); the
+    classifier runs once per utterance when the source or ``classify`` needs
+    it, else its posteriors are None.  Consumers drop a key once it is reduced.
     """
+    classify = classify or source in ("dnn", "dnn-hmm")
     for utt, keys in plan:
         feats = utt.feats
-        dnn = system.dnn_alignment(feats) if system.source in ("dnn", "dnn-hmm") else None
+        dnn = mlp_posteriors(_need(models.mlp, "mlp"), feats) if classify else None
         for prompt, indices in keys.items():
-            yield (indices, *_stats(system, feats, prompt, dnn))
+            # built in the yield, so the walker holds no alignment while suspended
+            yield indices, feats, (None if source == "ubm" else align(
+                source, models, feats, prompt, dnn_align=dnn, silence_policy=silence_policy)), dnn
+        del feats, dnn  # not held while the next utterance is read and classified
+
+
+def _enrolled(corpus) -> list:
+    """Speakers with enrollment utterances, in sorted id order: both backends enroll these."""
+    return [spk for spk in sorted(corpus.speakers) if corpus.enrollment(spk)]
+
+
+def _enrollment_stats(utts, system: SpeakerSystem):
+    """Each utterance's statistics, one key over its transcript, walked before it yields them."""
+    for utt in utts:
+        for _, feats, forced, dnn in _walk([(utt, {utt.content: None})], system.source,
+                                           system.models, system.silence_policy):
+            stats, _ = system.statistics(feats, forced)
+        del feats, forced, dnn
+        yield stats
 
 
 def enroll_speakers(corpus, system: SpeakerSystem,
                     relevance: float = map_speaker.RELEVANCE_DEFAULT) -> SpeakerModels:
-    """MAP-enroll every corpus speaker from its enrollment utterances.
+    """MAP-enroll every corpus speaker that has enrollment utterances.
 
     Speakers are enrolled in sorted id order, each straight into its row of
     the roster's one (speakers, M, D) array.
     """
-    ids = sorted(corpus.speakers)
+    ids = _enrolled(corpus)
     means = np.empty((len(ids), *system.background.means.shape))
     for row, spk in zip(means, ids):
-        # a generator: each utterance's statistics are merged before the next is aligned
-        stats = (_stats(system, u.feats, u.content)[0] for u in corpus.enrollment(spk))
+        stats = _enrollment_stats(corpus.enrollment(spk), system)
         row[...] = map_speaker.enroll(system.background, stats, relevance).means
     return SpeakerModels(ids, means, system.background.model_id, relevance)
 
@@ -280,11 +283,14 @@ def _score_trials(trials, plan, system: SpeakerSystem, scorer) -> list:
     ``scorer.index`` gives each speaker's position in that array.
     """
     scores = [0.0] * len(trials)
-    for indices, stats, retained in _key_stats(plan, system):
+    for indices, feats, forced, dnn in _walk(plan, system.source, system.models,
+                                             system.silence_policy):
+        stats, retained = system.statistics(feats, forced)
+        del feats, forced, dnn  # not held while the key is scored or the next one aligned
         llrs = scorer.scores(stats, retained)
         for i in indices:
             scores[i] = float(llrs[scorer.index[trials[i].speaker]])
-        del stats, llrs  # not held while the next key is aligned
+        del stats, llrs  # nor while the next key is aligned
     return scores
 
 
@@ -305,12 +311,9 @@ def score_speaker_trials(corpus, trials, system: SpeakerSystem,
 
 def score_ivector_trials(corpus, trials, system: SpeakerSystem, tv, backend) -> list:
     """PLDA score per trial between enrollment and test i-vectors, in trial order."""
-    enrolled = [spk for spk in corpus.speakers if corpus.enrollment(spk)]
+    enrolled = _enrolled(corpus)
     plan = _trial_plan(corpus, trials, system.source in PROMPTED_SOURCES, enrolled)
-    # generators, as in enroll_speakers
-    enrollments = {spk: (_stats(system, u.feats, u.content)[0]
-                         for u in corpus.enrollment(spk))
-                   for spk in enrolled}
+    enrollments = {spk: _enrollment_stats(corpus.enrollment(spk), system) for spk in enrolled}
     return _score_trials(trials, plan, system, PldaScorer(tv, backend, enrollments))
 
 
@@ -330,13 +333,9 @@ def score_content_trials(corpus, trials, models: AlignerModels,
         raise ConfigInvalid(f"unknown hmm mode {hmm_mode!r}")
     class_map = content_kl.PhoneticClassMap.for_level(level)
     scores = [0.0] * len(trials)
-    for utt, keys in plan:
-        feats = utt.feats
-        dnn = align("dnn", models, feats, None)
-        for prompt, indices in keys.items():
-            forced = align(source, models, feats, prompt, dnn_align=dnn,
-                           silence_policy=silence_policy)
-            kl = content_kl.content_verify(forced, dnn, class_map, epsilon)
-            for i in indices:
-                scores[i] = kl
+    for indices, feats, forced, dnn in _walk(plan, source, models, silence_policy, classify=True):
+        kl = content_kl.content_verify(forced, dnn, class_map, epsilon)
+        del feats, forced, dnn  # not held while the next key is aligned
+        for i in indices:
+            scores[i] = kl
     return scores

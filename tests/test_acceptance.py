@@ -17,7 +17,7 @@ from conftest import enumeration_marginals, make_hmm_set
 from digitsv import pipeline
 from digitsv.eval_trials import evaluate_condition
 from digitsv.features import FeatureKind, FeatureSequence
-from digitsv.hmm import N_STATES, compile_graph, fb_align, viterbi_align
+from digitsv.hmm import N_STATES, compile_graph, fb_align, node_loglikes, viterbi_align
 from digitsv.synth import SynthConfig, generate_corpus
 
 
@@ -52,9 +52,10 @@ class TestCriterion1ForwardBackwardOracle:
             marg, best_path, _, _ = enumeration_marginals(
                 loglikes, hmms.self_loop[[15, 16, 17]]
             )
-            got = fb_align(graph, feats, hmms).posteriors[:, [15, 16, 17]]
+            emissions = node_loglikes(graph, feats, hmms)
+            got = fb_align(graph, emissions, hmms).posteriors[:, [15, 16, 17]]
             worst = max(worst, float(np.abs(got - marg).max()))
-            vit = viterbi_align(graph, feats, hmms)
+            vit = viterbi_align(graph, emissions, hmms)
             if not np.array_equal(vit, np.array([15, 16, 17])[best_path]):
                 check("criterion 1: forward-backward oracle", False,
                       f"viterbi mismatch on seed {seed}")
@@ -168,20 +169,19 @@ class TestCriterion3EquationOracles:
         for state, mass in ((2, 0.5), (9, 0.3)):
             inner = component_posteriors(pgmm.gmms[state], frame[0])
             expect = mass * inner
-            got = mp.gammas[0, 2 * state:2 * state + 2]
+            got = mp[0, 2 * state:2 * state + 2]
             ok &= bool(np.abs(got - expect).max() < 1e-8)
         if not ok:
             failures.append("state-component product")
 
         # zeroth- and first-order statistics on a scalar case
-        from digitsv.pgmm import MixturePosteriors, accumulate_stats
+        from digitsv.pgmm import accumulate_stats
 
         g = np.array([[0.25, 0.75], [1.0, 0.0]])
         x = np.array([[2.0], [-1.0]])
         means = np.array([[0.5], [1.5]])
         feats1 = FeatureSequence(np.tile(x, (1, 60)), FeatureKind.MFCC60)
-        stats = accumulate_stats(MixturePosteriors(g, "DNN", None, 2),
-                                 feats1, np.tile(means, (1, 60)))
+        stats = accumulate_stats(g, feats1, np.tile(means, (1, 60)))
         n_expect = [0.25 + 1.0, 0.75]
         f0 = 0.25 * (2.0 - 0.5) + 1.0 * (-1.0 - 0.5)
         f1 = 0.75 * (2.0 - 1.5)
@@ -336,12 +336,11 @@ class TestSupplementaryMapVsIvector:
         """Supplementary ordering check: on five-digit test utterances the
         point-estimate i-vector backend trails GMM-MAP."""
         from digitsv.ivector import extract_ivector, train_backend, train_tv
-        from digitsv.pgmm import accumulate_stats
 
         system = pipeline.SpeakerSystem("dnn", bench_models)
         enroll_stats = {
-            spk: [accumulate_stats(system.stats_posteriors(u.feats, u.content), u.feats,
-                                   system.background.means, system.background.model_id)
+            spk: [system.statistics(u.feats, pipeline.align("dnn", bench_models, u.feats,
+                                                            u.content))[0]
                   for u in bench_corpus.enrollment(spk)]
             for spk in bench_corpus.speakers
         }

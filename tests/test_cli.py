@@ -478,7 +478,7 @@ class TestCliMatchesLibrary:
     def test_accumulate_stats_from_dvpo(self, work, tmp_path):
         from digitsv import formats, pipeline
         from digitsv.neural_aligner import load_external_posteriors
-        from digitsv.pgmm import accumulate_stats
+        from digitsv.pgmm import accumulate_stats, mixture_posteriors, ubm_mixture_posteriors
 
         models, corpus = work["models"], work["corpus"]
         loaded = pipeline.AlignerModels(
@@ -506,10 +506,13 @@ class TestCliMatchesLibrary:
                 align_flags = ["--align", align]
             assert run(["accumulate-stats", "--source", source, *backgrounds[source],
                         *align_flags, "--feats", feats_path, "--out", out]) == 0
-            system = pipeline.SpeakerSystem(source, loaded)
-            matrix = load_external_posteriors(align) if aligner else None
-            want = accumulate_stats(system.posteriors(matrix, feats), feats,
-                                    system.background.means, system.background.model_id)
+            if aligner:
+                model = loaded.hmms if source == "gmm-hmm" else loaded.pgmm
+                gammas = mixture_posteriors(model, load_external_posteriors(align), feats)
+            else:
+                gammas = ubm_mixture_posteriors(loaded.ubm, feats)
+            bg = pipeline.SpeakerSystem(source, loaded).background
+            want = accumulate_stats(gammas, feats, bg.means, bg.model_id)
             got = formats.read_dvst(out)
             for field in ("n", "f"):
                 np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
@@ -820,6 +823,32 @@ class TestBadTrials:
                     "--trials", self._bad_trials(work, tmp_path, **bad),
                     "--out", str(tmp_path / "scores.txt")]) == 2
         self._assert_one_line_error(capsys, *bad.values())
+
+    def test_test_only_speaker_is_not_enrolled(self, work, tmp_path, capsys):
+        # an impostor named only in the test split gets no model, and a trial
+        # claiming that speaker fails on the speaker, not on the enrollment
+        import shutil
+
+        corpus = str(tmp_path / "c")
+        shutil.copytree(work["corpus"], corpus)
+        enroll = f"{corpus}/corpus/splits/enroll.txt"
+        lines = open(enroll).read().splitlines()
+        impostor = lines[-1].split()[1]
+        with open(enroll, "w") as fh:
+            fh.writelines(f"{line}\n" for line in lines if line.split()[1] != impostor)
+        trials = tmp_path / "trials.txt"
+        trials.write_text(next(line for line in open(f"{corpus}/corpus/trials/trials.txt")
+                               if line.split()[0] == impostor))
+        ubm, speakers = ["--ubm", f"{work['models']}/ubm.dvmd"], str(tmp_path / "spk.dvmd")
+        assert run(["enroll-map", "--corpus", corpus, "--source", "ubm", *ubm,
+                    "--out", speakers]) == 0
+        kept = sorted({line.split()[1] for line in lines} - {impostor})
+        assert list(formats.load_speaker_models(speakers).ids) == kept
+        capsys.readouterr()
+        assert run(["score-speaker", "--corpus", corpus, "--source", "ubm", *ubm,
+                    "--speakers", speakers, "--trials", str(trials),
+                    "--out", str(tmp_path / "scores.txt")]) == 2
+        _assert_error_line(capsys, impostor, "no enrolled model")
 
     def test_score_content_unknown_utterance(self, work, tmp_path, capsys):
         models = work["models"]

@@ -20,11 +20,11 @@ from digitsv.hmm import (
     _arc_arrays,
     compile_graph,
     fb_align,
-    fb_align_hybrid,
+    hybrid_loglikes,
+    node_loglikes,
     path_to_alignment,
     train_hmm_set,
     viterbi_align,
-    viterbi_align_hybrid,
     word_states,
 )
 from digitsv.pgmm import mixture_posteriors
@@ -177,7 +177,7 @@ class TestViterbi:
         hmms = make_hmm_set()
         graph = compile_graph("4", "none")
         feats = mfcc_feats(np.zeros((3, 2)))
-        path = viterbi_align(graph, feats, hmms)
+        path = viterbi_align(graph, node_loglikes(graph, feats, hmms), hmms)
         np.testing.assert_array_equal(path, [12, 13, 14])
 
     def test_matches_enumerated_argmax(self):
@@ -186,32 +186,33 @@ class TestViterbi:
             _, best_path, best_lp, _ = enumeration_marginals(
                 loglikes, hmms.self_loop[[15, 16, 17]]
             )
-            got = viterbi_align(graph, feats, hmms)
+            got = viterbi_align(graph, node_loglikes(graph, feats, hmms), hmms)
             np.testing.assert_array_equal(got, np.array([15, 16, 17])[best_path])
 
     def test_too_short(self):
         hmms = make_hmm_set()
         graph = compile_graph("12345", "none")
         with pytest.raises(TooShort):
-            viterbi_align(graph, mfcc_feats(np.zeros((14, 2))), hmms)
+            viterbi_align(graph, node_loglikes(graph, mfcc_feats(np.zeros((14, 2))), hmms),
+                          hmms)
 
     def test_wrong_feature_kind(self):
         hmms = make_hmm_set()
         graph = compile_graph("1", "none")
         feats = FeatureSequence(np.zeros((5, 120)), FeatureKind.FBANK120)
         with pytest.raises(SourceMismatch):
-            viterbi_align(graph, feats, hmms)
+            node_loglikes(graph, feats, hmms)
 
 
 class TestForwardBackward:
     def test_rows_sum_to_one(self):
         hmms, graph, feats, _ = single_digit_instance(1, t_max=6)
-        align = fb_align(graph, feats, hmms)
+        align = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
         np.testing.assert_allclose(align.posteriors.sum(axis=1), 1.0, atol=1e-6)
 
     def test_no_mass_outside_graph(self):
         hmms, graph, feats, _ = single_digit_instance(2, t_max=5)
-        align = fb_align(graph, feats, hmms)
+        align = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
         outside = [s for s in range(N_STATES) if s not in (15, 16, 17)]
         assert np.all(align.posteriors[:, outside] == 0.0)
 
@@ -219,21 +220,21 @@ class TestForwardBackward:
         for seed in range(30):
             hmms, graph, feats, loglikes = single_digit_instance(seed + 100)
             marg, _, _, _ = enumeration_marginals(loglikes, hmms.self_loop[[15, 16, 17]])
-            align = fb_align(graph, feats, hmms)
+            align = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
             np.testing.assert_allclose(
                 align.posteriors[:, [15, 16, 17]], marg, atol=1e-10
             )
 
     def test_viterbi_mass_inside_fb_support(self):
         hmms, graph, feats, _ = single_digit_instance(3, t_max=6)
-        hard = path_to_alignment(viterbi_align(graph, feats, hmms))
-        soft = fb_align(graph, feats, hmms)
+        hard = path_to_alignment(viterbi_align(graph, node_loglikes(graph, feats, hmms), hmms))
+        soft = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
         chosen = hard.posteriors > 0
         assert np.all(soft.posteriors[chosen] > 0)
 
     def test_alignment_monotone(self):
         hmms, graph, feats, _ = single_digit_instance(4, t_max=6)
-        path = viterbi_align(graph, feats, hmms)
+        path = viterbi_align(graph, node_loglikes(graph, feats, hmms), hmms)
         assert np.all(np.diff(path) >= 0)
 
 
@@ -306,11 +307,11 @@ class TestOptionalSilenceEnumeration:
             for t, node in enumerate(path):
                 marg[t, self.GLOBAL[node]] += w
 
-        align = fb_align(graph, feats, hmms)
+        align = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
         np.testing.assert_allclose(align.posteriors, marg, atol=1e-10)
 
         best = paths[int(np.argmax(logps))]
-        got = viterbi_align(graph, feats, hmms)
+        got = viterbi_align(graph, node_loglikes(graph, feats, hmms), hmms)
         np.testing.assert_array_equal(got, np.array(self.GLOBAL)[best])
 
 
@@ -330,9 +331,10 @@ class TestHybridAlignment:
         loglikes = np.log(post[:, states]) - np.log(priors[states])
         marg, best_path, _, _ = enumeration_marginals(loglikes, hmms.self_loop[states])
         dnn = AlignmentMatrix(post, AlignSource.DNN)
-        got = fb_align_hybrid(graph, dnn, priors, hmms)
+        emissions = hybrid_loglikes(graph, dnn, priors)
+        got = fb_align(graph, emissions, hmms)
         np.testing.assert_allclose(got.posteriors[:, states], marg, atol=1e-10)
-        np.testing.assert_array_equal(viterbi_align_hybrid(graph, dnn, priors, hmms),
+        np.testing.assert_array_equal(viterbi_align(graph, emissions, hmms),
                                       np.array(states)[best_path])
 
     def test_fb_hybrid_rows_sum_to_one(self):
@@ -343,7 +345,7 @@ class TestHybridAlignment:
         post /= post.sum(axis=1, keepdims=True)
         dnn = AlignmentMatrix(post, AlignSource.DNN)
         priors = np.full(N_STATES, 1.0 / N_STATES)
-        out = fb_align_hybrid(graph, dnn, priors, hmms)
+        out = fb_align(graph, hybrid_loglikes(graph, dnn, priors), hmms)
         np.testing.assert_allclose(out.posteriors.sum(axis=1), 1.0, atol=1e-6)
         assert out.source == AlignSource.HMM_FB
 
@@ -393,11 +395,11 @@ class TestMixturePosteriors:
         align = AlignmentMatrix(post, AlignSource.HMM_FB)
         feats = mfcc_feats(np.array([[0.5]]))
         mp = mixture_posteriors(hmms, align, feats, prune=0.0)
-        assert abs(mp.gammas[0].sum() - 1.0) < 1e-6
+        assert abs(mp[0].sum() - 1.0) < 1e-6
         from digitsv.gmm import component_posteriors
 
         w0 = component_posteriors(hmms.gmms[0], feats.frames[0])
-        np.testing.assert_allclose(mp.gammas[0, 0:2], 0.4 * w0, atol=1e-12)
+        np.testing.assert_allclose(mp[0, 0:2], 0.4 * w0, atol=1e-12)
 
     def test_identical_components_split_half(self):
         hmms = make_hmm_set(dim=1, n_components=1)
@@ -408,5 +410,5 @@ class TestMixturePosteriors:
         post[0, 0] = 1.0
         align = AlignmentMatrix(post, AlignSource.HMM_VITERBI)
         mp = mixture_posteriors(hmms, align, mfcc_feats(np.array([[0.1]])), prune=0.0)
-        np.testing.assert_allclose(mp.gammas[0, 0:2], [0.5, 0.5], atol=1e-12)
+        np.testing.assert_allclose(mp[0, 0:2], [0.5, 0.5], atol=1e-12)
 

@@ -4,7 +4,7 @@ import pytest
 from conftest import mfcc_feats
 from digitsv.errors import EmptyEnrollment, NoRetainedFrames, ShapeMismatch
 from digitsv.map_speaker import RELEVANCE_DEFAULT, enroll, llr_score, map_adapt
-from digitsv.pgmm import Background, MixturePosteriors, SuffStats, accumulate_stats
+from digitsv.pgmm import Background, SuffStats, accumulate_stats
 
 
 def toy_background(m=4, dim=60, seed=0):
@@ -63,7 +63,7 @@ def full_mass_posteriors(t, m, seed=0):
     rng = np.random.default_rng(seed)
     g = rng.random((t, m))
     g /= g.sum(axis=1, keepdims=True)
-    return MixturePosteriors(g, "HMM", None, m)
+    return g
 
 
 class TestLlrScore:
@@ -101,16 +101,14 @@ class TestLlrScore:
         perm = rng.permutation(12)
         from digitsv.features import FeatureKind, FeatureSequence
 
-        a = llr_score(speaker, bg, MixturePosteriors(g, "HMM", None, 4),
-                      FeatureSequence(frames, FeatureKind.MFCC60))
-        b = llr_score(speaker, bg, MixturePosteriors(g[perm], "HMM", None, 4),
-                      FeatureSequence(frames[perm], FeatureKind.MFCC60))
+        a = llr_score(speaker, bg, g, FeatureSequence(frames, FeatureKind.MFCC60))
+        b = llr_score(speaker, bg, g[perm], FeatureSequence(frames[perm], FeatureKind.MFCC60))
         assert abs(a - b) < 1e-10
 
     def test_all_silence_rejected(self):
         bg = toy_background(seed=11)
         speaker = map_adapt(bg, bg.empty_stats())
-        gammas = MixturePosteriors(np.zeros((5, 4)), "HMM", None, 4)
+        gammas = np.zeros((5, 4))
         feats = mfcc_feats(np.zeros((5, 2)))
         with pytest.raises(NoRetainedFrames):
             llr_score(speaker, bg, gammas, feats)

@@ -116,7 +116,7 @@ def realign_pass_oracle(hmms, corpus, graphs, floor, global_var):
     cross_mass = np.zeros(N_STATES)
     total_fb = total_viterbi = 0.0
     for (feats, _), graph in zip(corpus, graphs):
-        loglikes = hmm_mod._node_loglikes(graph, feats.frames, hmms)
+        loglikes = hmm_mod._gmm_loglikes(graph, feats.frames, hmms)
         gamma, fb_ll, alpha, beta = hmm_mod._forward_backward_nodes(graph, loglikes,
                                                                     hmms.self_loop)
         _, vit_ll = hmm_mod._viterbi_nodes(graph, loglikes, hmms.self_loop)
@@ -218,7 +218,8 @@ def train_classifier_oracle(corpus, cfg, hmms):
     frames, labels = [], []
     for utt in _enroll(corpus):
         graph = compile_graph(utt.content, cfg.silence_policy)
-        labels.append(hmm_mod.viterbi_align(graph, utt.feats, hmms))
+        labels.append(hmm_mod.viterbi_align(graph, hmm_mod.node_loglikes(graph, utt.feats, hmms),
+                                             hmms))
         frames.append(utt.feats.frames)
     return train_mlp_oracle(np.concatenate(frames, axis=0), np.concatenate(labels),
                             MlpTrainConfig(hidden_dims=cfg.mlp_hidden_dims,

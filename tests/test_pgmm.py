@@ -9,7 +9,6 @@ from digitsv.gmm import DiagGmm
 from digitsv.hmm import DIGIT_STATES, N_STATES, AlignmentMatrix, AlignSource
 from digitsv.pgmm import (
     Background,
-    MixturePosteriors,
     Pgmm,
     PgmmEmAccumulator,
     SuffStats,
@@ -63,7 +62,7 @@ class TestMixturePosteriors:
         pgmm = one_state_pgmm()
         align = uniform_alignment(3, [0])
         mp = mixture_posteriors(pgmm, align, mfcc_feats(np.zeros((3, 2))))
-        np.testing.assert_allclose(mp.gammas[:, 0], 1.0, atol=1e-12)
+        np.testing.assert_allclose(mp[:, 0], 1.0, atol=1e-12)
 
     def test_silence_mass_dropped_not_renormalized(self):
         pgmm = one_state_pgmm()
@@ -72,7 +71,7 @@ class TestMixturePosteriors:
         post[:, 30] = 0.7  # silence
         align = AlignmentMatrix(post, AlignSource.DNN)
         mp = mixture_posteriors(pgmm, align, mfcc_feats(np.zeros((2, 2))))
-        np.testing.assert_allclose(mp.gammas.sum(axis=1), 0.3, atol=1e-9)
+        np.testing.assert_allclose(mp.sum(axis=1), 0.3, atol=1e-9)
 
     def test_uniform_two_state_symmetric(self):
         pgmm = one_state_pgmm()
@@ -81,7 +80,7 @@ class TestMixturePosteriors:
                                pgmm.gmms[0].variances.copy())
         align = uniform_alignment(2, [0, 3])
         mp = mixture_posteriors(pgmm, align, mfcc_feats(np.zeros((2, 2))), prune=0.0)
-        np.testing.assert_allclose(mp.gammas[:, 0], mp.gammas[:, 3], atol=1e-12)
+        np.testing.assert_allclose(mp[:, 0], mp[:, 3], atol=1e-12)
 
     def test_hand_product_case(self):
         from digitsv.gmm import component_posteriors
@@ -93,20 +92,19 @@ class TestMixturePosteriors:
         feats = mfcc_feats(np.array([[0.7]]))
         mp = mixture_posteriors(pgmm, align, feats, prune=0.0)
         expected = 0.5 * component_posteriors(g, feats.frames[0])
-        np.testing.assert_allclose(mp.gammas[0, :2], expected, atol=1e-12)
+        np.testing.assert_allclose(mp[0, :2], expected, atol=1e-12)
 
     def test_ubm_posteriors_normalized(self):
         rng = np.random.default_rng(0)
         ubm = DiagGmm(np.full(4, 0.25), rng.standard_normal((4, 60)),
                       np.ones((4, 60)))
         mp = ubm_mixture_posteriors(ubm, mfcc_feats(rng.standard_normal((5, 2))))
-        np.testing.assert_allclose(mp.gammas.sum(axis=1), 1.0, atol=1e-6)
-        assert mp.state_ids is None
+        np.testing.assert_allclose(mp.sum(axis=1), 1.0, atol=1e-6)
 
 
 class TestAccumulateStats:
     def test_zero_posteriors_give_zero_stats(self):
-        gammas = MixturePosteriors(np.zeros((4, 2)), "DNN", None, 2)
+        gammas = np.zeros((4, 2))
         feats = mfcc_feats(np.random.default_rng(0).standard_normal((4, 2)))
         stats = accumulate_stats(gammas, feats, np.zeros((2, 60)))
         assert stats.n.sum() == 0
@@ -115,7 +113,7 @@ class TestAccumulateStats:
     def test_single_frame_first_order(self):
         rng = np.random.default_rng(1)
         means = rng.standard_normal((3, 60))
-        gammas = MixturePosteriors(np.array([[0.0, 1.0, 0.0]]), "HMM", None, 3)
+        gammas = np.array([[0.0, 1.0, 0.0]])
         feats = mfcc_feats(rng.standard_normal((1, 2)))
         stats = accumulate_stats(gammas, feats, means)
         np.testing.assert_allclose(stats.f[1], feats.frames[0] - means[1], atol=1e-12)
@@ -125,13 +123,9 @@ class TestAccumulateStats:
         means = rng.standard_normal((4, 60))
         g = rng.random((10, 4))
         feats = mfcc_feats(rng.standard_normal((10, 2)))
-        whole = accumulate_stats(MixturePosteriors(g, "DNN", None, 4), feats, means)
-        first = accumulate_stats(
-            MixturePosteriors(g[:6], "DNN", None, 4),
-            mfcc_feats(feats.frames[:6, :2]), means)
-        second = accumulate_stats(
-            MixturePosteriors(g[6:], "DNN", None, 4),
-            mfcc_feats(feats.frames[6:, :2]), means)
+        whole = accumulate_stats(g, feats, means)
+        first = accumulate_stats(g[:6], mfcc_feats(feats.frames[:6, :2]), means)
+        second = accumulate_stats(g[6:], mfcc_feats(feats.frames[6:, :2]), means)
         merged = first.merge(second)
         np.testing.assert_allclose(merged.n, whole.n, atol=1e-10)
         np.testing.assert_allclose(merged.f, whole.f, atol=1e-10)
@@ -142,14 +136,12 @@ class TestAccumulateStats:
         g = rng.random((8, 2))
         frames = rng.standard_normal((8, 2))
         perm = rng.permutation(8)
-        a = accumulate_stats(MixturePosteriors(g, "DNN", None, 2),
-                             mfcc_feats(frames), means)
-        b = accumulate_stats(MixturePosteriors(g[perm], "DNN", None, 2),
-                             mfcc_feats(frames[perm]), means)
+        a = accumulate_stats(g, mfcc_feats(frames), means)
+        b = accumulate_stats(g[perm], mfcc_feats(frames[perm]), means)
         np.testing.assert_allclose(a.f, b.f, atol=1e-12)
 
     def test_shape_mismatch(self):
-        gammas = MixturePosteriors(np.zeros((4, 2)), "DNN", None, 2)
+        gammas = np.zeros((4, 2))
         feats = mfcc_feats(np.zeros((4, 2)))
         with pytest.raises(ShapeMismatch):
             accumulate_stats(gammas, feats, np.zeros((3, 60)))
@@ -243,7 +235,7 @@ class TestPgmmEm:
         align = mlp_posteriors(small_models.mlp, u.feats)
         mp = mixture_posteriors(small_models.pgmm, align, u.feats, prune=0.0)
         retained = align.posteriors[:, list(DIGIT_STATES)].sum()
-        assert abs(mp.gammas.sum() - retained) < 1e-6
+        assert abs(mp.sum() - retained) < 1e-6
 
 
 class TestBackground:

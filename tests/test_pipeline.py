@@ -1,15 +1,17 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from conftest import roster_copy
 
 from digitsv import pipeline
+from digitsv import pgmm as pgmm_mod
 from digitsv.errors import ConfigInvalid, DigitsvError, NoRetainedFrames, ShapeMismatch
-from digitsv.hmm import compile_graph, fb_align
+from digitsv.hmm import N_STATES, compile_graph, fb_align, node_loglikes
 from digitsv.ivector import extract_ivector, plda_score, train_backend, train_tv
 from digitsv.map_speaker import SpeakerModels, llr_score
-from digitsv.pgmm import MixturePosteriors, accumulate_stats
+from digitsv.pgmm import accumulate_stats, mixture_posteriors, ubm_mixture_posteriors
 
 SOURCES = ("gmm-hmm", "dnn", "dnn-hmm", "ubm")
 
@@ -24,16 +26,26 @@ def enrolled(small_corpus, small_models):
     return out
 
 
-def _counting_stats_posteriors(monkeypatch, system):
-    """Record (feats identity, prompt) for every stats_posteriors call on ``system``."""
+def _mixture_posteriors(system, feats, prompt):
+    """The (T, M) mixture posteriors behind ``system``'s statistics of one key."""
+    models = system.models
+    if system.source == "ubm":
+        return ubm_mixture_posteriors(models.ubm, feats)
+    model = models.hmms if system.source == "gmm-hmm" else models.pgmm
+    return mixture_posteriors(model, pipeline.align(system.source, models, feats, prompt), feats)
+
+
+def _counting(monkeypatch, name):
+    """Record (feats identity, prompt or None) for every call of ``pipeline.<name>``."""
     calls = []
-    original = system.stats_posteriors
+    original = getattr(pipeline, name)
 
-    def counting(feats, prompt=None, dnn_align=None):
-        calls.append((id(feats), prompt))
-        return original(feats, prompt, dnn_align)
+    def counting(*args, **kwargs):
+        feats = args[2] if name == "align" else args[1]
+        calls.append((id(feats), args[3] if name == "align" else None))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(system, "stats_posteriors", counting)
+    monkeypatch.setattr(pipeline, name, counting)
     return calls
 
 
@@ -51,7 +63,7 @@ class TestAlign:
         with pytest.raises(ConfigInvalid):
             pipeline.align("dnn", no_mlp, u.feats, None)
         with pytest.raises(ConfigInvalid):
-            pipeline.SpeakerSystem("dnn", no_mlp).stats_posteriors(u.feats, u.content)
+            pipeline.enroll_speakers(small_corpus, pipeline.SpeakerSystem("dnn", no_mlp))
         no_hmms = pipeline.AlignerModels(mlp=small_models.mlp)
         with pytest.raises(ConfigInvalid):
             pipeline.align("dnn-hmm", no_hmms, u.feats, u.content)
@@ -59,7 +71,8 @@ class TestAlign:
     def test_gmm_hmm_fb_is_forced_alignment(self, small_corpus, small_models):
         u = small_corpus.utterances[0]
         got = pipeline.align("gmm-hmm", small_models, u.feats, u.content)
-        want = fb_align(compile_graph(u.content, "optional_between"), u.feats,
+        graph = compile_graph(u.content, "optional_between")
+        want = fb_align(graph, node_loglikes(graph, u.feats, small_models.hmms),
                         small_models.hmms)
         np.testing.assert_array_equal(got.posteriors, want.posteriors)
 
@@ -75,13 +88,19 @@ class TestAlign:
         with pytest.raises(ConfigInvalid):
             pipeline.align("gmm-hmm", small_models, u.feats, None)
 
-    def test_stats_posteriors_is_posteriors_of_alignment(self, small_corpus, small_models):
+    def test_statistics_reduce_the_mixture_posteriors(self, small_corpus, small_models):
         u = small_corpus.utterances[0]
         for source in SOURCES:
             system = pipeline.SpeakerSystem(source, small_models)
-            got = system.stats_posteriors(u.feats, u.content)
-            want = system.posteriors(system.alignment(u.feats, u.content), u.feats)
-            np.testing.assert_array_equal(got.gammas, want.gammas)
+            alignment = None if source == "ubm" else pipeline.align(source, small_models,
+                                                                     u.feats, u.content)
+            stats, retained = system.statistics(u.feats, alignment)
+            gammas = _mixture_posteriors(system, u.feats, u.content)
+            want = accumulate_stats(gammas, u.feats, system.background.means, source)
+            np.testing.assert_array_equal(stats.n, want.n)
+            np.testing.assert_array_equal(stats.f, want.f)
+            assert stats.background_id == source
+            assert retained == np.count_nonzero(gammas.any(axis=1)) > 0
 
     def test_unknown_source_or_mode(self, small_corpus, small_models):
         u = small_corpus.utterances[0]
@@ -105,7 +124,7 @@ class TestTrialScoring:
             for t in trials:
                 u = small_corpus.by_id(t.utterance)
                 if (u.utt_id, t.prompt) not in gammas:
-                    gammas[u.utt_id, t.prompt] = system.stats_posteriors(u.feats, t.prompt)
+                    gammas[u.utt_id, t.prompt] = _mixture_posteriors(system, u.feats, t.prompt)
                 want.append(llr_score(speakers[t.speaker], system.background,
                                       gammas[u.utt_id, t.prompt], u.feats))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=source)
@@ -126,7 +145,7 @@ class TestTrialScoring:
         bg = system.background
 
         def stats(feats, prompt):
-            gammas = system.stats_posteriors(feats, prompt)
+            gammas = _mixture_posteriors(system, feats, prompt)
             return accumulate_stats(gammas, feats, bg.means, bg.model_id)
 
         enroll = {spk: [stats(u.feats, u.content) for u in small_corpus.enrollment(spk)]
@@ -152,26 +171,40 @@ class TestTrialScoring:
             want.append(plda_score(backend, enrolled[t.speaker], tests[key]))
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
-    def test_stats_posteriors_once_per_key(self, small_corpus, enrolled, monkeypatch):
+    def test_one_forced_alignment_per_key(self, small_corpus, enrolled, monkeypatch):
         trials = small_corpus.trials
         feats_id = {t.utterance: id(small_corpus.by_id(t.utterance).feats) for t in trials}
         for source in SOURCES:
             system, speakers = enrolled[source]
-            calls = _counting_stats_posteriors(monkeypatch, system)
+            calls = _counting(monkeypatch, "align")
             pipeline.score_speaker_trials(small_corpus, trials, system, roster_copy(speakers))
-            prompted = source in ("gmm-hmm", "dnn-hmm")
-            want = {(feats_id[t.utterance], t.prompt if prompted else None) for t in trials}
+            prompted = source in pipeline.PROMPTED_SOURCES
+            want = set() if source == "ubm" else {
+                (feats_id[t.utterance], t.prompt if prompted else None) for t in trials}
             assert len(calls) == len(want) and set(calls) == want, source
+
+    def test_classifier_runs_once_per_utterance(self, small_corpus, small_models, enrolled,
+                                                monkeypatch):
+        trials = small_corpus.trials
+        utterances = {id(small_corpus.by_id(t.utterance).feats) for t in trials}
+        for source in SOURCES:
+            system, speakers = enrolled[source]
+            calls = _counting(monkeypatch, "mlp_posteriors")
+            pipeline.score_speaker_trials(small_corpus, trials, system, roster_copy(speakers))
+            want = utterances if source in ("dnn", "dnn-hmm") else set()
+            assert len(calls) == len(want) and {f for f, _ in calls} == want, source
+        for mode in ("gmm", "hybrid"):
+            calls = _counting(monkeypatch, "mlp_posteriors")
+            pipeline.score_content_trials(small_corpus, trials, small_models, hmm_mode=mode)
+            assert len(calls) == len(utterances) and {f for f, _ in calls} == utterances, mode
 
     def test_no_retained_frames(self, small_corpus, enrolled, monkeypatch):
         system, speakers = enrolled["ubm"]
-        bg = system.background
 
-        def silent(feats, prompt=None, dnn_align=None):
-            return MixturePosteriors(np.zeros((feats.n_frames, bg.n_mixtures)), "HMM",
-                                     None, bg.n_components)
+        def silent(ubm, feats, prune=pgmm_mod.PRUNE_DEFAULT):
+            return np.zeros((feats.n_frames, ubm.n_components))
 
-        monkeypatch.setattr(system, "stats_posteriors", silent)
+        monkeypatch.setattr(pgmm_mod, "ubm_mixture_posteriors", silent)
         with pytest.raises(NoRetainedFrames):
             pipeline.score_speaker_trials(small_corpus, small_corpus.trials[:1], system,
                                           roster_copy(speakers))
@@ -189,7 +222,7 @@ class TestTrialScoring:
         from digitsv.eval_trials import TrialRecord
 
         system, speakers = enrolled["gmm-hmm"]
-        calls = _counting_stats_posteriors(monkeypatch, system)
+        calls = _counting(monkeypatch, "align")
         good = small_corpus.trials[0]
         no_speaker = TrialRecord("nobody", good.utterance, good.prompt, "TC")
         no_utterance = TrialRecord(good.speaker, "no_such_utt", good.prompt, "TC")
@@ -202,23 +235,55 @@ class TestTrialScoring:
             pipeline.score_content_trials(small_corpus, [good, no_utterance], None)
         assert calls == []
 
-    def test_peak_memory_is_one_key_not_all_keys(self, small_corpus, enrolled):
-        # a cross-trial cache of mixture posteriors would grow with the key count
+    @staticmethod
+    def _peak(run):
+        run()  # warm-up: first-call allocations are not per key
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_is_one_key_not_all_keys(self, small_corpus, small_models, enrolled):
+        # a cross-key cache of alignments, posteriors or statistics would
+        # grow with the key count
         system, speakers = enrolled["gmm-hmm"]
         trials = small_corpus.trials
         frames = {t.utterance: small_corpus.by_id(t.utterance).feats.n_frames for t in trials}
         longest = max(trials, key=lambda t: frames[t.utterance])
+        t_max = frames[longest.utterance]
 
-        def peak(subset):
-            roster = roster_copy(speakers)
-            tracemalloc.start()
-            try:
-                pipeline.score_speaker_trials(small_corpus, subset, system, roster)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        def speaker(subset):
+            rosters = [roster_copy(speakers) for _ in range(2)]  # made before tracing
+            return self._peak(lambda: pipeline.score_speaker_trials(small_corpus, subset,
+                                                                    system, rosters.pop()))
 
-        peak([longest])
-        one_key, all_keys = peak([longest]), peak(trials)
-        posterior_bytes = frames[longest.utterance] * system.background.n_mixtures * 8
+        one_key, all_keys = speaker([longest]), speaker(trials)
+        posterior_bytes = t_max * system.background.n_mixtures * 8
+        assert all_keys <= one_key + posterior_bytes, (one_key, all_keys, posterior_bytes)
+
+        for mode in ("gmm", "hybrid"):
+            def content(subset):
+                return self._peak(lambda: pipeline.score_content_trials(
+                    small_corpus, subset, small_models, hmm_mode=mode))
+
+            one_key, all_keys = content([longest]), content(trials)
+            posterior_bytes = t_max * N_STATES * 8  # one alignment's (T, 33) matrix
+            assert all_keys <= one_key + posterior_bytes, (mode, one_key, all_keys,
+                                                           posterior_bytes)
+
+        # beyond the roster's (speakers, M, D) array, enrolling every speaker
+        # holds no more than enrolling one speaker from one utterance
+        utts = [u for u in small_corpus.utterances if u.split == "enroll"]
+        utt = max(utts, key=lambda u: u.feats.n_frames)
+        one = types.SimpleNamespace(speakers=[utt.speaker], enrollment=lambda spk: [utt])
+        model_bytes = system.background.means.nbytes
+
+        def beyond_roster(corpus):
+            return (self._peak(lambda: pipeline.enroll_speakers(corpus, system))
+                    - len(corpus.speakers) * model_bytes)
+
+        one_key, all_keys = beyond_roster(one), beyond_roster(small_corpus)
+        posterior_bytes = utt.feats.n_frames * system.background.n_mixtures * 8
         assert all_keys <= one_key + posterior_bytes, (one_key, all_keys, posterior_bytes)
