@@ -69,9 +69,12 @@ class DiskUtterance:
             os.path.join(self._dir, "corpus", "feats", f"{self.utt_id}.dvfe"))
 
 
-def _read_pairs(path):
-    """``<key> <value>`` lines of a text file, skipping blank lines."""
-    pairs = []
+def _read_pairs(path) -> dict:
+    """``<key> <value>`` lines of a text file in file order, skipping blank lines.
+
+    A key may appear on one line only.
+    """
+    pairs = {}
     with open(path) as fh:
         for no, line in enumerate(fh, start=1):
             fields = line.split()
@@ -79,7 +82,9 @@ def _read_pairs(path):
                 continue
             if len(fields) != 2:
                 raise DigitsvError(f"{path} line {no}: expected 2 fields, got {len(fields)}")
-            pairs.append((fields[0], fields[1]))
+            if fields[0] in pairs:
+                raise DigitsvError(f"{path} line {no}: {fields[0]!r} is repeated")
+            pairs[fields[0]] = fields[1]
     return pairs
 
 
@@ -89,15 +94,19 @@ class DiskCorpus:
     def __init__(self, root: str):
         self.root = root
         transcripts_path = os.path.join(root, "corpus", "transcripts", "transcripts.txt")
-        transcripts = dict(_read_pairs(transcripts_path))
-        self.utterances = []
+        transcripts = _read_pairs(transcripts_path)
+        self._index = {}
         for split in ("enroll", "test"):
-            for utt, spk in _read_pairs(os.path.join(root, "corpus", "splits", f"{split}.txt")):
+            split_path = os.path.join(root, "corpus", "splits", f"{split}.txt")
+            for utt, spk in _read_pairs(split_path).items():
                 if utt not in transcripts:
                     raise DigitsvError(f"{transcripts_path}: no transcript for utterance {utt!r}")
-                self.utterances.append(DiskUtterance(utt, spk, transcripts[utt], split, root))
+                if utt in self._index:
+                    raise DigitsvError(f"{split_path}: utterance {utt!r} is also in the "
+                                       f"{self._index[utt].split} split")
+                self._index[utt] = DiskUtterance(utt, spk, transcripts[utt], split, root)
+        self.utterances = list(self._index.values())
         self.speakers = sorted({u.speaker for u in self.utterances})
-        self._index = {u.utt_id: u for u in self.utterances}
 
     def by_id(self, utt_id):
         return self._index[utt_id]
@@ -231,7 +240,7 @@ def _cmd_align(args):
     if args.dnn_feats and args.source != "gmm-hmm":
         dnn_align = neural_aligner.mlp_posteriors(models.mlp, formats.read_dvfe(args.dnn_feats))
     matrix = pipeline.align(args.source, models, feats, args.transcript, args.mode,
-                            dnn_align, cfg.silence_policy).posteriors
+                            dnn_align, cfg.silence_policy)
     formats.write_dvpo(args.out, matrix)
     _progress("align", source=args.source, mode=args.mode, frames=matrix.shape[0])
     print(args.out)
@@ -247,8 +256,8 @@ def _cmd_train_pgmm(args):
     corpus = DiskCorpus(args.corpus)
     if args.align_dir:
         def alignment(utt):
-            return neural_aligner.load_external_posteriors(
-                os.path.join(args.align_dir, f"{utt.utt_id}.dvpo"))
+            return formats.read_dvpo(os.path.join(args.align_dir, f"{utt.utt_id}.dvpo"),
+                                     hmm_mod.N_STATES)
     elif args.mlp:
         mlp = formats.load_mlp(args.mlp)
 
@@ -268,7 +277,7 @@ def _cmd_accumulate_stats(args):
     if args.source != "ubm":
         _require_flags(args, "align")
     system = pipeline.SpeakerSystem(args.source, _load_models(args))
-    align = None if args.source == "ubm" else neural_aligner.load_external_posteriors(args.align)
+    align = None if args.source == "ubm" else formats.read_dvpo(args.align, hmm_mod.N_STATES)
     feats = formats.read_dvfe(args.feats)
     stats, _ = system.statistics(feats, align)
     formats.write_dvst(args.out, stats)
@@ -335,7 +344,7 @@ def _cmd_train_backend(args):
     cfg = load_config(args.config, {"lda_dim": args.lda_dim,
                                     "plda_iterations": args.plda_iterations})
     entries = formats.read_dviv(args.ivectors)
-    utt2spk = dict(_read_pairs(args.utt2spk))
+    utt2spk = _read_pairs(args.utt2spk)
     missing = [utt for utt, _ in entries if utt not in utt2spk]
     if missing:
         raise UsageError(f"no speaker label for utterances {missing[:5]}")

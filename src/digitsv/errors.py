@@ -127,12 +127,6 @@ class BadLdaDim(DigitsvError):
     pass
 
 
-# --- content scoring ----------------------------------------------------------
-
-class NotSmoothed(DigitsvError):
-    pass
-
-
 # --- evaluation ------------------------------------------------------------
 
 class UnknownCondition(DigitsvError):

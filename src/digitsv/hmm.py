@@ -8,13 +8,14 @@ transcription-graph compilation, Viterbi and forward-backward alignment
 A compiled graph is topology only, built from the prompt and the silence
 policy, so one graph serves any model.  An alignment is one emission step
 (``node_loglikes`` for state GMMs, ``hybrid_loglikes`` for classifier
-posteriors) then one decoder (``fb_align`` or ``viterbi_align``).
+posteriors) then one decoder (``fb_align`` or ``viterbi_align``).  A state
+alignment is a plain float64 (T, 33) array of per-frame state posteriors,
+whichever aligner produced it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -39,34 +40,6 @@ DIGIT_STATES = tuple(range(SILENCE_WORD * STATES_PER_WORD))  # 0..29
 SILENCE_POLICIES = ("none", "ends_only", "optional_between")
 
 _LOG_ZERO = -np.inf
-
-
-class AlignSource(str, Enum):
-    HMM_FB = "hmm_fb"
-    HMM_VITERBI = "hmm_viterbi"
-    DNN = "dnn"
-
-
-@dataclass
-class AlignmentMatrix:
-    """Per-frame posteriors over the 33 global states."""
-
-    posteriors: np.ndarray  # (T, 33)
-    source: AlignSource
-
-    def __post_init__(self):
-        self.posteriors = np.asarray(self.posteriors, dtype=np.float64)
-        if self.posteriors.ndim != 2 or self.posteriors.shape[1] != N_STATES:
-            raise ValueError(f"alignment must be T x {N_STATES}")
-        if np.any(self.posteriors < 0):
-            raise ValueError("alignment posteriors must be nonnegative")
-        sums = self.posteriors.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ValueError("alignment rows must sum to 1")
-
-    @property
-    def n_frames(self):
-        return self.posteriors.shape[0]
 
 
 @dataclass
@@ -185,13 +158,13 @@ def node_loglikes(graph: StateGraph, feats: FeatureSequence, hmms: HmmSet) -> np
     return _gmm_loglikes(graph, feats.frames, hmms)
 
 
-def hybrid_loglikes(graph: StateGraph, state_posteriors: AlignmentMatrix,
+def hybrid_loglikes(graph: StateGraph, state_posteriors: np.ndarray,
                     priors: np.ndarray) -> np.ndarray:
-    """(T, L) scaled-likelihood emissions from classifier posteriors and state priors."""
+    """(T, L) scaled-likelihood emissions from (T, 33) classifier posteriors and state priors."""
     priors = np.asarray(priors, dtype=np.float64)
     if priors.shape != (N_STATES,):
         raise SourceMismatch("need one prior per global state")
-    post = np.maximum(state_posteriors.posteriors, 1e-30)
+    post = np.maximum(state_posteriors, 1e-30)
     scores = np.log(post) - np.log(np.maximum(priors, 1e-30))
     return scores[:, graph.states]
 
@@ -289,17 +262,17 @@ def viterbi_align(graph: StateGraph, loglikes: np.ndarray, hmms: HmmSet) -> np.n
     return graph.states[path]
 
 
-def fb_align(graph: StateGraph, loglikes: np.ndarray, hmms: HmmSet) -> AlignmentMatrix:
-    """Soft alignment: forward-backward occupation probabilities under node ``loglikes``."""
+def fb_align(graph: StateGraph, loglikes: np.ndarray, hmms: HmmSet) -> np.ndarray:
+    """Soft alignment: (T, 33) forward-backward state occupancies under node ``loglikes``."""
     gamma, _, _, _ = _forward_backward_nodes(graph, loglikes, hmms.self_loop)
-    return AlignmentMatrix(_nodes_to_states(graph, gamma), AlignSource.HMM_FB)
+    return _nodes_to_states(graph, gamma)
 
 
-def path_to_alignment(path: np.ndarray) -> AlignmentMatrix:
-    """Turn a hard state path into a 0/1 AlignmentMatrix."""
+def path_to_alignment(path: np.ndarray) -> np.ndarray:
+    """Turn a hard state path into (T, 33) 0/1 rows."""
     post = np.zeros((len(path), N_STATES))
     post[np.arange(len(path)), path] = 1.0
-    return AlignmentMatrix(post, AlignSource.HMM_VITERBI)
+    return post
 
 
 # training schedule: passes at one component, then per doubling of the mixtures

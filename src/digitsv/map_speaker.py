@@ -52,8 +52,10 @@ def enroll(background: Background, stats_list, relevance: float = RELEVANCE_DEFA
     ``stats_list`` is any iterable of ``SuffStats``, read once.
     """
     stats, merged = background.empty_stats(), 0
-    for merged, item in enumerate(stats_list, start=1):
+    for item in stats_list:  # enumerate's reused tuple would hold the last item
         stats = stats.merge(item)
+        merged += 1
+        del item  # not held while the next utterance is aligned
     if not merged:
         raise EmptyEnrollment("enrollment needs at least one utterance")
     return map_adapt(background, stats, relevance)

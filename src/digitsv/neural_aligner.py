@@ -2,8 +2,9 @@
 
 A plain ReLU MLP with a softmax output over the 33 word states, trained by
 mini-batch SGD with momentum on hard alignment labels.  Inference produces
-an AlignmentMatrix; externally computed posteriors can be ingested from
-DVPO files instead.
+a (T, 33) array of state posteriors, the same plain array as any other
+alignment; posteriors computed elsewhere are read from DVPO files with
+``formats.read_dvpo``, which checks them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import MissingClass, NonFiniteLoss, ShapeMismatch, WrongKind
 from .features import FeatureKind, FeatureSequence
 from .gmm import column_mean_var
-from .hmm import N_STATES, AlignmentMatrix, AlignSource
+from .hmm import N_STATES
 
 
 @dataclass
@@ -211,20 +212,12 @@ def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None
     return model
 
 
-def mlp_posteriors(model: MlpModel, feats: FeatureSequence) -> AlignmentMatrix:
-    """Per-frame state posteriors from the classifier."""
+def mlp_posteriors(model: MlpModel, feats: FeatureSequence) -> np.ndarray:
+    """(T, 33) per-frame state posteriors from the classifier."""
     if feats.kind != model.input_kind:
         raise WrongKind(f"model expects {model.input_kind.value} input, got {feats.kind.value}")
     if feats.dim != model.input_dim:
         raise WrongKind(f"model expects {model.input_dim}-dim input, got {feats.dim}")
     if model.n_outputs != N_STATES:
         raise ShapeMismatch(f"alignment needs {N_STATES} outputs, model has {model.n_outputs}")
-    return AlignmentMatrix(posterior_matrix(model, feats.frames), AlignSource.DNN)
-
-
-def load_external_posteriors(path) -> AlignmentMatrix:
-    """Read a DVPO posterior file produced by any 33-state frame aligner."""
-    from .formats import read_dvpo
-
-    matrix = read_dvpo(path, expect_states=N_STATES)
-    return AlignmentMatrix(matrix, AlignSource.DNN)
+    return posterior_matrix(model, feats.frames)

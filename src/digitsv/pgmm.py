@@ -19,7 +19,7 @@ from . import gmm as gmm_mod
 from .errors import EmptyStateWarning, ShapeMismatch, StarvedState
 from .features import FeatureSequence
 from .gmm import DiagGmm
-from .hmm import DIGIT_STATES, AlignmentMatrix, HmmSet
+from .hmm import DIGIT_STATES, N_STATES, HmmSet
 
 _EMPTY_COUNT = 1e-8
 PRUNE_DEFAULT = 1e-6
@@ -127,10 +127,11 @@ def _model_states_gmms(model):
     raise ShapeMismatch(f"unsupported model type {type(model).__name__}")
 
 
-def mixture_posteriors(model, align: AlignmentMatrix, feats: FeatureSequence,
+def mixture_posteriors(model, align: np.ndarray, feats: FeatureSequence,
                        prune: float = PRUNE_DEFAULT) -> np.ndarray:
     """Joint (state, component) posteriors: state mass times within-state posterior.
 
+    ``align`` is the (T, 33) state alignment of the T feature frames.
     Returns a (T, M) array whose columns group each digit state's components
     in state order.  Only digit states contribute, for a Pgmm and an HmmSet
     alike: the silence-state mass is discarded (never renormalized), so a
@@ -138,8 +139,9 @@ def mixture_posteriors(model, align: AlignmentMatrix, feats: FeatureSequence,
     sparsity.
     """
     states, gmms = _model_states_gmms(model)
-    if align.n_frames != feats.n_frames:
-        raise ShapeMismatch("alignment and features disagree on frame count")
+    if align.shape != (feats.n_frames, N_STATES):
+        raise ShapeMismatch(f"alignment is {align.shape}, features need "
+                            f"({feats.n_frames}, {N_STATES})")
     if gmms[0].dim != feats.dim:
         raise ShapeMismatch(f"model dim {gmms[0].dim} vs feature dim {feats.dim}")
 
@@ -147,7 +149,7 @@ def mixture_posteriors(model, align: AlignmentMatrix, feats: FeatureSequence,
     t = feats.n_frames
     gammas = np.empty((t, len(states) * n_comp))
     for k, (s, g) in enumerate(zip(states, gmms)):
-        state_mass = align.posteriors[:, s:s + 1]
+        state_mass = align[:, s:s + 1]
         gammas[:, k * n_comp:(k + 1) * n_comp] = (
             state_mass * gmm_mod.component_posterior_matrix(g, feats.frames)
         )
@@ -187,12 +189,12 @@ class PgmmEmAccumulator:
         self.sxx = np.zeros_like(self.sx)
         self._shape_key = (len(pgmm.state_ids), pgmm.n_components, pgmm.dim)
 
-    def add(self, pgmm: Pgmm, align: AlignmentMatrix, feats: FeatureSequence):
+    def add(self, pgmm: Pgmm, align: np.ndarray, feats: FeatureSequence):
         if (len(pgmm.state_ids), pgmm.n_components, pgmm.dim) != self._shape_key:
             raise ShapeMismatch("accumulator does not match this model")
         x = feats.frames
         for k, (state, g) in enumerate(zip(pgmm.state_ids, pgmm.gmms)):
-            mass = align.posteriors[:, state]
+            mass = align[:, state]
             if not mass.any():
                 continue
             resp = gmm_mod.component_posterior_matrix(g, x) * mass[:, None]
@@ -202,21 +204,13 @@ class PgmmEmAccumulator:
         return self
 
 
-def _as_lists(aligns, feats):
-    if isinstance(aligns, AlignmentMatrix):
-        aligns = [aligns]
-    if isinstance(feats, FeatureSequence):
-        feats = [feats]
-    if len(aligns) != len(feats):
-        raise ShapeMismatch("alignment and feature lists must be parallel")
-    return aligns, feats
-
-
 def pgmm_em_step(pgmm: Pgmm, aligns=None, feats=None,
                  accum: PgmmEmAccumulator | None = None,
                  variance_floor: float = 1e-3) -> Pgmm:
     """One EM update of all state GMMs under fixed alignments.
 
+    ``aligns`` and ``feats`` are parallel lists of (T, 33) alignments and
+    their features, added to ``accum`` (a new accumulator by default).
     Per state the new weights normalize the component occupancies, means are
     occupancy-weighted sample means and variances the matching (floored)
     spreads.  States with ~zero total occupancy are left unchanged and
@@ -225,8 +219,7 @@ def pgmm_em_step(pgmm: Pgmm, aligns=None, feats=None,
     if accum is None:
         accum = PgmmEmAccumulator(pgmm)
     if aligns is not None:
-        aligns, feats = _as_lists(aligns, feats)
-        for a, f in zip(aligns, feats):
+        for a, f in zip(aligns, feats, strict=True):
             accum.add(pgmm, a, f)
 
     global_second = accum.sxx.sum(axis=(0, 1))
@@ -264,11 +257,10 @@ def pgmm_em_step(pgmm: Pgmm, aligns=None, feats=None,
 
 def pgmm_objective(pgmm: Pgmm, aligns, feats) -> float:
     """Alignment-weighted data log-likelihood; nondecreasing under pgmm_em_step."""
-    aligns, feats = _as_lists(aligns, feats)
     total = 0.0
-    for a, f in zip(aligns, feats):
+    for a, f in zip(aligns, feats, strict=True):
         for state, g in zip(pgmm.state_ids, pgmm.gmms):
-            mass = a.posteriors[:, state]
+            mass = a[:, state]
             if mass.any():
                 total += float(mass @ gmm_mod.log_likelihoods(g, f.frames))
     return total
@@ -282,13 +274,12 @@ def init_pgmm(alignments, feats_list, n_components: int = 16,
     Every digit state must receive at least ``n_components`` frames,
     otherwise StarvedState identifies the first starved one.
     """
-    alignments, feats_list = _as_lists(alignments, feats_list)
-    hard = [align.posteriors.argmax(axis=1) for align in alignments]
+    hard = [align.argmax(axis=1) for align in alignments]
 
     gmms = []
     for s in DIGIT_STATES:
         # this state's frames only, gathered in corpus order
-        parts = [f.frames[h == s] for f, h in zip(feats_list, hard)]
+        parts = [f.frames[h == s] for f, h in zip(feats_list, hard, strict=True)]
         frames = np.concatenate(parts, axis=0) if parts else np.empty((0, 1))
         if frames.shape[0] < n_components:
             raise StarvedState(s, f"state {s} got {frames.shape[0]} frames, "

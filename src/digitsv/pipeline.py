@@ -19,7 +19,7 @@ from . import content_kl, hmm as hmm_mod, map_speaker, pgmm as pgmm_mod
 from .config import PipelineConfig
 from .errors import ConfigInvalid, DigitsvError
 from .gmm import DiagGmm, GmmTrainConfig, train_em
-from .hmm import AlignmentMatrix, HmmSet, compile_graph, train_hmm_set
+from .hmm import HmmSet, compile_graph, train_hmm_set
 from .ivector import PldaScorer
 from .map_speaker import SpeakerModels
 from .neural_aligner import MlpModel, MlpTrainConfig, mlp_posteriors, train_mlp
@@ -125,9 +125,9 @@ PROMPTED_SOURCES = ("gmm-hmm", "dnn-hmm")
 
 def align(source: str, models: AlignerModels, feats: FeatureSequence | None,
           prompt: str | None, mode: str = "fb",
-          dnn_align: AlignmentMatrix | None = None,
-          silence_policy: str = "optional_between") -> AlignmentMatrix:
-    """State alignment of one utterance from one alignment source.
+          dnn_align: np.ndarray | None = None,
+          silence_policy: str = "optional_between") -> np.ndarray:
+    """(T, 33) state alignment of one utterance from one alignment source.
 
     ``dnn`` takes the classifier posteriors (``dnn_align``, or the classifier
     run on ``feats``) and ignores the prompt; ``gmm-hmm`` and ``dnn-hmm``
@@ -144,7 +144,7 @@ def align(source: str, models: AlignerModels, feats: FeatureSequence | None,
     if source == "dnn":
         if mode == "fb":
             return dnn_align
-        return hmm_mod.path_to_alignment(dnn_align.posteriors.argmax(axis=1))
+        return hmm_mod.path_to_alignment(dnn_align.argmax(axis=1))
     if prompt is None:
         raise ConfigInvalid(f"{source} alignment needs the prompted transcription")
     hmms = _need(models.hmms, "hmms")
@@ -187,10 +187,10 @@ class SpeakerSystem:
             raise ConfigInvalid(f"unknown alignment source {source!r}")
 
     def statistics(self, feats: FeatureSequence,
-                   alignment: AlignmentMatrix | None) -> tuple[SuffStats, int]:
+                   alignment: np.ndarray | None) -> tuple[SuffStats, int]:
         """One utterance's statistics on the background, and its retained frames.
 
-        ``alignment`` is the utterance's state alignment (None for ``ubm``).
+        ``alignment`` is the utterance's (T, 33) state alignment (None for ``ubm``).
         The retained frames are those carrying any mixture mass.
         """
         if self.source == "ubm":
@@ -259,6 +259,7 @@ def _enrollment_stats(utts, system: SpeakerSystem):
             stats, _ = system.statistics(feats, forced)
         del feats, forced, dnn
         yield stats
+        del stats  # nor the yielded statistics while the next utterance is aligned
 
 
 def enroll_speakers(corpus, system: SpeakerSystem,
@@ -331,10 +332,9 @@ def score_content_trials(corpus, trials, models: AlignerModels,
     source = {"gmm": "gmm-hmm", "hybrid": "dnn-hmm"}.get(hmm_mode)
     if source is None:
         raise ConfigInvalid(f"unknown hmm mode {hmm_mode!r}")
-    class_map = content_kl.PhoneticClassMap.for_level(level)
     scores = [0.0] * len(trials)
     for indices, feats, forced, dnn in _walk(plan, source, models, silence_policy, classify=True):
-        kl = content_kl.content_verify(forced, dnn, class_map, epsilon)
+        kl = content_kl.content_verify(forced, dnn, level, epsilon)
         del feats, forced, dnn  # not held while the next key is aligned
         for i in indices:
             scores[i] = kl

@@ -53,7 +53,7 @@ class TestCriterion1ForwardBackwardOracle:
                 loglikes, hmms.self_loop[[15, 16, 17]]
             )
             emissions = node_loglikes(graph, feats, hmms)
-            got = fb_align(graph, emissions, hmms).posteriors[:, [15, 16, 17]]
+            got = fb_align(graph, emissions, hmms)[:, [15, 16, 17]]
             worst = max(worst, float(np.abs(got - marg).max()))
             vit = viterbi_align(graph, emissions, hmms)
             if not np.array_equal(vit, np.array([15, 16, 17])[best_path]):
@@ -151,7 +151,6 @@ class TestCriterion3EquationOracles:
 
         # joint state/component product (HMM and classifier alignments)
         from digitsv.gmm import DiagGmm, component_posteriors
-        from digitsv.hmm import AlignmentMatrix, AlignSource
         from digitsv.pgmm import Pgmm, mixture_posteriors
 
         rng = np.random.default_rng(7)
@@ -161,10 +160,9 @@ class TestCriterion3EquationOracles:
         pgmm = Pgmm(gmms)
         post = np.zeros((1, N_STATES))
         post[0, 2], post[0, 9], post[0, 30] = 0.5, 0.3, 0.2
-        align = AlignmentMatrix(post, AlignSource.DNN)
         frame = np.tile(rng.standard_normal((1, 1)), (1, 60))
         feats = FeatureSequence(frame, FeatureKind.MFCC60)
-        mp = mixture_posteriors(pgmm, align, feats, prune=0.0)
+        mp = mixture_posteriors(pgmm, post, feats, prune=0.0)
         ok = True
         for state, mass in ((2, 0.5), (9, 0.3)):
             inner = component_posteriors(pgmm.gmms[state], frame[0])
@@ -203,11 +201,11 @@ class TestCriterion3EquationOracles:
             failures.append("MAP hand case")
 
         # KL pipeline: pooling, smoothing, divergence vs scalar arithmetic
-        from digitsv.content_kl import ClassPosteriorSequence, kl_score, smooth
+        from digitsv.content_kl import kl_score, smooth
 
         eps = 1e-5
-        hp = smooth(ClassPosteriorSequence(np.array([[1.0, 0.0]]), "HMM"), eps)
-        dp = smooth(ClassPosteriorSequence(np.array([[0.5, 0.5]]), "DNN"), eps)
+        hp = smooth(np.array([[1.0, 0.0]]), eps)
+        dp = smooth(np.array([[0.5, 0.5]]), eps)
         h0, h1 = (1 + eps) / (1 + 2 * eps), eps / (1 + 2 * eps)
         expected = h0 * np.log(h0 / 0.5) + h1 * np.log(h1 / 0.5)
         got = kl_score(hp, dp)

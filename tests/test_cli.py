@@ -450,7 +450,7 @@ class TestCliMatchesLibrary:
     def test_score_content_modes(self, work, tmp_path, mode, source):
         from digitsv import formats, pipeline
         from digitsv.cli import DiskCorpus
-        from digitsv.content_kl import PhoneticClassMap, content_verify
+        from digitsv.content_kl import content_verify
         from digitsv.eval_trials import load_trials
 
         models, corpus = work["models"], work["corpus"]
@@ -462,14 +462,13 @@ class TestCliMatchesLibrary:
         disk = DiskCorpus(corpus)
         loaded = pipeline.AlignerModels(hmms=formats.load_hmm_set(f"{models}/hmm.dvmd"),
                                         mlp=formats.load_mlp(f"{models}/mlp.dvmd"))
-        digit = PhoneticClassMap.for_level("digit")
         want = {}
         for t in load_trials(disk.trials_path()):
             if (t.utterance, t.prompt) not in want:
                 feats = disk.by_id(t.utterance).feats
                 dnn = pipeline.align("dnn", loaded, feats, None)
                 forced = pipeline.align(source, loaded, feats, t.prompt)
-                want[t.utterance, t.prompt] = f"{content_verify(forced, dnn, digit, 1e-5):.10g}"
+                want[t.utterance, t.prompt] = f"{content_verify(forced, dnn, 'digit', 1e-5):.10g}"
         for line in open(out):
             trial_id, kl, _ = line.split()
             _, utt, prompt = trial_id.split(":")
@@ -477,7 +476,6 @@ class TestCliMatchesLibrary:
 
     def test_accumulate_stats_from_dvpo(self, work, tmp_path):
         from digitsv import formats, pipeline
-        from digitsv.neural_aligner import load_external_posteriors
         from digitsv.pgmm import accumulate_stats, mixture_posteriors, ubm_mixture_posteriors
 
         models, corpus = work["models"], work["corpus"]
@@ -508,7 +506,7 @@ class TestCliMatchesLibrary:
                         *align_flags, "--feats", feats_path, "--out", out]) == 0
             if aligner:
                 model = loaded.hmms if source == "gmm-hmm" else loaded.pgmm
-                gammas = mixture_posteriors(model, load_external_posteriors(align), feats)
+                gammas = mixture_posteriors(model, formats.read_dvpo(align, 33), feats)
             else:
                 gammas = ubm_mixture_posteriors(loaded.ubm, feats)
             bg = pipeline.SpeakerSystem(source, loaded).background
@@ -785,6 +783,67 @@ class TestBadInputs:
         assert run(["train-backend", "--ivectors", ivecs, "--utt2spk", str(utt2spk),
                     "--out", str(tmp_path / "plda.dvmd")]) == 2
         assert "line 1" in capsys.readouterr().err
+
+
+class TestRepeatedIds:
+    """An id repeated in a corpus text file, or an utterance in both splits, exits 2."""
+
+    @staticmethod
+    def _copy(work, tmp_path):
+        import shutil
+
+        corpus = str(tmp_path / "c")
+        shutil.copytree(work["corpus"], corpus)
+        return corpus
+
+    def _enroll_fails(self, work, corpus, tmp_path, capsys, *words):
+        capsys.readouterr()
+        assert run(["enroll-map", "--corpus", corpus, "--source", "ubm",
+                    "--ubm", f"{work['models']}/ubm.dvmd",
+                    "--out", str(tmp_path / "spk.dvmd")]) == 2
+        _assert_error_line(capsys, *words)
+        assert not (tmp_path / "spk.dvmd").exists()
+
+    @pytest.mark.parametrize("name", ["splits/enroll.txt", "splits/test.txt",
+                                      "transcripts/transcripts.txt"])
+    def test_repeated_line(self, work, tmp_path, capsys, name):
+        corpus = self._copy(work, tmp_path)
+        path = f"{corpus}/corpus/{name}"
+        lines = open(path).read().splitlines()
+        with open(path, "a") as fh:
+            fh.write(f"{lines[0]}\n")
+        self._enroll_fails(work, corpus, tmp_path, capsys,
+                           f"{path} line {len(lines) + 1}:", lines[0].split()[0], "repeated")
+
+    def test_second_transcript_for_an_id(self, work, tmp_path, capsys):
+        corpus = self._copy(work, tmp_path)
+        path = f"{corpus}/corpus/transcripts/transcripts.txt"
+        lines = open(path).read().splitlines()
+        utt = lines[2].split()[0]
+        with open(path, "w") as fh:
+            fh.writelines(f"{line}\n" for line in [*lines[:3], f"{utt} 0000", *lines[3:]])
+        self._enroll_fails(work, corpus, tmp_path, capsys, f"{path} line 4:", utt, "repeated")
+
+    def test_utterance_in_both_splits(self, work, tmp_path, capsys):
+        corpus = self._copy(work, tmp_path)
+        enroll = f"{corpus}/corpus/splits/enroll.txt"
+        test = f"{corpus}/corpus/splits/test.txt"
+        first = open(enroll).readline()
+        with open(test, "a") as fh:
+            fh.write(first)
+        self._enroll_fails(work, corpus, tmp_path, capsys, test, first.split()[0],
+                           "enroll split")
+
+    def test_repeated_utt2spk_line(self, work, ivector_models, tmp_path, capsys):
+        utt2spk = tmp_path / "utt2spk"
+        lines = open(f"{work['corpus']}/corpus/splits/enroll.txt").read().splitlines()
+        utt = lines[1].split()[0]
+        utt2spk.write_text("".join(f"{line}\n" for line in [*lines, f"{utt} other"]))
+        capsys.readouterr()
+        assert run(["train-backend", "--ivectors", ivector_models["ivectors"],
+                    "--utt2spk", str(utt2spk), "--lda-dim", "4",
+                    "--out", str(tmp_path / "plda.dvmd")]) == 2
+        _assert_error_line(capsys, f"{utt2spk} line {len(lines) + 1}:", utt, "repeated")
 
 
 class TestBadTrials:

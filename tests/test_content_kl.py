@@ -3,37 +3,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from digitsv.content_kl import (
-    ClassPosteriorSequence,
-    PhoneticClassMap,
-    content_verify,
-    kl_score,
-    pool_classes,
-    smooth,
-)
-from digitsv.errors import NotSmoothed, ShapeMismatch, SourceMismatch
-from digitsv.hmm import N_STATES, AlignmentMatrix, AlignSource
+from digitsv.content_kl import content_verify, kl_score, pool_classes, smooth
+from digitsv.errors import ShapeMismatch
+from digitsv.hmm import N_STATES
 
 
-def random_alignment(t, seed=0, source=AlignSource.DNN):
+def random_alignment(t, seed=0):
     rng = np.random.default_rng(seed)
     post = rng.random((t, N_STATES))
     post /= post.sum(axis=1, keepdims=True)
-    return AlignmentMatrix(post, source)
+    return post
+
+
+def state_to_class(level):
+    """The class each global state pools into: one frame per state, one-hot."""
+    pooled = pool_classes(np.eye(N_STATES), level)
+    assert set(np.unique(pooled)) == {0.0, 1.0}
+    return pooled.shape[1], tuple(int(c) for c in pooled.argmax(axis=1))
 
 
 class TestClassMap:
     def test_state_level_is_identity(self):
-        cmap = PhoneticClassMap.state_level()
-        assert cmap.n_classes == 33
-        assert cmap.state_to_class == tuple(range(33))
+        n_classes, classes = state_to_class("state")
+        assert n_classes == 33
+        assert classes == tuple(range(33))
 
     def test_digit_level_pools_words(self):
-        cmap = PhoneticClassMap.digit_level()
-        assert cmap.n_classes == 11
-        assert cmap.state_to_class[:3] == (0, 0, 0)
-        assert cmap.state_to_class[21:24] == (7, 7, 7)
-        assert cmap.state_to_class[30:] == (10, 10, 10)  # silence class
+        n_classes, classes = state_to_class("digit")
+        assert n_classes == 11
+        assert classes[:3] == (0, 0, 0)
+        assert classes[21:24] == (7, 7, 7)
+        assert classes[30:] == (10, 10, 10)  # silence class
+
+    def test_unknown_level_rejected(self):
+        with pytest.raises(ValueError):
+            pool_classes(np.eye(N_STATES), "phone")
 
 
 class TestPoolClasses:
@@ -41,20 +45,18 @@ class TestPoolClasses:
         post = np.zeros((1, N_STATES))
         post[0, 3], post[0, 4], post[0, 5] = 0.2, 0.3, 0.1  # digit "1"
         post[0, 30] = 0.4
-        align = AlignmentMatrix(post, AlignSource.DNN)
-        pooled = pool_classes(align, PhoneticClassMap.digit_level())
-        assert abs(pooled.posteriors[0, 1] - 0.6) < 1e-12
+        pooled = pool_classes(post, "digit")
+        assert abs(pooled[0, 1] - 0.6) < 1e-12
 
     def test_state_level_identity(self):
         align = random_alignment(5, seed=1)
-        pooled = pool_classes(align, PhoneticClassMap.state_level())
-        np.testing.assert_array_equal(pooled.posteriors, align.posteriors)
+        pooled = pool_classes(align, "state")
+        np.testing.assert_array_equal(pooled, align)
 
     def test_mass_conserved(self):
         align = random_alignment(7, seed=2)
-        pooled = pool_classes(align, PhoneticClassMap.digit_level())
-        np.testing.assert_allclose(pooled.posteriors.sum(axis=1),
-                                   align.posteriors.sum(axis=1), atol=1e-12)
+        pooled = pool_classes(align, "digit")
+        np.testing.assert_allclose(pooled.sum(axis=1), align.sum(axis=1), atol=1e-12)
 
 
 class TestSmooth:
@@ -67,39 +69,34 @@ class TestSmooth:
         assert inspect.signature(smooth).parameters["epsilon"].default == 1e-5
 
     def test_uniform_stays_uniform(self):
-        cps = ClassPosteriorSequence(np.full((3, 4), 0.25), "HMM")
-        out = smooth(cps)
-        np.testing.assert_allclose(out.posteriors, 0.25, atol=1e-15)
+        out = smooth(np.full((3, 4), 0.25))
+        np.testing.assert_allclose(out, 0.25, atol=1e-15)
 
     def test_hand_case(self):
         eps = 1e-5
-        cps = ClassPosteriorSequence(np.array([[1.0, 0.0]]), "HMM")
-        out = smooth(cps, eps)
+        out = smooth(np.array([[1.0, 0.0]]), eps)
         expected = np.array([(1 + eps) / (1 + 2 * eps), eps / (1 + 2 * eps)])
-        np.testing.assert_allclose(out.posteriors[0], expected, atol=1e-15)
+        np.testing.assert_allclose(out[0], expected, atol=1e-15)
 
     def test_rows_positive_and_normalized(self):
         rng = np.random.default_rng(3)
         raw = rng.random((6, 11))
         raw[raw < 0.5] = 0.0
-        out = smooth(ClassPosteriorSequence(raw, "DNN"))
-        assert np.all(out.posteriors > 0)
-        np.testing.assert_allclose(out.posteriors.sum(axis=1), 1.0, atol=1e-12)
+        out = smooth(raw)
+        assert np.all(out > 0)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_argmax_preserved_when_gap_large(self):
         rng = np.random.default_rng(4)
         raw = rng.random((10, 11))
         raw /= raw.sum(axis=1, keepdims=True)
-        out = smooth(ClassPosteriorSequence(raw, "HMM"), 1e-5)
-        np.testing.assert_array_equal(out.posteriors.argmax(axis=1),
-                                      raw.argmax(axis=1))
+        out = smooth(raw, 1e-5)
+        np.testing.assert_array_equal(out.argmax(axis=1), raw.argmax(axis=1))
 
 
 class TestKlScore:
     def _smoothed_pair(self, p, q):
-        hp = smooth(ClassPosteriorSequence(np.asarray(p, dtype=float), "HMM"))
-        dp = smooth(ClassPosteriorSequence(np.asarray(q, dtype=float), "DNN"))
-        return hp, dp
+        return smooth(np.asarray(p, dtype=float)), smooth(np.asarray(q, dtype=float))
 
     def test_identical_sequences_score_zero(self):
         rng = np.random.default_rng(5)
@@ -118,23 +115,9 @@ class TestKlScore:
         assert abs(got - expected) < 1e-12
         assert abs(got - np.log(2.0)) < 1e-3
 
-    def test_unsmoothed_rejected(self):
-        raw = np.full((2, 4), 0.25)
-        hp = ClassPosteriorSequence(raw, "HMM")
-        dp = smooth(ClassPosteriorSequence(raw, "DNN"))
-        with pytest.raises(NotSmoothed):
-            kl_score(hp, dp)
-
-    def test_source_order_enforced(self):
-        raw = np.full((2, 4), 0.25)
-        a = smooth(ClassPosteriorSequence(raw, "DNN"))
-        b = smooth(ClassPosteriorSequence(raw, "DNN"))
-        with pytest.raises(SourceMismatch):
-            kl_score(a, b)
-
     def test_shape_mismatch(self):
-        a = smooth(ClassPosteriorSequence(np.full((2, 4), 0.25), "HMM"))
-        b = smooth(ClassPosteriorSequence(np.full((3, 4), 0.25), "DNN"))
+        a = smooth(np.full((2, 4), 0.25))
+        b = smooth(np.full((3, 4), 0.25))
         with pytest.raises(ShapeMismatch):
             kl_score(a, b)
 
@@ -147,14 +130,13 @@ class TestKlScore:
         p /= p.sum(axis=1, keepdims=True)
         q = rng.random((t, N_STATES))
         q /= q.sum(axis=1, keepdims=True)
-        cmap = PhoneticClassMap.digit_level()
-        hp = smooth(pool_classes(AlignmentMatrix(p, AlignSource.HMM_FB), cmap))
-        dp = smooth(pool_classes(AlignmentMatrix(q, AlignSource.DNN), cmap))
+        hp = smooth(pool_classes(p, "digit"))
+        dp = smooth(pool_classes(q, "digit"))
         kl = kl_score(hp, dp)
         assert kl >= 0.0
         perm = rng.permutation(t)
-        hp2 = smooth(pool_classes(AlignmentMatrix(p[perm], AlignSource.HMM_FB), cmap))
-        dp2 = smooth(pool_classes(AlignmentMatrix(q[perm], AlignSource.DNN), cmap))
+        hp2 = smooth(pool_classes(p[perm], "digit"))
+        dp2 = smooth(pool_classes(q[perm], "digit"))
         assert abs(kl - kl_score(hp2, dp2)) < 1e-10
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
@@ -167,13 +149,10 @@ class TestKlScore:
         q = rng.random((t, N_STATES))
         q /= q.sum(axis=1, keepdims=True)
 
-        def score(cmap):
-            hp = smooth(pool_classes(AlignmentMatrix(p, AlignSource.HMM_FB), cmap))
-            dp = smooth(pool_classes(AlignmentMatrix(q, AlignSource.DNN), cmap))
-            return kl_score(hp, dp)
+        def score(level):
+            return kl_score(smooth(pool_classes(p, level)), smooth(pool_classes(q, level)))
 
-        assert score(PhoneticClassMap.digit_level()) <= \
-            score(PhoneticClassMap.state_level()) + 1e-6
+        assert score("digit") <= score("state") + 1e-6
 
 
 class TestContentVerify:
@@ -191,19 +170,26 @@ class TestContentVerify:
         assert np.median(kl_same) < np.median(kl_wrong)
         assert max(kl_same) < min(kl_wrong)
 
-    def test_alignments_in_source_order(self):
-        hmm = random_alignment(6, seed=1, source=AlignSource.HMM_FB)
-        dnn = random_alignment(6, seed=2)
-        assert content_verify(hmm, dnn) >= 0.0
-        with pytest.raises(SourceMismatch):
-            content_verify(dnn, hmm)
-        with pytest.raises(SourceMismatch):
-            content_verify(hmm, hmm)
-
     def test_default_map_is_digit_level(self):
         import inspect
 
         sig = inspect.signature(content_verify)
-        assert sig.parameters["class_map"].default is None  # resolved to digit level
-        cmap = PhoneticClassMap.for_level("digit")
-        assert cmap.level == "digit"
+        assert sig.parameters["level"].default == "digit"
+        forced, reference = random_alignment(6, seed=1), random_alignment(6, seed=2)
+        assert content_verify(forced, reference) == \
+            kl_score(smooth(pool_classes(forced, "digit")), smooth(pool_classes(reference, "digit")))
+
+    def test_dvpo_round_trip_scores_as_in_memory(self, tmp_path, small_corpus, small_models):
+        # a forced alignment written to DVPO and read back scores like the
+        # float32-rounded in-memory one
+        from digitsv import formats
+        from digitsv.pipeline import align
+
+        u = small_corpus.tests()[0]
+        reference = align("dnn", small_models, u.feats, None)
+        forced = align("gmm-hmm", small_models, u.feats, u.content, "viterbi")
+        path = tmp_path / "forced.dvpo"
+        formats.write_dvpo(path, forced)
+        back = formats.read_dvpo(path, N_STATES)
+        np.testing.assert_array_equal(back, forced)  # 0/1 rows survive float32
+        assert content_verify(back, reference) == content_verify(forced, reference)

@@ -15,8 +15,6 @@ from digitsv.hmm import (
     N_STATES,
     SILENCE_POLICIES,
     SILENCE_WORD,
-    AlignmentMatrix,
-    AlignSource,
     _arc_arrays,
     compile_graph,
     fb_align,
@@ -208,13 +206,13 @@ class TestForwardBackward:
     def test_rows_sum_to_one(self):
         hmms, graph, feats, _ = single_digit_instance(1, t_max=6)
         align = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
-        np.testing.assert_allclose(align.posteriors.sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(align.sum(axis=1), 1.0, atol=1e-6)
 
     def test_no_mass_outside_graph(self):
         hmms, graph, feats, _ = single_digit_instance(2, t_max=5)
         align = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
         outside = [s for s in range(N_STATES) if s not in (15, 16, 17)]
-        assert np.all(align.posteriors[:, outside] == 0.0)
+        assert np.all(align[:, outside] == 0.0)
 
     def test_matches_path_enumeration(self):
         for seed in range(30):
@@ -222,15 +220,15 @@ class TestForwardBackward:
             marg, _, _, _ = enumeration_marginals(loglikes, hmms.self_loop[[15, 16, 17]])
             align = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
             np.testing.assert_allclose(
-                align.posteriors[:, [15, 16, 17]], marg, atol=1e-10
+                align[:, [15, 16, 17]], marg, atol=1e-10
             )
 
     def test_viterbi_mass_inside_fb_support(self):
         hmms, graph, feats, _ = single_digit_instance(3, t_max=6)
         hard = path_to_alignment(viterbi_align(graph, node_loglikes(graph, feats, hmms), hmms))
         soft = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
-        chosen = hard.posteriors > 0
-        assert np.all(soft.posteriors[chosen] > 0)
+        chosen = hard > 0
+        assert np.all(soft[chosen] > 0)
 
     def test_alignment_monotone(self):
         hmms, graph, feats, _ = single_digit_instance(4, t_max=6)
@@ -308,7 +306,7 @@ class TestOptionalSilenceEnumeration:
                 marg[t, self.GLOBAL[node]] += w
 
         align = fb_align(graph, node_loglikes(graph, feats, hmms), hmms)
-        np.testing.assert_allclose(align.posteriors, marg, atol=1e-10)
+        np.testing.assert_allclose(align, marg, atol=1e-10)
 
         best = paths[int(np.argmax(logps))]
         got = viterbi_align(graph, node_loglikes(graph, feats, hmms), hmms)
@@ -330,10 +328,9 @@ class TestHybridAlignment:
         states = [15, 16, 17]
         loglikes = np.log(post[:, states]) - np.log(priors[states])
         marg, best_path, _, _ = enumeration_marginals(loglikes, hmms.self_loop[states])
-        dnn = AlignmentMatrix(post, AlignSource.DNN)
-        emissions = hybrid_loglikes(graph, dnn, priors)
+        emissions = hybrid_loglikes(graph, post, priors)
         got = fb_align(graph, emissions, hmms)
-        np.testing.assert_allclose(got.posteriors[:, states], marg, atol=1e-10)
+        np.testing.assert_allclose(got[:, states], marg, atol=1e-10)
         np.testing.assert_array_equal(viterbi_align(graph, emissions, hmms),
                                       np.array(states)[best_path])
 
@@ -343,11 +340,9 @@ class TestHybridAlignment:
         graph = compile_graph("3", "none")
         post = rng.random((6, N_STATES))
         post /= post.sum(axis=1, keepdims=True)
-        dnn = AlignmentMatrix(post, AlignSource.DNN)
         priors = np.full(N_STATES, 1.0 / N_STATES)
-        out = fb_align(graph, hybrid_loglikes(graph, dnn, priors), hmms)
-        np.testing.assert_allclose(out.posteriors.sum(axis=1), 1.0, atol=1e-6)
-        assert out.source == AlignSource.HMM_FB
+        out = fb_align(graph, hybrid_loglikes(graph, post, priors), hmms)
+        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
 
 
 class TestTrainHmmSet:
@@ -392,9 +387,8 @@ class TestMixturePosteriors:
         hmms = make_hmm_set(dim=1, n_components=2)
         post = np.zeros((1, N_STATES))
         post[0, 0], post[0, 1] = 0.4, 0.6
-        align = AlignmentMatrix(post, AlignSource.HMM_FB)
         feats = mfcc_feats(np.array([[0.5]]))
-        mp = mixture_posteriors(hmms, align, feats, prune=0.0)
+        mp = mixture_posteriors(hmms, post, feats, prune=0.0)
         assert abs(mp[0].sum() - 1.0) < 1e-6
         from digitsv.gmm import component_posteriors
 
@@ -408,7 +402,6 @@ class TestMixturePosteriors:
                                np.repeat(g.variances, 2, 0))
         post = np.zeros((1, N_STATES))
         post[0, 0] = 1.0
-        align = AlignmentMatrix(post, AlignSource.HMM_VITERBI)
-        mp = mixture_posteriors(hmms, align, mfcc_feats(np.array([[0.1]])), prune=0.0)
+        mp = mixture_posteriors(hmms, post, mfcc_feats(np.array([[0.1]])), prune=0.0)
         np.testing.assert_allclose(mp[0, 0:2], [0.5, 0.5], atol=1e-12)
 

@@ -154,7 +154,7 @@ def init_pgmm_oracle(alignments, feats_list, n_components, em_iterations=10, see
     """``pgmm.init_pgmm`` with per-state buckets of copied frames."""
     buckets = {s: [] for s in hmm_mod.DIGIT_STATES}
     for align, feats in zip(alignments, feats_list):
-        hard = align.posteriors.argmax(axis=1)
+        hard = align.argmax(axis=1)
         for s in np.unique(hard):
             if s in buckets:
                 buckets[s].append(feats.frames[hard == s])

@@ -110,7 +110,7 @@ class TestPosteriors:
         model = toy_model(sizes=(1320, 16, N_STATES))
         feats = FeatureSequence(rng.standard_normal((7, 1320)), FeatureKind.SPLICED)
         align = mlp_posteriors(model, feats)
-        np.testing.assert_allclose(align.posteriors.sum(axis=1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(align.sum(axis=1), 1.0, atol=1e-6)
 
     def test_zero_output_layer_gives_uniform(self):
         model = toy_model(sizes=(1320, 16, N_STATES))
@@ -119,7 +119,7 @@ class TestPosteriors:
         feats = FeatureSequence(np.random.default_rng(1).standard_normal((3, 1320)),
                                 FeatureKind.SPLICED)
         align = mlp_posteriors(model, feats)
-        np.testing.assert_allclose(align.posteriors, 1.0 / N_STATES, atol=1e-12)
+        np.testing.assert_allclose(align, 1.0 / N_STATES, atol=1e-12)
 
     def test_wrong_kind_rejected(self):
         model = toy_model(sizes=(1320, 16, N_STATES))
@@ -141,7 +141,6 @@ class TestPosteriors:
 class TestExternalPosteriors:
     def test_round_trip(self, tmp_path):
         from digitsv import formats
-        from digitsv.neural_aligner import load_external_posteriors
 
         rng = np.random.default_rng(5)
         post = rng.random((11, N_STATES))
@@ -150,30 +149,25 @@ class TestExternalPosteriors:
         post /= post.sum(axis=1, keepdims=True)
         path = tmp_path / "x.dvpo"
         formats.write_dvpo(path, post)
-        back = load_external_posteriors(path)
-        assert back.source.value == "dnn"
+        back = formats.read_dvpo(path, N_STATES)
         rounded = post.astype(np.float32).astype(np.float64)
-        np.testing.assert_array_equal(
-            back.posteriors, rounded / rounded.sum(axis=1, keepdims=True)
-        )
+        np.testing.assert_array_equal(back, rounded / rounded.sum(axis=1, keepdims=True))
 
     def test_unnormalized_row_rejected(self, tmp_path):
         from digitsv import formats
-        from digitsv.neural_aligner import load_external_posteriors
 
         post = np.full((4, N_STATES), 0.9 / N_STATES)
         path = tmp_path / "bad.dvpo"
         formats.write_dvpo(path, post)
         with pytest.raises(RowNotNormalized):
-            load_external_posteriors(path)
+            formats.read_dvpo(path, N_STATES)
 
     def test_wrong_state_count_rejected(self, tmp_path):
         from digitsv import formats
         from digitsv.errors import WrongStateCount
-        from digitsv.neural_aligner import load_external_posteriors
 
         post = np.full((4, 30), 1.0 / 30)
         path = tmp_path / "narrow.dvpo"
         formats.write_dvpo(path, post)
         with pytest.raises(WrongStateCount):
-            load_external_posteriors(path)
+            formats.read_dvpo(path, N_STATES)

@@ -6,7 +6,7 @@ import pytest
 from conftest import mfcc_feats
 from digitsv.errors import EmptyStateWarning, ShapeMismatch, StarvedState
 from digitsv.gmm import DiagGmm
-from digitsv.hmm import DIGIT_STATES, N_STATES, AlignmentMatrix, AlignSource
+from digitsv.hmm import DIGIT_STATES, N_STATES
 from digitsv.pgmm import (
     Background,
     Pgmm,
@@ -22,10 +22,10 @@ from digitsv.pgmm import (
 )
 
 
-def uniform_alignment(t, states, source=AlignSource.DNN):
+def uniform_alignment(t, states):
     post = np.zeros((t, N_STATES))
     post[:, states] = 1.0 / len(states)
-    return AlignmentMatrix(post, source)
+    return post
 
 
 def one_state_pgmm(n_components=1, dim=60, mean=0.0):
@@ -69,8 +69,7 @@ class TestMixturePosteriors:
         post = np.zeros((2, N_STATES))
         post[:, 0] = 0.3
         post[:, 30] = 0.7  # silence
-        align = AlignmentMatrix(post, AlignSource.DNN)
-        mp = mixture_posteriors(pgmm, align, mfcc_feats(np.zeros((2, 2))))
+        mp = mixture_posteriors(pgmm, post, mfcc_feats(np.zeros((2, 2))))
         np.testing.assert_allclose(mp.sum(axis=1), 0.3, atol=1e-9)
 
     def test_uniform_two_state_symmetric(self):
@@ -93,6 +92,14 @@ class TestMixturePosteriors:
         mp = mixture_posteriors(pgmm, align, feats, prune=0.0)
         expected = 0.5 * component_posteriors(g, feats.frames[0])
         np.testing.assert_allclose(mp[0, :2], expected, atol=1e-12)
+
+    def test_alignment_shape_checked(self):
+        # one row per frame and one column per global state
+        pgmm = one_state_pgmm()
+        feats = mfcc_feats(np.zeros((3, 2)))
+        for align in (uniform_alignment(4, [0]), uniform_alignment(3, [0])[:, :30]):
+            with pytest.raises(ShapeMismatch):
+                mixture_posteriors(pgmm, align, feats)
 
     def test_ubm_posteriors_normalized(self):
         rng = np.random.default_rng(0)
@@ -156,7 +163,7 @@ class TestPgmmEm:
         align = uniform_alignment(20, [0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyStateWarning)
-            out = pgmm_em_step(pgmm, align, feats)
+            out = pgmm_em_step(pgmm, [align], [feats])
         np.testing.assert_allclose(out.gmms[0].means[0], feats.frames.mean(axis=0),
                                    atol=1e-10)
         np.testing.assert_allclose(out.gmms[0].variances[0],
@@ -172,7 +179,7 @@ class TestPgmmEm:
         align = uniform_alignment(5, [0])  # every other state empty
         feats = mfcc_feats(np.random.default_rng(5).standard_normal((5, 2)))
         with pytest.warns(EmptyStateWarning):
-            out = pgmm_em_step(pgmm, align, feats)
+            out = pgmm_em_step(pgmm, [align], [feats])
         np.testing.assert_array_equal(out.gmms[1].means, pgmm.gmms[1].means)
 
     def test_two_frame_hand_update(self):
@@ -234,7 +241,7 @@ class TestPgmmEm:
         u = next(u for u in small_corpus.utterances if u.split == "enroll")
         align = mlp_posteriors(small_models.mlp, u.feats)
         mp = mixture_posteriors(small_models.pgmm, align, u.feats, prune=0.0)
-        retained = align.posteriors[:, list(DIGIT_STATES)].sum()
+        retained = align[:, list(DIGIT_STATES)].sum()
         assert abs(mp.sum() - retained) < 1e-6
 
 
