@@ -49,13 +49,14 @@ def map_adapt(background: Background, stats: SuffStats,
 def enroll(background: Background, stats_list, relevance: float = RELEVANCE_DEFAULT) -> SpeakerModel:
     """Merge the enrollment utterances' statistics in order, then adapt once.
 
-    ``stats_list`` is any iterable of ``SuffStats``, read once.
+    ``stats_list`` is any iterable of ``SuffStats``, read once.  They are added
+    into one accumulator, and none is held while the next is produced.
     """
     stats, merged = background.empty_stats(), 0
     for item in stats_list:  # enumerate's reused tuple would hold the last item
-        stats = stats.merge(item)
+        stats.add(item)
         merged += 1
-        del item  # not held while the next utterance is aligned
+        del item
     if not merged:
         raise EmptyEnrollment("enrollment needs at least one utterance")
     return map_adapt(background, stats, relevance)

@@ -5,7 +5,7 @@ alignment source supplies per-frame state posteriors; multiplying by the
 within-state component posterior gives joint mixture occupancies, from
 which zeroth- and first-order statistics are accumulated for the MAP and
 i-vector backends, the only two orders either reads.  Statistics merge by
-addition.
+adding one utterance's into an accumulator in place.
 """
 
 from __future__ import annotations
@@ -67,14 +67,17 @@ class SuffStats:
         if self.n.shape[0] != self.f.shape[0]:
             raise ShapeMismatch("inconsistent statistics shapes")
 
-    def merge(self, other: "SuffStats") -> "SuffStats":
+    def add(self, other: "SuffStats") -> "SuffStats":
+        """Add ``other`` into these statistics in place, and return them."""
         if self.f.shape != other.f.shape:
             raise ShapeMismatch("cannot merge statistics of different shapes")
         if (self.background_id and other.background_id
                 and self.background_id != other.background_id):
             raise ShapeMismatch("cannot merge statistics from different backgrounds")
-        return SuffStats(self.n + other.n, self.f + other.f,
-                         self.background_id or other.background_id)
+        self.n += other.n
+        self.f += other.f
+        self.background_id = self.background_id or other.background_id
+        return self
 
 
 @dataclass

@@ -135,7 +135,7 @@ class TestEnroll:
             stats_list.append(accumulate_stats(gammas, feats, bg.means, "toy"))
         merged = bg.empty_stats()
         for stats in stats_list:
-            merged = merged.merge(stats)
+            merged = merged.add(stats)
         expected = map_adapt(bg, merged)
         got = enroll(bg, iter(stats_list))  # any iterable, read once
         np.testing.assert_array_equal(got.means, expected.means)

@@ -133,7 +133,7 @@ class TestAccumulateStats:
         whole = accumulate_stats(g, feats, means)
         first = accumulate_stats(g[:6], mfcc_feats(feats.frames[:6, :2]), means)
         second = accumulate_stats(g[6:], mfcc_feats(feats.frames[6:, :2]), means)
-        merged = first.merge(second)
+        merged = first.add(second)
         np.testing.assert_allclose(merged.n, whole.n, atol=1e-10)
         np.testing.assert_allclose(merged.f, whole.f, atol=1e-10)
 
