@@ -37,6 +37,7 @@ from .errors import (
     WrongStateCount,
 )
 from .features import FeatureKind, FeatureSequence
+from .hmm import DIGIT_STATES
 
 # each format's version; DVST 2 added the background id, and DVST 3 dropped the
 # second-order statistics that DVST 1 and 2 records carry after F
@@ -431,48 +432,38 @@ def load_diag_gmm(path):
 
 def save_hmm_set(path, hmms):
     write_dvmd(path, "hmm_set", {
-        "weights": np.stack([g.weights for g in hmms.gmms]),
-        "means": np.stack([g.means for g in hmms.gmms]),
-        "variances": np.stack([g.variances for g in hmms.gmms]),
+        "weights": hmms.weights, "means": hmms.means, "variances": hmms.variances,
         "self_loop": hmms.self_loop,
     })
 
 
 def load_hmm_set(path):
-    from .gmm import DiagGmm
     from .hmm import HmmSet
 
     _, payload = read_dvmd(path, "hmm_set")
     _require(payload, ("weights", "means", "variances", "self_loop"))
     with _building("hmm_set"):
-        gmms = [
-            DiagGmm(w, m, v)
-            for w, m, v in zip(payload["weights"], payload["means"], payload["variances"])
-        ]
-        return HmmSet(gmms, payload["self_loop"])
+        return HmmSet(payload["weights"], payload["means"], payload["variances"],
+                      payload["self_loop"])
 
 
 def save_pgmm(path, pgmm):
     write_dvmd(path, "pgmm", {
-        "state_ids": np.asarray(pgmm.state_ids, dtype=np.int64),
-        "weights": np.stack([g.weights for g in pgmm.gmms]),
-        "means": np.stack([g.means for g in pgmm.gmms]),
-        "variances": np.stack([g.variances for g in pgmm.gmms]),
+        "state_ids": np.asarray(DIGIT_STATES, dtype=np.int64),
+        "weights": pgmm.weights, "means": pgmm.means, "variances": pgmm.variances,
     })
 
 
 def load_pgmm(path):
-    from .gmm import DiagGmm
+    """A phonetic GMM; its ``state_ids`` must be the digit states 0..29, in order."""
     from .pgmm import Pgmm
 
     _, payload = read_dvmd(path, "pgmm")
     _require(payload, ("state_ids", "weights", "means", "variances"))
+    if not np.array_equal(payload["state_ids"], DIGIT_STATES):
+        raise CorruptData(6, "pgmm state_ids must be the digit states 0..29 in order")
     with _building("pgmm"):
-        gmms = [
-            DiagGmm(w, m, v)
-            for w, m, v in zip(payload["weights"], payload["means"], payload["variances"])
-        ]
-        return Pgmm(gmms, tuple(int(s) for s in payload["state_ids"]))
+        return Pgmm(payload["weights"], payload["means"], payload["variances"])
 
 
 def save_mlp(path, model):

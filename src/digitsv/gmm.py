@@ -1,7 +1,9 @@
 """Diagonal-covariance Gaussian mixture models.
 
 EM training with binary mixture splitting, log-domain likelihoods and
-component posteriors.  Models are treated as immutable once trained.
+component posteriors.  ``StateMixtures`` stacks one mixture per state into
+one (S, C) / (S, C, D) parameter block, with ``DiagGmm`` views of its rows.
+Models are treated as immutable once trained.
 """
 
 from __future__ import annotations
@@ -45,6 +47,44 @@ class DiagGmm:
     @property
     def dim(self):
         return self.means.shape[1]
+
+
+@dataclass
+class StateMixtures:
+    """One C-component diagonal GMM per state, stacked into one parameter block.
+
+    ``gmms[s]`` is state s's ``DiagGmm``, a view of row s, built and validated
+    once, with the model.
+    """
+
+    weights: np.ndarray    # (S, C)
+    means: np.ndarray      # (S, C, D)
+    variances: np.ndarray  # (S, C, D)
+    training_log: list | None = field(default=None, repr=False, compare=False, kw_only=True)
+    gmms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # C-ordered, so that any leading rows reshape to (rows * C, D) views
+        self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        self.means = np.ascontiguousarray(self.means, dtype=np.float64)
+        self.variances = np.ascontiguousarray(self.variances, dtype=np.float64)
+        if self.means.ndim != 3 or self.weights.shape != self.means.shape[:2] \
+                or self.variances.shape != self.means.shape:
+            raise ValueError("stacked mixtures need (S, C), (S, C, D), (S, C, D) parameters")
+        self.gmms = tuple(DiagGmm(w, m, v)
+                          for w, m, v in zip(self.weights, self.means, self.variances))
+
+    @property
+    def n_components(self):
+        return self.weights.shape[1]
+
+    @property
+    def dim(self):
+        return self.means.shape[2]
+
+    @property
+    def n_mixtures(self):
+        return self.weights.size
 
 
 @dataclass
@@ -115,16 +155,21 @@ def component_posteriors(gmm: DiagGmm, frame: np.ndarray) -> np.ndarray:
     return component_posterior_matrix(gmm, frame)[0]
 
 
-def split_components(gmm: DiagGmm) -> DiagGmm:
-    """Double the mixture size, perturbing each mean by +-0.2 stddev per dim."""
-    offset = 0.2 * np.sqrt(gmm.variances)
-    c, d = gmm.means.shape
-    means = np.empty((2 * c, d))
-    means[0::2] = gmm.means - offset
-    means[1::2] = gmm.means + offset
-    variances = np.repeat(gmm.variances, 2, axis=0)
-    weights = np.repeat(gmm.weights, 2) / 2.0
-    return DiagGmm(weights, means, variances)
+def split_components(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Doubled mixtures' (weights, means, variances), each mean moved +-0.2 stddev per dim.
+
+    ``model`` is a ``DiagGmm`` or ``StateMixtures``: the component axis is
+    the last of the weights and the second to last of the means and
+    variances, so every state of a stacked model splits at once.
+    """
+    offset = 0.2 * np.sqrt(model.variances)
+    *lead, c, d = model.means.shape
+    means = np.empty((*lead, 2 * c, d))
+    means[..., 0::2, :] = model.means - offset
+    means[..., 1::2, :] = model.means + offset
+    variances = np.repeat(model.variances, 2, axis=-2)
+    weights = np.repeat(model.weights, 2, axis=-1) / 2.0
+    return weights, means, variances
 
 
 def column_mean_var(chunks) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +291,7 @@ def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
     log: list = []
     gmm = DiagGmm(np.array([1.0]), mean[None, :], np.maximum(global_var, floor)[None, :])
     while gmm.n_components < cfg.target_components:
-        gmm = split_components(gmm)
+        gmm = DiagGmm(*split_components(gmm))
         lls = []
         for _ in range(cfg.em_iterations):
             gmm, ll = _em_update(gmm, data, floor, global_var)

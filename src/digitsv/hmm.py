@@ -2,7 +2,9 @@
 
 Each word has 3 emitting states with diagonal-GMM emissions and a
 self-loop/forward transition pair; global state indices run word-major,
-so digit d owns states 3d..3d+2 and silence owns 30..32.  Provides
+so digit d owns states 3d..3d+2 and silence owns 30..32.  The 33 state GMMs
+are the rows of one stacked ``StateMixtures`` block, so the digit states
+are its rows 0..29, as they are a phonetic GMM's.  Provides
 transcription-graph compilation, Viterbi and forward-backward alignment
 (in the log domain), and flat-start Baum-Welch training with mixture growth.
 A compiled graph is topology only, built from the prompt and the silence
@@ -15,7 +17,7 @@ whichever aligner produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .errors import (
     UnknownToken,
 )
 from .features import FeatureKind, FeatureSequence
-from .gmm import DiagGmm
+from .gmm import StateMixtures
 
 WORDS = ("0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "sil")
 STATES_PER_WORD = 3
@@ -43,14 +45,13 @@ _LOG_ZERO = -np.inf
 
 
 @dataclass
-class HmmSet:
-    """The 33 state GMMs plus per-state self-loop probabilities."""
+class HmmSet(StateMixtures):
+    """The 33 state GMMs as stacked rows, plus per-state self-loop probabilities."""
 
-    gmms: list[DiagGmm]
     self_loop: np.ndarray  # (33,)
-    training_log: list | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        super().__post_init__()
         if len(self.gmms) != N_STATES:
             raise ValueError(f"need {N_STATES} state models, got {len(self.gmms)}")
         self.self_loop = np.asarray(self.self_loop, dtype=np.float64)
@@ -58,14 +59,6 @@ class HmmSet:
             raise ValueError("self_loop must have one entry per state")
         if np.any(self.self_loop <= 0) or np.any(self.self_loop >= 1):
             raise ValueError("self-loop probabilities must lie strictly inside (0, 1)")
-
-    @property
-    def n_components(self):
-        return self.gmms[0].n_components
-
-    @property
-    def dim(self):
-        return self.gmms[0].dim
 
 
 def word_states(word_index: int) -> range:
@@ -283,8 +276,11 @@ SELF_LOOP_INIT = 0.6
 TRANSITION_FLOOR = 1e-3  # self-loops stay inside [floor, 1 - floor]
 
 
-def _flat_start(corpus, graphs, dim, floor, global_mean, global_var) -> list[DiagGmm]:
-    """Uniform segmentation over each utterance's mandatory nodes."""
+def _flat_start(corpus, graphs, dim, floor, global_mean, global_var) -> HmmSet:
+    """Uniform segmentation over each utterance's mandatory nodes.
+
+    A state with fewer than 2 frames starts from the global mean and variance.
+    """
     sums = np.zeros((N_STATES, dim))
     sqs = np.zeros((N_STATES, dim))
     counts = np.zeros(N_STATES)
@@ -298,15 +294,12 @@ def _flat_start(corpus, graphs, dim, floor, global_mean, global_var) -> list[Dia
                 sums[s] += seg.sum(axis=0)
                 sqs[s] += (seg ** 2).sum(axis=0)
                 counts[s] += seg.shape[0]
-    gmms = []
-    for s in range(N_STATES):
-        if counts[s] >= 2:
-            mean = sums[s] / counts[s]
-            var = np.maximum(sqs[s] / counts[s] - mean ** 2, floor)
-        else:
-            mean, var = global_mean, np.maximum(global_var, floor)
-        gmms.append(DiagGmm(np.array([1.0]), mean[None, :], var[None, :]))
-    return gmms
+    enough = (counts >= 2)[:, None]
+    n = np.maximum(counts, 1.0)[:, None]  # counts itself wherever enough
+    means = np.where(enough, sums / n, global_mean)
+    variances = np.maximum(np.where(enough, sqs / n - means ** 2, global_var), floor)
+    return HmmSet(np.ones((N_STATES, 1)), means[:, None], variances[:, None],
+                  np.full(N_STATES, SELF_LOOP_INIT))
 
 
 def _realign_pass(hmms: HmmSet, corpus, graphs, floor, global_var):
@@ -341,24 +334,24 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, floor, global_var):
         np.add.at(occ.T, graph.states, gamma.T)
         occupancies.append(occ)
 
-    gmms = []
+    # a state no frame occupies keeps its row
+    weights, means, variances = hmms.weights.copy(), hmms.means.copy(), hmms.variances.copy()
     for s in range(N_STATES):
         # each state's frames and weights, gathered in corpus order
         sels = [occ[:, s] > 1e-12 for occ in occupancies]
         if not any(sel.any() for sel in sels):
-            gmms.append(hmms.gmms[s])
             continue
         frames = np.concatenate([f.frames[sel] for (f, _), sel in zip(corpus, sels)], axis=0)
-        weights = np.concatenate([occ[sel, s] for occ, sel in zip(occupancies, sels)])
+        occ_s = np.concatenate([occ[sel, s] for occ, sel in zip(occupancies, sels)])
         new, _ = gmm_mod._em_update(hmms.gmms[s], frames, floor, global_var,
-                                    frame_weights=weights)
-        gmms.append(new)
-        del frames, weights  # before the next state's gather
+                                    frame_weights=occ_s)
+        weights[s], means[s], variances[s] = new.weights, new.means, new.variances
+        del frames, occ_s, new  # before the next state's gather
 
     leaving = self_mass + cross_mass
     loop = np.where(leaving > 0, self_mass / np.maximum(leaving, 1e-30), hmms.self_loop)
     loop = np.clip(loop, TRANSITION_FLOOR, 1.0 - TRANSITION_FLOOR)
-    return HmmSet(gmms, loop), total_fb, total_viterbi
+    return HmmSet(weights, means, variances, loop), total_fb, total_viterbi
 
 
 def train_hmm_set(corpus, target_components: int = 16,
@@ -391,8 +384,7 @@ def train_hmm_set(corpus, target_components: int = 16,
                                             f"needs {graph.min_frames}")
         graphs.append(graph)
 
-    gmms = _flat_start(corpus, graphs, dim, floor, global_mean, global_var)
-    hmms = HmmSet(gmms, np.full(N_STATES, SELF_LOOP_INIT))
+    hmms = _flat_start(corpus, graphs, dim, floor, global_mean, global_var)
     log = []
     size = 1
     passes = INIT_PASSES
@@ -403,7 +395,7 @@ def train_hmm_set(corpus, target_components: int = 16,
                         "fb_ll": fb_ll, "viterbi_ll": vit_ll})
         if size >= target_components:
             break
-        hmms = HmmSet([gmm_mod.split_components(g) for g in hmms.gmms], hmms.self_loop)
+        hmms = HmmSet(*gmm_mod.split_components(hmms), hmms.self_loop)
         size *= 2
         passes = PASSES_PER_SIZE
 

@@ -441,7 +441,10 @@ class PldaScorer:
         self.index = {spk: k for k, spk in enumerate(enrollments)}
         rows = []
         for spk, stats_list in enrollments.items():
-            vectors = [self.ivector(stats).vector for stats in stats_list]
+            vectors = []
+            for stats in stats_list:
+                vectors.append(self.ivector(stats).vector)
+                del stats  # not held while the next utterance is aligned
             if not vectors:
                 raise EmptyEnrollment(f"speaker {spk!r} has no enrollment statistics")
             rows.append(length_normalize(IVector(np.mean(vectors, axis=0))).vector

@@ -1,56 +1,40 @@
 """Phonetic GMMs and normalized Baum-Welch statistics.
 
-A Pgmm holds one diagonal GMM per digit state (silence excluded).  Any
+A Pgmm stacks one diagonal GMM per digit state (silence excluded) into one
+parameter block.  Its rows 0..29 are the digit states, as an HmmSet's are,
+so every consumer here reads those rows of either model.  Any
 alignment source supplies per-frame state posteriors; multiplying by the
 within-state component posterior gives joint mixture occupancies, from
 which zeroth- and first-order statistics are accumulated for the MAP and
-i-vector backends, the only two orders either reads.  Statistics merge by
-adding one utterance's into an accumulator in place.
+i-vector backends, the only two orders either reads.  The ``Background``
+they are centred on is a (M, D) view of the model's digit-state rows.
+Statistics merge by adding one utterance's into an accumulator in place.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gmm as gmm_mod
-from .errors import EmptyStateWarning, ShapeMismatch, StarvedState
+from .errors import DegenerateData, EmptyStateWarning, ShapeMismatch, StarvedState
 from .features import FeatureSequence
-from .gmm import DiagGmm
-from .hmm import DIGIT_STATES, N_STATES, HmmSet
+from .gmm import _EMPTY_COUNT, DiagGmm, StateMixtures
+from .hmm import DIGIT_STATES, N_STATES
 
-_EMPTY_COUNT = 1e-8
 PRUNE_DEFAULT = 1e-6
 
 
 @dataclass
-class Pgmm:
-    """One GMM per digit state; 30 states x n_components mixtures."""
-
-    gmms: list              # 30 DiagGmm, indexed by digit state
-    state_ids: tuple = DIGIT_STATES
-    training_log: list | None = field(default=None, repr=False, compare=False)
+class Pgmm(StateMixtures):
+    """One GMM per digit state, stacked: row s is digit state s; 30 x n_components mixtures."""
 
     def __post_init__(self):
-        if len(self.gmms) != len(self.state_ids):
-            raise ShapeMismatch("one GMM per phonetic state required")
-        if len(set(self.state_ids)) != len(self.state_ids) or \
-                not set(self.state_ids) <= set(DIGIT_STATES):
-            raise ValueError(f"state_ids must be distinct digit states, got {self.state_ids}")
-
-    @property
-    def n_components(self):
-        return self.gmms[0].n_components
-
-    @property
-    def dim(self):
-        return self.gmms[0].dim
-
-    @property
-    def n_mixtures(self):
-        return len(self.gmms) * self.n_components
+        super().__post_init__()
+        if len(self.gmms) != len(DIGIT_STATES):
+            raise ValueError(f"need {len(DIGIT_STATES)} digit-state models, got {len(self.gmms)}")
 
 
 @dataclass
@@ -82,7 +66,11 @@ class SuffStats:
 
 @dataclass
 class Background:
-    """Flattened mixture view of a UBM, HMM state set, or phonetic GMM."""
+    """Flattened mixture view of a UBM, HMM state set, or phonetic GMM.
+
+    The means and variances are views of the model's own arrays, never
+    copies, so nothing may write into them.
+    """
 
     means: np.ndarray       # (M, D)
     variances: np.ndarray   # (M, D)
@@ -92,19 +80,15 @@ class Background:
 
     @classmethod
     def from_ubm(cls, ubm: DiagGmm, model_id: str = "ubm"):
-        return cls(ubm.means.copy(), ubm.variances.copy(), None, ubm.n_components, model_id)
+        return cls(ubm.means, ubm.variances, None, ubm.n_components, model_id)
 
     @classmethod
-    def from_pgmm(cls, pgmm: Pgmm, model_id: str = "pgmm"):
-        means = np.concatenate([g.means for g in pgmm.gmms], axis=0)
-        variances = np.concatenate([g.variances for g in pgmm.gmms], axis=0)
-        return cls(means, variances, pgmm.state_ids, pgmm.n_components, model_id)
-
-    @classmethod
-    def from_hmm_set(cls, hmms: HmmSet, model_id: str = "hmm"):
-        means = np.concatenate([hmms.gmms[s].means for s in DIGIT_STATES], axis=0)
-        variances = np.concatenate([hmms.gmms[s].variances for s in DIGIT_STATES], axis=0)
-        return cls(means, variances, DIGIT_STATES, hmms.n_components, model_id)
+    def from_states(cls, model: StateMixtures, model_id: str):
+        """The digit-state rows 0..29 of an HmmSet or Pgmm, reshaped to (30 * C, D)."""
+        rows = len(DIGIT_STATES)
+        return cls(model.means[:rows].reshape(-1, model.dim),
+                   model.variances[:rows].reshape(-1, model.dim),
+                   DIGIT_STATES, model.n_components, model_id)
 
     @property
     def n_mixtures(self):
@@ -122,39 +106,28 @@ class Background:
         )
 
 
-def _model_states_gmms(model):
-    if isinstance(model, Pgmm):
-        return model.state_ids, model.gmms  # silence is already excluded
-    if isinstance(model, HmmSet):
-        return DIGIT_STATES, [model.gmms[s] for s in DIGIT_STATES]
-    raise ShapeMismatch(f"unsupported model type {type(model).__name__}")
-
-
-def mixture_posteriors(model, align: np.ndarray, feats: FeatureSequence,
+def mixture_posteriors(model: StateMixtures, align: np.ndarray, feats: FeatureSequence,
                        prune: float = PRUNE_DEFAULT) -> np.ndarray:
     """Joint (state, component) posteriors: state mass times within-state posterior.
 
-    ``align`` is the (T, 33) state alignment of the T feature frames.
+    ``model`` is a Pgmm or an HmmSet, whose rows 0..29 are the digit states
+    alike.  ``align`` is the (T, 33) state alignment of the T feature frames.
     Returns a (T, M) array whose columns group each digit state's components
-    in state order.  Only digit states contribute, for a Pgmm and an HmmSet
-    alike: the silence-state mass is discarded (never renormalized), so a
-    row carries total mass <= 1.  Entries below ``prune`` are zeroed for
-    sparsity.
+    in state order.  Only digit states contribute: the silence-state mass is
+    discarded (never renormalized), so a row carries total mass <= 1.
+    Entries below ``prune`` are zeroed for sparsity.
     """
-    states, gmms = _model_states_gmms(model)
     if align.shape != (feats.n_frames, N_STATES):
         raise ShapeMismatch(f"alignment is {align.shape}, features need "
                             f"({feats.n_frames}, {N_STATES})")
-    if gmms[0].dim != feats.dim:
-        raise ShapeMismatch(f"model dim {gmms[0].dim} vs feature dim {feats.dim}")
+    if model.dim != feats.dim:
+        raise ShapeMismatch(f"model dim {model.dim} vs feature dim {feats.dim}")
 
-    n_comp = gmms[0].n_components
-    t = feats.n_frames
-    gammas = np.empty((t, len(states) * n_comp))
-    for k, (s, g) in enumerate(zip(states, gmms)):
-        state_mass = align[:, s:s + 1]
-        gammas[:, k * n_comp:(k + 1) * n_comp] = (
-            state_mass * gmm_mod.component_posterior_matrix(g, feats.frames)
+    n_comp = model.n_components
+    gammas = np.empty((feats.n_frames, len(DIGIT_STATES) * n_comp))
+    for s in DIGIT_STATES:
+        gammas[:, s * n_comp:(s + 1) * n_comp] = (
+            align[:, s:s + 1] * gmm_mod.component_posterior_matrix(model.gmms[s], feats.frames)
         )
     if prune > 0:
         gammas[gammas < prune] = 0.0
@@ -184,26 +157,25 @@ def accumulate_stats(gammas: np.ndarray, feats: FeatureSequence,
 
 
 class PgmmEmAccumulator:
-    """Raw EM accumulator for Pgmm updates."""
+    """Raw EM accumulator for Pgmm updates, one row per digit state."""
 
     def __init__(self, pgmm: Pgmm):
-        self.n = np.zeros((len(pgmm.state_ids), pgmm.n_components))
-        self.sx = np.zeros((len(pgmm.state_ids), pgmm.n_components, pgmm.dim))
+        self.n = np.zeros(pgmm.weights.shape)
+        self.sx = np.zeros(pgmm.means.shape)
         self.sxx = np.zeros_like(self.sx)
-        self._shape_key = (len(pgmm.state_ids), pgmm.n_components, pgmm.dim)
 
     def add(self, pgmm: Pgmm, align: np.ndarray, feats: FeatureSequence):
-        if (len(pgmm.state_ids), pgmm.n_components, pgmm.dim) != self._shape_key:
+        if pgmm.means.shape != self.sx.shape:
             raise ShapeMismatch("accumulator does not match this model")
         x = feats.frames
-        for k, (state, g) in enumerate(zip(pgmm.state_ids, pgmm.gmms)):
-            mass = align[:, state]
+        for s in DIGIT_STATES:
+            mass = align[:, s]
             if not mass.any():
                 continue
-            resp = gmm_mod.component_posterior_matrix(g, x) * mass[:, None]
-            self.n[k] += resp.sum(axis=0)
-            self.sx[k] += resp.T @ x
-            self.sxx[k] += resp.T @ (x ** 2)
+            resp = gmm_mod.component_posterior_matrix(pgmm.gmms[s], x) * mass[:, None]
+            self.n[s] += resp.sum(axis=0)
+            self.sx[s] += resp.T @ x
+            self.sxx[s] += resp.T @ (x ** 2)
         return self
 
 
@@ -216,8 +188,9 @@ def pgmm_em_step(pgmm: Pgmm, aligns=None, feats=None,
     their features, added to ``accum`` (a new accumulator by default).
     Per state the new weights normalize the component occupancies, means are
     occupancy-weighted sample means and variances the matching (floored)
-    spreads.  States with ~zero total occupancy are left unchanged and
-    reported via EmptyStateWarning.
+    spreads; a component with ~zero occupancy keeps its mean and variance.
+    States with ~zero total occupancy are left unchanged and reported via
+    EmptyStateWarning.
     """
     if accum is None:
         accum = PgmmEmAccumulator(pgmm)
@@ -225,47 +198,36 @@ def pgmm_em_step(pgmm: Pgmm, aligns=None, feats=None,
         for a, f in zip(aligns, feats, strict=True):
             accum.add(pgmm, a, f)
 
-    global_second = accum.sxx.sum(axis=(0, 1))
-    global_first = accum.sx.sum(axis=(0, 1))
-    total_n = accum.n.sum()
-    global_mean = global_first / max(total_n, _EMPTY_COUNT)
-    global_var = global_second / max(total_n, _EMPTY_COUNT) - global_mean ** 2
+    total_n = max(accum.n.sum(), _EMPTY_COUNT)
+    global_mean = accum.sx.sum(axis=(0, 1)) / total_n
+    global_var = accum.sxx.sum(axis=(0, 1)) / total_n - global_mean ** 2
     floor = np.maximum(variance_floor * np.maximum(global_var, 0.0), 1e-10)
 
-    new_gmms = []
-    empty_states = []
-    for k, (state, g) in enumerate(zip(pgmm.state_ids, pgmm.gmms)):
-        state_n = accum.n[k].sum()
-        if state_n < _EMPTY_COUNT:
-            empty_states.append(state)
-            new_gmms.append(g)
-            continue
-        weights = accum.n[k] / state_n
-        counts = accum.n[k]
-        live = counts >= _EMPTY_COUNT
-        means = g.means.copy()
-        variances = g.variances.copy()
-        means[live] = accum.sx[k][live] / counts[live, None]
-        variances[live] = np.maximum(
-            accum.sxx[k][live] / counts[live, None] - means[live] ** 2, floor
-        )
-        new_gmms.append(DiagGmm(weights, means, variances))
-    if empty_states:
+    state_n = accum.n.sum(axis=1)
+    full = state_n >= _EMPTY_COUNT
+    # every component of an empty state is below the count too
+    live = accum.n >= _EMPTY_COUNT
+    counts = accum.n[live][:, None]
+    weights, means, variances = pgmm.weights.copy(), pgmm.means.copy(), pgmm.variances.copy()
+    weights[full] = accum.n[full] / state_n[full, None]
+    means[live] = accum.sx[live] / counts
+    variances[live] = np.maximum(accum.sxx[live] / counts - means[live] ** 2, floor)
+    if not full.all():
         warnings.warn(
-            f"states {empty_states} received no occupancy; left unchanged",
+            f"states {np.flatnonzero(~full).tolist()} received no occupancy; left unchanged",
             EmptyStateWarning,
         )
-    return Pgmm(new_gmms, pgmm.state_ids)
+    return Pgmm(weights, means, variances)
 
 
 def pgmm_objective(pgmm: Pgmm, aligns, feats) -> float:
     """Alignment-weighted data log-likelihood; nondecreasing under pgmm_em_step."""
     total = 0.0
     for a, f in zip(aligns, feats, strict=True):
-        for state, g in zip(pgmm.state_ids, pgmm.gmms):
-            mass = a[:, state]
+        for s in DIGIT_STATES:
+            mass = a[:, s]
             if mass.any():
-                total += float(mass @ gmm_mod.log_likelihoods(g, f.frames))
+                total += float(mass @ gmm_mod.log_likelihoods(pgmm.gmms[s], f.frames))
     return total
 
 
@@ -275,11 +237,16 @@ def init_pgmm(alignments, feats_list, n_components: int = 16,
     """Initialize state GMMs from hard (argmax) frame assignments.
 
     Every digit state must receive at least ``n_components`` frames,
-    otherwise StarvedState identifies the first starved one.
+    otherwise StarvedState identifies the first starved one; frames that do
+    not vary at all (one frame, say) raise DegenerateData naming the state.
+    Each state's trained mixture is written into its row of the stacked model.
     """
     hard = [align.argmax(axis=1) for align in alignments]
-
-    gmms = []
+    cfg = gmm_mod.GmmTrainConfig(target_components=n_components, em_iterations=em_iterations,
+                                 variance_floor=variance_floor, seed=seed)
+    # without features state 0 starves below
+    shape = (len(DIGIT_STATES), n_components, feats_list[0].dim if feats_list else 1)
+    weights, means, variances = np.empty(shape[:2]), np.empty(shape), np.empty(shape)
     for s in DIGIT_STATES:
         # this state's frames only, gathered in corpus order
         parts = [f.frames[h == s] for f, h in zip(feats_list, hard, strict=True)]
@@ -287,14 +254,13 @@ def init_pgmm(alignments, feats_list, n_components: int = 16,
         if frames.shape[0] < n_components:
             raise StarvedState(s, f"state {s} got {frames.shape[0]} frames, "
                                   f"needs >= {n_components}")
-        cfg = gmm_mod.GmmTrainConfig(
-            target_components=n_components,
-            em_iterations=em_iterations,
-            variance_floor=variance_floor,
-            seed=seed,
-        )
-        gmms.append(gmm_mod.train_em(frames, cfg))
-    return Pgmm(gmms)
+        try:
+            gmm = gmm_mod.train_em(frames, cfg)
+        except DegenerateData:
+            raise DegenerateData(f"state {s} got {frames.shape[0]} frames with zero "
+                                 "variance") from None
+        weights[s], means[s], variances[s] = gmm.weights, gmm.means, gmm.variances
+    return Pgmm(weights, means, variances)
 
 
 def train_pgmm(aligns, feats_list, n_components: int = 16, em_iterations: int = 4,

@@ -176,11 +176,9 @@ class SpeakerSystem:
         self.models = models
         self.silence_policy = silence_policy
         if source == "gmm-hmm":
-            self.background = Background.from_hmm_set(_need(models.hmms, "hmms"),
-                                                      model_id="gmm-hmm")
+            self.background = Background.from_states(_need(models.hmms, "hmms"), source)
         elif source in ("dnn", "dnn-hmm"):
-            self.background = Background.from_pgmm(_need(models.pgmm, "pgmm"),
-                                                   model_id=source)
+            self.background = Background.from_states(_need(models.pgmm, "pgmm"), source)
         elif source == "ubm":
             self.background = Background.from_ubm(_need(models.ubm, "ubm"), model_id="ubm")
         else:

@@ -16,13 +16,10 @@ def make_hmm_set(dim=2, n_components=1, self_loop=0.6, rng=None, spread=6.0):
     """
     rng = rng or np.random.default_rng(0)
     reps = 60 // dim
-    gmms = []
-    for _ in range(N_STATES):
-        means = np.tile(spread * rng.standard_normal((n_components, dim)), (1, reps))
-        variances = np.ones((n_components, 60))
-        weights = np.full(n_components, 1.0 / n_components)
-        gmms.append(DiagGmm(weights, means, variances))
-    return HmmSet(gmms, np.full(N_STATES, self_loop))
+    # one draw of every state's means, in the order of one draw per state
+    means = np.tile(spread * rng.standard_normal((N_STATES, n_components, dim)), (1, 1, reps))
+    return HmmSet(np.full((N_STATES, n_components), 1.0 / n_components), means,
+                  np.ones((N_STATES, n_components, 60)), np.full(N_STATES, self_loop))
 
 
 def mfcc_feats(frames):

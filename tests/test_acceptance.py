@@ -150,14 +150,14 @@ class TestCriterion3EquationOracles:
         failures = []
 
         # joint state/component product (HMM and classifier alignments)
-        from digitsv.gmm import DiagGmm, component_posteriors
+        from digitsv.gmm import component_posteriors
         from digitsv.pgmm import Pgmm, mixture_posteriors
 
         rng = np.random.default_rng(7)
-        gmms = [DiagGmm(np.array([0.6, 0.4]),
-                        np.tile(rng.standard_normal((2, 1)), (1, 60)),
-                        np.ones((2, 60))) for _ in range(30)]
-        pgmm = Pgmm(gmms)
+        # one draw of every state's means, in the order of one draw per state
+        pgmm = Pgmm(np.tile([0.6, 0.4], (30, 1)),
+                    np.tile(rng.standard_normal((30, 2, 1)), (1, 1, 60)),
+                    np.ones((30, 2, 60)))
         post = np.zeros((1, N_STATES))
         post[0, 2], post[0, 9], post[0, 30] = 0.5, 0.3, 0.2
         frame = np.tile(rng.standard_normal((1, 1)), (1, 60))

@@ -746,6 +746,27 @@ class TestBadInputs:
                     "--out", str(tmp_path / "out")]) == 2
         _assert_error_line(capsys, "invalid speaker_models payload")
 
+    @pytest.mark.parametrize("state_ids", [np.arange(3), np.arange(30)[::-1]],
+                             ids=["three states", "reversed"])
+    def test_pgmm_state_ids_not_the_digit_states(self, work, tmp_path, capsys, state_ids):
+        # every producer writes the digit states 0..29 in order, one row each
+        models, corpus = work["models"], work["corpus"]
+        _, payload = formats.read_dvmd(f"{models}/pgmm.dvmd", "pgmm")
+        bad = str(tmp_path / "pgmm.dvmd")
+        formats.write_dvmd(bad, "pgmm", {"state_ids": state_ids, **{
+            key: payload[key][:len(state_ids)] for key in ("weights", "means", "variances")}})
+        utt = _split_utts(corpus, "enroll")[0]
+        feats = f"{corpus}/corpus/feats/{utt}.dvfe"
+        align = str(tmp_path / "a.dvpo")
+        assert run(["align", "--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
+                    "--feats", feats, "--out", align]) == 0
+        for argv in (["accumulate-stats", "--source", "dnn", "--align", align, "--feats", feats],
+                     ["enroll-map", "--corpus", corpus, "--source", "dnn-hmm",
+                      "--hmm", f"{models}/hmm.dvmd", "--mlp", f"{models}/mlp.dvmd"]):
+            capsys.readouterr()
+            assert run([*argv, "--pgmm", bad, "--out", str(tmp_path / "out")]) == 2, argv
+            _assert_error_line(capsys, "state_ids", "0..29")
+
     @pytest.fixture
     def text_corpus(self, tmp_path):
         """The text files of a two-utterance corpus; no feature files."""

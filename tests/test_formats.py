@@ -19,6 +19,7 @@ from digitsv.errors import (
 )
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm
+from digitsv.hmm import DIGIT_STATES
 from digitsv.ivector import IVector, PldaBackend, TvModel
 from digitsv.map_speaker import SpeakerModels
 from digitsv.pgmm import Background, Pgmm, SuffStats
@@ -594,13 +595,12 @@ class TestDvmdModels:
 
     def test_pgmm_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
-        gmms = [DiagGmm(np.array([1.0]), rng.standard_normal((1, 2)),
-                        np.ones((1, 2))) for _ in range(30)]
-        pgmm = Pgmm(gmms)
+        pgmm = Pgmm(np.ones((30, 1)), rng.standard_normal((30, 1, 2)), np.ones((30, 1, 2)))
         path = tmp_path / "p.dvmd"
         formats.save_pgmm(path, pgmm)
         back = formats.load_pgmm(path)
-        assert back.state_ids == pgmm.state_ids
+        _, payload = formats.read_dvmd(path, "pgmm")
+        assert tuple(payload["state_ids"]) == DIGIT_STATES
         np.testing.assert_array_equal(back.gmms[7].means, pgmm.gmms[7].means)
 
     def test_tv_round_trip(self, tmp_path):
@@ -722,10 +722,9 @@ class TestReaderCopies:
 
     def test_arrays_do_not_reference_the_file(self, tmp_path):
         rng = np.random.default_rng(12)
-        gmms = [DiagGmm(np.array([0.5, 0.5]), rng.standard_normal((2, 3)),
-                        np.ones((2, 3))) for _ in range(30)]
         path = tmp_path / "p.dvmd"
-        formats.save_pgmm(path, Pgmm(gmms))
+        formats.save_pgmm(path, Pgmm(np.full((30, 2), 0.5), rng.standard_normal((30, 2, 3)),
+                                     np.ones((30, 2, 3))))
         _, payload = formats.read_dvmd(path, "pgmm")
         assert payload["state_ids"].dtype.kind == "i"
         for key in ("state_ids", "weights", "means", "variances"):

@@ -136,7 +136,7 @@ class TestComponentPosteriors:
 class TestSplit:
     def test_doubles_components_and_halves_weights(self):
         gmm = DiagGmm([1.0], [[0.0, 1.0]], [[1.0, 4.0]])
-        out = split_components(gmm)
+        out = DiagGmm(*split_components(gmm))
         assert out.n_components == 2
         np.testing.assert_array_equal(out.weights, [0.5, 0.5])
         np.testing.assert_allclose(out.means[0], [-0.2, 1.0 - 0.4])
@@ -146,7 +146,8 @@ class TestSplit:
         rng = np.random.default_rng(1)
         w = rng.random(4)
         gmm = DiagGmm(w / w.sum(), rng.standard_normal((4, 2)), 1 + rng.random((4, 2)))
-        assert abs(split_components(gmm).weights.sum() - 1.0) < 1e-12
+        weights, _, _ = split_components(gmm)
+        assert abs(weights.sum() - 1.0) < 1e-12
 
     def test_split_then_em_improves_on_bimodal_data(self):
         data = two_cluster_data(seed=13)

@@ -10,9 +10,9 @@ from digitsv.errors import (
     UnknownToken,
 )
 from digitsv.features import FeatureKind, FeatureSequence
-from digitsv.gmm import DiagGmm
 from digitsv.hmm import (
     N_STATES,
+    HmmSet,
     SILENCE_POLICIES,
     SILENCE_WORD,
     _arc_arrays,
@@ -396,10 +396,10 @@ class TestMixturePosteriors:
         np.testing.assert_allclose(mp[0, 0:2], 0.4 * w0, atol=1e-12)
 
     def test_identical_components_split_half(self):
-        hmms = make_hmm_set(dim=1, n_components=1)
-        g = hmms.gmms[0]
-        hmms.gmms[0] = DiagGmm([0.5, 0.5], np.repeat(g.means, 2, 0),
-                               np.repeat(g.variances, 2, 0))
+        # every state's one component, twice over
+        one = make_hmm_set(dim=1, n_components=1)
+        hmms = HmmSet(np.full((N_STATES, 2), 0.5), np.repeat(one.means, 2, axis=1),
+                      np.repeat(one.variances, 2, axis=1), one.self_loop)
         post = np.zeros((1, N_STATES))
         post[0, 0] = 1.0
         mp = mixture_posteriors(hmms, post, mfcc_feats(np.array([[0.1]])), prune=0.0)

@@ -18,14 +18,15 @@ import pytest
 from conftest import roster_copy
 
 from digitsv import formats, gmm as gmm_mod, hmm as hmm_mod, neural_aligner, pipeline
+from digitsv import pgmm as pgmm_mod
 from digitsv.config import PipelineConfig
-from digitsv.errors import MissingClass, NonFiniteLoss, StarvedState
+from digitsv.errors import EmptyStateWarning, MissingClass, NonFiniteLoss, StarvedState
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm, GmmTrainConfig, train_em
 from digitsv.hmm import N_STATES, HmmSet, compile_graph
 from digitsv.map_speaker import LinearLlr
 from digitsv.neural_aligner import MlpTrainConfig
-from digitsv.pgmm import Pgmm, init_pgmm
+from digitsv.pgmm import Background, Pgmm, PgmmEmAccumulator, init_pgmm, pgmm_em_step
 
 
 def _peak(fn):
@@ -61,6 +62,12 @@ def _assert_same_gmms(a, b):
     for x, y in zip(a, b):
         for name in ("weights", "means", "variances"):
             np.testing.assert_array_equal(getattr(x, name), getattr(y, name))
+
+
+def _stacked(gmms):
+    """(weights, means, variances) of a per-state list of mixtures, stacked."""
+    return tuple(np.stack([getattr(g, name) for g in gmms])
+                 for name in ("weights", "means", "variances"))
 
 
 # --- the replaced paths --------------------------------------------------------
@@ -147,7 +154,73 @@ def realign_pass_oracle(hmms, corpus, graphs, floor, global_var):
     leaving = self_mass + cross_mass
     loop = np.where(leaving > 0, self_mass / np.maximum(leaving, 1e-30), hmms.self_loop)
     loop = np.clip(loop, hmm_mod.TRANSITION_FLOOR, 1.0 - hmm_mod.TRANSITION_FLOOR)
-    return HmmSet(gmms, loop), total_fb, total_viterbi
+    return HmmSet(*_stacked(gmms), loop), total_fb, total_viterbi
+
+
+def flat_start_oracle(corpus, graphs, dim, floor, global_mean, global_var):
+    """``hmm._flat_start`` with one mixture built per state."""
+    sums = np.zeros((N_STATES, dim))
+    sqs = np.zeros((N_STATES, dim))
+    counts = np.zeros(N_STATES)
+    for (feats, _), graph in zip(corpus, graphs):
+        mandatory = graph.states[~graph.optional]
+        t = feats.n_frames
+        bounds = np.floor(np.arange(len(mandatory) + 1) * t / len(mandatory)).astype(int)
+        for k, s in enumerate(mandatory):
+            seg = feats.frames[bounds[k]:bounds[k + 1]]
+            if seg.shape[0]:
+                sums[s] += seg.sum(axis=0)
+                sqs[s] += (seg ** 2).sum(axis=0)
+                counts[s] += seg.shape[0]
+    gmms = []
+    for s in range(N_STATES):
+        if counts[s] >= 2:
+            mean = sums[s] / counts[s]
+            var = np.maximum(sqs[s] / counts[s] - mean ** 2, floor)
+        else:
+            mean, var = global_mean, np.maximum(global_var, floor)
+        gmms.append(DiagGmm(np.array([1.0]), mean[None, :], var[None, :]))
+    return gmms
+
+
+def split_components_oracle(gmm):
+    """``gmm.split_components`` of one mixture."""
+    offset = 0.2 * np.sqrt(gmm.variances)
+    c, d = gmm.means.shape
+    means = np.empty((2 * c, d))
+    means[0::2] = gmm.means - offset
+    means[1::2] = gmm.means + offset
+    variances = np.repeat(gmm.variances, 2, axis=0)
+    weights = np.repeat(gmm.weights, 2) / 2.0
+    return DiagGmm(weights, means, variances)
+
+
+def pgmm_em_step_oracle(pgmm, accum, variance_floor=1e-3):
+    """``pgmm.pgmm_em_step`` on a given accumulator, one state's mixture at a time."""
+    empty = pgmm_mod._EMPTY_COUNT
+    global_second = accum.sxx.sum(axis=(0, 1))
+    global_first = accum.sx.sum(axis=(0, 1))
+    total_n = accum.n.sum()
+    global_mean = global_first / max(total_n, empty)
+    global_var = global_second / max(total_n, empty) - global_mean ** 2
+    floor = np.maximum(variance_floor * np.maximum(global_var, 0.0), 1e-10)
+    new_gmms = []
+    for k, g in enumerate(pgmm.gmms):
+        state_n = accum.n[k].sum()
+        if state_n < empty:
+            new_gmms.append(g)
+            continue
+        weights = accum.n[k] / state_n
+        counts = accum.n[k]
+        live = counts >= empty
+        means = g.means.copy()
+        variances = g.variances.copy()
+        means[live] = accum.sx[k][live] / counts[live, None]
+        variances[live] = np.maximum(
+            accum.sxx[k][live] / counts[live, None] - means[live] ** 2, floor
+        )
+        new_gmms.append(DiagGmm(weights, means, variances))
+    return new_gmms
 
 
 def init_pgmm_oracle(alignments, feats_list, n_components, em_iterations=10, seed=0):
@@ -163,7 +236,7 @@ def init_pgmm_oracle(alignments, feats_list, n_components, em_iterations=10, see
         frames = np.concatenate(buckets[s], axis=0)
         gmms.append(train_em(frames, GmmTrainConfig(target_components=n_components,
                                                     em_iterations=em_iterations, seed=seed)))
-    return Pgmm(gmms)
+    return Pgmm(*_stacked(gmms))
 
 
 def train_mlp_oracle(frames, labels, cfg):
@@ -373,6 +446,57 @@ class TestKernelsMatchOracles:
         assert len(speakers) == 0
         with pytest.raises(KeyError):
             speakers[small_corpus.speakers[0]]
+
+    def test_flat_start(self):
+        # one 10-frame "1" gives its digit's states 1 frame each under the
+        # uniform segmentation; digits outside "1", "2" and "3" get none
+        rng = np.random.default_rng(28)
+        corpus = [(FeatureSequence(rng.standard_normal((t, 60)), FeatureKind.MFCC60), text)
+                  for t, text in ((10, "1"), (40, "23"), (31, "3"))]
+        graphs = [compile_graph(text, "optional_between") for _, text in corpus]
+        mean, var = gmm_mod.column_mean_var(lambda: (f.frames for f, _ in corpus))
+        floor = np.maximum(hmm_mod.VARIANCE_FLOOR * var, 1e-10)
+        got = hmm_mod._flat_start(corpus, graphs, 60, floor, mean, var)
+        want = flat_start_oracle(corpus, graphs, 60, floor, mean, var)
+        _assert_same_gmms(got.gmms, want)
+        # states 3..5 got one frame each and 0..2 none: both start from the global statistics
+        for s in range(6):
+            np.testing.assert_array_equal(got.means[s, 0], mean)
+
+    def test_split_components_per_row(self, small_models):
+        hmms = small_models.hmms
+        got = HmmSet(*gmm_mod.split_components(hmms), hmms.self_loop)
+        _assert_same_gmms(got.gmms, [split_components_oracle(g) for g in hmms.gmms])
+
+    def test_pgmm_em_step(self, small_corpus, small_models):
+        # state 5 gets no mass, and state 7's far component no occupancy
+        pgmm = small_models.pgmm
+        means = pgmm.means.copy()
+        means[7, 2] = 1e3
+        pgmm = Pgmm(pgmm.weights, means, pgmm.variances)
+        enroll = _enroll(small_corpus)[:6]
+        accum = PgmmEmAccumulator(pgmm)
+        for u in enroll:
+            align = neural_aligner.mlp_posteriors(small_models.mlp, u.feats)
+            align[:, 5] = 0.0
+            accum.add(pgmm, align, u.feats)
+        assert accum.n[5].sum() == 0.0 and accum.n[7, 2] < pgmm_mod._EMPTY_COUNT
+        with pytest.warns(EmptyStateWarning, match=r"states \[5\]"):
+            got = pgmm_em_step(pgmm, accum=accum)
+        want = pgmm_em_step_oracle(pgmm, accum)
+        _assert_same_gmms(got.gmms, want)
+        np.testing.assert_array_equal(got.means[7, 2], means[7, 2])
+
+    @pytest.mark.parametrize("source", ["gmm-hmm", "dnn"])
+    def test_background_is_a_view(self, small_models, source):
+        model = small_models.hmms if source == "gmm-hmm" else small_models.pgmm
+        bg = Background.from_states(model, source)
+        digits = [model.gmms[s] for s in hmm_mod.DIGIT_STATES]
+        np.testing.assert_array_equal(bg.means, np.concatenate([g.means for g in digits]))
+        np.testing.assert_array_equal(bg.variances,
+                                      np.concatenate([g.variances for g in digits]))
+        assert np.shares_memory(bg.means, model.means)
+        assert np.shares_memory(bg.variances, model.variances)
 
     def test_write_tagged(self):
         rng = np.random.default_rng(22)

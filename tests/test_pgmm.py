@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import mfcc_feats
-from digitsv.errors import EmptyStateWarning, ShapeMismatch, StarvedState
+from digitsv.errors import DegenerateData, EmptyStateWarning, ShapeMismatch, StarvedState
 from digitsv.gmm import DiagGmm
-from digitsv.hmm import DIGIT_STATES, N_STATES
+from digitsv.hmm import DIGIT_STATES, N_STATES, path_to_alignment
 from digitsv.pgmm import (
     Background,
     Pgmm,
@@ -30,12 +30,11 @@ def uniform_alignment(t, states):
 
 def one_state_pgmm(n_components=1, dim=60, mean=0.0):
     """A Pgmm whose state 0 carries the model under test; the rest are far away."""
-    gmms = []
-    for s in DIGIT_STATES:
-        mu = np.full((n_components, dim), mean if s == 0 else 1e3 + s)
-        w = np.full(n_components, 1.0 / n_components)
-        gmms.append(DiagGmm(w, mu, np.ones((n_components, dim))))
-    return Pgmm(gmms)
+    means = np.empty((len(DIGIT_STATES), n_components, dim))
+    means[0] = mean
+    means[1:] = 1e3 + np.arange(1, len(DIGIT_STATES))[:, None, None]
+    return Pgmm(np.full((len(DIGIT_STATES), n_components), 1.0 / n_components), means,
+                np.ones(means.shape))
 
 
 class TestInitPgmm:
@@ -50,6 +49,13 @@ class TestInitPgmm:
         with pytest.raises(StarvedState) as err:
             init_pgmm([align], [feats], n_components=2)
         assert err.value.state in DIGIT_STATES
+
+    def test_zero_variance_state_named(self):
+        # state 1 keeps one of its three frames: enough for one component, but no spread
+        labels = np.delete(np.repeat(np.arange(30), 3), [4, 5])
+        feats = mfcc_feats(np.random.default_rng(6).standard_normal((len(labels), 2)))
+        with pytest.raises(DegenerateData, match="^state 1 got 1 frames with zero variance$"):
+            init_pgmm([path_to_alignment(labels)], [feats], n_components=1)
 
     def test_hard_assignment_is_argmax(self):
         post = np.zeros((1, N_STATES))
@@ -73,10 +79,10 @@ class TestMixturePosteriors:
         np.testing.assert_allclose(mp.sum(axis=1), 0.3, atol=1e-9)
 
     def test_uniform_two_state_symmetric(self):
-        pgmm = one_state_pgmm()
-        pgmm.gmms[3] = DiagGmm(pgmm.gmms[0].weights.copy(),
-                               pgmm.gmms[0].means.copy(),
-                               pgmm.gmms[0].variances.copy())
+        one = one_state_pgmm()
+        means = one.means.copy()
+        means[3] = means[0]
+        pgmm = Pgmm(one.weights, means, one.variances)
         align = uniform_alignment(2, [0, 3])
         mp = mixture_posteriors(pgmm, align, mfcc_feats(np.zeros((2, 2))), prune=0.0)
         np.testing.assert_allclose(mp[:, 0], mp[:, 3], atol=1e-12)
@@ -247,10 +253,10 @@ class TestPgmmEm:
 
 class TestBackground:
     def test_from_pgmm_shapes(self, small_models):
-        bg = Background.from_pgmm(small_models.pgmm)
+        bg = Background.from_states(small_models.pgmm, "dnn")
         assert bg.means.shape == (small_models.pgmm.n_mixtures, 60)
         assert bg.state_ids == DIGIT_STATES
 
     def test_from_hmm_drop_silence(self, small_models):
-        bg = Background.from_hmm_set(small_models.hmms)
+        bg = Background.from_states(small_models.hmms, "gmm-hmm")
         assert bg.means.shape[0] == 30 * small_models.hmms.n_components

@@ -9,7 +9,7 @@ from digitsv import pipeline
 from digitsv import pgmm as pgmm_mod
 from digitsv.errors import ConfigInvalid, DigitsvError, NoRetainedFrames, ShapeMismatch
 from digitsv.hmm import N_STATES, compile_graph, fb_align, node_loglikes
-from digitsv.ivector import extract_ivector, plda_score, train_backend, train_tv
+from digitsv.ivector import PldaScorer, extract_ivector, plda_score, train_backend, train_tv
 from digitsv.map_speaker import SpeakerModels, llr_score
 from digitsv.pgmm import accumulate_stats, mixture_posteriors, ubm_mixture_posteriors
 
@@ -286,4 +286,31 @@ class TestTrialScoring:
                     - len(corpus.speakers) * model_bytes)
 
         one_key, all_keys = beyond_roster(one), beyond_roster(small_corpus)
+        assert all_keys <= one_key + model_bytes // 2, (one_key, all_keys, model_bytes)
+
+    def test_plda_scorer_holds_no_previous_statistics(self, small_corpus, small_models,
+                                                      enrolled):
+        # like MAP enrollment, building the i-vector scorer's enrolled speakers
+        # holds no utterance's (M, D) statistics while the next one is aligned
+        system, _ = enrolled["gmm-hmm"]
+        bg = system.background
+        ids = pipeline._enrolled(small_corpus)
+        pooled = [st for spk in ids
+                  for st in pipeline._enrollment_stats(small_corpus.enrollment(spk), system)]
+        tv = train_tv(lambda: pooled, bg, rank=8, iterations=2, seed=0)
+        backend = train_backend([extract_ivector(st, tv) for st in pooled],
+                                [spk for spk in ids for _ in small_corpus.enrollment(spk)],
+                                lda_dim=4, plda_iterations=2)
+        del pooled
+        utts = [u for u in small_corpus.utterances if u.split == "enroll"]
+        utt = max(utts, key=lambda u: u.feats.n_frames)
+        model_bytes = bg.means.nbytes
+
+        def peak(plan):
+            """Peak of building the scorer over ``plan``, speaker -> enrollment utterances."""
+            return self._peak(lambda: PldaScorer(tv, backend, {
+                spk: pipeline._enrollment_stats(plan[spk], system) for spk in plan}))
+
+        one_key = peak({utt.speaker: [utt]})
+        all_keys = peak({spk: small_corpus.enrollment(spk) for spk in ids})
         assert all_keys <= one_key + model_bytes // 2, (one_key, all_keys, model_bytes)
