@@ -400,18 +400,23 @@ def read_dvmd(path, expect_kind: str | None = None):
 
 # --- model container adapters -----------------------------------------------
 
-def _require(payload: dict, keys):
-    missing = [k for k in keys if k not in payload]
+def _require(payload: dict, **fields):
+    """``payload`` holds every field named, each an instance of the type given."""
+    missing = [k for k in fields if k not in payload]
     if missing:
         raise CorruptData(6, f"model payload missing fields {missing}")
+    for key, kind in fields.items():
+        if not isinstance(payload[key], kind):
+            raise CorruptData(6, f"model payload field {key!r} is a {type(payload[key]).__name__}")
 
 
 @contextmanager
 def _building(kind: str):
-    """Report a payload that fails the model's own validation as corrupt data."""
+    """Report a payload that fails the model's own validation, or holds a field of
+    the wrong type, as corrupt data."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise CorruptData(6, f"invalid {kind} payload: {exc}") from None
 
 
@@ -425,7 +430,7 @@ def load_diag_gmm(path):
     from .gmm import DiagGmm
 
     _, payload = read_dvmd(path, "diag_gmm")
-    _require(payload, ("weights", "means", "variances"))
+    _require(payload, weights=np.ndarray, means=np.ndarray, variances=np.ndarray)
     with _building("diag_gmm"):
         return DiagGmm(payload["weights"], payload["means"], payload["variances"])
 
@@ -441,7 +446,8 @@ def load_hmm_set(path):
     from .hmm import HmmSet
 
     _, payload = read_dvmd(path, "hmm_set")
-    _require(payload, ("weights", "means", "variances", "self_loop"))
+    _require(payload, weights=np.ndarray, means=np.ndarray, variances=np.ndarray,
+             self_loop=np.ndarray)
     with _building("hmm_set"):
         return HmmSet(payload["weights"], payload["means"], payload["variances"],
                       payload["self_loop"])
@@ -459,7 +465,8 @@ def load_pgmm(path):
     from .pgmm import Pgmm
 
     _, payload = read_dvmd(path, "pgmm")
-    _require(payload, ("state_ids", "weights", "means", "variances"))
+    _require(payload, state_ids=np.ndarray, weights=np.ndarray, means=np.ndarray,
+             variances=np.ndarray)
     if not np.array_equal(payload["state_ids"], DIGIT_STATES):
         raise CorruptData(6, "pgmm state_ids must be the digit states 0..29 in order")
     with _building("pgmm"):
@@ -481,12 +488,12 @@ def load_mlp(path):
     from .neural_aligner import MlpModel
 
     _, payload = read_dvmd(path, "mlp")
-    _require(payload, ("weights", "biases", "input_mean", "input_std",
-                       "input_kind", "class_priors"))
+    _require(payload, weights=list, biases=list, input_mean=np.ndarray,
+             input_std=np.ndarray, input_kind=str, class_priors=np.ndarray)
     with _building("mlp"):
         return MlpModel(
-            weights=list(payload["weights"]),
-            biases=list(payload["biases"]),
+            weights=payload["weights"],
+            biases=payload["biases"],
             input_mean=payload["input_mean"],
             input_std=payload["input_std"],
             input_kind=FeatureKind(payload["input_kind"]),
@@ -495,27 +502,17 @@ def load_mlp(path):
 
 
 def _background_payload(background):
-    return {
-        "means": background.means,
-        "variances": background.variances,
-        "state_ids": None if background.state_ids is None
-        else np.asarray(background.state_ids, dtype=np.int64),
-        "n_components": background.n_components,
-        "model_id": background.model_id,
-    }
+    return {"means": background.means, "variances": background.variances,
+            "model_id": background.model_id}
 
 
 def _background_from(payload):
+    """A TV file's background; ``state_ids`` and ``n_components``, which older files
+    carry, are ignored."""
     from .pgmm import Background
 
-    state_ids = payload["state_ids"]
-    return Background(
-        means=payload["means"],
-        variances=payload["variances"],
-        state_ids=None if state_ids is None else tuple(int(s) for s in state_ids),
-        n_components=int(payload["n_components"]),
-        model_id=payload["model_id"],
-    )
+    _require(payload, means=np.ndarray, variances=np.ndarray, model_id=str)
+    return Background(payload["means"], payload["variances"], payload["model_id"])
 
 
 def save_tv(path, tv):
@@ -529,7 +526,7 @@ def load_tv(path):
     from .ivector import TvModel
 
     _, payload = read_dvmd(path, "tv")
-    _require(payload, ("matrix", "background"))
+    _require(payload, matrix=np.ndarray, background=dict)
     with _building("tv"):
         return TvModel(payload["matrix"], _background_from(payload["background"]))
 
@@ -545,7 +542,7 @@ def load_plda_backend(path):
     from .ivector import PldaBackend
 
     _, payload = read_dvmd(path, "plda_backend")
-    _require(payload, ("lda", "mean", "between", "within"))
+    _require(payload, lda=np.ndarray, mean=np.ndarray, between=np.ndarray, within=np.ndarray)
     with _building("plda_backend"):
         return PldaBackend(payload["lda"], payload["mean"],
                            payload["between"], payload["within"])
@@ -571,7 +568,7 @@ def load_speaker_models(path):
     from .map_speaker import SpeakerModels
 
     _, payload = read_dvmd(path, "speaker_models")
-    _require(payload, ("background_id", "relevance", "ids", "means"))
+    _require(payload, background_id=str, relevance=(int, float), ids=list, means=np.ndarray)
     with _building("speaker_models"):
         return SpeakerModels(payload["ids"], payload["means"], payload["background_id"],
                              payload["relevance"])

@@ -2,13 +2,15 @@
 
 EM training with binary mixture splitting, log-domain likelihoods and
 component posteriors.  ``StateMixtures`` stacks one mixture per state into
-one (S, C) / (S, C, D) parameter block, with ``DiagGmm`` views of its rows.
-Models are treated as immutable once trained.
+one (S, C) / (S, C, D) parameter block, and the kernels take either: a
+stacked model is scored in one call.  Models are treated as immutable once
+trained.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,63 +26,56 @@ EM_BLOCK = 2048
 
 @dataclass
 class DiagGmm:
-    weights: np.ndarray   # (C,)
-    means: np.ndarray     # (C, D)
-    variances: np.ndarray  # (C, D)
-    training_log: list | None = field(default=None, repr=False, compare=False)
+    """One C-component diagonal GMM: (C,) weights, (C, D) means and variances.
 
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.variances = np.asarray(self.variances, dtype=np.float64)
-        if self.means.shape != self.variances.shape or self.weights.shape[0] != self.means.shape[0]:
-            raise DimMismatch("inconsistent mixture parameter shapes")
-        if abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights sum to {self.weights.sum()!r}, not 1")
-        if np.any(self.variances <= 0):
-            raise ValueError("variances must be strictly positive")
-
-    @property
-    def n_components(self):
-        return self.weights.shape[0]
-
-    @property
-    def dim(self):
-        return self.means.shape[1]
-
-
-@dataclass
-class StateMixtures:
-    """One C-component diagonal GMM per state, stacked into one parameter block.
-
-    ``gmms[s]`` is state s's ``DiagGmm``, a view of row s, built and validated
-    once, with the model.
+    The checks are shape-generic: the component axis is the last of the
+    weights and the second to last of the means and variances, behind
+    ``STATE_AXES`` leading state axes, and every mixture's weights must be
+    nonnegative and sum to 1.
     """
 
-    weights: np.ndarray    # (S, C)
-    means: np.ndarray      # (S, C, D)
-    variances: np.ndarray  # (S, C, D)
+    weights: np.ndarray    # (C,)
+    means: np.ndarray      # (C, D)
+    variances: np.ndarray  # (C, D)
     training_log: list | None = field(default=None, repr=False, compare=False, kw_only=True)
-    gmms: tuple = field(init=False, repr=False, compare=False)
+    STATE_AXES: ClassVar[int] = 0
 
     def __post_init__(self):
         # C-ordered, so that any leading rows reshape to (rows * C, D) views
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         self.means = np.ascontiguousarray(self.means, dtype=np.float64)
         self.variances = np.ascontiguousarray(self.variances, dtype=np.float64)
-        if self.means.ndim != 3 or self.weights.shape != self.means.shape[:2] \
-                or self.variances.shape != self.means.shape:
-            raise ValueError("stacked mixtures need (S, C), (S, C, D), (S, C, D) parameters")
-        self.gmms = tuple(DiagGmm(w, m, v)
-                          for w, m, v in zip(self.weights, self.means, self.variances))
+        if self.means.ndim != self.STATE_AXES + 2 or self.variances.shape != self.means.shape \
+                or self.weights.shape != self.means.shape[:-1]:
+            raise DimMismatch(f"inconsistent mixture parameter shapes {self.weights.shape}, "
+                              f"{self.means.shape}, {self.variances.shape}")
+        if np.any(self.weights < 0):
+            raise ValueError("mixture weights must be nonnegative")
+        sums = self.weights.sum(axis=-1)
+        off = np.abs(sums - 1.0) > 1e-9
+        if np.any(off):
+            raise ValueError(f"mixture weights sum to {sums[off].flat[0]!r}, not 1")
+        if np.any(self.variances <= 0):
+            raise ValueError("variances must be strictly positive")
 
     @property
     def n_components(self):
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     @property
     def dim(self):
-        return self.means.shape[2]
+        return self.means.shape[-1]
+
+
+@dataclass
+class StateMixtures(DiagGmm):
+    """One C-component diagonal GMM per state, stacked into one parameter block.
+
+    (S, C) weights and (S, C, D) means and variances; every kernel below
+    scores all S states at once.
+    """
+
+    STATE_AXES: ClassVar[int] = 1
 
     @property
     def n_mixtures(self):
@@ -100,59 +95,53 @@ class GmmTrainConfig:
             raise ValueError("target_components must be a power of 2 (mixtures grow by splitting)")
 
 
-def _check_frames(gmm: DiagGmm, frames: np.ndarray) -> np.ndarray:
+def _check_frames(model: DiagGmm, frames: np.ndarray) -> np.ndarray:
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim == 1:
         frames = frames[None, :]
-    if frames.shape[1] != gmm.dim:
-        raise DimMismatch(f"frame dim {frames.shape[1]} vs model dim {gmm.dim}")
+    if frames.shape[1] != model.dim:
+        raise DimMismatch(f"frame dim {frames.shape[1]} vs model dim {model.dim}")
     return frames
 
 
-def log_weighted_densities(gmm: DiagGmm, frames: np.ndarray) -> np.ndarray:
-    """(T, C) matrix of log w_c + log N(x_t; mu_c, var_c)."""
-    frames = _check_frames(gmm, frames)
-    inv_var = 1.0 / gmm.variances
+def log_weighted_densities(model: DiagGmm, frames: np.ndarray) -> np.ndarray:
+    """log w_c + log N(x_t; mu_c, var_c): (T, C) for a DiagGmm, (T, S, C) for StateMixtures.
+
+    Every state's components are scored by one pair of (T, D) @ (D, S * C)
+    products over the reshaped parameters, the form of Kaldi's
+    ``DiagGmm::LogLikelihoods``.
+    """
+    frames = _check_frames(model, frames)
+    means = model.means.reshape(-1, model.dim)
+    variances = model.variances.reshape(-1, model.dim)
+    inv_var = 1.0 / variances
     const = (
-        np.log(np.maximum(gmm.weights, 1e-300))
-        - 0.5 * (gmm.dim * _LOG_2PI + np.sum(np.log(gmm.variances), axis=1))
-        - 0.5 * np.sum(gmm.means ** 2 * inv_var, axis=1)
+        np.log(np.maximum(model.weights.reshape(-1), 1e-300))
+        - 0.5 * (model.dim * _LOG_2PI + np.sum(np.log(variances), axis=1))
+        - 0.5 * np.sum(means ** 2 * inv_var, axis=1)
     )
-    quad = -0.5 * (frames ** 2) @ inv_var.T + frames @ (gmm.means * inv_var).T
-    return quad + const
+    # one product is added into the other, so at most two (T, S * C) arrays are live
+    quad = frames @ (means * inv_var).T
+    quad += -0.5 * (frames ** 2) @ inv_var.T
+    quad += const
+    return quad.reshape(frames.shape[0], *model.weights.shape)
 
 
-def log_likelihoods(gmm: DiagGmm, frames: np.ndarray) -> np.ndarray:
-    """Per-frame mixture log-likelihoods, (T,)."""
-    lw = log_weighted_densities(gmm, frames)
-    m = lw.max(axis=1, keepdims=True)
+def log_likelihoods(model: DiagGmm, frames: np.ndarray) -> np.ndarray:
+    """Per-frame mixture log-likelihoods: (T,) for a DiagGmm, (T, S) for StateMixtures."""
+    lw = log_weighted_densities(model, frames)
+    m = lw.max(axis=-1, keepdims=True)
     lw -= m
-    return (m + np.log(np.sum(np.exp(lw, out=lw), axis=1, keepdims=True)))[:, 0]
+    return (m + np.log(np.sum(np.exp(lw, out=lw), axis=-1, keepdims=True)))[..., 0]
 
 
-def log_likelihood(gmm: DiagGmm, frame: np.ndarray) -> float:
-    """log sum_c w_c N(x; mu_c, var_c) for a single frame."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1:
-        raise DimMismatch("log_likelihood expects a single frame vector")
-    return float(log_likelihoods(gmm, frame)[0])
-
-
-def component_posterior_matrix(gmm: DiagGmm, frames: np.ndarray) -> np.ndarray:
-    """(T, C) responsibilities, computed in the log domain with max-subtraction."""
-    lw = log_weighted_densities(gmm, frames)
-    lw -= lw.max(axis=1, keepdims=True)
+def component_posterior_matrix(model: DiagGmm, frames: np.ndarray) -> np.ndarray:
+    """Responsibilities, (T, C) or (T, S, C), computed in the log domain with max-subtraction."""
+    lw = log_weighted_densities(model, frames)
+    lw -= lw.max(axis=-1, keepdims=True)
     p = np.exp(lw, out=lw)
-    p /= p.sum(axis=1, keepdims=True)
+    p /= p.sum(axis=-1, keepdims=True)
     return p
-
-
-def component_posteriors(gmm: DiagGmm, frame: np.ndarray) -> np.ndarray:
-    """P(c | x) for a single frame, (C,); entries sum to 1."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.ndim != 1:
-        raise DimMismatch("component_posteriors expects a single frame vector")
-    return component_posterior_matrix(gmm, frame)[0]
 
 
 def split_components(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -52,8 +52,8 @@ class HmmSet(StateMixtures):
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.gmms) != N_STATES:
-            raise ValueError(f"need {N_STATES} state models, got {len(self.gmms)}")
+        if self.weights.shape[0] != N_STATES:
+            raise ValueError(f"need {N_STATES} state models, got {self.weights.shape[0]}")
         self.self_loop = np.asarray(self.self_loop, dtype=np.float64)
         if self.self_loop.shape != (N_STATES,):
             raise ValueError("self_loop must have one entry per state")
@@ -139,9 +139,7 @@ def compile_graph(transcription: str, silence_policy: str = "optional_between") 
 
 def _gmm_loglikes(graph: StateGraph, frames: np.ndarray, hmms: HmmSet) -> np.ndarray:
     """(T, L) state-GMM log-likelihoods of any frames, one column per graph node."""
-    uniq = np.unique(graph.states)
-    per_state = {s: gmm_mod.log_likelihoods(hmms.gmms[s], frames) for s in uniq}
-    return np.stack([per_state[s] for s in graph.states], axis=1)
+    return gmm_mod.log_likelihoods(hmms, frames)[:, graph.states]
 
 
 def node_loglikes(graph: StateGraph, feats: FeatureSequence, hmms: HmmSet) -> np.ndarray:
@@ -343,8 +341,8 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, floor, global_var):
             continue
         frames = np.concatenate([f.frames[sel] for (f, _), sel in zip(corpus, sels)], axis=0)
         occ_s = np.concatenate([occ[sel, s] for occ, sel in zip(occupancies, sels)])
-        new, _ = gmm_mod._em_update(hmms.gmms[s], frames, floor, global_var,
-                                    frame_weights=occ_s)
+        row = gmm_mod.DiagGmm(hmms.weights[s], hmms.means[s], hmms.variances[s])
+        new, _ = gmm_mod._em_update(row, frames, floor, global_var, frame_weights=occ_s)
         weights[s], means[s], variances[s] = new.weights, new.means, new.variances
         del frames, occ_s, new  # before the next state's gather
 

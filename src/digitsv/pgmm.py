@@ -33,8 +33,9 @@ class Pgmm(StateMixtures):
 
     def __post_init__(self):
         super().__post_init__()
-        if len(self.gmms) != len(DIGIT_STATES):
-            raise ValueError(f"need {len(DIGIT_STATES)} digit-state models, got {len(self.gmms)}")
+        if self.weights.shape[0] != len(DIGIT_STATES):
+            raise ValueError(f"need {len(DIGIT_STATES)} digit-state models, "
+                             f"got {self.weights.shape[0]}")
 
 
 @dataclass
@@ -74,21 +75,18 @@ class Background:
 
     means: np.ndarray       # (M, D)
     variances: np.ndarray   # (M, D)
-    state_ids: tuple | None
-    n_components: int
     model_id: str = ""
 
     @classmethod
     def from_ubm(cls, ubm: DiagGmm, model_id: str = "ubm"):
-        return cls(ubm.means, ubm.variances, None, ubm.n_components, model_id)
+        return cls(ubm.means, ubm.variances, model_id)
 
     @classmethod
     def from_states(cls, model: StateMixtures, model_id: str):
         """The digit-state rows 0..29 of an HmmSet or Pgmm, reshaped to (30 * C, D)."""
         rows = len(DIGIT_STATES)
         return cls(model.means[:rows].reshape(-1, model.dim),
-                   model.variances[:rows].reshape(-1, model.dim),
-                   DIGIT_STATES, model.n_components, model_id)
+                   model.variances[:rows].reshape(-1, model.dim), model_id)
 
     @property
     def n_mixtures(self):
@@ -123,12 +121,9 @@ def mixture_posteriors(model: StateMixtures, align: np.ndarray, feats: FeatureSe
     if model.dim != feats.dim:
         raise ShapeMismatch(f"model dim {model.dim} vs feature dim {feats.dim}")
 
-    n_comp = model.n_components
-    gammas = np.empty((feats.n_frames, len(DIGIT_STATES) * n_comp))
-    for s in DIGIT_STATES:
-        gammas[:, s * n_comp:(s + 1) * n_comp] = (
-            align[:, s:s + 1] * gmm_mod.component_posterior_matrix(model.gmms[s], feats.frames)
-        )
+    digits = len(DIGIT_STATES)
+    post = gmm_mod.component_posterior_matrix(model, feats.frames)[:, :digits]
+    gammas = (align[:, :digits, None] * post).reshape(feats.n_frames, -1)
     if prune > 0:
         gammas[gammas < prune] = 0.0
     return gammas
@@ -168,14 +163,12 @@ class PgmmEmAccumulator:
         if pgmm.means.shape != self.sx.shape:
             raise ShapeMismatch("accumulator does not match this model")
         x = feats.frames
-        for s in DIGIT_STATES:
-            mass = align[:, s]
-            if not mass.any():
-                continue
-            resp = gmm_mod.component_posterior_matrix(pgmm.gmms[s], x) * mass[:, None]
-            self.n[s] += resp.sum(axis=0)
-            self.sx[s] += resp.T @ x
-            self.sxx[s] += resp.T @ (x ** 2)
+        resp = gmm_mod.component_posterior_matrix(pgmm, x)
+        resp *= align[:, :len(DIGIT_STATES), None]
+        resp = resp.reshape(x.shape[0], -1)
+        self.n += resp.sum(axis=0).reshape(self.n.shape)
+        self.sx += (resp.T @ x).reshape(self.sx.shape)
+        self.sxx += (resp.T @ (x ** 2)).reshape(self.sxx.shape)
         return self
 
 
@@ -224,10 +217,8 @@ def pgmm_objective(pgmm: Pgmm, aligns, feats) -> float:
     """Alignment-weighted data log-likelihood; nondecreasing under pgmm_em_step."""
     total = 0.0
     for a, f in zip(aligns, feats, strict=True):
-        for s in DIGIT_STATES:
-            mass = a[:, s]
-            if mass.any():
-                total += float(mass @ gmm_mod.log_likelihoods(pgmm.gmms[s], f.frames))
+        ll = gmm_mod.log_likelihoods(pgmm, f.frames)
+        total += float(np.sum(a[:, :len(DIGIT_STATES)] * ll))
     return total
 
 

@@ -22,6 +22,11 @@ def make_hmm_set(dim=2, n_components=1, self_loop=0.6, rng=None, spread=6.0):
                   np.ones((N_STATES, n_components, 60)), np.full(N_STATES, self_loop))
 
 
+def state_gmm(model, s):
+    """Row ``s`` of a stacked ``StateMixtures`` as its own ``DiagGmm``."""
+    return DiagGmm(model.weights[s], model.means[s], model.variances[s])
+
+
 def mfcc_feats(frames):
     """Wrap a (T, d) matrix as MFCC60 features by tiling to 60 dims."""
     frames = np.asarray(frames, dtype=np.float64)

@@ -13,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import enumeration_marginals, make_hmm_set
+from conftest import enumeration_marginals, make_hmm_set, state_gmm
 from digitsv import pipeline
 from digitsv.eval_trials import evaluate_condition
 from digitsv.features import FeatureKind, FeatureSequence
@@ -46,7 +46,7 @@ class TestCriterion1ForwardBackwardOracle:
             from conftest import scalar_gmm_loglike
 
             loglikes = np.array([
-                [scalar_gmm_loglike(hmms.gmms[s], feats.frames[t]) for s in (15, 16, 17)]
+                [scalar_gmm_loglike(state_gmm(hmms, s), feats.frames[t]) for s in (15, 16, 17)]
                 for t in range(t_max)
             ])
             marg, best_path, _, _ = enumeration_marginals(
@@ -116,8 +116,7 @@ class TestCriterion2EmMonotonicity:
         from digitsv.ivector import train_backend, train_tv
         from digitsv.pgmm import Background, SuffStats
 
-        bg = Background(rng.standard_normal((4, 3)), 0.5 + rng.random((4, 3)),
-                        None, 4, "bg")
+        bg = Background(rng.standard_normal((4, 3)), 0.5 + rng.random((4, 3)), "bg")
         stats = []
         for k in range(25):
             n = rng.random(4) * 15 + 1
@@ -150,7 +149,7 @@ class TestCriterion3EquationOracles:
         failures = []
 
         # joint state/component product (HMM and classifier alignments)
-        from digitsv.gmm import component_posteriors
+        from digitsv.gmm import component_posterior_matrix
         from digitsv.pgmm import Pgmm, mixture_posteriors
 
         rng = np.random.default_rng(7)
@@ -165,7 +164,7 @@ class TestCriterion3EquationOracles:
         mp = mixture_posteriors(pgmm, post, feats, prune=0.0)
         ok = True
         for state, mass in ((2, 0.5), (9, 0.3)):
-            inner = component_posteriors(pgmm.gmms[state], frame[0])
+            inner = component_posterior_matrix(state_gmm(pgmm, state), frame)[0]
             expect = mass * inner
             got = mp[0, 2 * state:2 * state + 2]
             ok &= bool(np.abs(got - expect).max() < 1e-8)
@@ -193,7 +192,7 @@ class TestCriterion3EquationOracles:
         from digitsv.map_speaker import map_adapt
         from digitsv.pgmm import Background, SuffStats
 
-        bg = Background(np.zeros((1, 60)), np.ones((1, 60)), None, 1, "bg")
+        bg = Background(np.zeros((1, 60)), np.ones((1, 60)), "bg")
         sample_mean = np.full(60, 2.0)
         st = SuffStats(np.array([5.0]), 5.0 * sample_mean[None, :])
         adapted = map_adapt(bg, st, relevance=5.0)
@@ -215,7 +214,7 @@ class TestCriterion3EquationOracles:
         # scalar i-vector posterior solve: (1 + 2*3*2) w = 2*6 -> w = 12/13
         from digitsv.ivector import TvModel, extract_ivector
 
-        bg1 = Background(np.zeros((1, 1)), np.ones((1, 1)), None, 1, "bg")
+        bg1 = Background(np.zeros((1, 1)), np.ones((1, 1)), "bg")
         tv = TvModel(np.array([[2.0]]), bg1)
         st1 = SuffStats(np.array([3.0]), np.array([[6.0]]), "bg")
         if abs(extract_ivector(st1, tv).vector[0] - 12.0 / 13.0) > 1e-8:

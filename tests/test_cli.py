@@ -683,9 +683,9 @@ class TestSilencePolicyConfig:
 class TestBadInputs:
     """Bad files end in exit code 2, never in a traceback."""
 
-    @pytest.mark.parametrize("container", ["diag_gmm", "hmm_set", "pgmm", "mlp",
-                                           "speaker_models"])
-    def test_flipped_bytes_in_model(self, work, tmp_path, container):
+    @pytest.fixture
+    def loads(self, work, ivector_models, tmp_path):
+        """Per DVMD kind: a valid file, and a command that loads ``bad.dvmd`` in its place."""
         models, corpus = work["models"], work["corpus"]
         utt = _split_utts(corpus, "test")[0]
         text = dict(
@@ -701,7 +701,9 @@ class TestBadInputs:
         trials = tmp_path / "trials.txt"
         trials.write_text("".join(open(f"{corpus}/corpus/trials/trials.txt").readlines()[:4]))
         bad = str(tmp_path / "bad.dvmd")
-        original, argv = {
+        ubm_scoring = ["score-speaker", "--corpus", corpus, "--trials", str(trials),
+                       "--source", "ubm", "--ubm", f"{models}/ubm.dvmd"]
+        return bad, {
             "diag_gmm": (f"{models}/ubm.dvmd",
                          ["accumulate-stats", "--source", "ubm", "--ubm", bad,
                           "--feats", feats]),
@@ -713,11 +715,19 @@ class TestBadInputs:
                       "--align", align, "--feats", feats]),
             "mlp": (f"{models}/mlp.dvmd",
                     ["align", "--source", "dnn", "--mlp", bad, "--feats", feats]),
-            "speaker_models": (speakers,
-                               ["score-speaker", "--corpus", corpus, "--trials", str(trials),
-                                "--source", "ubm", "--ubm", f"{models}/ubm.dvmd",
-                                "--speakers", bad]),
-        }[container]
+            "speaker_models": (speakers, [*ubm_scoring, "--speakers", bad]),
+            "tv": (ivector_models["tv"],
+                   ["extract-ivector", "--tv", bad, "--stats-dir", ivector_models["stats"]]),
+            "plda_backend": (ivector_models["plda"],
+                             [*ubm_scoring, "--backend", "ivector",
+                              "--tv", ivector_models["tv"], "--plda", bad]),
+        }
+
+    @pytest.mark.parametrize("container", ["diag_gmm", "hmm_set", "pgmm", "mlp",
+                                           "speaker_models"])
+    def test_flipped_bytes_in_model(self, loads, tmp_path, container):
+        bad, commands = loads
+        original, argv = commands[container]
         data = open(original, "rb").read()
         rng = np.random.default_rng(0)
         codes = set()
@@ -730,6 +740,55 @@ class TestBadInputs:
             with np.errstate(all="ignore"):
                 codes.add(run([*argv, "--out", str(tmp_path / "out")]))
         assert codes <= {0, 2}
+
+    @pytest.mark.parametrize("container", ["diag_gmm", "hmm_set", "pgmm"])
+    def test_negative_mixture_weights(self, loads, tmp_path, capsys, container):
+        # (1.5, -0.5) sums to 1; one row of the model gets it
+        bad, commands = loads
+        original, argv = commands[container]
+        _, payload = formats.read_dvmd(original, container)
+        row = payload["weights"].reshape(-1, payload["weights"].shape[-1])[-1]
+        row[:] = 0.0
+        row[:2] = (1.5, -0.5)
+        formats.write_dvmd(bad, container, payload)
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        _assert_error_line(capsys, f"invalid {container} payload", "nonnegative")
+
+    # one value of each DVMD tag type but an array and a float
+    OTHER_TYPES = {"int": 3, "str": "abc", "list": [1.5, 2.5], "dict": {"k": 1.5},
+                   "None": None}
+
+    @pytest.mark.parametrize("container", ["diag_gmm", "hmm_set", "pgmm", "mlp",
+                                           "speaker_models", "tv", "plda_backend"])
+    def test_field_of_another_type(self, loads, tmp_path, capsys, container):
+        bad, commands = loads
+        original, argv = commands[container]
+        _, payload = formats.read_dvmd(original, container)
+        # (field, its value, the payload with the field set to another value)
+        cases = [(key, payload[key], lambda v, k=key: {**payload, k: v}) for key in payload]
+        if container == "tv":
+            bg = payload["background"]
+            cases += [(f"background.{key}", bg[key],
+                       lambda v, k=key: {**payload, "background": {**bg, k: v}}) for key in bg]
+        failures = []
+        for field, held, edit in cases:
+            for name, value in self.OTHER_TYPES.items():
+                if type(held) is type(value):
+                    continue
+                formats.write_dvmd(bad, container, edit(value))
+                capsys.readouterr()
+                try:
+                    with np.errstate(all="ignore"):
+                        code = run([*argv, "--out", str(tmp_path / "out")])
+                except Exception as exc:  # a traceback: every one is listed below
+                    failures.append((field, name, repr(exc)))
+                    continue
+                err = capsys.readouterr().err
+                if code != 0 and not (code == 2 and err.startswith("error: ")
+                                      and err.count("\n") == 1):
+                    failures.append((field, name, code, err))
+        assert not failures, failures
 
     @pytest.mark.parametrize("defect", sorted(ROSTER_DEFECTS))
     def test_corrupt_speaker_roster(self, work, tmp_path, capsys, defect):

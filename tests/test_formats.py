@@ -7,7 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import ROSTER_DEFECTS, make_hmm_set, roster_payload
+from conftest import ROSTER_DEFECTS, make_hmm_set, roster_payload, state_gmm
 from digitsv import formats
 from digitsv.errors import (
     BadMagic,
@@ -20,7 +20,7 @@ from digitsv.errors import (
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm
 from digitsv.hmm import DIGIT_STATES
-from digitsv.ivector import IVector, PldaBackend, TvModel
+from digitsv.ivector import IVector, PldaBackend, TvModel, extract_ivector
 from digitsv.map_speaker import SpeakerModels
 from digitsv.pgmm import Background, Pgmm, SuffStats
 
@@ -583,8 +583,8 @@ class TestDvmdModels:
         formats.save_hmm_set(path, hmms)
         back = formats.load_hmm_set(path)
         np.testing.assert_array_equal(back.self_loop, hmms.self_loop)
-        for a, b in zip(back.gmms, hmms.gmms):
-            np.testing.assert_array_equal(a.means, b.means)
+        for s in range(33):
+            np.testing.assert_array_equal(state_gmm(back, s).means, state_gmm(hmms, s).means)
 
     def test_wrong_kind_rejected(self, tmp_path):
         gmm = DiagGmm([1.0], [[0.0]], [[1.0]])
@@ -601,19 +601,33 @@ class TestDvmdModels:
         back = formats.load_pgmm(path)
         _, payload = formats.read_dvmd(path, "pgmm")
         assert tuple(payload["state_ids"]) == DIGIT_STATES
-        np.testing.assert_array_equal(back.gmms[7].means, pgmm.gmms[7].means)
+        np.testing.assert_array_equal(state_gmm(back, 7).means, state_gmm(pgmm, 7).means)
 
     def test_tv_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
-        bg = Background(rng.standard_normal((3, 2)), 1 + rng.random((3, 2)),
-                        (0, 1, 2), 1, "bg")
+        bg = Background(rng.standard_normal((3, 2)), 1 + rng.random((3, 2)), "bg")
         tv = TvModel(rng.standard_normal((6, 4)), bg)
         path = tmp_path / "tv.dvmd"
         formats.save_tv(path, tv)
         back = formats.load_tv(path)
         np.testing.assert_array_equal(back.matrix, tv.matrix)
-        assert back.background.state_ids == (0, 1, 2)
         assert back.background.model_id == "bg"
+
+    @pytest.mark.parametrize("state_ids", [None, np.arange(3)], ids=["ubm", "states"])
+    def test_tv_of_the_older_layout(self, tmp_path, state_ids):
+        # a TV file whose background still carries state_ids and n_components
+        # loads, and extracts the same i-vector as the file written today
+        rng = np.random.default_rng(9)
+        bg = Background(rng.standard_normal((3, 2)), 1 + rng.random((3, 2)), "bg")
+        tv = TvModel(rng.standard_normal((6, 4)), bg)
+        new, old = tmp_path / "new.dvmd", tmp_path / "old.dvmd"
+        formats.save_tv(new, tv)
+        formats.write_dvmd(old, "tv", {"matrix": tv.matrix, "background": {
+            "means": bg.means, "variances": bg.variances, "state_ids": state_ids,
+            "n_components": 1 if state_ids is not None else 3, "model_id": "bg"}})
+        stats = SuffStats(1 + rng.random(3), rng.standard_normal((3, 2)), "bg")
+        want = extract_ivector(stats, formats.load_tv(new)).vector
+        np.testing.assert_array_equal(extract_ivector(stats, formats.load_tv(old)).vector, want)
 
     def test_backend_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -672,7 +686,7 @@ class TestReaderCopies:
         rng = np.random.default_rng(11)
         mixtures, dim, rank = 64, 40, 64
         bg = Background(rng.standard_normal((mixtures, dim)),
-                        1 + rng.random((mixtures, dim)), None, mixtures, "ubm")
+                        1 + rng.random((mixtures, dim)), "ubm")
         path = tmp_path / "tv.dvmd"
         formats.save_tv(path, TvModel(rng.standard_normal((mixtures * dim, rank)), bg))
         tv, peak = _traced_peak(lambda: formats.load_tv(path))

@@ -6,8 +6,7 @@ from digitsv.errors import DegenerateData, DimMismatch, TooFewSamples
 from digitsv.gmm import (
     DiagGmm,
     GmmTrainConfig,
-    component_posteriors,
-    log_likelihood,
+    component_posterior_matrix,
     log_likelihoods,
     split_components,
     train_em,
@@ -79,12 +78,12 @@ class TestTrainEm:
 class TestLogLikelihood:
     def test_standard_normal_at_mode(self):
         gmm = DiagGmm([1.0], [[0.0]], [[1.0]])
-        assert abs(log_likelihood(gmm, np.array([0.0])) - (-0.5 * np.log(2 * np.pi))) < 1e-12
+        assert abs(log_likelihoods(gmm, np.array([0.0]))[0] - (-0.5 * np.log(2 * np.pi))) < 1e-12
 
     def test_standard_normal_at_one(self):
         gmm = DiagGmm([1.0], [[0.0]], [[1.0]])
         expected = -0.5 * np.log(2 * np.pi) - 0.5
-        assert abs(log_likelihood(gmm, np.array([1.0])) - expected) < 1e-12
+        assert abs(log_likelihoods(gmm, np.array([1.0]))[0] - expected) < 1e-12
 
     def test_three_component_matches_scalar_sum(self):
         rng = np.random.default_rng(4)
@@ -95,22 +94,22 @@ class TestLogLikelihood:
         )
         for _ in range(5):
             frame = rng.standard_normal(2)
-            assert abs(log_likelihood(gmm, frame) - scalar_gmm_loglike(gmm, frame)) < 1e-8
+            assert abs(log_likelihoods(gmm, frame)[0] - scalar_gmm_loglike(gmm, frame)) < 1e-8
 
     def test_dim_mismatch(self):
         gmm = DiagGmm([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(DimMismatch):
-            log_likelihood(gmm, np.zeros(3))
+            log_likelihoods(gmm, np.zeros(3))
 
 
 class TestComponentPosteriors:
     def test_single_component(self):
         gmm = DiagGmm([1.0], [[0.0]], [[1.0]])
-        np.testing.assert_array_equal(component_posteriors(gmm, np.array([3.0])), [1.0])
+        np.testing.assert_array_equal(component_posterior_matrix(gmm, np.array([3.0]))[0], [1.0])
 
     def test_identical_components_split_evenly(self):
         gmm = DiagGmm([0.5, 0.5], [[1.0], [1.0]], [[2.0], [2.0]])
-        np.testing.assert_allclose(component_posteriors(gmm, np.array([0.3])), [0.5, 0.5])
+        np.testing.assert_allclose(component_posterior_matrix(gmm, np.array([0.3]))[0], [0.5, 0.5])
 
     def test_matches_direct_density_arithmetic(self):
         gmm = DiagGmm([0.7, 0.3], [[-1.0], [2.0]], [[1.0], [4.0]])
@@ -120,7 +119,8 @@ class TestComponentPosteriors:
             for w, m, v in [(0.7, -1.0, 1.0), (0.3, 2.0, 4.0)]
         ]
         expected = np.array(dens) / sum(dens)
-        np.testing.assert_allclose(component_posteriors(gmm, np.array([x])), expected, atol=1e-12)
+        np.testing.assert_allclose(component_posterior_matrix(gmm, np.array([x]))[0], expected,
+                                   atol=1e-12)
 
     def test_normalization_over_random_frames(self):
         rng = np.random.default_rng(8)
@@ -128,7 +128,7 @@ class TestComponentPosteriors:
             np.full(4, 0.25), rng.standard_normal((4, 3)), 0.5 + rng.random((4, 3))
         )
         for _ in range(20):
-            post = component_posteriors(gmm, 5 * rng.standard_normal(3))
+            post = component_posterior_matrix(gmm, 5 * rng.standard_normal(3))[0]
             assert np.all(post >= 0)
             assert abs(post.sum() - 1.0) < 1e-9
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import enumeration_marginals, make_hmm_set, mfcc_feats
+from conftest import enumeration_marginals, make_hmm_set, mfcc_feats, state_gmm
 from digitsv.errors import (
     MissingDigitCoverage,
     SourceMismatch,
@@ -162,7 +162,7 @@ def single_digit_instance(seed, t_max=None, dim=1, n_components=1):
 
     states = [15, 16, 17]
     loglikes = np.array([
-        [scalar_gmm_loglike(hmms.gmms[s], feats.frames[t]) for s in states]
+        [scalar_gmm_loglike(state_gmm(hmms, s), feats.frames[t]) for s in states]
         for t in range(t_max)
     ])
     return hmms, graph, feats, loglikes
@@ -291,7 +291,7 @@ class TestOptionalSilenceEnumeration:
         from conftest import scalar_gmm_loglike
 
         node_ll = np.array([
-            [scalar_gmm_loglike(hmms.gmms[s], feats.frames[t]) for s in self.GLOBAL]
+            [scalar_gmm_loglike(state_gmm(hmms, s), feats.frames[t]) for s in self.GLOBAL]
             for t in range(t_max)
         ])
         loop = hmms.self_loop[self.GLOBAL]
@@ -377,8 +377,8 @@ class TestTrainHmmSet:
 
     def test_model_shape(self, small_models):
         hmms = small_models.hmms
-        assert len(hmms.gmms) == 33
-        assert all(g.n_components == 4 for g in hmms.gmms)
+        assert hmms.weights.shape == (33, 4)
+        assert hmms.n_components == 4
 
 
 class TestMixturePosteriors:
@@ -390,9 +390,9 @@ class TestMixturePosteriors:
         feats = mfcc_feats(np.array([[0.5]]))
         mp = mixture_posteriors(hmms, post, feats, prune=0.0)
         assert abs(mp[0].sum() - 1.0) < 1e-6
-        from digitsv.gmm import component_posteriors
+        from digitsv.gmm import component_posterior_matrix
 
-        w0 = component_posteriors(hmms.gmms[0], feats.frames[0])
+        w0 = component_posterior_matrix(state_gmm(hmms, 0), feats.frames[:1])[0]
         np.testing.assert_allclose(mp[0, 0:2], 0.4 * w0, atol=1e-12)
 
     def test_identical_components_split_half(self):

@@ -31,8 +31,7 @@ from digitsv.pgmm import Background, SuffStats
 
 def toy_background(m=3, dim=2, seed=0, model_id="bg"):
     rng = np.random.default_rng(seed)
-    return Background(rng.standard_normal((m, dim)), 0.5 + rng.random((m, dim)),
-                      None, m, model_id)
+    return Background(rng.standard_normal((m, dim)), 0.5 + rng.random((m, dim)), model_id)
 
 
 def random_stats(background, seed=0, scale=3.0):
@@ -52,7 +51,7 @@ class TestExtractIvector:
 
     def test_scalar_hand_case(self):
         # one mixture, D=1, R=1: (1 + T^2 N / v) w = T F / v with T=2, v=1, N=3, F=6
-        bg = Background(np.zeros((1, 1)), np.ones((1, 1)), None, 1, "bg")
+        bg = Background(np.zeros((1, 1)), np.ones((1, 1)), "bg")
         tv = TvModel(np.array([[2.0]]), bg)
         stats = SuffStats(np.array([3.0]), np.array([[6.0]]), "bg")
         iv = extract_ivector(stats, tv)
@@ -72,8 +71,7 @@ class TestExtractIvector:
         rng = np.random.default_rng(5)
         for trial in range(5):
             m, d, r = rng.integers(1, 5), rng.integers(1, 3), rng.integers(1, 4)
-            bg = Background(rng.standard_normal((m, d)), 0.5 + rng.random((m, d)),
-                            None, m, "bg")
+            bg = Background(rng.standard_normal((m, d)), 0.5 + rng.random((m, d)), "bg")
             tv = TvModel(rng.standard_normal((m * d, r)), bg)
             stats = random_stats(bg, seed=int(rng.integers(1e6)))
             n_diag = np.diag(np.repeat(stats.n, d))

@@ -9,8 +9,7 @@ from digitsv.pgmm import Background, SuffStats, accumulate_stats
 
 def toy_background(m=4, dim=60, seed=0):
     rng = np.random.default_rng(seed)
-    return Background(rng.standard_normal((m, dim)), 0.5 + rng.random((m, dim)),
-                      None, m, "toy")
+    return Background(rng.standard_normal((m, dim)), 0.5 + rng.random((m, dim)), "toy")
 
 
 class TestMapAdapt:

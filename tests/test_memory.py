@@ -4,8 +4,11 @@ Each trainer and kernel below used to hold its training frames (or the
 speakers x M*D scoring matrix) two to four times over.  The tracemalloc
 tests bound each peak in units of those bytes; the oracles are the replaced
 copying code, kept verbatim, and the new code must equal them bit for bit.
-The one exception is EM over more than ``gmm.EM_BLOCK`` frames, whose sums
-are added block by block: it must agree with the oracle to 1e-12 relative.
+Two exceptions agree to 1e-12 relative instead.  EM over more than
+``gmm.EM_BLOCK`` frames adds its sums block by block.  The stacked mixture
+kernels score every state with one pair of matrix products, where the
+per-state loops they replaced made one pair per state, and BLAS may sum
+those products in another order.
 """
 
 import io
@@ -15,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import roster_copy
+from conftest import roster_copy, state_gmm
 
 from digitsv import formats, gmm as gmm_mod, hmm as hmm_mod, neural_aligner, pipeline
 from digitsv import pgmm as pgmm_mod
@@ -62,6 +65,18 @@ def _assert_same_gmms(a, b):
     for x, y in zip(a, b):
         for name in ("weights", "means", "variances"):
             np.testing.assert_array_equal(getattr(x, name), getattr(y, name))
+
+
+def _assert_close_to_largest(got, want):
+    """``got`` equals ``want`` to within 1e-12 of ``want``'s largest entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
+        np.abs(got - want).max() / np.abs(want).max()
+
+
+def _rows(model):
+    """Every state's mixture of a stacked model, as its own ``DiagGmm``."""
+    return [state_gmm(model, s) for s in range(len(model.weights))]
 
 
 def _stacked(gmms):
@@ -146,9 +161,9 @@ def realign_pass_oracle(hmms, corpus, graphs, floor, global_var):
         weights = occ[:, s]
         sel = weights > 1e-12
         if not sel.any():
-            gmms.append(hmms.gmms[s])
+            gmms.append(state_gmm(hmms, s))
             continue
-        new, _ = em_update_oracle(hmms.gmms[s], frames[sel], floor, global_var,
+        new, _ = em_update_oracle(state_gmm(hmms, s), frames[sel], floor, global_var,
                                   frame_weights=weights[sel])
         gmms.append(new)
     leaving = self_mass + cross_mass
@@ -205,7 +220,8 @@ def pgmm_em_step_oracle(pgmm, accum, variance_floor=1e-3):
     global_var = global_second / max(total_n, empty) - global_mean ** 2
     floor = np.maximum(variance_floor * np.maximum(global_var, 0.0), 1e-10)
     new_gmms = []
-    for k, g in enumerate(pgmm.gmms):
+    for k in hmm_mod.DIGIT_STATES:
+        g = state_gmm(pgmm, k)
         state_n = accum.n[k].sum()
         if state_n < empty:
             new_gmms.append(g)
@@ -237,6 +253,58 @@ def init_pgmm_oracle(alignments, feats_list, n_components, em_iterations=10, see
         gmms.append(train_em(frames, GmmTrainConfig(target_components=n_components,
                                                     em_iterations=em_iterations, seed=seed)))
     return Pgmm(*_stacked(gmms))
+
+
+def per_state_oracle(kernel, model, frames):
+    """A stacked kernel's output, made one state's ``DiagGmm`` at a time."""
+    return np.stack([kernel(state_gmm(model, s), frames) for s in range(len(model.weights))],
+                    axis=1)
+
+
+def gmm_loglikes_oracle(graph, frames, hmms):
+    """``hmm._gmm_loglikes`` with one mixture evaluated per distinct graph state."""
+    uniq = np.unique(graph.states)
+    per_state = {s: gmm_mod.log_likelihoods(state_gmm(hmms, s), frames) for s in uniq}
+    return np.stack([per_state[s] for s in graph.states], axis=1)
+
+
+def mixture_posteriors_oracle(model, align, feats, prune):
+    """``pgmm.mixture_posteriors`` with one state's mixture evaluated at a time."""
+    n_comp = model.n_components
+    gammas = np.empty((feats.n_frames, len(hmm_mod.DIGIT_STATES) * n_comp))
+    for s in hmm_mod.DIGIT_STATES:
+        gammas[:, s * n_comp:(s + 1) * n_comp] = (
+            align[:, s:s + 1]
+            * gmm_mod.component_posterior_matrix(state_gmm(model, s), feats.frames)
+        )
+    if prune > 0:
+        gammas[gammas < prune] = 0.0
+    return gammas
+
+
+def accumulator_add_oracle(accum, pgmm, align, feats):
+    """``pgmm.PgmmEmAccumulator.add`` one state at a time, skipping states without mass."""
+    x = feats.frames
+    for s in hmm_mod.DIGIT_STATES:
+        mass = align[:, s]
+        if not mass.any():
+            continue
+        resp = gmm_mod.component_posterior_matrix(state_gmm(pgmm, s), x) * mass[:, None]
+        accum.n[s] += resp.sum(axis=0)
+        accum.sx[s] += resp.T @ x
+        accum.sxx[s] += resp.T @ (x ** 2)
+    return accum
+
+
+def pgmm_objective_oracle(pgmm, aligns, feats):
+    """``pgmm.pgmm_objective`` one state's mixture at a time."""
+    total = 0.0
+    for a, f in zip(aligns, feats, strict=True):
+        for s in hmm_mod.DIGIT_STATES:
+            mass = a[:, s]
+            if mass.any():
+                total += float(mass @ gmm_mod.log_likelihoods(state_gmm(pgmm, s), f.frames))
+    return total
 
 
 def train_mlp_oracle(frames, labels, cfg):
@@ -423,6 +491,59 @@ class TestKernelsMatchOracles:
         np.testing.assert_array_equal(gmm_mod.component_posterior_matrix(gmm, data),
                                       component_posterior_matrix_oracle(gmm, data))
 
+    @pytest.mark.parametrize("frames", [1, 37, 173])
+    @pytest.mark.parametrize("components", [1, 2, 4, 16])
+    def test_stacked_kernels(self, components, frames):
+        rng = np.random.default_rng(100 * components + frames)
+        weights = rng.random((N_STATES, components)) + 0.1
+        model = gmm_mod.StateMixtures(weights / weights.sum(axis=1, keepdims=True),
+                                      rng.standard_normal((N_STATES, components, 60)),
+                                      0.5 + rng.random((N_STATES, components, 60)))
+        x = 1.5 * rng.standard_normal((frames, 60))
+        for kernel in (gmm_mod.log_weighted_densities, gmm_mod.log_likelihoods,
+                       gmm_mod.component_posterior_matrix):
+            _assert_close_to_largest(kernel(model, x), per_state_oracle(kernel, model, x))
+
+    def test_gmm_loglikes(self, small_corpus, small_models):
+        for u in _enroll(small_corpus)[:4]:
+            graph = compile_graph(u.content, "optional_between")
+            _assert_close_to_largest(
+                hmm_mod._gmm_loglikes(graph, u.feats.frames, small_models.hmms),
+                gmm_loglikes_oracle(graph, u.feats.frames, small_models.hmms))
+
+    @pytest.mark.parametrize("prune", [0.0, pgmm_mod.PRUNE_DEFAULT])
+    @pytest.mark.parametrize("source", ["gmm-hmm", "dnn"])
+    def test_mixture_posteriors(self, small_corpus, small_models, source, prune):
+        # state 5 carries no mass
+        model = small_models.hmms if source == "gmm-hmm" else small_models.pgmm
+        for u in _enroll(small_corpus)[:4]:
+            align = neural_aligner.mlp_posteriors(small_models.mlp, u.feats)
+            align[:, 5] = 0.0
+            got = pgmm_mod.mixture_posteriors(model, align, u.feats, prune)
+            _assert_close_to_largest(got, mixture_posteriors_oracle(model, align, u.feats,
+                                                                    prune))
+            assert not got[:, 5 * model.n_components:6 * model.n_components].any()
+
+    def test_accumulator_add(self, small_corpus, small_models):
+        pgmm = small_models.pgmm
+        got, want = PgmmEmAccumulator(pgmm), PgmmEmAccumulator(pgmm)
+        for u in _enroll(small_corpus)[:6]:
+            align = neural_aligner.mlp_posteriors(small_models.mlp, u.feats)
+            align[:, 5] = 0.0
+            got.add(pgmm, align, u.feats)
+            accumulator_add_oracle(want, pgmm, align, u.feats)
+        for name in ("n", "sx", "sxx"):
+            _assert_close_to_largest(getattr(got, name), getattr(want, name))
+        assert not got.n[5].any()
+
+    def test_pgmm_objective(self, small_corpus, small_models):
+        enroll = _enroll(small_corpus)[:6]
+        aligns = [neural_aligner.mlp_posteriors(small_models.mlp, u.feats) for u in enroll]
+        feats = [u.feats for u in enroll]
+        got = pgmm_mod.pgmm_objective(small_models.pgmm, aligns, feats)
+        assert got == pytest.approx(pgmm_objective_oracle(small_models.pgmm, aligns, feats),
+                                    rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("dim", [2, 60])
     def test_column_mean_var(self, dim):
         rng = np.random.default_rng(dim)
@@ -458,7 +579,7 @@ class TestKernelsMatchOracles:
         floor = np.maximum(hmm_mod.VARIANCE_FLOOR * var, 1e-10)
         got = hmm_mod._flat_start(corpus, graphs, 60, floor, mean, var)
         want = flat_start_oracle(corpus, graphs, 60, floor, mean, var)
-        _assert_same_gmms(got.gmms, want)
+        _assert_same_gmms(_rows(got), want)
         # states 3..5 got one frame each and 0..2 none: both start from the global statistics
         for s in range(6):
             np.testing.assert_array_equal(got.means[s, 0], mean)
@@ -466,7 +587,7 @@ class TestKernelsMatchOracles:
     def test_split_components_per_row(self, small_models):
         hmms = small_models.hmms
         got = HmmSet(*gmm_mod.split_components(hmms), hmms.self_loop)
-        _assert_same_gmms(got.gmms, [split_components_oracle(g) for g in hmms.gmms])
+        _assert_same_gmms(_rows(got), [split_components_oracle(g) for g in _rows(hmms)])
 
     def test_pgmm_em_step(self, small_corpus, small_models):
         # state 5 gets no mass, and state 7's far component no occupancy
@@ -484,14 +605,14 @@ class TestKernelsMatchOracles:
         with pytest.warns(EmptyStateWarning, match=r"states \[5\]"):
             got = pgmm_em_step(pgmm, accum=accum)
         want = pgmm_em_step_oracle(pgmm, accum)
-        _assert_same_gmms(got.gmms, want)
+        _assert_same_gmms(_rows(got), want)
         np.testing.assert_array_equal(got.means[7, 2], means[7, 2])
 
     @pytest.mark.parametrize("source", ["gmm-hmm", "dnn"])
     def test_background_is_a_view(self, small_models, source):
         model = small_models.hmms if source == "gmm-hmm" else small_models.pgmm
         bg = Background.from_states(model, source)
-        digits = [model.gmms[s] for s in hmm_mod.DIGIT_STATES]
+        digits = _rows(model)[:len(hmm_mod.DIGIT_STATES)]
         np.testing.assert_array_equal(bg.means, np.concatenate([g.means for g in digits]))
         np.testing.assert_array_equal(bg.variances,
                                       np.concatenate([g.variances for g in digits]))
@@ -529,7 +650,7 @@ class TestTrainersMatchOracles:
         floor = np.maximum(hmm_mod.VARIANCE_FLOOR * var, 1e-10)
         got = hmm_mod._realign_pass(small_models.hmms, corpus, graphs, floor, var)
         want = realign_pass_oracle(small_models.hmms, corpus, graphs, floor, var)
-        _assert_same_gmms(got[0].gmms, want[0].gmms)
+        _assert_same_gmms(_rows(got[0]), _rows(want[0]))
         np.testing.assert_array_equal(got[0].self_loop, want[0].self_loop)
         assert got[1:] == want[1:]
 
@@ -539,7 +660,7 @@ class TestTrainersMatchOracles:
         feats = [u.feats for u in enroll]
         got = init_pgmm(aligns, feats, n_components=2, em_iterations=3)
         want = init_pgmm_oracle(aligns, feats, n_components=2, em_iterations=3)
-        _assert_same_gmms(got.gmms, want.gmms)
+        _assert_same_gmms(_rows(got), _rows(want))
 
     def test_init_pgmm_still_reports_starved_states(self, small_corpus, small_models):
         u = _enroll(small_corpus)[0]

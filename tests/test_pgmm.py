@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import mfcc_feats
+from conftest import mfcc_feats, state_gmm
 from digitsv.errors import DegenerateData, EmptyStateWarning, ShapeMismatch, StarvedState
 from digitsv.gmm import DiagGmm
 from digitsv.hmm import DIGIT_STATES, N_STATES, path_to_alignment
@@ -40,7 +40,7 @@ def one_state_pgmm(n_components=1, dim=60, mean=0.0):
 class TestInitPgmm:
     def test_total_mixture_count(self, small_corpus, small_models):
         pgmm = small_models.pgmm
-        assert len(pgmm.gmms) == 30
+        assert pgmm.weights.shape[0] == 30
         assert pgmm.n_mixtures == 30 * pgmm.n_components
 
     def test_starved_state_reported(self):
@@ -88,15 +88,14 @@ class TestMixturePosteriors:
         np.testing.assert_allclose(mp[:, 0], mp[:, 3], atol=1e-12)
 
     def test_hand_product_case(self):
-        from digitsv.gmm import component_posteriors
+        from digitsv.gmm import component_posterior_matrix
 
         pgmm = one_state_pgmm(n_components=2)
-        g = pgmm.gmms[0]
-        g.means[1] += 1.5
+        pgmm.means[0, 1] += 1.5
         align = uniform_alignment(1, [0, 3])  # state 0 carries mass 0.5
         feats = mfcc_feats(np.array([[0.7]]))
         mp = mixture_posteriors(pgmm, align, feats, prune=0.0)
-        expected = 0.5 * component_posteriors(g, feats.frames[0])
+        expected = 0.5 * component_posterior_matrix(state_gmm(pgmm, 0), feats.frames[:1])[0]
         np.testing.assert_allclose(mp[0, :2], expected, atol=1e-12)
 
     def test_alignment_shape_checked(self):
@@ -170,15 +169,14 @@ class TestPgmmEm:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyStateWarning)
             out = pgmm_em_step(pgmm, [align], [feats])
-        np.testing.assert_allclose(out.gmms[0].means[0], feats.frames.mean(axis=0),
-                                   atol=1e-10)
-        np.testing.assert_allclose(out.gmms[0].variances[0],
+        np.testing.assert_allclose(out.means[0, 0], feats.frames.mean(axis=0), atol=1e-10)
+        np.testing.assert_allclose(out.variances[0, 0],
                                    np.maximum(feats.frames.var(axis=0), 1e-10),
                                    rtol=1e-6)
 
     def test_weights_sum_to_one_per_state(self, small_corpus, small_models):
-        for g in small_models.pgmm.gmms:
-            assert abs(g.weights.sum() - 1.0) < 1e-9
+        for s in DIGIT_STATES:
+            assert abs(state_gmm(small_models.pgmm, s).weights.sum() - 1.0) < 1e-9
 
     def test_empty_state_warns_and_keeps_parameters(self):
         pgmm = one_state_pgmm()
@@ -186,14 +184,13 @@ class TestPgmmEm:
         feats = mfcc_feats(np.random.default_rng(5).standard_normal((5, 2)))
         with pytest.warns(EmptyStateWarning):
             out = pgmm_em_step(pgmm, [align], [feats])
-        np.testing.assert_array_equal(out.gmms[1].means, pgmm.gmms[1].means)
+        np.testing.assert_array_equal(out.means[1], pgmm.means[1])
 
     def test_two_frame_hand_update(self):
         # one state, two components, hand-set posteriors via explicit accumulator
         pgmm = one_state_pgmm(n_components=2)
-        g = pgmm.gmms[0]
-        g.means[0, :] = 0.0
-        g.means[1, :] = 1.0
+        pgmm.means[0, 0, :] = 0.0
+        pgmm.means[0, 1, :] = 1.0
         x = np.vstack([np.full((1, 60), 0.2), np.full((1, 60), 0.9)])
         feats = mfcc_feats(x[:, :2])
         accum = PgmmEmAccumulator(pgmm)
@@ -205,11 +202,11 @@ class TestPgmmEm:
             warnings.simplefilter("ignore", EmptyStateWarning)
             out = pgmm_em_step(pgmm, accum=accum)
         n = resp.sum(axis=0)
-        np.testing.assert_allclose(out.gmms[0].weights, n / n.sum(), atol=1e-12)
+        np.testing.assert_allclose(out.weights[0], n / n.sum(), atol=1e-12)
         mean0 = (0.8 * 0.2 + 0.3 * 0.9) / n[0]
-        np.testing.assert_allclose(out.gmms[0].means[0], mean0, atol=1e-12)
+        np.testing.assert_allclose(out.means[0, 0], mean0, atol=1e-12)
         var0 = (0.8 * 0.2 ** 2 + 0.3 * 0.9 ** 2) / n[0] - mean0 ** 2
-        np.testing.assert_allclose(out.gmms[0].variances[0], var0, rtol=1e-6)
+        np.testing.assert_allclose(out.variances[0, 0], var0, rtol=1e-6)
 
     def test_objective_nondecreasing(self, small_corpus, small_models):
         from digitsv.neural_aligner import mlp_posteriors
@@ -255,7 +252,6 @@ class TestBackground:
     def test_from_pgmm_shapes(self, small_models):
         bg = Background.from_states(small_models.pgmm, "dnn")
         assert bg.means.shape == (small_models.pgmm.n_mixtures, 60)
-        assert bg.state_ids == DIGIT_STATES
 
     def test_from_hmm_drop_silence(self, small_models):
         bg = Background.from_states(small_models.hmms, "gmm-hmm")
