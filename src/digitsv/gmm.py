@@ -3,8 +3,8 @@
 EM training with binary mixture splitting, log-domain likelihoods and
 component posteriors.  ``StateMixtures`` stacks one mixture per state into
 one (S, C) / (S, C, D) parameter block, and the kernels take either: a
-stacked model is scored in one call.  Models are treated as immutable once
-trained.
+stacked model is scored in one call and re-estimated by one ``EmAccumulator``.
+Models are treated as immutable once trained.
 """
 
 from __future__ import annotations
@@ -135,13 +135,15 @@ def log_likelihoods(model: DiagGmm, frames: np.ndarray) -> np.ndarray:
     return (m + np.log(np.sum(np.exp(lw, out=lw), axis=-1, keepdims=True)))[..., 0]
 
 
-def component_posterior_matrix(model: DiagGmm, frames: np.ndarray) -> np.ndarray:
-    """Responsibilities, (T, C) or (T, S, C), computed in the log domain with max-subtraction."""
+def loglikes_and_posteriors(model: DiagGmm, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log_likelihoods`` and the responsibilities, (T, C) or (T, S, C), from one scoring."""
     lw = log_weighted_densities(model, frames)
-    lw -= lw.max(axis=-1, keepdims=True)
+    m = lw.max(axis=-1, keepdims=True)
+    lw -= m
     p = np.exp(lw, out=lw)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+    total = p.sum(axis=-1, keepdims=True)
+    p /= total
+    return (m + np.log(total))[..., 0], p
 
 
 def split_components(model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,9 +193,8 @@ def _row_blocks(n: int) -> list:
 
 
 def _em_update(gmm: DiagGmm, data: np.ndarray, floor: np.ndarray,
-               global_var: np.ndarray,
-               frame_weights: np.ndarray | None = None) -> tuple[DiagGmm, float]:
-    """One (optionally frame-weighted) EM iteration, accumulated over row blocks.
+               global_var: np.ndarray) -> tuple[DiagGmm, float]:
+    """One EM iteration, accumulated over row blocks.
 
     Each block of at most ``EM_BLOCK`` frames is scored and reduced to its
     counts and first- and second-order sums before the next one, so the
@@ -204,8 +205,7 @@ def _em_update(gmm: DiagGmm, data: np.ndarray, floor: np.ndarray,
     summed over all frames at once, and dead components are re-seeded on the
     worst-modeled frames of the whole data.
 
-    Returns the new model and the weighted data log-likelihood under the
-    old one.
+    Returns the new model and the data log-likelihood under the old one.
     """
     log_tot = np.empty(data.shape[0])
     counts = np.zeros(gmm.n_components)
@@ -221,15 +221,10 @@ def _em_update(gmm: DiagGmm, data: np.ndarray, floor: np.ndarray,
         log_tot[rows] = tot[:, 0]
         # the responsibilities overwrite lw: one (block x components) array, not three
         resp = np.exp(np.subtract(lw, tot, out=lw), out=lw)
-        if frame_weights is not None:
-            resp *= frame_weights[rows, None]
         counts += resp.sum(axis=0)
         first += resp.T @ block
         second += resp.T @ (block ** 2)
-    if frame_weights is None:
-        ll = float(log_tot.sum())
-    else:
-        ll = float(frame_weights @ log_tot)
+    ll = float(log_tot.sum())
 
     empties = np.nonzero(counts < _EMPTY_COUNT)[0]
     if empties.size:
@@ -250,6 +245,52 @@ def _em_update(gmm: DiagGmm, data: np.ndarray, floor: np.ndarray,
     means = first / counts[:, None]
     variances = np.maximum(second / counts[:, None] - means ** 2, floor)
     return DiagGmm(weights, means, variances), ll
+
+
+class EmAccumulator:
+    """(S, C) counts and (S, C, D) first- and second-order sums of a stacked model.
+
+    As in HTK's HERest and Kaldi's ``AccumDiagGmm``, ``add`` fills them one
+    utterance at a time, then ``update`` re-estimates every state at once.
+    """
+
+    def __init__(self, model: StateMixtures):
+        self.n = np.zeros(model.weights.shape)
+        self.sx = np.zeros(model.means.shape)
+        self.sxx = np.zeros(model.means.shape)
+
+    def add(self, loglikes: np.ndarray, posteriors: np.ndarray, occupancy: np.ndarray,
+            frames: np.ndarray) -> float:
+        """Add one utterance; returns its occupancy-weighted log-likelihood.
+
+        ``loglikes`` and ``posteriors`` are ``loglikes_and_posteriors`` of the
+        model on ``frames``, and ``occupancy`` the (T, S) state mass; the
+        posteriors are weighted in place.
+        """
+        posteriors *= occupancy[:, :, None]
+        resp = posteriors.reshape(frames.shape[0], -1)
+        self.n += resp.sum(axis=0).reshape(self.n.shape)
+        self.sx += (resp.T @ frames).reshape(self.sx.shape)
+        self.sxx += (resp.T @ (frames ** 2)).reshape(self.sxx.shape)
+        return float(np.sum(occupancy * loglikes))
+
+    def update(self, model: StateMixtures, floor: np.ndarray):
+        """(weights, means, variances) from the sums, variances floored at ``floor``.
+
+        A state with mass below ``_EMPTY_COUNT`` keeps its row; a component below
+        it keeps its mean and variance.  As in Kaldi's ``MleDiagGmmUpdate``,
+        nothing is re-seeded.
+        """
+        state_n = self.n.sum(axis=1)
+        full = state_n >= _EMPTY_COUNT
+        # every component of an empty state is below the count too
+        live = self.n >= _EMPTY_COUNT
+        counts = self.n[live][:, None]
+        weights, means, variances = model.weights.copy(), model.means.copy(), model.variances.copy()
+        weights[full] = self.n[full] / state_n[full, None]
+        means[live] = self.sx[live] / counts
+        variances[live] = np.maximum(self.sxx[live] / counts - means[live] ** 2, floor)
+        return weights, means, variances
 
 
 def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:

@@ -137,16 +137,11 @@ def compile_graph(transcription: str, silence_policy: str = "optional_between") 
     )
 
 
-def _gmm_loglikes(graph: StateGraph, frames: np.ndarray, hmms: HmmSet) -> np.ndarray:
-    """(T, L) state-GMM log-likelihoods of any frames, one column per graph node."""
-    return gmm_mod.log_likelihoods(hmms, frames)[:, graph.states]
-
-
 def node_loglikes(graph: StateGraph, feats: FeatureSequence, hmms: HmmSet) -> np.ndarray:
     """(T, L) GMM emission log-likelihoods of MFCC60 features, one column per graph node."""
     if feats.kind != FeatureKind.MFCC60:
         raise SourceMismatch(f"alignment expects MFCC60 features, got {feats.kind.value}")
-    return _gmm_loglikes(graph, feats.frames, hmms)
+    return gmm_mod.log_likelihoods(hmms, feats.frames)[:, graph.states]
 
 
 def hybrid_loglikes(graph: StateGraph, state_posteriors: np.ndarray,
@@ -300,21 +295,24 @@ def _flat_start(corpus, graphs, dim, floor, global_mean, global_var) -> HmmSet:
                   np.full(N_STATES, SELF_LOOP_INIT))
 
 
-def _realign_pass(hmms: HmmSet, corpus, graphs, floor, global_var):
+def _realign_pass(hmms: HmmSet, corpus, graphs, floor):
     """One Baum-Welch realignment pass.
 
     Soft forward-backward occupation drives the emission and transition
     updates (the EM objective is the total data log-likelihood); the corpus
     Viterbi log-likelihood is computed from the same emission scores for
-    the training log.
+    the training log.  One kernel call per utterance gives the emissions and
+    the component posteriors, which the state occupancy weights into the
+    shared ``gmm.EmAccumulator``.
     """
-    occupancies = []
+    accum = gmm_mod.EmAccumulator(hmms)
     self_mass = np.zeros(N_STATES)
     cross_mass = np.zeros(N_STATES)
     total_fb = 0.0
     total_viterbi = 0.0
     for (feats, _), graph in zip(corpus, graphs):
-        loglikes = _gmm_loglikes(graph, feats.frames, hmms)
+        state_ll, post = gmm_mod.loglikes_and_posteriors(hmms, feats.frames)
+        loglikes = state_ll[:, graph.states]
         gamma, fb_ll, alpha, beta = _forward_backward_nodes(graph, loglikes, hmms.self_loop)
         _, vit_ll = _viterbi_nodes(graph, loglikes, hmms.self_loop)
         total_fb += fb_ll
@@ -330,26 +328,14 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, floor, global_var):
 
         occ = np.zeros((feats.n_frames, N_STATES))
         np.add.at(occ.T, graph.states, gamma.T)
-        occupancies.append(occ)
-
-    # a state no frame occupies keeps its row
-    weights, means, variances = hmms.weights.copy(), hmms.means.copy(), hmms.variances.copy()
-    for s in range(N_STATES):
-        # each state's frames and weights, gathered in corpus order
-        sels = [occ[:, s] > 1e-12 for occ in occupancies]
-        if not any(sel.any() for sel in sels):
-            continue
-        frames = np.concatenate([f.frames[sel] for (f, _), sel in zip(corpus, sels)], axis=0)
-        occ_s = np.concatenate([occ[sel, s] for occ, sel in zip(occupancies, sels)])
-        row = gmm_mod.DiagGmm(hmms.weights[s], hmms.means[s], hmms.variances[s])
-        new, _ = gmm_mod._em_update(row, frames, floor, global_var, frame_weights=occ_s)
-        weights[s], means[s], variances[s] = new.weights, new.means, new.variances
-        del frames, occ_s, new  # before the next state's gather
+        occ[occ <= 1e-12] = 0.0
+        accum.add(state_ll, post, occ, feats.frames)
+        del post  # weighted in place; freed before the next utterance's
 
     leaving = self_mass + cross_mass
     loop = np.where(leaving > 0, self_mass / np.maximum(leaving, 1e-30), hmms.self_loop)
     loop = np.clip(loop, TRANSITION_FLOOR, 1.0 - TRANSITION_FLOOR)
-    return HmmSet(weights, means, variances, loop), total_fb, total_viterbi
+    return HmmSet(*accum.update(hmms, floor), loop), total_fb, total_viterbi
 
 
 def train_hmm_set(corpus, target_components: int = 16,
@@ -388,7 +374,7 @@ def train_hmm_set(corpus, target_components: int = 16,
     passes = INIT_PASSES
     while True:
         for k in range(passes):
-            hmms, fb_ll, vit_ll = _realign_pass(hmms, corpus, graphs, floor, global_var)
+            hmms, fb_ll, vit_ll = _realign_pass(hmms, corpus, graphs, floor)
             log.append({"n_components": size, "pass": k,
                         "fb_ll": fb_ll, "viterbi_ll": vit_ll})
         if size >= target_components:

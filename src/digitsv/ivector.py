@@ -263,6 +263,13 @@ class PldaBackend:
     within: np.ndarray         # (R', R')
     training_log: list | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        shapes = [np.shape(getattr(self, k)) for k in ("lda", "mean", "between", "within")]
+        dim = shapes[0][1:2]
+        if len(shapes[0]) != 2 or shapes[1:] != [dim, dim * 2, dim * 2]:
+            raise ValueError(f"lda, mean, between and within are {shapes}, "
+                             "not (R, R'), (R',), (R', R') and (R', R')")
+
     @property
     def dim(self):
         return self.lda.shape[1]

@@ -29,6 +29,22 @@ class MlpModel:
     input_kind: FeatureKind
     class_priors: np.ndarray
 
+    def __post_init__(self):
+        shapes = [np.shape(w) for w in self.weights]
+        if not shapes or len(self.biases) != len(shapes) or any(len(s) != 2 for s in shapes):
+            raise ValueError("an MLP needs one (fan_in, fan_out) weight matrix and one bias "
+                             "per layer")
+        for k, ((fan_in, fan_out), bias) in enumerate(zip(shapes, self.biases)):
+            if np.shape(bias) != (fan_out,):
+                raise ValueError(f"layer {k} has {fan_out} outputs but bias {np.shape(bias)}")
+            if k and fan_in != shapes[k - 1][1]:
+                raise ValueError(f"layer {k} takes {fan_in} inputs, layer {k - 1} gives "
+                                 f"{shapes[k - 1][1]}")
+        for name, size in (("input_mean", shapes[0][0]), ("input_std", shapes[0][0]),
+                           ("class_priors", shapes[-1][1])):
+            if np.shape(getattr(self, name)) != (size,):
+                raise ValueError(f"{name} is {np.shape(getattr(self, name))}, not ({size},)")
+
     @property
     def input_dim(self):
         return self.weights[0].shape[0]

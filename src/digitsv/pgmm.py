@@ -122,7 +122,7 @@ def mixture_posteriors(model: StateMixtures, align: np.ndarray, feats: FeatureSe
         raise ShapeMismatch(f"model dim {model.dim} vs feature dim {feats.dim}")
 
     digits = len(DIGIT_STATES)
-    post = gmm_mod.component_posterior_matrix(model, feats.frames)[:, :digits]
+    post = gmm_mod.loglikes_and_posteriors(model, feats.frames)[1][:, :digits]
     gammas = (align[:, :digits, None] * post).reshape(feats.n_frames, -1)
     if prune > 0:
         gammas[gammas < prune] = 0.0
@@ -132,7 +132,7 @@ def mixture_posteriors(model: StateMixtures, align: np.ndarray, feats: FeatureSe
 def ubm_mixture_posteriors(ubm: DiagGmm, feats: FeatureSequence,
                            prune: float = PRUNE_DEFAULT) -> np.ndarray:
     """(T, M) unsupervised component posteriors under a single background GMM."""
-    gammas = gmm_mod.component_posterior_matrix(ubm, feats.frames)
+    _, gammas = gmm_mod.loglikes_and_posteriors(ubm, feats.frames)
     if prune > 0:
         gammas = np.where(gammas < prune, 0.0, gammas)
     return gammas
@@ -151,75 +151,35 @@ def accumulate_stats(gammas: np.ndarray, feats: FeatureSequence,
     return SuffStats(n, f, background_id)
 
 
-class PgmmEmAccumulator:
-    """Raw EM accumulator for Pgmm updates, one row per digit state."""
+def pgmm_e_step(pgmm: Pgmm, aligns, feats_list) -> tuple[gmm_mod.EmAccumulator, float]:
+    """The EM sums of ``pgmm`` under parallel lists of (T, 33) alignments and features.
 
-    def __init__(self, pgmm: Pgmm):
-        self.n = np.zeros(pgmm.weights.shape)
-        self.sx = np.zeros(pgmm.means.shape)
-        self.sxx = np.zeros_like(self.sx)
-
-    def add(self, pgmm: Pgmm, align: np.ndarray, feats: FeatureSequence):
-        if pgmm.means.shape != self.sx.shape:
-            raise ShapeMismatch("accumulator does not match this model")
-        x = feats.frames
-        resp = gmm_mod.component_posterior_matrix(pgmm, x)
-        resp *= align[:, :len(DIGIT_STATES), None]
-        resp = resp.reshape(x.shape[0], -1)
-        self.n += resp.sum(axis=0).reshape(self.n.shape)
-        self.sx += (resp.T @ x).reshape(self.sx.shape)
-        self.sxx += (resp.T @ (x ** 2)).reshape(self.sxx.shape)
-        return self
-
-
-def pgmm_em_step(pgmm: Pgmm, aligns=None, feats=None,
-                 accum: PgmmEmAccumulator | None = None,
-                 variance_floor: float = 1e-3) -> Pgmm:
-    """One EM update of all state GMMs under fixed alignments.
-
-    ``aligns`` and ``feats`` are parallel lists of (T, 33) alignments and
-    their features, added to ``accum`` (a new accumulator by default).
-    Per state the new weights normalize the component occupancies, means are
-    occupancy-weighted sample means and variances the matching (floored)
-    spreads; a component with ~zero occupancy keeps its mean and variance.
-    States with ~zero total occupancy are left unchanged and reported via
-    EmptyStateWarning.
+    Also returns the objective, the alignment-weighted data log-likelihood of
+    ``pgmm``, from the same kernel call per utterance.
     """
-    if accum is None:
-        accum = PgmmEmAccumulator(pgmm)
-    if aligns is not None:
-        for a, f in zip(aligns, feats, strict=True):
-            accum.add(pgmm, a, f)
+    accum = gmm_mod.EmAccumulator(pgmm)
+    objective = 0.0
+    for a, f in zip(aligns, feats_list, strict=True):
+        objective += accum.add(*gmm_mod.loglikes_and_posteriors(pgmm, f.frames),
+                               a[:, :len(DIGIT_STATES)], f.frames)
+    return accum, objective
 
+
+def pgmm_m_step(pgmm: Pgmm, accum: gmm_mod.EmAccumulator,
+                variance_floor: float = 1e-3) -> Pgmm:
+    """``EmAccumulator.update`` of all state GMMs, flooring variances at
+    ``variance_floor`` times the accumulated data's; states with ~zero total
+    occupancy are reported via EmptyStateWarning.
+    """
     total_n = max(accum.n.sum(), _EMPTY_COUNT)
     global_mean = accum.sx.sum(axis=(0, 1)) / total_n
     global_var = accum.sxx.sum(axis=(0, 1)) / total_n - global_mean ** 2
     floor = np.maximum(variance_floor * np.maximum(global_var, 0.0), 1e-10)
-
-    state_n = accum.n.sum(axis=1)
-    full = state_n >= _EMPTY_COUNT
-    # every component of an empty state is below the count too
-    live = accum.n >= _EMPTY_COUNT
-    counts = accum.n[live][:, None]
-    weights, means, variances = pgmm.weights.copy(), pgmm.means.copy(), pgmm.variances.copy()
-    weights[full] = accum.n[full] / state_n[full, None]
-    means[live] = accum.sx[live] / counts
-    variances[live] = np.maximum(accum.sxx[live] / counts - means[live] ** 2, floor)
-    if not full.all():
-        warnings.warn(
-            f"states {np.flatnonzero(~full).tolist()} received no occupancy; left unchanged",
-            EmptyStateWarning,
-        )
-    return Pgmm(weights, means, variances)
-
-
-def pgmm_objective(pgmm: Pgmm, aligns, feats) -> float:
-    """Alignment-weighted data log-likelihood; nondecreasing under pgmm_em_step."""
-    total = 0.0
-    for a, f in zip(aligns, feats, strict=True):
-        ll = gmm_mod.log_likelihoods(pgmm, f.frames)
-        total += float(np.sum(a[:, :len(DIGIT_STATES)] * ll))
-    return total
+    empty = accum.n.sum(axis=1) < _EMPTY_COUNT
+    if empty.any():
+        warnings.warn(f"states {np.flatnonzero(empty).tolist()} received no occupancy; "
+                      "left unchanged", EmptyStateWarning)
+    return Pgmm(*accum.update(pgmm, floor))
 
 
 def init_pgmm(alignments, feats_list, n_components: int = 16,
@@ -258,13 +218,18 @@ def train_pgmm(aligns, feats_list, n_components: int = 16, em_iterations: int = 
                seed: int = 0) -> Pgmm:
     """Phonetic GMMs under fixed alignments: init_pgmm, then EM steps.
 
-    The returned model's ``training_log`` holds pgmm_objective after each
-    EM step, which is nondecreasing.
+    The returned model's ``training_log`` holds the objective after each step,
+    which is nondecreasing.  It is the next E-step's, and one last E-step
+    scores the final model: ``em_iterations + 1`` passes, none without steps.
     """
     pgmm = init_pgmm(aligns, feats_list, n_components=n_components, seed=seed)
     log = []
-    for _ in range(em_iterations):
-        pgmm = pgmm_em_step(pgmm, aligns, feats_list)
-        log.append(pgmm_objective(pgmm, aligns, feats_list))
+    if em_iterations:
+        accum, _ = pgmm_e_step(pgmm, aligns, feats_list)
+        for _ in range(em_iterations):
+            pgmm = pgmm_m_step(pgmm, accum)
+            del accum  # before the next E-step fills its own
+            accum, objective = pgmm_e_step(pgmm, aligns, feats_list)
+            log.append(objective)
     pgmm.training_log = log
     return pgmm

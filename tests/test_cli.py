@@ -755,6 +755,30 @@ class TestBadInputs:
         assert run([*argv, "--out", str(tmp_path / "out")]) == 2
         _assert_error_line(capsys, f"invalid {container} payload", "nonnegative")
 
+    # a field whose array does not fit the model's other arrays
+    MISSHAPEN = {
+        "mlp-input-mean": ("mlp", "input_mean", lambda p: np.zeros(2)),
+        "mlp-input-std": ("mlp", "input_std", lambda p: p["input_std"][:-1]),
+        "mlp-class-priors": ("mlp", "class_priors", lambda p: p["class_priors"][:-1]),
+        "mlp-bias": ("mlp", "biases", lambda p: [b[:-1] for b in p["biases"]]),
+        "mlp-unchained": ("mlp", "weights", lambda p: [p["weights"][0], *(
+            w[:-1] for w in p["weights"][1:])]),
+        "plda-mean": ("plda_backend", "mean", lambda p: p["mean"][:-3]),
+        "plda-between": ("plda_backend", "between", lambda p: p["between"][:, :-1]),
+        "plda-lda-vector": ("plda_backend", "lda", lambda p: p["lda"][:, 0]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISSHAPEN))
+    def test_misshapen_array(self, loads, tmp_path, capsys, case):
+        container, field, edit = self.MISSHAPEN[case]
+        bad, commands = loads
+        original, argv = commands[container]
+        _, payload = formats.read_dvmd(original, container)
+        formats.write_dvmd(bad, container, {**payload, field: edit(payload)})
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        _assert_error_line(capsys, f"invalid {container} payload")
+
     # one value of each DVMD tag type but an array and a float
     OTHER_TYPES = {"int": 3, "str": "abc", "list": [1.5, 2.5], "dict": {"k": 1.5},
                    "None": None}

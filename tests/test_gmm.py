@@ -6,8 +6,8 @@ from digitsv.errors import DegenerateData, DimMismatch, TooFewSamples
 from digitsv.gmm import (
     DiagGmm,
     GmmTrainConfig,
-    component_posterior_matrix,
     log_likelihoods,
+    loglikes_and_posteriors,
     split_components,
     train_em,
 )
@@ -105,11 +105,13 @@ class TestLogLikelihood:
 class TestComponentPosteriors:
     def test_single_component(self):
         gmm = DiagGmm([1.0], [[0.0]], [[1.0]])
-        np.testing.assert_array_equal(component_posterior_matrix(gmm, np.array([3.0]))[0], [1.0])
+        np.testing.assert_array_equal(loglikes_and_posteriors(gmm, np.array([3.0]))[1][0],
+                                      [1.0])
 
     def test_identical_components_split_evenly(self):
         gmm = DiagGmm([0.5, 0.5], [[1.0], [1.0]], [[2.0], [2.0]])
-        np.testing.assert_allclose(component_posterior_matrix(gmm, np.array([0.3]))[0], [0.5, 0.5])
+        np.testing.assert_allclose(loglikes_and_posteriors(gmm, np.array([0.3]))[1][0],
+                                   [0.5, 0.5])
 
     def test_matches_direct_density_arithmetic(self):
         gmm = DiagGmm([0.7, 0.3], [[-1.0], [2.0]], [[1.0], [4.0]])
@@ -119,7 +121,7 @@ class TestComponentPosteriors:
             for w, m, v in [(0.7, -1.0, 1.0), (0.3, 2.0, 4.0)]
         ]
         expected = np.array(dens) / sum(dens)
-        np.testing.assert_allclose(component_posterior_matrix(gmm, np.array([x]))[0], expected,
+        np.testing.assert_allclose(loglikes_and_posteriors(gmm, np.array([x]))[1][0], expected,
                                    atol=1e-12)
 
     def test_normalization_over_random_frames(self):
@@ -128,7 +130,7 @@ class TestComponentPosteriors:
             np.full(4, 0.25), rng.standard_normal((4, 3)), 0.5 + rng.random((4, 3))
         )
         for _ in range(20):
-            post = component_posterior_matrix(gmm, 5 * rng.standard_normal(3))[0]
+            post = loglikes_and_posteriors(gmm, 5 * rng.standard_normal(3))[1][0]
             assert np.all(post >= 0)
             assert abs(post.sum() - 1.0) < 1e-9
 

@@ -390,9 +390,9 @@ class TestMixturePosteriors:
         feats = mfcc_feats(np.array([[0.5]]))
         mp = mixture_posteriors(hmms, post, feats, prune=0.0)
         assert abs(mp[0].sum() - 1.0) < 1e-6
-        from digitsv.gmm import component_posterior_matrix
+        from digitsv.gmm import loglikes_and_posteriors
 
-        w0 = component_posterior_matrix(state_gmm(hmms, 0), feats.frames[:1])[0]
+        w0 = loglikes_and_posteriors(state_gmm(hmms, 0), feats.frames[:1])[1][0]
         np.testing.assert_allclose(mp[0, 0:2], 0.4 * w0, atol=1e-12)
 
     def test_identical_components_split_half(self):

@@ -5,18 +5,17 @@ import pytest
 
 from conftest import mfcc_feats, state_gmm
 from digitsv.errors import DegenerateData, EmptyStateWarning, ShapeMismatch, StarvedState
-from digitsv.gmm import DiagGmm
+from digitsv.gmm import DiagGmm, EmAccumulator
 from digitsv.hmm import DIGIT_STATES, N_STATES, path_to_alignment
 from digitsv.pgmm import (
     Background,
     Pgmm,
-    PgmmEmAccumulator,
     SuffStats,
     accumulate_stats,
     init_pgmm,
     mixture_posteriors,
-    pgmm_em_step,
-    pgmm_objective,
+    pgmm_e_step,
+    pgmm_m_step,
     train_pgmm,
     ubm_mixture_posteriors,
 )
@@ -35,6 +34,11 @@ def one_state_pgmm(n_components=1, dim=60, mean=0.0):
     means[1:] = 1e3 + np.arange(1, len(DIGIT_STATES))[:, None, None]
     return Pgmm(np.full((len(DIGIT_STATES), n_components), 1.0 / n_components), means,
                 np.ones(means.shape))
+
+
+def em_step(pgmm, aligns, feats):
+    """One E-step and M-step of ``pgmm`` under the alignments."""
+    return pgmm_m_step(pgmm, pgmm_e_step(pgmm, aligns, feats)[0])
 
 
 class TestInitPgmm:
@@ -88,14 +92,14 @@ class TestMixturePosteriors:
         np.testing.assert_allclose(mp[:, 0], mp[:, 3], atol=1e-12)
 
     def test_hand_product_case(self):
-        from digitsv.gmm import component_posterior_matrix
+        from digitsv.gmm import loglikes_and_posteriors
 
         pgmm = one_state_pgmm(n_components=2)
         pgmm.means[0, 1] += 1.5
         align = uniform_alignment(1, [0, 3])  # state 0 carries mass 0.5
         feats = mfcc_feats(np.array([[0.7]]))
         mp = mixture_posteriors(pgmm, align, feats, prune=0.0)
-        expected = 0.5 * component_posterior_matrix(state_gmm(pgmm, 0), feats.frames[:1])[0]
+        expected = 0.5 * loglikes_and_posteriors(state_gmm(pgmm, 0), feats.frames[:1])[1][0]
         np.testing.assert_allclose(mp[0, :2], expected, atol=1e-12)
 
     def test_alignment_shape_checked(self):
@@ -168,7 +172,7 @@ class TestPgmmEm:
         align = uniform_alignment(20, [0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyStateWarning)
-            out = pgmm_em_step(pgmm, [align], [feats])
+            out = em_step(pgmm, [align], [feats])
         np.testing.assert_allclose(out.means[0, 0], feats.frames.mean(axis=0), atol=1e-10)
         np.testing.assert_allclose(out.variances[0, 0],
                                    np.maximum(feats.frames.var(axis=0), 1e-10),
@@ -183,7 +187,7 @@ class TestPgmmEm:
         align = uniform_alignment(5, [0])  # every other state empty
         feats = mfcc_feats(np.random.default_rng(5).standard_normal((5, 2)))
         with pytest.warns(EmptyStateWarning):
-            out = pgmm_em_step(pgmm, [align], [feats])
+            out = em_step(pgmm, [align], [feats])
         np.testing.assert_array_equal(out.means[1], pgmm.means[1])
 
     def test_two_frame_hand_update(self):
@@ -193,14 +197,14 @@ class TestPgmmEm:
         pgmm.means[0, 1, :] = 1.0
         x = np.vstack([np.full((1, 60), 0.2), np.full((1, 60), 0.9)])
         feats = mfcc_feats(x[:, :2])
-        accum = PgmmEmAccumulator(pgmm)
+        accum = EmAccumulator(pgmm)
         resp = np.array([[0.8, 0.2], [0.3, 0.7]])  # hand-chosen occupancies
         accum.n[0] = resp.sum(axis=0)
         accum.sx[0] = resp.T @ feats.frames
         accum.sxx[0] = resp.T @ (feats.frames ** 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyStateWarning)
-            out = pgmm_em_step(pgmm, accum=accum)
+            out = pgmm_m_step(pgmm, accum)
         n = resp.sum(axis=0)
         np.testing.assert_allclose(out.weights[0], n / n.sum(), atol=1e-12)
         mean0 = (0.8 * 0.2 + 0.3 * 0.9) / n[0]
@@ -215,12 +219,12 @@ class TestPgmmEm:
         aligns = [mlp_posteriors(small_models.mlp, u.feats) for u in enroll]
         feats = [u.feats for u in enroll]
         pgmm = small_models.pgmm
-        prev = pgmm_objective(pgmm, aligns, feats)
+        accum, prev = pgmm_e_step(pgmm, aligns, feats)
         for _ in range(3):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EmptyStateWarning)
-                pgmm = pgmm_em_step(pgmm, aligns, feats)
-            cur = pgmm_objective(pgmm, aligns, feats)
+                pgmm = pgmm_m_step(pgmm, accum)
+            accum, cur = pgmm_e_step(pgmm, aligns, feats)
             assert cur >= prev - 1e-8 * abs(prev)
             prev = cur
 
@@ -235,7 +239,7 @@ class TestPgmmEm:
             pgmm = train_pgmm(aligns, feats, n_components=2, em_iterations=3, seed=1)
         log = pgmm.training_log
         assert len(log) == 3
-        assert log[-1] == pgmm_objective(pgmm, aligns, feats)
+        assert log[-1] == pgmm_e_step(pgmm, aligns, feats)[1]
         assert all(cur >= prev - 1e-8 * abs(prev) for prev, cur in zip(log, log[1:]))
 
     def test_mass_conservation(self, small_corpus, small_models):
