@@ -176,8 +176,7 @@ def _cmd_extract_feats(args):
 
 def _cmd_train_hmm(args):
     cfg = load_config(args.config, {"hmm_components": args.components,
-                                    "silence_policy": args.silence_policy,
-                                    "seed": args.seed})
+                                    "silence_policy": args.silence_policy})
     hmms = pipeline.train_hmms(DiskCorpus(args.corpus), cfg)
     for row in hmms.training_log:
         _progress("train-hmm", components=row["n_components"], pass_=row["pass"],
@@ -188,7 +187,7 @@ def _cmd_train_hmm(args):
 
 
 def _cmd_train_ubm(args):
-    cfg = load_config(args.config, {"ubm_components": args.components, "seed": args.seed})
+    cfg = load_config(args.config, {"ubm_components": args.components})
     ubm = pipeline.train_ubm(DiskCorpus(args.corpus), cfg)
     for size, lls in ubm.training_log:
         _progress("train-ubm", components=size, ll=f"{lls[-1]:.4f}")
@@ -251,7 +250,6 @@ def _cmd_train_pgmm(args):
     cfg = load_config(args.config, {
         "pgmm_components": args.components,
         "pgmm_em_iterations": args.em_iterations,
-        "seed": args.seed,
     })
     corpus = DiskCorpus(args.corpus)
     if args.align_dir:
@@ -490,13 +488,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--components", type=int, default=None)
     p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
     p = add("train-ubm", _cmd_train_ubm, help="train the unsupervised background GMM")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--components", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
     p = add("train-mlp", _cmd_train_mlp, help="train the frame classifier")
     p.add_argument("--corpus", required=True)
@@ -528,7 +524,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mlp", default=None)
     p.add_argument("--components", type=int, default=None)
     p.add_argument("--em-iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
 
     p = add("accumulate-stats", _cmd_accumulate_stats,
             help="Baum-Welch statistics for one utterance")

@@ -3,7 +3,8 @@
 EM training with binary mixture splitting, log-domain likelihoods and
 component posteriors.  ``StateMixtures`` stacks one mixture per state into
 one (S, C) / (S, C, D) parameter block, and the kernels take either: a
-stacked model is scored in one call and re-estimated by one ``EmAccumulator``.
+stacked model is scored in one call.  Every mixture, one or stacked, is
+re-estimated by one ``EmAccumulator``.
 Models are treated as immutable once trained.
 """
 
@@ -87,7 +88,6 @@ class GmmTrainConfig:
     target_components: int = 512
     em_iterations: int = 10
     variance_floor: float = 1e-3  # fraction of global per-dim variance
-    seed: int = 0
 
     def __post_init__(self):
         c = self.target_components
@@ -192,115 +192,71 @@ def _row_blocks(n: int) -> list:
     return [slice(a, min(a + EM_BLOCK, n)) for a in range(0, n, EM_BLOCK)]
 
 
-def _em_update(gmm: DiagGmm, data: np.ndarray, floor: np.ndarray,
-               global_var: np.ndarray) -> tuple[DiagGmm, float]:
-    """One EM iteration, accumulated over row blocks.
-
-    Each block of at most ``EM_BLOCK`` frames is scored and reduced to its
-    counts and first- and second-order sums before the next one, so the
-    per-frame temporaries (densities, responsibilities, squared frames) never
-    exceed one block.  Data that fit in one block get exactly the arithmetic
-    of a whole-matrix update; over several blocks the sums are added block by
-    block and agree with it to about 1e-12 relative.  The log-likelihood is
-    summed over all frames at once, and dead components are re-seeded on the
-    worst-modeled frames of the whole data.
-
-    Returns the new model and the data log-likelihood under the old one.
-    """
-    log_tot = np.empty(data.shape[0])
-    counts = np.zeros(gmm.n_components)
-    first = np.zeros(gmm.means.shape)
-    second = np.zeros(gmm.means.shape)
-    for rows in _row_blocks(data.shape[0]):
-        block = data[rows]
-        lw = log_weighted_densities(gmm, block)
-        m = lw.max(axis=1, keepdims=True)
-        shifted = lw - m
-        tot = m + np.log(np.sum(np.exp(shifted, out=shifted), axis=1, keepdims=True))
-        del shifted
-        log_tot[rows] = tot[:, 0]
-        # the responsibilities overwrite lw: one (block x components) array, not three
-        resp = np.exp(np.subtract(lw, tot, out=lw), out=lw)
-        counts += resp.sum(axis=0)
-        first += resp.T @ block
-        second += resp.T @ (block ** 2)
-    ll = float(log_tot.sum())
-
-    empties = np.nonzero(counts < _EMPTY_COUNT)[0]
-    if empties.size:
-        # re-seed dead components on the worst-modeled frames
-        order = np.argsort(log_tot, kind="stable")
-        weights = gmm.weights.copy()
-        means = gmm.means.copy()
-        variances = gmm.variances.copy()
-        for k, comp in enumerate(empties):
-            frame = data[order[min(k, data.shape[0] - 1)]]
-            means[comp] = frame
-            variances[comp] = np.maximum(global_var, floor)
-            weights[comp] = 1e-3
-        weights /= weights.sum()
-        return DiagGmm(weights, means, variances), ll
-
-    weights = counts / counts.sum()
-    means = first / counts[:, None]
-    variances = np.maximum(second / counts[:, None] - means ** 2, floor)
-    return DiagGmm(weights, means, variances), ll
-
-
 class EmAccumulator:
-    """(S, C) counts and (S, C, D) first- and second-order sums of a stacked model.
+    """Counts and first- and second-order sums of a ``DiagGmm`` or ``StateMixtures``.
 
-    As in HTK's HERest and Kaldi's ``AccumDiagGmm``, ``add`` fills them one
-    utterance at a time, then ``update`` re-estimates every state at once.
+    (C,) counts and (C, D) sums for one mixture, (S, C) and (S, C, D) for a
+    stacked model.  As in HTK's HERest and Kaldi's ``AccumDiagGmm``, ``add``
+    fills them one utterance or row block at a time, then ``update``
+    re-estimates every mixture at once.
     """
 
-    def __init__(self, model: StateMixtures):
+    def __init__(self, model: DiagGmm):
         self.n = np.zeros(model.weights.shape)
         self.sx = np.zeros(model.means.shape)
         self.sxx = np.zeros(model.means.shape)
 
-    def add(self, loglikes: np.ndarray, posteriors: np.ndarray, occupancy: np.ndarray,
+    def add(self, loglikes: np.ndarray, posteriors: np.ndarray, occupancy: np.ndarray | None,
             frames: np.ndarray) -> float:
-        """Add one utterance; returns its occupancy-weighted log-likelihood.
+        """Add one utterance or block; returns its occupancy-weighted log-likelihood.
 
         ``loglikes`` and ``posteriors`` are ``loglikes_and_posteriors`` of the
-        model on ``frames``, and ``occupancy`` the (T, S) state mass; the
-        posteriors are weighted in place.
+        model on ``frames``, and ``occupancy`` the (T, S) state mass of a
+        stacked model, which weights the posteriors in place; ``None`` means 1.
         """
-        posteriors *= occupancy[:, :, None]
+        if occupancy is not None:
+            posteriors *= occupancy[..., None]
+            loglikes = occupancy * loglikes
         resp = posteriors.reshape(frames.shape[0], -1)
         self.n += resp.sum(axis=0).reshape(self.n.shape)
         self.sx += (resp.T @ frames).reshape(self.sx.shape)
         self.sxx += (resp.T @ (frames ** 2)).reshape(self.sxx.shape)
-        return float(np.sum(occupancy * loglikes))
+        return float(np.sum(loglikes))
 
-    def update(self, model: StateMixtures, floor: np.ndarray):
+    def update(self, model: DiagGmm, floor: np.ndarray):
         """(weights, means, variances) from the sums, variances floored at ``floor``.
 
-        A state with mass below ``_EMPTY_COUNT`` keeps its row; a component below
-        it keeps its mean and variance.  As in Kaldi's ``MleDiagGmmUpdate``,
-        nothing is re-seeded.
+        Each mixture is one row of (-1, C) counts.  A mixture with mass below
+        ``_EMPTY_COUNT`` keeps its row; a component below it keeps its mean and
+        variance.  As in Kaldi's ``MleDiagGmmUpdate``, nothing is re-seeded.
         """
-        state_n = self.n.sum(axis=1)
+        c, d = model.n_components, model.dim
+        n, sx, sxx = self.n.reshape(-1, c), self.sx.reshape(-1, c, d), self.sxx.reshape(-1, c, d)
+        state_n = n.sum(axis=1)
         full = state_n >= _EMPTY_COUNT
-        # every component of an empty state is below the count too
-        live = self.n >= _EMPTY_COUNT
-        counts = self.n[live][:, None]
-        weights, means, variances = model.weights.copy(), model.means.copy(), model.variances.copy()
-        weights[full] = self.n[full] / state_n[full, None]
-        means[live] = self.sx[live] / counts
-        variances[live] = np.maximum(self.sxx[live] / counts - means[live] ** 2, floor)
-        return weights, means, variances
+        # every component of an empty mixture is below the count too
+        live = n >= _EMPTY_COUNT
+        counts = n[live][:, None]
+        weights = model.weights.reshape(-1, c).copy()
+        means = model.means.reshape(-1, c, d).copy()
+        variances = model.variances.reshape(-1, c, d).copy()
+        weights[full] = n[full] / state_n[full, None]
+        means[live] = sx[live] / counts
+        variances[live] = np.maximum(sxx[live] / counts - means[live] ** 2, floor)
+        return (weights.reshape(model.weights.shape), means.reshape(model.means.shape),
+                variances.reshape(model.means.shape))
 
 
 def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
     """Fit a diagonal GMM by closed-form start, then split -> EM to the target size.
 
-    No temporary beyond one value per frame grows with ``data``: the global
-    statistics, every EM iteration and each level's log-likelihood work over
-    row blocks of at most ``EM_BLOCK`` frames (see ``_em_update``).  The global mean and
-    variance equal ``data.mean(axis=0)`` and ``data.var(axis=0)`` bit for bit
-    with two or more columns (see ``column_mean_var``).
+    No temporary grows with ``data``: the global statistics, every EM
+    iteration and each level's log-likelihood work over row blocks of at most
+    ``EM_BLOCK`` frames.  Each iteration adds every block into one
+    ``EmAccumulator`` and re-estimates with its ``update``, the M-step of the
+    stacked models too.  The global mean and variance equal
+    ``data.mean(axis=0)`` and ``data.var(axis=0)`` bit for bit with two or
+    more columns (see ``column_mean_var``).
 
     The returned model carries a ``training_log`` of
     ``(n_components, [log-likelihood per EM iteration])`` entries; within one
@@ -324,7 +280,10 @@ def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
         gmm = DiagGmm(*split_components(gmm))
         lls = []
         for _ in range(cfg.em_iterations):
-            gmm, ll = _em_update(gmm, data, floor, global_var)
+            accum, ll = EmAccumulator(gmm), 0.0
+            for rows in blocks:
+                ll += accum.add(*loglikes_and_posteriors(gmm, data[rows]), None, data[rows])
+            gmm = DiagGmm(*accum.update(gmm, floor))
             lls.append(ll)
         lls.append(sum(float(log_likelihoods(gmm, data[rows]).sum()) for rows in blocks))
         log.append((gmm.n_components, lls))

@@ -183,8 +183,7 @@ def pgmm_m_step(pgmm: Pgmm, accum: gmm_mod.EmAccumulator,
 
 
 def init_pgmm(alignments, feats_list, n_components: int = 16,
-              em_iterations: int = 10, variance_floor: float = 1e-3,
-              seed: int = 0) -> Pgmm:
+              em_iterations: int = 10, variance_floor: float = 1e-3) -> Pgmm:
     """Initialize state GMMs from hard (argmax) frame assignments.
 
     Every digit state must receive at least ``n_components`` frames,
@@ -194,7 +193,7 @@ def init_pgmm(alignments, feats_list, n_components: int = 16,
     """
     hard = [align.argmax(axis=1) for align in alignments]
     cfg = gmm_mod.GmmTrainConfig(target_components=n_components, em_iterations=em_iterations,
-                                 variance_floor=variance_floor, seed=seed)
+                                 variance_floor=variance_floor)
     # without features state 0 starves below
     shape = (len(DIGIT_STATES), n_components, feats_list[0].dim if feats_list else 1)
     weights, means, variances = np.empty(shape[:2]), np.empty(shape), np.empty(shape)
@@ -214,15 +213,14 @@ def init_pgmm(alignments, feats_list, n_components: int = 16,
     return Pgmm(weights, means, variances)
 
 
-def train_pgmm(aligns, feats_list, n_components: int = 16, em_iterations: int = 4,
-               seed: int = 0) -> Pgmm:
+def train_pgmm(aligns, feats_list, n_components: int = 16, em_iterations: int = 4) -> Pgmm:
     """Phonetic GMMs under fixed alignments: init_pgmm, then EM steps.
 
     The returned model's ``training_log`` holds the objective after each step,
     which is nondecreasing.  It is the next E-step's, and one last E-step
     scores the final model: ``em_iterations + 1`` passes, none without steps.
     """
-    pgmm = init_pgmm(aligns, feats_list, n_components=n_components, seed=seed)
+    pgmm = init_pgmm(aligns, feats_list, n_components=n_components)
     log = []
     if em_iterations:
         accum, _ = pgmm_e_step(pgmm, aligns, feats_list)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import content_kl, hmm as hmm_mod, map_speaker, pgmm as pgmm_mod
 from .config import PipelineConfig
-from .errors import ConfigInvalid, DigitsvError
+from .errors import ConfigInvalid, DigitsvError, ShapeMismatch
 from .gmm import DiagGmm, GmmTrainConfig, train_em
 from .hmm import HmmSet, compile_graph, train_hmm_set
 from .ivector import PldaScorer
@@ -98,11 +98,19 @@ def train_classifier(corpus, cfg: PipelineConfig, hmms: HmmSet, stream=None) -> 
 
 
 def train_phonetic_gmms(corpus, cfg: PipelineConfig, alignment) -> Pgmm:
-    """Phonetic GMMs under ``alignment(utt)`` of each enrollment utterance."""
+    """Phonetic GMMs under ``alignment(utt)`` of each enrollment utterance.
+
+    An alignment that is not (frames, 33) for its utterance's features raises
+    ShapeMismatch naming the utterance.
+    """
     enroll = _enrollment(corpus)
-    return pgmm_mod.train_pgmm([alignment(utt) for utt in enroll],
-                               [utt.feats for utt in enroll],
-                               cfg.pgmm_components, cfg.pgmm_em_iterations, cfg.seed)
+    aligns = [alignment(utt) for utt in enroll]
+    feats = [utt.feats for utt in enroll]
+    for utt, a, f in zip(enroll, aligns, feats):
+        if a.shape != (f.n_frames, hmm_mod.N_STATES):
+            raise ShapeMismatch(f"alignment of {utt.utt_id} is {a.shape}, its features "
+                                f"need ({f.n_frames}, {hmm_mod.N_STATES})")
+    return pgmm_mod.train_pgmm(aligns, feats, cfg.pgmm_components, cfg.pgmm_em_iterations)
 
 
 def train_ubm(corpus, cfg: PipelineConfig) -> DiagGmm:
@@ -110,7 +118,7 @@ def train_ubm(corpus, cfg: PipelineConfig) -> DiagGmm:
     enroll = _enrollment(corpus)
     n_frames = sum(utt.feats.n_frames for utt in enroll)
     return train_em(_frame_matrix(enroll, lambda utt: utt.feats, n_frames),
-                    GmmTrainConfig(target_components=cfg.ubm_components, seed=cfg.seed))
+                    GmmTrainConfig(target_components=cfg.ubm_components))
 
 
 def _need(model, name):

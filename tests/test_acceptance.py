@@ -80,7 +80,7 @@ class TestCriterion2EmMonotonicity:
         data = np.concatenate([rng.normal(-3, 1, (150, 2)), rng.normal(3, 1, (150, 2))])
         from digitsv.gmm import GmmTrainConfig, train_em
 
-        gmm = train_em(data, GmmTrainConfig(target_components=8, seed=1))
+        gmm = train_em(data, GmmTrainConfig(target_components=8))
         if not all(monotone(lls) for _, lls in gmm.training_log):
             failures.append("gmm train_em")
 
@@ -373,15 +373,15 @@ class TestCriterion8Determinism:
         steps = [
             ["synth", "--out", corpus, "--speakers", "5",
              "--test-per-speaker", "2", "--seed", "17"],
-            ["train-hmm", "--corpus", corpus, "--components", "2", "--seed", "0",
+            ["train-hmm", "--corpus", corpus, "--components", "2",
              "--out", f"{models}/hmm.dvmd"],
             ["train-mlp", "--corpus", corpus, "--hmm", f"{models}/hmm.dvmd",
              "--hidden", "64,64", "--epochs", "5", "--seed", "0",
              "--out", f"{models}/mlp.dvmd"],
             ["train-pgmm", "--corpus", corpus, "--mlp", f"{models}/mlp.dvmd",
-             "--components", "2", "--em-iterations", "2", "--seed", "0",
+             "--components", "2", "--em-iterations", "2",
              "--out", f"{models}/pgmm.dvmd"],
-            ["train-ubm", "--corpus", corpus, "--components", "8", "--seed", "0",
+            ["train-ubm", "--corpus", corpus, "--components", "8",
              "--out", f"{models}/ubm.dvmd"],
             ["enroll-map", "--corpus", corpus, "--source", "dnn",
              "--mlp", f"{models}/mlp.dvmd", "--pgmm", f"{models}/pgmm.dvmd",

@@ -829,6 +829,26 @@ class TestBadInputs:
                     "--out", str(tmp_path / "out")]) == 2
         _assert_error_line(capsys, "invalid speaker_models payload")
 
+    @pytest.mark.parametrize("length", ["short", "long"])
+    def test_misaligned_dvpo(self, work, tmp_path, capsys, length):
+        # one enrollment utterance's alignment 3 frames off its features
+        models, corpus = work["models"], work["corpus"]
+        utts = _split_utts(corpus, "enroll")
+        for utt in utts:
+            assert run(["align", "--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
+                        "--feats", f"{corpus}/corpus/feats/{utt}.dvfe",
+                        "--out", str(tmp_path / f"{utt}.dvpo")]) == 0
+        path = str(tmp_path / f"{utts[1]}.dvpo")
+        matrix = formats.read_dvpo(path, 33)
+        formats.write_dvpo(path, matrix[:-3] if length == "short"
+                           else np.vstack([matrix, matrix[-3:]]))
+        for iterations in ("1", "0"):
+            capsys.readouterr()
+            assert run(["train-pgmm", "--corpus", corpus, "--align-dir", str(tmp_path),
+                        "--components", "2", "--em-iterations", iterations,
+                        "--out", str(tmp_path / "pgmm.dvmd")]) == 2
+            _assert_error_line(capsys, utts[1], f"({matrix.shape[0]}, 33)")
+
     @pytest.mark.parametrize("state_ids", [np.arange(3), np.arange(30)[::-1]],
                              ids=["three states", "reversed"])
     def test_pgmm_state_ids_not_the_digit_states(self, work, tmp_path, capsys, state_ids):

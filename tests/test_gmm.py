@@ -21,7 +21,7 @@ def two_cluster_data(seed=0, n=200):
 class TestTrainEm:
     def test_recovers_two_clusters(self):
         data = two_cluster_data()
-        gmm = train_em(data, GmmTrainConfig(target_components=2, em_iterations=40, seed=1))
+        gmm = train_em(data, GmmTrainConfig(target_components=2, em_iterations=40))
         est = np.sort(gmm.means[:, 0])
         # oracle: per-cluster sample means using the true labels
         truth = np.array([data[:200].mean(), data[200:].mean()])
@@ -40,7 +40,7 @@ class TestTrainEm:
 
     def test_monotone_log_likelihood(self):
         data = two_cluster_data(seed=5)
-        gmm = train_em(data, GmmTrainConfig(target_components=8, seed=0))
+        gmm = train_em(data, GmmTrainConfig(target_components=8))
         for _, lls in gmm.training_log:
             diffs = np.diff(lls)
             assert np.all(diffs >= -1e-8 * np.abs(np.array(lls[:-1])))
@@ -54,7 +54,7 @@ class TestTrainEm:
 
     def test_determinism(self):
         data = two_cluster_data(seed=9)
-        cfg = GmmTrainConfig(target_components=4, seed=3)
+        cfg = GmmTrainConfig(target_components=4)
         a = train_em(data, cfg)
         b = train_em(data, cfg)
         np.testing.assert_array_equal(a.means, b.means)

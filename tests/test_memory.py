@@ -4,13 +4,15 @@ Each trainer and kernel below used to hold its training frames (or the
 speakers x M*D scoring matrix) two to four times over.  The tracemalloc
 tests bound each peak in units of those bytes; the oracles are the replaced
 copying code, kept verbatim, and the new code must equal them bit for bit.
-Three exceptions agree to 1e-12 relative instead.  EM over more than
-``gmm.EM_BLOCK`` frames adds its sums block by block.  The stacked mixture
-kernels score every state with one pair of matrix products, where the
-per-state loops they replaced made one pair per state, and BLAS may sum
-those products in another order.  The HMM realignment pass adds each
-utterance's sums into one accumulator, where the path it replaced summed
-each state's gathered frames of the whole corpus at once.
+Three exceptions agree to 1e-12 relative instead.  A ``gmm.train_em`` EM
+step adds ``loglikes_and_posteriors`` of each ``gmm.EM_BLOCK`` row block into
+an ``EmAccumulator``, where the update it replaced took its
+responsibilities as ``exp(lw - log_tot)`` over the whole matrix.  The
+stacked mixture kernels score every state with one pair of matrix products,
+where the per-state loops they replaced made one pair per state, and BLAS
+may sum those products in another order.  The HMM realignment pass adds
+each utterance's sums into one accumulator, where the path it replaced
+summed each state's gathered frames of the whole corpus at once.
 """
 
 import io
@@ -87,13 +89,22 @@ def _stacked(gmms):
                  for name in ("weights", "means", "variances"))
 
 
+def em_step(gmm, data, floor):
+    """One ``train_em`` EM step of ``gmm``: every row block into one ``EmAccumulator``."""
+    accum, ll = EmAccumulator(gmm), 0.0
+    for rows in gmm_mod._row_blocks(data.shape[0]):
+        ll += accum.add(*gmm_mod.loglikes_and_posteriors(gmm, data[rows]), None, data[rows])
+    return DiagGmm(*accum.update(gmm, floor)), ll
+
+
 # --- the replaced paths --------------------------------------------------------
 
 def em_update_oracle(gmm, data, floor, global_var, frame_weights=None):
-    """``gmm._em_update`` with its exp and subtraction out of place.
+    """The EM update ``train_em`` made before it shared ``EmAccumulator``, over one matrix.
 
-    With ``frame_weights`` it is the frame-weighted update each HMM state
-    made on its gathered frames before the states shared one accumulator.
+    Dead components were re-seeded on the worst-modeled frames.  With
+    ``frame_weights`` it is the frame-weighted update each HMM state made on
+    its gathered frames before the states shared one accumulator.
     """
     lw = gmm_mod.log_weighted_densities(gmm, data)
     m = lw.max(axis=1, keepdims=True)
@@ -249,7 +260,7 @@ def pgmm_em_step_oracle(pgmm, accum, variance_floor=1e-3):
     return new_gmms
 
 
-def init_pgmm_oracle(alignments, feats_list, n_components, em_iterations=10, seed=0):
+def init_pgmm_oracle(alignments, feats_list, n_components, em_iterations=10):
     """``pgmm.init_pgmm`` with per-state buckets of copied frames."""
     buckets = {s: [] for s in hmm_mod.DIGIT_STATES}
     for align, feats in zip(alignments, feats_list):
@@ -261,7 +272,7 @@ def init_pgmm_oracle(alignments, feats_list, n_components, em_iterations=10, see
     for s in hmm_mod.DIGIT_STATES:
         frames = np.concatenate(buckets[s], axis=0)
         gmms.append(train_em(frames, GmmTrainConfig(target_components=n_components,
-                                                    em_iterations=em_iterations, seed=seed)))
+                                                    em_iterations=em_iterations)))
     return Pgmm(*_stacked(gmms))
 
 
@@ -429,62 +440,72 @@ class TestKernelsMatchOracles:
                       0.5 + rng.random((3, 7)))
         return gmm, rng.standard_normal((400, 7)) * 1.5
 
-    def test_em_update(self, mixture):
-        gmm, data = mixture
+    @pytest.mark.parametrize("rows", [400, gmm_mod.EM_BLOCK, 3 * gmm_mod.EM_BLOCK + 17])
+    def test_em_step(self, mixture, rows):
+        gmm, _ = mixture
+        data = np.random.default_rng(rows).standard_normal((rows, 7)) * 1.5
         floor, global_var = np.full(7, 1e-3), data.var(axis=0)
-        got, got_ll = gmm_mod._em_update(gmm, data, floor, global_var)
+        got, got_ll = em_step(gmm, data, floor)
         want, want_ll = em_update_oracle(gmm, data, floor, global_var)
-        _assert_same_gmms([got], [want])
-        assert got_ll == want_ll
+        for name in ("weights", "means", "variances"):
+            _assert_close_to_largest(getattr(got, name), getattr(want, name))
+        assert got_ll == pytest.approx(want_ll, rel=1e-12, abs=0)
 
-    def test_em_update_reseeds_empty_components(self, mixture):
+    @pytest.mark.parametrize("rows", [400, 3 * gmm_mod.EM_BLOCK + 17])
+    def test_em_step_keeps_dead_components(self, mixture, rows):
+        # component 2 parked at 1e3 gets no count: it keeps its mean and
+        # variance, and the live two are updated as if it were not there
+        gmm, _ = mixture
+        data = np.random.default_rng(rows).standard_normal((rows, 7)) * 1.5
+        far = DiagGmm(gmm.weights, np.vstack([gmm.means[:2], np.full((1, 7), 1e3)]),
+                      gmm.variances)
+        floor = np.full(7, 1e-3)
+        got, _ = em_step(far, data, floor)
+        np.testing.assert_array_equal(got.means[2], far.means[2])
+        np.testing.assert_array_equal(got.variances[2], far.variances[2])
+        assert got.weights[2] == 0.0 and abs(got.weights.sum() - 1.0) <= 1e-15
+        live = DiagGmm(gmm.weights[:2] / gmm.weights[:2].sum(), gmm.means[:2], gmm.variances[:2])
+        want, _ = em_update_oracle(live, data, floor, data.var(axis=0))
+        for name in ("weights", "means", "variances"):
+            _assert_close_to_largest(getattr(got, name)[:2], getattr(want, name))
+
+    def test_accumulator_takes_one_mixture_as_one_row(self, mixture):
+        # the same mixture as a DiagGmm and as a one-state StateMixtures,
+        # with component 2 dead
         gmm, data = mixture
         far = DiagGmm(gmm.weights, np.vstack([gmm.means[:2], np.full((1, 7), 1e3)]),
                       gmm.variances)
-        floor, global_var = np.full(7, 1e-3), data.var(axis=0)
-        got, got_ll = gmm_mod._em_update(far, data, floor, global_var)
-        want, want_ll = em_update_oracle(far, data, floor, global_var)
-        _assert_same_gmms([got], [want])
-        assert got_ll == want_ll
+        stacked = gmm_mod.StateMixtures(far.weights[None], far.means[None], far.variances[None])
+        one, row = EmAccumulator(far), EmAccumulator(stacked)
+        one_ll = one.add(*gmm_mod.loglikes_and_posteriors(far, data), None, data)
+        row_ll = row.add(*gmm_mod.loglikes_and_posteriors(stacked, data),
+                         np.ones((data.shape[0], 1)), data)
+        assert one_ll == row_ll
+        assert one.n[2] == 0.0
+        floor = np.full(7, 1e-3)
+        for got, want in zip(one.update(far, floor), row.update(stacked, floor)):
+            np.testing.assert_array_equal(got, want[0])
 
-    def test_em_update_one_full_block_is_bit_equal(self, mixture):
-        gmm, _ = mixture
-        rng = np.random.default_rng(24)
-        data = rng.standard_normal((gmm_mod.EM_BLOCK, 7)) * 1.5
-        floor, global_var = np.full(7, 1e-3), data.var(axis=0)
-        got, got_ll = gmm_mod._em_update(gmm, data, floor, global_var)
-        want, want_ll = em_update_oracle(gmm, data, floor, global_var)
-        _assert_same_gmms([got], [want])
-        assert got_ll == want_ll
-
-    def test_em_update_over_blocks(self, mixture):
-        gmm, _ = mixture
-        rng = np.random.default_rng(25)
-        data = rng.standard_normal((3 * gmm_mod.EM_BLOCK + 17, 7)) * 1.5
-        floor, global_var = np.full(7, 1e-3), data.var(axis=0)
-        got, got_ll = gmm_mod._em_update(gmm, data, floor, global_var)
-        want, want_ll = em_update_oracle(gmm, data, floor, global_var)
+    @pytest.mark.parametrize("rows", [gmm_mod.EM_BLOCK, 3 * gmm_mod.EM_BLOCK + 17])
+    def test_train_em_steps_are_oracle_steps(self, rows):
+        # split the closed-form start, then two EM steps
+        rng = np.random.default_rng(rows)
+        data = rng.standard_normal((rows, 5)) + 3.0 * (rng.random((rows, 1)) < 0.4)
+        cfg = GmmTrainConfig(target_components=2, em_iterations=2)
+        got = train_em(data, cfg)
+        var = data.var(axis=0)
+        floor = np.maximum(cfg.variance_floor * var, 1e-10)
+        want = DiagGmm(*gmm_mod.split_components(
+            DiagGmm(np.ones(1), data.mean(axis=0)[None], np.maximum(var, floor)[None])))
+        lls = []
+        for _ in range(cfg.em_iterations):
+            want, ll = em_update_oracle(want, data, floor, var)
+            lls.append(ll)
         for name in ("weights", "means", "variances"):
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                       rtol=1e-12, atol=0, err_msg=name)
-        assert got_ll == pytest.approx(want_ll, rel=1e-12, abs=0)
-
-    def test_em_update_reseeds_on_the_worst_frames_of_every_block(self, mixture):
-        gmm, _ = mixture
-        rng = np.random.default_rng(26)
-        data = rng.standard_normal((3 * gmm_mod.EM_BLOCK + 17, 7))
-        # the worst-modeled frames sit in the last and the second block
-        data[3 * gmm_mod.EM_BLOCK + 5] += 40.0
-        data[gmm_mod.EM_BLOCK + 9] -= 30.0
-        far = DiagGmm(np.full(4, 0.25),
-                      np.vstack([gmm.means[:2], np.full((2, 7), 1e3)]),
-                      np.vstack([gmm.variances, gmm.variances[:1]]))
-        floor, global_var = np.full(7, 1e-3), data.var(axis=0)
-        got, got_ll = gmm_mod._em_update(far, data, floor, global_var)
-        want, _ = em_update_oracle(far, data, floor, global_var)
-        _assert_same_gmms([got], [want])
-        np.testing.assert_array_equal(got.means[2:], data[[3 * gmm_mod.EM_BLOCK + 5,
-                                                           gmm_mod.EM_BLOCK + 9]])
+            _assert_close_to_largest(getattr(got, name), getattr(want, name))
+        (size, got_lls), = got.training_log
+        assert size == 2
+        assert got_lls[:2] == pytest.approx(lls, rel=1e-12, abs=0)
 
     def test_train_em_log_nondecreasing_over_blocks(self):
         rng = np.random.default_rng(27)
@@ -724,8 +745,8 @@ class TestTrainersMatchOracles:
         feats = [u.feats for u in enroll]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyStateWarning)
-            got = pgmm_mod.train_pgmm(aligns, feats, n_components=2, em_iterations=3, seed=1)
-            want = init_pgmm(aligns, feats, n_components=2, seed=1)
+            got = pgmm_mod.train_pgmm(aligns, feats, n_components=2, em_iterations=3)
+            want = init_pgmm(aligns, feats, n_components=2)
             log = []
             for _ in range(3):
                 want = pgmm_m_step(want, pgmm_e_step(want, aligns, feats)[0])

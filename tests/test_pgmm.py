@@ -236,7 +236,7 @@ class TestPgmmEm:
         feats = [u.feats for u in enroll]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", EmptyStateWarning)
-            pgmm = train_pgmm(aligns, feats, n_components=2, em_iterations=3, seed=1)
+            pgmm = train_pgmm(aligns, feats, n_components=2, em_iterations=3)
         log = pgmm.training_log
         assert len(log) == 3
         assert log[-1] == pgmm_e_step(pgmm, aligns, feats)[1]
