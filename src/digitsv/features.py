@@ -66,14 +66,20 @@ class FeatureConfig:
 
 @dataclass
 class FeatureSequence:
-    """A T x D matrix of per-frame features plus framing metadata."""
+    """A T x D matrix of per-frame features plus framing metadata.
+
+    float32 frames (as a DVFE file stores them) are kept as given; any other
+    input is converted to float64.  Arithmetic on the frames runs in float64,
+    widening one utterance or block at a time.
+    """
 
     frames: np.ndarray
     kind: FeatureKind
     frame_shift_ms: float = 10.0
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        if not (isinstance(self.frames, np.ndarray) and self.frames.dtype == np.float32):
+            self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
             raise ValueError("frames must be a non-empty T x D matrix")
         if not np.all(np.isfinite(self.frames)):
@@ -241,7 +247,7 @@ def apply_cmvn(feats: FeatureSequence) -> FeatureSequence:
 
     Dimensions with (numerically) zero variance are zeroed instead of divided.
     """
-    x = feats.frames
+    x = np.asarray(feats.frames, dtype=np.float64)
     if x.shape[0] < 2:
         raise TooFewFrames("CMVN needs at least 2 frames")
     mean = x.mean(axis=0)
@@ -257,8 +263,8 @@ def splice(feats: FeatureSequence, context: int = 5) -> FeatureSequence:
     if feats.kind != FeatureKind.FBANK120:
         raise WrongKind(f"splicing expects FBANK120 input, got {feats.kind.value}")
     if context == 0:
-        return replace(feats, frames=feats.frames.copy())
-    x = feats.frames
+        return replace(feats, frames=np.array(feats.frames, dtype=np.float64))
+    x = np.asarray(feats.frames, dtype=np.float64)
     t = x.shape[0]
     padded = np.concatenate(
         [np.repeat(x[:1], context, axis=0), x, np.repeat(x[-1:], context, axis=0)]

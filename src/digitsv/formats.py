@@ -6,8 +6,10 @@ reject bad magic, unknown versions, truncation and trailing garbage with
 byte-positioned errors, and validate payload sanity (finiteness, row
 normalization) before handing data back.  A reader never holds a file's
 bytes whole: it parses header fields as it reads them and reads each
-numeric block straight into an array of its own (an f32 block is then
-widened to f64), so loading a model needs about the size of its arrays.
+numeric block straight into an array of its own, so loading a model needs
+about the size of its arrays.  A DVFE block stays f32 (arithmetic widens it
+a block at a time); a DVPO block is widened to f64.  Writers narrow to f32
+only values f32 can hold: anything else is refused before a file is made.
 
 Formats:
   DVFE  features     rows u32, cols u32, f32 row-major
@@ -31,6 +33,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     CorruptData,
+    FormatError,
     RowNotNormalized,
     Truncated,
     UnsupportedVersion,
@@ -103,19 +106,18 @@ class _Reader:
         return struct.unpack("<d", self.take(8))[0]
 
     def array(self, dtype, shape: tuple) -> np.ndarray:
-        """The next block as a new array of ``shape``; floats are finite f64."""
+        """The next block as a new array of ``shape`` and ``dtype``; floats are finite."""
         dtype = np.dtype(dtype)
         start = self.pos
         self._need(math.prod(shape) * dtype.itemsize)  # before allocating
         block = np.empty(shape, dtype)
         self.readinto(block)
-        if dtype.kind != "f":
-            return block
-        with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
-            out = block.astype(np.float64, copy=False)
-        if not np.all(np.isfinite(out)):
-            raise CorruptData(start, "non-finite values in numeric block")
-        return out
+        if dtype.kind == "f":
+            with np.errstate(invalid="ignore"):  # garbage bytes may be sNaN
+                finite = np.isfinite(block).all()
+            if not finite:
+                raise CorruptData(start, "non-finite values in numeric block")
+        return block
 
     def string(self) -> str:
         n = self.u16()
@@ -149,13 +151,23 @@ def _check_counts(rd: _Reader, rows: int, cols: int, itemsize: int, what: str):
         raise Truncated(rd.pos, f"{what} promises {need} data bytes, {remaining} left")
 
 
+def _f32_block(path, matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` narrowed to little-endian f32, checked before any file is made."""
+    with np.errstate(over="ignore"):  # an overflow is the error below, not a warning
+        block = matrix.astype("<f4")
+    if not np.isfinite(block).all():
+        raise FormatError(f"{path}: values outside the float32 range cannot be written")
+    return block
+
+
 # --- DVFE: feature matrices ------------------------------------------------
 
 def write_dvfe(path, feats: FeatureSequence):
+    block = _f32_block(path, feats.frames)
     with _create(path) as fh:
         fh.write(_header(b"DVFE"))
         fh.write(struct.pack("<II", feats.n_frames, feats.dim))
-        fh.write(feats.frames.astype("<f4").tobytes())
+        fh.write(block.tobytes())
 
 
 def read_dvfe(path) -> FeatureSequence:
@@ -180,10 +192,11 @@ def read_dvfe(path) -> FeatureSequence:
 
 def write_dvpo(path, posteriors: np.ndarray):
     posteriors = np.asarray(posteriors, dtype=np.float64)
+    block = _f32_block(path, posteriors)
     with _create(path) as fh:
         fh.write(_header(b"DVPO"))
         fh.write(struct.pack("<II", posteriors.shape[0], posteriors.shape[1]))
-        fh.write(posteriors.astype("<f4").tobytes())
+        fh.write(block.tobytes())
 
 
 def read_dvpo(path, expect_states: int | None = None) -> np.ndarray:
@@ -197,7 +210,7 @@ def read_dvpo(path, expect_states: int | None = None) -> np.ndarray:
             raise WrongStateCount(f"expected {expect_states} states, file has {cols}")
         _check_counts(rd, rows, cols, 4, "DVPO")
         start = rd.pos
-        matrix = rd.array("<f4", (rows, cols))
+        matrix = rd.array("<f4", (rows, cols)).astype(np.float64)
         rd.done()
     negative = matrix < 0
     if negative.any():

@@ -167,12 +167,13 @@ def column_mean_var(chunks) -> tuple[np.ndarray, np.ndarray]:
     """Column mean and variance of the rows of ``chunks()``, stacked, without stacking them.
 
     ``chunks`` returns a fresh iterable of (rows, D) arrays on each call (it
-    is read twice).  With two or more columns the results equal
-    ``x.mean(axis=0)`` and ``x.var(axis=0)`` of the stacked ``x`` bit for
-    bit: numpy sums a C-ordered matrix over axis 0 one row after another,
-    and each chunk continues that sequence from the running sum.  A single
-    column numpy sums pairwise, so there the results are correct but may
-    differ in the last bits.
+    is read twice), and each chunk is widened to float64 in turn.  With two
+    or more columns the results equal ``x.mean(axis=0)`` and
+    ``x.var(axis=0)`` of the stacked float64 ``x`` bit for bit: numpy sums
+    a C-ordered matrix over axis 0 one row after another, and each chunk
+    continues that sequence from the running sum.  A single column numpy
+    sums pairwise, so there the results are correct but may differ in the
+    last bits.
     """
     def column_sums(arrays):
         total, rows = None, 0
@@ -181,7 +182,7 @@ def column_mean_var(chunks) -> tuple[np.ndarray, np.ndarray]:
             rows += x.shape[0]
         return total, rows
 
-    total, rows = column_sums(chunks())
+    total, rows = column_sums(np.asarray(x, dtype=np.float64) for x in chunks())
     mean = total / rows
     squares, _ = column_sums(np.square(x - mean) for x in chunks())
     return mean, squares / rows
@@ -213,10 +214,12 @@ class EmAccumulator:
         ``loglikes`` and ``posteriors`` are ``loglikes_and_posteriors`` of the
         model on ``frames``, and ``occupancy`` the (T, S) state mass of a
         stacked model, which weights the posteriors in place; ``None`` means 1.
+        The sums are float64 whatever the frames' dtype.
         """
         if occupancy is not None:
             posteriors *= occupancy[..., None]
             loglikes = occupancy * loglikes
+        frames = np.asarray(frames, dtype=np.float64)
         resp = posteriors.reshape(frames.shape[0], -1)
         self.n += resp.sum(axis=0).reshape(self.n.shape)
         self.sx += (resp.T @ frames).reshape(self.sx.shape)
@@ -252,9 +255,10 @@ def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
 
     No temporary grows with ``data``: the global statistics, every EM
     iteration and each level's log-likelihood work over row blocks of at most
-    ``EM_BLOCK`` frames.  Each iteration adds every block into one
-    ``EmAccumulator`` and re-estimates with its ``update``, the M-step of the
-    stacked models too.  The global mean and variance equal
+    ``EM_BLOCK`` frames, each widened to float64 on its own, so float32
+    ``data`` is never held at twice its size.  Each iteration adds every
+    block into one ``EmAccumulator`` and re-estimates with its ``update``,
+    the M-step of the stacked models too.  The global mean and variance equal
     ``data.mean(axis=0)`` and ``data.var(axis=0)`` bit for bit with two or
     more columns (see ``column_mean_var``).
 
@@ -262,14 +266,17 @@ def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
     ``(n_components, [log-likelihood per EM iteration])`` entries; within one
     size level the log-likelihood is nondecreasing.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
     if data.ndim != 2:
         raise DimMismatch("training data must be an N x D matrix")
     n = data.shape[0]
     if n < cfg.target_components:
         raise TooFewSamples(f"{n} samples cannot support {cfg.target_components} components")
-    blocks = _row_blocks(n)
-    mean, global_var = column_mean_var(lambda: (data[rows] for rows in blocks))
+
+    def widened():
+        return (np.asarray(data[rows], dtype=np.float64) for rows in _row_blocks(n))
+
+    mean, global_var = column_mean_var(widened)
     if np.max(global_var) <= 0.0:
         raise DegenerateData("training data has zero variance")
     floor = np.maximum(cfg.variance_floor * global_var, 1e-10)
@@ -281,11 +288,11 @@ def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
         lls = []
         for _ in range(cfg.em_iterations):
             accum, ll = EmAccumulator(gmm), 0.0
-            for rows in blocks:
-                ll += accum.add(*loglikes_and_posteriors(gmm, data[rows]), None, data[rows])
+            for x in widened():
+                ll += accum.add(*loglikes_and_posteriors(gmm, x), None, x)
             gmm = DiagGmm(*accum.update(gmm, floor))
             lls.append(ll)
-        lls.append(sum(float(log_likelihoods(gmm, data[rows]).sum()) for rows in blocks))
+        lls.append(sum(float(log_likelihoods(gmm, x).sum()) for x in widened()))
         log.append((gmm.n_components, lls))
     gmm.training_log = log
     return gmm

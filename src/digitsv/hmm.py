@@ -280,9 +280,10 @@ def _flat_start(corpus, graphs, dim, floor, global_mean, global_var) -> HmmSet:
     for (feats, _), graph in zip(corpus, graphs):
         mandatory = graph.states[~graph.optional]
         t = feats.n_frames
+        x = np.asarray(feats.frames, dtype=np.float64)
         bounds = np.floor(np.arange(len(mandatory) + 1) * t / len(mandatory)).astype(int)
         for k, s in enumerate(mandatory):
-            seg = feats.frames[bounds[k]:bounds[k + 1]]
+            seg = x[bounds[k]:bounds[k + 1]]
             if seg.shape[0]:
                 sums[s] += seg.sum(axis=0)
                 sqs[s] += (seg ** 2).sum(axis=0)
@@ -311,7 +312,8 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, floor):
     total_fb = 0.0
     total_viterbi = 0.0
     for (feats, _), graph in zip(corpus, graphs):
-        state_ll, post = gmm_mod.loglikes_and_posteriors(hmms, feats.frames)
+        x = np.asarray(feats.frames, dtype=np.float64)  # one utterance widened at a time
+        state_ll, post = gmm_mod.loglikes_and_posteriors(hmms, x)
         loglikes = state_ll[:, graph.states]
         gamma, fb_ll, alpha, beta = _forward_backward_nodes(graph, loglikes, hmms.self_loop)
         _, vit_ll = _viterbi_nodes(graph, loglikes, hmms.self_loop)
@@ -329,8 +331,8 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, floor):
         occ = np.zeros((feats.n_frames, N_STATES))
         np.add.at(occ.T, graph.states, gamma.T)
         occ[occ <= 1e-12] = 0.0
-        accum.add(state_ll, post, occ, feats.frames)
-        del post  # weighted in place; freed before the next utterance's
+        accum.add(state_ll, post, occ, x)
+        del post, x  # post is weighted in place; both are freed before the next utterance's
 
     leaving = self_mass + cross_mass
     loop = np.where(leaving > 0, self_mass / np.maximum(leaving, 1e-30), hmms.self_loop)

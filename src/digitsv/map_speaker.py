@@ -194,7 +194,7 @@ def llr_score(speaker: SpeakerModel, background: Background,
     if retained == 0:
         raise NoRetainedFrames("no frame carries any non-silence mixture mass")
 
-    x = feats.frames[rows]
+    x = np.asarray(feats.frames[rows], dtype=np.float64)
     mu_b = background.means[cols]
     mu_s = speaker.means[cols]
     inv2v = 0.5 / background.variances[cols]

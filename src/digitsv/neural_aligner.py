@@ -157,14 +157,14 @@ def _mean_log_posterior(model: MlpModel, frames: np.ndarray, idx: np.ndarray,
     start = 0
     for chunk in _chunks(idx):
         rows = slice(start, start + len(chunk))
-        _, log_post = _forward(model, frames[chunk])
+        _, log_post = _forward(model, np.asarray(frames[chunk], dtype=np.float64))
         picked[rows] = log_post[np.arange(len(chunk)), labels[rows]]
         start = rows.stop
     return float(picked.mean())
 
 
 def heldout_cross_entropy(model: MlpModel, frames, labels) -> float:
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.asarray(frames)
     return -_mean_log_posterior(model, frames, np.arange(frames.shape[0]), np.asarray(labels))
 
 
@@ -173,10 +173,11 @@ def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None
 
     Raises MissingClass unless every label 0..n_outputs-1 occurs.  If the
     loss goes non-finite, NonFiniteLoss is raised carrying the last
-    finite-loss epoch snapshot as ``checkpoint``.
+    finite-loss epoch snapshot as ``checkpoint``.  ``frames`` are kept in
+    their own dtype; each minibatch or chunk is widened to float64 on its own.
     """
     cfg = cfg or MlpTrainConfig()
-    frames = np.asarray(frames, dtype=np.float64)
+    frames = np.asarray(frames)
     labels = np.asarray(labels, dtype=np.int64)
     present = np.bincount(labels, minlength=cfg.n_outputs)
     missing = np.nonzero(present == 0)[0]

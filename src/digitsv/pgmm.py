@@ -147,7 +147,7 @@ def accumulate_stats(gammas: np.ndarray, feats: FeatureSequence,
     if means.shape != (gammas.shape[1], feats.dim):
         raise ShapeMismatch(f"means shape {means.shape} does not match posteriors/features")
     n = gammas.sum(axis=0)
-    f = gammas.T @ feats.frames - n[:, None] * means
+    f = gammas.T @ np.asarray(feats.frames, dtype=np.float64) - n[:, None] * means
     return SuffStats(n, f, background_id)
 
 
@@ -160,9 +160,19 @@ def pgmm_e_step(pgmm: Pgmm, aligns, feats_list) -> tuple[gmm_mod.EmAccumulator, 
     accum = gmm_mod.EmAccumulator(pgmm)
     objective = 0.0
     for a, f in zip(aligns, feats_list, strict=True):
-        objective += accum.add(*gmm_mod.loglikes_and_posteriors(pgmm, f.frames),
-                               a[:, :len(DIGIT_STATES)], f.frames)
+        x = np.asarray(f.frames, dtype=np.float64)  # one utterance widened at a time
+        objective += accum.add(*gmm_mod.loglikes_and_posteriors(pgmm, x),
+                               a[:, :len(DIGIT_STATES)], x)
     return accum, objective
+
+
+def pgmm_objective(pgmm: Pgmm, aligns, feats_list) -> float:
+    """``pgmm_e_step``'s objective alone, from ``gmm.log_likelihoods``: no EM sums."""
+    objective = 0.0
+    for a, f in zip(aligns, feats_list, strict=True):
+        objective += float(np.sum(a[:, :len(DIGIT_STATES)]
+                                  * gmm_mod.log_likelihoods(pgmm, f.frames)))
+    return objective
 
 
 def pgmm_m_step(pgmm: Pgmm, accum: gmm_mod.EmAccumulator,
@@ -217,17 +227,20 @@ def train_pgmm(aligns, feats_list, n_components: int = 16, em_iterations: int = 
     """Phonetic GMMs under fixed alignments: init_pgmm, then EM steps.
 
     The returned model's ``training_log`` holds the objective after each step,
-    which is nondecreasing.  It is the next E-step's, and one last E-step
+    which is nondecreasing.  It is the next E-step's, and ``pgmm_objective``
     scores the final model: ``em_iterations + 1`` passes, none without steps.
     """
     pgmm = init_pgmm(aligns, feats_list, n_components=n_components)
     log = []
     if em_iterations:
         accum, _ = pgmm_e_step(pgmm, aligns, feats_list)
-        for _ in range(em_iterations):
+        for step in range(1, em_iterations + 1):
             pgmm = pgmm_m_step(pgmm, accum)
             del accum  # before the next E-step fills its own
-            accum, objective = pgmm_e_step(pgmm, aligns, feats_list)
+            if step < em_iterations:
+                accum, objective = pgmm_e_step(pgmm, aligns, feats_list)
+            else:  # nothing reads the last step's sums
+                objective = pgmm_objective(pgmm, aligns, feats_list)
             log.append(objective)
     pgmm.training_log = log
     return pgmm

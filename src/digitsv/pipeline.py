@@ -49,12 +49,20 @@ def train_hmms(corpus, cfg: PipelineConfig) -> HmmSet:
 
 
 def _frame_matrix(utts, feats_of, n_frames: int) -> np.ndarray:
-    """``feats_of(utt).frames`` of every utterance, filled into one preallocated matrix."""
+    """``feats_of(utt).frames`` of every utterance, filled into one preallocated matrix.
+
+    The matrix takes its frames' dtype (float32 as read from DVFE files); an
+    utterance of a wider dtype widens the rows filled so far, never the reverse.
+    """
     frames, row = None, 0
     for utt in utts:
         x = feats_of(utt).frames
         if frames is None:
-            frames = np.empty((n_frames, x.shape[1]))
+            frames = np.empty((n_frames, x.shape[1]), x.dtype)
+        elif not np.can_cast(x.dtype, frames.dtype):
+            wider = np.empty(frames.shape, np.result_type(frames, x))
+            wider[:row] = frames[:row]
+            frames = wider
         frames[row:row + x.shape[0]] = x
         row += x.shape[0]
     return frames

@@ -896,6 +896,15 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_synth_features_beyond_float32(self, tmp_path, capsys):
+        # DVFE stores f32: a corpus it cannot hold is refused before any
+        # features file is made, naming the file, not written as infinities
+        out = tmp_path / "big"
+        assert run(["synth", "--out", str(out), "--speakers", "2", "--test-per-speaker", "1",
+                    "--separation", "1e39", "--seed", "1"]) == 2
+        _assert_error_line(capsys, str(out / "corpus" / "feats"), ".dvfe", "float32")
+        assert not any((out / "corpus" / "feats").iterdir())
+
     def test_malformed_utt2spk(self, tmp_path, capsys):
         from digitsv import formats
         from digitsv.ivector import IVector

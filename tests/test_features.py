@@ -144,6 +144,28 @@ class TestSplice:
             splice(extract_mfcc(make_clip(8000)), 5)
 
 
+class TestStoredPrecision:
+    """float32 frames are kept as given; the transforms widen them, exactly."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, ">f4", np.float64])
+    def test_other_dtypes_become_float64(self, dtype):
+        feats = FeatureSequence(np.ones((3, 60), dtype=dtype), FeatureKind.MFCC60)
+        assert feats.frames.dtype == np.float64
+
+    def test_float32_is_kept(self):
+        frames = np.ones((3, 60), dtype=np.float32)
+        assert FeatureSequence(frames, FeatureKind.MFCC60).frames is frames
+
+    def test_cmvn_and_splice_equal_the_widened_path(self):
+        wide = extract_fbank(make_clip(8000)).frames.astype(np.float32).astype(np.float64)
+        narrow = wide.astype(np.float32)
+        for transform in (apply_cmvn, lambda f: splice(f, 5), lambda f: splice(f, 0)):
+            got = transform(FeatureSequence(narrow, FeatureKind.FBANK120)).frames
+            want = transform(FeatureSequence(wide, FeatureKind.FBANK120)).frames
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+
+
 class TestWav:
     def test_round_trip(self, tmp_path):
         clip = make_clip(5000, seed=9)

@@ -2,6 +2,7 @@ import os
 import struct
 import tracemalloc
 import types
+import warnings
 import zlib
 
 import numpy as np
@@ -70,6 +71,15 @@ class TestDvfe:
             formats.read_dvfe(path)
         assert isinstance(err.value.offset, int)
 
+    def test_reads_the_f32_block_it_stores(self, tmp_path):
+        rng = np.random.default_rng(3)
+        frames = rng.standard_normal((7, 60)).astype(np.float32)
+        path = tmp_path / "s.dvfe"
+        formats.write_dvfe(path, FeatureSequence(frames, FeatureKind.MFCC60))
+        back = formats.read_dvfe(path).frames
+        assert back.dtype == np.float32 and back.flags.c_contiguous and back.flags.writeable
+        np.testing.assert_array_equal(back, frames)
+
     def test_trailing_garbage_rejected(self, tmp_path):
         feats = FeatureSequence(np.zeros((2, 60)) + 1.0, FeatureKind.MFCC60)
         path = tmp_path / "g.dvfe"
@@ -104,6 +114,33 @@ class TestDvpo:
         formats.write_dvpo(path, post)
         with pytest.raises(RowNotNormalized):
             formats.read_dvpo(path)
+
+
+class TestNarrowToF32:
+    """DVFE and DVPO writers refuse a value f32 cannot hold before they make the file."""
+
+    @pytest.mark.parametrize("kind", ["dvfe", "dvpo"])
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_values_beyond_f32_are_refused(self, tmp_path, kind, value):
+        matrix = np.full((3, 60), 1.0 / 60)
+        matrix[1, 2] = value
+        path = tmp_path / f"big.{kind}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused, not warned about
+            with pytest.raises(FormatError, match="float32") as err:
+                if kind == "dvfe":
+                    formats.write_dvfe(path, FeatureSequence(matrix, FeatureKind.MFCC60))
+                else:
+                    formats.write_dvpo(path, matrix)
+        assert str(path) in str(err.value)
+        assert not path.exists()
+
+    def test_largest_f32_is_written(self, tmp_path):
+        frames = np.full((2, 60), float(np.finfo(np.float32).max))
+        frames[1] *= -1.0
+        path = tmp_path / "edge.dvfe"
+        formats.write_dvfe(path, FeatureSequence(frames, FeatureKind.MFCC60))
+        np.testing.assert_array_equal(formats.read_dvfe(path).frames, frames)
 
 
 class TestDvst:
@@ -288,7 +325,8 @@ def _bytes_read_dvfe(path):
     if rows < 1 or cols < 1:
         raise CorruptData(6, f"implausible shape {rows} x {cols}")
     rd.check_counts(rows, cols, 4, "DVFE")
-    frames = rd.array("<f4", rows * cols).reshape(rows, cols)
+    # the reader keeps the block it reads: f32, which the widened copy holds exactly
+    frames = rd.array("<f4", rows * cols).reshape(rows, cols).astype("<f4")
     rd.done()
     if cols % 120 == 0 and (cols // 120) % 2 == 1:
         kind = FeatureKind.SPLICED if cols != 120 else FeatureKind.FBANK120

@@ -13,6 +13,12 @@ where the per-state loops they replaced made one pair per state, and BLAS
 may sum those products in another order.  The HMM realignment pass adds
 each utterance's sums into one accumulator, where the path it replaced
 summed each state's gathered frames of the whole corpus at once.
+
+Features read from DVFE files stay float32 and are widened one utterance,
+EM block or minibatch at a time.  Trained on such a corpus, every trainer,
+statistic and score equals the replaced path, the same frames held as
+float64, bit for bit, and the stored-precision peaks are bounded in units
+of the float32 frame bytes.
 """
 
 import io
@@ -589,6 +595,7 @@ class TestKernelsMatchOracles:
         feats = [u.feats for u in enroll]
         _, got = pgmm_e_step(small_models.pgmm, aligns, feats)
         assert got == pgmm_objective_oracle(small_models.pgmm, aligns, feats)
+        assert got == pgmm_mod.pgmm_objective(small_models.pgmm, aligns, feats)
         assert got == pytest.approx(
             pgmm_objective_per_state_oracle(small_models.pgmm, aligns, feats), rel=1e-12, abs=0)
 
@@ -754,6 +761,20 @@ class TestTrainersMatchOracles:
         _assert_same_gmms(_rows(got), _rows(want))
         assert got.training_log == log
 
+    def test_train_pgmm_fills_no_sums_it_does_not_read(self, small_corpus, small_models,
+                                                       monkeypatch):
+        # one E-step per M-step; the final model's objective needs no EM sums
+        enroll = _enroll(small_corpus)
+        aligns = [neural_aligner.mlp_posteriors(small_models.mlp, u.feats) for u in enroll]
+        feats = [u.feats for u in enroll]
+        calls, e_step = [], pgmm_mod.pgmm_e_step
+        monkeypatch.setattr(pgmm_mod, "pgmm_e_step",
+                            lambda *args: calls.append(1) or e_step(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyStateWarning)
+            got = pgmm_mod.train_pgmm(aligns, feats, n_components=2, em_iterations=3)
+        assert len(calls) == 3 and len(got.training_log) == 3
+
     def test_train_pgmm_without_steps(self, small_corpus, small_models, monkeypatch):
         enroll = _enroll(small_corpus)
         aligns = [neural_aligner.mlp_posteriors(small_models.mlp, u.feats) for u in enroll]
@@ -810,6 +831,117 @@ class TestTrainersMatchOracles:
                           [train_em(frames, GmmTrainConfig(target_components=8))])
 
 
+# --- features at stored precision ----------------------------------------------------
+
+@pytest.fixture(scope="module")
+def stored(small_corpus, tmp_path_factory):
+    """``small_corpus`` as a DVFE corpus directory read through the CLI's ``DiskCorpus``
+    (float32 frames, read afresh on every access), and the replaced path: the same
+    frames held in memory as float64."""
+    from digitsv.cli import DiskCorpus
+    from digitsv.synth import Corpus, Utterance
+
+    root = tmp_path_factory.mktemp("stored")
+    for sub in ("feats", "transcripts", "splits"):
+        (root / "corpus" / sub).mkdir(parents=True)
+    for u in small_corpus.utterances:
+        formats.write_dvfe(root / "corpus" / "feats" / f"{u.utt_id}.dvfe", u.feats)
+    (root / "corpus" / "transcripts" / "transcripts.txt").write_text(
+        "".join(f"{u.utt_id} {u.content}\n" for u in small_corpus.utterances))
+    for split in ("enroll", "test"):
+        (root / "corpus" / "splits" / f"{split}.txt").write_text("".join(
+            f"{u.utt_id} {u.speaker}\n" for u in small_corpus.utterances if u.split == split))
+    disk = DiskCorpus(str(root))
+    wide = Corpus(None, list(disk.speakers), [
+        Utterance(u.utt_id, u.speaker, u.content, u.split,
+                  FeatureSequence(u.feats.frames.astype(np.float64), u.feats.kind))
+        for u in disk.utterances], list(small_corpus.trials)).finalize()
+    return disk, wide
+
+
+def _stored_bytes(corpus):
+    """Bytes of the enrollment frames as DVFE stores them, float32."""
+    return sum(u.feats.n_frames * u.feats.dim * np.dtype(np.float32).itemsize
+               for u in _enroll(corpus))
+
+
+def _assert_same_arrays(a, b):
+    for name in ("weights", "means", "variances", "self_loop"):
+        if hasattr(a, name):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.training_log == b.training_log
+
+
+class TestStoredPrecision:
+    """float32 frames widened a block at a time give what float64 frames give, bit for bit."""
+
+    def test_corpus_is_float32(self, stored):
+        disk, wide = stored
+        assert all(u.feats.frames.dtype == np.float32 for u in disk.utterances)
+        assert all(u.feats.frames.dtype == np.float64 for u in wide.utterances)
+
+    def test_train_hmms(self, stored):
+        cfg = PipelineConfig(hmm_components=2)
+        _assert_same_arrays(*(pipeline.train_hmms(c, cfg) for c in stored))
+
+    def test_train_classifier(self, stored, small_models):
+        cfg = PipelineConfig(mlp_hidden="16", mlp_epochs=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a two-epoch classifier may not beat the prior
+            got, want = (pipeline.train_classifier(c, cfg, small_models.hmms) for c in stored)
+        _assert_same_model(got, want)
+
+    def test_train_phonetic_gmms(self, stored, small_models):
+        cfg = PipelineConfig(pgmm_components=2, pgmm_em_iterations=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", EmptyStateWarning)
+            got, want = (pipeline.train_phonetic_gmms(
+                c, cfg, lambda utt: neural_aligner.mlp_posteriors(small_models.mlp, utt.feats))
+                for c in stored)
+        _assert_same_arrays(got, want)
+
+    def test_train_ubm(self, stored):
+        cfg = PipelineConfig(ubm_components=8)
+        _assert_same_arrays(*(pipeline.train_ubm(c, cfg) for c in stored))
+
+    @pytest.mark.parametrize("source", ["gmm-hmm", "dnn", "dnn-hmm", "ubm"])
+    def test_statistics_and_scores(self, stored, small_models, source):
+        system = pipeline.SpeakerSystem(source, small_models)
+        keys, scores = [], []
+        for corpus in stored:
+            utt = next(u for u in corpus.utterances if u.split == "test")
+            feats = utt.feats
+            forced = None if source == "ubm" else pipeline.align(source, small_models, feats,
+                                                                 utt.content)
+            stats, retained = system.statistics(feats, forced)
+            keys.append((stats.n, stats.f, retained))
+            speakers = pipeline.enroll_speakers(corpus, system)
+            scores.append((speakers.means.copy(), pipeline.score_speaker_trials(
+                corpus, stored[1].trials, system, speakers)))
+        (n, f, retained), (want_n, want_f, want_retained) = keys
+        np.testing.assert_array_equal(n, want_n)
+        np.testing.assert_array_equal(f, want_f)
+        assert retained == want_retained
+        np.testing.assert_array_equal(scores[0][0], scores[1][0])
+        assert scores[0][1] == scores[1][1]
+
+    @pytest.mark.parametrize("hmm_mode", ["gmm", "hybrid"])
+    def test_content_scores(self, stored, small_models, hmm_mode):
+        got, want = (pipeline.score_content_trials(c, stored[1].trials, small_models,
+                                                   hmm_mode=hmm_mode) for c in stored)
+        assert got == want
+
+    def test_frame_matrix_keeps_a_wider_utterance(self):
+        narrow = np.arange(12, dtype=np.float32).reshape(4, 3)
+        wide = np.full((2, 3), 1.0 + 2.0 ** -40)  # not a float32 value
+        feats = {"a": types.SimpleNamespace(frames=narrow),
+                 "b": types.SimpleNamespace(frames=wide)}
+        got = pipeline._frame_matrix(["a", "b"], feats.get, 6)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.concatenate([narrow, wide]))
+        alone = pipeline._frame_matrix(["a"], feats.get, 4)
+        assert alone.dtype == np.float32
+
 # --- peak memory ------------------------------------------------------------------------
 
 class TestPeakMemory:
@@ -856,6 +988,47 @@ class TestPeakMemory:
         _, peak = _peak(lambda: pipeline.train_phonetic_gmms(
             small_corpus, cfg, lambda utt: aligns[utt.utt_id]))
         assert peak < 0.5 * frames, (peak / frames)
+
+    # the same trainers on a DVFE corpus, in units of its float32 frame bytes
+    # (F32); each holds its frames at stored precision and widens one
+    # utterance, EM block or minibatch at a time, where float64 reads and
+    # matrices held them twice over
+
+    def test_train_hmms_stored(self, stored):
+        # every utterance's frames plus one utterance's temporaries: 2.6 F32;
+        # float64 frames took 3.5 F32
+        disk, _ = stored
+        _, peak = _peak(lambda: pipeline.train_hmms(disk, PipelineConfig(hmm_components=1)))
+        assert peak < 3.0 * _stored_bytes(disk), (peak / _stored_bytes(disk))
+
+    def test_train_classifier_stored(self, stored, small_models):
+        # a float32 frame matrix plus one minibatch step: 3.1 F32; a float64
+        # matrix took 4.2 F32
+        disk, _ = stored
+        cfg = PipelineConfig(mlp_hidden="64,64", mlp_epochs=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, peak = _peak(lambda: pipeline.train_classifier(disk, cfg, small_models.hmms))
+        assert peak < 3.6 * _stored_bytes(disk), (peak / _stored_bytes(disk))
+
+    def test_train_ubm_stored(self, stored, monkeypatch):
+        # a float32 frame matrix plus a few widened blocks: 1.8 F32; a float64
+        # matrix took 2.5 F32
+        monkeypatch.setattr(gmm_mod, "EM_BLOCK", 256)
+        disk, _ = stored
+        _, peak = _peak(lambda: pipeline.train_ubm(disk, PipelineConfig(ubm_components=32)))
+        assert peak < 2.15 * _stored_bytes(disk), (peak / _stored_bytes(disk))
+
+    def test_train_phonetic_gmms_stored(self, stored, small_models):
+        # every utterance's frames plus one state's: 1.7 F32; float64 frames
+        # took 2.55 F32
+        disk, _ = stored
+        aligns = {u.utt_id: neural_aligner.mlp_posteriors(small_models.mlp, u.feats)
+                  for u in _enroll(disk)}
+        cfg = PipelineConfig(pgmm_components=2, pgmm_em_iterations=1)
+        _, peak = _peak(lambda: pipeline.train_phonetic_gmms(
+            disk, cfg, lambda utt: aligns[utt.utt_id]))
+        assert peak < 2.1 * _stored_bytes(disk), (peak / _stored_bytes(disk))
 
     def test_linear_llr(self, small_corpus, small_models):
         # the weights overwrite the roster's means, so only one speaker's
