@@ -120,10 +120,10 @@ class DiskCorpus:
 
 def _load_models(args) -> pipeline.AlignerModels:
     return pipeline.AlignerModels(
-        hmms=formats.load_hmm_set(args.hmm) if getattr(args, "hmm", None) else None,
-        mlp=formats.load_mlp(args.mlp) if getattr(args, "mlp", None) else None,
-        pgmm=formats.load_pgmm(args.pgmm) if getattr(args, "pgmm", None) else None,
-        ubm=formats.load_diag_gmm(args.ubm) if getattr(args, "ubm", None) else None,
+        hmms=formats.load_model(args.hmm, "hmm_set") if getattr(args, "hmm", None) else None,
+        mlp=formats.load_model(args.mlp, "mlp") if getattr(args, "mlp", None) else None,
+        pgmm=formats.load_model(args.pgmm, "pgmm") if getattr(args, "pgmm", None) else None,
+        ubm=formats.load_model(args.ubm, "diag_gmm") if getattr(args, "ubm", None) else None,
     )
 
 
@@ -181,7 +181,7 @@ def _cmd_train_hmm(args):
     for row in hmms.training_log:
         _progress("train-hmm", components=row["n_components"], pass_=row["pass"],
                   fb_ll=f"{row['fb_ll']:.4f}", viterbi_ll=f"{row['viterbi_ll']:.4f}")
-    formats.save_hmm_set(args.out, hmms)
+    formats.save_model(args.out, hmms)
     print(args.out)
     return 0
 
@@ -191,7 +191,7 @@ def _cmd_train_ubm(args):
     ubm = pipeline.train_ubm(DiskCorpus(args.corpus), cfg)
     for size, lls in ubm.training_log:
         _progress("train-ubm", components=size, ll=f"{lls[-1]:.4f}")
-    formats.save_diag_gmm(args.out, ubm)
+    formats.save_model(args.out, ubm)
     print(args.out)
     return 0
 
@@ -202,7 +202,7 @@ def _cmd_train_mlp(args):
         "silence_policy": args.silence_policy, "seed": args.seed,
     })
     corpus = DiskCorpus(args.corpus)
-    hmms = formats.load_hmm_set(args.hmm)
+    hmms = formats.load_model(args.hmm, "hmm_set")
     frames_read = {}  # the progress line counts what the trainer read, per utterance
 
     def stream(utt):
@@ -211,7 +211,7 @@ def _cmd_train_mlp(args):
         frames_read[utt.utt_id] = feats.n_frames
         return feats
     model = pipeline.train_classifier(corpus, cfg, hmms, stream)
-    formats.save_mlp(args.out, model)
+    formats.save_model(args.out, model)
     _progress("train-mlp", frames=sum(frames_read.values()))
     print(args.out)
     return 0
@@ -257,7 +257,7 @@ def _cmd_train_pgmm(args):
             return formats.read_dvpo(os.path.join(args.align_dir, f"{utt.utt_id}.dvpo"),
                                      hmm_mod.N_STATES)
     elif args.mlp:
-        mlp = formats.load_mlp(args.mlp)
+        mlp = formats.load_model(args.mlp, "mlp")
 
         def alignment(utt):
             return neural_aligner.mlp_posteriors(mlp, utt.feats)
@@ -266,7 +266,7 @@ def _cmd_train_pgmm(args):
     model = pipeline.train_phonetic_gmms(corpus, cfg, alignment)
     for k, objective in enumerate(model.training_log):
         _progress("train-pgmm", iteration=k, objective=f"{objective:.4f}")
-    formats.save_pgmm(args.out, model)
+    formats.save_model(args.out, model)
     print(args.out)
     return 0
 
@@ -290,7 +290,7 @@ def _cmd_enroll_map(args):
     corpus = DiskCorpus(args.corpus)
     system = pipeline.SpeakerSystem(args.source, _load_models(args), cfg.silence_policy)
     speakers = pipeline.enroll_speakers(corpus, system, cfg.relevance)
-    formats.save_speaker_models(args.out, speakers)
+    formats.save_model(args.out, speakers)
     _progress("enroll-map", speakers=len(speakers))
     print(args.out)
     return 0
@@ -320,13 +320,13 @@ def _cmd_train_tv(args):
                            cfg.ivector_rank, iterations=cfg.tv_iterations, seed=cfg.seed)
     for k, aux in enumerate(tv.training_log):
         _progress("train-tv", iteration=k, objective=f"{aux:.4f}")
-    formats.save_tv(args.out, tv)
+    formats.save_model(args.out, tv)
     print(args.out)
     return 0
 
 
 def _cmd_extract_ivector(args):
-    tv = formats.load_tv(args.tv)
+    tv = formats.load_model(args.tv, "tv")
     entries = []
     for path in _stats_paths(args):
         stats = formats.read_dvst(path)
@@ -352,7 +352,7 @@ def _cmd_train_backend(args):
                                      plda_iterations=cfg.plda_iterations)
     for k, ll in enumerate(backend.training_log):
         _progress("train-backend", iteration=k, log_likelihood=f"{ll:.4f}")
-    formats.save_plda_backend(args.out, backend)
+    formats.save_model(args.out, backend)
     print(args.out)
     return 0
 
@@ -378,11 +378,12 @@ def _cmd_score_speaker(args):
     if args.backend == "map":
         _require_flags(args, "speakers")
         scores = pipeline.score_speaker_trials(corpus, trials, system,
-                                               formats.load_speaker_models(args.speakers))
+                                               formats.load_model(args.speakers, "speaker_models"))
     else:
         _require_flags(args, "tv", "plda")
-        scores = pipeline.score_ivector_trials(corpus, trials, system, formats.load_tv(args.tv),
-                                               formats.load_plda_backend(args.plda))
+        scores = pipeline.score_ivector_trials(corpus, trials, system,
+                                               formats.load_model(args.tv, "tv"),
+                                               formats.load_model(args.plda, "plda_backend"))
     _write_scores(args.out, trials, scores)
     _progress("score-speaker", trials=len(trials), backend=args.backend)
     print(args.out)

@@ -19,14 +19,24 @@ Formats:
                      record per mixture, read and written as one block
   DVIV  i-vectors    count u32, rank u32, records of (id, normalized, f64s)
   DVMD  models       kind string plus a tagged recursive payload
+
+DVMD model kinds (``MODELS``), each field in write order:
+  diag_gmm        DiagGmm        weights, means, variances
+  hmm_set         HmmSet         weights, means, variances, self_loop
+  pgmm            Pgmm           state_ids (the digit states), weights, means, variances
+  mlp             MlpModel       weights, biases, input_mean, input_std, input_kind,
+                                 class_priors
+  tv              TvModel        matrix, background (means, variances, model_id)
+  plda_backend    PldaBackend    lda, mean, between, within
+  speaker_models  SpeakerModels  background_id, relevance, ids, means
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,7 +50,12 @@ from .errors import (
     WrongStateCount,
 )
 from .features import FeatureKind, FeatureSequence
-from .hmm import DIGIT_STATES
+from .gmm import DiagGmm
+from .hmm import DIGIT_STATES, HmmSet
+from .ivector import IVector, PldaBackend, TvModel
+from .map_speaker import SpeakerModels
+from .neural_aligner import MlpModel
+from .pgmm import Background, Pgmm, SuffStats
 
 # each format's version; DVST 2 added the background id, and DVST 3 dropped the
 # second-order statistics that DVST 1 and 2 records carry after F
@@ -240,8 +255,6 @@ def write_dvst(path, stats):
 
 
 def read_dvst(path):
-    from .pgmm import SuffStats
-
     with open(path, "rb") as fh:
         rd = _Reader(fh, b"DVST")
         mixtures, dim = rd.u32(), rd.u32()
@@ -285,8 +298,6 @@ def write_dviv(path, entries):
 
 
 def read_dviv(path):
-    from .ivector import IVector
-
     with open(path, "rb") as fh:
         rd = _Reader(fh, b"DVIV")
         count, rank = rd.u32(), rd.u32()
@@ -411,177 +422,89 @@ def read_dvmd(path, expect_kind: str | None = None):
     return kind, payload
 
 
-# --- model container adapters -----------------------------------------------
+# --- DVMD model kinds ------------------------------------------------------
 
-def _require(payload: dict, **fields):
-    """``payload`` holds every field named, each an instance of the type given."""
-    missing = [k for k in fields if k not in payload]
+# kind -> (class, {field: payload type}).  The field order is the write order,
+# and fields are passed back to the class by name; a (class, fields) pair is a
+# nested model, written as a dict.
+MODELS = {
+    "diag_gmm": (DiagGmm, {"weights": np.ndarray, "means": np.ndarray,
+                           "variances": np.ndarray}),
+    "hmm_set": (HmmSet, {"weights": np.ndarray, "means": np.ndarray,
+                         "variances": np.ndarray, "self_loop": np.ndarray}),
+    "pgmm": (Pgmm, {"state_ids": np.ndarray, "weights": np.ndarray, "means": np.ndarray,
+                    "variances": np.ndarray}),
+    "mlp": (MlpModel, {"weights": list, "biases": list, "input_mean": np.ndarray,
+                       "input_std": np.ndarray, "input_kind": str,
+                       "class_priors": np.ndarray}),
+    "tv": (TvModel, {"matrix": np.ndarray, "background": (Background, {
+        "means": np.ndarray, "variances": np.ndarray, "model_id": str})}),
+    "plda_backend": (PldaBackend, {"lda": np.ndarray, "mean": np.ndarray,
+                                   "between": np.ndarray, "within": np.ndarray}),
+    "speaker_models": (SpeakerModels, {"background_id": str, "relevance": numbers.Real,
+                                       "ids": list, "means": np.ndarray}),
+}
+_KINDS = {cls: kind for kind, (cls, _) in MODELS.items()}
+
+
+def _digit_states(state_ids):
+    if not np.array_equal(state_ids, DIGIT_STATES):
+        raise CorruptData(6, "pgmm state_ids must be the digit states 0..29 in order")
+
+
+# fields not written as the model attribute of their name holds them
+_WRITE = {
+    "pgmm.state_ids": lambda pgmm: np.asarray(DIGIT_STATES, dtype=np.int64),
+    "mlp.input_kind": lambda mlp: mlp.input_kind.value,
+    "speaker_models.relevance": lambda speakers: float(speakers.relevance),
+}
+# fields not passed to the class as read; a hook returning None passes nothing
+_READ = {"pgmm.state_ids": _digit_states, "mlp.input_kind": FeatureKind}
+
+
+def _payload(kind: str, model, fields: dict) -> dict:
+    out = {}
+    for key, spec in fields.items():
+        write = _WRITE.get(f"{kind}.{key}")
+        value = write(model) if write else getattr(model, key)
+        out[key] = _payload(kind, value, spec[1]) if isinstance(spec, tuple) else value
+    return out
+
+
+def _build(kind: str, cls, fields: dict, payload: dict):
+    """``cls`` from ``payload``; every field is there, and of the type ``fields`` gives.
+
+    Fields the payload holds beyond ``fields`` (a TV background's ``state_ids``
+    and ``n_components``, which older files carry) are ignored.
+    """
+    missing = [key for key in fields if key not in payload]
     if missing:
         raise CorruptData(6, f"model payload missing fields {missing}")
-    for key, kind in fields.items():
-        if not isinstance(payload[key], kind):
+    for key, spec in fields.items():
+        if not isinstance(payload[key], dict if isinstance(spec, tuple) else spec):
             raise CorruptData(6, f"model payload field {key!r} is a {type(payload[key]).__name__}")
+    args = {}
+    for key, spec in fields.items():
+        read = _READ.get(f"{kind}.{key}")
+        value = _build(kind, *spec, payload[key]) if isinstance(spec, tuple) else payload[key]
+        value = read(value) if read else value
+        if value is not None:
+            args[key] = value
+    return cls(**args)
 
 
-@contextmanager
-def _building(kind: str):
-    """Report a payload that fails the model's own validation, or holds a field of
-    the wrong type, as corrupt data."""
+def save_model(path, model):
+    """Write ``model`` as the DVMD kind of its exact class."""
+    kind = _KINDS[type(model)]
+    write_dvmd(path, kind, _payload(kind, model, MODELS[kind][1]))
+
+
+def load_model(path, kind: str):
+    """The ``kind`` model of a DVMD file.  A payload that holds a field of the wrong
+    type, or that the model's own checks reject, is corrupt data."""
+    cls, fields = MODELS[kind]
+    _, payload = read_dvmd(path, kind)
     try:
-        yield
+        return _build(kind, cls, fields, payload)
     except (ValueError, TypeError, KeyError) as exc:
         raise CorruptData(6, f"invalid {kind} payload: {exc}") from None
-
-
-def save_diag_gmm(path, gmm):
-    write_dvmd(path, "diag_gmm", {
-        "weights": gmm.weights, "means": gmm.means, "variances": gmm.variances,
-    })
-
-
-def load_diag_gmm(path):
-    from .gmm import DiagGmm
-
-    _, payload = read_dvmd(path, "diag_gmm")
-    _require(payload, weights=np.ndarray, means=np.ndarray, variances=np.ndarray)
-    with _building("diag_gmm"):
-        return DiagGmm(payload["weights"], payload["means"], payload["variances"])
-
-
-def save_hmm_set(path, hmms):
-    write_dvmd(path, "hmm_set", {
-        "weights": hmms.weights, "means": hmms.means, "variances": hmms.variances,
-        "self_loop": hmms.self_loop,
-    })
-
-
-def load_hmm_set(path):
-    from .hmm import HmmSet
-
-    _, payload = read_dvmd(path, "hmm_set")
-    _require(payload, weights=np.ndarray, means=np.ndarray, variances=np.ndarray,
-             self_loop=np.ndarray)
-    with _building("hmm_set"):
-        return HmmSet(payload["weights"], payload["means"], payload["variances"],
-                      payload["self_loop"])
-
-
-def save_pgmm(path, pgmm):
-    write_dvmd(path, "pgmm", {
-        "state_ids": np.asarray(DIGIT_STATES, dtype=np.int64),
-        "weights": pgmm.weights, "means": pgmm.means, "variances": pgmm.variances,
-    })
-
-
-def load_pgmm(path):
-    """A phonetic GMM; its ``state_ids`` must be the digit states 0..29, in order."""
-    from .pgmm import Pgmm
-
-    _, payload = read_dvmd(path, "pgmm")
-    _require(payload, state_ids=np.ndarray, weights=np.ndarray, means=np.ndarray,
-             variances=np.ndarray)
-    if not np.array_equal(payload["state_ids"], DIGIT_STATES):
-        raise CorruptData(6, "pgmm state_ids must be the digit states 0..29 in order")
-    with _building("pgmm"):
-        return Pgmm(payload["weights"], payload["means"], payload["variances"])
-
-
-def save_mlp(path, model):
-    write_dvmd(path, "mlp", {
-        "weights": list(model.weights),
-        "biases": list(model.biases),
-        "input_mean": model.input_mean,
-        "input_std": model.input_std,
-        "input_kind": model.input_kind.value,
-        "class_priors": model.class_priors,
-    })
-
-
-def load_mlp(path):
-    from .neural_aligner import MlpModel
-
-    _, payload = read_dvmd(path, "mlp")
-    _require(payload, weights=list, biases=list, input_mean=np.ndarray,
-             input_std=np.ndarray, input_kind=str, class_priors=np.ndarray)
-    with _building("mlp"):
-        return MlpModel(
-            weights=payload["weights"],
-            biases=payload["biases"],
-            input_mean=payload["input_mean"],
-            input_std=payload["input_std"],
-            input_kind=FeatureKind(payload["input_kind"]),
-            class_priors=payload["class_priors"],
-        )
-
-
-def _background_payload(background):
-    return {"means": background.means, "variances": background.variances,
-            "model_id": background.model_id}
-
-
-def _background_from(payload):
-    """A TV file's background; ``state_ids`` and ``n_components``, which older files
-    carry, are ignored."""
-    from .pgmm import Background
-
-    _require(payload, means=np.ndarray, variances=np.ndarray, model_id=str)
-    return Background(payload["means"], payload["variances"], payload["model_id"])
-
-
-def save_tv(path, tv):
-    write_dvmd(path, "tv", {
-        "matrix": tv.matrix,
-        "background": _background_payload(tv.background),
-    })
-
-
-def load_tv(path):
-    from .ivector import TvModel
-
-    _, payload = read_dvmd(path, "tv")
-    _require(payload, matrix=np.ndarray, background=dict)
-    with _building("tv"):
-        return TvModel(payload["matrix"], _background_from(payload["background"]))
-
-
-def save_plda_backend(path, backend):
-    write_dvmd(path, "plda_backend", {
-        "lda": backend.lda, "mean": backend.mean,
-        "between": backend.between, "within": backend.within,
-    })
-
-
-def load_plda_backend(path):
-    from .ivector import PldaBackend
-
-    _, payload = read_dvmd(path, "plda_backend")
-    _require(payload, lda=np.ndarray, mean=np.ndarray, between=np.ndarray, within=np.ndarray)
-    with _building("plda_backend"):
-        return PldaBackend(payload["lda"], payload["mean"],
-                           payload["between"], payload["within"])
-
-
-def save_speaker_models(path, speakers):
-    """Write a ``SpeakerModels`` roster; its stacked means are written as they are held."""
-    write_dvmd(path, "speaker_models", {
-        "background_id": speakers.background_id,
-        "relevance": float(speakers.relevance),
-        "ids": list(speakers.ids),
-        "means": speakers.means,
-    })
-
-
-def load_speaker_models(path):
-    """The ``SpeakerModels`` roster of a speaker-model file.
-
-    The means are read into one (speakers, M, D) array.  A roster the
-    ``SpeakerModels`` checks reject (ids not matching the models one to
-    one, or a relevance that is not positive) is corrupt data.
-    """
-    from .map_speaker import SpeakerModels
-
-    _, payload = read_dvmd(path, "speaker_models")
-    _require(payload, background_id=str, relevance=(int, float), ids=list, means=np.ndarray)
-    with _building("speaker_models"):
-        return SpeakerModels(payload["ids"], payload["means"], payload["background_id"],
-                             payload["relevance"])

@@ -51,7 +51,10 @@ class TvModel:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        mixtures, dim = self.background.means.shape
+        bg = self.background
+        if np.shape(bg.variances) != np.shape(bg.means) or not np.all(bg.variances > 0):
+            raise ValueError("background variances must have the means' shape and be positive")
+        mixtures, dim = bg.means.shape
         if self.matrix.ndim != 2 or self.matrix.shape[0] != mixtures * dim:
             raise ValueError(f"TV matrix of shape {self.matrix.shape} does not have "
                              f"{mixtures} x {dim} rows")
@@ -98,8 +101,16 @@ def _check_background(stats, background: Background):
 def extract_ivector(stats: SuffStats, tv: TvModel) -> IVector:
     """Posterior mean of the utterance factor; all-zero statistics give 0."""
     _check_background(stats, tv.background)
-    rhs = tv.matrix.T @ (stats.f.reshape(-1) * (1.0 / tv.background.variances.reshape(-1)))
-    return IVector(_posterior(tv.precision_blocks, stats.n, rhs)[1])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+            rhs = tv.matrix.T @ (stats.f.reshape(-1) * (1.0 / tv.background.variances.reshape(-1)))
+            vector = _posterior(tv.precision_blocks, stats.n, rhs)[1]
+        if np.all(np.isfinite(vector)):
+            return IVector(vector)
+    except np.linalg.LinAlgError:  # a precision that overflowed
+        pass
+    raise DigitsvError("i-vector extraction overflowed: the TV model and statistics "
+                       "give no finite posterior mean")
 
 
 # The M-step works in bounded blocks, so no temporary has the TV matrix's size:
@@ -255,6 +266,17 @@ def length_normalize(iv: IVector) -> IVector:
     return IVector(iv.vector / norm, normalized=True)
 
 
+def _is_covariance(cov, definite: bool) -> bool:
+    """Whether ``cov`` is symmetric, up to rounding, and positive definite (or only
+    semidefinite, when not ``definite``)."""
+    cov = np.asarray(cov, dtype=np.float64)
+    scale = np.abs(cov).max()
+    if np.abs(cov - cov.T).max() > 1e-9 * scale:
+        return False
+    smallest = np.linalg.eigvalsh(cov)[0]
+    return smallest > 0 if definite else smallest >= -1e-9 * scale
+
+
 @dataclass
 class PldaBackend:
     lda: np.ndarray            # (R, R') projection
@@ -269,6 +291,11 @@ class PldaBackend:
         if len(shapes[0]) != 2 or shapes[1:] != [dim, dim * 2, dim * 2]:
             raise ValueError(f"lda, mean, between and within are {shapes}, "
                              "not (R, R'), (R',), (R', R') and (R', R')")
+        # B may be singular: a zero between-class covariance scores every trial 0
+        if not (_is_covariance(self.between, definite=False)
+                and _is_covariance(self.within, definite=True)):
+            raise ValueError("between must be symmetric positive semidefinite and within "
+                             "symmetric positive definite")
 
     @property
     def dim(self):

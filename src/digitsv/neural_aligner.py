@@ -30,6 +30,8 @@ class MlpModel:
     class_priors: np.ndarray
 
     def __post_init__(self):
+        if not all(isinstance(a, np.ndarray) for a in (*self.weights, *self.biases)):
+            raise ValueError("every layer weight and bias must be an array")
         shapes = [np.shape(w) for w in self.weights]
         if not shapes or len(self.biases) != len(shapes) or any(len(s) != 2 for s in shapes):
             raise ValueError("an MLP needs one (fan_in, fan_out) weight matrix and one bias "

@@ -145,7 +145,7 @@ class TestExternalAlignmentFlow:
                     "--components", "2", "--em-iterations", "1", "--out", out]) == 0
         from digitsv import formats
 
-        pgmm = formats.load_pgmm(out)
+        pgmm = formats.load_model(out, "pgmm")
         assert pgmm.n_mixtures == 60
 
     def test_dnn_hmm_viterbi_alignment(self, work, tmp_path):
@@ -178,7 +178,7 @@ class TestExternalAlignmentFlow:
                     "--out", out]) == 0
         from digitsv import formats
 
-        hmms = formats.load_hmm_set(out)
+        hmms = formats.load_model(out, "hmm_set")
         assert hmms.n_components == 2
 
 
@@ -439,10 +439,10 @@ class TestCliMatchesLibrary:
         disk = DiskCorpus(corpus)
         trials = load_trials(disk.trials_path())
         system = pipeline.SpeakerSystem("dnn", pipeline.AlignerModels(
-            mlp=formats.load_mlp(f"{models}/mlp.dvmd"),
-            pgmm=formats.load_pgmm(f"{models}/pgmm.dvmd")))
-        want = pipeline.score_ivector_trials(disk, trials, system, formats.load_tv(tv),
-                                             formats.load_plda_backend(plda))
+            mlp=formats.load_model(f"{models}/mlp.dvmd", "mlp"),
+            pgmm=formats.load_model(f"{models}/pgmm.dvmd", "pgmm")))
+        want = pipeline.score_ivector_trials(disk, trials, system, formats.load_model(tv, "tv"),
+                                             formats.load_model(plda, "plda_backend"))
         got = [line.split()[2] for line in open(scores)]
         assert got == [f"{score:.10g}" for score in want]
 
@@ -460,8 +460,8 @@ class TestCliMatchesLibrary:
                     "--out", out]) == 0
 
         disk = DiskCorpus(corpus)
-        loaded = pipeline.AlignerModels(hmms=formats.load_hmm_set(f"{models}/hmm.dvmd"),
-                                        mlp=formats.load_mlp(f"{models}/mlp.dvmd"))
+        loaded = pipeline.AlignerModels(hmms=formats.load_model(f"{models}/hmm.dvmd", "hmm_set"),
+                                        mlp=formats.load_model(f"{models}/mlp.dvmd", "mlp"))
         want = {}
         for t in load_trials(disk.trials_path()):
             if (t.utterance, t.prompt) not in want:
@@ -480,10 +480,10 @@ class TestCliMatchesLibrary:
 
         models, corpus = work["models"], work["corpus"]
         loaded = pipeline.AlignerModels(
-            hmms=formats.load_hmm_set(f"{models}/hmm.dvmd"),
-            mlp=formats.load_mlp(f"{models}/mlp.dvmd"),
-            pgmm=formats.load_pgmm(f"{models}/pgmm.dvmd"),
-            ubm=formats.load_diag_gmm(f"{models}/ubm.dvmd"))
+            hmms=formats.load_model(f"{models}/hmm.dvmd", "hmm_set"),
+            mlp=formats.load_model(f"{models}/mlp.dvmd", "mlp"),
+            pgmm=formats.load_model(f"{models}/pgmm.dvmd", "pgmm"),
+            ubm=formats.load_model(f"{models}/ubm.dvmd", "diag_gmm"))
         utt = _split_utts(corpus, "test")[0]
         text = dict(
             line.split() for line in open(f"{corpus}/corpus/transcripts/transcripts.txt")
@@ -520,8 +520,8 @@ class TestCliMatchesLibrary:
                                   pgmm_components=2, pgmm_em_iterations=2, ubm_components=8)
 
     @staticmethod
-    def _assert_same_bytes(work, tmp_path, name, save, model):
-        save(str(tmp_path / "lib.dvmd"), model)
+    def _assert_same_bytes(work, tmp_path, name, model):
+        formats.save_model(str(tmp_path / "lib.dvmd"), model)
         assert (tmp_path / "lib.dvmd").read_bytes() == \
             open(f"{work['models']}/{name}.dvmd", "rb").read()
 
@@ -530,32 +530,32 @@ class TestCliMatchesLibrary:
         from digitsv.cli import DiskCorpus
 
         hmms = pipeline.train_hmms(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG)
-        self._assert_same_bytes(work, tmp_path, "hmm", formats.save_hmm_set, hmms)
+        self._assert_same_bytes(work, tmp_path, "hmm", hmms)
 
     def test_train_mlp_model(self, work, tmp_path):
         from digitsv import formats, pipeline
         from digitsv.cli import DiskCorpus
 
-        hmms = formats.load_hmm_set(f"{work['models']}/hmm.dvmd")
+        hmms = formats.load_model(f"{work['models']}/hmm.dvmd", "hmm_set")
         mlp = pipeline.train_classifier(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG, hmms)
-        self._assert_same_bytes(work, tmp_path, "mlp", formats.save_mlp, mlp)
+        self._assert_same_bytes(work, tmp_path, "mlp", mlp)
 
     def test_train_pgmm_model(self, work, tmp_path):
         from digitsv import formats, pipeline
         from digitsv.cli import DiskCorpus
         from digitsv.neural_aligner import mlp_posteriors
 
-        mlp = formats.load_mlp(f"{work['models']}/mlp.dvmd")
+        mlp = formats.load_model(f"{work['models']}/mlp.dvmd", "mlp")
         pgmm = pipeline.train_phonetic_gmms(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG,
                                             lambda utt: mlp_posteriors(mlp, utt.feats))
-        self._assert_same_bytes(work, tmp_path, "pgmm", formats.save_pgmm, pgmm)
+        self._assert_same_bytes(work, tmp_path, "pgmm", pgmm)
 
     def test_train_ubm_model(self, work, tmp_path):
         from digitsv import formats, pipeline
         from digitsv.cli import DiskCorpus
 
         ubm = pipeline.train_ubm(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG)
-        self._assert_same_bytes(work, tmp_path, "ubm", formats.save_diag_gmm, ubm)
+        self._assert_same_bytes(work, tmp_path, "ubm", ubm)
 
 
 def _fbank_stream(utt):
@@ -599,7 +599,7 @@ class TestClassifierStream:
 
         code, feats_dir, out = self._train(work, tmp_path, stream_of)
         assert code == 0
-        mlp = formats.load_mlp(str(out))
+        mlp = formats.load_model(str(out), "mlp")
         assert (mlp.input_kind.value, mlp.input_dim) == (kind, dim)
         # the model accepts its own stream
         utt = _split_utts(work["corpus"], "test")[0]
@@ -680,6 +680,11 @@ class TestSilencePolicyConfig:
         _assert_error_line(capsys, "silence_policy", "bogus")
 
 
+def _tv_variances(edit):
+    """A TV payload's background with its variances replaced by ``edit`` of them."""
+    return lambda p: {**p["background"], "variances": edit(p["background"]["variances"])}
+
+
 class TestBadInputs:
     """Bad files end in exit code 2, never in a traceback."""
 
@@ -724,7 +729,7 @@ class TestBadInputs:
         }
 
     @pytest.mark.parametrize("container", ["diag_gmm", "hmm_set", "pgmm", "mlp",
-                                           "speaker_models"])
+                                           "speaker_models", "tv", "plda_backend"])
     def test_flipped_bytes_in_model(self, loads, tmp_path, container):
         bad, commands = loads
         original, argv = commands[container]
@@ -755,7 +760,8 @@ class TestBadInputs:
         assert run([*argv, "--out", str(tmp_path / "out")]) == 2
         _assert_error_line(capsys, f"invalid {container} payload", "nonnegative")
 
-    # a field whose array does not fit the model's other arrays
+    # a field the model's own checks reject: arrays that do not fit its other arrays,
+    # lists where arrays belong, or arrays of the right shape that no model may hold
     MISSHAPEN = {
         "mlp-input-mean": ("mlp", "input_mean", lambda p: np.zeros(2)),
         "mlp-input-std": ("mlp", "input_std", lambda p: p["input_std"][:-1]),
@@ -763,9 +769,16 @@ class TestBadInputs:
         "mlp-bias": ("mlp", "biases", lambda p: [b[:-1] for b in p["biases"]]),
         "mlp-unchained": ("mlp", "weights", lambda p: [p["weights"][0], *(
             w[:-1] for w in p["weights"][1:])]),
+        "mlp-weight-lists": ("mlp", "weights", lambda p: [w.tolist() for w in p["weights"]]),
         "plda-mean": ("plda_backend", "mean", lambda p: p["mean"][:-3]),
         "plda-between": ("plda_backend", "between", lambda p: p["between"][:, :-1]),
         "plda-lda-vector": ("plda_backend", "lda", lambda p: p["lda"][:, 0]),
+        "plda-within-zero": ("plda_backend", "within", lambda p: np.zeros_like(p["within"])),
+        "plda-between-negative-identity": ("plda_backend", "between",
+                                           lambda p: -np.eye(len(p["between"]))),
+        "tv-variances-short": ("tv", "background", _tv_variances(lambda v: v[:, :-1])),
+        "tv-variances-zero": ("tv", "background", _tv_variances(np.zeros_like)),
+        "tv-variances-negated": ("tv", "background", _tv_variances(np.negative)),
     }
 
     @pytest.mark.parametrize("case", sorted(MISSHAPEN))
@@ -817,7 +830,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("defect", sorted(ROSTER_DEFECTS))
     def test_corrupt_speaker_roster(self, work, tmp_path, capsys, defect):
         models, corpus = work["models"], work["corpus"]
-        ubm = formats.load_diag_gmm(f"{models}/ubm.dvmd")
+        ubm = formats.load_model(f"{models}/ubm.dvmd", "diag_gmm")
         means = np.broadcast_to(ubm.means, (3, *ubm.means.shape)).copy()
         bad = str(tmp_path / "spk.dvmd")
         formats.write_dvmd(bad, "speaker_models",
@@ -1035,7 +1048,7 @@ class TestBadTrials:
         assert run(["enroll-map", "--corpus", corpus, "--source", "ubm", *ubm,
                     "--out", speakers]) == 0
         kept = sorted({line.split()[1] for line in lines} - {impostor})
-        assert list(formats.load_speaker_models(speakers).ids) == kept
+        assert list(formats.load_model(speakers, "speaker_models").ids) == kept
         capsys.readouterr()
         assert run(["score-speaker", "--corpus", corpus, "--source", "ubm", *ubm,
                     "--speakers", speakers, "--trials", str(trials),

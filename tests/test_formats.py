@@ -23,6 +23,7 @@ from digitsv.gmm import DiagGmm
 from digitsv.hmm import DIGIT_STATES
 from digitsv.ivector import IVector, PldaBackend, TvModel, extract_ivector
 from digitsv.map_speaker import SpeakerModels
+from digitsv.neural_aligner import MlpModel
 from digitsv.pgmm import Background, Pgmm, SuffStats
 
 
@@ -609,8 +610,8 @@ class TestDvmdModels:
         gmm = DiagGmm(np.array([0.25, 0.75]), rng.standard_normal((2, 3)),
                       0.5 + rng.random((2, 3)))
         path = tmp_path / "g.dvmd"
-        formats.save_diag_gmm(path, gmm)
-        back = formats.load_diag_gmm(path)
+        formats.save_model(path, gmm)
+        back = formats.load_model(path, "diag_gmm")
         np.testing.assert_array_equal(back.weights, gmm.weights)
         np.testing.assert_array_equal(back.means, gmm.means)
         np.testing.assert_array_equal(back.variances, gmm.variances)
@@ -618,8 +619,8 @@ class TestDvmdModels:
     def test_hmm_set_round_trip(self, tmp_path):
         hmms = make_hmm_set(n_components=2)
         path = tmp_path / "h.dvmd"
-        formats.save_hmm_set(path, hmms)
-        back = formats.load_hmm_set(path)
+        formats.save_model(path, hmms)
+        back = formats.load_model(path, "hmm_set")
         np.testing.assert_array_equal(back.self_loop, hmms.self_loop)
         for s in range(33):
             np.testing.assert_array_equal(state_gmm(back, s).means, state_gmm(hmms, s).means)
@@ -627,16 +628,16 @@ class TestDvmdModels:
     def test_wrong_kind_rejected(self, tmp_path):
         gmm = DiagGmm([1.0], [[0.0]], [[1.0]])
         path = tmp_path / "g.dvmd"
-        formats.save_diag_gmm(path, gmm)
+        formats.save_model(path, gmm)
         with pytest.raises(BadMagic):
-            formats.load_hmm_set(path)
+            formats.load_model(path, "hmm_set")
 
     def test_pgmm_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         pgmm = Pgmm(np.ones((30, 1)), rng.standard_normal((30, 1, 2)), np.ones((30, 1, 2)))
         path = tmp_path / "p.dvmd"
-        formats.save_pgmm(path, pgmm)
-        back = formats.load_pgmm(path)
+        formats.save_model(path, pgmm)
+        back = formats.load_model(path, "pgmm")
         _, payload = formats.read_dvmd(path, "pgmm")
         assert tuple(payload["state_ids"]) == DIGIT_STATES
         np.testing.assert_array_equal(state_gmm(back, 7).means, state_gmm(pgmm, 7).means)
@@ -646,8 +647,8 @@ class TestDvmdModels:
         bg = Background(rng.standard_normal((3, 2)), 1 + rng.random((3, 2)), "bg")
         tv = TvModel(rng.standard_normal((6, 4)), bg)
         path = tmp_path / "tv.dvmd"
-        formats.save_tv(path, tv)
-        back = formats.load_tv(path)
+        formats.save_model(path, tv)
+        back = formats.load_model(path, "tv")
         np.testing.assert_array_equal(back.matrix, tv.matrix)
         assert back.background.model_id == "bg"
 
@@ -659,21 +660,22 @@ class TestDvmdModels:
         bg = Background(rng.standard_normal((3, 2)), 1 + rng.random((3, 2)), "bg")
         tv = TvModel(rng.standard_normal((6, 4)), bg)
         new, old = tmp_path / "new.dvmd", tmp_path / "old.dvmd"
-        formats.save_tv(new, tv)
+        formats.save_model(new, tv)
         formats.write_dvmd(old, "tv", {"matrix": tv.matrix, "background": {
             "means": bg.means, "variances": bg.variances, "state_ids": state_ids,
             "n_components": 1 if state_ids is not None else 3, "model_id": "bg"}})
         stats = SuffStats(1 + rng.random(3), rng.standard_normal((3, 2)), "bg")
-        want = extract_ivector(stats, formats.load_tv(new)).vector
-        np.testing.assert_array_equal(extract_ivector(stats, formats.load_tv(old)).vector, want)
+        want = extract_ivector(stats, formats.load_model(new, "tv")).vector
+        got = extract_ivector(stats, formats.load_model(old, "tv")).vector
+        np.testing.assert_array_equal(got, want)
 
     def test_backend_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         backend = PldaBackend(rng.standard_normal((5, 3)), rng.standard_normal(3),
                               np.eye(3), np.eye(3) * 2)
         path = tmp_path / "b.dvmd"
-        formats.save_plda_backend(path, backend)
-        back = formats.load_plda_backend(path)
+        formats.save_model(path, backend)
+        back = formats.load_model(path, "plda_backend")
         np.testing.assert_array_equal(back.lda, backend.lda)
         np.testing.assert_array_equal(back.within, backend.within)
 
@@ -681,11 +683,64 @@ class TestDvmdModels:
         rng = np.random.default_rng(9)
         speakers = SpeakerModels(["s0", "s1", "s2"], rng.standard_normal((3, 4, 2)), "bg", 5.0)
         path = tmp_path / "spk.dvmd"
-        formats.save_speaker_models(path, speakers)
-        back = formats.load_speaker_models(path)
+        formats.save_model(path, speakers)
+        back = formats.load_model(path, "speaker_models")
         assert back.ids == speakers.ids
         assert (back.background_id, back.relevance) == ("bg", 5.0)
         np.testing.assert_array_equal(back["s1"].means, speakers["s1"].means)
+
+
+def _pinned_payloads():
+    """Per DVMD kind, a model and the payload written for it, by hand in the pinned
+    field order: DVMD writes a dict in insertion order, so a reordered codec table
+    changes every file of that kind."""
+    rng = np.random.default_rng(21)
+    gmm = DiagGmm(np.array([0.25, 0.75]), rng.standard_normal((2, 3)), 0.5 + rng.random((2, 3)))
+    hmms = make_hmm_set(n_components=2)
+    pgmm = Pgmm(np.ones((30, 1)), rng.standard_normal((30, 1, 2)), np.ones((30, 1, 2)))
+    mlp = MlpModel([rng.standard_normal((4, 3)), rng.standard_normal((3, 2))],
+                   [rng.standard_normal(3), rng.standard_normal(2)], rng.standard_normal(4),
+                   1 + rng.random(4), FeatureKind.MFCC60, np.array([0.25, 0.75]))
+    bg = Background(rng.standard_normal((3, 2)), 1 + rng.random((3, 2)), "bg")
+    tv = TvModel(rng.standard_normal((6, 4)), bg)
+    plda = PldaBackend(rng.standard_normal((5, 3)), rng.standard_normal(3),
+                       np.eye(3), np.eye(3) * 2)
+    speakers = SpeakerModels(["s0", "s1"], rng.standard_normal((2, 4, 2)), "bg", 5)
+    return {
+        "diag_gmm": (gmm, {"weights": gmm.weights, "means": gmm.means,
+                           "variances": gmm.variances}),
+        "hmm_set": (hmms, {"weights": hmms.weights, "means": hmms.means,
+                           "variances": hmms.variances, "self_loop": hmms.self_loop}),
+        "pgmm": (pgmm, {"state_ids": np.arange(30), "weights": pgmm.weights,
+                        "means": pgmm.means, "variances": pgmm.variances}),
+        "mlp": (mlp, {"weights": mlp.weights, "biases": mlp.biases,
+                      "input_mean": mlp.input_mean, "input_std": mlp.input_std,
+                      "input_kind": "mfcc60", "class_priors": mlp.class_priors}),
+        "tv": (tv, {"matrix": tv.matrix, "background": {
+            "means": bg.means, "variances": bg.variances, "model_id": "bg"}}),
+        "plda_backend": (plda, {"lda": plda.lda, "mean": plda.mean,
+                                "between": plda.between, "within": plda.within}),
+        "speaker_models": (speakers, {"background_id": "bg", "relevance": 5.0,
+                                      "ids": ["s0", "s1"], "means": speakers.means}),
+    }
+
+
+class TestModelCodec:
+    def test_every_kind_is_pinned(self):
+        assert sorted(_pinned_payloads()) == sorted(formats.MODELS)
+
+    @pytest.mark.parametrize("kind", sorted(formats.MODELS))
+    def test_write_order(self, tmp_path, kind):
+        model, payload = _pinned_payloads()[kind]
+        formats.save_model(tmp_path / "codec.dvmd", model)
+        formats.write_dvmd(tmp_path / "hand.dvmd", kind, payload)
+        assert (tmp_path / "codec.dvmd").read_bytes() == (tmp_path / "hand.dvmd").read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(formats.MODELS))
+    def test_load_then_save_is_byte_identical(self, tmp_path, kind):
+        formats.save_model(tmp_path / "a.dvmd", _pinned_payloads()[kind][0])
+        formats.save_model(tmp_path / "b.dvmd", formats.load_model(tmp_path / "a.dvmd", kind))
+        assert (tmp_path / "a.dvmd").read_bytes() == (tmp_path / "b.dvmd").read_bytes()
 
 
 class TestSpeakerRoster:
@@ -696,7 +751,7 @@ class TestSpeakerRoster:
         formats.write_dvmd(path, "speaker_models",
                            ROSTER_DEFECTS[defect](roster_payload(["a", "b", "c"], means)))
         with pytest.raises(CorruptData, match="invalid speaker_models payload"):
-            formats.load_speaker_models(path)
+            formats.load_model(path, "speaker_models")
 
 
 def _root_base(arr):
@@ -726,8 +781,8 @@ class TestReaderCopies:
         bg = Background(rng.standard_normal((mixtures, dim)),
                         1 + rng.random((mixtures, dim)), "ubm")
         path = tmp_path / "tv.dvmd"
-        formats.save_tv(path, TvModel(rng.standard_normal((mixtures * dim, rank)), bg))
-        tv, peak = _traced_peak(lambda: formats.load_tv(path))
+        formats.save_model(path, TvModel(rng.standard_normal((mixtures * dim, rank)), bg))
+        tv, peak = _traced_peak(lambda: formats.load_model(path, "tv"))
         # slack: the finiteness check's boolean mask is an eighth of the matrix
         assert peak < tv.matrix.nbytes * 5 // 4, (peak, tv.matrix.nbytes)
 
@@ -735,9 +790,9 @@ class TestReaderCopies:
         rng = np.random.default_rng(13)
         stacked = rng.standard_normal((20, 64, 40))
         path = tmp_path / "spk.dvmd"
-        formats.save_speaker_models(
+        formats.save_model(
             path, SpeakerModels([f"s{k:02d}" for k in range(20)], stacked, "ubm", 16.0))
-        speakers, peak = _traced_peak(lambda: formats.load_speaker_models(path))
+        speakers, peak = _traced_peak(lambda: formats.load_model(path, "speaker_models"))
         np.testing.assert_array_equal(speakers["s07"].means, stacked[7])
         assert peak < stacked.nbytes * 5 // 4, (peak, stacked.nbytes)
 
@@ -775,7 +830,7 @@ class TestReaderCopies:
     def test_arrays_do_not_reference_the_file(self, tmp_path):
         rng = np.random.default_rng(12)
         path = tmp_path / "p.dvmd"
-        formats.save_pgmm(path, Pgmm(np.full((30, 2), 0.5), rng.standard_normal((30, 2, 3)),
+        formats.save_model(path, Pgmm(np.full((30, 2), 0.5), rng.standard_normal((30, 2, 3)),
                                      np.ones((30, 2, 3))))
         _, payload = formats.read_dvmd(path, "pgmm")
         assert payload["state_ids"].dtype.kind == "i"
@@ -804,7 +859,7 @@ def _valid_files(tmp_path):
     gmm = DiagGmm(np.array([0.5, 0.5]), rng.standard_normal((2, 3)),
                   0.5 + rng.random((2, 3)))
     files["dvmd"] = tmp_path / "r.dvmd"
-    formats.save_diag_gmm(files["dvmd"], gmm)
+    formats.save_model(files["dvmd"], gmm)
     return files
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ class TestExtractIvector:
         stats = random_stats(toy_background(seed=8, model_id="dnn-hmm"))
         with pytest.raises(InconsistentBackground, match="dnn-hmm"):
             extract_ivector(stats, tv)
+
+    def test_overflowing_extraction_is_a_data_error(self):
+        # finite parameters whose precision blocks overflow to infinity: one
+        # error, and no warning before it
+        bg = toy_background()
+        tv = TvModel(np.full((6, 2), 1e200), bg)
+        with warnings.catch_warnings(), pytest.raises(DigitsvError, match="overflowed"):
+            warnings.simplefilter("error")
+            extract_ivector(random_stats(bg), tv)
 
 
 class TestTrainTv:
@@ -284,6 +294,14 @@ class TestDenseOracle:
         with pytest.raises(ValueError):
             TvModel(np.zeros((5, 2)), toy_background())
 
+    @pytest.mark.parametrize("edit", [lambda v: v[:, :-1], np.zeros_like, np.negative],
+                             ids=["short", "zero", "negated"])
+    def test_background_variances_must_fit(self, edit):
+        bg = toy_background()
+        bg.variances = edit(bg.variances)
+        with pytest.raises(ValueError, match="variances"):
+            TvModel(np.zeros((6, 2)), bg)
+
 
 class TestLengthNormalize:
     def test_three_four_five(self):
@@ -433,6 +451,15 @@ class TestPldaScore:
     def test_empty_enrollment(self):
         with pytest.raises(EmptyEnrollment):
             plda_score(self.backend, [], self.backend.prepare(IVector(self.x[0])))
+
+    @pytest.mark.parametrize("between, within", [
+        (-np.eye(4), np.eye(4)), (np.eye(4), np.zeros((4, 4))),
+        (np.eye(4) + np.triu(np.ones((4, 4)), 1), np.eye(4))],
+        ids=["negative between", "zero within", "asymmetric between"])
+    def test_covariances_must_be_covariances(self, between, within):
+        b = self.backend
+        with pytest.raises(ValueError, match="positive"):
+            type(b)(b.lda, b.mean, between, within)
 
     def test_score_ordering_invariant_under_linear_pretransform(self):
         rng = np.random.default_rng(6)

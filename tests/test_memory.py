@@ -1057,8 +1057,7 @@ class TestPeakMemory:
                                      enrollment=lambda spk: [short])
 
         def enroll_and_save():
-            formats.save_speaker_models(tmp_path / "spk.dvmd",
-                                        pipeline.enroll_speakers(many, system))
+            formats.save_model(tmp_path / "spk.dvmd", pipeline.enroll_speakers(many, system))
 
         _, peak = _peak(enroll_and_save)
         assert peak < (48 + 8) * one, (peak / one)
