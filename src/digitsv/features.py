@@ -22,6 +22,11 @@ from .errors import (
 )
 
 SAMPLE_RATE = 16000
+WINDOW = SAMPLE_RATE * 25 // 1000   # samples per 25 ms frame
+SHIFT = SAMPLE_RATE * 10 // 1000    # samples per 10 ms shift
+N_MELS = 40
+N_CEPS = 20
+PREEMPHASIS = 0.97
 _LOG_FLOOR = 1e-10
 
 
@@ -49,24 +54,8 @@ class AudioClip:
 
 
 @dataclass
-class FeatureConfig:
-    window_ms: float = 25.0
-    shift_ms: float = 10.0
-    n_mels: int = 40
-    n_ceps: int = 20
-    context: int = 5
-    preemphasis: float = 0.97
-
-    def __post_init__(self):
-        if not self.window_ms > self.shift_ms > 0:
-            raise ValueError("need window_ms > shift_ms > 0")
-        if self.n_ceps > self.n_mels:
-            raise ValueError("n_ceps must not exceed n_mels")
-
-
-@dataclass
 class FeatureSequence:
-    """A T x D matrix of per-frame features plus framing metadata.
+    """A T x D matrix of per-frame features and the kind that fixes its width.
 
     float32 frames (as a DVFE file stores them) are kept as given; any other
     input is converted to float64.  Arithmetic on the frames runs in float64,
@@ -75,7 +64,6 @@ class FeatureSequence:
 
     frames: np.ndarray
     kind: FeatureKind
-    frame_shift_ms: float = 10.0
 
     def __post_init__(self):
         if not (isinstance(self.frames, np.ndarray) and self.frames.dtype == np.float32):
@@ -146,15 +134,6 @@ def write_wav(path, clip: AudioClip):
         fh.write(header + pcm)
 
 
-def n_frames_for(n_samples: int, cfg: FeatureConfig) -> int:
-    """Frame count for a clip length; depends only on framing config."""
-    win = int(round(cfg.window_ms * SAMPLE_RATE / 1000.0))
-    shift = int(round(cfg.shift_ms * SAMPLE_RATE / 1000.0))
-    if n_samples < win:
-        return 0
-    return (n_samples - win) // shift + 1
-
-
 def mel_scale(freq_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(freq_hz, dtype=np.float64) / 700.0)
 
@@ -181,27 +160,24 @@ def dct_matrix(n_ceps: int, n_mels: int) -> np.ndarray:
     return np.sqrt(2.0 / n_mels) * np.cos(np.pi * i * (2 * j + 1) / (2.0 * n_mels))
 
 
-def _frame(samples: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
-    win = int(round(cfg.window_ms * SAMPLE_RATE / 1000.0))
-    shift = int(round(cfg.shift_ms * SAMPLE_RATE / 1000.0))
+def _frame(samples: np.ndarray) -> np.ndarray:
     n = samples.shape[0]
-    if n < win:
-        raise ClipTooShort(f"clip of {n} samples is shorter than one {win}-sample window")
-    count = (n - win) // shift + 1
-    idx = np.arange(win)[None, :] + shift * np.arange(count)[:, None]
+    if n < WINDOW:
+        raise ClipTooShort(f"clip of {n} samples is shorter than one {WINDOW}-sample window")
+    count = (n - WINDOW) // SHIFT + 1
+    idx = np.arange(WINDOW)[None, :] + SHIFT * np.arange(count)[:, None]
     return samples[idx].astype(np.float64)
 
 
-def _log_mel_energies(audio: AudioClip, cfg: FeatureConfig) -> np.ndarray:
-    frames = _frame(audio.samples, cfg)
+def _log_mel_energies(audio: AudioClip) -> np.ndarray:
+    frames = _frame(audio.samples)
     # per-frame pre-emphasis: a constant signal yields identical frames
-    frames[:, 1:] -= cfg.preemphasis * frames[:, :-1]
-    frames[:, 0] *= 1.0 - cfg.preemphasis
-    win = frames.shape[1]
-    frames *= np.hamming(win)
-    n_fft = 1 << (win - 1).bit_length()
+    frames[:, 1:] -= PREEMPHASIS * frames[:, :-1]
+    frames[:, 0] *= 1.0 - PREEMPHASIS
+    frames *= np.hamming(WINDOW)
+    n_fft = 1 << (WINDOW - 1).bit_length()
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-    bank = mel_filterbank(cfg.n_mels, n_fft, audio.sample_rate)
+    bank = mel_filterbank(N_MELS, n_fft, audio.sample_rate)
     return np.log(np.maximum(power @ bank.T, _LOG_FLOOR))
 
 
@@ -227,19 +203,15 @@ def add_deltas(static: np.ndarray, half_window: int = 2) -> np.ndarray:
     return np.concatenate([static, d1, d2], axis=1)
 
 
-def extract_fbank(audio: AudioClip, cfg: FeatureConfig | None = None) -> FeatureSequence:
+def extract_fbank(audio: AudioClip) -> FeatureSequence:
     """120-dim FBank features: 40 log filter-bank energies plus deltas."""
-    cfg = cfg or FeatureConfig()
-    log_mel = _log_mel_energies(audio, cfg)
-    return FeatureSequence(add_deltas(log_mel), FeatureKind.FBANK120, cfg.shift_ms)
+    return FeatureSequence(add_deltas(_log_mel_energies(audio)), FeatureKind.FBANK120)
 
 
-def extract_mfcc(audio: AudioClip, cfg: FeatureConfig | None = None) -> FeatureSequence:
+def extract_mfcc(audio: AudioClip) -> FeatureSequence:
     """60-dim MFCC features: 20 cepstra plus deltas."""
-    cfg = cfg or FeatureConfig()
-    log_mel = _log_mel_energies(audio, cfg)
-    ceps = log_mel @ dct_matrix(cfg.n_ceps, cfg.n_mels).T
-    return FeatureSequence(add_deltas(ceps), FeatureKind.MFCC60, cfg.shift_ms)
+    ceps = _log_mel_energies(audio) @ dct_matrix(N_CEPS, N_MELS).T
+    return FeatureSequence(add_deltas(ceps), FeatureKind.MFCC60)
 
 
 def apply_cmvn(feats: FeatureSequence) -> FeatureSequence:

@@ -17,7 +17,8 @@ Formats:
   DVST  statistics   (version 3) mixtures u32, dim u32, background id (u16
                      length + UTF-8, empty for none), one (N, F) f64
                      record per mixture, read and written as one block
-  DVIV  i-vectors    count u32, rank u32, records of (id, normalized, f64s)
+  DVIV  i-vectors    count u32, rank u32, records of (id, flag u8, f64s); the
+                     flag is written 0, and read (0 or 1) and ignored
   DVMD  models       kind string plus a tagged recursive payload
 
 DVMD model kinds (``MODELS``), each field in write order:
@@ -52,7 +53,7 @@ from .errors import (
 from .features import FeatureKind, FeatureSequence
 from .gmm import DiagGmm
 from .hmm import DIGIT_STATES, HmmSet
-from .ivector import IVector, PldaBackend, TvModel
+from .ivector import PldaBackend, TvModel
 from .map_speaker import SpeakerModels
 from .neural_aligner import MlpModel
 from .pgmm import Background, Pgmm, SuffStats
@@ -175,25 +176,41 @@ def _f32_block(path, matrix: np.ndarray) -> np.ndarray:
     return block
 
 
-# --- DVFE: feature matrices ------------------------------------------------
+# --- DVFE and DVPO: f32 matrices ---------------------------------------------
 
-def write_dvfe(path, feats: FeatureSequence):
-    block = _f32_block(path, feats.frames)
+def _write_f32_matrix(path, magic: bytes, matrix):
+    """``matrix`` as rows u32, cols u32 and its f32 row-major block."""
+    matrix = np.asarray(matrix)
+    block = _f32_block(path, matrix)
     with _create(path) as fh:
-        fh.write(_header(b"DVFE"))
-        fh.write(struct.pack("<II", feats.n_frames, feats.dim))
+        fh.write(_header(magic))
+        fh.write(struct.pack("<II", *matrix.shape))
         fh.write(block.tobytes())
 
 
-def read_dvfe(path) -> FeatureSequence:
+def _read_f32_matrix(path, magic: bytes, expect_cols: int | None = None):
+    """(f32 matrix, offset of its block) of a ``magic`` file, checked for shape."""
     with open(path, "rb") as fh:
-        rd = _Reader(fh, b"DVFE")
+        rd = _Reader(fh, magic)
         rows, cols = rd.u32(), rd.u32()
         if rows < 1 or cols < 1:
             raise CorruptData(6, f"implausible shape {rows} x {cols}")
-        _check_counts(rd, rows, cols, 4, "DVFE")
-        frames = rd.array("<f4", (rows, cols))
+        if expect_cols is not None and cols != expect_cols:
+            raise WrongStateCount(f"expected {expect_cols} states, file has {cols}")
+        _check_counts(rd, rows, cols, 4, magic.decode())
+        start = rd.pos
+        matrix = rd.array("<f4", (rows, cols))
         rd.done()
+    return matrix, start
+
+
+def write_dvfe(path, feats: FeatureSequence):
+    _write_f32_matrix(path, b"DVFE", feats.frames)
+
+
+def read_dvfe(path) -> FeatureSequence:
+    frames, _ = _read_f32_matrix(path, b"DVFE")
+    cols = frames.shape[1]
     if cols % 120 == 0 and (cols // 120) % 2 == 1:
         kind = FeatureKind.SPLICED if cols != 120 else FeatureKind.FBANK120
     else:
@@ -203,30 +220,14 @@ def read_dvfe(path) -> FeatureSequence:
     return FeatureSequence(frames, kind)
 
 
-# --- DVPO: posterior matrices -------------------------------------------------
-
 def write_dvpo(path, posteriors: np.ndarray):
-    posteriors = np.asarray(posteriors, dtype=np.float64)
-    block = _f32_block(path, posteriors)
-    with _create(path) as fh:
-        fh.write(_header(b"DVPO"))
-        fh.write(struct.pack("<II", posteriors.shape[0], posteriors.shape[1]))
-        fh.write(block.tobytes())
+    _write_f32_matrix(path, b"DVPO", posteriors)
 
 
 def read_dvpo(path, expect_states: int | None = None) -> np.ndarray:
     """Read posteriors; rows within 1e-3 of summing to 1 are renormalized."""
-    with open(path, "rb") as fh:
-        rd = _Reader(fh, b"DVPO")
-        rows, cols = rd.u32(), rd.u32()
-        if rows < 1 or cols < 1:
-            raise CorruptData(6, f"implausible shape {rows} x {cols}")
-        if expect_states is not None and cols != expect_states:
-            raise WrongStateCount(f"expected {expect_states} states, file has {cols}")
-        _check_counts(rd, rows, cols, 4, "DVPO")
-        start = rd.pos
-        matrix = rd.array("<f4", (rows, cols)).astype(np.float64)
-        rd.done()
+    matrix, start = _read_f32_matrix(path, b"DVPO", expect_states)
+    matrix = matrix.astype(np.float64)
     negative = matrix < 0
     if negative.any():
         raise CorruptData(start + 4 * int(np.argmax(negative)), "negative posterior entries")
@@ -283,21 +284,25 @@ def read_dvst(path):
 # --- DVIV: i-vector archives ------------------------------------------------------
 
 def write_dviv(path, entries):
-    """``entries`` is a list of (utt_id, IVector)."""
+    """``entries`` is a list of (utt_id, i-vector), every i-vector of one rank."""
     if not entries:
         raise ValueError("refusing to write an empty i-vector archive")
-    rank = entries[0][1].vector.shape[0]
+    vectors = [np.asarray(vector, dtype="<f8") for _, vector in entries]
+    rank = vectors[0].size
+    if any(v.shape != (rank,) or not np.isfinite(v).all() for v in vectors):
+        raise ValueError(f"every i-vector of an archive must be a finite 1-D array of rank {rank}")
     with _create(path) as fh:
         fh.write(_header(b"DVIV"))
         fh.write(struct.pack("<II", len(entries), rank))
-        for utt_id, iv in entries:
+        for (utt_id, _), vector in zip(entries, vectors):
             raw = utt_id.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)) + raw)
-            fh.write(struct.pack("<B", 1 if iv.normalized else 0))
-            fh.write(iv.vector.astype("<f8").tobytes())
+            fh.write(b"\x00")  # the flag byte, which no reader uses
+            fh.write(vector.tobytes())
 
 
 def read_dviv(path):
+    """[(utt_id, i-vector)] of an archive; each record's flag must be 0 or 1."""
     with open(path, "rb") as fh:
         rd = _Reader(fh, b"DVIV")
         count, rank = rd.u32(), rd.u32()
@@ -309,8 +314,7 @@ def read_dviv(path):
             flag = rd.u8()
             if flag not in (0, 1):
                 raise CorruptData(rd.pos - 1, f"invalid normalization flag {flag}")
-            vec = rd.array("<f8", (rank,))
-            entries.append((utt_id, IVector(vec, normalized=bool(flag))))
+            entries.append((utt_id, rd.array("<f8", (rank,))))
         rd.done()
     return entries
 

@@ -7,9 +7,9 @@ I + sum_m n_m B_m from per-mixture blocks B_m = T_m' S_m^-1 T_m, computed once
 per TV matrix (Glembek et al., "Simplification and optimization of i-vector
 extraction", ICASSP 2011), so no utterance pays for an (M*D x R) product.
 Training reads the statistics again on every EM pass instead of holding them.
-Scoring projects i-vectors with LDA, length-normalizes, and applies a
-two-covariance PLDA likelihood ratio, in closed form for every enrolled
-speaker at once (``PldaScorer``; ``plda_score`` is its per-trial reference).
+An i-vector is a finite 1-D float64 array.  Scoring projects i-vectors with
+LDA, length-normalizes, and applies a two-covariance PLDA likelihood ratio,
+in closed form for every enrolled speaker at once (``PldaScorer``).
 """
 
 from __future__ import annotations
@@ -30,17 +30,6 @@ from .errors import (
     ZeroVector,
 )
 from .pgmm import Background, SuffStats
-
-
-@dataclass
-class IVector:
-    vector: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1 or not np.all(np.isfinite(self.vector)):
-            raise ValueError("i-vector must be a finite 1-D vector")
 
 
 @dataclass
@@ -98,7 +87,7 @@ def _check_background(stats, background: Background):
         )
 
 
-def extract_ivector(stats: SuffStats, tv: TvModel) -> IVector:
+def extract_ivector(stats: SuffStats, tv: TvModel) -> np.ndarray:
     """Posterior mean of the utterance factor; all-zero statistics give 0."""
     _check_background(stats, tv.background)
     try:
@@ -106,7 +95,7 @@ def extract_ivector(stats: SuffStats, tv: TvModel) -> IVector:
             rhs = tv.matrix.T @ (stats.f.reshape(-1) * (1.0 / tv.background.variances.reshape(-1)))
             vector = _posterior(tv.precision_blocks, stats.n, rhs)[1]
         if np.all(np.isfinite(vector)):
-            return IVector(vector)
+            return vector
     except np.linalg.LinAlgError:  # a precision that overflowed
         pass
     raise DigitsvError("i-vector extraction overflowed: the TV model and statistics "
@@ -238,32 +227,41 @@ def train_tv(stats, background: Background, rank: int,
     E-step is batched over all utterances.  The returned
     model logs the per-iteration evidence term 0.5 * (w' rhs - logdet L)
     summed over utterances, which is nondecreasing across iterations.
+    Statistics that overflow the matrix or the evidence raise DigitsvError.
     """
     inv_var = 1.0 / background.variances.reshape(-1)
     matrix = np.random.default_rng(seed).standard_normal((background.means.size, rank))
     matrix *= 0.1
-    counts = []
-    rhs = _right_hand_sides(matrix, _pass(stats, background), inv_var, counts)
-    utterances = len(counts)
-    if utterances < rank:
-        raise RankTooLarge(f"{utterances} utterances cannot support rank {rank}")
-    counts = np.array(counts).reshape(utterances, background.n_mixtures)
-    log = []
-    for k in range(iterations):
-        if k:
-            rhs = _right_hand_sides(matrix, _pass(stats, background, utterances), inv_var)
-        log.append(_em_iteration(matrix, counts, rhs, inv_var,
-                                 _pass(stats, background, utterances)))
+    counts, log = [], []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+            rhs = _right_hand_sides(matrix, _pass(stats, background), inv_var, counts)
+            utterances = len(counts)
+            if utterances < rank:
+                raise RankTooLarge(f"{utterances} utterances cannot support rank {rank}")
+            counts = np.array(counts).reshape(utterances, background.n_mixtures)
+            for k in range(iterations):
+                if k:
+                    rhs = _right_hand_sides(matrix, _pass(stats, background, utterances),
+                                            inv_var)
+                log.append(_em_iteration(matrix, counts, rhs, inv_var,
+                                         _pass(stats, background, utterances)))
+        finite = np.all(np.isfinite(matrix)) and np.all(np.isfinite(log))
+    except np.linalg.LinAlgError:  # a precision that overflowed
+        finite = False
+    if not finite:
+        raise DigitsvError("total-variability training overflowed: the statistics give "
+                           "no finite TV matrix and evidence")
     tv = TvModel(matrix, background)
     tv.training_log = log
     return tv
 
 
-def length_normalize(iv: IVector) -> IVector:
-    norm = float(np.linalg.norm(iv.vector))
+def length_normalize(vector: np.ndarray) -> np.ndarray:
+    norm = float(np.linalg.norm(vector))
     if norm <= 0.0:
         raise ZeroVector("cannot length-normalize the zero vector")
-    return IVector(iv.vector / norm, normalized=True)
+    return vector / norm
 
 
 def _is_covariance(cov, definite: bool) -> bool:
@@ -301,11 +299,11 @@ class PldaBackend:
     def dim(self):
         return self.lda.shape[1]
 
-    def prepare(self, iv: IVector) -> IVector:
+    def prepare(self, vector: np.ndarray) -> np.ndarray:
         """LDA-project and length-normalize a raw i-vector."""
-        if iv.vector.shape[0] != self.lda.shape[0]:
+        if vector.shape[0] != self.lda.shape[0]:
             raise ShapeMismatch("i-vector rank does not match the LDA projection")
-        return length_normalize(IVector(iv.vector @ self.lda))
+        return length_normalize(vector @ self.lda)
 
 
 def _lda_projection(x, labels, lda_dim):
@@ -360,11 +358,11 @@ def plda_log_likelihood(mean, between, within, vectors, labels) -> float:
 
 
 def train_backend(ivectors, labels, lda_dim: int, plda_iterations: int = 10) -> PldaBackend:
-    """Fit LDA followed by two-covariance PLDA on projected, normalized vectors."""
-    if isinstance(ivectors[0], IVector):
-        x = np.stack([iv.vector for iv in ivectors])
-    else:
-        x = np.asarray(ivectors, dtype=np.float64)
+    """Fit LDA followed by two-covariance PLDA on projected, normalized vectors.
+
+    ``ivectors`` is a (count, rank) array or a sequence of rank-length i-vectors.
+    """
+    x = np.asarray(ivectors, dtype=np.float64)
     labels = list(labels)
     if len(labels) != x.shape[0]:
         raise ShapeMismatch("one label per i-vector required")
@@ -429,40 +427,15 @@ def train_backend(ivectors, labels, lda_dim: int, plda_iterations: int = 10) -> 
     return backend
 
 
-def plda_score(backend: PldaBackend, enroll, test: IVector) -> float:
-    """Same- vs different-speaker log-likelihood ratio.
-
-    Enrollment vectors are averaged and re-length-normalized, so the score
-    is invariant to their order.  All vectors must be prepared (projected
-    and length-normalized) beforehand.
-    """
-    if not enroll:
-        raise EmptyEnrollment("no enrollment i-vectors given")
-    for iv in [*enroll, test]:
-        if iv.vector.shape[0] != backend.dim:
-            raise ShapeMismatch("i-vector does not match the backend dimension")
-        if not iv.normalized:
-            raise ValueError("plda_score expects length-normalized i-vectors")
-    avg = np.mean([iv.vector for iv in enroll], axis=0)
-    e = length_normalize(IVector(avg)).vector - backend.mean
-    t = test.vector - backend.mean
-
-    tot = backend.between + backend.within
-    d = backend.dim
-    joint = np.block([[tot, backend.between], [backend.between, tot]])
-    same = _gaussian_logpdf(np.concatenate([e, t]), joint)
-    diff = _gaussian_logpdf(e, tot) + _gaussian_logpdf(t, tot)
-    return float(same - diff)
-
-
 class PldaScorer:
     """Enrolled speakers of one TV model and PLDA backend, scored in closed form.
 
-    The two-covariance LLR of ``plda_score`` is a quadratic form in the centred
-    enrollment and test vectors, e'Qe + t'Qt + 2 e'Pt + c, with Q, P and c fixed
-    by the backend (Ioffe, ECCV 2006; Garcia-Romero & Espy-Wilson, Interspeech
-    2011): for T = B + W and the joint covariance J = [[T, B], [B, T]],
-    Q = (T^-1 - [J^-1]_11) / 2, P = -[J^-1]_12 / 2 and c = log|T| - log|J| / 2.
+    The two-covariance LLR of centred enrollment and test vectors e and t,
+    log N([e; t]; 0, J) - log N(e; 0, T) - log N(t; 0, T), is a quadratic form
+    e'Qe + t'Qt + 2 e'Pt + c, with Q, P and c fixed by the backend (Ioffe,
+    ECCV 2006; Garcia-Romero & Espy-Wilson, Interspeech 2011): for T = B + W
+    and the joint covariance J = [[T, B], [B, T]], Q = (T^-1 - [J^-1]_11) / 2,
+    P = -[J^-1]_12 / 2 and c = log|T| - log|J| / 2.
     Each speaker's averaged, re-length-normalized enrollment vector is
     kept centred as one row of a (speakers x d) matrix, so one test i-vector
     scores every speaker with one matrix-vector product.  ``enrollments`` maps
@@ -477,12 +450,11 @@ class PldaScorer:
         for spk, stats_list in enrollments.items():
             vectors = []
             for stats in stats_list:
-                vectors.append(self.ivector(stats).vector)
+                vectors.append(self.ivector(stats))
                 del stats  # not held while the next utterance is aligned
             if not vectors:
                 raise EmptyEnrollment(f"speaker {spk!r} has no enrollment statistics")
-            rows.append(length_normalize(IVector(np.mean(vectors, axis=0))).vector
-                        - backend.mean)
+            rows.append(length_normalize(np.mean(vectors, axis=0)) - backend.mean)
         self.enrolled = np.array(rows).reshape(len(rows), backend.dim)
         d = backend.dim
         tot = backend.between + backend.within
@@ -494,7 +466,7 @@ class PldaScorer:
         self.enrolled_terms = np.einsum("sd,de,se->s", self.enrolled, self.quad,
                                         self.enrolled) + const
 
-    def ivector(self, stats: SuffStats) -> IVector:
+    def ivector(self, stats: SuffStats) -> np.ndarray:
         """One utterance's i-vector, projected and length-normalized."""
         return self.backend.prepare(extract_ivector(stats, self.tv))
 
@@ -503,5 +475,5 @@ class PldaScorer:
 
         ``retained`` is unused: it keeps the signature of ``LinearLlr.scores``.
         """
-        t = self.ivector(stats).vector - self.backend.mean
+        t = self.ivector(stats) - self.backend.mean
         return self.enrolled_terms + t @ self.quad @ t + 2.0 * (self.enrolled @ (self.cross @ t))

@@ -9,32 +9,18 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyEnrollment, NoRetainedFrames, ShapeMismatch, SourceMismatch
-from .features import FeatureSequence
 from .pgmm import Background, SuffStats
 
 RELEVANCE_DEFAULT = 5.0
 
 
-@dataclass
-class SpeakerModel:
-    means: np.ndarray         # (M, D) adapted means
-    background_id: str
-    relevance: float
-
-    def __post_init__(self):
-        self.means = np.asarray(self.means, dtype=np.float64)
-        if not np.all(np.isfinite(self.means)):
-            raise ValueError("adapted means must be finite")
-
-
 def map_adapt(background: Background, stats: SuffStats,
-              relevance: float = RELEVANCE_DEFAULT) -> SpeakerModel:
-    """Mean-only MAP adaptation: mu_hat = F/(N+r) + mu per mixture."""
+              relevance: float = RELEVANCE_DEFAULT) -> np.ndarray:
+    """The (M, D) adapted means of mean-only MAP: mu_hat = F/(N+r) + mu per mixture."""
     if relevance <= 0:
         raise ValueError("relevance factor must be positive")
     if stats.f.shape != background.means.shape:
@@ -42,11 +28,10 @@ def map_adapt(background: Background, stats: SuffStats,
             f"stats shape {stats.f.shape} vs background {background.means.shape}"
         )
     alpha = 1.0 / (stats.n + relevance)
-    means = alpha[:, None] * stats.f + background.means
-    return SpeakerModel(means, background.model_id, relevance)
+    return alpha[:, None] * stats.f + background.means
 
 
-def enroll(background: Background, stats_list, relevance: float = RELEVANCE_DEFAULT) -> SpeakerModel:
+def enroll(background: Background, stats_list, relevance: float = RELEVANCE_DEFAULT) -> np.ndarray:
     """Merge the enrollment utterances' statistics in order, then adapt once.
 
     ``stats_list`` is any iterable of ``SuffStats``, read once.  They are added
@@ -65,8 +50,8 @@ def enroll(background: Background, stats_list, relevance: float = RELEVANCE_DEFA
 class SpeakerModels(Mapping):
     """Enrolled speakers whose adapted means are held once, as one (speakers, M, D) array.
 
-    A read-only mapping from speaker id to ``SpeakerModel``, in ``ids``
-    order; each model's means are a view of its row of ``means``.  Every
+    A read-only mapping from speaker id to that speaker's (M, D) adapted
+    means, in ``ids`` order; each is a view of its row of ``means``.  Every
     speaker shares ``background_id`` and ``relevance``.  Ids must be unique
     strings, one per row of a 3-D ``means``, and the relevance positive;
     anything else raises ValueError.  ``release`` hands the array on.
@@ -94,8 +79,8 @@ class SpeakerModels(Mapping):
         self.relevance = relevance
         self._rows = {spk: k for k, spk in enumerate(self.ids)}
 
-    def __getitem__(self, spk) -> SpeakerModel:
-        return SpeakerModel(self.means[self._rows[spk]], self.background_id, self.relevance)
+    def __getitem__(self, spk) -> np.ndarray:
+        return self.means[self._rows[spk]]
 
     def __contains__(self, spk) -> bool:
         return spk in self._rows
@@ -121,9 +106,10 @@ class SpeakerModels(Mapping):
 class LinearLlr:
     """Enrolled speakers stacked for scoring over centred statistics.
 
-    With shared variances ``llr_score`` is exactly linear in the statistics
+    With shared variances the log-determinants cancel, and the posterior-weighted
+    sum of per-frame log-likelihood ratios is exactly linear in the statistics
     (Glembek et al., ICASSP 2009): with d = mu_s - mu_b and W = d / var,
-    the posterior-weighted sum is W . F - h . N, h = 0.5 * sum_d d * W.
+    it is W . F - h . N, h = 0.5 * sum_d d * W.
     W is stacked once as (speakers x M*D), so one statistics vector scores
     every speaker with two matrix-vector products.
 
@@ -161,8 +147,8 @@ class LinearLlr:
     def scores(self, stats: SuffStats, retained: int) -> np.ndarray:
         """LLR of every speaker, in ``index`` order, given one key's statistics.
 
-        ``retained`` is the number of frames carrying any mixture mass, the
-        divisor ``llr_score`` uses.
+        ``retained`` is the number of frames carrying any mixture mass: the
+        score is the average log-likelihood ratio over those frames.
         """
         if stats.f.shape != self.background.means.shape:
             raise ShapeMismatch("statistics do not match the background layout")
@@ -170,33 +156,3 @@ class LinearLlr:
             raise NoRetainedFrames("no frame carries any non-silence mixture mass")
         return (self.weights @ stats.f.reshape(-1) - self.halves @ stats.n) / retained
 
-
-def llr_score(speaker: SpeakerModel, background: Background,
-              gammas: np.ndarray, feats: FeatureSequence) -> float:
-    """Average per-frame log-likelihood ratio of speaker vs background.
-
-    ``gammas`` are the (T, M) mixture posteriors.  Shared variances make the
-    log-determinants cancel, leaving a posterior-weighted difference of
-    quadratic terms.  The sum is divided by the number of frames carrying
-    any retained mixture mass.  The per-frame reference for ``LinearLlr``.
-    """
-    if speaker.means.shape != background.means.shape:
-        raise ShapeMismatch("speaker and background models differ in shape")
-    if gammas.shape[1] != background.means.shape[0]:
-        raise ShapeMismatch("posterior columns do not match the background mixtures")
-    if feats.dim != background.means.shape[1]:
-        raise ShapeMismatch("feature dim does not match the model")
-    if gammas.shape[0] != feats.n_frames:
-        raise ShapeMismatch("posterior and feature frame counts differ")
-
-    rows, cols = np.nonzero(gammas)
-    retained = np.unique(rows).size
-    if retained == 0:
-        raise NoRetainedFrames("no frame carries any non-silence mixture mass")
-
-    x = np.asarray(feats.frames[rows], dtype=np.float64)
-    mu_b = background.means[cols]
-    mu_s = speaker.means[cols]
-    inv2v = 0.5 / background.variances[cols]
-    per_entry = np.sum(((x - mu_b) ** 2 - (x - mu_s) ** 2) * inv2v, axis=1)
-    return float(np.dot(gammas[rows, cols], per_entry) / retained)

@@ -56,24 +56,24 @@ class MlpModel:
         return self.weights[-1].shape[1]
 
 
+LR_DECAY = 0.9           # multiplicative, per epoch
+MOMENTUM = 0.9
+HELDOUT_FRACTION = 0.1   # of the frames, held out to pick the best epoch
+
+
 @dataclass
 class MlpTrainConfig:
     hidden_dims: tuple = (512, 512, 512, 512)
     n_outputs: int = N_STATES
     learning_rate: float = 0.05
-    lr_decay: float = 0.9       # multiplicative, per epoch
-    momentum: float = 0.9
     batch_size: int = 256
     epochs: int = 15
     seed: int = 0
-    heldout_fraction: float = 0.1
     input_kind: FeatureKind = FeatureKind.SPLICED
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not 0.0 < self.heldout_fraction < 0.5:
-            raise ValueError("heldout_fraction must lie in (0, 0.5)")
 
 
 def _forward(model: MlpModel, x: np.ndarray):
@@ -165,11 +165,6 @@ def _mean_log_posterior(model: MlpModel, frames: np.ndarray, idx: np.ndarray,
     return float(picked.mean())
 
 
-def heldout_cross_entropy(model: MlpModel, frames, labels) -> float:
-    frames = np.asarray(frames)
-    return -_mean_log_posterior(model, frames, np.arange(frames.shape[0]), np.asarray(labels))
-
-
 def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None = None) -> MlpModel:
     """Train the frame classifier; deterministic under a fixed seed.
 
@@ -188,7 +183,7 @@ def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None
 
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(frames.shape[0])
-    n_held = max(1, int(round(cfg.heldout_fraction * frames.shape[0])))
+    n_held = max(1, int(round(HELDOUT_FRACTION * frames.shape[0])))
     # minibatches and statistics index into ``frames``; no split copy is made
     held_idx, train_idx = order[:n_held], order[n_held:]
     y_train, y_held = labels[train_idx], labels[held_idx]
@@ -212,11 +207,11 @@ def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"training loss became {loss!r}", checkpoint=checkpoint)
             for k in range(len(model.weights)):
-                vel_w[k] = cfg.momentum * vel_w[k] - lr * gw[k]
-                vel_b[k] = cfg.momentum * vel_b[k] - lr * gb[k]
+                vel_w[k] = MOMENTUM * vel_w[k] - lr * gw[k]
+                vel_b[k] = MOMENTUM * vel_b[k] - lr * gb[k]
                 model.weights[k] += vel_w[k]
                 model.biases[k] += vel_b[k]
-        lr *= cfg.lr_decay
+        lr *= LR_DECAY
         checkpoint = _snapshot(model)
         held_ce = -_mean_log_posterior(model, frames, held_idx, y_held)
         if held_ce < best[1]:

@@ -78,8 +78,8 @@ class Background:
     model_id: str = ""
 
     @classmethod
-    def from_ubm(cls, ubm: DiagGmm, model_id: str = "ubm"):
-        return cls(ubm.means, ubm.variances, model_id)
+    def from_ubm(cls, ubm: DiagGmm):
+        return cls(ubm.means, ubm.variances, "ubm")
 
     @classmethod
     def from_states(cls, model: StateMixtures, model_id: str):

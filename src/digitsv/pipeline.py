@@ -196,7 +196,7 @@ class SpeakerSystem:
         elif source in ("dnn", "dnn-hmm"):
             self.background = Background.from_states(_need(models.pgmm, "pgmm"), source)
         elif source == "ubm":
-            self.background = Background.from_ubm(_need(models.ubm, "ubm"), model_id="ubm")
+            self.background = Background.from_ubm(_need(models.ubm, "ubm"))
         else:
             raise ConfigInvalid(f"unknown alignment source {source!r}")
 
@@ -287,7 +287,7 @@ def enroll_speakers(corpus, system: SpeakerSystem,
     means = np.empty((len(ids), *system.background.means.shape))
     for row, spk in zip(means, ids):
         stats = _enrollment_stats(corpus.enrollment(spk), system)
-        row[...] = map_speaker.enroll(system.background, stats, relevance).means
+        row[...] = map_speaker.enroll(system.background, stats, relevance)
     return SpeakerModels(ids, means, system.background.model_id, relevance)
 
 
@@ -315,7 +315,7 @@ def score_speaker_trials(corpus, trials, system: SpeakerSystem,
 
     The speaker models must have been enrolled on this system's background.
     Each (utterance, prompt) key's statistics score all of its trials'
-    speakers at once with the exact linear form of ``map_speaker.llr_score``.
+    speakers at once with the exact linear form of the average per-frame LLR.
     The scorer takes the roster's means and overwrites them (see
     ``map_speaker.LinearLlr``), so the roster is left empty.
     """

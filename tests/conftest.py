@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from digitsv import ivector, neural_aligner
+from digitsv.errors import EmptyEnrollment, NoRetainedFrames, ShapeMismatch
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm
 from digitsv.hmm import N_STATES, HmmSet
@@ -158,3 +160,55 @@ ROSTER_DEFECTS = {
     "zero relevance": lambda p: {**p, "relevance": 0.0},
     "negative relevance": lambda p: {**p, "relevance": -2.5},
 }
+
+
+# --- reference scorers: the per-trial forms the stacked scorers must equal ---------
+
+def llr_score(means, background, gammas, feats) -> float:
+    """Average per-frame log-likelihood ratio of adapted ``means`` vs the background.
+
+    ``gammas`` are the (T, M) mixture posteriors.  Shared variances make the
+    log-determinants cancel, leaving a posterior-weighted difference of
+    quadratic terms.  The sum is divided by the number of frames carrying
+    any retained mixture mass.  The per-frame reference for ``LinearLlr``.
+    """
+    if means.shape != background.means.shape:
+        raise ShapeMismatch("speaker and background models differ in shape")
+    if gammas.shape != (feats.n_frames, background.n_mixtures) or feats.dim != background.dim:
+        raise ShapeMismatch("posteriors and features do not fit the background")
+    rows, cols = np.nonzero(gammas)
+    retained = np.unique(rows).size
+    if retained == 0:
+        raise NoRetainedFrames("no frame carries any non-silence mixture mass")
+    x = np.asarray(feats.frames[rows], dtype=np.float64)
+    mu_b, mu_s = background.means[cols], means[cols]
+    inv2v = 0.5 / background.variances[cols]
+    per_entry = np.sum(((x - mu_b) ** 2 - (x - mu_s) ** 2) * inv2v, axis=1)
+    return float(np.dot(gammas[rows, cols], per_entry) / retained)
+
+
+def plda_score(backend, enroll, test) -> float:
+    """Same- vs different-speaker PLDA log-likelihood ratio; the reference for ``PldaScorer``.
+
+    ``enroll`` and ``test`` are prepared (projected and length-normalized)
+    i-vectors.  Enrollment vectors are averaged and re-length-normalized, so
+    the score is invariant to their order.
+    """
+    if not enroll:
+        raise EmptyEnrollment("no enrollment i-vectors given")
+    if any(v.shape != (backend.dim,) for v in [*enroll, test]):
+        raise ShapeMismatch("i-vector does not match the backend dimension")
+    e = ivector.length_normalize(np.mean(enroll, axis=0)) - backend.mean
+    t = test - backend.mean
+    tot = backend.between + backend.within
+    joint = np.block([[tot, backend.between], [backend.between, tot]])
+    same = ivector._gaussian_logpdf(np.concatenate([e, t]), joint)
+    diff = ivector._gaussian_logpdf(e, tot) + ivector._gaussian_logpdf(t, tot)
+    return float(same - diff)
+
+
+def heldout_cross_entropy(model, frames, labels) -> float:
+    """Mean cross-entropy of ``labels`` under the classifier, a chunk of rows at a time."""
+    frames = np.asarray(frames)
+    return -neural_aligner._mean_log_posterior(model, frames, np.arange(frames.shape[0]),
+                                               np.asarray(labels))

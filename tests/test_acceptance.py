@@ -198,7 +198,7 @@ class TestCriterion3EquationOracles:
         sample_mean = np.full(60, 2.0)
         st = SuffStats(np.array([5.0]), 5.0 * sample_mean[None, :])
         adapted = map_adapt(bg, st, relevance=5.0)
-        if np.abs(adapted.means[0] - 1.0).max() > 1e-8:  # mu + 0.5*(mean-mu)
+        if np.abs(adapted[0] - 1.0).max() > 1e-8:  # mu + 0.5*(mean-mu)
             failures.append("MAP hand case")
 
         # KL pipeline: pooling, smoothing, divergence vs scalar arithmetic
@@ -219,7 +219,7 @@ class TestCriterion3EquationOracles:
         bg1 = Background(np.zeros((1, 1)), np.ones((1, 1)), "bg")
         tv = TvModel(np.array([[2.0]]), bg1)
         st1 = SuffStats(np.array([3.0]), np.array([[6.0]]), "bg")
-        if abs(extract_ivector(st1, tv).vector[0] - 12.0 / 13.0) > 1e-8:
+        if abs(extract_ivector(st1, tv)[0] - 12.0 / 13.0) > 1e-8:
             failures.append("i-vector scalar solve")
 
         check("criterion 3: equation oracles", not failures,

@@ -13,6 +13,7 @@ from conftest import ROSTER_DEFECTS, roster_payload
 from digitsv import formats
 from digitsv.cli import cli_dispatch
 from digitsv.config import ConfigInvalid, PipelineConfig, load_config, parse_config_lines
+from digitsv.pgmm import SuffStats
 
 
 def run(argv):
@@ -842,6 +843,25 @@ class TestBadInputs:
                     "--out", str(tmp_path / "out")]) == 2
         _assert_error_line(capsys, "invalid speaker_models payload")
 
+    def test_train_tv_on_overflowing_statistics(self, work, ivector_models, tmp_path,
+                                                capsys):
+        # finite statistics, one utterance's scaled by 1e300: the TV precisions
+        # overflow, which is one error line, with no warning before it
+        stats_dir = tmp_path / "stats"
+        stats_dir.mkdir()
+        for k, name in enumerate(sorted(os.listdir(ivector_models["stats"]))):
+            st = formats.read_dvst(os.path.join(ivector_models["stats"], name))
+            scale = 1e300 if k == 0 else 1.0
+            formats.write_dvst(stats_dir / name,
+                               SuffStats(scale * st.n, scale * st.f, st.background_id))
+        out = tmp_path / "tv.dvmd"
+        capsys.readouterr()
+        assert run(["train-tv", "--source", "ubm", "--ubm", f"{work['models']}/ubm.dvmd",
+                    "--stats-dir", str(stats_dir), "--rank", "4", "--iterations", "2",
+                    "--out", str(out)]) == 2
+        _assert_error_line(capsys, "overflowed")
+        assert not out.exists()
+
     @pytest.mark.parametrize("length", ["short", "long"])
     def test_misaligned_dvpo(self, work, tmp_path, capsys, length):
         # one enrollment utterance's alignment 3 frames off its features
@@ -919,11 +939,8 @@ class TestBadInputs:
         assert not any((out / "corpus" / "feats").iterdir())
 
     def test_malformed_utt2spk(self, tmp_path, capsys):
-        from digitsv import formats
-        from digitsv.ivector import IVector
-
         ivecs = str(tmp_path / "iv.dviv")
-        formats.write_dviv(ivecs, [("u1", IVector(np.ones(3)))])
+        formats.write_dviv(ivecs, [("u1", np.ones(3))])
         utt2spk = tmp_path / "utt2spk"
         utt2spk.write_text("u1 s1 extra\n")
         assert run(["train-backend", "--ivectors", ivecs, "--utt2spk", str(utt2spk),

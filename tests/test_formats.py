@@ -21,7 +21,7 @@ from digitsv.errors import (
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm
 from digitsv.hmm import DIGIT_STATES
-from digitsv.ivector import IVector, PldaBackend, TvModel, extract_ivector
+from digitsv.ivector import PldaBackend, TvModel, extract_ivector
 from digitsv.map_speaker import SpeakerModels
 from digitsv.neural_aligner import MlpModel
 from digitsv.pgmm import Background, Pgmm, SuffStats
@@ -389,7 +389,7 @@ def _bytes_read_dviv(path):
         flag = rd.u8()
         if flag not in (0, 1):
             raise CorruptData(rd.pos - 1, f"invalid normalization flag {flag}")
-        entries.append((utt_id, IVector(rd.array("<f8", rank), normalized=bool(flag))))
+        entries.append((utt_id, rd.array("<f8", rank)))
     rd.done()
     return entries
 
@@ -467,11 +467,9 @@ def _plain(value):
     if isinstance(value, np.ndarray):
         return "array", value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, FeatureSequence):
-        return "features", _plain(value.frames), value.kind, value.frame_shift_ms
+        return "features", _plain(value.frames), value.kind
     if isinstance(value, SuffStats):
         return "stats", _plain((value.n, value.f)), value.background_id
-    if isinstance(value, IVector):
-        return "ivector", _plain(value.vector), value.normalized
     if isinstance(value, dict):
         return "dict", tuple((key, _plain(item)) for key, item in value.items())
     if isinstance(value, (list, tuple)):
@@ -590,18 +588,46 @@ class TestDvstOracle:
             struct.pack("<d", value)
 
 
+def _hand_dviv(entries, flag):
+    """A DVIV archive of (utt_id, vector) entries, every record with ``flag``."""
+    out = b"DVIV" + struct.pack("<HII", 1, len(entries), len(entries[0][1]))
+    for utt_id, vector in entries:
+        raw = utt_id.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw + bytes([flag]) + vector.astype("<f8").tobytes()
+    return out
+
+
 class TestDviv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
-        entries = [(f"utt{k}", IVector(rng.standard_normal(7), normalized=bool(k % 2)))
-                   for k in range(5)]
+        entries = [(f"utt{k}", rng.standard_normal(7)) for k in range(5)]
         path = tmp_path / "v.dviv"
         formats.write_dviv(path, entries)
+        # the same bytes as a hand-written archive whose flags are 0
+        assert path.read_bytes() == _hand_dviv(entries, 0)
         back = formats.read_dviv(path)
         assert [utt for utt, _ in back] == [utt for utt, _ in entries]
         for (_, a), (_, b) in zip(back, entries):
-            np.testing.assert_array_equal(a.vector, b.vector)
-            assert a.normalized == b.normalized
+            np.testing.assert_array_equal(a, b)
+
+    def test_flag_one_reads_back_as_its_vectors(self, tmp_path):
+        rng = np.random.default_rng(6)
+        entries = [(f"utt{k}", rng.standard_normal(3)) for k in range(4)]
+        path = tmp_path / "v.dviv"
+        path.write_bytes(_hand_dviv(entries, 1))
+        back = formats.read_dviv(path)
+        assert [utt for utt, _ in back] == [utt for utt, _ in entries]
+        for (_, a), (_, b) in zip(back, entries):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("vectors", [[np.ones(3), np.ones(2)], [np.ones((1, 3))],
+                                         [np.array([1.0, np.inf])]],
+                             ids=["ranks differ", "not 1-D", "not finite"])
+    def test_vectors_an_archive_cannot_hold(self, tmp_path, vectors):
+        path = tmp_path / "v.dviv"
+        with pytest.raises(ValueError, match="i-vector"):
+            formats.write_dviv(path, [(f"u{k}", v) for k, v in enumerate(vectors)])
+        assert not path.exists()
 
 
 class TestDvmdModels:
@@ -665,8 +691,8 @@ class TestDvmdModels:
             "means": bg.means, "variances": bg.variances, "state_ids": state_ids,
             "n_components": 1 if state_ids is not None else 3, "model_id": "bg"}})
         stats = SuffStats(1 + rng.random(3), rng.standard_normal((3, 2)), "bg")
-        want = extract_ivector(stats, formats.load_model(new, "tv")).vector
-        got = extract_ivector(stats, formats.load_model(old, "tv")).vector
+        want = extract_ivector(stats, formats.load_model(new, "tv"))
+        got = extract_ivector(stats, formats.load_model(old, "tv"))
         np.testing.assert_array_equal(got, want)
 
     def test_backend_round_trip(self, tmp_path):
@@ -687,7 +713,7 @@ class TestDvmdModels:
         back = formats.load_model(path, "speaker_models")
         assert back.ids == speakers.ids
         assert (back.background_id, back.relevance) == ("bg", 5.0)
-        np.testing.assert_array_equal(back["s1"].means, speakers["s1"].means)
+        np.testing.assert_array_equal(back["s1"], speakers["s1"])
 
 
 def _pinned_payloads():
@@ -793,7 +819,7 @@ class TestReaderCopies:
         formats.save_model(
             path, SpeakerModels([f"s{k:02d}" for k in range(20)], stacked, "ubm", 16.0))
         speakers, peak = _traced_peak(lambda: formats.load_model(path, "speaker_models"))
-        np.testing.assert_array_equal(speakers["s07"].means, stacked[7])
+        np.testing.assert_array_equal(speakers["s07"], stacked[7])
         assert peak < stacked.nbytes * 5 // 4, (peak, stacked.nbytes)
 
     @pytest.mark.parametrize("kind,data", [
@@ -853,7 +879,7 @@ def _valid_files(tmp_path):
     rng.random((4, 3))  # keeps the draws of the files below unchanged
     files["dvst"] = tmp_path / "r.dvst"
     formats.write_dvst(files["dvst"], stats)
-    entries = [(f"u{k}", IVector(rng.standard_normal(5))) for k in range(3)]
+    entries = [(f"u{k}", rng.standard_normal(5)) for k in range(3)]
     files["dviv"] = tmp_path / "r.dviv"
     formats.write_dviv(files["dviv"], entries)
     gmm = DiagGmm(np.array([0.5, 0.5]), rng.standard_normal((2, 3)),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import plda_score
 from digitsv import ivector
 from digitsv.errors import (
     BadLdaDim,
@@ -16,14 +17,12 @@ from digitsv.errors import (
     ZeroVector,
 )
 from digitsv.ivector import (
-    IVector,
     PldaScorer,
     TvModel,
     _lda_projection,
     extract_ivector,
     length_normalize,
     plda_log_likelihood,
-    plda_score,
     train_backend,
     train_tv,
 )
@@ -47,24 +46,22 @@ class TestExtractIvector:
         bg = toy_background()
         tv = TvModel(np.random.default_rng(1).standard_normal((6, 4)), bg)
         stats = SuffStats(np.zeros(3), np.zeros((3, 2)), "bg")
-        iv = extract_ivector(stats, tv)
-        np.testing.assert_array_equal(iv.vector, np.zeros(4))
+        np.testing.assert_array_equal(extract_ivector(stats, tv), np.zeros(4))
 
     def test_scalar_hand_case(self):
         # one mixture, D=1, R=1: (1 + T^2 N / v) w = T F / v with T=2, v=1, N=3, F=6
         bg = Background(np.zeros((1, 1)), np.ones((1, 1)), "bg")
         tv = TvModel(np.array([[2.0]]), bg)
         stats = SuffStats(np.array([3.0]), np.array([[6.0]]), "bg")
-        iv = extract_ivector(stats, tv)
-        assert abs(iv.vector[0] - 12.0 / 13.0) < 1e-12
+        assert abs(extract_ivector(stats, tv)[0] - 12.0 / 13.0) < 1e-12
 
     def test_linear_in_first_order_stats(self):
         bg = toy_background(seed=2)
         tv = TvModel(np.random.default_rng(3).standard_normal((6, 3)), bg)
         stats = random_stats(bg, seed=4)
         doubled = SuffStats(stats.n, 2.0 * stats.f, "bg")
-        a = extract_ivector(stats, tv).vector
-        b = extract_ivector(doubled, tv).vector
+        a = extract_ivector(stats, tv)
+        b = extract_ivector(doubled, tv)
         np.testing.assert_allclose(b, 2.0 * a, atol=1e-10)
 
     def test_matches_dense_gls_solve(self):
@@ -80,7 +77,7 @@ class TestExtractIvector:
             lhs = np.eye(r) + tv.matrix.T @ sigma_inv @ n_diag @ tv.matrix
             rhs = tv.matrix.T @ sigma_inv @ stats.f.reshape(-1)
             expected = np.linalg.solve(lhs, rhs)
-            got = extract_ivector(stats, tv).vector
+            got = extract_ivector(stats, tv)
             np.testing.assert_allclose(got, expected, atol=1e-8)
 
 
@@ -221,7 +218,7 @@ class TestDenseOracle:
     def test_extract_ivector_matches_dense(self, trained):
         _, stats, tv = trained
         for st in stats:
-            assert_relative(extract_ivector(st, tv).vector, dense_extract(st, tv))
+            assert_relative(extract_ivector(st, tv), dense_extract(st, tv))
 
     def test_matches_in_memory_em(self, trained):
         # the E-step is the in-memory one bit for bit; the streamed M-step sums
@@ -305,17 +302,16 @@ class TestDenseOracle:
 
 class TestLengthNormalize:
     def test_three_four_five(self):
-        iv = length_normalize(IVector(np.array([3.0, 4.0])))
-        np.testing.assert_allclose(iv.vector, [0.6, 0.8], atol=1e-12)
-        assert iv.normalized
+        np.testing.assert_allclose(length_normalize(np.array([3.0, 4.0])), [0.6, 0.8],
+                                   atol=1e-12)
 
     def test_idempotent_on_unit_sphere(self):
-        iv = length_normalize(IVector(np.array([0.6, 0.8])))
-        np.testing.assert_allclose(iv.vector, [0.6, 0.8], atol=1e-12)
+        np.testing.assert_allclose(length_normalize(np.array([0.6, 0.8])), [0.6, 0.8],
+                                   atol=1e-12)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
-            length_normalize(IVector(np.zeros(3)))
+            length_normalize(np.zeros(3))
 
 
 def labeled_cloud(n_speakers=6, per_speaker=8, dim=5, spread=4.0, seed=0):
@@ -428,29 +424,29 @@ class TestPldaScore:
 
     def test_same_speaker_scores_higher(self):
         b = self.backend
-        enroll = [b.prepare(IVector(v)) for v in self.x[:4]]
-        same = b.prepare(IVector(self.x[5]))       # spk0
-        different = b.prepare(IVector(self.x[-1]))  # last speaker
+        enroll = [b.prepare(v) for v in self.x[:4]]
+        same = b.prepare(self.x[5])       # spk0
+        different = b.prepare(self.x[-1])  # last speaker
         assert plda_score(b, enroll, same) > plda_score(b, enroll, different)
 
     def test_enrollment_order_invariance(self):
         b = self.backend
-        e1 = [b.prepare(IVector(v)) for v in self.x[:3]]
+        e1 = [b.prepare(v) for v in self.x[:3]]
         e2 = list(reversed(e1))
-        test = b.prepare(IVector(self.x[10]))
+        test = b.prepare(self.x[10])
         assert abs(plda_score(b, e1, test) - plda_score(b, e2, test)) < 1e-10
 
     def test_zero_between_covariance_gives_constant_scores(self):
         b = self.backend
         b_zero = type(b)(b.lda, b.mean, np.zeros_like(b.between), b.within)
-        enroll = [b.prepare(IVector(self.x[0]))]
-        scores = [plda_score(b_zero, enroll, b.prepare(IVector(v)))
+        enroll = [b.prepare(self.x[0])]
+        scores = [plda_score(b_zero, enroll, b.prepare(v))
                   for v in self.x[5:10]]
         np.testing.assert_allclose(scores, 0.0, atol=1e-9)
 
     def test_empty_enrollment(self):
         with pytest.raises(EmptyEnrollment):
-            plda_score(self.backend, [], self.backend.prepare(IVector(self.x[0])))
+            plda_score(self.backend, [], self.backend.prepare(self.x[0]))
 
     @pytest.mark.parametrize("between, within", [
         (-np.eye(4), np.eye(4)), (np.eye(4), np.zeros((4, 4))),
@@ -471,10 +467,10 @@ class TestPldaScore:
             out = []
             for spk in ("spk0", "spk1", "spk2"):
                 idx = [i for i, l in enumerate(self.labels) if l == spk][:3]
-                enroll = [backend.prepare(IVector(vectors[i])) for i in idx]
+                enroll = [backend.prepare(vectors[i]) for i in idx]
                 for j in range(30, 45):
                     out.append(plda_score(backend, enroll,
-                                          backend.prepare(IVector(vectors[j]))))
+                                          backend.prepare(vectors[j])))
             return np.array(out)
 
         a = trial_scores(self.backend, self.x)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import mfcc_feats
+from conftest import llr_score, mfcc_feats
 from digitsv.errors import EmptyEnrollment, NoRetainedFrames, ShapeMismatch
-from digitsv.map_speaker import RELEVANCE_DEFAULT, enroll, llr_score, map_adapt
+from digitsv.features import FeatureKind, FeatureSequence
+from digitsv.map_speaker import RELEVANCE_DEFAULT, SpeakerModels, enroll, map_adapt
 from digitsv.pgmm import Background, SuffStats, accumulate_stats
 
 
@@ -19,16 +20,14 @@ class TestMapAdapt:
     def test_zero_counts_leave_background(self):
         bg = toy_background()
         stats = bg.empty_stats()
-        speaker = map_adapt(bg, stats)
-        np.testing.assert_array_equal(speaker.means, bg.means)
+        np.testing.assert_array_equal(map_adapt(bg, stats), bg.means)
 
     def test_hand_case_alpha_one_half(self):
         # N=5, r=5: the adapted mean moves halfway to the sample mean
         bg = toy_background(m=1)
         sample_mean = bg.means[0] + 2.0
         stats = SuffStats(np.array([5.0]), (5.0 * (sample_mean - bg.means[0]))[None, :])
-        speaker = map_adapt(bg, stats, relevance=5.0)
-        np.testing.assert_allclose(speaker.means[0],
+        np.testing.assert_allclose(map_adapt(bg, stats, relevance=5.0)[0],
                                    bg.means[0] + 0.5 * (sample_mean - bg.means[0]),
                                    atol=1e-12)
 
@@ -38,18 +37,17 @@ class TestMapAdapt:
         n = rng.random(4) * 10 + 0.1
         sample_means = bg.means + rng.standard_normal(bg.means.shape)
         stats = SuffStats(n, n[:, None] * (sample_means - bg.means))
-        speaker = map_adapt(bg, stats, relevance=5.0)
+        means = map_adapt(bg, stats, relevance=5.0)
         lo = np.minimum(bg.means, sample_means) - 1e-12
         hi = np.maximum(bg.means, sample_means) + 1e-12
-        assert np.all(speaker.means >= lo) and np.all(speaker.means <= hi)
+        assert np.all(means >= lo) and np.all(means <= hi)
 
     def test_large_count_limit(self):
         bg = toy_background(m=1, seed=3)
         target = bg.means[0] + 3.0
         n = 1e6
         stats = SuffStats(np.array([n]), (n * (target - bg.means[0]))[None, :])
-        speaker = map_adapt(bg, stats, relevance=5.0)
-        np.testing.assert_allclose(speaker.means[0], target, atol=1e-4)
+        np.testing.assert_allclose(map_adapt(bg, stats, relevance=5.0)[0], target, atol=1e-4)
 
     def test_shape_mismatch(self):
         bg = toy_background()
@@ -77,15 +75,8 @@ class TestLlrScore:
         rng = np.random.default_rng(7)
         bg = toy_background(m=2, seed=7)
         shift = np.sqrt(bg.variances)  # one standard deviation
-        speaker_means = bg.means + shift
-        from digitsv.map_speaker import SpeakerModel
-
-        speaker = SpeakerModel(speaker_means, "toy", 5.0)
-        frames = speaker_means[rng.integers(0, 2, 30)] + 0.1 * rng.standard_normal((30, 60))
-        feats = mfcc_feats(frames[:, :2])
-        # recompute on full 60-dim frames: build features directly
-        from digitsv.features import FeatureKind, FeatureSequence
-
+        speaker = bg.means + shift
+        frames = speaker[rng.integers(0, 2, 30)] + 0.1 * rng.standard_normal((30, 60))
         feats = FeatureSequence(frames, FeatureKind.MFCC60)
         gammas = full_mass_posteriors(30, 2, seed=8)
         assert llr_score(speaker, bg, gammas, feats) > 0.0
@@ -98,8 +89,6 @@ class TestLlrScore:
         frames = rng.standard_normal((12, 60))
         g = rng.random((12, 4))
         perm = rng.permutation(12)
-        from digitsv.features import FeatureKind, FeatureSequence
-
         a = llr_score(speaker, bg, g, FeatureSequence(frames, FeatureKind.MFCC60))
         b = llr_score(speaker, bg, g[perm], FeatureSequence(frames[perm], FeatureKind.MFCC60))
         assert abs(a - b) < 1e-10
@@ -122,7 +111,7 @@ class TestEnroll:
         stats = accumulate_stats(gammas, feats, bg.means, "toy")
         direct = map_adapt(bg, stats)
         via_enroll = enroll(bg, [stats])
-        np.testing.assert_allclose(via_enroll.means, direct.means, atol=1e-12)
+        np.testing.assert_allclose(via_enroll, direct, atol=1e-12)
 
     def test_merge_then_adapt_not_adapt_then_average(self):
         rng = np.random.default_rng(14)
@@ -137,12 +126,21 @@ class TestEnroll:
             merged = merged.add(stats)
         expected = map_adapt(bg, merged)
         got = enroll(bg, iter(stats_list))  # any iterable, read once
-        np.testing.assert_array_equal(got.means, expected.means)
+        np.testing.assert_array_equal(got, expected)
         # and the adapt-then-average order differs
-        averaged = np.mean([map_adapt(bg, stats).means for stats in stats_list], axis=0)
-        assert np.abs(averaged - expected.means).max() > 1e-6
+        averaged = np.mean([map_adapt(bg, stats) for stats in stats_list], axis=0)
+        assert np.abs(averaged - expected).max() > 1e-6
 
     def test_empty_enrollment(self):
         for empty in ([], iter([])):
             with pytest.raises(EmptyEnrollment):
                 enroll(toy_background(), empty)
+
+
+class TestSpeakerModels:
+    def test_speaker_is_a_view_of_its_row(self):
+        means = np.random.default_rng(15).standard_normal((3, 4, 2))
+        speakers = SpeakerModels(["a", "b", "c"], means, "toy", 5.0)
+        for k, spk in enumerate(speakers):
+            assert np.shares_memory(speakers[spk], means)
+            np.testing.assert_array_equal(speakers[spk], means[k])

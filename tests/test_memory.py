@@ -28,7 +28,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import roster_copy, state_gmm
+from conftest import heldout_cross_entropy, roster_copy, state_gmm
 
 from digitsv import formats, gmm as gmm_mod, hmm as hmm_mod, neural_aligner, pipeline
 from digitsv import pgmm as pgmm_mod
@@ -352,7 +352,7 @@ def train_mlp_oracle(frames, labels, cfg):
         raise MissingClass("missing class")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(frames.shape[0])
-    n_held = max(1, int(round(cfg.heldout_fraction * frames.shape[0])))
+    n_held = max(1, int(round(na.HELDOUT_FRACTION * frames.shape[0])))
     held_idx, train_idx = order[:n_held], order[n_held:]
     x_train, y_train = frames[train_idx], labels[train_idx]
     x_held, y_held = frames[held_idx], labels[held_idx]
@@ -378,11 +378,11 @@ def train_mlp_oracle(frames, labels, cfg):
             if not np.isfinite(loss):
                 raise NonFiniteLoss("non-finite", checkpoint=checkpoint)
             for k in range(len(model.weights)):
-                vel_w[k] = cfg.momentum * vel_w[k] - lr * gw[k]
-                vel_b[k] = cfg.momentum * vel_b[k] - lr * gb[k]
+                vel_w[k] = na.MOMENTUM * vel_w[k] - lr * gw[k]
+                vel_b[k] = na.MOMENTUM * vel_b[k] - lr * gb[k]
                 model.weights[k] += vel_w[k]
                 model.biases[k] += vel_b[k]
-        lr *= cfg.lr_decay
+        lr *= na.LR_DECAY
         checkpoint = na._snapshot(model)
         ce = held_ce(model)
         if ce < best[1]:
@@ -408,7 +408,7 @@ def train_classifier_oracle(corpus, cfg, hmms):
 
 def linear_llr_oracle(speakers, background):
     """``LinearLlr``'s weights and halves from stacked speakers x M x D arrays."""
-    offsets = np.stack([m.means for m in speakers.values()]) - background.means
+    offsets = np.stack(list(speakers.values())) - background.means
     weights = offsets / background.variances
     return (weights.reshape(len(speakers), -1),
             0.5 * np.sum(offsets * weights, axis=2))
@@ -814,7 +814,7 @@ class TestTrainersMatchOracles:
                 hidden_dims=(8,), n_outputs=3, epochs=1, seed=1))
         _, log_post = neural_aligner._forward(model, frames)
         want = -float(log_post[np.arange(n), labels].mean())
-        assert neural_aligner.heldout_cross_entropy(model, frames, labels) == want
+        assert heldout_cross_entropy(model, frames, labels) == want
 
     def test_train_classifier(self, small_corpus, small_models):
         cfg = PipelineConfig(mlp_hidden="16", mlp_epochs=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import heldout_cross_entropy
 from digitsv.errors import MissingClass, NonFiniteLoss, RowNotNormalized, WrongKind
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.hmm import N_STATES
@@ -71,11 +72,8 @@ class TestTraining:
     def test_beats_prior_baseline(self):
         x, y = separable_set(seed=7)
         cfg = MlpTrainConfig(hidden_dims=(16,), n_outputs=2, epochs=20,
-                             batch_size=32, seed=2, heldout_fraction=0.2)
-        model = train_mlp(x, y, cfg)
-        from digitsv.neural_aligner import heldout_cross_entropy
-
-        ce = heldout_cross_entropy(model, x, y)
+                             batch_size=32, seed=2)
+        ce = heldout_cross_entropy(train_mlp(x, y, cfg), x, y)
         counts = np.bincount(y) / len(y)
         assert ce < -np.log(counts.max())
 

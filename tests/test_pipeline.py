@@ -3,14 +3,14 @@ import types
 
 import numpy as np
 import pytest
-from conftest import roster_copy
+from conftest import llr_score, plda_score, roster_copy
 
 from digitsv import pipeline
 from digitsv import pgmm as pgmm_mod
 from digitsv.errors import ConfigInvalid, DigitsvError, NoRetainedFrames, ShapeMismatch
 from digitsv.hmm import N_STATES, compile_graph, fb_align, node_loglikes
-from digitsv.ivector import PldaScorer, extract_ivector, plda_score, train_backend, train_tv
-from digitsv.map_speaker import SpeakerModels, llr_score
+from digitsv.ivector import PldaScorer, extract_ivector, train_backend, train_tv
+from digitsv.map_speaker import SpeakerModels
 from digitsv.pgmm import accumulate_stats, mixture_posteriors, ubm_mixture_posteriors
 
 SOURCES = ("gmm-hmm", "dnn", "dnn-hmm", "ubm")
