@@ -461,13 +461,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="digitsv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, config=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--config", default=None, help="key=value config file")
+        if config:  # only the stages that read a PipelineConfig take the file
+            p.add_argument("--config", default=None, help="key=value config file")
         return p
 
-    p = add("synth", _cmd_synth, help="generate the synthetic corpus")
+    p = add("synth", _cmd_synth, config=False, help="generate the synthetic corpus")
     p.add_argument("--out", required=True)
     p.add_argument("--speakers", type=int, default=20)
     p.add_argument("--test-per-speaker", type=int, default=5)
@@ -477,7 +478,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tw-mode", choices=synth_mod.TW_MODES, default="whole_prompt")
     p.add_argument("--seed", type=int, default=42)
 
-    p = add("extract-feats", _cmd_extract_feats, help="WAV to DVFE features")
+    p = add("extract-feats", _cmd_extract_feats, config=False, help="WAV to DVFE features")
     p.add_argument("--wav", required=True)
     p.add_argument("--kind", choices=("fbank", "mfcc", "spliced"), required=True)
     p.add_argument("--out", required=True)
@@ -526,7 +527,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--components", type=int, default=None)
     p.add_argument("--em-iterations", type=int, default=None)
 
-    p = add("accumulate-stats", _cmd_accumulate_stats,
+    p = add("accumulate-stats", _cmd_accumulate_stats, config=False,
             help="Baum-Welch statistics for one utterance")
     p.add_argument("--source", choices=("gmm-hmm", "dnn", "dnn-hmm", "ubm"), required=True)
     p.add_argument("--feats", required=True)
@@ -561,7 +562,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     add_system_flags(p)
 
-    p = add("extract-ivector", _cmd_extract_ivector, help="extract i-vectors to a DVIV archive")
+    p = add("extract-ivector", _cmd_extract_ivector, config=False,
+            help="extract i-vectors to a DVIV archive")
     p.add_argument("--tv", required=True)
     p.add_argument("--stats", nargs="*", default=None)
     p.add_argument("--stats-dir", default=None)

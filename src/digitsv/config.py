@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .errors import ConfigInvalid
+from .errors import DigitsvError
 from .hmm import SILENCE_POLICIES
 
 
@@ -42,26 +42,26 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.silence_policy not in SILENCE_POLICIES:
-            raise ConfigInvalid(f"silence_policy must be one of {', '.join(SILENCE_POLICIES)}, "
-                                f"got {self.silence_policy!r}")
+            raise DigitsvError(f"silence_policy must be one of {', '.join(SILENCE_POLICIES)}, "
+                               f"got {self.silence_policy!r}")
         if self.class_level not in ("digit", "state"):
-            raise ConfigInvalid(f"class_level must be digit or state, got {self.class_level!r}")
+            raise DigitsvError(f"class_level must be digit or state, got {self.class_level!r}")
         if self.ivector_rank < 1:
-            raise ConfigInvalid(f"ivector_rank must be at least 1, got {self.ivector_rank}")
+            raise DigitsvError(f"ivector_rank must be at least 1, got {self.ivector_rank}")
         for name in ("pgmm_em_iterations", "tv_iterations", "plda_iterations"):
             if getattr(self, name) < 0:
-                raise ConfigInvalid(f"{name} must not be negative, got {getattr(self, name)}")
+                raise DigitsvError(f"{name} must not be negative, got {getattr(self, name)}")
         # mixtures grow by splitting every component, so sizes are powers of two
         for name in ("hmm_components", "ubm_components", "pgmm_components"):
             value = getattr(self, name)
             if value < 1 or value & (value - 1):
-                raise ConfigInvalid(f"{name} must be a power of two, got {value}")
+                raise DigitsvError(f"{name} must be a power of two, got {value}")
         for name in ("mlp_epochs", "mlp_batch_size"):
             if getattr(self, name) < 1:
-                raise ConfigInvalid(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise DigitsvError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("relevance", "epsilon"):
             if not getattr(self, name) > 0:  # also rejects nan
-                raise ConfigInvalid(f"{name} must be positive, got {getattr(self, name)}")
+                raise DigitsvError(f"{name} must be positive, got {getattr(self, name)}")
         self.dcf_params("sre08"), self.dcf_params("sre10")  # validate eagerly
 
     @property
@@ -69,9 +69,9 @@ class PipelineConfig:
         try:
             dims = tuple(int(v) for v in self.mlp_hidden.split(",") if v.strip())
         except ValueError:
-            raise ConfigInvalid(f"bad mlp_hidden value {self.mlp_hidden!r}") from None
+            raise DigitsvError(f"bad mlp_hidden value {self.mlp_hidden!r}") from None
         if not dims or min(dims) < 1:
-            raise ConfigInvalid(f"bad mlp_hidden value {self.mlp_hidden!r}")
+            raise DigitsvError(f"bad mlp_hidden value {self.mlp_hidden!r}")
         return dims
 
     def dcf_params(self, name: str):
@@ -79,12 +79,12 @@ class PipelineConfig:
 
         raw = getattr(self, f"dcf_{name}", None)
         if raw is None:
-            raise ConfigInvalid(f"unknown DCF operating point {name!r}")
+            raise DigitsvError(f"unknown DCF operating point {name!r}")
         try:
             c_miss, c_fa, p_target = (float(v) for v in raw.split(","))
             return DcfParams(c_miss, c_fa, p_target)
         except ValueError as exc:
-            raise ConfigInvalid(f"bad dcf_{name} value {raw!r}: {exc}") from None
+            raise DigitsvError(f"bad dcf_{name} value {raw!r}: {exc}") from None
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
@@ -98,10 +98,10 @@ def parse_config_lines(lines) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigInvalid(f"config line {no}: expected key=value, got {raw!r}")
+            raise DigitsvError(f"config line {no}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
-            raise ConfigInvalid(f"config line {no}: unknown key {key!r}")
+            raise DigitsvError(f"config line {no}: unknown key {key!r}")
         overrides[key] = _coerce(key, value, no)
     return overrides
 
@@ -115,7 +115,7 @@ def _coerce(key: str, value: str, line_no: int):
             return float(value)
         return value
     except ValueError:
-        raise ConfigInvalid(f"config line {line_no}: bad value {value!r} for {key}") from None
+        raise DigitsvError(f"config line {line_no}: bad value {value!r} for {key}") from None
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> PipelineConfig:
@@ -128,6 +128,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
         if value is None:
             continue
         if key not in _FIELD_TYPES:
-            raise ConfigInvalid(f"unknown config key {key!r}")
+            raise DigitsvError(f"unknown config key {key!r}")
         merged[key] = value
     return PipelineConfig(**merged)

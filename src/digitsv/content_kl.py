@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import DigitsvError
 from .hmm import N_STATES, STATES_PER_WORD
 
 EPSILON_DEFAULT = 1e-5
@@ -45,7 +45,7 @@ def smooth(posteriors: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> np.ndarr
 def kl_score(p: np.ndarray, q: np.ndarray) -> float:
     """Frame-averaged KL(p || q) of smoothed class posteriors; lower = better match."""
     if p.shape != q.shape:
-        raise ShapeMismatch("posterior sequences differ in shape")
+        raise DigitsvError("posterior sequences differ in shape")
     return float(np.sum(p * (np.log(p) - np.log(q))) / p.shape[0])
 
 

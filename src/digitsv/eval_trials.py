@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import EmptyCondition, OneClassOnly, TrialParseError, UnknownCondition
+from .errors import DigitsvError, TrialParseError
 
 CATEGORIES = ("TC", "TW", "IC", "IW")
 CONDITIONS = {
@@ -91,7 +91,7 @@ SRE10 = DcfParams(c_miss=1.0, c_fa=1.0, p_target=0.001)
 def partition_trials(trials, condition: str):
     """Keep TC plus one non-target category; returns (record, is_target) pairs."""
     if condition not in CONDITIONS:
-        raise UnknownCondition(
+        raise DigitsvError(
             f"condition must be one of {sorted(CONDITIONS)}, got {condition!r}"
         )
     nontarget = CONDITIONS[condition]
@@ -106,7 +106,7 @@ def partition_trials(trials, condition: str):
 
 def _check_both_classes(ss: ScoreSet):
     if ss.labels.all() or not ss.labels.any():
-        raise OneClassOnly("need both target and non-target scores")
+        raise DigitsvError("need both target and non-target scores")
 
 
 def _error_rates(ss: ScoreSet):
@@ -160,7 +160,7 @@ def evaluate_condition(trials, scores, condition: str,
               for trial, score in zip(trials, scores)]
     kept = partition_trials(scored, condition)
     if not kept:
-        raise EmptyCondition(f"condition {condition} has no trials")
+        raise DigitsvError(f"condition {condition} has no trials")
     values = np.asarray([rec.score for rec, _ in kept])
     if negate:
         values = -values

@@ -13,13 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    BadSampleRate,
-    ClipTooShort,
-    TooFewFrames,
-    UnsupportedAudio,
-    WrongKind,
-)
+from .errors import DigitsvError
 
 SAMPLE_RATE = 16000
 WINDOW = SAMPLE_RATE * 25 // 1000   # samples per 25 ms frame
@@ -27,6 +21,7 @@ SHIFT = SAMPLE_RATE * 10 // 1000    # samples per 10 ms shift
 N_MELS = 40
 N_CEPS = 20
 PREEMPHASIS = 0.97
+DELTA_WINDOW = 2  # half-width, in frames, of the delta regression
 _LOG_FLOOR = 1e-10
 
 
@@ -46,9 +41,9 @@ class AudioClip:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.int16)
         if self.samples.ndim != 1 or self.samples.size == 0:
-            raise ClipTooShort("audio clip is empty")
+            raise DigitsvError("audio clip is empty")
         if self.sample_rate != SAMPLE_RATE:
-            raise BadSampleRate(
+            raise DigitsvError(
                 f"expected {SAMPLE_RATE} Hz, got {self.sample_rate} Hz"
             )
 
@@ -94,7 +89,7 @@ def read_wav(path) -> AudioClip:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise UnsupportedAudio(f"{path}: not a RIFF/WAVE file")
+        raise DigitsvError(f"{path}: not a RIFF/WAVE file")
     pos = 12
     fmt = None
     samples = None
@@ -103,23 +98,23 @@ def read_wav(path) -> AudioClip:
         (size,) = struct.unpack("<I", data[pos + 4:pos + 8])
         body = data[pos + 8:pos + 8 + size]
         if len(body) < size:
-            raise UnsupportedAudio(f"{path}: truncated {chunk_id!r} chunk")
+            raise DigitsvError(f"{path}: truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
             if size < 16:
-                raise UnsupportedAudio(f"{path}: malformed fmt chunk")
+                raise DigitsvError(f"{path}: malformed fmt chunk")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif chunk_id == b"data":
             samples = np.frombuffer(body, dtype="<i2")
         pos += 8 + size + (size & 1)  # chunks are word-aligned
     if fmt is None or samples is None:
-        raise UnsupportedAudio(f"{path}: missing fmt or data chunk")
+        raise DigitsvError(f"{path}: missing fmt or data chunk")
     audio_format, channels, rate, _, _, bits = fmt
     if audio_format != 1 or bits != 16:
-        raise UnsupportedAudio(f"{path}: only PCM16 is supported")
+        raise DigitsvError(f"{path}: only PCM16 is supported")
     if channels != 1:
-        raise UnsupportedAudio(f"{path}: only mono audio is supported")
+        raise DigitsvError(f"{path}: only mono audio is supported")
     if rate != SAMPLE_RATE:
-        raise BadSampleRate(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
+        raise DigitsvError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
     return AudioClip(samples=samples, sample_rate=rate)
 
 
@@ -163,7 +158,7 @@ def dct_matrix(n_ceps: int, n_mels: int) -> np.ndarray:
 def _frame(samples: np.ndarray) -> np.ndarray:
     n = samples.shape[0]
     if n < WINDOW:
-        raise ClipTooShort(f"clip of {n} samples is shorter than one {WINDOW}-sample window")
+        raise DigitsvError(f"clip of {n} samples is shorter than one {WINDOW}-sample window")
     count = (n - WINDOW) // SHIFT + 1
     idx = np.arange(WINDOW)[None, :] + SHIFT * np.arange(count)[:, None]
     return samples[idx].astype(np.float64)
@@ -181,21 +176,21 @@ def _log_mel_energies(audio: AudioClip) -> np.ndarray:
     return np.log(np.maximum(power @ bank.T, _LOG_FLOOR))
 
 
-def add_deltas(static: np.ndarray, half_window: int = 2) -> np.ndarray:
+def add_deltas(static: np.ndarray) -> np.ndarray:
     """Append delta and delta-delta rows of a (T, D) matrix -> (T, 3D).
 
-    Regression over +-half_window frames with edge replication.
+    Regression over +-DELTA_WINDOW frames with edge replication.
     """
 
     def deltas(x):
         padded = np.concatenate(
-            [np.repeat(x[:1], half_window, axis=0), x, np.repeat(x[-1:], half_window, axis=0)]
+            [np.repeat(x[:1], DELTA_WINDOW, axis=0), x, np.repeat(x[-1:], DELTA_WINDOW, axis=0)]
         )
         num = np.zeros_like(x)
-        for n in range(1, half_window + 1):
-            num += n * (padded[half_window + n:padded.shape[0] - half_window + n]
-                        - padded[half_window - n:x.shape[0] + half_window - n])
-        denom = 2.0 * sum(n * n for n in range(1, half_window + 1))
+        for n in range(1, DELTA_WINDOW + 1):
+            num += n * (padded[DELTA_WINDOW + n:padded.shape[0] - DELTA_WINDOW + n]
+                        - padded[DELTA_WINDOW - n:x.shape[0] + DELTA_WINDOW - n])
+        denom = 2.0 * sum(n * n for n in range(1, DELTA_WINDOW + 1))
         return num / denom
 
     d1 = deltas(static)
@@ -221,7 +216,7 @@ def apply_cmvn(feats: FeatureSequence) -> FeatureSequence:
     """
     x = np.asarray(feats.frames, dtype=np.float64)
     if x.shape[0] < 2:
-        raise TooFewFrames("CMVN needs at least 2 frames")
+        raise DigitsvError("CMVN needs at least 2 frames")
     mean = x.mean(axis=0)
     var = x.var(axis=0)
     centered = x - mean
@@ -233,7 +228,7 @@ def apply_cmvn(feats: FeatureSequence) -> FeatureSequence:
 def splice(feats: FeatureSequence, context: int = 5) -> FeatureSequence:
     """Stack +-context neighboring frames; edges replicate the first/last frame."""
     if feats.kind != FeatureKind.FBANK120:
-        raise WrongKind(f"splicing expects FBANK120 input, got {feats.kind.value}")
+        raise DigitsvError(f"splicing expects FBANK120 input, got {feats.kind.value}")
     if context == 0:
         return replace(feats, frames=np.array(feats.frames, dtype=np.float64))
     x = np.asarray(feats.frames, dtype=np.float64)

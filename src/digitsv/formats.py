@@ -41,15 +41,7 @@ import struct
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    CorruptData,
-    FormatError,
-    RowNotNormalized,
-    Truncated,
-    UnsupportedVersion,
-    WrongStateCount,
-)
+from .errors import CorruptData, FormatError, Truncated
 from .features import FeatureKind, FeatureSequence
 from .gmm import DiagGmm
 from .hmm import DIGIT_STATES, HmmSet
@@ -79,10 +71,10 @@ class _Reader:
         self.pos = 0
         got = self.take(4)
         if got != magic:
-            raise BadMagic(f"expected magic {magic!r}, found {got!r}")
+            raise FormatError(f"expected magic {magic!r}, found {got!r}")
         version = self.u16()
         if version != VERSIONS[magic]:
-            raise UnsupportedVersion(f"unsupported {magic.decode()} version {version}")
+            raise FormatError(f"unsupported {magic.decode()} version {version}")
 
     def _need(self, n: int):
         if self.pos + n > self.size:
@@ -196,7 +188,7 @@ def _read_f32_matrix(path, magic: bytes, expect_cols: int | None = None):
         if rows < 1 or cols < 1:
             raise CorruptData(6, f"implausible shape {rows} x {cols}")
         if expect_cols is not None and cols != expect_cols:
-            raise WrongStateCount(f"expected {expect_cols} states, file has {cols}")
+            raise FormatError(f"expected {expect_cols} states, file has {cols}")
         _check_counts(rd, rows, cols, 4, magic.decode())
         start = rd.pos
         matrix = rd.array("<f4", (rows, cols))
@@ -234,7 +226,7 @@ def read_dvpo(path, expect_states: int | None = None) -> np.ndarray:
     sums = matrix.sum(axis=1)
     bad = np.nonzero(np.abs(sums - 1.0) > 1e-3)[0]
     if bad.size:
-        raise RowNotNormalized(
+        raise FormatError(
             f"row {bad[0]} sums to {sums[bad[0]]:.6f}, outside 1 +- 1e-3"
         )
     return matrix / sums[:, None]
@@ -422,7 +414,7 @@ def read_dvmd(path, expect_kind: str | None = None):
     if not isinstance(payload, dict):
         raise CorruptData(6, "model payload must be a dict")
     if expect_kind is not None and kind != expect_kind:
-        raise BadMagic(f"expected a {expect_kind!r} container, found {kind!r}")
+        raise FormatError(f"expected a {expect_kind!r} container, found {kind!r}")
     return kind, payload
 
 

@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateData, DimMismatch, TooFewSamples
+from .errors import DegenerateData, DigitsvError
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _EMPTY_COUNT = 1e-8
@@ -23,6 +23,7 @@ _EMPTY_COUNT = 1e-8
 # temporaries are two (EM_BLOCK x components) float64 arrays (16 MiB at 512
 # components) however many frames a mixture is trained on
 EM_BLOCK = 2048
+VARIANCE_FLOOR = 1e-3  # relative to the global per-dimension variance
 
 
 @dataclass
@@ -48,8 +49,8 @@ class DiagGmm:
         self.variances = np.ascontiguousarray(self.variances, dtype=np.float64)
         if self.means.ndim != self.STATE_AXES + 2 or self.variances.shape != self.means.shape \
                 or self.weights.shape != self.means.shape[:-1]:
-            raise DimMismatch(f"inconsistent mixture parameter shapes {self.weights.shape}, "
-                              f"{self.means.shape}, {self.variances.shape}")
+            raise DigitsvError(f"inconsistent mixture parameter shapes {self.weights.shape}, "
+                               f"{self.means.shape}, {self.variances.shape}")
         if np.any(self.weights < 0):
             raise ValueError("mixture weights must be nonnegative")
         sums = self.weights.sum(axis=-1)
@@ -87,7 +88,6 @@ class StateMixtures(DiagGmm):
 class GmmTrainConfig:
     target_components: int = 512
     em_iterations: int = 10
-    variance_floor: float = 1e-3  # fraction of global per-dim variance
 
     def __post_init__(self):
         c = self.target_components
@@ -100,7 +100,7 @@ def _check_frames(model: DiagGmm, frames: np.ndarray) -> np.ndarray:
     if frames.ndim == 1:
         frames = frames[None, :]
     if frames.shape[1] != model.dim:
-        raise DimMismatch(f"frame dim {frames.shape[1]} vs model dim {model.dim}")
+        raise DigitsvError(f"frame dim {frames.shape[1]} vs model dim {model.dim}")
     return frames
 
 
@@ -268,10 +268,10 @@ def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
     """
     data = np.asarray(data)
     if data.ndim != 2:
-        raise DimMismatch("training data must be an N x D matrix")
+        raise DigitsvError("training data must be an N x D matrix")
     n = data.shape[0]
     if n < cfg.target_components:
-        raise TooFewSamples(f"{n} samples cannot support {cfg.target_components} components")
+        raise DigitsvError(f"{n} samples cannot support {cfg.target_components} components")
 
     def widened():
         return (np.asarray(data[rows], dtype=np.float64) for rows in _row_blocks(n))
@@ -279,7 +279,7 @@ def train_em(data: np.ndarray, cfg: GmmTrainConfig) -> DiagGmm:
     mean, global_var = column_mean_var(widened)
     if np.max(global_var) <= 0.0:
         raise DegenerateData("training data has zero variance")
-    floor = np.maximum(cfg.variance_floor * global_var, 1e-10)
+    floor = np.maximum(VARIANCE_FLOOR * global_var, 1e-10)
 
     log: list = []
     gmm = DiagGmm(np.array([1.0]), mean[None, :], np.maximum(global_var, floor)[None, :])

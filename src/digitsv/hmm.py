@@ -22,15 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm as gmm_mod
-from .errors import (
-    MissingDigitCoverage,
-    SourceMismatch,
-    TooShort,
-    UnalignableUtterance,
-    UnknownToken,
-)
+from .errors import DigitsvError, UnalignableUtterance
 from .features import FeatureKind, FeatureSequence
-from .gmm import StateMixtures
+from .gmm import VARIANCE_FLOOR, StateMixtures
 
 WORDS = ("0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "sil")
 STATES_PER_WORD = 3
@@ -93,11 +87,11 @@ def compile_graph(transcription: str, silence_policy: str = "optional_between") 
     if silence_policy not in SILENCE_POLICIES:
         raise ValueError(f"unknown silence policy {silence_policy!r}")
     if not transcription:
-        raise UnknownToken("empty transcription")
+        raise DigitsvError("empty transcription")
     word_idx = []
     for ch in transcription:
         if ch not in WORDS[:10]:
-            raise UnknownToken(f"token {ch!r} is not a digit")
+            raise DigitsvError(f"token {ch!r} is not a digit")
         word_idx.append(int(ch))
 
     blocks: list[tuple[int, bool]] = []  # (word index, optional?)
@@ -140,7 +134,7 @@ def compile_graph(transcription: str, silence_policy: str = "optional_between") 
 def node_loglikes(graph: StateGraph, feats: FeatureSequence, hmms: HmmSet) -> np.ndarray:
     """(T, L) GMM emission log-likelihoods of MFCC60 features, one column per graph node."""
     if feats.kind != FeatureKind.MFCC60:
-        raise SourceMismatch(f"alignment expects MFCC60 features, got {feats.kind.value}")
+        raise DigitsvError(f"alignment expects MFCC60 features, got {feats.kind.value}")
     return gmm_mod.log_likelihoods(hmms, feats.frames)[:, graph.states]
 
 
@@ -149,7 +143,7 @@ def hybrid_loglikes(graph: StateGraph, state_posteriors: np.ndarray,
     """(T, L) scaled-likelihood emissions from (T, 33) classifier posteriors and state priors."""
     priors = np.asarray(priors, dtype=np.float64)
     if priors.shape != (N_STATES,):
-        raise SourceMismatch("need one prior per global state")
+        raise DigitsvError("need one prior per global state")
     post = np.maximum(state_posteriors, 1e-30)
     scores = np.log(post) - np.log(np.maximum(priors, 1e-30))
     return scores[:, graph.states]
@@ -180,7 +174,7 @@ def _viterbi_nodes(graph: StateGraph, loglikes: np.ndarray,
     """
     t_max, n_nodes = loglikes.shape
     if t_max < graph.min_frames:
-        raise TooShort(f"{t_max} frames cannot traverse a graph needing {graph.min_frames}")
+        raise DigitsvError(f"{t_max} frames cannot traverse a graph needing {graph.min_frames}")
     loop, (p1, a1, p2, a2), _ = _arc_arrays(graph, self_loop)
     nodes = np.arange(n_nodes)
     delta = np.full(n_nodes, _LOG_ZERO)
@@ -211,7 +205,7 @@ def _forward_backward_nodes(graph: StateGraph, loglikes: np.ndarray, self_loop: 
     """Node occupation posteriors (T, L), total log-probability, alpha, beta."""
     t_max, n_nodes = loglikes.shape
     if t_max < graph.min_frames:
-        raise TooShort(f"{t_max} frames cannot traverse a graph needing {graph.min_frames}")
+        raise DigitsvError(f"{t_max} frames cannot traverse a graph needing {graph.min_frames}")
     loop, (p1, a1, p2, a2), (s1, b1, s2, b2) = _arc_arrays(graph, self_loop)
 
     alpha = np.full((t_max, n_nodes), _LOG_ZERO)
@@ -231,7 +225,7 @@ def _forward_backward_nodes(graph: StateGraph, loglikes: np.ndarray, self_loop: 
 
     total = float(alpha[-1, n_nodes - 1])
     if not np.isfinite(total):
-        raise TooShort("no valid path through the graph")
+        raise DigitsvError("no valid path through the graph")
     gamma = np.exp(alpha + beta - total)
     return gamma, total, alpha, beta
 
@@ -264,7 +258,6 @@ def path_to_alignment(path: np.ndarray) -> np.ndarray:
 # training schedule: passes at one component, then per doubling of the mixtures
 INIT_PASSES = 4
 PASSES_PER_SIZE = 2
-VARIANCE_FLOOR = 1e-3  # relative to the global per-dimension variance
 SELF_LOOP_INIT = 0.6
 TRANSITION_FLOOR = 1e-3  # self-loops stay inside [floor, 1 - floor]
 
@@ -355,7 +348,7 @@ def train_hmm_set(corpus, target_components: int = 16,
         covered.update(text)
     missing = [d for d in WORDS[:10] if d not in covered]
     if missing:
-        raise MissingDigitCoverage(f"digits {missing} never occur in the corpus")
+        raise DigitsvError(f"digits {missing} never occur in the corpus")
 
     global_mean, global_var = gmm_mod.column_mean_var(lambda: (f.frames for f, _ in corpus))
     dim = global_mean.shape[0]

@@ -19,16 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BadLdaDim,
-    DigitsvError,
-    EmptyEnrollment,
-    InconsistentBackground,
-    InsufficientSpeakers,
-    RankTooLarge,
-    ShapeMismatch,
-    ZeroVector,
-)
+from .errors import DigitsvError
 from .pgmm import Background, SuffStats
 
 
@@ -78,10 +69,10 @@ def _posterior(blocks, counts, rhs):
 
 def _check_background(stats, background: Background):
     if stats.f.shape != background.means.shape:
-        raise InconsistentBackground("statistics shape does not match the background")
+        raise DigitsvError("statistics shape does not match the background")
     if (stats.background_id and background.model_id
             and stats.background_id != background.model_id):
-        raise InconsistentBackground(
+        raise DigitsvError(
             f"statistics anchored to {stats.background_id!r}, "
             f"not {background.model_id!r}"
         )
@@ -238,7 +229,7 @@ def train_tv(stats, background: Background, rank: int,
             rhs = _right_hand_sides(matrix, _pass(stats, background), inv_var, counts)
             utterances = len(counts)
             if utterances < rank:
-                raise RankTooLarge(f"{utterances} utterances cannot support rank {rank}")
+                raise DigitsvError(f"{utterances} utterances cannot support rank {rank}")
             counts = np.array(counts).reshape(utterances, background.n_mixtures)
             for k in range(iterations):
                 if k:
@@ -260,7 +251,7 @@ def train_tv(stats, background: Background, rank: int,
 def length_normalize(vector: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vector))
     if norm <= 0.0:
-        raise ZeroVector("cannot length-normalize the zero vector")
+        raise DigitsvError("cannot length-normalize the zero vector")
     return vector / norm
 
 
@@ -302,7 +293,7 @@ class PldaBackend:
     def prepare(self, vector: np.ndarray) -> np.ndarray:
         """LDA-project and length-normalize a raw i-vector."""
         if vector.shape[0] != self.lda.shape[0]:
-            raise ShapeMismatch("i-vector rank does not match the LDA projection")
+            raise DigitsvError("i-vector rank does not match the LDA projection")
         return length_normalize(vector @ self.lda)
 
 
@@ -365,25 +356,44 @@ def train_backend(ivectors, labels, lda_dim: int, plda_iterations: int = 10) -> 
     x = np.asarray(ivectors, dtype=np.float64)
     labels = list(labels)
     if len(labels) != x.shape[0]:
-        raise ShapeMismatch("one label per i-vector required")
+        raise DigitsvError("one label per i-vector required")
     classes = sorted(set(labels))
     counts = {c: labels.count(c) for c in classes}
     if len(classes) < 2 or min(counts.values()) < 2:
-        raise InsufficientSpeakers("need >= 2 speakers with >= 2 i-vectors each")
+        raise DigitsvError("need >= 2 speakers with >= 2 i-vectors each")
     if not 1 <= lda_dim <= min(x.shape[1], len(classes) - 1):
-        raise BadLdaDim(
+        raise DigitsvError(
             f"LDA dim {lda_dim} must lie in 1..min(rank={x.shape[1]}, "
             f"speakers-1={len(classes) - 1})"
         )
 
-    proj = _lda_projection(x, labels, lda_dim)
-    y = x @ proj
-    norms = np.linalg.norm(y, axis=1, keepdims=True)
-    if np.any(norms <= 0):
-        raise ZeroVector("an i-vector projected to zero")
-    y /= norms
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
+            proj = _lda_projection(x, labels, lda_dim)
+            y = x @ proj
+            norms = np.linalg.norm(y, axis=1, keepdims=True)
+            if np.any(norms <= 0):
+                raise DigitsvError("an i-vector projected to zero")
+            y /= norms
+            mean, between, within, log = _two_covariance_em(y, labels, counts,
+                                                          plda_iterations)
+            backend = PldaBackend(proj, mean, between, within)
+        finite = all(np.all(np.isfinite(a)) for a in (proj, mean, between, within, log))
+    except (np.linalg.LinAlgError, ValueError):  # a covariance that overflowed
+        finite = False
+    if not finite:
+        raise DigitsvError("backend training overflowed: the i-vectors give no finite "
+                           "LDA projection and PLDA covariances")
+    backend.training_log = log
+    return backend
 
-    # two-covariance PLDA by EM
+
+def _two_covariance_em(y, labels, counts, iterations):
+    """Two-covariance PLDA by EM on projected, normalized vectors, ``counts``
+    vectors per class: the mean, the between- and within-class covariances and
+    the log-likelihood before each iteration and after the last."""
+    classes = sorted(counts)
+    lda_dim = y.shape[1]
     mean = y.mean(axis=0)
     class_means = np.stack([y[[l == c for l in labels]].mean(axis=0) for c in classes])
     between = np.cov(class_means.T, bias=True).reshape(lda_dim, lda_dim)
@@ -399,7 +409,7 @@ def train_backend(ivectors, labels, lda_dim: int, plda_iterations: int = 10) -> 
 
     log = []
     n_total = y.shape[0]
-    for _ in range(plda_iterations):
+    for _ in range(iterations):
         log.append(plda_log_likelihood(mean, between, within, y, labels))
         inv_b = np.linalg.inv(between)
         inv_w = np.linalg.inv(within)
@@ -421,10 +431,7 @@ def train_backend(ivectors, labels, lda_dim: int, plda_iterations: int = 10) -> 
         between += 1e-12 * np.eye(lda_dim)
         within += 1e-12 * np.eye(lda_dim)
     log.append(plda_log_likelihood(mean, between, within, y, labels))
-
-    backend = PldaBackend(proj, mean, between, within)
-    backend.training_log = log
-    return backend
+    return mean, between, within, log
 
 
 class PldaScorer:
@@ -453,7 +460,7 @@ class PldaScorer:
                 vectors.append(self.ivector(stats))
                 del stats  # not held while the next utterance is aligned
             if not vectors:
-                raise EmptyEnrollment(f"speaker {spk!r} has no enrollment statistics")
+                raise DigitsvError(f"speaker {spk!r} has no enrollment statistics")
             rows.append(length_normalize(np.mean(vectors, axis=0)) - backend.mean)
         self.enrolled = np.array(rows).reshape(len(rows), backend.dim)
         d = backend.dim

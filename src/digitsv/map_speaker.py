@@ -12,7 +12,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import EmptyEnrollment, NoRetainedFrames, ShapeMismatch, SourceMismatch
+from .errors import DigitsvError
 from .pgmm import Background, SuffStats
 
 RELEVANCE_DEFAULT = 5.0
@@ -24,7 +24,7 @@ def map_adapt(background: Background, stats: SuffStats,
     if relevance <= 0:
         raise ValueError("relevance factor must be positive")
     if stats.f.shape != background.means.shape:
-        raise ShapeMismatch(
+        raise DigitsvError(
             f"stats shape {stats.f.shape} vs background {background.means.shape}"
         )
     alpha = 1.0 / (stats.n + relevance)
@@ -43,7 +43,7 @@ def enroll(background: Background, stats_list, relevance: float = RELEVANCE_DEFA
         merged += 1
         del item
     if not merged:
-        raise EmptyEnrollment("enrollment needs at least one utterance")
+        raise DigitsvError("enrollment needs at least one utterance")
     return map_adapt(background, stats, relevance)
 
 
@@ -122,12 +122,12 @@ class LinearLlr:
 
     def __init__(self, speakers: SpeakerModels, background: Background):
         if speakers.background_id != background.model_id:
-            raise SourceMismatch(
+            raise DigitsvError(
                 f"speaker models were enrolled with the {speakers.background_id} "
                 f"alignment source; scoring requested {background.model_id}"
             )
         if speakers.means.shape[1:] != background.means.shape:
-            raise ShapeMismatch(
+            raise DigitsvError(
                 f"speaker models {speakers.means.shape[1:]} do not match "
                 f"the background {background.means.shape}")
         self.background = background
@@ -151,8 +151,8 @@ class LinearLlr:
         score is the average log-likelihood ratio over those frames.
         """
         if stats.f.shape != self.background.means.shape:
-            raise ShapeMismatch("statistics do not match the background layout")
+            raise DigitsvError("statistics do not match the background layout")
         if retained == 0:
-            raise NoRetainedFrames("no frame carries any non-silence mixture mass")
+            raise DigitsvError("no frame carries any non-silence mixture mass")
         return (self.weights @ stats.f.reshape(-1) - self.halves @ stats.n) / retained
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MissingClass, NonFiniteLoss, ShapeMismatch, WrongKind
+from .errors import DigitsvError, NonFiniteLoss
 from .features import FeatureKind, FeatureSequence
 from .gmm import column_mean_var
 from .hmm import N_STATES
@@ -168,7 +168,7 @@ def _mean_log_posterior(model: MlpModel, frames: np.ndarray, idx: np.ndarray,
 def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None = None) -> MlpModel:
     """Train the frame classifier; deterministic under a fixed seed.
 
-    Raises MissingClass unless every label 0..n_outputs-1 occurs.  If the
+    Raises DigitsvError unless every label 0..n_outputs-1 occurs.  If the
     loss goes non-finite, NonFiniteLoss is raised carrying the last
     finite-loss epoch snapshot as ``checkpoint``.  ``frames`` are kept in
     their own dtype; each minibatch or chunk is widened to float64 on its own.
@@ -179,7 +179,7 @@ def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None
     present = np.bincount(labels, minlength=cfg.n_outputs)
     missing = np.nonzero(present == 0)[0]
     if missing.size:
-        raise MissingClass(f"no training examples for states {missing.tolist()}")
+        raise DigitsvError(f"no training examples for states {missing.tolist()}")
 
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(frames.shape[0])
@@ -229,9 +229,9 @@ def train_mlp(frames: np.ndarray, labels: np.ndarray, cfg: MlpTrainConfig | None
 def mlp_posteriors(model: MlpModel, feats: FeatureSequence) -> np.ndarray:
     """(T, 33) per-frame state posteriors from the classifier."""
     if feats.kind != model.input_kind:
-        raise WrongKind(f"model expects {model.input_kind.value} input, got {feats.kind.value}")
+        raise DigitsvError(f"model expects {model.input_kind.value} input, got {feats.kind.value}")
     if feats.dim != model.input_dim:
-        raise WrongKind(f"model expects {model.input_dim}-dim input, got {feats.dim}")
+        raise DigitsvError(f"model expects {model.input_dim}-dim input, got {feats.dim}")
     if model.n_outputs != N_STATES:
-        raise ShapeMismatch(f"alignment needs {N_STATES} outputs, model has {model.n_outputs}")
+        raise DigitsvError(f"alignment needs {N_STATES} outputs, model has {model.n_outputs}")
     return posterior_matrix(model, feats.frames)

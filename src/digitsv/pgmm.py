@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gmm as gmm_mod
-from .errors import DegenerateData, EmptyStateWarning, ShapeMismatch, StarvedState
+from .errors import DegenerateData, DigitsvError, EmptyStateWarning, StarvedState
 from .features import FeatureSequence
 from .gmm import _EMPTY_COUNT, DiagGmm, StateMixtures
 from .hmm import DIGIT_STATES, N_STATES
@@ -50,15 +50,15 @@ class SuffStats:
         self.n = np.asarray(self.n, dtype=np.float64)
         self.f = np.asarray(self.f, dtype=np.float64)
         if self.n.shape[0] != self.f.shape[0]:
-            raise ShapeMismatch("inconsistent statistics shapes")
+            raise DigitsvError("inconsistent statistics shapes")
 
     def add(self, other: "SuffStats") -> "SuffStats":
         """Add ``other`` into these statistics in place, and return them."""
         if self.f.shape != other.f.shape:
-            raise ShapeMismatch("cannot merge statistics of different shapes")
+            raise DigitsvError("cannot merge statistics of different shapes")
         if (self.background_id and other.background_id
                 and self.background_id != other.background_id):
-            raise ShapeMismatch("cannot merge statistics from different backgrounds")
+            raise DigitsvError("cannot merge statistics from different backgrounds")
         self.n += other.n
         self.f += other.f
         self.background_id = self.background_id or other.background_id
@@ -116,10 +116,10 @@ def mixture_posteriors(model: StateMixtures, align: np.ndarray, feats: FeatureSe
     Entries below ``prune`` are zeroed for sparsity.
     """
     if align.shape != (feats.n_frames, N_STATES):
-        raise ShapeMismatch(f"alignment is {align.shape}, features need "
-                            f"({feats.n_frames}, {N_STATES})")
+        raise DigitsvError(f"alignment is {align.shape}, features need "
+                           f"({feats.n_frames}, {N_STATES})")
     if model.dim != feats.dim:
-        raise ShapeMismatch(f"model dim {model.dim} vs feature dim {feats.dim}")
+        raise DigitsvError(f"model dim {model.dim} vs feature dim {feats.dim}")
 
     digits = len(DIGIT_STATES)
     post = gmm_mod.loglikes_and_posteriors(model, feats.frames)[1][:, :digits]
@@ -143,9 +143,9 @@ def accumulate_stats(gammas: np.ndarray, feats: FeatureSequence,
     """Normalized Baum-Welch statistics of (T, M) mixture posteriors around the means."""
     means = np.asarray(means, dtype=np.float64)
     if gammas.ndim != 2 or gammas.shape[0] != feats.n_frames:
-        raise ShapeMismatch("posteriors must be one row per feature frame")
+        raise DigitsvError("posteriors must be one row per feature frame")
     if means.shape != (gammas.shape[1], feats.dim):
-        raise ShapeMismatch(f"means shape {means.shape} does not match posteriors/features")
+        raise DigitsvError(f"means shape {means.shape} does not match posteriors/features")
     n = gammas.sum(axis=0)
     f = gammas.T @ np.asarray(feats.frames, dtype=np.float64) - n[:, None] * means
     return SuffStats(n, f, background_id)
@@ -175,16 +175,15 @@ def pgmm_objective(pgmm: Pgmm, aligns, feats_list) -> float:
     return objective
 
 
-def pgmm_m_step(pgmm: Pgmm, accum: gmm_mod.EmAccumulator,
-                variance_floor: float = 1e-3) -> Pgmm:
+def pgmm_m_step(pgmm: Pgmm, accum: gmm_mod.EmAccumulator) -> Pgmm:
     """``EmAccumulator.update`` of all state GMMs, flooring variances at
-    ``variance_floor`` times the accumulated data's; states with ~zero total
+    ``gmm.VARIANCE_FLOOR`` times the accumulated data's; states with ~zero total
     occupancy are reported via EmptyStateWarning.
     """
     total_n = max(accum.n.sum(), _EMPTY_COUNT)
     global_mean = accum.sx.sum(axis=(0, 1)) / total_n
     global_var = accum.sxx.sum(axis=(0, 1)) / total_n - global_mean ** 2
-    floor = np.maximum(variance_floor * np.maximum(global_var, 0.0), 1e-10)
+    floor = np.maximum(gmm_mod.VARIANCE_FLOOR * np.maximum(global_var, 0.0), 1e-10)
     empty = accum.n.sum(axis=1) < _EMPTY_COUNT
     if empty.any():
         warnings.warn(f"states {np.flatnonzero(empty).tolist()} received no occupancy; "
@@ -193,7 +192,7 @@ def pgmm_m_step(pgmm: Pgmm, accum: gmm_mod.EmAccumulator,
 
 
 def init_pgmm(alignments, feats_list, n_components: int = 16,
-              em_iterations: int = 10, variance_floor: float = 1e-3) -> Pgmm:
+              em_iterations: int = 10) -> Pgmm:
     """Initialize state GMMs from hard (argmax) frame assignments.
 
     Every digit state must receive at least ``n_components`` frames,
@@ -202,8 +201,7 @@ def init_pgmm(alignments, feats_list, n_components: int = 16,
     Each state's trained mixture is written into its row of the stacked model.
     """
     hard = [align.argmax(axis=1) for align in alignments]
-    cfg = gmm_mod.GmmTrainConfig(target_components=n_components, em_iterations=em_iterations,
-                                 variance_floor=variance_floor)
+    cfg = gmm_mod.GmmTrainConfig(target_components=n_components, em_iterations=em_iterations)
     # without features state 0 starves below
     shape = (len(DIGIT_STATES), n_components, feats_list[0].dim if feats_list else 1)
     weights, means, variances = np.empty(shape[:2]), np.empty(shape), np.empty(shape)

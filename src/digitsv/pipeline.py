@@ -17,7 +17,7 @@ import numpy as np
 
 from . import content_kl, hmm as hmm_mod, map_speaker, pgmm as pgmm_mod
 from .config import PipelineConfig
-from .errors import ConfigInvalid, DigitsvError, ShapeMismatch
+from .errors import DigitsvError
 from .gmm import DiagGmm, GmmTrainConfig, train_em
 from .hmm import HmmSet, compile_graph, train_hmm_set
 from .ivector import PldaScorer
@@ -109,15 +109,15 @@ def train_phonetic_gmms(corpus, cfg: PipelineConfig, alignment) -> Pgmm:
     """Phonetic GMMs under ``alignment(utt)`` of each enrollment utterance.
 
     An alignment that is not (frames, 33) for its utterance's features raises
-    ShapeMismatch naming the utterance.
+    DigitsvError naming the utterance.
     """
     enroll = _enrollment(corpus)
     aligns = [alignment(utt) for utt in enroll]
     feats = [utt.feats for utt in enroll]
     for utt, a, f in zip(enroll, aligns, feats):
         if a.shape != (f.n_frames, hmm_mod.N_STATES):
-            raise ShapeMismatch(f"alignment of {utt.utt_id} is {a.shape}, its features "
-                                f"need ({f.n_frames}, {hmm_mod.N_STATES})")
+            raise DigitsvError(f"alignment of {utt.utt_id} is {a.shape}, its features "
+                               f"need ({f.n_frames}, {hmm_mod.N_STATES})")
     return pgmm_mod.train_pgmm(aligns, feats, cfg.pgmm_components, cfg.pgmm_em_iterations)
 
 
@@ -131,7 +131,7 @@ def train_ubm(corpus, cfg: PipelineConfig) -> DiagGmm:
 
 def _need(model, name):
     if model is None:
-        raise ConfigInvalid(f"alignment source requires a trained {name} model")
+        raise DigitsvError(f"alignment source requires a trained {name} model")
     return model
 
 
@@ -152,9 +152,9 @@ def align(source: str, models: AlignerModels, feats: FeatureSequence | None,
     forward-backward posteriors or ``viterbi`` for the best path as 0/1 rows.
     """
     if source not in ("gmm-hmm", "dnn", "dnn-hmm"):
-        raise ConfigInvalid(f"unknown alignment source {source!r}")
+        raise DigitsvError(f"unknown alignment source {source!r}")
     if mode not in ("fb", "viterbi"):
-        raise ConfigInvalid(f"unknown alignment mode {mode!r}")
+        raise DigitsvError(f"unknown alignment mode {mode!r}")
     if source != "gmm-hmm" and dnn_align is None:
         dnn_align = mlp_posteriors(_need(models.mlp, "mlp"), feats)
     if source == "dnn":
@@ -162,7 +162,7 @@ def align(source: str, models: AlignerModels, feats: FeatureSequence | None,
             return dnn_align
         return hmm_mod.path_to_alignment(dnn_align.argmax(axis=1))
     if prompt is None:
-        raise ConfigInvalid(f"{source} alignment needs the prompted transcription")
+        raise DigitsvError(f"{source} alignment needs the prompted transcription")
     hmms = _need(models.hmms, "hmms")
     graph = compile_graph(prompt, silence_policy)
     if source == "gmm-hmm":
@@ -198,7 +198,7 @@ class SpeakerSystem:
         elif source == "ubm":
             self.background = Background.from_ubm(_need(models.ubm, "ubm"))
         else:
-            raise ConfigInvalid(f"unknown alignment source {source!r}")
+            raise DigitsvError(f"unknown alignment source {source!r}")
 
     def statistics(self, feats: FeatureSequence,
                    alignment: np.ndarray | None) -> tuple[SuffStats, int]:
@@ -345,7 +345,7 @@ def score_content_trials(corpus, trials, models: AlignerModels,
     plan = _trial_plan(corpus, trials, prompt_keyed=True)
     source = {"gmm": "gmm-hmm", "hybrid": "dnn-hmm"}.get(hmm_mode)
     if source is None:
-        raise ConfigInvalid(f"unknown hmm mode {hmm_mode!r}")
+        raise DigitsvError(f"unknown hmm mode {hmm_mode!r}")
     scores = [0.0] * len(trials)
     for indices, feats, forced, dnn in _walk(plan, source, models, silence_policy, classify=True):
         kl = content_kl.content_verify(forced, dnn, level, epsilon)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import DigitsvError
 from .eval_trials import TrialRecord
 from .features import FeatureKind, FeatureSequence
 from .hmm import N_STATES, SILENCE_WORD, word_states
@@ -43,19 +43,19 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.n_speakers < 2:
-            raise ConfigInvalid("need at least 2 speakers")
+            raise DigitsvError("need at least 2 speakers")
         if self.dim != 60:
-            raise ConfigInvalid("features are synthesized in the 60-dim MFCC space")
+            raise DigitsvError("features are synthesized in the 60-dim MFCC space")
         if min(self.speaker_scale, self.noise_scale, self.mean_separation) <= 0:
-            raise ConfigInvalid("scales must be positive")
+            raise DigitsvError("scales must be positive")
         if self.dwell_min < 2 or self.dwell_max < self.dwell_min:
-            raise ConfigInvalid("dwell range must satisfy 2 <= min <= max")
+            raise DigitsvError("dwell range must satisfy 2 <= min <= max")
         if self.tw_mode not in TW_MODES:
-            raise ConfigInvalid(f"tw_mode must be one of {TW_MODES}")
+            raise DigitsvError(f"tw_mode must be one of {TW_MODES}")
         if not 0 <= self.between_sil_prob <= 1:
-            raise ConfigInvalid("between_sil_prob must lie in [0, 1]")
+            raise DigitsvError("between_sil_prob must lie in [0, 1]")
         if min(self.n_enroll, self.n_test, self.enroll_digits, self.test_digits) < 1:
-            raise ConfigInvalid("utterance counts and lengths must be positive")
+            raise DigitsvError("utterance counts and lengths must be positive")
 
 
 @dataclass
@@ -70,12 +70,9 @@ class Utterance:
 
 @dataclass
 class Corpus:
-    config: SynthConfig
     speakers: list
     utterances: list = field(default_factory=list)
     trials: list = field(default_factory=list)
-    state_means: np.ndarray | None = None
-    speaker_offsets: np.ndarray | None = None
 
     def by_id(self, utt_id: str) -> Utterance:
         return self._index[utt_id]
@@ -94,9 +91,9 @@ class Corpus:
 def corrupt_prompt(prompt: str, mode: str = "whole_prompt", seed: int = 0) -> str:
     """Produce a wrong-content prompt, guaranteed to differ from the input."""
     if not prompt:
-        raise ConfigInvalid("cannot corrupt an empty prompt")
+        raise DigitsvError("cannot corrupt an empty prompt")
     if mode not in TW_MODES:
-        raise ConfigInvalid(f"tw_mode must be one of {TW_MODES}")
+        raise DigitsvError(f"tw_mode must be one of {TW_MODES}")
     rng = np.random.default_rng(seed)
     digits = "0123456789"
     if mode == "single_digit":
@@ -159,8 +156,7 @@ def generate_corpus(cfg: SynthConfig | None = None) -> Corpus:
         if covered >= set("0123456789"):
             break
 
-    corpus = Corpus(config=cfg, speakers=speakers,
-                    state_means=state_means, speaker_offsets=offsets)
+    corpus = Corpus(speakers)
     for k, spk in enumerate(speakers):
         for j, text in enumerate(enroll_texts[k]):
             feats = _synthesize(text, offsets[k], state_means, rng, cfg)

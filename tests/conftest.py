@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from digitsv import ivector, neural_aligner
-from digitsv.errors import EmptyEnrollment, NoRetainedFrames, ShapeMismatch
+from digitsv.errors import DigitsvError
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm
 from digitsv.hmm import N_STATES, HmmSet
@@ -173,13 +173,13 @@ def llr_score(means, background, gammas, feats) -> float:
     any retained mixture mass.  The per-frame reference for ``LinearLlr``.
     """
     if means.shape != background.means.shape:
-        raise ShapeMismatch("speaker and background models differ in shape")
+        raise DigitsvError("speaker and background models differ in shape")
     if gammas.shape != (feats.n_frames, background.n_mixtures) or feats.dim != background.dim:
-        raise ShapeMismatch("posteriors and features do not fit the background")
+        raise DigitsvError("posteriors and features do not fit the background")
     rows, cols = np.nonzero(gammas)
     retained = np.unique(rows).size
     if retained == 0:
-        raise NoRetainedFrames("no frame carries any non-silence mixture mass")
+        raise DigitsvError("no frame carries any non-silence mixture mass")
     x = np.asarray(feats.frames[rows], dtype=np.float64)
     mu_b, mu_s = background.means[cols], means[cols]
     inv2v = 0.5 / background.variances[cols]
@@ -195,9 +195,9 @@ def plda_score(backend, enroll, test) -> float:
     the score is invariant to their order.
     """
     if not enroll:
-        raise EmptyEnrollment("no enrollment i-vectors given")
+        raise DigitsvError("no enrollment i-vectors given")
     if any(v.shape != (backend.dim,) for v in [*enroll, test]):
-        raise ShapeMismatch("i-vector does not match the backend dimension")
+        raise DigitsvError("i-vector does not match the backend dimension")
     e = ivector.length_normalize(np.mean(enroll, axis=0)) - backend.mean
     t = test - backend.mean
     tot = backend.between + backend.within

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import ROSTER_DEFECTS, roster_payload
 from digitsv import formats
 from digitsv.cli import cli_dispatch
-from digitsv.config import ConfigInvalid, PipelineConfig, load_config, parse_config_lines
+from digitsv.config import PipelineConfig, load_config, parse_config_lines
+from digitsv.errors import DigitsvError
 from digitsv.pgmm import SuffStats
 
 
@@ -388,7 +389,7 @@ class TestConfig:
                              "class_level": "state"}
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="unknown key 'not_a_key'"):
             parse_config_lines(["not_a_key=1"])
 
     def test_flags_win_over_file(self, tmp_path):
@@ -414,8 +415,35 @@ class TestConfig:
         assert (p08.c_miss, p08.c_fa, p08.p_target) == (10.0, 1.0, 0.01)
         p10 = cfg.dcf_params("sre10")
         assert (p10.c_miss, p10.c_fa, p10.p_target) == (1.0, 1.0, 0.001)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="bad dcf_sre08 value"):
             PipelineConfig(dcf_sre08="10,1")
+
+    @pytest.mark.parametrize("stage", ["synth", "extract-feats", "accumulate-stats",
+                                       "extract-ivector"])
+    def test_stages_without_settings_reject_the_flag(self, work, ivector_models, tmp_path,
+                                                     capsys, stage):
+        # a stage that reads no PipelineConfig has no --config to ignore
+        from digitsv.features import AudioClip, write_wav
+
+        config = tmp_path / "bad.cfg"
+        config.write_text("not_a_key=1\n")
+        wav = str(tmp_path / "a.wav")
+        noise = 1000 * np.random.default_rng(0).standard_normal(8000)
+        write_wav(wav, AudioClip(noise.astype(np.int16)))
+        utt = _split_utts(work["corpus"], "enroll")[0]
+        inputs = {
+            "synth": ["--speakers", "2", "--test-per-speaker", "1"],
+            "extract-feats": ["--wav", wav, "--kind", "mfcc"],
+            "accumulate-stats": ["--source", "ubm", "--ubm", f"{work['models']}/ubm.dvmd",
+                                 "--feats", f"{work['corpus']}/corpus/feats/{utt}.dvfe"],
+            "extract-ivector": ["--tv", ivector_models["tv"],
+                                "--stats-dir", ivector_models["stats"]],
+        }
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([stage, *inputs[stage], "--config", str(config), "--out", str(out)]) == 1
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _split_utts(corpus, split):
@@ -859,6 +887,21 @@ class TestBadInputs:
         assert run(["train-tv", "--source", "ubm", "--ubm", f"{work['models']}/ubm.dvmd",
                     "--stats-dir", str(stats_dir), "--rank", "4", "--iterations", "2",
                     "--out", str(out)]) == 2
+        _assert_error_line(capsys, "overflowed")
+        assert not out.exists()
+
+    def test_train_backend_on_overflowing_ivectors(self, work, ivector_models, tmp_path,
+                                                   capsys):
+        # finite i-vectors, one scaled by 1e300: the LDA scatter overflows
+        entries = formats.read_dviv(ivector_models["ivectors"])
+        entries[0] = (entries[0][0], 1e300 * entries[0][1])
+        ivecs = tmp_path / "iv.dviv"
+        formats.write_dviv(ivecs, entries)
+        out = tmp_path / "plda.dvmd"
+        capsys.readouterr()
+        assert run(["train-backend", "--ivectors", str(ivecs),
+                    "--utt2spk", f"{work['corpus']}/corpus/splits/enroll.txt",
+                    "--lda-dim", "4", "--out", str(out)]) == 2
         _assert_error_line(capsys, "overflowed")
         assert not out.exists()
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digitsv.content_kl import content_verify, kl_score, pool_classes, smooth
-from digitsv.errors import ShapeMismatch
+from digitsv.errors import DigitsvError
 from digitsv.hmm import N_STATES
 
 
@@ -118,7 +118,7 @@ class TestKlScore:
     def test_shape_mismatch(self):
         a = smooth(np.full((2, 4), 0.25))
         b = smooth(np.full((3, 4), 0.25))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DigitsvError, match="posterior sequences differ in shape"):
             kl_score(a, b)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

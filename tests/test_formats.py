@@ -10,14 +10,7 @@ import pytest
 
 from conftest import ROSTER_DEFECTS, make_hmm_set, roster_payload, state_gmm
 from digitsv import formats
-from digitsv.errors import (
-    BadMagic,
-    CorruptData,
-    FormatError,
-    RowNotNormalized,
-    Truncated,
-    UnsupportedVersion,
-)
+from digitsv.errors import CorruptData, FormatError, Truncated
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm
 from digitsv.hmm import DIGIT_STATES
@@ -52,13 +45,13 @@ class TestDvfe:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dvfe"
         path.write_bytes(b"NOPE" + bytes(20))
-        with pytest.raises(BadMagic):
+        with pytest.raises(FormatError, match="expected magic"):
             formats.read_dvfe(path)
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.dvfe"
         path.write_bytes(b"DVFE" + (9).to_bytes(2, "little") + bytes(16))
-        with pytest.raises(UnsupportedVersion):
+        with pytest.raises(FormatError, match="unsupported DVFE version"):
             formats.read_dvfe(path)
 
     def test_truncation_has_offset(self, tmp_path):
@@ -113,7 +106,7 @@ class TestDvpo:
         post = np.full((3, 33), 0.9 / 33)
         path = tmp_path / "bad.dvpo"
         formats.write_dvpo(path, post)
-        with pytest.raises(RowNotNormalized):
+        with pytest.raises(FormatError, match=r"outside 1 \+- 1e-3"):
             formats.read_dvpo(path)
 
 
@@ -171,14 +164,14 @@ class TestDvst:
         formats.write_dvst(path, SuffStats(np.ones(2), np.zeros((2, 3))))
         data = path.read_bytes()
         path.write_bytes(data[:4] + (1).to_bytes(2, "little") + data[6:14] + data[16:])
-        with pytest.raises(UnsupportedVersion):
+        with pytest.raises(FormatError, match="unsupported DVST version"):
             formats.read_dvst(path)
 
     def test_version_2_files_rejected(self, tmp_path):
         # version 2 records carried second-order statistics after F
         path = tmp_path / "s.dvst"
         _write_dvst_v2(path, SuffStats(np.ones(2), np.zeros((2, 3)), "dnn-hmm"))
-        with pytest.raises(UnsupportedVersion, match="unsupported DVST version 2"):
+        with pytest.raises(FormatError, match="unsupported DVST version 2"):
             formats.read_dvst(path)
 
     def test_background_id_round_trip(self, tmp_path):
@@ -313,10 +306,10 @@ def _bytes_header(path, magic: bytes) -> _BytesReader:
         rd = _BytesReader(fh.read())
     got = rd.take(4)
     if got != magic:
-        raise BadMagic(f"expected magic {magic!r}, found {got!r}")
+        raise FormatError(f"expected magic {magic!r}, found {got!r}")
     version = rd.u16()
     if version != formats.VERSIONS[magic]:
-        raise UnsupportedVersion(f"unsupported {magic.decode()} version {version}")
+        raise FormatError(f"unsupported {magic.decode()} version {version}")
     return rd
 
 
@@ -352,7 +345,7 @@ def _bytes_read_dvpo(path):
     sums = matrix.sum(axis=1)
     bad = np.nonzero(np.abs(sums - 1.0) > 1e-3)[0]
     if bad.size:
-        raise RowNotNormalized(f"row {bad[0]} sums to {sums[bad[0]]:.6f}, outside 1 +- 1e-3")
+        raise FormatError(f"row {bad[0]} sums to {sums[bad[0]]:.6f}, outside 1 +- 1e-3")
     return matrix / sums[:, None]
 
 
@@ -655,7 +648,7 @@ class TestDvmdModels:
         gmm = DiagGmm([1.0], [[0.0]], [[1.0]])
         path = tmp_path / "g.dvmd"
         formats.save_model(path, gmm)
-        with pytest.raises(BadMagic):
+        with pytest.raises(FormatError, match="expected a 'hmm_set' container"):
             formats.load_model(path, "hmm_set")
 
     def test_pgmm_round_trip(self, tmp_path):

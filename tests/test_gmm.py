@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import scalar_gmm_loglike
-from digitsv.errors import DegenerateData, DimMismatch, TooFewSamples
+from digitsv.errors import DegenerateData, DigitsvError
 from digitsv.gmm import (
     DiagGmm,
     GmmTrainConfig,
@@ -47,7 +47,7 @@ class TestTrainEm:
 
     def test_variance_floor_enforced(self):
         data = two_cluster_data(seed=7)
-        cfg = GmmTrainConfig(target_components=4, variance_floor=1e-3)
+        cfg = GmmTrainConfig(target_components=4)
         gmm = train_em(data, cfg)
         floor = 1e-3 * data.var(axis=0)
         assert np.all(gmm.variances >= floor - 1e-15)
@@ -62,7 +62,7 @@ class TestTrainEm:
         np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(DigitsvError, match="3 samples cannot support 4 components"):
             train_em(np.zeros((3, 2)) + np.arange(3)[:, None],
                      GmmTrainConfig(target_components=4))
 
@@ -98,7 +98,7 @@ class TestLogLikelihood:
 
     def test_dim_mismatch(self):
         gmm = DiagGmm([1.0], [[0.0, 0.0]], [[1.0, 1.0]])
-        with pytest.raises(DimMismatch):
+        with pytest.raises(DigitsvError, match="frame dim 3 vs model dim"):
             log_likelihoods(gmm, np.zeros(3))
 
 

@@ -7,15 +7,7 @@ import scipy.linalg
 
 from conftest import plda_score
 from digitsv import ivector
-from digitsv.errors import (
-    BadLdaDim,
-    DigitsvError,
-    EmptyEnrollment,
-    InconsistentBackground,
-    InsufficientSpeakers,
-    RankTooLarge,
-    ZeroVector,
-)
+from digitsv.errors import DigitsvError
 from digitsv.ivector import (
     PldaScorer,
     TvModel,
@@ -86,7 +78,7 @@ class TestExtractIvector:
         bg = toy_background(seed=8, model_id="dnn")
         tv = TvModel(np.random.default_rng(1).standard_normal((6, 2)), bg)
         stats = random_stats(toy_background(seed=8, model_id="dnn-hmm"))
-        with pytest.raises(InconsistentBackground, match="dnn-hmm"):
+        with pytest.raises(DigitsvError, match="dnn-hmm"):
             extract_ivector(stats, tv)
 
     def test_overflowing_extraction_is_a_data_error(self):
@@ -110,14 +102,14 @@ class TestTrainTv:
     def test_rank_too_large(self):
         bg = toy_background(seed=7)
         stats = [random_stats(bg, seed=k) for k in range(10)]
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(DigitsvError, match="cannot support rank 20"):
             train_tv(lambda: stats, bg, rank=20)
 
     def test_inconsistent_background(self):
         bg = toy_background(seed=8, model_id="a")
         other = toy_background(seed=9, model_id="b")
         stats = [random_stats(other, seed=k) for k in range(5)]
-        with pytest.raises(InconsistentBackground):
+        with pytest.raises(DigitsvError, match="statistics anchored to 'b', not 'a'"):
             train_tv(lambda: stats, bg, rank=2)
 
     def test_determinism(self):
@@ -310,7 +302,7 @@ class TestLengthNormalize:
                                    atol=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(DigitsvError, match="cannot length-normalize the zero vector"):
             length_normalize(np.zeros(3))
 
 
@@ -347,12 +339,12 @@ class TestBackend:
 
     def test_insufficient_speakers(self):
         x, labels = labeled_cloud(n_speakers=1, seed=3)
-        with pytest.raises(InsufficientSpeakers):
+        with pytest.raises(DigitsvError, match="need >= 2 speakers with >= 2 i-vectors each"):
             train_backend(x, labels, lda_dim=1)
 
     def test_bad_lda_dim(self):
         x, labels = labeled_cloud(n_speakers=3, seed=4)
-        with pytest.raises(BadLdaDim):
+        with pytest.raises(DigitsvError, match="LDA dim 3 must lie in"):
             train_backend(x, labels, lda_dim=3)  # must be <= speakers - 1
 
 
@@ -445,7 +437,7 @@ class TestPldaScore:
         np.testing.assert_allclose(scores, 0.0, atol=1e-9)
 
     def test_empty_enrollment(self):
-        with pytest.raises(EmptyEnrollment):
+        with pytest.raises(DigitsvError, match="no enrollment i-vectors given"):
             plda_score(self.backend, [], self.backend.prepare(self.x[0]))
 
     @pytest.mark.parametrize("between, within", [
@@ -525,5 +517,5 @@ class TestPldaScorer:
 
     def test_empty_enrollment(self, chain):
         tv, backend, enroll, _ = chain
-        with pytest.raises(EmptyEnrollment):
+        with pytest.raises(DigitsvError, match="speaker 'spk0' has no enrollment statistics"):
             PldaScorer(tv, backend, {**enroll, "spk0": []})

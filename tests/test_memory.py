@@ -33,7 +33,7 @@ from conftest import heldout_cross_entropy, roster_copy, state_gmm
 from digitsv import formats, gmm as gmm_mod, hmm as hmm_mod, neural_aligner, pipeline
 from digitsv import pgmm as pgmm_mod
 from digitsv.config import PipelineConfig
-from digitsv.errors import EmptyStateWarning, MissingClass, NonFiniteLoss, StarvedState
+from digitsv.errors import DigitsvError, EmptyStateWarning, NonFiniteLoss, StarvedState
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm, EmAccumulator, GmmTrainConfig, train_em
 from digitsv.hmm import N_STATES, HmmSet, compile_graph
@@ -237,7 +237,7 @@ def split_components_oracle(gmm):
     return DiagGmm(weights, means, variances)
 
 
-def pgmm_em_step_oracle(pgmm, accum, variance_floor=1e-3):
+def pgmm_em_step_oracle(pgmm, accum):
     """``pgmm.pgmm_m_step`` on a given accumulator, one state's mixture at a time."""
     empty = pgmm_mod._EMPTY_COUNT
     global_second = accum.sxx.sum(axis=(0, 1))
@@ -245,7 +245,7 @@ def pgmm_em_step_oracle(pgmm, accum, variance_floor=1e-3):
     total_n = accum.n.sum()
     global_mean = global_first / max(total_n, empty)
     global_var = global_second / max(total_n, empty) - global_mean ** 2
-    floor = np.maximum(variance_floor * np.maximum(global_var, 0.0), 1e-10)
+    floor = np.maximum(gmm_mod.VARIANCE_FLOOR * np.maximum(global_var, 0.0), 1e-10)
     new_gmms = []
     for k in hmm_mod.DIGIT_STATES:
         g = state_gmm(pgmm, k)
@@ -349,7 +349,7 @@ def train_mlp_oracle(frames, labels, cfg):
     frames = np.asarray(frames, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if np.any(np.bincount(labels, minlength=cfg.n_outputs) == 0):
-        raise MissingClass("missing class")
+        raise DigitsvError("missing class")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(frames.shape[0])
     n_held = max(1, int(round(na.HELDOUT_FRACTION * frames.shape[0])))
@@ -500,7 +500,7 @@ class TestKernelsMatchOracles:
         cfg = GmmTrainConfig(target_components=2, em_iterations=2)
         got = train_em(data, cfg)
         var = data.var(axis=0)
-        floor = np.maximum(cfg.variance_floor * var, 1e-10)
+        floor = np.maximum(gmm_mod.VARIANCE_FLOOR * var, 1e-10)
         want = DiagGmm(*gmm_mod.split_components(
             DiagGmm(np.ones(1), data.mean(axis=0)[None], np.maximum(var, floor)[None])))
         lls = []
@@ -631,7 +631,7 @@ class TestKernelsMatchOracles:
                   for t, text in ((10, "1"), (40, "23"), (31, "3"))]
         graphs = [compile_graph(text, "optional_between") for _, text in corpus]
         mean, var = gmm_mod.column_mean_var(lambda: (f.frames for f, _ in corpus))
-        floor = np.maximum(hmm_mod.VARIANCE_FLOOR * var, 1e-10)
+        floor = np.maximum(gmm_mod.VARIANCE_FLOOR * var, 1e-10)
         got = hmm_mod._flat_start(corpus, graphs, 60, floor, mean, var)
         want = flat_start_oracle(corpus, graphs, 60, floor, mean, var)
         _assert_same_gmms(_rows(got), want)
@@ -725,7 +725,7 @@ class TestTrainersMatchOracles:
         corpus = [(u.feats, u.content) for u in _enroll(small_corpus)]
         graphs = [compile_graph(text, "optional_between") for _, text in corpus]
         mean, var = gmm_mod.column_mean_var(lambda: (f.frames for f, _ in corpus))
-        floor = np.maximum(hmm_mod.VARIANCE_FLOOR * var, 1e-10)
+        floor = np.maximum(gmm_mod.VARIANCE_FLOOR * var, 1e-10)
         hmms = hmm_mod._flat_start(corpus, graphs, mean.shape[0], floor, mean, var)
         for components in (1, 2, 4, 16):
             while hmms.n_components < components:
@@ -852,7 +852,7 @@ def stored(small_corpus, tmp_path_factory):
         (root / "corpus" / "splits" / f"{split}.txt").write_text("".join(
             f"{u.utt_id} {u.speaker}\n" for u in small_corpus.utterances if u.split == split))
     disk = DiskCorpus(str(root))
-    wide = Corpus(None, list(disk.speakers), [
+    wide = Corpus(list(disk.speakers), [
         Utterance(u.utt_id, u.speaker, u.content, u.split,
                   FeatureSequence(u.feats.frames.astype(np.float64), u.feats.kind))
         for u in disk.utterances], list(small_corpus.trials)).finalize()

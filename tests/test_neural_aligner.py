@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import heldout_cross_entropy
-from digitsv.errors import MissingClass, NonFiniteLoss, RowNotNormalized, WrongKind
+from digitsv.errors import DigitsvError, FormatError, NonFiniteLoss
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.hmm import N_STATES
 from digitsv.neural_aligner import (
@@ -48,7 +48,7 @@ class TestTraining:
     def test_missing_class_rejected(self):
         x, y = separable_set()
         cfg = MlpTrainConfig(hidden_dims=(8,), n_outputs=3, epochs=1)
-        with pytest.raises(MissingClass):
+        with pytest.raises(DigitsvError, match="no training examples for states"):
             train_mlp(x, y, cfg)  # label 2 never occurs
 
     def test_determinism(self):
@@ -122,7 +122,7 @@ class TestPosteriors:
     def test_wrong_kind_rejected(self):
         model = toy_model(sizes=(1320, 16, N_STATES))
         feats = FeatureSequence(np.zeros((3, 60)), FeatureKind.MFCC60)
-        with pytest.raises(WrongKind):
+        with pytest.raises(DigitsvError, match="model expects"):
             mlp_posteriors(model, feats)
 
     def test_posterior_depends_only_on_local_window(self):
@@ -157,15 +157,14 @@ class TestExternalPosteriors:
         post = np.full((4, N_STATES), 0.9 / N_STATES)
         path = tmp_path / "bad.dvpo"
         formats.write_dvpo(path, post)
-        with pytest.raises(RowNotNormalized):
+        with pytest.raises(FormatError, match=r"outside 1 \+- 1e-3"):
             formats.read_dvpo(path, N_STATES)
 
     def test_wrong_state_count_rejected(self, tmp_path):
         from digitsv import formats
-        from digitsv.errors import WrongStateCount
 
         post = np.full((4, 30), 1.0 / 30)
         path = tmp_path / "narrow.dvpo"
         formats.write_dvpo(path, post)
-        with pytest.raises(WrongStateCount):
+        with pytest.raises(FormatError, match="expected 33 states, file has 30"):
             formats.read_dvpo(path, N_STATES)

@@ -7,7 +7,7 @@ from conftest import llr_score, plda_score, roster_copy
 
 from digitsv import pipeline
 from digitsv import pgmm as pgmm_mod
-from digitsv.errors import ConfigInvalid, DigitsvError, NoRetainedFrames, ShapeMismatch
+from digitsv.errors import DigitsvError
 from digitsv.hmm import N_STATES, compile_graph, fb_align, node_loglikes
 from digitsv.ivector import PldaScorer, extract_ivector, train_backend, train_tv
 from digitsv.map_speaker import SpeakerModels
@@ -54,18 +54,18 @@ class TestAlign:
         models = pipeline.AlignerModels(pgmm=small_models.pgmm)
         system = pipeline.SpeakerSystem("dnn-hmm", models)
         assert system.background.model_id == "dnn-hmm"
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="requires a trained hmms model"):
             pipeline.SpeakerSystem("gmm-hmm", models)
 
     def test_missing_aligner_model_raises_config_invalid(self, small_corpus, small_models):
         u = small_corpus.utterances[0]
         no_mlp = pipeline.AlignerModels(hmms=small_models.hmms, pgmm=small_models.pgmm)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="requires a trained mlp model"):
             pipeline.align("dnn", no_mlp, u.feats, None)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="requires a trained mlp model"):
             pipeline.enroll_speakers(small_corpus, pipeline.SpeakerSystem("dnn", no_mlp))
         no_hmms = pipeline.AlignerModels(mlp=small_models.mlp)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="requires a trained hmms model"):
             pipeline.align("dnn-hmm", no_hmms, u.feats, u.content)
 
     def test_gmm_hmm_fb_is_forced_alignment(self, small_corpus, small_models):
@@ -85,7 +85,7 @@ class TestAlign:
 
     def test_prompted_sources_need_a_prompt(self, small_corpus, small_models):
         u = small_corpus.utterances[0]
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="needs the prompted transcription"):
             pipeline.align("gmm-hmm", small_models, u.feats, None)
 
     def test_statistics_reduce_the_mixture_posteriors(self, small_corpus, small_models):
@@ -104,9 +104,9 @@ class TestAlign:
 
     def test_unknown_source_or_mode(self, small_corpus, small_models):
         u = small_corpus.utterances[0]
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="unknown alignment source 'ubm'"):
             pipeline.align("ubm", small_models, u.feats, u.content)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="unknown alignment mode 'nbest'"):
             pipeline.align("dnn", small_models, u.feats, u.content, "nbest")
 
 
@@ -205,7 +205,7 @@ class TestTrialScoring:
             return np.zeros((feats.n_frames, ubm.n_components))
 
         monkeypatch.setattr(pgmm_mod, "ubm_mixture_posteriors", silent)
-        with pytest.raises(NoRetainedFrames):
+        with pytest.raises(DigitsvError, match="no frame carries any non-silence mixture mass"):
             pipeline.score_speaker_trials(small_corpus, small_corpus.trials[:1], system,
                                           roster_copy(speakers))
 
@@ -213,7 +213,7 @@ class TestTrialScoring:
         system, speakers = enrolled["dnn"]
         bad = SpeakerModels(speakers.ids, speakers.means[:, :-1].copy(),
                             speakers.background_id, speakers.relevance)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(DigitsvError, match="do not match the background"):
             pipeline.score_speaker_trials(small_corpus, small_corpus.trials[:1], system, bad)
         assert len(bad) == len(speakers)  # a rejected roster is not taken
 

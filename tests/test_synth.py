@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from digitsv.errors import ConfigInvalid
+from digitsv.errors import DigitsvError
 from digitsv.synth import SynthConfig, corrupt_prompt, generate_corpus
 
 
@@ -11,17 +11,17 @@ class TestConfig:
         assert cfg.n_speakers == 20 and cfg.seed == 42
 
     def test_too_few_speakers(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="need at least 2 speakers"):
             SynthConfig(n_speakers=1)
 
     def test_bad_dwell(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="dwell range must satisfy"):
             SynthConfig(dwell_min=1)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="dwell range must satisfy"):
             SynthConfig(dwell_min=6, dwell_max=4)
 
     def test_bad_mode(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(DigitsvError, match="tw_mode must be one of"):
             SynthConfig(tw_mode="swap")
 
 
