@@ -132,8 +132,8 @@ def _load_models(args) -> pipeline.AlignerModels:
 def _cmd_synth(args):
     cfg = synth_mod.SynthConfig(
         n_speakers=args.speakers, n_test=args.test_per_speaker,
-        speaker_scale=args.speaker_scale, noise_scale=args.noise_scale,
-        mean_separation=args.separation, tw_mode=args.tw_mode, seed=args.seed,
+        speaker_scale=args.speaker_scale, mean_separation=args.separation,
+        tw_mode=args.tw_mode, seed=args.seed,
     )
     corpus = synth_mod.generate_corpus(cfg)
     root = args.out
@@ -163,11 +163,9 @@ def _cmd_extract_feats(args):
     if args.kind == "fbank":
         feats = features.extract_fbank(clip)
     elif args.kind == "spliced":
-        feats = features.splice(features.extract_fbank(clip), args.context)
+        feats = features.splice(features.extract_fbank(clip))
     else:
-        feats = features.extract_mfcc(clip)
-        if not args.no_cmvn:
-            feats = features.apply_cmvn(feats)
+        feats = features.apply_cmvn(features.extract_mfcc(clip))
     formats.write_dvfe(args.out, feats)
     _progress("extract-feats", frames=feats.n_frames, dim=feats.dim)
     print(args.out)
@@ -303,6 +301,8 @@ def _stats_paths(args):
             os.path.join(args.stats_dir, name)
             for name in os.listdir(args.stats_dir) if name.endswith(".dvst")
         ))
+        if not paths:
+            raise DigitsvError(f"{args.stats_dir}: no .dvst statistics files")
     if not paths:
         raise UsageError("no statistics files given")
     return paths
@@ -310,11 +310,8 @@ def _stats_paths(args):
 
 def _cmd_train_tv(args):
     cfg = load_config(args.config, {"ivector_rank": args.rank,
-                                    "tv_iterations": args.iterations,
-                                    "silence_policy": args.silence_policy,
-                                    "seed": args.seed})
-    background = pipeline.SpeakerSystem(args.source, _load_models(args),
-                                        cfg.silence_policy).background
+                                    "tv_iterations": args.iterations, "seed": args.seed})
+    background = pipeline.SpeakerSystem(args.source, _load_models(args)).background
     paths = _stats_paths(args)
     tv = ivec_mod.train_tv(lambda: (formats.read_dvst(p) for p in paths), background,
                            cfg.ivector_rank, iterations=cfg.tv_iterations, seed=cfg.seed)
@@ -345,7 +342,7 @@ def _cmd_train_backend(args):
     utt2spk = _read_pairs(args.utt2spk)
     missing = [utt for utt, _ in entries if utt not in utt2spk]
     if missing:
-        raise UsageError(f"no speaker label for utterances {missing[:5]}")
+        raise DigitsvError(f"{args.utt2spk}: no speaker label for utterances {missing[:5]}")
     ivectors = [iv for _, iv in entries]
     labels = [utt2spk[utt] for utt, _ in entries]
     backend = ivec_mod.train_backend(ivectors, labels, cfg.lda_dim,
@@ -441,8 +438,7 @@ def _cmd_evaluate(args):
     cfg = load_config(args.config)
     trials = eval_trials.load_trials(args.trials)
     scores = _read_score_file(args.scores, trials, args.content)
-    dcf_sets = args.dcf or ["sre08", "sre10"]
-    params = [cfg.dcf_params(name) for name in dcf_sets]
+    params = [cfg.dcf_params("sre08"), cfg.dcf_params("sre10")]
     rows = []
     for condition in args.condition:
         key = condition.replace("-", "_")
@@ -450,8 +446,7 @@ def _cmd_evaluate(args):
                                                    dcf_params=params,
                                                    negate=args.content)
         rows.append((condition, eer, dcfs))
-    names = [f"minDCF{name[-2:]}" for name in dcf_sets]
-    print(eval_trials.format_report(rows, dcf_names=names))
+    print(eval_trials.format_report(rows))
     return 0
 
 
@@ -473,7 +468,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--speakers", type=int, default=20)
     p.add_argument("--test-per-speaker", type=int, default=5)
     p.add_argument("--speaker-scale", type=float, default=0.35)
-    p.add_argument("--noise-scale", type=float, default=1.0)
     p.add_argument("--separation", type=float, default=4.0)
     p.add_argument("--tw-mode", choices=synth_mod.TW_MODES, default="whole_prompt")
     p.add_argument("--seed", type=int, default=42)
@@ -482,8 +476,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--wav", required=True)
     p.add_argument("--kind", choices=("fbank", "mfcc", "spliced"), required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--context", type=int, default=5)
-    p.add_argument("--no-cmvn", action="store_true")
 
     p = add("train-hmm", _cmd_train_hmm, help="train the word HMM set")
     p.add_argument("--corpus", required=True)
@@ -533,7 +525,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--feats", required=True)
     p.add_argument("--align", default=None)
     p.add_argument("--hmm", default=None)
-    p.add_argument("--mlp", default=None)
     p.add_argument("--pgmm", default=None)
     p.add_argument("--ubm", default=None)
     p.add_argument("--out", required=True)
@@ -545,12 +536,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--mlp", default=None)
         p.add_argument("--pgmm", default=None)
         p.add_argument("--ubm", default=None)
-        p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES, default=None)
 
     p = add("enroll-map", _cmd_enroll_map, help="MAP-enroll speakers with enrollment utterances")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--relevance", type=float, default=None)
+    p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES, default=None)
     add_system_flags(p)
 
     p = add("train-tv", _cmd_train_tv, help="train the total-variability subspace")
@@ -584,6 +575,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--speakers", default=None, help="speaker models (map backend)")
     p.add_argument("--tv", default=None)
     p.add_argument("--plda", default=None)
+    p.add_argument("--silence-policy", choices=hmm_mod.SILENCE_POLICIES, default=None)
     add_system_flags(p)
 
     p = add("score-content", _cmd_score_content, help="score content trials by KL divergence")
@@ -602,7 +594,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--scores", required=True)
     p.add_argument("--condition", action="append", required=True,
                    help="TC-IC, TC-TW or TC-IW (repeatable)")
-    p.add_argument("--dcf", action="append", choices=("sre08", "sre10"), default=None)
     p.add_argument("--content", action="store_true",
                    help="scores are KL divergences (negated for metrics)")
 

@@ -168,12 +168,9 @@ def evaluate_condition(trials, scores, condition: str,
     return compute_eer(ss), [compute_min_dcf(ss, p) for p in dcf_params]
 
 
-def format_report(rows, dcf_names=("minDCF08", "minDCF10")) -> str:
-    """Aligned metrics table: one row per condition.
-
-    ``rows`` is a list of (condition, eer, [dcf values...]).
-    """
-    headers = ["condition", "EER(%)", *dcf_names]
+def format_report(rows) -> str:
+    """Aligned metrics table, one line per (condition, eer, [SRE08 minDCF, SRE10 minDCF])."""
+    headers = ["condition", "EER(%)", "minDCF08", "minDCF10"]
     table = [headers]
     for condition, eer, dcfs in rows:
         table.append([condition, f"{100.0 * eer:.2f}", *(f"{v:.4f}" for v in dcfs)])

@@ -33,19 +33,14 @@ class FeatureKind(str, Enum):
 
 @dataclass
 class AudioClip:
-    """Mono PCM16 audio at 16 kHz."""
+    """Mono PCM16 audio at ``SAMPLE_RATE``."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.int16)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise DigitsvError("audio clip is empty")
-        if self.sample_rate != SAMPLE_RATE:
-            raise DigitsvError(
-                f"expected {SAMPLE_RATE} Hz, got {self.sample_rate} Hz"
-            )
 
 
 @dataclass
@@ -115,15 +110,14 @@ def read_wav(path) -> AudioClip:
         raise DigitsvError(f"{path}: only mono audio is supported")
     if rate != SAMPLE_RATE:
         raise DigitsvError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
-    return AudioClip(samples=samples, sample_rate=rate)
+    return AudioClip(samples)
 
 
 def write_wav(path, clip: AudioClip):
     """Write an AudioClip as a minimal PCM16 mono WAV file."""
     pcm = np.asarray(clip.samples, dtype="<i2").tobytes()
-    byte_rate = clip.sample_rate * 2
     header = b"RIFF" + struct.pack("<I", 36 + len(pcm)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, clip.sample_rate, byte_rate, 2, 16)
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, SAMPLE_RATE, 2 * SAMPLE_RATE, 2, 16)
     header += b"data" + struct.pack("<I", len(pcm))
     with open(path, "wb") as fh:
         fh.write(header + pcm)
@@ -133,11 +127,11 @@ def mel_scale(freq_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(freq_hz, dtype=np.float64) / 700.0)
 
 
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int = SAMPLE_RATE) -> np.ndarray:
+def mel_filterbank(n_mels: int, n_fft: int) -> np.ndarray:
     """Triangular mel filters on rfft bins, (n_mels, n_fft//2 + 1)."""
     n_bins = n_fft // 2 + 1
-    freqs = np.arange(n_bins) * sample_rate / n_fft
-    mel_points = np.linspace(0.0, mel_scale(sample_rate / 2.0), n_mels + 2)
+    freqs = np.arange(n_bins) * SAMPLE_RATE / n_fft
+    mel_points = np.linspace(0.0, mel_scale(SAMPLE_RATE / 2.0), n_mels + 2)
     bank = np.zeros((n_mels, n_bins))
     bin_mels = mel_scale(freqs)
     for m in range(n_mels):
@@ -172,7 +166,7 @@ def _log_mel_energies(audio: AudioClip) -> np.ndarray:
     frames *= np.hamming(WINDOW)
     n_fft = 1 << (WINDOW - 1).bit_length()
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2
-    bank = mel_filterbank(N_MELS, n_fft, audio.sample_rate)
+    bank = mel_filterbank(N_MELS, n_fft)
     return np.log(np.maximum(power @ bank.T, _LOG_FLOOR))
 
 

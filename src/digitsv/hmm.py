@@ -30,7 +30,6 @@ WORDS = ("0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "sil")
 STATES_PER_WORD = 3
 N_STATES = len(WORDS) * STATES_PER_WORD  # 33
 SILENCE_WORD = 10
-SILENCE_STATES = tuple(range(SILENCE_WORD * STATES_PER_WORD, N_STATES))  # 30..32
 DIGIT_STATES = tuple(range(SILENCE_WORD * STATES_PER_WORD))  # 0..29
 
 SILENCE_POLICIES = ("none", "ends_only", "optional_between")

@@ -4,10 +4,11 @@ A Pgmm stacks one diagonal GMM per digit state (silence excluded) into one
 parameter block.  Its rows 0..29 are the digit states, as an HmmSet's are,
 so every consumer here reads those rows of either model.  Any
 alignment source supplies per-frame state posteriors; multiplying by the
-within-state component posterior gives joint mixture occupancies, from
-which zeroth- and first-order statistics are accumulated for the MAP and
-i-vector backends, the only two orders either reads.  The ``Background``
-they are centred on is a (M, D) view of the model's digit-state rows.
+within-state component posterior gives joint mixture occupancies (a UBM's
+are its component posteriors), from which zeroth- and first-order
+statistics are accumulated for the MAP and i-vector backends, the only two
+orders either reads.  The ``Background`` they are centred on is a (M, D)
+view of the model's digit-state rows, or of all a UBM's mixtures.
 Statistics merge by adding one utterance's into an accumulator in place.
 """
 
@@ -78,13 +79,9 @@ class Background:
     model_id: str = ""
 
     @classmethod
-    def from_ubm(cls, ubm: DiagGmm):
-        return cls(ubm.means, ubm.variances, "ubm")
-
-    @classmethod
-    def from_states(cls, model: StateMixtures, model_id: str):
-        """The digit-state rows 0..29 of an HmmSet or Pgmm, reshaped to (30 * C, D)."""
-        rows = len(DIGIT_STATES)
+    def of(cls, model: DiagGmm, model_id: str):
+        """A UBM's mixtures, or the digit-state rows 0..29 of an HmmSet or Pgmm as (30 * C, D)."""
+        rows = len(DIGIT_STATES) if isinstance(model, StateMixtures) else None
         return cls(model.means[:rows].reshape(-1, model.dim),
                    model.variances[:rows].reshape(-1, model.dim), model_id)
 
@@ -104,37 +101,27 @@ class Background:
         )
 
 
-def mixture_posteriors(model: StateMixtures, align: np.ndarray, feats: FeatureSequence,
+def mixture_posteriors(model: DiagGmm, align: np.ndarray | None, feats: FeatureSequence,
                        prune: float = PRUNE_DEFAULT) -> np.ndarray:
-    """Joint (state, component) posteriors: state mass times within-state posterior.
+    """(T, M) mixture posteriors of the T feature frames, in the background's column order.
 
-    ``model`` is a Pgmm or an HmmSet, whose rows 0..29 are the digit states
-    alike.  ``align`` is the (T, 33) state alignment of the T feature frames.
-    Returns a (T, M) array whose columns group each digit state's components
-    in state order.  Only digit states contribute: the silence-state mass is
-    discarded (never renormalized), so a row carries total mass <= 1.
-    Entries below ``prune`` are zeroed for sparsity.
+    For a UBM ``align`` is None and these are its component posteriors.  For
+    a Pgmm or an HmmSet, whose rows 0..29 are the digit states alike,
+    ``align`` is the (T, 33) state alignment and each entry is a state's mass
+    times its within-state component posterior, the columns grouping each
+    digit state's components in state order.  Only digit states contribute:
+    the silence-state mass is discarded (never renormalized), so a row
+    carries total mass <= 1.  Entries below ``prune`` are zeroed for sparsity.
     """
-    if align.shape != (feats.n_frames, N_STATES):
+    if align is not None and align.shape != (feats.n_frames, N_STATES):
         raise DigitsvError(f"alignment is {align.shape}, features need "
                            f"({feats.n_frames}, {N_STATES})")
-    if model.dim != feats.dim:
-        raise DigitsvError(f"model dim {model.dim} vs feature dim {feats.dim}")
-
-    digits = len(DIGIT_STATES)
-    post = gmm_mod.loglikes_and_posteriors(model, feats.frames)[1][:, :digits]
-    gammas = (align[:, :digits, None] * post).reshape(feats.n_frames, -1)
+    gammas = gmm_mod.loglikes_and_posteriors(model, feats.frames)[1]
+    if align is not None:
+        digits = len(DIGIT_STATES)
+        gammas = (align[:, :digits, None] * gammas[:, :digits]).reshape(feats.n_frames, -1)
     if prune > 0:
         gammas[gammas < prune] = 0.0
-    return gammas
-
-
-def ubm_mixture_posteriors(ubm: DiagGmm, feats: FeatureSequence,
-                           prune: float = PRUNE_DEFAULT) -> np.ndarray:
-    """(T, M) unsupervised component posteriors under a single background GMM."""
-    _, gammas = gmm_mod.loglikes_and_posteriors(ubm, feats.frames)
-    if prune > 0:
-        gammas = np.where(gammas < prune, 0.0, gammas)
     return gammas
 
 

@@ -191,14 +191,11 @@ class SpeakerSystem:
         self.source = source
         self.models = models
         self.silence_policy = silence_policy
-        if source == "gmm-hmm":
-            self.background = Background.from_states(_need(models.hmms, "hmms"), source)
-        elif source in ("dnn", "dnn-hmm"):
-            self.background = Background.from_states(_need(models.pgmm, "pgmm"), source)
-        elif source == "ubm":
-            self.background = Background.from_ubm(_need(models.ubm, "ubm"))
-        else:
+        name = {"gmm-hmm": "hmms", "dnn": "pgmm", "dnn-hmm": "pgmm", "ubm": "ubm"}.get(source)
+        if name is None:
             raise DigitsvError(f"unknown alignment source {source!r}")
+        self.model = _need(getattr(models, name), name)  # the model statistics are taken under
+        self.background = Background.of(self.model, source)
 
     def statistics(self, feats: FeatureSequence,
                    alignment: np.ndarray | None) -> tuple[SuffStats, int]:
@@ -207,11 +204,7 @@ class SpeakerSystem:
         ``alignment`` is the utterance's (T, 33) state alignment (None for ``ubm``).
         The retained frames are those carrying any mixture mass.
         """
-        if self.source == "ubm":
-            gammas = pgmm_mod.ubm_mixture_posteriors(self.models.ubm, feats)
-        else:
-            model = self.models.hmms if self.source == "gmm-hmm" else self.models.pgmm
-            gammas = pgmm_mod.mixture_posteriors(model, alignment, feats)
+        gammas = pgmm_mod.mixture_posteriors(self.model, alignment, feats)
         bg = self.background
         return (accumulate_stats(gammas, feats, bg.means, bg.model_id),
                 int(np.count_nonzero(gammas.any(axis=1))))

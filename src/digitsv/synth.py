@@ -20,16 +20,16 @@ from .features import FeatureKind, FeatureSequence
 from .hmm import N_STATES, SILENCE_WORD, word_states
 
 TW_MODES = ("whole_prompt", "single_digit")
+N_ENROLL = 3        # ten-digit enrollment utterances per speaker
+ENROLL_DIGITS = 10
+TEST_DIGITS = 5
+DIM = 60            # features are synthesized in the 60-dim MFCC space
 
 
 @dataclass
 class SynthConfig:
     n_speakers: int = 20
-    n_enroll: int = 3           # ten-digit enrollment utterances per speaker
-    enroll_digits: int = 10
     n_test: int = 5             # five-digit test utterances per speaker
-    test_digits: int = 5
-    dim: int = 60
     mean_separation: float = 4.0   # canonical state spread, in noise units
     speaker_scale: float = 0.35
     noise_scale: float = 1.0
@@ -44,8 +44,6 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_speakers < 2:
             raise DigitsvError("need at least 2 speakers")
-        if self.dim != 60:
-            raise DigitsvError("features are synthesized in the 60-dim MFCC space")
         if min(self.speaker_scale, self.noise_scale, self.mean_separation) <= 0:
             raise DigitsvError("scales must be positive")
         if self.dwell_min < 2 or self.dwell_max < self.dwell_min:
@@ -54,8 +52,8 @@ class SynthConfig:
             raise DigitsvError(f"tw_mode must be one of {TW_MODES}")
         if not 0 <= self.between_sil_prob <= 1:
             raise DigitsvError("between_sil_prob must lie in [0, 1]")
-        if min(self.n_enroll, self.n_test, self.enroll_digits, self.test_digits) < 1:
-            raise DigitsvError("utterance counts and lengths must be positive")
+        if self.n_test < 1:
+            raise DigitsvError("n_test must be at least 1")
 
 
 @dataclass
@@ -129,7 +127,7 @@ def _synthesize(content: str, offsets, means, rng, cfg: SynthConfig) -> FeatureS
     frames = []
     for s in _state_sequence(content, rng, cfg):
         dwell = int(rng.integers(cfg.dwell_min, cfg.dwell_max + 1))
-        noise = cfg.noise_scale * rng.standard_normal((dwell, cfg.dim))
+        noise = cfg.noise_scale * rng.standard_normal((dwell, DIM))
         frames.append(means[s] + offsets[s] + noise)
     return FeatureSequence(np.concatenate(frames, axis=0), FeatureKind.MFCC60)
 
@@ -140,16 +138,16 @@ def generate_corpus(cfg: SynthConfig | None = None) -> Corpus:
     rng = np.random.default_rng(cfg.seed)
 
     state_means = (cfg.mean_separation * cfg.noise_scale / np.sqrt(2.0)) \
-        * rng.standard_normal((N_STATES, cfg.dim))
+        * rng.standard_normal((N_STATES, DIM))
     # speaker voices color each phonetic state differently; a shared additive
     # offset would let an unsupervised background model match the aligned ones
-    offsets = cfg.speaker_scale * rng.standard_normal((cfg.n_speakers, N_STATES, cfg.dim))
+    offsets = cfg.speaker_scale * rng.standard_normal((cfg.n_speakers, N_STATES, DIM))
     speakers = [f"s{k:03d}" for k in range(cfg.n_speakers)]
 
     # enrollment transcripts; resample until all ten digits occur somewhere
     while True:
         enroll_texts = [
-            [_random_digits(rng, cfg.enroll_digits) for _ in range(cfg.n_enroll)]
+            [_random_digits(rng, ENROLL_DIGITS) for _ in range(N_ENROLL)]
             for _ in range(cfg.n_speakers)
         ]
         covered = set("".join(t for per in enroll_texts for t in per))
@@ -162,7 +160,7 @@ def generate_corpus(cfg: SynthConfig | None = None) -> Corpus:
             feats = _synthesize(text, offsets[k], state_means, rng, cfg)
             corpus.utterances.append(Utterance(f"{spk}_e{j}", spk, text, "enroll", feats))
         for j in range(cfg.n_test):
-            text = _random_digits(rng, cfg.test_digits)
+            text = _random_digits(rng, TEST_DIGITS)
             feats = _synthesize(text, offsets[k], state_means, rng, cfg)
             wrong = corrupt_prompt(text, cfg.tw_mode, seed=int(rng.integers(2 ** 31)))
             corpus.utterances.append(

@@ -14,6 +14,7 @@ from digitsv import formats
 from digitsv.cli import cli_dispatch
 from digitsv.config import PipelineConfig, load_config, parse_config_lines
 from digitsv.errors import DigitsvError
+from digitsv.features import AudioClip, write_wav
 from digitsv.pgmm import SuffStats
 
 
@@ -199,60 +200,47 @@ class TestContentFlow:
         assert "TC-TW" in capsys.readouterr().out
 
 
-@pytest.fixture(scope="module")
-def ivector_models(work, tmp_path_factory):
-    """Total-variability and PLDA models of the ubm source, trained through the CLI."""
-    models, corpus = work["models"], work["corpus"]
-    root = tmp_path_factory.mktemp("ivector")
-    stats_dir = str(root / "stats")
-    os.makedirs(stats_dir)
-    enroll = [line.split()[0]
-              for line in open(f"{corpus}/corpus/splits/enroll.txt")]
-    for utt in enroll:
-        assert run(["accumulate-stats", "--source", "ubm",
-                    "--ubm", f"{models}/ubm.dvmd",
-                    "--feats", f"{corpus}/corpus/feats/{utt}.dvfe",
-                    "--out", f"{stats_dir}/{utt}.dvst"]) == 0
-    tv = str(root / "tv.dvmd")
-    assert run(["train-tv", "--source", "ubm", "--ubm", f"{models}/ubm.dvmd",
-                "--stats-dir", stats_dir, "--rank", "8", "--iterations", "3",
-                "--out", tv]) == 0
-    ivecs = str(root / "iv.dviv")
-    assert run(["extract-ivector", "--tv", tv, "--stats-dir", stats_dir,
-                "--out", ivecs]) == 0
-    backend = str(root / "plda.dvmd")
-    assert run(["train-backend", "--ivectors", ivecs,
-                "--utt2spk", f"{corpus}/corpus/splits/enroll.txt",
-                "--lda-dim", "4", "--out", backend]) == 0
-    return {"tv": tv, "plda": backend, "stats": stats_dir, "ivectors": ivecs}
+def _ivector_chain(work, root, source, background, aligner=None):
+    """Each enrollment utterance's statistics, then TV, i-vectors and PLDA, through the CLI.
 
-
-@pytest.fixture(scope="module")
-def dnn_ivector_models(work, tmp_path_factory):
-    """TV and PLDA models of the dnn source, trained through the CLI as the benchmark
-    does (``accumulate-stats`` gets no ``--mlp``)."""
-    models, corpus = work["models"], work["corpus"]
-    root = tmp_path_factory.mktemp("dnn_ivector")
-    dnn = ["--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
-           "--pgmm", f"{models}/pgmm.dvmd"]
-    stats_dir = root / "stats"
+    ``aligner`` flags, when given, align every utterance first; ``accumulate-stats``
+    gets only the ``background`` flags, as the benchmark passes them.
+    """
+    corpus = work["corpus"]
+    stats = root / "stats"
     for utt in _split_utts(corpus, "enroll"):
         feats = f"{corpus}/corpus/feats/{utt}.dvfe"
-        align = str(root / f"{utt}.dvpo")
-        assert run(["align", "--source", "dnn", "--mlp", f"{models}/mlp.dvmd",
-                    "--feats", feats, "--out", align]) == 0
-        assert run(["accumulate-stats", "--source", "dnn", "--feats", feats,
-                    "--align", align, "--pgmm", f"{models}/pgmm.dvmd",
-                    "--out", str(stats_dir / f"{utt}.dvst")]) == 0
+        align = ["--align", str(root / f"{utt}.dvpo")] if aligner else []
+        if aligner:
+            assert run(["align", "--source", source, *aligner, "--feats", feats,
+                        "--out", align[1]]) == 0
+        assert run(["accumulate-stats", "--source", source, *background, *align,
+                    "--feats", feats, "--out", str(stats / f"{utt}.dvst")]) == 0
     tv, plda, ivecs = str(root / "tv.dvmd"), str(root / "plda.dvmd"), str(root / "iv.dviv")
-    assert run(["train-tv", *dnn, "--stats-dir", str(stats_dir), "--rank", "8",
+    flags = ["--source", source, *(aligner or []), *background]
+    assert run(["train-tv", *flags, "--stats-dir", str(stats), "--rank", "8",
                 "--iterations", "3", "--out", tv]) == 0
-    assert run(["extract-ivector", "--tv", tv, "--stats-dir", str(stats_dir),
+    assert run(["extract-ivector", "--tv", tv, "--stats-dir", str(stats),
                 "--out", ivecs]) == 0
     assert run(["train-backend", "--ivectors", ivecs,
                 "--utt2spk", f"{corpus}/corpus/splits/enroll.txt",
                 "--lda-dim", "4", "--out", plda]) == 0
-    return {"tv": tv, "plda": plda, "flags": dnn}
+    return {"tv": tv, "plda": plda, "stats": str(stats), "ivectors": ivecs, "flags": flags}
+
+
+@pytest.fixture(scope="module")
+def ivector_models(work, tmp_path_factory):
+    """Total-variability and PLDA models of the ubm source."""
+    return _ivector_chain(work, tmp_path_factory.mktemp("ivector"), "ubm",
+                          ["--ubm", f"{work['models']}/ubm.dvmd"])
+
+
+@pytest.fixture(scope="module")
+def dnn_ivector_models(work, tmp_path_factory):
+    """Total-variability and PLDA models of the dnn source."""
+    models = work["models"]
+    return _ivector_chain(work, tmp_path_factory.mktemp("dnn_ivector"), "dnn",
+                          ["--pgmm", f"{models}/pgmm.dvmd"], ["--mlp", f"{models}/mlp.dvmd"])
 
 
 class TestIvectorFlow:
@@ -365,8 +353,6 @@ class TestWarnings:
 
 class TestExtractFeats:
     def test_wav_to_all_kinds(self, tmp_path):
-        from digitsv.features import AudioClip, write_wav
-
         rng = np.random.default_rng(0)
         wav = str(tmp_path / "a.wav")
         write_wav(wav, AudioClip((1000 * rng.standard_normal(8000)).astype(np.int16)))
@@ -374,8 +360,6 @@ class TestExtractFeats:
             out = str(tmp_path / f"{kind}.dvfe")
             assert run(["extract-feats", "--wav", wav, "--kind", kind,
                         "--out", out]) == 0
-            from digitsv import formats
-
             assert formats.read_dvfe(out).dim == dim
 
 
@@ -420,30 +404,53 @@ class TestConfig:
 
     @pytest.mark.parametrize("stage", ["synth", "extract-feats", "accumulate-stats",
                                        "extract-ivector"])
-    def test_stages_without_settings_reject_the_flag(self, work, ivector_models, tmp_path,
-                                                     capsys, stage):
+    def test_stages_without_settings_reject_the_flag(self, stage_argv, tmp_path, capsys, stage):
         # a stage that reads no PipelineConfig has no --config to ignore
-        from digitsv.features import AudioClip, write_wav
-
         config = tmp_path / "bad.cfg"
         config.write_text("not_a_key=1\n")
-        wav = str(tmp_path / "a.wav")
-        noise = 1000 * np.random.default_rng(0).standard_normal(8000)
-        write_wav(wav, AudioClip(noise.astype(np.int16)))
-        utt = _split_utts(work["corpus"], "enroll")[0]
-        inputs = {
-            "synth": ["--speakers", "2", "--test-per-speaker", "1"],
-            "extract-feats": ["--wav", wav, "--kind", "mfcc"],
-            "accumulate-stats": ["--source", "ubm", "--ubm", f"{work['models']}/ubm.dvmd",
-                                 "--feats", f"{work['corpus']}/corpus/feats/{utt}.dvfe"],
-            "extract-ivector": ["--tv", ivector_models["tv"],
-                                "--stats-dir", ivector_models["stats"]],
-        }
         out = tmp_path / "out"
         capsys.readouterr()
-        assert run([stage, *inputs[stage], "--config", str(config), "--out", str(out)]) == 1
+        assert run([*stage_argv[stage], "--config", str(config), "--out", str(out)]) == 1
         assert "--config" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("stage, flag", [
+        ("synth", ["--noise-scale", "1.0"]), ("extract-feats", ["--context", "5"]),
+        ("extract-feats", ["--no-cmvn"]), ("train-tv", ["--silence-policy", "none"]),
+        ("accumulate-stats", ["--mlp", "mlp.dvmd"]), ("evaluate", ["--dcf", "sre08"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_removed_flags_are_unknown(self, stage_argv, tmp_path, capsys, stage, flag):
+        # each stage accepted its flag until the flag was removed
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([*stage_argv[stage], *flag,
+                    *([] if stage == "evaluate" else ["--out", str(out)])]) == 1
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {flag[0]}" in captured.err and not captured.out
+        assert not out.exists()
+
+
+@pytest.fixture
+def stage_argv(work, ivector_models, tmp_path):
+    """A valid command line, but for ``--out``, of each stage the flag tests run."""
+    models, corpus = work["models"], work["corpus"]
+    wav = str(tmp_path / "a.wav")
+    write_wav(wav, AudioClip(1000 * np.random.default_rng(0).standard_normal(8000)))
+    (tmp_path / "trials").write_bytes(_TRIALS)
+    (tmp_path / "scores").write_bytes(_SCORES)
+    ubm = ["--source", "ubm", "--ubm", f"{models}/ubm.dvmd"]
+    utt = _split_utts(corpus, "enroll")[0]
+    return {
+        "synth": ["synth", "--speakers", "2", "--test-per-speaker", "1"],
+        "extract-feats": ["extract-feats", "--wav", wav, "--kind", "mfcc"],
+        "accumulate-stats": ["accumulate-stats", *ubm,
+                             "--feats", f"{corpus}/corpus/feats/{utt}.dvfe"],
+        "extract-ivector": ["extract-ivector", "--tv", ivector_models["tv"],
+                            "--stats-dir", ivector_models["stats"]],
+        "train-tv": ["train-tv", *ubm, "--rank", "2", "--stats-dir", ivector_models["stats"]],
+        "evaluate": ["evaluate", "--trials", str(tmp_path / "trials"),
+                     "--scores", str(tmp_path / "scores"), "--condition", "TC-IC"],
+    }
 
 
 def _split_utts(corpus, split):
@@ -505,7 +512,7 @@ class TestCliMatchesLibrary:
 
     def test_accumulate_stats_from_dvpo(self, work, tmp_path):
         from digitsv import formats, pipeline
-        from digitsv.pgmm import accumulate_stats, mixture_posteriors, ubm_mixture_posteriors
+        from digitsv.pgmm import accumulate_stats, mixture_posteriors
 
         models, corpus = work["models"], work["corpus"]
         loaded = pipeline.AlignerModels(
@@ -533,11 +540,9 @@ class TestCliMatchesLibrary:
                 align_flags = ["--align", align]
             assert run(["accumulate-stats", "--source", source, *backgrounds[source],
                         *align_flags, "--feats", feats_path, "--out", out]) == 0
-            if aligner:
-                model = loaded.hmms if source == "gmm-hmm" else loaded.pgmm
-                gammas = mixture_posteriors(model, formats.read_dvpo(align, 33), feats)
-            else:
-                gammas = ubm_mixture_posteriors(loaded.ubm, feats)
+            model = {"gmm-hmm": loaded.hmms, "ubm": loaded.ubm}.get(source, loaded.pgmm)
+            gammas = mixture_posteriors(model, formats.read_dvpo(align, 33) if aligner else None,
+                                        feats)
             bg = pipeline.SpeakerSystem(source, loaded).background
             want = accumulate_stats(gammas, feats, bg.means, bg.model_id)
             got = formats.read_dvst(out)
@@ -990,6 +995,27 @@ class TestBadInputs:
                     "--out", str(tmp_path / "plda.dvmd")]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_utt2spk_without_an_utterance(self, tmp_path, capsys):
+        ivecs = str(tmp_path / "iv.dviv")
+        formats.write_dviv(ivecs, [("u1", np.ones(3)), ("u7", np.ones(3))])
+        utt2spk = tmp_path / "utt2spk"
+        utt2spk.write_text("u1 s1\n")
+        assert run(["train-backend", "--ivectors", ivecs, "--utt2spk", str(utt2spk),
+                    "--out", str(tmp_path / "plda.dvmd")]) == 2
+        _assert_error_line(capsys, str(utt2spk), "'u7'")
+
+    @pytest.mark.parametrize("stage", ["train-tv", "extract-ivector"])
+    def test_stats_dir_without_statistics(self, stage_argv, tmp_path, capsys, stage):
+        # an empty directory is bad data; no statistics flag at all stays a usage error
+        argv = stage_argv[stage][:-2]  # without its trailing --stats-dir
+        empty, out = tmp_path / "stats", str(tmp_path / "out")
+        empty.mkdir()
+        capsys.readouterr()
+        assert run([*argv, "--stats-dir", str(empty), "--out", out]) == 2
+        _assert_error_line(capsys, str(empty), ".dvst")
+        assert run([*argv, "--out", out]) == 1
+        assert "no statistics files given" in capsys.readouterr().err
+
 
 class TestRepeatedIds:
     """An id repeated in a corpus text file, or an utterance in both splits, exits 2."""
@@ -1278,12 +1304,11 @@ class TestTextInputs:
                                                    _VALID[role][5:]})
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
 
-    def test_train_tv_non_utf8_config(self, work, ivector_models, tmp_path, capsys):
+    def test_train_tv_non_utf8_config(self, stage_argv, tmp_path, capsys):
         config = tmp_path / "cfg"
         config.write_bytes(b"ivector_rank=4\xff\n")
         capsys.readouterr()
-        assert run(["train-tv", "--source", "ubm", "--ubm", f"{work['models']}/ubm.dvmd",
-                    "--stats-dir", ivector_models["stats"], "--config", str(config),
+        assert run([*stage_argv["train-tv"], "--config", str(config),
                     "--out", str(tmp_path / "tv.dvmd")]) == 2
         _assert_error_line(capsys, "utf-8")
 

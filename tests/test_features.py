@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,9 +47,13 @@ class TestFraming:
         with pytest.raises(DigitsvError, match="shorter than one 400-sample window"):
             extract_fbank(make_clip(100))
 
-    def test_wrong_sample_rate_rejected(self):
+    def test_wrong_sample_rate_rejected(self, tmp_path):
+        path = tmp_path / "8k.wav"  # a hand-written PCM16 mono header at 8 kHz
+        path.write_bytes(b"RIFF" + struct.pack("<I", 36 + 320) + b"WAVE" + b"fmt "
+                         + struct.pack("<IHHIIHH", 16, 1, 1, 8000, 16000, 2, 16)
+                         + b"data" + struct.pack("<I", 320) + bytes(320))
         with pytest.raises(DigitsvError, match="expected 16000 Hz, got 8000 Hz"):
-            AudioClip(np.zeros(16000, dtype=np.int16), sample_rate=8000)
+            read_wav(path)
 
 
 class TestFbank:

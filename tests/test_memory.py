@@ -688,7 +688,7 @@ class TestKernelsMatchOracles:
     @pytest.mark.parametrize("source", ["gmm-hmm", "dnn"])
     def test_background_is_a_view(self, small_models, source):
         model = small_models.hmms if source == "gmm-hmm" else small_models.pgmm
-        bg = Background.from_states(model, source)
+        bg = Background.of(model, source)
         digits = _rows(model)[:len(hmm_mod.DIGIT_STATES)]
         np.testing.assert_array_equal(bg.means, np.concatenate([g.means for g in digits]))
         np.testing.assert_array_equal(bg.variances,

@@ -17,7 +17,6 @@ from digitsv.pgmm import (
     pgmm_e_step,
     pgmm_m_step,
     train_pgmm,
-    ubm_mixture_posteriors,
 )
 
 
@@ -114,7 +113,7 @@ class TestMixturePosteriors:
         rng = np.random.default_rng(0)
         ubm = DiagGmm(np.full(4, 0.25), rng.standard_normal((4, 60)),
                       np.ones((4, 60)))
-        mp = ubm_mixture_posteriors(ubm, mfcc_feats(rng.standard_normal((5, 2))))
+        mp = mixture_posteriors(ubm, None, mfcc_feats(rng.standard_normal((5, 2))))
         np.testing.assert_allclose(mp.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -254,9 +253,9 @@ class TestPgmmEm:
 
 class TestBackground:
     def test_from_pgmm_shapes(self, small_models):
-        bg = Background.from_states(small_models.pgmm, "dnn")
+        bg = Background.of(small_models.pgmm, "dnn")
         assert bg.means.shape == (small_models.pgmm.n_mixtures, 60)
 
     def test_from_hmm_drop_silence(self, small_models):
-        bg = Background.from_states(small_models.hmms, "gmm-hmm")
+        bg = Background.of(small_models.hmms, "gmm-hmm")
         assert bg.means.shape[0] == 30 * small_models.hmms.n_components

@@ -11,7 +11,7 @@ from digitsv.errors import DigitsvError
 from digitsv.hmm import N_STATES, compile_graph, fb_align, node_loglikes
 from digitsv.ivector import PldaScorer, extract_ivector, train_backend, train_tv
 from digitsv.map_speaker import SpeakerModels
-from digitsv.pgmm import accumulate_stats, mixture_posteriors, ubm_mixture_posteriors
+from digitsv.pgmm import accumulate_stats, mixture_posteriors
 
 SOURCES = ("gmm-hmm", "dnn", "dnn-hmm", "ubm")
 
@@ -29,10 +29,10 @@ def enrolled(small_corpus, small_models):
 def _mixture_posteriors(system, feats, prompt):
     """The (T, M) mixture posteriors behind ``system``'s statistics of one key."""
     models = system.models
-    if system.source == "ubm":
-        return ubm_mixture_posteriors(models.ubm, feats)
-    model = models.hmms if system.source == "gmm-hmm" else models.pgmm
-    return mixture_posteriors(model, pipeline.align(system.source, models, feats, prompt), feats)
+    model = {"gmm-hmm": models.hmms, "ubm": models.ubm}.get(system.source, models.pgmm)
+    forced = None if system.source == "ubm" else pipeline.align(system.source, models, feats,
+                                                                prompt)
+    return mixture_posteriors(model, forced, feats)
 
 
 def _counting(monkeypatch, name):
@@ -201,10 +201,10 @@ class TestTrialScoring:
     def test_no_retained_frames(self, small_corpus, enrolled, monkeypatch):
         system, speakers = enrolled["ubm"]
 
-        def silent(ubm, feats, prune=pgmm_mod.PRUNE_DEFAULT):
-            return np.zeros((feats.n_frames, ubm.n_components))
+        def silent(model, align, feats, prune=pgmm_mod.PRUNE_DEFAULT):
+            return np.zeros((feats.n_frames, model.n_components))
 
-        monkeypatch.setattr(pgmm_mod, "ubm_mixture_posteriors", silent)
+        monkeypatch.setattr(pgmm_mod, "mixture_posteriors", silent)
         with pytest.raises(DigitsvError, match="no frame carries any non-silence mixture mass"):
             pipeline.score_speaker_trials(small_corpus, small_corpus.trials[:1], system,
                                           roster_copy(speakers))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,14 @@ class TestGenerateCorpus:
         for ua, ub in zip(a.utterances, b.utterances):
             np.testing.assert_array_equal(ua.feats.frames, ub.feats.frames)
         assert a.trials == b.trials
+        # and the same across versions: every benchmark EER rests on the corpus
+        digest = hashlib.sha256()
+        for u in a.utterances:
+            digest.update(f"{u.utt_id} {u.speaker} {u.split} {u.content}\n".encode())
+            digest.update(u.feats.frames.astype("<f8").tobytes())
+        digest.update("".join(f"{t}\n" for t in a.trials).encode())
+        assert digest.hexdigest() == \
+            "b71a0de8f5873a1af37cac8baf698d84956f46581dbbf183d1b46c3a3310e599"
 
     def test_enrollment_covers_all_digits(self):
         for seed in (0, 1, 2, 3):
