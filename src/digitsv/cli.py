@@ -3,15 +3,8 @@
 Every stage is restartable from its on-disk inputs and deterministic under
 fixed seeds.  Progress goes to stderr as `progress key=value ...` lines and
 warnings as one `warning: ...` line each, results to stdout.  Exit codes:
-0 success, 1 usage error, 2 data error.
-
-Corpus directory layout (written by `synth`, read by the other stages):
-
-    corpus/feats/<utt>.dvfe
-    corpus/transcripts/transcripts.txt   # <utt-id> <digit-string>
-    corpus/trials/trials.txt             # <speaker> <utt-id> <digits> <category>
-    corpus/splits/enroll.txt             # <utt-id> <speaker>
-    corpus/splits/test.txt               # <utt-id> <speaker>
+0 success, 1 usage error, 2 data error.  `digitsv.corpus` documents the
+corpus directory layout.
 """
 
 from __future__ import annotations
@@ -21,7 +14,8 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+
+import numpy as np
 
 from . import (
     eval_trials,
@@ -34,6 +28,7 @@ from . import (
     synth as synth_mod,
 )
 from .config import load_config
+from .corpus import read_corpus, read_pairs, trials_path, write_corpus
 from .errors import DigitsvError, UsageError
 
 
@@ -45,77 +40,6 @@ def _progress(stage, **kv):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
-
-
-# --- on-disk corpus access -------------------------------------------------
-
-@dataclass
-class DiskUtterance:
-    """One corpus utterance; its features are read from disk on every access.
-
-    Nothing is cached, so a corpus never holds its features: each caller
-    binds ``feats`` once per utterance.
-    """
-
-    utt_id: str
-    speaker: str
-    content: str
-    split: str
-    _dir: str
-
-    @property
-    def feats(self) -> features.FeatureSequence:
-        return formats.read_dvfe(
-            os.path.join(self._dir, "corpus", "feats", f"{self.utt_id}.dvfe"))
-
-
-def _read_pairs(path) -> dict:
-    """``<key> <value>`` lines of a text file in file order, skipping blank lines.
-
-    A key may appear on one line only.
-    """
-    pairs = {}
-    with open(path) as fh:
-        for no, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise DigitsvError(f"{path} line {no}: expected 2 fields, got {len(fields)}")
-            if fields[0] in pairs:
-                raise DigitsvError(f"{path} line {no}: {fields[0]!r} is repeated")
-            pairs[fields[0]] = fields[1]
-    return pairs
-
-
-class DiskCorpus:
-    """Read-only view of a corpus directory, API-compatible with synth.Corpus."""
-
-    def __init__(self, root: str):
-        self.root = root
-        transcripts_path = os.path.join(root, "corpus", "transcripts", "transcripts.txt")
-        transcripts = _read_pairs(transcripts_path)
-        self._index = {}
-        for split in ("enroll", "test"):
-            split_path = os.path.join(root, "corpus", "splits", f"{split}.txt")
-            for utt, spk in _read_pairs(split_path).items():
-                if utt not in transcripts:
-                    raise DigitsvError(f"{transcripts_path}: no transcript for utterance {utt!r}")
-                if utt in self._index:
-                    raise DigitsvError(f"{split_path}: utterance {utt!r} is also in the "
-                                       f"{self._index[utt].split} split")
-                self._index[utt] = DiskUtterance(utt, spk, transcripts[utt], split, root)
-        self.utterances = list(self._index.values())
-        self.speakers = sorted({u.speaker for u in self.utterances})
-
-    def by_id(self, utt_id):
-        return self._index[utt_id]
-
-    def enrollment(self, speaker):
-        return [u for u in self.utterances if u.speaker == speaker and u.split == "enroll"]
-
-    def trials_path(self):
-        return os.path.join(self.root, "corpus", "trials", "trials.txt")
 
 
 def _load_models(args) -> pipeline.AlignerModels:
@@ -136,25 +60,9 @@ def _cmd_synth(args):
         tw_mode=args.tw_mode, seed=args.seed,
     )
     corpus = synth_mod.generate_corpus(cfg)
-    root = args.out
-    for sub in ("corpus/feats", "corpus/transcripts", "corpus/trials", "corpus/splits"):
-        os.makedirs(os.path.join(root, sub), exist_ok=True)
-    splits = {"enroll": [], "test": []}
-    with open(os.path.join(root, "corpus", "transcripts", "transcripts.txt"), "w") as fh:
-        for u in corpus.utterances:
-            formats.write_dvfe(os.path.join(root, "corpus", "feats", f"{u.utt_id}.dvfe"),
-                               u.feats)
-            fh.write(f"{u.utt_id} {u.content}\n")
-            splits[u.split].append(u)
-    for split, utts in splits.items():
-        with open(os.path.join(root, "corpus", "splits", f"{split}.txt"), "w") as fh:
-            for u in utts:
-                fh.write(f"{u.utt_id} {u.speaker}\n")
-    with open(os.path.join(root, "corpus", "trials", "trials.txt"), "w") as fh:
-        for t in corpus.trials:
-            fh.write(f"{t.speaker} {t.utterance} {t.prompt} {t.category}\n")
+    write_corpus(args.out, corpus)
     _progress("synth", utterances=len(corpus.utterances), trials=len(corpus.trials))
-    print(root)
+    print(args.out)
     return 0
 
 
@@ -175,7 +83,7 @@ def _cmd_extract_feats(args):
 def _cmd_train_hmm(args):
     cfg = load_config(args.config, {"hmm_components": args.components,
                                     "silence_policy": args.silence_policy})
-    hmms = pipeline.train_hmms(DiskCorpus(args.corpus), cfg)
+    hmms = pipeline.train_hmms(read_corpus(args.corpus), cfg)
     for row in hmms.training_log:
         _progress("train-hmm", components=row["n_components"], pass_=row["pass"],
                   fb_ll=f"{row['fb_ll']:.4f}", viterbi_ll=f"{row['viterbi_ll']:.4f}")
@@ -186,7 +94,7 @@ def _cmd_train_hmm(args):
 
 def _cmd_train_ubm(args):
     cfg = load_config(args.config, {"ubm_components": args.components})
-    ubm = pipeline.train_ubm(DiskCorpus(args.corpus), cfg)
+    ubm = pipeline.train_ubm(read_corpus(args.corpus), cfg)
     for size, lls in ubm.training_log:
         _progress("train-ubm", components=size, ll=f"{lls[-1]:.4f}")
     formats.save_model(args.out, ubm)
@@ -199,7 +107,7 @@ def _cmd_train_mlp(args):
         "mlp_hidden": args.hidden, "mlp_epochs": args.epochs,
         "silence_policy": args.silence_policy, "seed": args.seed,
     })
-    corpus = DiskCorpus(args.corpus)
+    corpus = read_corpus(args.corpus)
     hmms = formats.load_model(args.hmm, "hmm_set")
     frames_read = {}  # the progress line counts what the trainer read, per utterance
 
@@ -249,7 +157,7 @@ def _cmd_train_pgmm(args):
         "pgmm_components": args.components,
         "pgmm_em_iterations": args.em_iterations,
     })
-    corpus = DiskCorpus(args.corpus)
+    corpus = read_corpus(args.corpus)
     if args.align_dir:
         def alignment(utt):
             return formats.read_dvpo(os.path.join(args.align_dir, f"{utt.utt_id}.dvpo"),
@@ -285,7 +193,7 @@ def _cmd_accumulate_stats(args):
 def _cmd_enroll_map(args):
     cfg = load_config(args.config, {"relevance": args.relevance,
                                     "silence_policy": args.silence_policy})
-    corpus = DiskCorpus(args.corpus)
+    corpus = read_corpus(args.corpus)
     system = pipeline.SpeakerSystem(args.source, _load_models(args), cfg.silence_policy)
     speakers = pipeline.enroll_speakers(corpus, system, cfg.relevance)
     formats.save_model(args.out, speakers)
@@ -339,7 +247,7 @@ def _cmd_train_backend(args):
     cfg = load_config(args.config, {"lda_dim": args.lda_dim,
                                     "plda_iterations": args.plda_iterations})
     entries = formats.read_dviv(args.ivectors)
-    utt2spk = _read_pairs(args.utt2spk)
+    utt2spk = read_pairs(args.utt2spk)
     missing = [utt for utt, _ in entries if utt not in utt2spk]
     if missing:
         raise DigitsvError(f"{args.utt2spk}: no speaker label for utterances {missing[:5]}")
@@ -369,8 +277,8 @@ def _write_scores(path, trials, scores):
 
 def _cmd_score_speaker(args):
     cfg = load_config(args.config, {"silence_policy": args.silence_policy})
-    corpus = DiskCorpus(args.corpus)
-    trials = eval_trials.load_trials(args.trials or corpus.trials_path())
+    corpus = read_corpus(args.corpus)
+    trials = eval_trials.load_trials(args.trials or trials_path(args.corpus))
     system = pipeline.SpeakerSystem(args.source, _load_models(args), cfg.silence_policy)
     if args.backend == "map":
         _require_flags(args, "speakers")
@@ -390,8 +298,8 @@ def _cmd_score_speaker(args):
 def _cmd_score_content(args):
     cfg = load_config(args.config, {"epsilon": args.epsilon, "class_level": args.level,
                                     "silence_policy": args.silence_policy})
-    corpus = DiskCorpus(args.corpus)
-    trials = eval_trials.load_trials(args.trials or corpus.trials_path())
+    corpus = read_corpus(args.corpus)
+    trials = eval_trials.load_trials(args.trials or trials_path(args.corpus))
     models = _load_models(args)
     scores = pipeline.score_content_trials(
         corpus, trials, models, level=cfg.class_level, epsilon=cfg.epsilon,
@@ -618,6 +526,9 @@ def cli_dispatch(argv) -> int:
         return 1
     except (DigitsvError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:  # a model or data set too ill-conditioned to solve
+        print(f"error: {args.command}: linear algebra failed: {exc}", file=sys.stderr)
         return 2
 
 

@@ -274,13 +274,16 @@ def enroll_speakers(corpus, system: SpeakerSystem,
     """MAP-enroll every corpus speaker that has enrollment utterances.
 
     Speakers are enrolled in sorted id order, each straight into its row of
-    the roster's one (speakers, M, D) array.
+    the roster's one (speakers, M, D) array; a row that is not finite raises
+    DigitsvError naming its speaker.
     """
     ids = _enrolled(corpus)
     means = np.empty((len(ids), *system.background.means.shape))
     for row, spk in zip(means, ids):
         stats = _enrollment_stats(corpus.enrollment(spk), system)
         row[...] = map_speaker.enroll(system.background, stats, relevance)
+        if not np.all(np.isfinite(row)):
+            raise DigitsvError(f"speaker {spk!r}: MAP adaptation overflowed to non-finite means")
     return SpeakerModels(ids, means, system.background.model_id, relevance)
 
 

@@ -10,10 +10,11 @@ function of the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import Corpus, Utterance
 from .errors import DigitsvError
 from .eval_trials import TrialRecord
 from .features import FeatureKind, FeatureSequence
@@ -54,36 +55,6 @@ class SynthConfig:
             raise DigitsvError("between_sil_prob must lie in [0, 1]")
         if self.n_test < 1:
             raise DigitsvError("n_test must be at least 1")
-
-
-@dataclass
-class Utterance:
-    utt_id: str
-    speaker: str
-    content: str          # digits actually "spoken"
-    split: str            # "enroll" | "test"
-    feats: FeatureSequence
-    wrong_prompt: str = ""  # the corrupted prompt used by TW/IW trials
-
-
-@dataclass
-class Corpus:
-    speakers: list
-    utterances: list = field(default_factory=list)
-    trials: list = field(default_factory=list)
-
-    def by_id(self, utt_id: str) -> Utterance:
-        return self._index[utt_id]
-
-    def finalize(self):
-        self._index = {u.utt_id: u for u in self.utterances}
-        return self
-
-    def enrollment(self, speaker: str):
-        return [u for u in self.utterances if u.speaker == speaker and u.split == "enroll"]
-
-    def tests(self):
-        return [u for u in self.utterances if u.split == "test"]
 
 
 def corrupt_prompt(prompt: str, mode: str = "whole_prompt", seed: int = 0) -> str:
@@ -154,25 +125,21 @@ def generate_corpus(cfg: SynthConfig | None = None) -> Corpus:
         if covered >= set("0123456789"):
             break
 
-    corpus = Corpus(speakers)
+    utterances, wrong = [], {}  # wrong: each test's corrupted prompt, for TW/IW trials
     for k, spk in enumerate(speakers):
         for j, text in enumerate(enroll_texts[k]):
             feats = _synthesize(text, offsets[k], state_means, rng, cfg)
-            corpus.utterances.append(Utterance(f"{spk}_e{j}", spk, text, "enroll", feats))
+            utterances.append(Utterance(f"{spk}_e{j}", spk, text, "enroll", feats))
         for j in range(cfg.n_test):
             text = _random_digits(rng, TEST_DIGITS)
             feats = _synthesize(text, offsets[k], state_means, rng, cfg)
-            wrong = corrupt_prompt(text, cfg.tw_mode, seed=int(rng.integers(2 ** 31)))
-            corpus.utterances.append(
-                Utterance(f"{spk}_t{j}", spk, text, "test", feats, wrong_prompt=wrong)
-            )
+            wrong[f"{spk}_t{j}"] = corrupt_prompt(text, cfg.tw_mode, int(rng.integers(2 ** 31)))
+            utterances.append(Utterance(f"{spk}_t{j}", spk, text, "test", feats))
 
+    corpus = Corpus(utterances, [])
     for spk in speakers:
         for utt in corpus.tests():
-            if utt.speaker == spk:
-                corpus.trials.append(TrialRecord(spk, utt.utt_id, utt.content, "TC"))
-                corpus.trials.append(TrialRecord(spk, utt.utt_id, utt.wrong_prompt, "TW"))
-            else:
-                corpus.trials.append(TrialRecord(spk, utt.utt_id, utt.content, "IC"))
-                corpus.trials.append(TrialRecord(spk, utt.utt_id, utt.wrong_prompt, "IW"))
-    return corpus.finalize()
+            correct, corrupted = ("TC", "TW") if utt.speaker == spk else ("IC", "IW")
+            corpus.trials.append(TrialRecord(spk, utt.utt_id, utt.content, correct))
+            corpus.trials.append(TrialRecord(spk, utt.utt_id, wrong[utt.utt_id], corrupted))
+    return corpus

@@ -14,7 +14,7 @@ from digitsv import formats
 from digitsv.cli import cli_dispatch
 from digitsv.config import PipelineConfig, load_config, parse_config_lines
 from digitsv.errors import DigitsvError
-from digitsv.features import AudioClip, write_wav
+from digitsv.features import AudioClip, FeatureSequence, write_wav
 from digitsv.pgmm import SuffStats
 
 
@@ -462,7 +462,7 @@ class TestCliMatchesLibrary:
 
     def test_ivector_chain_scores(self, work, dnn_ivector_models, tmp_path):
         from digitsv import formats, pipeline
-        from digitsv.cli import DiskCorpus
+        from digitsv.corpus import read_corpus, trials_path
         from digitsv.eval_trials import load_trials
 
         models, corpus = work["models"], work["corpus"]
@@ -472,8 +472,8 @@ class TestCliMatchesLibrary:
                     *dnn_ivector_models["flags"], "--tv", tv, "--plda", plda,
                     "--out", scores]) == 0
 
-        disk = DiskCorpus(corpus)
-        trials = load_trials(disk.trials_path())
+        disk = read_corpus(corpus)
+        trials = load_trials(trials_path(corpus))
         system = pipeline.SpeakerSystem("dnn", pipeline.AlignerModels(
             mlp=formats.load_model(f"{models}/mlp.dvmd", "mlp"),
             pgmm=formats.load_model(f"{models}/pgmm.dvmd", "pgmm")))
@@ -485,8 +485,8 @@ class TestCliMatchesLibrary:
     @pytest.mark.parametrize("mode,source", [("gmm", "gmm-hmm"), ("hybrid", "dnn-hmm")])
     def test_score_content_modes(self, work, tmp_path, mode, source):
         from digitsv import formats, pipeline
-        from digitsv.cli import DiskCorpus
         from digitsv.content_kl import content_verify
+        from digitsv.corpus import read_corpus, trials_path
         from digitsv.eval_trials import load_trials
 
         models, corpus = work["models"], work["corpus"]
@@ -495,11 +495,11 @@ class TestCliMatchesLibrary:
                     "--hmm", f"{models}/hmm.dvmd", "--mlp", f"{models}/mlp.dvmd",
                     "--out", out]) == 0
 
-        disk = DiskCorpus(corpus)
+        disk = read_corpus(corpus)
         loaded = pipeline.AlignerModels(hmms=formats.load_model(f"{models}/hmm.dvmd", "hmm_set"),
                                         mlp=formats.load_model(f"{models}/mlp.dvmd", "mlp"))
         want = {}
-        for t in load_trials(disk.trials_path()):
+        for t in load_trials(trials_path(corpus)):
             if (t.utterance, t.prompt) not in want:
                 feats = disk.by_id(t.utterance).feats
                 dnn = pipeline.align("dnn", loaded, feats, None)
@@ -561,34 +561,34 @@ class TestCliMatchesLibrary:
 
     def test_train_hmm_model(self, work, tmp_path):
         from digitsv import formats, pipeline
-        from digitsv.cli import DiskCorpus
+        from digitsv.corpus import read_corpus
 
-        hmms = pipeline.train_hmms(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG)
+        hmms = pipeline.train_hmms(read_corpus(work["corpus"]), self.TRAIN_CONFIG)
         self._assert_same_bytes(work, tmp_path, "hmm", hmms)
 
     def test_train_mlp_model(self, work, tmp_path):
         from digitsv import formats, pipeline
-        from digitsv.cli import DiskCorpus
+        from digitsv.corpus import read_corpus
 
         hmms = formats.load_model(f"{work['models']}/hmm.dvmd", "hmm_set")
-        mlp = pipeline.train_classifier(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG, hmms)
+        mlp = pipeline.train_classifier(read_corpus(work["corpus"]), self.TRAIN_CONFIG, hmms)
         self._assert_same_bytes(work, tmp_path, "mlp", mlp)
 
     def test_train_pgmm_model(self, work, tmp_path):
         from digitsv import formats, pipeline
-        from digitsv.cli import DiskCorpus
+        from digitsv.corpus import read_corpus
         from digitsv.neural_aligner import mlp_posteriors
 
         mlp = formats.load_model(f"{work['models']}/mlp.dvmd", "mlp")
-        pgmm = pipeline.train_phonetic_gmms(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG,
+        pgmm = pipeline.train_phonetic_gmms(read_corpus(work["corpus"]), self.TRAIN_CONFIG,
                                             lambda utt: mlp_posteriors(mlp, utt.feats))
         self._assert_same_bytes(work, tmp_path, "pgmm", pgmm)
 
     def test_train_ubm_model(self, work, tmp_path):
         from digitsv import formats, pipeline
-        from digitsv.cli import DiskCorpus
+        from digitsv.corpus import read_corpus
 
-        ubm = pipeline.train_ubm(DiskCorpus(work["corpus"]), self.TRAIN_CONFIG)
+        ubm = pipeline.train_ubm(read_corpus(work["corpus"]), self.TRAIN_CONFIG)
         self._assert_same_bytes(work, tmp_path, "ubm", ubm)
 
 
@@ -612,11 +612,11 @@ class TestClassifierStream:
     def _train(work, tmp_path, stream_of, *flags):
         """train-mlp on a directory holding ``stream_of(utt)`` for every corpus utterance."""
         from digitsv import formats
-        from digitsv.cli import DiskCorpus
+        from digitsv.corpus import read_corpus
 
         feats_dir = tmp_path / "dnn_feats"
         feats_dir.mkdir()
-        for utt in DiskCorpus(work["corpus"]).utterances:
+        for utt in read_corpus(work["corpus"]).utterances:
             formats.write_dvfe(str(feats_dir / f"{utt.utt_id}.dvfe"), stream_of(utt))
         out = tmp_path / "mlp.dvmd"
         code = run(["train-mlp", "--corpus", work["corpus"],
@@ -910,6 +910,36 @@ class TestBadInputs:
         _assert_error_line(capsys, "overflowed")
         assert not out.exists()
 
+    def test_enroll_map_on_overflowing_features(self, work, tmp_path, capsys):
+        # finite features, one enrollment utterance's scaled by 1e18: MAP adaptation
+        # overflows; the overflow warnings stay, and the last line names the speaker
+        import shutil
+
+        corpus = str(tmp_path / "c")
+        shutil.copytree(work["corpus"], corpus)
+        path = f"{corpus}/corpus/feats/{_split_utts(corpus, 'enroll')[0]}.dvfe"
+        feats = formats.read_dvfe(path)
+        formats.write_dvfe(path, FeatureSequence(1e18 * feats.frames, feats.kind))
+        out = tmp_path / "spk.dvmd"
+        capsys.readouterr()
+        assert run(["enroll-map", "--corpus", corpus, "--source", "gmm-hmm",
+                    "--hmm", f"{work['models']}/hmm.dvmd", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: speaker 's000'"), err
+        assert not out.exists()
+
+    def test_singular_plda(self, loads, tmp_path, capsys):
+        # finite, but the between-speaker covariance scaled by 1e300 makes the
+        # scorer's system singular: one error line naming the stage
+        bad, commands = loads
+        original, argv = commands["plda_backend"]
+        _, payload = formats.read_dvmd(original, "plda_backend")
+        formats.write_dvmd(bad, "plda_backend", {**payload, "between": 1e300 * payload["between"]})
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 2
+        _assert_error_line(capsys, "score-speaker", "Singular matrix")
+
     @pytest.mark.parametrize("length", ["short", "long"])
     def test_misaligned_dvpo(self, work, tmp_path, capsys, length):
         # one enrollment utterance's alignment 3 frames off its features
@@ -1140,6 +1170,17 @@ class TestBadTrials:
                     "--speakers", speakers, "--trials", str(trials),
                     "--out", str(tmp_path / "scores.txt")]) == 2
         _assert_error_line(capsys, impostor, "no enrolled model")
+
+    def test_train_hmm_reads_no_trials(self, work, tmp_path):
+        # only the scoring stages read the corpus trial list
+        import shutil
+
+        corpus = str(tmp_path / "c")
+        shutil.copytree(work["corpus"], corpus)
+        with open(f"{corpus}/corpus/trials/trials.txt", "wb") as fh:
+            fh.write(b"\xff not a trial\n")
+        assert run(["train-hmm", "--corpus", corpus, "--components", "2",
+                    "--out", str(tmp_path / "hmm.dvmd")]) == 0
 
     def test_score_content_unknown_utterance(self, work, tmp_path, capsys):
         models = work["models"]

@@ -835,27 +835,18 @@ class TestTrainersMatchOracles:
 
 @pytest.fixture(scope="module")
 def stored(small_corpus, tmp_path_factory):
-    """``small_corpus`` as a DVFE corpus directory read through the CLI's ``DiskCorpus``
-    (float32 frames, read afresh on every access), and the replaced path: the same
-    frames held in memory as float64."""
-    from digitsv.cli import DiskCorpus
-    from digitsv.synth import Corpus, Utterance
+    """``small_corpus`` written as a corpus directory and read back (float32 frames,
+    read afresh on every access), and the replaced path: the same frames held in
+    memory as float64."""
+    from digitsv.corpus import Corpus, Utterance, read_corpus, write_corpus
 
     root = tmp_path_factory.mktemp("stored")
-    for sub in ("feats", "transcripts", "splits"):
-        (root / "corpus" / sub).mkdir(parents=True)
-    for u in small_corpus.utterances:
-        formats.write_dvfe(root / "corpus" / "feats" / f"{u.utt_id}.dvfe", u.feats)
-    (root / "corpus" / "transcripts" / "transcripts.txt").write_text(
-        "".join(f"{u.utt_id} {u.content}\n" for u in small_corpus.utterances))
-    for split in ("enroll", "test"):
-        (root / "corpus" / "splits" / f"{split}.txt").write_text("".join(
-            f"{u.utt_id} {u.speaker}\n" for u in small_corpus.utterances if u.split == split))
-    disk = DiskCorpus(str(root))
-    wide = Corpus(list(disk.speakers), [
+    write_corpus(root, small_corpus)
+    disk = read_corpus(str(root))
+    wide = Corpus([
         Utterance(u.utt_id, u.speaker, u.content, u.split,
                   FeatureSequence(u.feats.frames.astype(np.float64), u.feats.kind))
-        for u in disk.utterances], list(small_corpus.trials)).finalize()
+        for u in disk.utterances], list(small_corpus.trials))
     return disk, wide
 
 

@@ -60,6 +60,23 @@ class TestGenerateCorpus:
         assert digest.hexdigest() == \
             "b71a0de8f5873a1af37cac8baf698d84956f46581dbbf183d1b46c3a3310e599"
 
+    def test_written_corpus_reads_back(self, tmp_path):
+        from digitsv.corpus import read_corpus, trials_path, write_corpus
+
+        corpus = generate_corpus(SynthConfig(n_speakers=3, n_test=2, seed=4))
+        write_corpus(str(tmp_path), corpus)
+        read = read_corpus(str(tmp_path))
+
+        def fields(c):
+            return [(u.utt_id, u.speaker, u.content, u.split) for u in c.utterances]
+        assert fields(read) == fields(corpus)
+        for got, want in zip(read.utterances, corpus.utterances):
+            assert got.feats.frames.dtype == np.float32
+            np.testing.assert_array_equal(got.feats.frames, want.feats.frames.astype(np.float32))
+        assert read.trials is None  # the scoring stages read the trial list themselves
+        assert open(trials_path(str(tmp_path))).read().splitlines() == [
+            f"{t.speaker} {t.utterance} {t.prompt} {t.category}" for t in corpus.trials]
+
     def test_enrollment_covers_all_digits(self):
         for seed in (0, 1, 2, 3):
             corpus = generate_corpus(SynthConfig(n_speakers=2, n_test=1, seed=seed))
