@@ -3,8 +3,10 @@
 Every stage is restartable from its on-disk inputs and deterministic under
 fixed seeds.  Progress goes to stderr as `progress key=value ...` lines and
 warnings as one `warning: ...` line each, results to stdout.  Exit codes:
-0 success, 1 usage error, 2 data error.  `digitsv.corpus` documents the
-corpus directory layout.
+0 success, 1 usage error, 2 data error.  A stage whose float arithmetic
+overflows, is invalid or divides by zero, or whose linear algebra fails,
+exits 2 with one line naming the stage; the library keeps numpy's default
+error state.  `digitsv.corpus` documents the corpus directory layout.
 """
 
 from __future__ import annotations
@@ -138,11 +140,13 @@ def _cmd_align(args):
         _require_flags(args, "hmm", "feats", "transcript")
         if args.source == "dnn-hmm":
             _require_flags(args, "mlp")
+        elif args.dnn_feats:
+            raise UsageError("align: --source gmm-hmm does not read --dnn-feats")
     cfg = load_config(args.config, {"silence_policy": args.silence_policy})
     models = _load_models(args)
     feats = formats.read_dvfe(args.feats) if args.feats else None
     dnn_align = None
-    if args.dnn_feats and args.source != "gmm-hmm":
+    if args.dnn_feats:
         dnn_align = neural_aligner.mlp_posteriors(models.mlp, formats.read_dvfe(args.dnn_feats))
     matrix = pipeline.align(args.source, models, feats, args.transcript, args.mode,
                             dnn_align, cfg.silence_policy)
@@ -180,6 +184,8 @@ def _cmd_train_pgmm(args):
 def _cmd_accumulate_stats(args):
     if args.source != "ubm":
         _require_flags(args, "align")
+    elif args.align:
+        raise UsageError("accumulate-stats: --source ubm does not read --align")
     system = pipeline.SpeakerSystem(args.source, _load_models(args))
     align = None if args.source == "ubm" else formats.read_dvpo(args.align, hmm_mod.N_STATES)
     feats = formats.read_dvfe(args.feats)
@@ -518,7 +524,10 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):
             raise UsageError(parser.format_usage())
-        with warnings.catch_warnings():  # a warning is one stderr line, not a source quote
+        # a warning is one stderr line, not a source quote; a non-finite number
+        # never leaves a stage (underflow keeps numpy's default)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise",
+                                                    divide="raise"):
             warnings.showwarning = _warning_line
             return args.fn(args)
     except UsageError as exc:
@@ -527,8 +536,8 @@ def cli_dispatch(argv) -> int:
     except (DigitsvError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:  # a model or data set too ill-conditioned to solve
-        print(f"error: {args.command}: linear algebra failed: {exc}", file=sys.stderr)
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:  # beyond float64's reach
+        print(f"error: {args.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

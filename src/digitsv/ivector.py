@@ -7,7 +7,7 @@ I + sum_m n_m B_m from per-mixture blocks B_m = T_m' S_m^-1 T_m, computed once
 per TV matrix (Glembek et al., "Simplification and optimization of i-vector
 extraction", ICASSP 2011), so no utterance pays for an (M*D x R) product.
 Training reads the statistics again on every EM pass instead of holding them.
-An i-vector is a finite 1-D float64 array.  Scoring projects i-vectors with
+An i-vector is a 1-D float64 array.  Scoring projects i-vectors with
 LDA, length-normalizes, and applies a two-covariance PLDA likelihood ratio,
 in closed form for every enrolled speaker at once (``PldaScorer``).
 """
@@ -81,16 +81,8 @@ def _check_background(stats, background: Background):
 def extract_ivector(stats: SuffStats, tv: TvModel) -> np.ndarray:
     """Posterior mean of the utterance factor; all-zero statistics give 0."""
     _check_background(stats, tv.background)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
-            rhs = tv.matrix.T @ (stats.f.reshape(-1) * (1.0 / tv.background.variances.reshape(-1)))
-            vector = _posterior(tv.precision_blocks, stats.n, rhs)[1]
-        if np.all(np.isfinite(vector)):
-            return vector
-    except np.linalg.LinAlgError:  # a precision that overflowed
-        pass
-    raise DigitsvError("i-vector extraction overflowed: the TV model and statistics "
-                       "give no finite posterior mean")
+    rhs = tv.matrix.T @ (stats.f.reshape(-1) * (1.0 / tv.background.variances.reshape(-1)))
+    return _posterior(tv.precision_blocks, stats.n, rhs)[1]
 
 
 # The M-step works in bounded blocks, so no temporary has the TV matrix's size:
@@ -218,31 +210,21 @@ def train_tv(stats, background: Background, rank: int,
     E-step is batched over all utterances.  The returned
     model logs the per-iteration evidence term 0.5 * (w' rhs - logdet L)
     summed over utterances, which is nondecreasing across iterations.
-    Statistics that overflow the matrix or the evidence raise DigitsvError.
     """
     inv_var = 1.0 / background.variances.reshape(-1)
     matrix = np.random.default_rng(seed).standard_normal((background.means.size, rank))
     matrix *= 0.1
     counts, log = [], []
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
-            rhs = _right_hand_sides(matrix, _pass(stats, background), inv_var, counts)
-            utterances = len(counts)
-            if utterances < rank:
-                raise DigitsvError(f"{utterances} utterances cannot support rank {rank}")
-            counts = np.array(counts).reshape(utterances, background.n_mixtures)
-            for k in range(iterations):
-                if k:
-                    rhs = _right_hand_sides(matrix, _pass(stats, background, utterances),
-                                            inv_var)
-                log.append(_em_iteration(matrix, counts, rhs, inv_var,
-                                         _pass(stats, background, utterances)))
-        finite = np.all(np.isfinite(matrix)) and np.all(np.isfinite(log))
-    except np.linalg.LinAlgError:  # a precision that overflowed
-        finite = False
-    if not finite:
-        raise DigitsvError("total-variability training overflowed: the statistics give "
-                           "no finite TV matrix and evidence")
+    rhs = _right_hand_sides(matrix, _pass(stats, background), inv_var, counts)
+    utterances = len(counts)
+    if utterances < rank:
+        raise DigitsvError(f"{utterances} utterances cannot support rank {rank}")
+    counts = np.array(counts).reshape(utterances, background.n_mixtures)
+    for k in range(iterations):
+        if k:
+            rhs = _right_hand_sides(matrix, _pass(stats, background, utterances), inv_var)
+        log.append(_em_iteration(matrix, counts, rhs, inv_var,
+                                 _pass(stats, background, utterances)))
     tv = TvModel(matrix, background)
     tv.training_log = log
     return tv
@@ -367,23 +349,14 @@ def train_backend(ivectors, labels, lda_dim: int, plda_iterations: int = 10) -> 
             f"speakers-1={len(classes) - 1})"
         )
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the error below
-            proj = _lda_projection(x, labels, lda_dim)
-            y = x @ proj
-            norms = np.linalg.norm(y, axis=1, keepdims=True)
-            if np.any(norms <= 0):
-                raise DigitsvError("an i-vector projected to zero")
-            y /= norms
-            mean, between, within, log = _two_covariance_em(y, labels, counts,
-                                                          plda_iterations)
-            backend = PldaBackend(proj, mean, between, within)
-        finite = all(np.all(np.isfinite(a)) for a in (proj, mean, between, within, log))
-    except (np.linalg.LinAlgError, ValueError):  # a covariance that overflowed
-        finite = False
-    if not finite:
-        raise DigitsvError("backend training overflowed: the i-vectors give no finite "
-                           "LDA projection and PLDA covariances")
+    proj = _lda_projection(x, labels, lda_dim)
+    y = x @ proj
+    norms = np.linalg.norm(y, axis=1, keepdims=True)
+    if np.any(norms <= 0):
+        raise DigitsvError("an i-vector projected to zero")
+    y /= norms
+    mean, between, within, log = _two_covariance_em(y, labels, counts, plda_iterations)
+    backend = PldaBackend(proj, mean, between, within)
     backend.training_log = log
     return backend
 

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -80,15 +79,6 @@ class TestExtractIvector:
         stats = random_stats(toy_background(seed=8, model_id="dnn-hmm"))
         with pytest.raises(DigitsvError, match="dnn-hmm"):
             extract_ivector(stats, tv)
-
-    def test_overflowing_extraction_is_a_data_error(self):
-        # finite parameters whose precision blocks overflow to infinity: one
-        # error, and no warning before it
-        bg = toy_background()
-        tv = TvModel(np.full((6, 2), 1e200), bg)
-        with warnings.catch_warnings(), pytest.raises(DigitsvError, match="overflowed"):
-            warnings.simplefilter("error")
-            extract_ivector(random_stats(bg), tv)
 
 
 class TestTrainTv:
