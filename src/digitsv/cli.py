@@ -282,16 +282,19 @@ def _write_scores(path, trials, scores):
 
 
 def _cmd_score_speaker(args):
+    reads = {"map": ("speakers",), "ivector": ("tv", "plda")}
+    _require_flags(args, *reads[args.backend])
+    for name in reads["ivector" if args.backend == "map" else "map"]:
+        if getattr(args, name):
+            raise UsageError(f"score-speaker: --backend {args.backend} does not read --{name}")
     cfg = load_config(args.config, {"silence_policy": args.silence_policy})
     corpus = read_corpus(args.corpus)
     trials = eval_trials.load_trials(args.trials or trials_path(args.corpus))
     system = pipeline.SpeakerSystem(args.source, _load_models(args), cfg.silence_policy)
     if args.backend == "map":
-        _require_flags(args, "speakers")
         scores = pipeline.score_speaker_trials(corpus, trials, system,
                                                formats.load_model(args.speakers, "speaker_models"))
     else:
-        _require_flags(args, "tv", "plda")
         scores = pipeline.score_ivector_trials(corpus, trials, system,
                                                formats.load_model(args.tv, "tv"),
                                                formats.load_model(args.plda, "plda_backend"))
@@ -507,7 +510,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--condition", action="append", required=True,
-                   help="TC-IC, TC-TW or TC-IW (repeatable)")
+                   choices=("TC-IC", "TC-TW", "TC-IW"), help="repeatable")
     p.add_argument("--content", action="store_true",
                    help="scores are KL divergences (negated for metrics)")
 

@@ -320,8 +320,7 @@ def _realign_pass(hmms: HmmSet, corpus, graphs, floor):
         np.add.at(self_mass, graph.states, node_self)
         np.add.at(cross_mass, graph.states, node_cross)
 
-        occ = np.zeros((feats.n_frames, N_STATES))
-        np.add.at(occ.T, graph.states, gamma.T)
+        occ = _nodes_to_states(graph, gamma)
         occ[occ <= 1e-12] = 0.0
         accum.add(state_ll, post, occ, x)
         del post, x  # post is weighted in place; both are freed before the next utterance's

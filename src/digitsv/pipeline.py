@@ -11,7 +11,7 @@ artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -234,22 +234,22 @@ def _trial_plan(corpus, trials, prompt_keyed: bool, enrolled=None) -> list:
     return list(plan.values())
 
 
-def _walk(plan, source: str, models: AlignerModels, silence_policy: str,
+def _walk(plan, source: str, models: AlignerModels, silence_policy: str, reduce,
           classify: bool = False):
-    """(trial indices, features, forced alignment, classifier posteriors) per key of a plan.
+    """(trial indices, ``reduce(features, forced alignment, classifier posteriors)``) per key.
 
-    The alignment is ``source``'s over the key's prompt (None for ``ubm``); the
-    classifier runs once per utterance when the source or ``classify`` needs
-    it, else its posteriors are None.  Consumers drop a key once it is reduced.
+    The alignment is ``source``'s over the key's prompt (None for ``ubm``) and
+    lives only through the ``reduce`` call; the classifier runs once per
+    utterance when the source or ``classify`` needs it, else its posteriors are None.
     """
     classify = classify or source in ("dnn", "dnn-hmm")
     for utt, keys in plan:
-        feats = utt.feats
+        feats = utt.feats  # read once, then widened to float64 once for every key
+        feats = replace(feats, frames=np.asarray(feats.frames, np.float64))
         dnn = mlp_posteriors(_need(models.mlp, "mlp"), feats) if classify else None
         for prompt, indices in keys.items():
-            # built in the yield, so the walker holds no alignment while suspended
-            yield indices, feats, (None if source == "ubm" else align(
-                source, models, feats, prompt, dnn_align=dnn, silence_policy=silence_policy)), dnn
+            yield indices, reduce(feats, None if source == "ubm" else align(
+                source, models, feats, prompt, dnn_align=dnn, silence_policy=silence_policy), dnn)
         del feats, dnn  # not held while the next utterance is read and classified
 
 
@@ -261,10 +261,8 @@ def _enrolled(corpus) -> list:
 def _enrollment_stats(utts, system: SpeakerSystem):
     """Each utterance's statistics, one key over its transcript, walked before it yields them."""
     for utt in utts:
-        for _, feats, forced, dnn in _walk([(utt, {utt.content: None})], system.source,
-                                           system.models, system.silence_policy):
-            stats, _ = system.statistics(feats, forced)
-        del feats, forced, dnn
+        [(_, stats)] = _walk([(utt, {utt.content: None})], system.source, system.models,
+                             system.silence_policy, lambda f, a, _: system.statistics(f, a)[0])
         yield stats
         del stats  # nor the yielded statistics while the next utterance is aligned
 
@@ -291,14 +289,13 @@ def _score_trials(trials, plan, system: SpeakerSystem, scorer) -> list:
     ``scorer.index`` gives each speaker's position in that array.
     """
     scores = [0.0] * len(trials)
-    for indices, feats, forced, dnn in _walk(plan, system.source, system.models,
-                                             system.silence_policy):
-        stats, retained = system.statistics(feats, forced)
-        del feats, forced, dnn  # not held while the key is scored or the next one aligned
+    for indices, (stats, retained) in _walk(plan, system.source, system.models,
+                                            system.silence_policy,
+                                            lambda f, a, _: system.statistics(f, a)):
         llrs = scorer.scores(stats, retained)
         for i in indices:
             scores[i] = float(llrs[scorer.index[trials[i].speaker]])
-        del stats, llrs  # nor while the next key is aligned
+        del stats, llrs  # not held while the next key is aligned
     return scores
 
 
@@ -340,9 +337,9 @@ def score_content_trials(corpus, trials, models: AlignerModels,
     if source is None:
         raise DigitsvError(f"unknown hmm mode {hmm_mode!r}")
     scores = [0.0] * len(trials)
-    for indices, feats, forced, dnn in _walk(plan, source, models, silence_policy, classify=True):
-        kl = content_kl.content_verify(forced, dnn, level, epsilon)
-        del feats, forced, dnn  # not held while the next key is aligned
+    for indices, kl in _walk(plan, source, models, silence_policy,
+                             lambda _, a, dnn: content_kl.content_verify(a, dnn, level, epsilon),
+                             classify=True):
         for i in indices:
             scores[i] = kl
     return scores

@@ -105,6 +105,33 @@ class TestDispatch:
         assert flag in err and f"--source {source}" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("backend, flag", [("map", "--tv"), ("map", "--plda"),
+                                               ("ivector", "--speakers")])
+    def test_flag_the_backend_never_reads(self, work, ivector_models, tmp_path, capsys,
+                                          backend, flag):
+        models, corpus = work["models"], work["corpus"]
+        ubm = ["--source", "ubm", "--ubm", f"{models}/ubm.dvmd"]
+        spk = str(tmp_path / "spk.dvmd")
+        assert run(["enroll-map", "--corpus", corpus, *ubm, "--out", spk]) == 0
+        files = {"--speakers": spk, "--tv": ivector_models["tv"],
+                 "--plda": ivector_models["plda"]}
+        reads = ["--speakers"] if backend == "map" else ["--tv", "--plda"]
+        out = tmp_path / "scores.txt"
+        capsys.readouterr()
+        assert run(["score-speaker", "--corpus", corpus, *ubm, "--backend", backend,
+                    *(x for f in (*reads, flag) for x in (f, files[f])),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and f"--backend {backend}" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("condition", ["TC_IC", "TC-XX"])
+    def test_condition_is_one_of_the_three(self, tmp_path, condition):
+        code, out, err = _evaluate(str(tmp_path), condition=condition)
+        assert code == 1 and out == "", (code, err)
+        assert err.startswith("digitsv evaluate: ") and "usage: " in err, err
+        assert repr(condition) in err and "TC-IC" in err, err
+
 
 class TestSpeakerFlow:
     def test_map_scoring_and_report(self, work, tmp_path, capsys):
@@ -1473,7 +1500,7 @@ _CONFIG = b"lda_dim=3\ndcf_sre08=10,1,0.01\n# comment\ntv_iterations=2\n"
 _VALID = {"trials": _TRIALS, "scores": _SCORES, "config": _CONFIG}
 
 
-def _evaluate(root, **files):
+def _evaluate(root, condition="TC-IC", **files):
     """``evaluate`` on the given file bytes (valid ones otherwise); (code, stdout, stderr)."""
     paths = {}
     for role, valid in _VALID.items():
@@ -1483,7 +1510,7 @@ def _evaluate(root, **files):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(["evaluate", "--trials", paths["trials"], "--scores", paths["scores"],
-                    "--config", paths["config"], "--condition", "TC-IC"])
+                    "--config", paths["config"], "--condition", condition])
     return code, out.getvalue(), err.getvalue()
 
 

@@ -922,6 +922,27 @@ class TestStoredPrecision:
                                                    hmm_mode=hmm_mode) for c in stored)
         assert got == want
 
+    def test_walk_widens_each_utterance_once(self, stored, small_models, monkeypatch):
+        # every kernel that would widen a key's frames gets them float64 already
+        disk, trials = stored[0], stored[1].trials
+        dtypes = []
+        for mod, name, frames_of in ((gmm_mod, "_check_frames", lambda args: args[1]),
+                                     (pgmm_mod, "accumulate_stats", lambda args: args[1].frames),
+                                     (neural_aligner, "posterior_matrix", lambda args: args[1])):
+            def recording(*args, _original=getattr(mod, name), _frames_of=frames_of, **kwargs):
+                dtypes.append(_frames_of(args).dtype)
+                return _original(*args, **kwargs)
+            for holder in (mod, pipeline):  # pipeline imports some kernels by name
+                if hasattr(holder, name):
+                    monkeypatch.setattr(holder, name, recording)
+        for source in ("gmm-hmm", "dnn", "dnn-hmm", "ubm"):
+            system = pipeline.SpeakerSystem(source, small_models)
+            pipeline.score_speaker_trials(disk, trials, system,
+                                          pipeline.enroll_speakers(disk, system))
+        for hmm_mode in ("gmm", "hybrid"):
+            pipeline.score_content_trials(disk, trials, small_models, hmm_mode=hmm_mode)
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}, len(dtypes)
+
     def test_frame_matrix_keeps_a_wider_utterance(self):
         narrow = np.arange(12, dtype=np.float32).reshape(4, 3)
         wide = np.full((2, 3), 1.0 + 2.0 ** -40)  # not a float32 value
