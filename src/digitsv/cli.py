@@ -131,6 +131,12 @@ def _require_flags(args, *names):
         raise UsageError(f"{args.command}: missing {', '.join(missing)}")
 
 
+def _reject_flags(args, why, *names):
+    unread = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n, None)]
+    if unread:
+        raise UsageError(f"{args.command}: {why} does not read {', '.join(unread)}")
+
+
 def _cmd_align(args):
     if args.source == "dnn":
         _require_flags(args, "mlp")
@@ -140,8 +146,8 @@ def _cmd_align(args):
         _require_flags(args, "hmm", "feats", "transcript")
         if args.source == "dnn-hmm":
             _require_flags(args, "mlp")
-        elif args.dnn_feats:
-            raise UsageError("align: --source gmm-hmm does not read --dnn-feats")
+        else:
+            _reject_flags(args, "--source gmm-hmm", "dnn_feats")
     cfg = load_config(args.config, {"silence_policy": args.silence_policy})
     models = _load_models(args)
     feats = formats.read_dvfe(args.feats) if args.feats else None
@@ -184,8 +190,8 @@ def _cmd_train_pgmm(args):
 def _cmd_accumulate_stats(args):
     if args.source != "ubm":
         _require_flags(args, "align")
-    elif args.align:
-        raise UsageError("accumulate-stats: --source ubm does not read --align")
+    else:
+        _reject_flags(args, "--source ubm", "align")
     system = pipeline.SpeakerSystem(args.source, _load_models(args))
     align = None if args.source == "ubm" else formats.read_dvpo(args.align, hmm_mod.N_STATES)
     feats = formats.read_dvfe(args.feats)
@@ -282,11 +288,9 @@ def _write_scores(path, trials, scores):
 
 
 def _cmd_score_speaker(args):
-    reads = {"map": ("speakers",), "ivector": ("tv", "plda")}
-    _require_flags(args, *reads[args.backend])
-    for name in reads["ivector" if args.backend == "map" else "map"]:
-        if getattr(args, name):
-            raise UsageError(f"score-speaker: --backend {args.backend} does not read --{name}")
+    flags = {"map": ("speakers",), "ivector": ("tv", "plda")}
+    _require_flags(args, *flags.pop(args.backend))
+    _reject_flags(args, f"--backend {args.backend}", *flags.popitem()[1])  # the other backend's
     cfg = load_config(args.config, {"silence_policy": args.silence_policy})
     corpus = read_corpus(args.corpus)
     trials = eval_trials.load_trials(args.trials or trials_path(args.corpus))
@@ -510,7 +514,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--trials", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--condition", action="append", required=True,
-                   choices=("TC-IC", "TC-TW", "TC-IW"), help="repeatable")
+                   choices=[c.replace("_", "-") for c in eval_trials.CONDITIONS], help="repeatable")
     p.add_argument("--content", action="store_true",
                    help="scores are KL divergences (negated for metrics)")
 

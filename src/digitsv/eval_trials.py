@@ -118,17 +118,13 @@ def _error_rates(ss: ScoreSet):
     _check_both_classes(ss)
     targets = np.sort(ss.scores[ss.labels])
     nontargets = np.sort(ss.scores[~ss.labels])
-    thresholds = np.unique(ss.scores)
+    scores = np.sort(ss.scores)  # np.unique would import numpy.ma for its masked-array check
+    thresholds = scores[np.concatenate(([True], scores[1:] != scores[:-1]))]
     # miss: targets strictly below the threshold; fa: nontargets at/above it
-    p_miss = [0.0]
-    p_fa = [1.0]
-    for th in thresholds:
-        p_miss.append(np.searchsorted(targets, th, side="left") / targets.size)
-        accepted = nontargets.size - np.searchsorted(nontargets, th, side="left")
-        p_fa.append(accepted / nontargets.size)
-    p_miss.append(1.0)
-    p_fa.append(0.0)
-    return np.array(p_miss), np.array(p_fa)
+    p_miss = np.searchsorted(targets, thresholds, side="left") / targets.size
+    accepted = nontargets.size - np.searchsorted(nontargets, thresholds, side="left")
+    p_fa = accepted / nontargets.size
+    return np.concatenate(([0.0], p_miss, [1.0])), np.concatenate(([1.0], p_fa, [0.0]))
 
 
 def compute_eer(ss: ScoreSet) -> float:

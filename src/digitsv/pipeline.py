@@ -245,7 +245,8 @@ def _walk(plan, source: str, models: AlignerModels, silence_policy: str, reduce,
     classify = classify or source in ("dnn", "dnn-hmm")
     for utt, keys in plan:
         feats = utt.feats  # read once, then widened to float64 once for every key
-        feats = replace(feats, frames=np.asarray(feats.frames, np.float64))
+        if feats.frames.dtype != np.float64:
+            feats = replace(feats, frames=feats.frames.astype(np.float64))
         dnn = mlp_posteriors(_need(models.mlp, "mlp"), feats) if classify else None
         for prompt, indices in keys.items():
             yield indices, reduce(feats, None if source == "ubm" else align(

@@ -1493,6 +1493,24 @@ class TestNumpyOnlyRuntime:
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "", done.stdout
 
+    def test_evaluate_loads_no_numpy_ma(self, tmp_path):
+        # np.unique's masked-array check imports numpy.ma, about 1 MB resident
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        for role in ("trials", "scores"):
+            (tmp_path / role).write_bytes(_VALID[role])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy; "
+                "eager = 'numpy.ma' in sys.modules; from digitsv import cli; "
+                "code = cli.cli_dispatch(['evaluate', '--trials', sys.argv[2], '--scores', "
+                "sys.argv[3], '--condition', 'TC-IC', '--condition', 'TC-TW']); "
+                "print(code, eager, 'numpy.ma' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code, src, str(tmp_path / "trials"),
+                               str(tmp_path / "scores")], capture_output=True, text=True,
+                              check=True)
+        code, eager, loaded = done.stdout.split()[-3:]
+        if eager == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert (code, loaded) == ("0", "False"), done.stdout
+
 
 _TRIALS = b"s1 u1 123 TC\ns1 u2 456 IC\ns2 u3 789 TC\ns2 u4 123 IC\ns1 u3 789 TW\n"
 _SCORES = b"s1 u1 1.5\ns1 u2 -0.5\ns2 u3 0.25\ns2 u4 0.75\ns1 u3 0.1\n"

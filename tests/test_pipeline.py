@@ -36,13 +36,13 @@ def _mixture_posteriors(system, feats, prompt):
 
 
 def _counting(monkeypatch, name):
-    """Record (frames identity, prompt or None) for every call of ``pipeline.<name>``."""
+    """Record (feats identity, prompt or None) for every call of ``pipeline.<name>``."""
     calls = []
     original = getattr(pipeline, name)
 
     def counting(*args, **kwargs):
         feats = args[2] if name == "align" else args[1]
-        calls.append((id(feats.frames), args[3] if name == "align" else None))
+        calls.append((id(feats), args[3] if name == "align" else None))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, name, counting)
@@ -173,8 +173,7 @@ class TestTrialScoring:
 
     def test_one_forced_alignment_per_key(self, small_corpus, enrolled, monkeypatch):
         trials = small_corpus.trials
-        feats_id = {t.utterance: id(small_corpus.by_id(t.utterance).feats.frames)
-                    for t in trials}
+        feats_id = {t.utterance: id(small_corpus.by_id(t.utterance).feats) for t in trials}
         for source in SOURCES:
             system, speakers = enrolled[source]
             calls = _counting(monkeypatch, "align")
@@ -187,7 +186,7 @@ class TestTrialScoring:
     def test_classifier_runs_once_per_utterance(self, small_corpus, small_models, enrolled,
                                                 monkeypatch):
         trials = small_corpus.trials
-        utterances = {id(small_corpus.by_id(t.utterance).feats.frames) for t in trials}
+        utterances = {id(small_corpus.by_id(t.utterance).feats) for t in trials}
         for source in SOURCES:
             system, speakers = enrolled[source]
             calls = _counting(monkeypatch, "mlp_posteriors")
