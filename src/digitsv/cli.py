@@ -12,6 +12,7 @@ error state.  `digitsv.corpus` documents the corpus directory layout.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -274,15 +275,8 @@ def _cmd_train_backend(args):
     return 0
 
 
-def _ensure_parent(path):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-
-
 def _write_scores(path, trials, scores):
-    _ensure_parent(path)
-    with open(path, "w") as fh:
+    with formats._create(path, "w") as fh:
         for trial, score in zip(trials, scores):
             fh.write(f"{trial.speaker} {trial.utterance} {score:.10g}\n")
 
@@ -318,8 +312,7 @@ def _cmd_score_content(args):
         corpus, trials, models, level=cfg.class_level, epsilon=cfg.epsilon,
         hmm_mode=args.hmm_mode, silence_policy=cfg.silence_policy,
     )
-    _ensure_parent(args.out)
-    with open(args.out, "w") as fh:
+    with formats._create(args.out, "w") as fh:
         for trial, kl in zip(trials, scores):
             trial_id = f"{trial.speaker}:{trial.utterance}:{trial.prompt}"
             fh.write(f"{trial_id} {kl:.10g} {trial.category}\n")
@@ -373,6 +366,7 @@ def _cmd_evaluate(args):
 
 # --- parser -------------------------------------------------------------------
 
+@functools.cache  # argparse keeps no state between parses, so one parser serves them all
 def _build_parser() -> _Parser:
     parser = _Parser(prog="digitsv", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")

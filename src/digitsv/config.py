@@ -48,7 +48,7 @@ class PipelineConfig:
             raise DigitsvError(f"class_level must be digit or state, got {self.class_level!r}")
         if self.ivector_rank < 1:
             raise DigitsvError(f"ivector_rank must be at least 1, got {self.ivector_rank}")
-        for name in ("pgmm_em_iterations", "tv_iterations", "plda_iterations"):
+        for name in ("pgmm_em_iterations", "tv_iterations", "plda_iterations", "seed"):
             if getattr(self, name) < 0:
                 raise DigitsvError(f"{name} must not be negative, got {getattr(self, name)}")
         # mixtures grow by splitting every component, so sizes are powers of two

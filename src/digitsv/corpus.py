@@ -109,14 +109,14 @@ def write_corpus(root, corpus: Corpus) -> None:
     """``corpus`` under ``root`` in the layout above, its features as DVFE files."""
     for sub in ("feats", "transcripts", "trials", "splits"):
         os.makedirs(_path(root, sub), exist_ok=True)
-    with open(_path(root, "transcripts", "transcripts.txt"), "w") as fh:
+    with formats._create(_path(root, "transcripts", "transcripts.txt"), "w") as fh:
         for u in corpus.utterances:
             formats.write_dvfe(_path(root, "feats", f"{u.utt_id}.dvfe"), u.feats)
             fh.write(f"{u.utt_id} {u.content}\n")
     for split in ("enroll", "test"):
-        with open(_path(root, "splits", f"{split}.txt"), "w") as fh:
+        with formats._create(_path(root, "splits", f"{split}.txt"), "w") as fh:
             fh.writelines(f"{u.utt_id} {u.speaker}\n"
                           for u in corpus.utterances if u.split == split)
-    with open(trials_path(root), "w") as fh:
+    with formats._create(trials_path(root), "w") as fh:
         fh.writelines(f"{t.speaker} {t.utterance} {t.prompt} {t.category}\n"
                       for t in corpus.trials)

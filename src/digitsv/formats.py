@@ -145,11 +145,15 @@ def _header(magic: bytes) -> bytes:
     return magic + struct.pack("<H", VERSIONS[magic])
 
 
-def _create(path):
+def _create(path, mode="wb"):
+    """``path`` opened as a new file.  A file or symlink already there is removed,
+    not truncated or followed: ext4 flushes a truncated file's blocks on close."""
     parent = os.path.dirname(os.fspath(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
-    return open(path, "wb")
+    if os.path.islink(path) or os.path.isfile(path):  # a device such as /dev/null stays
+        os.unlink(path)
+    return open(path, mode)
 
 
 def _check_counts(rd: _Reader, rows: int, cols: int, itemsize: int, what: str):

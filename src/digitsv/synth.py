@@ -5,7 +5,9 @@ walks its three canonical state means (plus edge silence) for a sampled
 dwell time, offset by a per-speaker vector and spherical noise.  Enrollment
 uses three ten-digit strings per speaker, tests are five-digit strings, and
 trial lists cover all four TC/TW/IC/IW categories.  Everything is a pure
-function of the seed.
+function of the seed, and so is the order of the draws: each state draws its
+dwell, then its noise block.  Changing that order changes every corpus and
+every benchmark EER.
 """
 
 from __future__ import annotations
@@ -45,8 +47,11 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_speakers < 2:
             raise DigitsvError("need at least 2 speakers")
-        if min(self.speaker_scale, self.noise_scale, self.mean_separation) <= 0:
-            raise DigitsvError("scales must be positive")
+        if not all(0 < v < np.inf for v in (self.speaker_scale, self.noise_scale,
+                                             self.mean_separation)):  # also rejects nan
+            raise DigitsvError("scales must be positive and finite")
+        if self.seed < 0:
+            raise DigitsvError(f"seed must not be negative, got {self.seed}")
         if self.dwell_min < 2 or self.dwell_max < self.dwell_min:
             raise DigitsvError("dwell range must satisfy 2 <= min <= max")
         if self.tw_mode not in TW_MODES:
@@ -94,13 +99,17 @@ def _state_sequence(content: str, rng, cfg: SynthConfig):
     return states
 
 
-def _synthesize(content: str, offsets, means, rng, cfg: SynthConfig) -> FeatureSequence:
-    frames = []
-    for s in _state_sequence(content, rng, cfg):
-        dwell = int(rng.integers(cfg.dwell_min, cfg.dwell_max + 1))
-        noise = cfg.noise_scale * rng.standard_normal((dwell, DIM))
-        frames.append(means[s] + offsets[s] + noise)
-    return FeatureSequence(np.concatenate(frames, axis=0), FeatureKind.MFCC60)
+def _synthesize(content: str, base, rng, cfg: SynthConfig) -> FeatureSequence:
+    """One utterance over ``base``, the speaker's (N_STATES, DIM) state means."""
+    states = _state_sequence(content, rng, cfg)
+    noise, dwells = [], []
+    for _ in states:  # per state: its dwell, then its noise block
+        dwells.append(int(rng.integers(cfg.dwell_min, cfg.dwell_max + 1)))
+        noise.append(rng.standard_normal((dwells[-1], DIM)))
+    frames = np.concatenate(noise)
+    frames *= cfg.noise_scale
+    frames += np.repeat(base[states], dwells, axis=0)
+    return FeatureSequence(frames, FeatureKind.MFCC60)
 
 
 def generate_corpus(cfg: SynthConfig | None = None) -> Corpus:
@@ -127,18 +136,20 @@ def generate_corpus(cfg: SynthConfig | None = None) -> Corpus:
 
     utterances, wrong = [], {}  # wrong: each test's corrupted prompt, for TW/IW trials
     for k, spk in enumerate(speakers):
+        base = state_means + offsets[k]
         for j, text in enumerate(enroll_texts[k]):
-            feats = _synthesize(text, offsets[k], state_means, rng, cfg)
+            feats = _synthesize(text, base, rng, cfg)
             utterances.append(Utterance(f"{spk}_e{j}", spk, text, "enroll", feats))
         for j in range(cfg.n_test):
             text = _random_digits(rng, TEST_DIGITS)
-            feats = _synthesize(text, offsets[k], state_means, rng, cfg)
+            feats = _synthesize(text, base, rng, cfg)
             wrong[f"{spk}_t{j}"] = corrupt_prompt(text, cfg.tw_mode, int(rng.integers(2 ** 31)))
             utterances.append(Utterance(f"{spk}_t{j}", spk, text, "test", feats))
 
     corpus = Corpus(utterances, [])
+    tests = corpus.tests()
     for spk in speakers:
-        for utt in corpus.tests():
+        for utt in tests:
             correct, corrupted = ("TC", "TW") if utt.speaker == spk else ("IC", "IW")
             corpus.trials.append(TrialRecord(spk, utt.utt_id, utt.content, correct))
             corpus.trials.append(TrialRecord(spk, utt.utt_id, wrong[utt.utt_id], corrupted))

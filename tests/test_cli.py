@@ -125,6 +125,26 @@ class TestDispatch:
         assert flag in err and f"--backend {backend}" in err, err
         assert not out.exists()
 
+    def test_each_dispatch_reads_its_own_flags(self, tmp_path, capsys):
+        # one parser serves every dispatch of the process; no flag carries over
+        (tmp_path / "trials").write_bytes(_TRIALS + b"s2 u1 456 IW\n")
+        (tmp_path / "scores").write_bytes(_SCORES + b"s2 u1 -1.0\n")
+        argv = ["evaluate", "--trials", str(tmp_path / "trials"),
+                "--scores", str(tmp_path / "scores")]
+        for conditions in (["TC-IC"], ["TC-TW", "TC-IW"]):
+            capsys.readouterr()
+            assert run([*argv, *(x for c in conditions for x in ("--condition", c))]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert [row.split()[0] for row in rows] == conditions, rows
+
+    def test_usage_error_then_dispatch(self, tmp_path, capsys):
+        for role, data in _VALID.items():
+            (tmp_path / role).write_bytes(data)
+        argv = ["evaluate", "--trials", str(tmp_path / "trials"),
+                "--scores", str(tmp_path / "scores")]
+        assert run([*argv, "--condition", "TC-IC", "--frobnicate"]) == 1
+        assert run([*argv, "--condition", "TC-IC"]) == 0
+
     @pytest.mark.parametrize("condition", ["TC_IC", "TC-XX"])
     def test_condition_is_one_of_the_three(self, tmp_path, condition):
         code, out, err = _evaluate(str(tmp_path), condition=condition)
@@ -1194,6 +1214,32 @@ class TestBadInputs:
         _assert_error_line(capsys, str(out / "corpus" / "feats"), ".dvfe", "float32")
         assert not any((out / "corpus" / "feats").iterdir())
 
+    @pytest.mark.parametrize("flag, value, words", [
+        ("--speaker-scale", "nan", ["scales", "finite"]),
+        ("--speaker-scale", "inf", ["scales", "finite"]),
+        ("--separation", "nan", ["scales", "finite"]),
+        ("--separation", "inf", ["scales", "finite"]),
+        ("--seed", "-1", ["seed", "-1"]),
+    ])
+    def test_synth_values(self, tmp_path, capsys, flag, value, words):
+        out = tmp_path / "c"
+        assert run(["synth", "--speakers", "2", "--test-per-speaker", "1", flag, value,
+                    "--out", str(out)]) == 2
+        _assert_error_line(capsys, *words)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage", ["train-mlp", "train-tv"])
+    def test_negative_seed(self, work, stage_argv, tmp_path, capsys, stage):
+        models = work["models"]
+        argv = {"train-mlp": ["train-mlp", "--corpus", work["corpus"],
+                              "--hmm", f"{models}/hmm.dvmd", "--hidden", "8", "--epochs", "1"],
+                "train-tv": stage_argv["train-tv"]}[stage]
+        out = tmp_path / "out.dvmd"
+        capsys.readouterr()
+        assert run([*argv, "--seed", "-1", "--out", str(out)]) == 2
+        _assert_error_line(capsys, "seed", "-1")
+        assert not out.exists()
+
     def test_malformed_utt2spk(self, tmp_path, capsys):
         ivecs = str(tmp_path / "iv.dviv")
         formats.write_dviv(ivecs, [("u1", np.ones(3))])
@@ -1613,3 +1659,72 @@ class TestTextFuzzing:
             assert err.startswith("error: ") and err.count("\n") == 1, err
         else:
             assert "TC-IC" in out
+
+
+class TestOutputFiles:
+    """A stage replaces what is at its output path: a file, or a symlink, not its target."""
+
+    @pytest.fixture
+    def writers(self, work, tmp_path):
+        """Per kind of output, a function that writes it at the path it is given."""
+        models, corpus = work["models"], work["corpus"]
+        trials = tmp_path / "trials.txt"
+        trials.write_text("".join(open(f"{corpus}/corpus/trials/trials.txt").readlines()[:4]))
+        feats = formats.read_dvfe(f"{corpus}/corpus/feats/{_split_utts(corpus, 'test')[0]}.dvfe")
+        ubm = formats.load_model(f"{models}/ubm.dvmd", "diag_gmm")
+
+        def scores(path):
+            assert run(["score-content", "--corpus", corpus, "--trials", str(trials),
+                        "--hmm", f"{models}/hmm.dvmd", "--mlp", f"{models}/mlp.dvmd",
+                        "--out", str(path)]) == 0
+
+        def transcripts(path):
+            # the file is <out>/corpus/transcripts/transcripts.txt
+            assert run(["synth", "--speakers", "2", "--test-per-speaker", "1",
+                        "--out", str(path.parent.parent.parent)]) == 0
+
+        return {
+            "dvfe": lambda path: formats.write_dvfe(path, feats),
+            "dvmd": lambda path: formats.save_model(path, ubm),
+            "scores": scores,
+            "transcripts": transcripts,
+        }
+
+    @staticmethod
+    def _path(root, kind):
+        return root / ("corpus/transcripts/transcripts.txt" if kind == "transcripts"
+                       else f"out.{kind}")
+
+    @pytest.mark.parametrize("kind", ["dvfe", "dvmd", "scores", "transcripts"])
+    def test_shorter_payload_replaces_longer(self, writers, tmp_path, kind):
+        fresh, old = self._path(tmp_path / "fresh", kind), self._path(tmp_path / "old", kind)
+        writers[kind](fresh)
+        old.parent.mkdir(parents=True)
+        old.write_bytes(b"\xff" * (len(fresh.read_bytes()) + 4096))
+        writers[kind](old)
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["dvfe", "dvmd", "scores", "transcripts"])
+    def test_symlink_is_replaced_not_followed(self, writers, tmp_path, kind):
+        target, link = tmp_path / "target", self._path(tmp_path / "out", kind)
+        target.write_bytes(b"kept\n")
+        link.parent.mkdir(parents=True)
+        link.symlink_to(target)
+        writers[kind](link)
+        assert not link.is_symlink() and link.read_bytes() != b"kept\n"
+        assert target.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("kind", ["dvst", "scores"])
+    def test_directory_at_output_path(self, work, tmp_path, capsys, kind):
+        models, corpus = work["models"], work["corpus"]
+        utt = _split_utts(corpus, "test")[0]
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"dvst": ["accumulate-stats", "--source", "ubm", "--ubm", f"{models}/ubm.dvmd",
+                         "--feats", f"{corpus}/corpus/feats/{utt}.dvfe"],
+                "scores": ["score-content", "--corpus", corpus, "--hmm", f"{models}/hmm.dvmd",
+                           "--mlp", f"{models}/mlp.dvmd"]}[kind]
+        capsys.readouterr()
+        assert run([*argv, "--out", str(out)]) == 2
+        _assert_error_line(capsys, str(out))
+        assert out.is_dir()

@@ -19,6 +19,11 @@ EM block or minibatch at a time.  Trained on such a corpus, every trainer,
 statistic and score equals the replaced path, the same frames held as
 float64, bit for bit, and the stored-precision peaks are bounded in units
 of the float32 frame bytes.
+
+The synthetic corpus generator draws each utterance's noise blocks and
+assembles its frames once, where the path it replaced added each state's
+means, speaker offsets and noise block in turn; the corpora are equal bit
+for bit, and the generator's peak is bounded in units of the frames it returns.
 """
 
 import io
@@ -31,9 +36,11 @@ import pytest
 from conftest import heldout_cross_entropy, roster_copy, state_gmm
 
 from digitsv import formats, gmm as gmm_mod, hmm as hmm_mod, neural_aligner, pipeline
-from digitsv import pgmm as pgmm_mod
+from digitsv import pgmm as pgmm_mod, synth
 from digitsv.config import PipelineConfig
+from digitsv.corpus import Corpus, Utterance, read_corpus, write_corpus
 from digitsv.errors import DigitsvError, EmptyStateWarning, NonFiniteLoss, StarvedState
+from digitsv.eval_trials import TrialRecord
 from digitsv.features import FeatureKind, FeatureSequence
 from digitsv.gmm import DiagGmm, EmAccumulator, GmmTrainConfig, train_em
 from digitsv.hmm import N_STATES, HmmSet, compile_graph
@@ -436,6 +443,55 @@ def write_tagged_oracle(out, value):
         formats._write_tagged(out, value)
 
 
+def synthesize_oracle(content, offsets, means, rng, cfg):
+    """``synth._synthesize`` adding each state's means, offsets and noise block in turn."""
+    frames = []
+    for s in synth._state_sequence(content, rng, cfg):
+        dwell = int(rng.integers(cfg.dwell_min, cfg.dwell_max + 1))
+        noise = cfg.noise_scale * rng.standard_normal((dwell, synth.DIM))
+        frames.append(means[s] + offsets[s] + noise)
+    return FeatureSequence(np.concatenate(frames, axis=0), FeatureKind.MFCC60)
+
+
+def generate_corpus_oracle(cfg):
+    """``synth.generate_corpus`` over ``synthesize_oracle``, listing the tests per speaker."""
+    rng = np.random.default_rng(cfg.seed)
+
+    state_means = (cfg.mean_separation * cfg.noise_scale / np.sqrt(2.0)) \
+        * rng.standard_normal((N_STATES, synth.DIM))
+    offsets = cfg.speaker_scale * rng.standard_normal((cfg.n_speakers, N_STATES, synth.DIM))
+    speakers = [f"s{k:03d}" for k in range(cfg.n_speakers)]
+
+    while True:
+        enroll_texts = [
+            [synth._random_digits(rng, synth.ENROLL_DIGITS) for _ in range(synth.N_ENROLL)]
+            for _ in range(cfg.n_speakers)
+        ]
+        covered = set("".join(t for per in enroll_texts for t in per))
+        if covered >= set("0123456789"):
+            break
+
+    utterances, wrong = [], {}
+    for k, spk in enumerate(speakers):
+        for j, text in enumerate(enroll_texts[k]):
+            feats = synthesize_oracle(text, offsets[k], state_means, rng, cfg)
+            utterances.append(Utterance(f"{spk}_e{j}", spk, text, "enroll", feats))
+        for j in range(cfg.n_test):
+            text = synth._random_digits(rng, synth.TEST_DIGITS)
+            feats = synthesize_oracle(text, offsets[k], state_means, rng, cfg)
+            wrong[f"{spk}_t{j}"] = synth.corrupt_prompt(text, cfg.tw_mode,
+                                                        int(rng.integers(2 ** 31)))
+            utterances.append(Utterance(f"{spk}_t{j}", spk, text, "test", feats))
+
+    corpus = Corpus(utterances, [])
+    for spk in speakers:
+        for utt in corpus.tests():
+            correct, corrupted = ("TC", "TW") if utt.speaker == spk else ("IC", "IW")
+            corpus.trials.append(TrialRecord(spk, utt.utt_id, utt.content, correct))
+            corpus.trials.append(TrialRecord(spk, utt.utt_id, wrong[utt.utt_id], corrupted))
+    return corpus
+
+
 # --- equality with the replaced paths ------------------------------------------------
 
 class TestKernelsMatchOracles:
@@ -831,6 +887,37 @@ class TestTrainersMatchOracles:
                           [train_em(frames, GmmTrainConfig(target_components=8))])
 
 
+class TestSynthMatchesOracle:
+    """The synthetic corpus, assembled once per utterance, equals the per-state path."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 43])
+    @pytest.mark.parametrize("between_sil_prob", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("tw_mode", synth.TW_MODES)
+    @pytest.mark.parametrize("shape", [{}, {"noise_scale": 0.7},
+                                       {"dwell_min": 5, "dwell_max": 5}],
+                             ids=["default", "noise-0.7", "fixed-dwell"])
+    def test_generate_corpus(self, shape, tw_mode, between_sil_prob, seed):
+        cfg = synth.SynthConfig(n_speakers=3, n_test=2, tw_mode=tw_mode,
+                                between_sil_prob=between_sil_prob, seed=seed, **shape)
+        got, want = synth.generate_corpus(cfg), generate_corpus_oracle(cfg)
+        assert [(u.utt_id, u.speaker, u.content, u.split) for u in got.utterances] == \
+            [(u.utt_id, u.speaker, u.content, u.split) for u in want.utterances]
+        for a, b in zip(got.utterances, want.utterances):
+            assert a.feats.frames.dtype == b.feats.frames.dtype
+            np.testing.assert_array_equal(a.feats.frames, b.feats.frames)
+        assert got.trials == want.trials
+
+    def test_rewrite_equals_fresh_write(self, tmp_path):
+        # an existing corpus is replaced file by file, and so ends the same
+        corpus = synth.generate_corpus(synth.SynthConfig(n_speakers=3, n_test=2, seed=1))
+        write_corpus(tmp_path / "fresh", corpus)
+        write_corpus(tmp_path / "twice", corpus)
+        write_corpus(tmp_path / "twice", corpus)
+        fresh, twice = ({p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+                         if p.is_file()} for root in (tmp_path / "fresh", tmp_path / "twice"))
+        assert fresh == twice
+
+
 # --- features at stored precision ----------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -838,8 +925,6 @@ def stored(small_corpus, tmp_path_factory):
     """``small_corpus`` written as a corpus directory and read back (float32 frames,
     read afresh on every access), and the replaced path: the same frames held in
     memory as float64."""
-    from digitsv.corpus import Corpus, Utterance, read_corpus, write_corpus
-
     root = tmp_path_factory.mktemp("stored")
     write_corpus(root, small_corpus)
     disk = read_corpus(str(root))
@@ -1073,3 +1158,12 @@ class TestPeakMemory:
 
         _, peak = _peak(enroll_and_save)
         assert peak < (48 + 8) * one, (peak / one)
+
+    def test_generate_corpus(self):
+        # the returned frames (F), its utterances and trial list, and one
+        # utterance's noise blocks, their concatenation and the repeated state
+        # means: 1.09 F, as the per-state path took
+        cfg = synth.SynthConfig()
+        corpus, peak = _peak(lambda: synth.generate_corpus(cfg))
+        frames = sum(u.feats.frames.nbytes for u in corpus.utterances)
+        assert peak <= 1.2 * frames, (peak / frames)
